@@ -12,6 +12,10 @@ PRs has a recorded trajectory to compare against.  It measures:
 * **phy micro** -- one dense-mesh run under the scalar and the
   vectorized reception backends, asserting bit-identical results and
   timing both (``scripts/bench_check.py`` gates on this row).
+* **phy crossover** -- host time per frame under both backends across
+  mesh sizes at the paper's density, plus the peak memory numpy's
+  import costs: the measurements behind ``VECTOR_MIN_NODES`` (where
+  ``phy_backend="auto"`` switches).
 * **macro flood** -- a 2,000-node JOIN QUERY flood at paper density:
   the workload the spatial grid index and vectorized PHY exist for.
 * **mobility flood** -- the same flood at 500 nodes with every node in
@@ -315,6 +319,116 @@ def bench_phy_backends() -> None:
     )
 
 
+#: Mesh sizes for the backend crossover curve, at the paper's density
+#: (50 nodes per km^2), where the audible fan-out grows with the mesh.
+CROSSOVER_SIZES = (16, 32, 40, 50, 64, 100)
+
+
+def phy_crossover_curve(
+    sizes=CROSSOVER_SIZES, seeds=(1, 2, 3), duration_s: float = 20.0
+) -> List[Dict]:
+    """Host µs per frame under each backend, by mesh size.
+
+    Each (size, seed) runs under both backends back to back, so the two
+    share a topology and a host state; the row keeps per-backend medians
+    and the median of the paired scalar/vectorized ratios (above 1 means
+    the vectorized path is faster).
+    """
+    import statistics
+
+    from repro.experiments.scenarios import build_simulation_scenario
+
+    curve = []
+    for num_nodes in sizes:
+        side = 1000.0 * (num_nodes / 50.0) ** 0.5
+        base = SimulationScenarioConfig(
+            num_nodes=num_nodes, area_width_m=side, area_height_m=side,
+            num_groups=1 if num_nodes < 24 else 2,
+            members_per_group=min(10, num_nodes // 3),
+            duration_s=duration_s,
+            warmup_s=duration_s / 4,
+        )
+        per_frame: Dict[str, List[float]] = {"scalar": [], "vectorized": []}
+        fanout: List[float] = []
+        for seed in seeds:
+            for backend in per_frame:
+                config = dataclasses.replace(
+                    base, topology_seed=seed,
+                    network=dataclasses.replace(base.network, phy_backend=backend),
+                )
+                scenario = build_simulation_scenario("odmrp", config)
+                channel = scenario.network.channel
+                start = time.perf_counter()
+                scenario.network.sim.run(until=duration_s)
+                wall = time.perf_counter() - start
+                frames = channel.counters.total("channel.tx.")
+                per_frame[backend].append(1e6 * wall / frames)
+            fanout.append(statistics.mean(
+                len(receivers) for receivers in channel._audible.values()
+            ))
+        ratios = [s / v for s, v in zip(per_frame["scalar"], per_frame["vectorized"])]
+        curve.append({
+            "num_nodes": num_nodes,
+            "audible_per_tx": round(statistics.median(fanout), 1),
+            "scalar_us_per_frame": round(statistics.median(per_frame["scalar"]), 1),
+            "vectorized_us_per_frame": round(
+                statistics.median(per_frame["vectorized"]), 1
+            ),
+            "scalar_over_vectorized": round(statistics.median(ratios), 3),
+        })
+    return curve
+
+
+def numpy_import_rss_mb() -> float:
+    """Peak-memory cost of importing numpy, in a fresh interpreter.
+
+    The vectorized backend imports numpy and the scalar one does not,
+    so this is memory a run pays for switching backends.  Reads the
+    resident set from ``/proc`` (Linux): ``ru_maxrss`` would report the
+    high-water mark a forked child inherits from this larger process.
+    """
+    import subprocess
+    import sys
+
+    probe = (
+        "import os\n"
+        "def rss():\n"
+        "    with open('/proc/self/statm') as handle:\n"
+        "        return int(handle.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "before = rss()\n"
+        "import numpy\n"
+        "print(rss() - before)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return int(out.stdout) / 2**20
+
+
+def bench_phy_crossover() -> None:
+    """Record the curve ``VECTOR_MIN_NODES`` is read from."""
+    from repro.net.channel import VECTOR_MIN_NODES
+
+    curve = phy_crossover_curve()
+    import_mb = numpy_import_rss_mb()
+    _write_report("phy_crossover", {
+        "protocol": "odmrp",
+        "density_nodes_per_km2": 50,
+        "vector_min_nodes": VECTOR_MIN_NODES,
+        "numpy_import_rss_mb": round(import_mb, 1),
+        "curve": curve,
+    })
+    print(f"\nphy crossover (numpy import: +{import_mb:.1f} MiB peak RSS; "
+          "us/frame scalar vs vectorized):")
+    for point in curve:
+        print(
+            f"  {point['num_nodes']:4d} nodes, {point['audible_per_tx']:5.1f} "
+            f"audible: {point['scalar_us_per_frame']:7.1f} vs "
+            f"{point['vectorized_us_per_frame']:7.1f} "
+            f"({point['scalar_over_vectorized']:.2f}x)"
+        )
+
+
 def bench_macro_flood() -> None:
     """Record the city-scale flood row: the engine's new top end."""
     num_nodes = _env_int("REPRO_MACRO_NODES", 2000)
@@ -405,6 +519,7 @@ if __name__ == "__main__":
     bench_sweep_parallel_vs_serial()
     bench_distributed_drain()
     bench_phy_backends()
+    bench_phy_crossover()
     bench_macro_flood()
     bench_mobility_flood()
     print(f"wrote {os.path.normpath(BENCH_PATH)}")

@@ -19,11 +19,12 @@ Two scale paths keep large meshes tractable without changing results:
   :class:`~repro.net.topology.SpatialGridIndex` when the propagation
   model can bound its reach analytically, turning the O(N^2) pairing
   into O(N x cell occupancy).
-* ``begin_transmission`` can evaluate a whole transmission's fading
-  draws and threshold decisions as one numpy batch
-  (:mod:`repro.phy.vectorized`), bit-identical to the per-receiver
-  loop.  The backend is chosen per channel -- never per sender, since
-  mixing would desynchronize the cloned RNG stream from the scalar one.
+* ``begin_transmission`` draws a whole transmission's fading in one
+  call -- a numpy batch (:mod:`repro.phy.vectorized`) or the fading
+  model's pure-Python ``sample_link_gains`` -- both bit-identical to
+  one draw per receiver, then makes one node call per receiver.  The
+  backend is chosen per channel -- never per sender, since mixing would
+  desynchronize the cloned RNG stream from the scalar one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.net.packet import Packet
 from repro.net.topology import SpatialGridIndex
 from repro.phy.fading import FadingModel, NoFading
 from repro.phy.propagation import PropagationModel, TwoRayGroundPropagation
-from repro.phy.reception import Reception
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.trace import CounterSet
@@ -45,9 +45,12 @@ from repro.sim.trace import CounterSet
 GRID_MIN_NODES = 64
 
 #: Node count from which ``phy_backend="auto"`` picks the vectorized
-#: reception path.  Small meshes have so few audible receivers per
-#: transmission that numpy's per-call overhead eats the win; they stay
-#: on the scalar loop (results are bit-identical either way).
+#: reception path (results are bit-identical either way).  Read from
+#: the ``phy_crossover`` row of BENCH_perf.json: at the paper's density
+#: numpy's per-call overhead ties with the scalar batch near 32 nodes
+#: and beats it by 5-15 % at 50, but importing numpy costs a run about
+#: 14 MiB (+35 % peak memory on a 50-node run), which only wider
+#: fan-outs repay.
 VECTOR_MIN_NODES = 64
 
 PHY_BACKENDS = ("auto", "scalar", "vectorized")
@@ -57,7 +60,7 @@ class Transmission:
     """One frame in flight."""
 
     __slots__ = ("sender_id", "packet", "dest_id", "start_time", "end_time",
-                 "touched", "notify_sender", "sender")
+                 "touched", "decoding", "notify_sender", "sender")
 
     def __init__(
         self,
@@ -75,29 +78,36 @@ class Transmission:
         self.start_time = start_time
         self.end_time = end_time
         self.notify_sender = notify_sender
+        #: Receivers holding a power contribution from this frame.
         self.touched: List[Node] = []
+        #: The subset (same order) holding a pending reception of it.
+        self.decoding: List[Node] = []
 
 
 class ChannelError(RuntimeError):
     """Raised on physically impossible requests (double transmission)."""
 
 
-class _VectorEntry:
-    """Per-sender arrays for the batched reception path.
+class _FanOut:
+    """One sender's audible receivers as parallel columns.
 
-    Mirrors one ``_audible`` list as parallel numpy arrays (mean powers,
-    decode thresholds) plus the sampler's per-link fading state, all in
-    audible-list order so batch element ``k`` is receiver ``k``.
+    Mirrors one ``_audible`` list in audible-list order, so element
+    ``k`` of every column is receiver ``k``: the receivers, their ids
+    (the list object the scalar fading batch keys its link state on),
+    mean powers and decode thresholds.  On the vectorized backend it
+    also holds the mean powers as a numpy array and the sampler's
+    per-link fading state.
     """
 
-    __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr", "slot")
+    __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr",
+                 "mean_array", "slot")
 
-    def __init__(self, receivers, receiver_ids, mean_mw, rx_thr, slot):
-        self.receivers = receivers
-        self.receiver_ids = receiver_ids
-        self.mean_mw = mean_mw
-        self.rx_thr = rx_thr
-        self.slot = slot
+    def __init__(self, audible: List[Tuple[Node, float, float]]) -> None:
+        columns = tuple(zip(*audible)) or ((), (), ())
+        self.receivers, self.mean_mw, self.rx_thr = map(list, columns)
+        self.receiver_ids = [receiver.node_id for receiver in self.receivers]
+        self.mean_array = None
+        self.slot = None
 
 
 class WirelessChannel:
@@ -130,6 +140,8 @@ class WirelessChannel:
         #: receiver's decode threshold baked in so the per-transmission
         #: loop never chases ``receiver.params``.
         self._audible: Dict[int, List[Tuple[Node, float, float]]] = {}
+        #: sender id -> the same lists as columns, for the fan-out.
+        self._fanout: Dict[int, _FanOut] = {}
         self._fading_rng = sim.rng.stream("phy.fading")
         self._finalized = False
         self._connectivity_cache: Optional[Dict[int, List[int]]] = None
@@ -153,8 +165,8 @@ class WirelessChannel:
         self._inactive_nodes = 0
         #: Vectorized-backend state; populated by finalize() when the
         #: resolved backend is "vectorized".
+        self._vectorized = False
         self._vector_sampler = None
-        self._vector_entries: Optional[Dict[int, _VectorEntry]] = None
         self._np = None
         #: Per-link fading state archive for the vectorized backend:
         #: sender id -> receiver id -> dumped sampler state.  The scalar
@@ -230,7 +242,11 @@ class WirelessChannel:
         self._finalized = True
 
     def _rebuild_audible(self) -> None:
-        """Re-derive every sender's audibility list from current positions."""
+        """Re-derive every sender's audibility list from current positions.
+
+        On the vectorized backend the new fan-outs take over the old
+        ones' per-link fading state (see :meth:`_attach_vector_state`).
+        """
         nodes = self.nodes
         grid = self._grid
         self._audible = {}
@@ -257,6 +273,13 @@ class WirelessChannel:
                         (receiver, mean_mw, receiver.params.rx_threshold_mw)
                     )
             self._audible[sender.node_id] = audible
+        previous = self._fanout
+        self._fanout = {
+            sender_id: _FanOut(audible)
+            for sender_id, audible in self._audible.items()
+        }
+        if self._vectorized:
+            self._attach_vector_state(previous)
         self._connectivity_cache = None
 
     def note_position_change(self, node: Node) -> None:
@@ -291,8 +314,6 @@ class WirelessChannel:
                 "invalidate_topology()"
             )
         self._rebuild_audible()
-        if self.phy_backend_resolved == "vectorized":
-            self._build_vector_entries()
 
     def _max_audible_range_m(self) -> Optional[float]:
         """Worst-case audibility radius, or ``None`` if unbounded.
@@ -334,12 +355,10 @@ class WirelessChannel:
         """
         forced = self.phy_backend == "vectorized"
         if self.phy_backend == "scalar" or self._deterministic_power:
-            self.phy_backend_resolved = "scalar"
-            self._vector_entries = None
+            self._use_scalar()
             return
         if self.phy_backend == "auto" and len(self.nodes) < VECTOR_MIN_NODES:
-            self.phy_backend_resolved = "scalar"
-            self._vector_entries = None
+            self._use_scalar()
             return
         if not self._inline_fading:
             if forced:
@@ -348,16 +367,14 @@ class WirelessChannel:
                     "overrides _sampled_power; the batched path cannot "
                     "replicate a custom power model bit-for-bit"
                 )
-            self.phy_backend_resolved = "scalar"
-            self._vector_entries = None
+            self._use_scalar()
             return
         try:
             from repro.phy import vectorized
         except ImportError:
             if forced:
                 raise
-            self.phy_backend_resolved = "scalar"
-            self._vector_entries = None
+            self._use_scalar()
             return
         if self._vector_sampler is None:
             sampler = vectorized.build_sampler(self.fading, self._fading_rng)
@@ -368,22 +385,27 @@ class WirelessChannel:
                         f"{type(self.fading).__name__} has no bit-identical "
                         "batched sampler; use 'auto' or 'scalar'"
                     )
-                self.phy_backend_resolved = "scalar"
-                self._vector_entries = None
+                self._use_scalar()
                 return
             # The sampler clones the python stream's MT state; from here
             # on this channel must never draw from _fading_rng directly.
             self._vector_sampler = sampler
             self._np = vectorized.np
-        self._build_vector_entries()
+        if not self._vectorized:
+            self._vectorized = True
+            self._attach_vector_state({})
         self.phy_backend_resolved = "vectorized"
 
-    def _build_vector_entries(self) -> None:
-        """(Re)build per-sender batch arrays, migrating fading state.
+    def _use_scalar(self) -> None:
+        self.phy_backend_resolved = "scalar"
+        self._vectorized = False
 
-        State flows through ``_vector_state_archive``: every old slot's
-        per-link state is dumped into the archive first (fresher slot
-        state overwrites older archive entries), then each new slot
+    def _attach_vector_state(self, previous: Dict[int, _FanOut]) -> None:
+        """Give every fan-out its batch arrays, migrating fading state.
+
+        State flows through ``_vector_state_archive``: every slot of the
+        ``previous`` fan-outs is dumped into the archive first (fresher
+        slot state overwrites older archive entries), then each new slot
         loads whatever the archive holds for its receiver ids.  Links
         absent from the new audible list keep their archived state, so
         audibility churn under mobility preserves exactly the link
@@ -393,7 +415,6 @@ class WirelessChannel:
         np = self._np
         sampler = self._vector_sampler
         archive = self._vector_state_archive
-        previous = self._vector_entries or {}
         for sender_id, old in previous.items():
             saved = archive.setdefault(sender_id, {})
             for rid, state in zip(
@@ -401,25 +422,15 @@ class WirelessChannel:
             ):
                 if state is not None:
                     saved[rid] = state
-        entries: Dict[int, _VectorEntry] = {}
-        for sender in self.nodes:
-            audible = self._audible[sender.node_id]
-            receivers = [receiver for receiver, _, _ in audible]
-            entry = _VectorEntry(
-                receivers=receivers,
-                receiver_ids=[receiver.node_id for receiver in receivers],
-                mean_mw=np.array([mean for _, mean, _ in audible]),
-                rx_thr=np.array([thr for _, _, thr in audible]),
-                slot=sampler.new_slot(len(audible)),
-            )
-            saved = archive.get(sender.node_id)
+        for sender_id, fan in self._fanout.items():
+            fan.mean_array = np.array(fan.mean_mw)
+            fan.slot = sampler.new_slot(len(fan.receivers))
+            saved = archive.get(sender_id)
             if saved:
-                for position, rid in enumerate(entry.receiver_ids):
+                for position, rid in enumerate(fan.receiver_ids):
                     state = saved.get(rid)
                     if state is not None:
-                        sampler.load_state(entry.slot, position, state)
-            entries[sender.node_id] = entry
-        self._vector_entries = entries
+                        sampler.load_state(fan.slot, position, state)
 
     def note_active_change(self, active: bool) -> None:
         """O(1) hook from ``Node.set_active`` on every radio up/down flip."""
@@ -492,80 +503,55 @@ class WirelessChannel:
         self.counters.add(counter_name)
         self.transmissions_in_flight += 1
         sender.phy_begin_own_tx()
-        touched_append = tx.touched.append
-        entries = self._vector_entries
-        if entries is not None:
-            # Batched path: one numpy evaluation of every audible link's
-            # fading draw, faded power and decode decision, then a thin
-            # fan-out loop feeding the per-node bookkeeping.  tolist()
-            # hands back plain Python floats, so power ledgers and
-            # telemetry never see numpy scalars.
-            entry = entries[sender.node_id]
-            receivers = entry.receivers
-            count = len(receivers)
-            if count:
+        fan = self._fanout[sender.node_id]
+        targets = fan.receivers
+        means = fan.mean_mw
+        thresholds = fan.rx_thr
+        receiver_ids = fan.receiver_ids
+        sel = None
+        if self._inactive_nodes and targets:
+            # Down radios neither hear the frame nor draw its fading.
+            sel = [k for k, receiver in enumerate(targets) if receiver.active]
+            if len(sel) == len(targets):
                 sel = None
-                if self._inactive_nodes:
-                    sel = [
-                        k for k in range(count) if receivers[k].active
-                    ]
-                    if len(sel) == count:
-                        sel = None
-                gains = self._vector_sampler.gains(
-                    entry.slot, count, sel, now
-                )
-                if sel is None:
-                    powers = entry.mean_mw * gains
-                    decode = powers >= entry.rx_thr
-                    targets = receivers
-                else:
-                    index = self._np.asarray(sel, dtype=self._np.intp)
-                    powers = entry.mean_mw[index] * gains
-                    decode = powers >= entry.rx_thr[index]
-                    targets = [receivers[k] for k in sel]
-                power_list = powers.tolist()
-                decode_list = decode.tolist()
-                for k, receiver in enumerate(targets):
-                    power_mw = power_list[k]
-                    if power_mw <= 0.0:
-                        continue
-                    receiver.phy_add_power(tx, power_mw)
-                    touched_append(receiver)
-                    if decode_list[k] and not receiver.transmitting:
-                        reception = Reception(
-                            tx, receiver.node_id, power_mw, now, end_time
-                        )
-                        receiver.phy_start_reception(reception)
-        else:
-            deterministic = self._deterministic_power
-            sample = (
-                self.fading.sample_link_gain if self._inline_fading else None
+            else:
+                targets = [targets[k] for k in sel]
+                means = [means[k] for k in sel]
+                thresholds = [thresholds[k] for k in sel]
+                receiver_ids = [receiver_ids[k] for k in sel]
+        # One fading call for the whole transmission, then one node call
+        # per audible receiver.
+        if not targets or self._deterministic_power:
+            powers = means
+        elif self._vectorized:
+            # tolist() hands back plain Python floats, so power ledgers
+            # and telemetry never see numpy scalars.
+            gains = self._vector_sampler.gains(
+                fan.slot, len(fan.receivers), sel, now
             )
-            rng = self._fading_rng
-            sender_id = sender.node_id
-            for receiver, mean_mw, rx_threshold_mw in self._audible[sender_id]:
-                if not receiver.active:
-                    continue
-                if deterministic:
-                    power_mw = mean_mw
-                else:
-                    if sample is not None:
-                        power_mw = mean_mw * sample(
-                            (sender_id, receiver.node_id), now, rng
-                        )
-                    else:
-                        power_mw = self._sampled_power(
-                            sender, receiver, mean_mw
-                        )
-                    if power_mw <= 0.0:
-                        continue
-                receiver.phy_add_power(tx, power_mw)
-                touched_append(receiver)
-                if not receiver.transmitting and power_mw >= rx_threshold_mw:
-                    reception = Reception(
-                        tx, receiver.node_id, power_mw, now, end_time
-                    )
-                    receiver.phy_start_reception(reception)
+            if sel is None:
+                powers = (fan.mean_array * gains).tolist()
+            else:
+                index = self._np.asarray(sel, dtype=self._np.intp)
+                powers = (fan.mean_array[index] * gains).tolist()
+        elif self._inline_fading:
+            gains = self.fading.sample_link_gains(
+                sender.node_id, receiver_ids, now, self._fading_rng
+            )
+            powers = [mean * gain for mean, gain in zip(means, gains)]
+        else:
+            powers = [
+                self._sampled_power(sender, receiver, mean)
+                for receiver, mean in zip(targets, means)
+            ]
+        touched_append = tx.touched.append
+        decoding_append = tx.decoding.append
+        for receiver, power_mw, threshold in zip(targets, powers, thresholds):
+            if power_mw <= 0.0:
+                continue
+            touched_append(receiver)
+            if receiver.phy_frame_begins(tx, power_mw, power_mw >= threshold):
+                decoding_append(receiver)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
         )
@@ -583,10 +569,14 @@ class WirelessChannel:
     def _end_transmission(self, tx: Transmission) -> None:
         self.transmissions_in_flight -= 1
         tx.sender.phy_end_own_tx()
+        # Every power withdrawal (and the carrier-sense flips it causes)
+        # precedes every decision, so MAC backoffs are drawn before any
+        # delivery's upper-layer sends.
         for receiver in tx.touched:
             receiver.phy_remove_power(tx)
-        for receiver in tx.touched:
-            receiver.phy_finish_reception(tx, tx.dest_id)
+        dest_id = tx.dest_id
+        for receiver in tx.decoding:
+            receiver.phy_finish_reception(tx, dest_id)
         if tx.notify_sender:
             tx.sender.mac.on_tx_complete()
 

@@ -8,6 +8,11 @@ The node owns the PHY-side bookkeeping for the shared channel:
   this node may decode, and
 * the carrier-sense state it reports to its MAC.
 
+The channel drives it with one call per (frame, receiver) at each end of
+the frame: :meth:`Node.phy_frame_begins` when the frame starts and
+:meth:`Node.phy_remove_power` when it ends, plus
+:meth:`Node.phy_finish_reception` for the receivers it started decoding.
+
 Protocols register per-:class:`~repro.net.packet.PacketKind` handlers and
 send through :meth:`send_broadcast` / :meth:`send_unicast`.
 """
@@ -25,6 +30,17 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import CounterSet
 
 PacketHandler = Callable[[Packet, int, float], Any]
+
+#: kind -> (packets counter, bytes counter) names, per direction, so the
+#: per-frame paths never format a counter name.
+_TX_COUNTERS = {
+    kind: (f"tx.{kind.value}.packets", f"tx.{kind.value}.bytes")
+    for kind in PacketKind
+}
+_RX_COUNTERS = {
+    kind: (f"rx.{kind.value}.packets", f"rx.{kind.value}.bytes")
+    for kind in PacketKind
+}
 
 
 class Node:
@@ -103,8 +119,9 @@ class Node:
         self, packet: Packet, on_done: Optional[Callable[[bool], Any]] = None
     ) -> bool:
         """Queue a link-layer broadcast (one attempt, no ACK)."""
-        self.counters.add(f"tx.{packet.kind.value}.packets")
-        self.counters.add(f"tx.{packet.kind.value}.bytes", packet.size_bytes)
+        packets, size = _TX_COUNTERS[packet.kind]
+        self.counters.add(packets)
+        self.counters.add(size, packet.size_bytes)
         return self.mac.enqueue(packet, BROADCAST_ID, on_done)
 
     def send_unicast(
@@ -114,8 +131,9 @@ class Node:
         on_done: Optional[Callable[[bool], Any]] = None,
     ) -> bool:
         """Queue a link-layer unicast (ACKed, retried)."""
-        self.counters.add(f"tx.{packet.kind.value}.packets")
-        self.counters.add(f"tx.{packet.kind.value}.bytes", packet.size_bytes)
+        packets, size = _TX_COUNTERS[packet.kind]
+        self.counters.add(packets)
+        self.counters.add(size, packet.size_bytes)
         return self.mac.enqueue(packet, dest_id, on_done)
 
     def set_position(self, position: Position) -> None:
@@ -166,22 +184,63 @@ class Node:
             self.current_power_mw
         )
 
-    def phy_add_power(self, transmission: Any, power_mw: float) -> None:
-        """A transmission became audible here at the given faded power."""
-        self._power_contributions[transmission] = power_mw
-        self.current_power_mw += power_mw
-        self._interference_changed()
-        self._update_sense_state()
+    def phy_frame_begins(
+        self, transmission: Any, power_mw: float, decodable: bool
+    ) -> bool:
+        """A transmission became audible here at the given faded power.
+
+        All of this node's bookkeeping for one arriving frame, in one
+        call: add its power, raise the peak interference of every
+        pending reception, report a carrier-sense flip to the MAC, and
+        -- when the channel found the power ``decodable`` and this radio
+        is not transmitting -- start a pending reception, whose initial
+        interference is every other audible frame.  Returns whether a
+        reception started; the channel finishes exactly those.
+        """
+        contributions = self._power_contributions
+        contributions[transmission] = power_mw
+        total = self.current_power_mw + power_mw
+        self.current_power_mw = total
+        pending = self.pending_receptions
+        if pending:
+            for other, reception in pending.items():
+                reception.note_interference(
+                    total - contributions.get(other, 0.0)
+                )
+        # Inlined _update_sense_state (this runs once per receiver-frame).
+        busy = self.transmitting or (
+            total >= self.params.carrier_sense_threshold_mw
+        )
+        if busy != self._last_busy:
+            self._last_busy = busy
+            self.mac.on_medium_state(busy)
+        if not decodable or self.transmitting:
+            return False
+        reception = Reception(
+            transmission, self.node_id, power_mw,
+            transmission.start_time, transmission.end_time,
+        )
+        pending[transmission] = reception
+        reception.note_interference(self.current_power_mw - power_mw)
+        return True
 
     def phy_remove_power(self, transmission: Any) -> None:
         """An audible transmission ended; withdraw its power."""
-        power = self._power_contributions.pop(transmission, 0.0)
-        self.current_power_mw -= power
-        if self.current_power_mw < 0.0:  # guard against float drift
-            self.current_power_mw = 0.0
-        if not self._power_contributions:
-            self.current_power_mw = 0.0
-        self._update_sense_state()
+        contributions = self._power_contributions
+        power = contributions.pop(transmission, 0.0)
+        if contributions:
+            total = self.current_power_mw - power
+            if total < 0.0:  # guard against float drift
+                total = 0.0
+        else:
+            total = 0.0
+        self.current_power_mw = total
+        busy = self.transmitting or (
+            total >= self.params.carrier_sense_threshold_mw
+        )
+        if busy != self._last_busy:
+            self._last_busy = busy
+            self.mac.on_medium_state(busy)
 
     def phy_begin_own_tx(self) -> None:
         """Half duplex: starting to transmit kills any in-flight receptions."""
@@ -193,12 +252,6 @@ class Node:
     def phy_end_own_tx(self) -> None:
         self.transmitting = False
         self._update_sense_state()
-
-    def phy_start_reception(self, reception: Reception) -> None:
-        """Register a decodable frame arriving at this node."""
-        self.pending_receptions[reception.transmission] = reception
-        own = self._power_contributions.get(reception.transmission, 0.0)
-        reception.note_interference(self.current_power_mw - own)
 
     def phy_finish_reception(
         self, transmission: Any, dest_id: int
@@ -219,17 +272,8 @@ class Node:
         else:
             self.counters.add("phy.rx_failed_collision")
 
-    def _interference_changed(self) -> None:
-        if not self.pending_receptions:
-            return
-        total = self.current_power_mw
-        contributions = self._power_contributions
-        for transmission, reception in self.pending_receptions.items():
-            own = contributions.get(transmission, 0.0)
-            reception.note_interference(total - own)
-
     def _update_sense_state(self) -> None:
-        # Inlined `medium_busy`: this runs on every power add/remove.
+        # Radio-state changes; the per-frame power paths inline this.
         busy = self.transmitting or self.reception_model.can_sense(
             self.current_power_mw
         )
@@ -247,9 +291,10 @@ class Node:
         if dest_id != BROADCAST_ID and dest_id != self.node_id:
             self.counters.add("phy.rx_overheard")
             return
-        self.counters.add(f"rx.{packet.kind.value}.packets")
-        self.counters.add(f"rx.{packet.kind.value}.bytes", packet.size_bytes)
-        if packet.kind == PacketKind.ACK:
+        packets, size = _RX_COUNTERS[packet.kind]
+        self.counters.add(packets)
+        self.counters.add(size, packet.size_bytes)
+        if packet.kind is PacketKind.ACK:
             if packet.payload.acked_sender == self.node_id:
                 self.mac.on_ack(packet.payload.acked_uid)
             return

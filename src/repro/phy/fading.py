@@ -9,6 +9,13 @@ Fading is sampled once per (transmission, receiver) pair: the channel is
 assumed coherent over one packet but independent across packets, the
 standard block-fading abstraction used by GloMoSim at 2 Mbps packet
 durations.
+
+The channel asks for a whole transmission's gains in one
+:meth:`FadingModel.sample_link_gains` call.  The stochastic models
+override it with a loop that inlines ``random.Random``'s own formulas
+(``expovariate``, the Box-Muller pair behind ``gauss``) so the batch
+returns exactly the floats, and consumes exactly the stream, that one
+:meth:`~FadingModel.sample_link_gain` call per link would.
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from typing import Dict, List, Optional, Sequence, Tuple
+
+TWOPI = 2.0 * math.pi  # random.gauss's angle scale
 
 
 class FadingModel(ABC):
@@ -36,6 +46,35 @@ class FadingModel(ABC):
         """
         return self.sample_power_gain(rng)
 
+    def sample_link_gains(
+        self,
+        sender_id: int,
+        receiver_ids: Sequence[int],
+        now: float,
+        rng: random.Random,
+    ) -> List[float]:
+        """Gains of one transmission's links ``(sender_id, r)``, in order.
+
+        Equal, float for float and draw for draw, to calling
+        :meth:`sample_link_gain` on each link in turn, which is what this
+        default does.  Overrides only remove the per-link call overhead.
+        """
+        sample = self.sample_link_gain
+        return [sample((sender_id, rid), now, rng) for rid in receiver_ids]
+
+    def _batch_is_exact(self, owner: type, rng: random.Random) -> bool:
+        """Whether ``owner``'s inlined batch still mirrors this instance.
+
+        A subclass that replaced the per-link math, or a gaussian left
+        half-drawn in the stream, falls back to the per-link default.
+        """
+        kind = type(self)
+        return (
+            kind.sample_link_gain is owner.sample_link_gain
+            and kind.sample_power_gain is owner.sample_power_gain
+            and getattr(rng, "gauss_next", None) is None
+        )
+
 
 class NoFading(FadingModel):
     """Deterministic channel; every packet sees the mean path gain."""
@@ -55,6 +94,14 @@ class RayleighFading(FadingModel):
 
     def sample_power_gain(self, rng: random.Random) -> float:
         return rng.expovariate(1.0)
+
+    def sample_link_gains(self, sender_id, receiver_ids, now, rng):
+        if not self._batch_is_exact(RayleighFading, rng):
+            return super().sample_link_gains(sender_id, receiver_ids, now, rng)
+        # expovariate(1.0) is -log(1.0 - random()) / 1.0.
+        random_ = rng.random
+        log = math.log
+        return [-log(1.0 - random_()) / 1.0 for _ in receiver_ids]
 
 
 class RicianFading(FadingModel):
@@ -106,6 +153,10 @@ class CorrelatedRayleighFading(FadingModel):
         # updated in place, so the per-packet hot path allocates nothing
         # and writes the dict only on a link's first sample.
         self._state: dict = {}
+        # sender id -> (receiver id list, that list's state entries): the
+        # batch path's view of ``_state``, holding the very same mutable
+        # lists, reused while the channel passes the same list object.
+        self._rows: Dict[int, Tuple[Sequence[int], List[Optional[list]]]] = {}
         self._sigma = math.sqrt(0.5)  # per-component: E[|h|^2] = 1
 
     def sample_power_gain(self, rng: random.Random) -> float:
@@ -139,6 +190,69 @@ class CorrelatedRayleighFading(FadingModel):
             state[1] = real
             state[2] = imag
         return real * real + imag * imag
+
+    def sample_link_gains(self, sender_id, receiver_ids, now, rng):
+        """The AR(1) update of every link in one loop.
+
+        Each ``gauss(0.0, s)`` pair is the Box-Muller pair ``0.0 +
+        z * s`` drawn from two ``random()`` calls, and links whose last
+        update shares a time share one ``rho``/innovation (the same
+        ``exp``/``sqrt`` of the same doubles).
+        """
+        if not self._batch_is_exact(CorrelatedRayleighFading, rng):
+            return super().sample_link_gains(sender_id, receiver_ids, now, rng)
+        row = self._rows.get(sender_id)
+        if row is not None and row[0] is receiver_ids:
+            states = row[1]
+        else:
+            lookup = self._state.get
+            states = [lookup((sender_id, rid)) for rid in receiver_ids]
+            self._rows[sender_id] = (receiver_ids, states)
+        random_ = rng.random
+        log = math.log
+        sqrt = math.sqrt
+        cos = math.cos
+        sin = math.sin
+        exp = math.exp
+        sigma = self._sigma
+        coherence = self.coherence_time_s
+        gains = []
+        append = gains.append
+        last_t = None
+        rho = innovation = 0.0
+        for k, state in enumerate(states):
+            if state is None:
+                # Not sampled when the row was cached; the per-link path
+                # may have started the link since.
+                key = (sender_id, receiver_ids[k])
+                state = states[k] = self._state.get(key)
+                if state is None:
+                    x2pi = random_() * TWOPI
+                    g2rad = sqrt(-2.0 * log(1.0 - random_()))
+                    real = 0.0 + (cos(x2pi) * g2rad) * sigma
+                    imag = 0.0 + (sin(x2pi) * g2rad) * sigma
+                    states[k] = self._state[key] = [now, real, imag]
+                    append(real * real + imag * imag)
+                    continue
+            t = state[0]
+            if t != last_t:
+                last_t = t
+                dt = now - t
+                rho = exp(-dt / coherence)
+                innovation = sigma * sqrt(max(0.0, 1.0 - rho * rho))
+            if innovation:
+                x2pi = random_() * TWOPI
+                g2rad = sqrt(-2.0 * log(1.0 - random_()))
+                real = rho * state[1] + (0.0 + (cos(x2pi) * g2rad) * innovation)
+                imag = rho * state[2] + (0.0 + (sin(x2pi) * g2rad) * innovation)
+            else:
+                real = rho * state[1]
+                imag = rho * state[2]
+            state[0] = now
+            state[1] = real
+            state[2] = imag
+            append(real * real + imag * imag)
+        return gains
 
 
 def rayleigh_outage_probability(mean_snr_linear: float, threshold_linear: float) -> float:

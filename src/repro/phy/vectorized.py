@@ -19,9 +19,9 @@ The bit-identity contract and how each piece honors it:
 * **Transcendentals** -- numpy's ``log``/``exp`` use SIMD polynomial
   kernels that differ from libm by an ulp on some inputs, which would
   silently break golden results.  The samplers therefore evaluate
-  ``log``/``exp`` with ``math``'s scalar functions in a tight list
-  comprehension and batch only the operations numpy computes
-  bit-identically (``cos``/``sin``/``sqrt`` and IEEE arithmetic).
+  ``log``/``exp`` with ``math``'s scalar functions element by element
+  and batch only the operations numpy computes bit-identically
+  (``cos``/``sin``/``sqrt`` and IEEE arithmetic).
 * **Operation order** -- every sampler replays CPython's own formulas
   operation for operation: ``expovariate(1.0)`` is ``-log(1.0 - u)``
   and ``gauss(mu, sigma)`` is the Box-Muller pair ``mu + (cos(u1 *
@@ -58,13 +58,12 @@ except ImportError as exc:  # pragma: no cover - exercised only sans numpy
     ) from exc
 
 from repro.phy.fading import (
+    TWOPI,
     CorrelatedRayleighFading,
     FadingModel,
     RayleighFading,
     RicianFading,
 )
-
-TWOPI = 2.0 * math.pi  # random.gauss's angle scale
 
 
 class MtUniformStream:
@@ -109,11 +108,15 @@ def _gauss_pairs(
     """
     u = stream.uniforms(2 * count)
     x2pi = u[0::2] * TWOPI
-    log = math.log
-    g2rad = np.sqrt(
-        np.array([-2.0 * log(1.0 - v) for v in u[1::2].tolist()])
-    )
+    # -2.0 * log(1.0 - v): the subtraction and the product are exact
+    # IEEE operations either side; only the log must be math's.
+    g2rad = np.sqrt(_math_log(1.0 - u[1::2]) * -2.0)
     return np.cos(x2pi) * g2rad, np.sin(x2pi) * g2rad
+
+
+def _math_log(values: "np.ndarray") -> "np.ndarray":
+    """Elementwise ``math.log`` (numpy's ``log`` differs by an ulp)."""
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
 
 
 class VectorizedSampler:
@@ -158,9 +161,7 @@ class RayleighSampler(VectorizedSampler):
 
     def gains(self, slot, count, sel, now):
         draws = count if sel is None else len(sel)
-        u = self._stream.uniforms(draws)
-        log = math.log
-        return np.array([-log(1.0 - v) for v in u.tolist()])
+        return -_math_log(1.0 - self._stream.uniforms(draws))
 
 
 class RicianSampler(VectorizedSampler):
@@ -185,15 +186,21 @@ class RicianSampler(VectorizedSampler):
 
 
 class _CorrelatedSlot:
-    """AR(1) state arrays for one sender's audible links."""
+    """AR(1) state arrays for one sender's audible links.
 
-    __slots__ = ("t", "re", "im", "has")
+    ``uniform_t`` is the time of the last update when that update
+    covered every link (so every link has state, all of it from that
+    time), else ``None``.
+    """
+
+    __slots__ = ("t", "re", "im", "has", "uniform_t")
 
     def __init__(self, count: int) -> None:
         self.t = np.zeros(count)
         self.re = np.zeros(count)
         self.im = np.zeros(count)
         self.has = np.zeros(count, dtype=bool)
+        self.uniform_t: Optional[float] = None
 
 
 class CorrelatedRayleighSampler(VectorizedSampler):
@@ -202,7 +209,8 @@ class CorrelatedRayleighSampler(VectorizedSampler):
     Fast path: after a sender's first transmission every link in its
     slot shares the same last-update time, so ``rho`` and the
     innovation are a single scalar ``exp``/``sqrt`` instead of per-link
-    loops -- same doubles, computed once.
+    loops -- same doubles, computed once.  A slot whose last update
+    covered every link (``uniform_t``) skips even the check.
     """
 
     def __init__(
@@ -229,9 +237,26 @@ class CorrelatedRayleighSampler(VectorizedSampler):
     def load_state(self, slot, position, entry):
         slot.t[position], slot.re[position], slot.im[position] = entry
         slot.has[position] = True
+        slot.uniform_t = None
 
     def gains(self, slot, count, sel, now):
         sigma = self._sigma
+        if sel is None and slot.uniform_t is not None:
+            dt = now - slot.uniform_t
+            rho = math.exp(-dt / self._T)
+            innovation = sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
+            if innovation:
+                z1, z2 = _gauss_pairs(self._stream, count)
+                re_new = rho * slot.re + (0.0 + z1 * innovation)
+                im_new = rho * slot.im + (0.0 + z2 * innovation)
+            else:
+                re_new = rho * slot.re
+                im_new = rho * slot.im
+            slot.t.fill(now)
+            slot.re = re_new
+            slot.im = im_new
+            slot.uniform_t = now
+            return re_new * re_new + im_new * im_new
         if sel is None:
             idx: object = slice(None)
             m = count
@@ -308,6 +333,7 @@ class CorrelatedRayleighSampler(VectorizedSampler):
         slot.re[idx] = re_new
         slot.im[idx] = im_new
         slot.has[idx] = True
+        slot.uniform_t = now if sel is None and count else None
         return re_new * re_new + im_new * im_new
 
 
