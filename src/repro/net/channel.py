@@ -18,7 +18,7 @@ Two scale paths keep large meshes tractable without changing results:
 * ``finalize()`` prunes its audibility scan through a
   :class:`~repro.net.topology.SpatialGridIndex` when the propagation
   model can bound its reach analytically, turning the O(N^2) pairing
-  into O(N x cell occupancy).
+  into one exact power test per node inside each sender's reach.
 * ``begin_transmission`` draws a whole transmission's fading in one
   call -- a numpy batch (:mod:`repro.phy.vectorized`) or the fading
   model's pure-Python ``sample_link_gains`` -- both bit-identical to
@@ -205,9 +205,10 @@ class WirelessChannel:
 
         On meshes of :data:`GRID_MIN_NODES` or more, the O(N^2) pairing
         scan is pruned through a persistent :class:`SpatialGridIndex`
-        sized by the propagation model's analytic range bound: the grid
-        yields a superset of each sender's in-range nodes (sorted by
-        node index, i.e. registration order), and the exact per-pair
+        with cells of half the propagation model's analytic reach: its
+        in-disk query yields a superset of each sender's audible nodes
+        (sorted by node index, i.e. registration order), so the power
+        test runs about once per audible pair, and the exact per-pair
         power test decides audibility just as in the brute scan -- the
         resulting lists are bit-identical.  The grid is kept in sync
         incrementally by :meth:`note_position_change` (an O(1)
@@ -223,8 +224,10 @@ class WirelessChannel:
         if len(nodes) >= GRID_MIN_NODES:
             reach = self._max_audible_range_m()
             if reach is not None:
+                # Half-reach cells keep the scanned box near the disk.
                 self._grid = SpatialGridIndex(
-                    [node.position for node in nodes], cell_size_m=reach
+                    [node.position for node in nodes],
+                    cell_size_m=reach / 2.0,
                 )
                 self._grid_reach = reach
         self._rebuild_audible()
@@ -257,7 +260,7 @@ class WirelessChannel:
                 if grid is None
                 else [
                     nodes[j]
-                    for j in grid.candidates_within(index, self._grid_reach)
+                    for j in grid.candidates_in_disk(index, self._grid_reach)
                 ]
             )
             for receiver in pool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import insort
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -18,6 +19,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 #: ``average_degree``) switch to a :class:`SpatialGridIndex`.  Below it
 #: the brute-force scan is faster than building the index.
 GRID_AUTO_NODES = 64
+
+#: Relative widening of the radius in the grid's in-disk test, far above
+#: the few-ulp gap between ``dx*dx + dy*dy`` and a squared ``hypot``.
+_DISK_SLACK = 1.0 + 1e-9
 
 
 class Position(NamedTuple):
@@ -36,20 +41,20 @@ class SpatialGridIndex:
     overlapping the axis-aligned box of half-width ``r`` -- O(cell
     occupancy) instead of O(N).  The cell box is an exact superset of
     the disk (``floor`` is monotone, so every point with both
-    coordinate offsets <= ``r`` falls inside the scanned box), which is
-    why :meth:`neighbors_within` can filter candidates with the same
-    ``Position.distance_to`` call the brute-force path uses and return
-    *bit-identical* neighbor sets.
+    coordinate offsets <= ``r`` falls inside the scanned box), and
+    :meth:`candidates_in_disk` trims it with a slackened squared-distance
+    test that is still a superset.  That is why :meth:`neighbors_within`
+    can filter candidates with the same ``Position.distance_to`` call
+    the brute-force path uses and return *bit-identical* neighbor sets.
 
     Candidate lists come back sorted ascending by node index, matching
     the iteration order of a plain ``for i, pos in enumerate(...)``
     scan; downstream consumers (audible lists, connectivity maps) keep
     their deterministic ordering for free.
 
-    The index is mobility-ready: :meth:`update_position` re-buckets a
-    single node and :meth:`rebuild` re-buckets everything, so a future
-    mobility model can invalidate incrementally instead of rebuilding
-    per query.
+    :meth:`update_position` re-buckets a single node, which is how the
+    channel keeps its index current through a mobility tick;
+    :meth:`rebuild` re-buckets everything.
     """
 
     def __init__(
@@ -103,37 +108,46 @@ class SpatialGridIndex:
         # sorted without a per-query sort of every bucket.
         insort(self._cells.setdefault(new_cell, []), index)
 
-    def candidates_within(self, index: int, range_m: float) -> List[int]:
-        """Indices in cells overlapping the disk (superset, sorted asc)."""
-        return self.candidates_near(self._positions[index], range_m)
+    def candidates_in_disk(self, index: int, range_m: float) -> List[int]:
+        """Superset of the nodes within ``range_m`` of node ``index``.
 
-    def candidates_near(
-        self, position: Position, range_m: float
-    ) -> List[int]:
-        """Superset of indices within ``range_m`` of an arbitrary point.
+        Scans the cells overlapping the disk's bounding box, padded by
+        one cell ring: ``hypot`` rounds, so a point whose *computed*
+        distance is exactly ``range_m`` can sit a few ulps outside the
+        arithmetic box.  One cell absorbs that slack whenever the cell
+        size is not absurdly small against the coordinate magnitudes
+        (anything above ``max(|coord|) * 2**-50``).
 
-        The scanned box is padded by one cell ring: ``hypot`` rounds,
-        so a point whose *computed* distance is exactly ``range_m`` can
-        sit a few ulps outside the arithmetic box, and the superset
-        guarantee must hold against the same rounded comparison the
-        brute-force filter uses.  One cell absorbs that slack whenever
-        the cell size is not absurdly small against the coordinate
-        magnitudes (anything above ``max(|coord|) * 2**-50``).
+        It then keeps a candidate when ``dx*dx + dy*dy`` is within the
+        squared radius widened by ``_DISK_SLACK``.  The squared sum
+        differs from the squared ``hypot`` by a few ulps, so the slack
+        keeps every candidate the rounded ``distance_to(...) <= range_m``
+        test would accept; the limit is floored at the smallest normal
+        float because subnormal squares lose their relative precision.
+        Callers decide each pair exactly.  The result is sorted ascending
+        and includes ``index`` itself.
         """
         if range_m < 0.0:
             return []
+        positions = self._positions
+        x, y = positions[index]
         size = self.cell_size_m
-        cx_lo = math.floor((position.x - range_m) / size) - 1
-        cx_hi = math.floor((position.x + range_m) / size) + 1
-        cy_lo = math.floor((position.y - range_m) / size) - 1
-        cy_hi = math.floor((position.y + range_m) / size) + 1
+        cx_lo = math.floor((x - range_m) / size) - 1
+        cx_hi = math.floor((x + range_m) / size) + 1
+        cy_lo = math.floor((y - range_m) / size) - 1
+        cy_hi = math.floor((y + range_m) / size) + 1
+        limit = max((range_m * _DISK_SLACK) ** 2, sys.float_info.min)
         cells = self._cells
         out: List[int] = []
+        append = out.append
         for cx in range(cx_lo, cx_hi + 1):
             for cy in range(cy_lo, cy_hi + 1):
-                bucket = cells.get((cx, cy))
-                if bucket:
-                    out.extend(bucket)
+                for i in cells.get((cx, cy), ()):
+                    px, py = positions[i]
+                    dx = x - px
+                    dy = y - py
+                    if dx * dx + dy * dy <= limit:
+                        append(i)
         out.sort()
         return out
 
@@ -143,7 +157,7 @@ class SpatialGridIndex:
         center = positions[index]
         return [
             i
-            for i in self.candidates_within(index, range_m)
+            for i in self.candidates_in_disk(index, range_m)
             if i != index and center.distance_to(positions[i]) <= range_m
         ]
 

@@ -74,9 +74,10 @@ class PropagationModel(ABC):
 
         The spatial grid index uses this to restrict audibility scans to
         nearby cells: every receiver whose mean power reaches
-        ``min_power_mw`` is guaranteed to lie within the returned radius
-        (slightly over-estimated on purpose; exact audibility is always
-        re-decided per pair by :meth:`rx_power_mw`).  Returns ``None``
+        ``min_power_mw`` is guaranteed to lie within the returned radius,
+        which is the exact inverse widened by ``_RANGE_SAFETY`` (exact
+        audibility is always re-decided per pair by
+        :meth:`rx_power_mw`).  Returns ``None``
         when the model cannot bound the range analytically -- callers
         must then fall back to the brute-force O(N^2) scan.
         """
@@ -182,9 +183,12 @@ class TwoRayGroundPropagation(PropagationModel):
         ht2 = self.tx_antenna_height_m * self.tx_antenna_height_m
         hr2 = self.rx_antenna_height_m * self.rx_antenna_height_m
         ground = (budget * ht2 * hr2 / min_power_mw) ** 0.25 * _RANGE_SAFETY
-        # Whichever branch reaches farther bounds the model: below the
-        # crossover the free-space inverse applies, above it the d^-4 one.
-        return max(free_space, ground)
+        # The two branches meet at the crossover and power falls with
+        # distance, so the reach is the *smaller* inverse: a cutoff above
+        # the crossover power is met inside dc, where the d^-4 curve lies
+        # above free space (its inverse overshoots); below it, reach is
+        # beyond dc, where free space lies above the d^-4 curve.
+        return min(free_space, ground)
 
 
 class LogDistancePropagation(PropagationModel):

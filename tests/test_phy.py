@@ -8,12 +8,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net.topology import Position
 from repro.phy.fading import (
     NoFading,
     RayleighFading,
     RicianFading,
     rayleigh_outage_probability,
 )
+from repro.phy.obstacles import Obstacle, ObstacleShadowingPropagation
 from repro.phy.propagation import (
     FreeSpacePropagation,
     LogDistancePropagation,
@@ -122,6 +124,131 @@ class TestLogDistance:
     def test_rejects_sub_free_space_exponent(self):
         with pytest.raises(ValueError):
             LogDistancePropagation(path_loss_exponent=1.5)
+
+
+_frequencies = st.floats(min_value=0.9e9, max_value=6e9)
+_path_loss_models = st.one_of(
+    st.builds(FreeSpacePropagation, frequency_hz=_frequencies),
+    st.builds(
+        TwoRayGroundPropagation,
+        frequency_hz=_frequencies,
+        tx_antenna_height_m=st.floats(min_value=0.5, max_value=30.0),
+        rx_antenna_height_m=st.floats(min_value=0.5, max_value=30.0),
+    ),
+    st.builds(
+        LogDistancePropagation,
+        frequency_hz=_frequencies,
+        reference_distance_m=st.floats(min_value=0.5, max_value=100.0),
+        path_loss_exponent=st.floats(min_value=2.0, max_value=6.0),
+    ),
+)
+_gains = st.floats(min_value=0.1, max_value=10.0)
+
+
+def _knee_m(model):
+    """Where the model changes law (free space has no knee: 100 m)."""
+    if isinstance(model, TwoRayGroundPropagation):
+        return model.crossover_distance_m
+    if isinstance(model, LogDistancePropagation):
+        return model.reference_distance_m
+    return 100.0
+
+
+class TestMaxRangeForPower:
+    """``max_range_for_power`` is the exact reach, widened by a hair.
+
+    The cutoff is the power at a distance 0.01x..100x the model's knee,
+    so two-ray and log-distance cutoffs land on both sides of the law
+    change.  Superset: every distance whose power clears the cutoff lies
+    within the bound.  Tightness: the bound is within ``_TIGHT`` of the
+    true reach, so power just inside it still clears the cutoff and
+    power just beyond it does not.
+    """
+
+    _TIGHT = 1.0 + 1e-5
+
+    def _check(self, model, tx_mw, gains, cutoff_m, probes):
+        """``probes``: (distance, power) pairs measured on ``model``."""
+        def envelope(distance_m):
+            return model.rx_power_mw(tx_mw, distance_m, *gains)
+
+        cutoff = envelope(cutoff_m)
+        bound = model.max_range_for_power(tx_mw, cutoff, *gains)
+        assert bound is not None and cutoff_m <= bound
+        for distance_m, power_mw in probes:
+            if power_mw >= cutoff:
+                assert distance_m <= bound
+        assert envelope(bound / self._TIGHT) >= cutoff
+        assert envelope(bound * self._TIGHT) < cutoff
+
+    @given(
+        model=_path_loss_models,
+        tx_mw=st.floats(min_value=0.01, max_value=1000.0),
+        gains=st.tuples(_gains, _gains),
+        cutoff_scale=st.floats(min_value=-2.0, max_value=2.0),
+        probe_scales=st.lists(
+            st.floats(min_value=0.01, max_value=100.0), max_size=8
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_is_exact_reach(
+        self, model, tx_mw, gains, cutoff_scale, probe_scales
+    ):
+        cutoff_m = _knee_m(model) * 10.0 ** cutoff_scale
+        probes = [
+            (cutoff_m * scale,
+             model.rx_power_mw(tx_mw, cutoff_m * scale, *gains))
+            for scale in probe_scales
+        ]
+        self._check(model, tx_mw, gains, cutoff_m, probes)
+
+    @given(
+        model=_path_loss_models,
+        tx_mw=st.floats(min_value=0.01, max_value=1000.0),
+        gains=st.tuples(_gains, _gains),
+        cutoff_scale=st.floats(min_value=-2.0, max_value=2.0),
+        walls=st.lists(
+            st.tuples(
+                st.floats(min_value=-2.0, max_value=2.0),
+                st.floats(min_value=-2.0, max_value=2.0),
+                st.floats(min_value=0.01, max_value=1.0),
+                st.floats(min_value=0.01, max_value=1.0),
+                st.floats(min_value=0.0, max_value=20.0),
+            ),
+            min_size=1, max_size=4,
+        ),
+        endpoints=st.lists(
+            st.tuples(
+                st.floats(min_value=-2.0, max_value=2.0),
+                st.floats(min_value=-2.0, max_value=2.0),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_obstacle_bound_is_base_reach(
+        self, model, tx_mw, gains, cutoff_scale, walls, endpoints
+    ):
+        """Walls only attenuate: the base model's exact reach still
+        bounds every shadowed link, and stays tight on the open-space
+        envelope."""
+        cutoff_m = _knee_m(model) * 10.0 ** cutoff_scale
+        shadowed = ObstacleShadowingPropagation(model, tuple(
+            Obstacle(x * cutoff_m, y * cutoff_m, (x + w) * cutoff_m,
+                     (y + h) * cutoff_m, attenuation_db=att)
+            for x, y, w, h, att in walls
+        ))
+        origin = Position(0.0, 0.0)
+        ends = [Position(x * cutoff_m, y * cutoff_m) for x, y in endpoints]
+        probes = [
+            (origin.distance_to(end),
+             shadowed.rx_power_mw_between(tx_mw, origin, end, *gains))
+            for end in ends
+        ]
+        self._check(shadowed, tx_mw, gains, cutoff_m, probes)
+        assert shadowed.max_range_for_power(tx_mw, 1e-9, *gains) == (
+            model.max_range_for_power(tx_mw, 1e-9, *gains)
+        )
 
 
 class TestFading:

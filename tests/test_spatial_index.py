@@ -1,6 +1,6 @@
 """Spatial grid index: grid queries must equal the brute-force scans.
 
-The grid is a pure pruning structure -- its cell-box query returns a
+The grid is a pure pruning structure -- its in-disk query returns a
 superset of every disk query, and the exact ``Position.distance_to``
 filter decides membership exactly as the O(N^2) paths do.  These tests
 pin that equivalence three ways: property tests against random point
@@ -82,7 +82,7 @@ class TestGridMatchesBruteForce:
     def test_candidates_are_sorted_supersets(self, positions, range_m):
         grid = SpatialGridIndex(positions, cell_size_m=max(range_m, 1.0))
         for index in range(len(positions)):
-            candidates = grid.candidates_within(index, range_m)
+            candidates = grid.candidates_in_disk(index, range_m)
             assert candidates == sorted(candidates)
             exact = set(neighbors_within(positions, index, range_m))
             assert exact <= set(candidates)
@@ -141,6 +141,7 @@ class TestEdgeOfCellBoundaries:
         grid = SpatialGridIndex(positions, cell_size_m=2.0)
         assert grid.neighbors_within(0, 5.0) == [1]
         assert neighbors_within(positions, 0, 5.0) == [1]
+        assert grid.candidates_in_disk(0, 5.0) == [0, 1]
         assert grid.neighbors_within(0, math.nextafter(5.0, 0.0)) == []
 
     def test_query_box_touching_cell_corner(self):
@@ -164,6 +165,25 @@ class TestEdgeOfCellBoundaries:
         assert neighbors_within(positions, 0, 1.0) == [1]
         grid = SpatialGridIndex(positions, cell_size_m=1.0)
         assert grid.neighbors_within(0, 1.0) == [1]
+        assert grid.candidates_in_disk(0, 1.0) == [0, 1]
+
+    def test_in_disk_keeps_rounded_hypot_at_range(self):
+        # hypot(1, 5) rounds to a value whose square is just below 26,
+        # the exact squared sum: the in-disk slack must still let the
+        # brute filter's "distance == range" pair through.
+        positions = [Position(0.0, 0.0), Position(1.0, 5.0)]
+        dist = positions[0].distance_to(positions[1])
+        assert 1.0 * 1.0 + 5.0 * 5.0 > dist * dist
+        grid = SpatialGridIndex(positions, cell_size_m=2.0)
+        assert grid.candidates_in_disk(0, dist) == [0, 1]
+        assert grid.neighbors_within(0, dist) == [1]
+
+    def test_in_disk_drops_box_corners(self):
+        # (90, 90) is in the scanned box for r = 100 but 127 m away.
+        positions = [Position(0.0, 0.0), Position(90.0, 90.0),
+                     Position(60.0, 0.0)]
+        grid = SpatialGridIndex(positions, cell_size_m=50.0)
+        assert grid.candidates_in_disk(0, 100.0) == [0, 2]
 
     def test_negative_coordinates(self):
         positions = [Position(-150.0, -150.0), Position(-50.0, -50.0),
@@ -271,3 +291,38 @@ class TestChannelGridPruning:
             [(n.node_id, p) for n, p in gridded.channel.audible_neighbors(i)]
             for i in range(len(positions))
         ]
+
+    def test_finalize_tests_power_once_per_audible_pair(self, monkeypatch):
+        """At paper density (50 nodes per km^2) the in-disk grid query
+        runs the exact power test once per audible pair, where the brute
+        scan runs it N(N-1) times -- and both keep the same audible
+        lists, element for element."""
+        n = 300
+        side = 1000.0 * math.sqrt(n / 50)
+        positions = random_topology(
+            n, side, side, rng=random.Random(5), connectivity_range_m=None
+        )
+        config = NetworkConfig(phy_backend="scalar")
+        calls = []
+        exact = channel_module.WirelessChannel.mean_rx_power_mw
+
+        def counting(channel, sender, receiver):
+            calls.append(1)
+            return exact(channel, sender, receiver)
+
+        monkeypatch.setattr(
+            channel_module.WirelessChannel, "mean_rx_power_mw", counting
+        )
+        gridded = Network(positions, seed=1, config=config)
+        audible_pairs = sum(
+            len(audible) for audible in gridded.channel._audible.values()
+        )
+        assert len(calls) == audible_pairs
+
+        calls.clear()
+        monkeypatch.setattr(channel_module, "GRID_MIN_NODES", 10**9)
+        brute = Network(positions, seed=1, config=config)
+        assert len(calls) == n * (n - 1)
+        assert self._audible_snapshot(brute) == (
+            self._audible_snapshot(gridded)
+        )
