@@ -72,7 +72,13 @@ class CsmaMac:
         self._current: Optional[_OutgoingFrame] = None
         self._backoff_handle: Optional[EventHandle] = None
         self._ack_timer: Optional[EventHandle] = None
-        self._deferring = False
+        #: The carrier-sense state this MAC waits for: ``True`` while a
+        #: backoff is pending (the medium going busy cancels it),
+        #: ``False`` while it defers (the medium going idle restarts
+        #: contention), ``None`` otherwise.  :meth:`on_medium_state`
+        #: acts on a flip to ``busy`` only when ``awaited_sense is
+        #: busy``, so the PHY skips every other notification.
+        self.awaited_sense: Optional[bool] = None
         self._rng = sim.rng.stream("mac.backoff")
         # Statistics
         self.frames_sent = 0
@@ -131,14 +137,18 @@ class CsmaMac:
     # Channel notifications (via the owning node)
 
     def on_medium_state(self, busy: bool) -> None:
-        """Called by the node whenever its carrier-sense state flips."""
+        """The node's carrier-sense state flipped to ``busy``.
+
+        A no-op unless ``awaited_sense is busy``; the PHY checks that
+        first and skips the call otherwise.
+        """
         if busy:
             if self._backoff_handle is not None:
                 self._backoff_handle.cancel()
                 self._backoff_handle = None
-                self._deferring = True
-        elif self._deferring:
-            self._deferring = False
+                self.awaited_sense = False
+        elif self.awaited_sense is False:
+            self.awaited_sense = None
             self._contend()
 
     def on_tx_complete(self) -> None:
@@ -207,7 +217,7 @@ class CsmaMac:
         if self._current is None:
             return
         if self.node.medium_busy:
-            self._deferring = True
+            self.awaited_sense = False
             return
         timings = self.config.timings
         slots = self._rng.randrange(self._current.cw)
@@ -216,13 +226,15 @@ class CsmaMac:
         self._backoff_handle = self.sim.schedule(
             delay, self._backoff_done, priority=EventPriority.MAC
         )
+        self.awaited_sense = True
 
     def _backoff_done(self) -> None:
         self._backoff_handle = None
+        self.awaited_sense = None
         if self._current is None:
             return
         if self.node.medium_busy:
-            self._deferring = True
+            self.awaited_sense = False
             return
         frame = self._current
         airtime = frame_airtime_s(

@@ -36,6 +36,7 @@ from repro.net.packet import Packet
 from repro.net.topology import SpatialGridIndex
 from repro.phy.fading import FadingModel, NoFading
 from repro.phy.propagation import PropagationModel, TwoRayGroundPropagation
+from repro.phy.reception import Reception
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.trace import CounterSet
@@ -60,7 +61,7 @@ class Transmission:
     """One frame in flight."""
 
     __slots__ = ("sender_id", "packet", "dest_id", "start_time", "end_time",
-                 "touched", "decoding", "notify_sender", "sender")
+                 "touched", "powers", "decoding", "notify_sender", "sender")
 
     def __init__(
         self,
@@ -80,6 +81,9 @@ class Transmission:
         self.notify_sender = notify_sender
         #: Receivers holding a power contribution from this frame.
         self.touched: List[Node] = []
+        #: Each touched receiver's faded power (same order): the frame's
+        #: share of that receiver's ``current_power_mw``.
+        self.powers: List[float] = []
         #: The subset (same order) holding a pending reception of it.
         self.decoding: List[Node] = []
 
@@ -146,10 +150,10 @@ class WirelessChannel:
         self._finalized = False
         self._connectivity_cache: Optional[Dict[int, List[int]]] = None
         self._tx_counter_names: Dict[Any, str] = {}
-        #: Transmissions currently on the air (begin minus end).  O(1)
-        #: bookkeeping so the conservation monitor can assert that power
-        #: ledgers and pending receptions drain exactly when this is 0.
-        self.transmissions_in_flight = 0
+        #: Transmissions currently on the air, in start order (a dict
+        #: used as an ordered set); node power ledgers are rebuilt from
+        #: their ``touched``/``powers`` columns.
+        self._in_flight: Dict[Transmission, None] = {}
         #: True when the faded power is provably the mean power: NoFading
         #: draws gain 1.0 for every packet and no subclass has replaced
         #: ``_sampled_power``, so the sample (and its virtual dispatch)
@@ -435,6 +439,15 @@ class WirelessChannel:
                     if state is not None:
                         sampler.load_state(fan.slot, position, state)
 
+    @property
+    def transmissions_in_flight(self) -> int:
+        """Frames on the air; ledgers and receptions drain when it is 0."""
+        return len(self._in_flight)
+
+    def in_flight(self) -> List[Transmission]:
+        """The transmissions on the air, in start order (a copy)."""
+        return list(self._in_flight)
+
     def note_active_change(self, active: bool) -> None:
         """O(1) hook from ``Node.set_active`` on every radio up/down flip."""
         self._inactive_nodes += -1 if active else 1
@@ -504,7 +517,7 @@ class WirelessChannel:
             counter_name = f"channel.tx.{kind.value}"
             self._tx_counter_names[kind] = counter_name
         self.counters.add(counter_name)
-        self.transmissions_in_flight += 1
+        self._in_flight[tx] = None
         sender.phy_begin_own_tx()
         fan = self._fanout[sender.node_id]
         targets = fan.receivers
@@ -522,8 +535,8 @@ class WirelessChannel:
                 means = [means[k] for k in sel]
                 thresholds = [thresholds[k] for k in sel]
                 receiver_ids = [receiver_ids[k] for k in sel]
-        # One fading call for the whole transmission, then one node call
-        # per audible receiver.
+        # One fading call for the whole transmission, then one pass over
+        # its receivers.
         if not targets or self._deterministic_power:
             powers = means
         elif self._vectorized:
@@ -547,13 +560,43 @@ class WirelessChannel:
                 self._sampled_power(sender, receiver, mean)
                 for receiver, mean in zip(targets, means)
             ]
-        touched_append = tx.touched.append
+        if powers and min(powers) <= 0.0:
+            # Only a custom power model silences a link outright.
+            keep = [k for k, power_mw in enumerate(powers) if power_mw > 0.0]
+            targets = [targets[k] for k in keep]
+            powers = [powers[k] for k in keep]
+            thresholds = [thresholds[k] for k in keep]
+        tx.touched = list(targets)
+        tx.powers = list(powers)
+        # Each receiver's bookkeeping for an arriving frame, inlined: add
+        # its power, raise the peak interference of every pending
+        # reception (the total minus that reception's own signal), flip
+        # carrier sense idle -> busy (power only rises here), and -- when
+        # the power is decodable and the receiver is not transmitting --
+        # start a pending reception whose initial interference is every
+        # other audible frame.
         decoding_append = tx.decoding.append
         for receiver, power_mw, threshold in zip(targets, powers, thresholds):
-            if power_mw <= 0.0:
-                continue
-            touched_append(receiver)
-            if receiver.phy_frame_begins(tx, power_mw, power_mw >= threshold):
+            total = receiver.current_power_mw + power_mw
+            receiver.current_power_mw = total
+            receiver.on_air_count += 1
+            pending = receiver.pending_receptions
+            if pending:
+                for reception in pending.values():
+                    reception.note_interference(total - reception.signal_mw)
+            if not receiver._last_busy and (
+                total >= receiver.params.carrier_sense_threshold_mw
+            ):
+                receiver._last_busy = True
+                mac = receiver.mac
+                if mac.awaited_sense is True:
+                    mac.on_medium_state(True)
+            if power_mw >= threshold and not receiver.transmitting:
+                reception = Reception(
+                    tx, receiver.node_id, power_mw, now, end_time
+                )
+                pending[tx] = reception
+                reception.note_interference(total - power_mw)
                 decoding_append(receiver)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
@@ -570,16 +613,44 @@ class WirelessChannel:
         return mean_mw * gain
 
     def _end_transmission(self, tx: Transmission) -> None:
-        self.transmissions_in_flight -= 1
+        del self._in_flight[tx]
         tx.sender.phy_end_own_tx()
         # Every power withdrawal (and the carrier-sense flips it causes)
         # precedes every decision, so MAC backoffs are drawn before any
-        # delivery's upper-layer sends.
-        for receiver in tx.touched:
-            receiver.phy_remove_power(tx)
+        # delivery's upper-layer sends.  Power only falls here, so the
+        # only possible flip is busy -> idle.
+        for receiver, power_mw in zip(tx.touched, tx.powers):
+            count = receiver.on_air_count - 1
+            receiver.on_air_count = count
+            if count:
+                total = receiver.current_power_mw - power_mw
+                if total < 0.0:  # guard against float drift
+                    total = 0.0
+            else:
+                total = 0.0
+            receiver.current_power_mw = total
+            if receiver._last_busy and not receiver.transmitting and (
+                total < receiver.params.carrier_sense_threshold_mw
+            ):
+                receiver._last_busy = False
+                mac = receiver.mac
+                if mac.awaited_sense is False:
+                    mac.on_medium_state(False)
+        packet = tx.packet
+        sender_id = tx.sender_id
         dest_id = tx.dest_id
         for receiver in tx.decoding:
-            receiver.phy_finish_reception(tx, dest_id)
+            reception = receiver.pending_receptions.pop(tx)
+            signal_mw = reception.signal_mw
+            if signal_mw <= 0.0:
+                receiver.counters.add("phy.rx_failed_half_duplex")
+            elif receiver.reception_model.decide(reception):
+                receiver.counters.add("phy.rx_ok")
+                receiver.deliver(packet, sender_id, dest_id, signal_mw)
+            elif signal_mw < receiver.params.rx_threshold_mw:
+                receiver.counters.add("phy.rx_failed_weak")
+            else:
+                receiver.counters.add("phy.rx_failed_collision")
         if tx.notify_sender:
             tx.sender.mac.on_tx_complete()
 

@@ -1,17 +1,25 @@
 """A mesh router node: radio state, MAC, and protocol dispatch.
 
-The node owns the PHY-side bookkeeping for the shared channel:
+The node holds the PHY-side state of its position on the shared channel:
 
-* the set of transmissions currently audible at this position and their
-  fading-sampled powers (``current_power_mw`` is their sum),
+* ``current_power_mw``, the summed faded power of every transmission
+  audible here, and ``on_air_count``, how many frames that sum holds
+  (each :class:`~repro.net.channel.Transmission` keeps its own
+  per-receiver powers, so the node stores no per-frame ledger),
 * the pending :class:`~repro.phy.reception.Reception` objects for frames
   this node may decode, and
-* the carrier-sense state it reports to its MAC.
+* ``_last_busy``, the carrier-sense state, always equal to
+  :attr:`Node.medium_busy`.
 
-The channel drives it with one call per (frame, receiver) at each end of
-the frame: :meth:`Node.phy_frame_begins` when the frame starts and
-:meth:`Node.phy_remove_power` when it ends, plus
-:meth:`Node.phy_finish_reception` for the receivers it started decoding.
+The channel updates that state in place, in one pass over a frame's
+receivers at each edge of the frame.  Power only rises when a frame
+starts and only falls when it ends, so a start can only flip a receiver
+idle -> busy and an end busy -> idle.  A flip is passed to the MAC only
+when the MAC waits for it (:attr:`CsmaMac.awaited_sense
+<repro.mac.csma.CsmaMac.awaited_sense>`); every other notification
+would be a no-op.  Radio-state changes (own transmission, power
+failure) go through :meth:`Node._update_sense_state` with the same
+gate.
 
 Protocols register per-:class:`~repro.net.packet.PacketKind` handlers and
 send through :meth:`send_broadcast` / :meth:`send_unicast`.
@@ -67,7 +75,8 @@ class Node:
         # PHY state
         self.transmitting = False
         self.current_power_mw = 0.0
-        self._power_contributions: Dict[Any, float] = {}
+        #: Transmissions whose power ``current_power_mw`` holds.
+        self.on_air_count = 0
         self.pending_receptions: Dict[Any, Reception] = {}
         self._last_busy = False
         #: Radio power state; a "failed" node neither sends nor receives.
@@ -107,13 +116,23 @@ class Node:
         self._handlers[kind] = wrap(handler)
 
     def power_ledger(self) -> Dict[Any, float]:
-        """Per-transmission audible-power contributions (a copy).
+        """Per-transmission audible-power contributions, rebuilt.
 
-        Conservation audit hook: the entries must always sum to
-        ``current_power_mw`` (within float drift) and must drain to
-        nothing once the channel reports no transmission in flight.
+        Conservation audit hook, read off the channel's in-flight
+        transmissions (O(frames in flight x their receivers), so for
+        validation and tests only): the entries must always sum to
+        ``current_power_mw`` (within float drift), number
+        ``on_air_count``, and drain to nothing once the channel reports
+        no transmission in flight.
         """
-        return dict(self._power_contributions)
+        if self.channel is None:
+            return {}
+        return {
+            tx: power_mw
+            for tx in self.channel.in_flight()
+            for receiver, power_mw in zip(tx.touched, tx.powers)
+            if receiver is self
+        }
 
     def send_broadcast(
         self, packet: Packet, on_done: Optional[Callable[[bool], Any]] = None
@@ -184,64 +203,6 @@ class Node:
             self.current_power_mw
         )
 
-    def phy_frame_begins(
-        self, transmission: Any, power_mw: float, decodable: bool
-    ) -> bool:
-        """A transmission became audible here at the given faded power.
-
-        All of this node's bookkeeping for one arriving frame, in one
-        call: add its power, raise the peak interference of every
-        pending reception, report a carrier-sense flip to the MAC, and
-        -- when the channel found the power ``decodable`` and this radio
-        is not transmitting -- start a pending reception, whose initial
-        interference is every other audible frame.  Returns whether a
-        reception started; the channel finishes exactly those.
-        """
-        contributions = self._power_contributions
-        contributions[transmission] = power_mw
-        total = self.current_power_mw + power_mw
-        self.current_power_mw = total
-        pending = self.pending_receptions
-        if pending:
-            for other, reception in pending.items():
-                reception.note_interference(
-                    total - contributions.get(other, 0.0)
-                )
-        # Inlined _update_sense_state (this runs once per receiver-frame).
-        busy = self.transmitting or (
-            total >= self.params.carrier_sense_threshold_mw
-        )
-        if busy != self._last_busy:
-            self._last_busy = busy
-            self.mac.on_medium_state(busy)
-        if not decodable or self.transmitting:
-            return False
-        reception = Reception(
-            transmission, self.node_id, power_mw,
-            transmission.start_time, transmission.end_time,
-        )
-        pending[transmission] = reception
-        reception.note_interference(self.current_power_mw - power_mw)
-        return True
-
-    def phy_remove_power(self, transmission: Any) -> None:
-        """An audible transmission ended; withdraw its power."""
-        contributions = self._power_contributions
-        power = contributions.pop(transmission, 0.0)
-        if contributions:
-            total = self.current_power_mw - power
-            if total < 0.0:  # guard against float drift
-                total = 0.0
-        else:
-            total = 0.0
-        self.current_power_mw = total
-        busy = self.transmitting or (
-            total >= self.params.carrier_sense_threshold_mw
-        )
-        if busy != self._last_busy:
-            self._last_busy = busy
-            self.mac.on_medium_state(busy)
-
     def phy_begin_own_tx(self) -> None:
         """Half duplex: starting to transmit kills any in-flight receptions."""
         self.transmitting = True
@@ -253,33 +214,26 @@ class Node:
         self.transmitting = False
         self._update_sense_state()
 
-    def phy_finish_reception(
-        self, transmission: Any, dest_id: int
-    ) -> None:
-        """Decide a pending reception and deliver on success."""
-        reception = self.pending_receptions.pop(transmission, None)
-        if reception is None:
-            return
-        if reception.signal_mw <= 0.0:
-            self.counters.add("phy.rx_failed_half_duplex")
-            return
-        if self.reception_model.decide(reception):
-            self.counters.add("phy.rx_ok")
-            self.deliver(transmission.packet, transmission.sender_id, dest_id,
-                         reception.signal_mw)
-        elif reception.signal_mw < self.params.rx_threshold_mw:
-            self.counters.add("phy.rx_failed_weak")
-        else:
-            self.counters.add("phy.rx_failed_collision")
+    @property
+    def sensed_busy(self) -> bool:
+        """The cached carrier-sense state (audit hook).
+
+        Kept in step with :attr:`medium_busy` by the channel's frame
+        passes and :meth:`_update_sense_state`; the two must always
+        agree.
+        """
+        return self._last_busy
 
     def _update_sense_state(self) -> None:
-        # Radio-state changes; the per-frame power paths inline this.
+        # Radio-state changes; the channel's frame passes inline this.
         busy = self.transmitting or self.reception_model.can_sense(
             self.current_power_mw
         )
         if busy != self._last_busy:
             self._last_busy = busy
-            self.mac.on_medium_state(busy)
+            mac = self.mac
+            if mac.awaited_sense == busy:
+                mac.on_medium_state(busy)
 
     # ------------------------------------------------------------------
     # Delivery

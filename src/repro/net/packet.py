@@ -33,6 +33,12 @@ class PacketKind(Enum):
     PING = "ping"
     ACK = "ack"
 
+    # Identity hash in C: ``Enum.__hash__`` is Python code, and per-kind
+    # dict lookups run it several times per frame.  Members compare by
+    # identity and the default hash of their string value is already
+    # randomized per process, so no result can depend on it.
+    __hash__ = object.__hash__
+
     @property
     def is_probe(self) -> bool:
         return self in (

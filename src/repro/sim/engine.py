@@ -1,6 +1,8 @@
 """The discrete-event simulation engine.
 
-A :class:`Simulator` owns the virtual clock and a binary-heap event queue.
+A :class:`Simulator` owns the virtual clock and a binary-heap event queue
+of ``(time, priority, seq, event)`` tuples: ``seq`` is unique, so heap
+sifts compare floats and ints in C and never reach the :class:`Event`.
 Everything in the reproduction -- radio transmissions, MAC backoffs, probe
 timers, ODMRP refresh floods, CBR sources -- is expressed as callbacks
 scheduled on one simulator instance.
@@ -45,7 +47,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._now = 0.0
         self._running = False
         self._stopped = False
@@ -80,8 +82,9 @@ class Simulator:
         # Inlined schedule_at: this is the hottest scheduling entry point
         # (every frame, timer and protocol tick goes through it), and
         # delay >= 0 already implies time >= now.
-        event = Event(self._now + delay, callback, args, priority)
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        event = Event(time, callback, args, priority)
+        heapq.heappush(self._queue, (time, priority, event.seq, event))
         return EventHandle(event)
 
     def schedule_at(
@@ -97,7 +100,7 @@ class Simulator:
                 f"cannot schedule at {time} before current time {self._now}"
             )
         event = Event(time, callback, args, priority)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, priority, event.seq, event))
         return EventHandle(event)
 
     def run(self, until: Optional[float] = None) -> None:
@@ -123,23 +126,22 @@ class Simulator:
         try:
             if until is None:
                 while queue:
-                    event = pop(queue)
+                    time, _, _, event = pop(queue)
                     if event.cancelled:
                         continue
-                    self._now = event.time
+                    self._now = time
                     executed += 1
                     event.callback(*event.args)
                     if self._stopped:
                         break
             else:
                 while queue:
-                    event = queue[0]
-                    if event.time >= until:
+                    if queue[0][0] >= until:
                         break
-                    pop(queue)
+                    time, _, _, event = pop(queue)
                     if event.cancelled:
                         continue
-                    self._now = event.time
+                    self._now = time
                     executed += 1
                     event.callback(*event.args)
                     if self._stopped:
@@ -163,13 +165,12 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            event = queue[0]
-            if until is not None and event.time >= until:
+            if until is not None and queue[0][0] >= until:
                 return False
-            heapq.heappop(queue)
+            time, _, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self.events_executed += 1
             event.callback(*event.args)
             return True
@@ -181,13 +182,14 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def pending_events(self) -> int:
         """Number of non-cancelled events still queued (O(n); for tests)."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
     def quiescent(self) -> bool:

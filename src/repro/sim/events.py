@@ -58,8 +58,8 @@ class Event:
         return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:
-        # Inlined sort_key(): this comparator runs on every heap sift and
-        # the two method calls dominate its cost.
+        # The engine's heap orders (time, priority, seq, event) tuples
+        # instead, so sifts never call this.
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:

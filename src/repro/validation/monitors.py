@@ -8,9 +8,11 @@ scheduling events, so an enabled suite perturbs nothing but wall time.
 Registered names:
 
 ``channel-conservation``
-    Power ledgers sum to ``current_power_mw``; pending receptions never
-    outlive their end time; everything drains exactly when the channel
-    reports zero transmissions in flight (and at quiescence).
+    Power ledgers sum to ``current_power_mw`` and number
+    ``on_air_count``; each node's cached carrier-sense state equals
+    ``medium_busy``; pending receptions never outlive their end time;
+    everything drains exactly when the channel reports zero
+    transmissions in flight (and at quiescence).
 ``data-provenance``
     Every DATA reception traces back to its source or to a node that was
     a legitimate forwarder (active FG / on-tree) when it accepted the
@@ -100,6 +102,18 @@ class ChannelConservationMonitor(InvariantMonitor):
                     f"power ledger sums to {total!r} mW but "
                     f"current_power_mw is {power!r} mW "
                     f"({len(ledger)} contribution(s))",
+                    node_id=node.node_id,
+                )
+            if node.on_air_count != len(ledger):
+                self.fail(
+                    f"node counts {node.on_air_count} frame(s) on the air "
+                    f"but its power ledger holds {len(ledger)}",
+                    node_id=node.node_id,
+                )
+            if node.sensed_busy != node.medium_busy:
+                self.fail(
+                    f"cached carrier-sense state {node.sensed_busy} "
+                    f"disagrees with medium_busy={node.medium_busy}",
                     node_id=node.node_id,
                 )
             for reception in node.pending_receptions.values():

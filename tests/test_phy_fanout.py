@@ -1,9 +1,9 @@
 """The batched PHY fan-out, bit-identical to the per-link loop.
 
 Each transmission makes one fading call for all of its audible links
-(:meth:`FadingModel.sample_link_gains`) and one node call per receiver at
-each end of the frame.  Both are speed-only changes, so these tests pin
-them to the per-link formulation:
+(:meth:`FadingModel.sample_link_gains`) and one inlined pass over its
+receivers at each end of the frame.  Both are speed-only changes, so
+these tests pin them to the per-link formulation:
 
 * every stochastic model's batch returns the floats, and leaves the
   stream where, one ``sample_link_gain`` call per link would -- under
@@ -14,7 +14,10 @@ them to the per-link formulation:
 * whole runs of the six paper protocols are equal with and without the
   batch;
 * a frame's receivers split into ``touched`` (power) and ``decoding``
-  (pending reception), and only the latter are decided.
+  (pending reception), and only the latter are decided;
+* a carrier-sense flip reaches a MAC only when it acts on it: a busy
+  flip cancels a pending backoff, an idle flip restarts a deferring
+  MAC, and an idle MAC gets no call.
 """
 
 from __future__ import annotations
@@ -275,3 +278,87 @@ class TestReceiverBookkeeping:
         assert late.peak_interference_mw == pytest.approx(ledger[first])
         network.run(0.1)
         assert middle.counters.get("phy.rx_failed_collision") == 2
+
+
+def _spy_medium_state(mac):
+    """Record every ``on_medium_state`` call that reaches ``mac``."""
+    calls = []
+    original = mac.on_medium_state
+
+    def spy(busy):
+        calls.append(busy)
+        original(busy)
+
+    mac.on_medium_state = spy
+    return calls
+
+
+def _frame(network, sender, duration_s):
+    return network.channel.begin_transmission(
+        sender, Packet(PacketKind.DATA, sender.node_id, 100, network.sim.now),
+        BROADCAST_ID, duration_s, notify_sender=False,
+    )
+
+
+class TestGatedSenseNotification:
+    """Carrier-sense flips reach the MAC only when it acts on them."""
+
+    def test_frame_over_threshold_cancels_pending_backoff(self):
+        # 300 m spacing: a neighbour's frame alone trips carrier sense at
+        # node 0; node 2's, 600 m out, is audible but stays below it.
+        network = make_chain_network(3, 300.0)
+        node, near, far = network.nodes
+        threshold = node.params.carrier_sense_threshold_mw
+        calls = _spy_medium_state(node.mac)
+        node.send_broadcast(Packet(PacketKind.DATA, 0, 100, 0.0))
+        assert node.mac.awaited_sense is True  # backoff pending
+        handle = node.mac._backoff_handle
+
+        quiet = _frame(network, far, 0.01)
+        assert node.on_air_count == 1
+        assert 0.0 < node.current_power_mw < threshold
+        assert calls == [] and not node.sensed_busy
+        assert not handle.cancelled
+
+        loud = _frame(network, near, 0.01)
+        assert quiet.touched[0] is node and loud.touched[0] is node
+        assert node.current_power_mw >= threshold
+        assert calls == [True]
+        assert node.sensed_busy and node.medium_busy
+        assert handle.cancelled
+        assert node.mac.awaited_sense is False  # now deferring
+
+    def test_deferring_mac_contends_when_last_frame_ends(self):
+        network = make_chain_network(3, 300.0)
+        left, node, right = network.nodes
+        calls = _spy_medium_state(node.mac)
+        _frame(network, left, 0.002)
+        _frame(network, right, 0.004)
+        assert calls == []  # idle MAC: the busy flip is skipped
+        node.send_broadcast(Packet(PacketKind.DATA, 1, 100, 0.0))
+        assert node.mac.awaited_sense is False  # deferring: medium busy
+        backoffs = node.mac.backoffs
+
+        network.sim.run(until=0.003)
+        assert node.on_air_count == 1 and node.sensed_busy
+        assert calls == []  # still busy: the right frame alone trips it
+
+        network.sim.run(until=0.004 + 1e-7)
+        assert node.on_air_count == 0 and node.current_power_mw == 0.0
+        assert calls == [False]
+        assert node.mac.awaited_sense is True  # contending again
+        assert node.mac.backoffs == backoffs + 1
+
+    def test_idle_mac_gets_no_call(self):
+        network = make_chain_network(3, 300.0)
+        left, node, right = network.nodes
+        calls = _spy_medium_state(node.mac)
+        _frame(network, left, 0.002)
+        assert node.sensed_busy
+        _frame(network, right, 0.001)
+        network.sim.run(until=0.0015)
+        assert node.sensed_busy
+        network.sim.run(until=0.01)
+        assert not node.sensed_busy and not node.medium_busy
+        assert node.mac.awaited_sense is None
+        assert calls == []

@@ -26,6 +26,7 @@ from repro.experiments.scenarios import (
     build_simulation_scenario,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.net.channel import WirelessChannel
 from repro.net.node import Node
 from repro.odmrp.state import ForwardingGroupState, QueryRoundState
 from repro.traffic.sink import MulticastSink
@@ -149,18 +150,33 @@ class TestCleanRunsPassMonitors:
 
 
 class TestInjectedBugsAreCaught:
-    def test_power_leak_caught_by_channel_conservation(self, monkeypatch):
-        """Dropping every 3rd power removal leaves an audible ghost."""
-        original = Node.phy_remove_power
+    @staticmethod
+    def _inject_power_leak(monkeypatch):
+        """Make ``_end_transmission`` skip every 3rd receiver's withdrawal.
+
+        Returns the receiver counter, so a replay can restart the leak
+        from the same receiver.
+        """
+        original = WirelessChannel._end_transmission
         calls = {"n": 0}
 
-        def leaky(self, transmission):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                return  # "forget" to remove this contribution
-            original(self, transmission)
+        def leaky(self, tx):
+            kept = []
+            for pair in zip(tx.touched, tx.powers):
+                calls["n"] += 1
+                if calls["n"] % 3:
+                    kept.append(pair)
+                # else: "forget" to remove this contribution
+            tx.touched = [receiver for receiver, _ in kept]
+            tx.powers = [power_mw for _, power_mw in kept]
+            original(self, tx)
 
-        monkeypatch.setattr(Node, "phy_remove_power", leaky)
+        monkeypatch.setattr(WirelessChannel, "_end_transmission", leaky)
+        return calls
+
+    def test_power_leak_caught_by_channel_conservation(self, monkeypatch):
+        """Dropping every 3rd power removal leaves an audible ghost."""
+        self._inject_power_leak(monkeypatch)
         with pytest.raises(InvariantViolation) as excinfo:
             run_validated("odmrp")
         violation = excinfo.value
@@ -171,16 +187,7 @@ class TestInjectedBugsAreCaught:
 
     def test_power_leak_violation_replays(self, monkeypatch, tmp_path):
         """The violation's (protocol, config, seed) triple reproduces it."""
-        original = Node.phy_remove_power
-        calls = {"n": 0}
-
-        def leaky(self, transmission):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                return
-            original(self, transmission)
-
-        monkeypatch.setattr(Node, "phy_remove_power", leaky)
+        calls = self._inject_power_leak(monkeypatch)
         with pytest.raises(InvariantViolation) as excinfo:
             run_validated("odmrp")
         first = excinfo.value
@@ -199,6 +206,29 @@ class TestInjectedBugsAreCaught:
         assert again.value.invariant == first.invariant
         assert again.value.time == first.time
         assert again.value.node_id == first.node_id
+
+    def test_on_air_count_leak_caught(self, monkeypatch):
+        """A frame end that forgets to decrement on-air counts."""
+        original = WirelessChannel._end_transmission
+
+        def uncounted(self, tx):
+            original(self, tx)
+            for receiver in tx.touched[::3]:
+                receiver.on_air_count += 1
+
+        monkeypatch.setattr(WirelessChannel, "_end_transmission", uncounted)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_validated("odmrp")
+        assert excinfo.value.invariant == "channel-conservation"
+        assert "on the air" in str(excinfo.value)
+
+    def test_stale_sense_state_caught(self, monkeypatch):
+        """Radio-state changes that never refresh the cached sense state."""
+        monkeypatch.setattr(Node, "_update_sense_state", lambda self: None)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_validated("odmrp")
+        assert excinfo.value.invariant == "channel-conservation"
+        assert "carrier-sense" in str(excinfo.value)
 
     def test_broken_metric_algebra_caught(self, monkeypatch):
         """SPP that accumulates additively contradicts its declaration."""
