@@ -20,7 +20,8 @@ import time
 
 from repro.analysis.tables import render_comparison
 from repro.experiments import figures
-from repro.experiments.parallel import execute_runs_detailed, sweep_specs
+from repro.experiments.parallel import sweep_specs
+from repro.experiments.resilience import execute_runs_detailed
 from repro.experiments.results import aggregate_runs, normalized_metric_table
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,

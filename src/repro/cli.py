@@ -22,10 +22,10 @@ Commands::
 ``repro run --spec examples/paper_spec.toml`` executes a serialized
 :class:`~repro.experiments.spec.ExperimentSpec`; ``--protocols``/
 ``--seeds`` narrow it, ``--dry-run`` prints the resolved plan without
-simulating.  ``--run-timeout``/``--max-retries`` put the sweep under
-the resilient supervisor (per-run timeouts, retry with backoff, a
-durable journal); ``--resume`` replays a previously interrupted sweep
-from that journal.  Protocol names everywhere resolve through the registry
+simulating.  ``--run-timeout`` kills and retries a run past its
+wall-clock budget, ``--max-retries`` sets the retry budget for
+transient failures, and either journals the sweep; ``--resume``
+replays a previously interrupted sweep from that journal.  Protocol names everywhere resolve through the registry
 (:mod:`repro.protocols`), so MAODV and WCETT variants sweep through the
 same pipeline as the paper's six.
 
@@ -352,7 +352,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 workers=args.workers,
             )
     except KeyboardInterrupt as interrupt:
-        # The resilient executor drains and journals before raising, so
+        # The sweep engine stops with its journal consistent, so
         # tell the user how to pick the sweep back up.
         detail = str(interrupt)
         print(f"\ninterrupted: {detail}" if detail else "\ninterrupted",
@@ -661,12 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--run-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-run wall-clock budget; a run exceeding it "
-                          "is killed and retried (enables the resilient "
-                          "supervisor)")
+                          "is killed and retried (journals the sweep)")
     run.add_argument("--max-retries", type=int, default=None, metavar="N",
                      help="retry budget for transient failures -- "
-                          "timeouts, worker crashes, OOM kills (enables "
-                          "the resilient supervisor)")
+                          "timeouts, worker crashes, OOM kills (default "
+                          "2; journals the sweep)")
     run.add_argument("--adaptive", action="store_true",
                      help="run under the sequential planner: seeds in "
                           "batches, CI-driven stopping per protocol, "

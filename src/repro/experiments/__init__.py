@@ -9,11 +9,12 @@
   :class:`~repro.experiments.spec.ExperimentSpec` sweeps (TOML/JSON).
 * :mod:`repro.experiments.figures` -- one entry point per paper table or
   figure (the benchmark suite calls these).
-* :mod:`repro.experiments.resilience` -- supervised sweep execution:
-  per-run timeouts, retry with backoff, a failure taxonomy, and a
-  durable journal enabling ``repro run --resume``.
+* :mod:`repro.experiments.resilience` -- the sweep engine: inline or
+  persistent supervised workers, per-run timeouts, retry with backoff,
+  a failure taxonomy, and a durable journal enabling ``repro run
+  --resume``.
 * :mod:`repro.experiments.chaos` -- fault injection harness asserting
-  the supervisor recovers (``repro chaos`` / ``pytest -m chaos``).
+  the engine recovers (``repro chaos`` / ``pytest -m chaos``).
 * :mod:`repro.experiments.adaptive` -- sequential seed allocation with
   CI-driven stopping and paired common-random-number comparisons
   (``repro run --adaptive``).
@@ -37,7 +38,7 @@ from repro.experiments.resilience import (
     RetryPolicy,
     SweepJournal,
     classify_failure,
-    execute_runs_resilient,
+    execute_runs_detailed,
 )
 from repro.experiments.results import (
     AggregateResult,
@@ -86,7 +87,7 @@ __all__ = [
     "RetryPolicy",
     "SweepJournal",
     "classify_failure",
-    "execute_runs_resilient",
+    "execute_runs_detailed",
     "FailureInjector",
     "FaultPlan",
     "FlappingSpec",

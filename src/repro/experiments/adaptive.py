@@ -27,9 +27,9 @@ pairing buys).
 Execution and replay
 --------------------
 Batches route through the ordinary executor layer
-(:func:`~repro.experiments.executors.create_executor`), one executor
-per batch: the plain pool, the resilient supervisor, and the ``dir://``
-distributed backend all work unchanged -- under ``dir://`` each batch
+(:func:`~repro.experiments.executors.execute_spec_runs`), one executor
+per batch: local workers and the ``dir://``
+distributed backend both work unchanged -- under ``dir://`` each batch
 is published as an incremental sweep extension into the same shared
 directory, and the shared journal accumulates batch after batch because
 batch keys never overlap.  After every batch the planner appends an
@@ -41,7 +41,6 @@ function of journal-replayable run results, so ``repro run --adaptive
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -56,10 +55,8 @@ from repro.experiments.results import RunResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec -> here)
     from repro.experiments.spec import ExperimentSpec
 
-#: Journal key prefix for per-batch plan records.  Plan records share
-#: the run journal (schema 1, unique string keys, so ``compact()``
-#: keeps them) but carry none of the run-record fields, so
-#: ``SweepJournal.replay()`` skips them and executors never see them.
+#: Journal record kind of per-batch plan records
+#: (:meth:`~repro.experiments.resilience.SweepJournal.append_plan`).
 ADAPTIVE_PLAN_KEY = "adaptive-plan"
 
 
@@ -135,6 +132,14 @@ class AdaptiveBatch:
     seeds: Tuple[int, ...]
     protocols: Tuple[str, ...]
     decisions: Tuple[AdaptiveDecision, ...]
+
+    def plan_dict(self) -> Dict[str, object]:
+        return {
+            "batch": self.index,
+            "seeds": list(self.seeds),
+            "protocols": list(self.protocols),
+            "decisions": [asdict(d) for d in self.decisions],
+        }
 
 
 @dataclass
@@ -220,15 +225,7 @@ class AdaptiveResult:
             "max_seeds": self.config.max_seeds,
             "paired": self.config.paired,
             "seed_pool": list(self.seed_pool),
-            "batches": [
-                {
-                    "batch": batch.index,
-                    "seeds": list(batch.seeds),
-                    "protocols": list(batch.protocols),
-                    "decisions": [asdict(d) for d in batch.decisions],
-                }
-                for batch in self.batches
-            ],
+            "batches": [batch.plan_dict() for batch in self.batches],
             "seeds_spent": self.seeds_spent(),
             "stop_reasons": self.stop_reasons(),
             "total_runs": self.total_runs,
@@ -402,89 +399,17 @@ def plan_journal_path(
     resume: bool = False,
     journal_path: Optional[str] = None,
 ) -> Optional[str]:
-    """Where this sweep's plan records land, mirroring the executors'
-    own journal resolution: the shared ``dir://`` journal, the explicit
-    ``journal_path``, or the resilient default -- ``None`` when the
-    sweep runs on the plain pool with no journal at all.
+    """Where this sweep's plan records land: the journal its runs use
+    (:func:`~repro.experiments.executors.journal_path_for`), or
+    ``None`` when the sweep keeps no journal.
     """
-    from repro.experiments.executors import DIR_KIND, parse_backend
+    from repro.experiments.executors import journal_path_for
 
-    backend = parse_backend(spec.backend)
-    if backend.kind == DIR_KIND:
-        assert backend.root is not None
-        return os.path.join(backend.root, "journal.jsonl")
-    if journal_path is not None:
-        return journal_path
-    if resume or spec.run_timeout_s is not None \
-            or spec.max_retries is not None:
-        from repro.experiments.resilience import SweepJournal
-
-        return SweepJournal.default_path(cache_dir)
-    return None
-
-
-def _plan_key(name: str, batch_index: int) -> str:
-    return f"{ADAPTIVE_PLAN_KEY}:{name}:{batch_index:04d}"
-
-
-def _append_plan_record(
-    path: str, name: str, batch: AdaptiveBatch
-) -> None:
-    from repro.experiments.resilience import (
-        JOURNAL_SCHEMA_VERSION,
-        SweepJournal,
+    return journal_path_for(
+        spec.backend, cache_dir=cache_dir, journal_path=journal_path,
+        resume=resume, run_timeout_s=spec.run_timeout_s,
+        max_retries=spec.max_retries,
     )
-
-    SweepJournal.append_record(path, {
-        "schema": JOURNAL_SCHEMA_VERSION,
-        "key": _plan_key(name, batch.index),
-        "kind": ADAPTIVE_PLAN_KEY,
-        "name": name,
-        "batch": batch.index,
-        "seeds": list(batch.seeds),
-        "protocols": list(batch.protocols),
-        "decisions": [asdict(d) for d in batch.decisions],
-    })
-
-
-def replay_plan(path: str, name: str) -> List[Dict[str, object]]:
-    """Read a journal's ``adaptive-plan`` records back, batch order.
-
-    ``SweepJournal.replay`` cannot surface these (they are not run
-    records), so this walks the raw JSONL directly with the same
-    damage tolerance: torn or alien lines are skipped, the last record
-    per batch key wins.
-    """
-    import json
-
-    from repro.experiments.resilience import JOURNAL_SCHEMA_VERSION
-
-    by_key: Dict[str, Dict[str, object]] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:
-        return []
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(data, dict):
-                continue
-            if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                continue
-            if data.get("kind") != ADAPTIVE_PLAN_KEY:
-                continue
-            if data.get("name") != name:
-                continue
-            key = data.get("key")
-            if isinstance(key, str):
-                by_key[key] = data
-    return [by_key[key] for key in sorted(by_key)]
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +428,7 @@ def run_adaptive_experiment(
 
     Accepts the same execution knobs as
     :func:`~repro.experiments.runner.run_experiment` and routes every
-    batch through :func:`~repro.experiments.executors.create_executor`,
+    batch through :func:`~repro.experiments.executors.execute_spec_runs`,
     so backend/cache/resilience behavior is identical to an exhaustive
     sweep -- the only difference is *which* (protocol, seed) cells get
     executed.  Because each cell is seed-deterministic and the stopping
@@ -511,8 +436,9 @@ def run_adaptive_experiment(
     deterministic: any jobs count, cache state, backend, or mid-sweep
     ``--resume`` reproduces the identical batch sequence.
     """
-    from repro.experiments.executors import create_executor
+    from repro.experiments.executors import execute_spec_runs
     from repro.experiments.parallel import RunSpec
+    from repro.experiments.resilience import SweepJournal
 
     spec.validate()
     adaptive = (spec.adaptive or AdaptiveConfig()).validate()
@@ -546,18 +472,10 @@ def run_adaptive_experiment(
             for seed in batch_seeds
             for protocol in batch_protocols
         ]
-        executor = create_executor(
-            spec.backend,
-            jobs=spec.jobs,
-            use_cache=spec.use_cache,
-            cache_dir=cache_dir,
-            run_timeout_s=spec.run_timeout_s,
-            max_retries=spec.max_retries,
-            resume=resume,
-            journal_path=journal_path,
-            workers=workers,
+        outcomes = execute_spec_runs(
+            spec, specs, progress=progress, cache_dir=cache_dir,
+            resume=resume, journal_path=journal_path, workers=workers,
         )
-        outcomes = executor.execute(specs, progress=progress)
         for outcome in outcomes:
             run = outcome.result
             result.runs.append(run)
@@ -588,7 +506,10 @@ def run_adaptive_experiment(
         )
         result.batches.append(batch)
         if plan_path is not None:
-            _append_plan_record(plan_path, spec.name, batch)
+            SweepJournal.append_plan(
+                plan_path, ADAPTIVE_PLAN_KEY, spec.name, batch.index,
+                batch.plan_dict(),
+            )
         active = [d.protocol for d in decisions if not d.stopped]
         batch_index += 1
     return result

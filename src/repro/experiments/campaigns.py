@@ -83,10 +83,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec -> here)
     from repro.experiments.scenarios import SimulationScenarioConfig
     from repro.experiments.spec import ExperimentSpec
 
-#: Journal key prefix for per-draw plan records.  Like the adaptive
-#: planner's records these share the run journal (schema 1, unique
-#: string keys, so ``compact()`` keeps them) but are invisible to
-#: ``SweepJournal.replay()`` -- executors never see them.
+#: Journal record kind of per-draw plan records
+#: (:meth:`~repro.experiments.resilience.SweepJournal.append_plan`).
 CAMPAIGN_PLAN_KEY = "campaign-plan"
 
 #: Fraction of the traffic interval, at its end, during which multicast
@@ -837,65 +835,6 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# Journal plumbing (mirrors the adaptive planner's records)
-
-
-def _plan_key(name: str, draw_index: int) -> str:
-    return f"{CAMPAIGN_PLAN_KEY}:{name}:{draw_index:04d}"
-
-
-def _append_plan_record(path: str, name: str, draw: CampaignDraw) -> None:
-    from repro.experiments.resilience import (
-        JOURNAL_SCHEMA_VERSION,
-        SweepJournal,
-    )
-
-    SweepJournal.append_record(path, {
-        "schema": JOURNAL_SCHEMA_VERSION,
-        "key": _plan_key(name, draw.index),
-        "kind": CAMPAIGN_PLAN_KEY,
-        "name": name,
-        **draw.plan_dict(),
-    })
-
-
-def replay_campaign_plan(path: str, name: str) -> List[Dict[str, object]]:
-    """Read a journal's ``campaign-plan`` records back, draw order.
-
-    Same damage tolerance as the run journal reader: torn or alien
-    lines are skipped, the last record per draw key wins.
-    """
-    from repro.experiments.resilience import JOURNAL_SCHEMA_VERSION
-
-    by_key: Dict[str, Dict[str, object]] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:
-        return []
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(data, dict):
-                continue
-            if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                continue
-            if data.get("kind") != CAMPAIGN_PLAN_KEY:
-                continue
-            if data.get("name") != name:
-                continue
-            key = data.get("key")
-            if isinstance(key, str):
-                by_key[key] = data
-    return [by_key[key] for key in sorted(by_key)]
-
-
-# ----------------------------------------------------------------------
 # The campaign executor loop
 
 
@@ -914,7 +853,7 @@ def run_campaign_experiment(
     subsequent phase executes one sampled fault configuration against
     every (protocol, seed) cell with ``config.faults`` replaced by the
     draw's per-seed plan.  Every phase routes through
-    :func:`~repro.experiments.executors.create_executor`, so cache,
+    :func:`~repro.experiments.executors.execute_spec_runs`, so cache,
     resilience, and ``dir://`` behavior match ordinary sweeps --
     distinct fault plans hash to distinct cache keys, and under
     ``dir://`` each draw is published as an incremental sweep
@@ -927,8 +866,9 @@ def run_campaign_experiment(
         default_baseline,
         plan_journal_path,
     )
-    from repro.experiments.executors import create_executor
+    from repro.experiments.executors import execute_spec_runs
     from repro.experiments.parallel import RunSpec
+    from repro.experiments.resilience import SweepJournal
 
     spec.validate()
     campaign = (spec.campaign or CampaignConfig()).validate()
@@ -940,18 +880,10 @@ def run_campaign_experiment(
     )
 
     def _execute(specs):
-        executor = create_executor(
-            spec.backend,
-            jobs=spec.jobs,
-            use_cache=spec.use_cache,
-            cache_dir=cache_dir,
-            run_timeout_s=spec.run_timeout_s,
-            max_retries=spec.max_retries,
-            resume=resume,
-            journal_path=journal_path,
-            workers=workers,
+        return execute_spec_runs(
+            spec, specs, progress=progress, cache_dir=cache_dir,
+            resume=resume, journal_path=journal_path, workers=workers,
         )
-        return executor.execute(specs, progress=progress)
 
     result = CampaignResult(
         name=spec.name,
@@ -983,5 +915,8 @@ def run_campaign_experiment(
             [outcome.result for outcome in _execute(draw_specs)]
         )
         if plan_path is not None:
-            _append_plan_record(plan_path, spec.name, draw)
+            SweepJournal.append_plan(
+                plan_path, CAMPAIGN_PLAN_KEY, spec.name, draw.index,
+                draw.plan_dict(),
+            )
     return result

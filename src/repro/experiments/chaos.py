@@ -1,14 +1,14 @@
-"""Chaos harness for the resilient sweep executor.
+"""Chaos harness for the sweep engine.
 
 Injects real worker faults -- hangs, aborts, SIGKILLs, allocation
 failures, raised exceptions, cache corruption -- into supervised sweeps
-and asserts the supervisor (:mod:`repro.experiments.resilience`)
+and asserts the engine (:mod:`repro.experiments.resilience`)
 recovers: faulted runs are retried to bit-identical results, exhausted
 runs are quarantined without aborting the sweep, corrupted cache
 entries recompute, and an interrupted sweep resumes from its journal.
 
-Fault injection is *in-band*: the supervised child shim calls
-:func:`maybe_inject_fault` before running the spec, and the fault plan
+Fault injection is *in-band*: the supervised worker loop calls
+:func:`maybe_inject_fault` before running each spec, and the fault plan
 travels through the :data:`CHAOS_PLAN_ENV` environment variable (a path
 to a JSON plan file), so the injected failures exercise the exact
 production supervision path -- no mocks between the fault and the
@@ -29,7 +29,7 @@ import signal
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from contextlib import contextmanager
 
@@ -45,7 +45,7 @@ from repro.experiments.resilience import (
     ResilienceConfig,
     RetryPolicy,
     SweepJournal,
-    execute_runs_resilient,
+    execute_runs_detailed,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -137,7 +137,7 @@ def active_plan(plan: ChaosPlan, directory: str) -> Iterator[str]:
 def maybe_inject_fault(spec: RunSpec, attempt: int) -> None:
     """Apply the armed fault for this (spec, attempt), if any.
 
-    Called by the supervised child shim before the run starts.  No-op
+    Called by the supervised worker loop before each run starts.  No-op
     unless :data:`CHAOS_PLAN_ENV` names a readable plan file.
     """
     path = os.environ.get(CHAOS_PLAN_ENV)
@@ -206,6 +206,19 @@ def _victim_worker_main(root: str) -> None:
     )
 
 
+def _interrupt_after_first() -> Callable[[str, int], None]:
+    """A progress callback that SIGINTs this process once, after the
+    first finished run."""
+    completions = {"count": 0}
+
+    def interrupt(protocol: str, seed: int) -> None:
+        completions["count"] += 1
+        if completions["count"] == 1:
+            os.kill(os.getpid(), signal.SIGINT)
+
+    return interrupt
+
+
 # ----------------------------------------------------------------------
 # The harness
 
@@ -264,6 +277,65 @@ def _results(outcomes: Sequence[RunOutcome]) -> List[RunResult]:
     return [outcome.result for outcome in outcomes]
 
 
+def _check_planner_resume(
+    report: "ChaosReport",
+    label: str,
+    run: Callable[..., Any],
+    spec: Any,
+    kind: str,
+    planned_records: Callable[[Any], List[dict]],
+    cache_dir: str,
+    work_dir: str,
+) -> None:
+    """Interrupt planner ``run`` after its first finished run, resume
+    it, and check the plan against a clean run and the journal.
+
+    ``planned_records(result)`` lists the fields each ``kind`` plan
+    record in the journal must carry for that result's plan.
+    """
+    clean = run(
+        spec, cache_dir=cache_dir,
+        journal_path=os.path.join(work_dir, f"{label}-clean.jsonl"),
+    )
+    journal = os.path.join(work_dir, f"{label}.jsonl")
+    interrupted = False
+    try:
+        run(spec, cache_dir=cache_dir, journal_path=journal,
+            progress=_interrupt_after_first())
+    except KeyboardInterrupt:
+        interrupted = True
+    partial = SweepJournal.replay(journal)
+    report.add(
+        f"{label}-interrupt-drains",
+        interrupted and len(partial) >= 1
+        and all(record.ok for record in partial.values()),
+        f"interrupted={interrupted}, {len(partial)} run(s) journaled "
+        "mid-sweep",
+    )
+    resumed = run(spec, cache_dir=cache_dir, journal_path=journal,
+                  resume=True)
+    identical = (
+        resumed.plan_dict() == clean.plan_dict()
+        and resumed.runs == clean.runs
+    )
+    report.add(
+        f"{label}-resume-identical", identical,
+        f"resumed {label} plan and runs bit-identical to the clean run"
+        if identical else f"resumed {label} diverged",
+    )
+    records = SweepJournal.replay_plans(journal, kind, spec.name)
+    expected = planned_records(resumed)
+    journaled = len(records) == len(expected) and all(
+        {key: record.get(key) for key in fields} == fields
+        for record, fields in zip(records, expected)
+    )
+    report.add(
+        f"{label}-plan-journaled", journaled,
+        f"{len(records)} journaled {kind} record(s) match the resumed "
+        "plan" if journaled else f"journaled {kind} records diverged",
+    )
+
+
 def run_chaos(
     quick: bool = False,
     jobs: int = 2,
@@ -274,7 +346,7 @@ def run_chaos(
 
     Phases:
 
-    1. *baseline* -- a clean supervised sweep establishes the reference
+    1. *baseline* -- a clean sweep establishes the reference
        results every later phase must reproduce bit-identically.
     2. *fault recovery* -- one transient fault per retryable kind
        (injected hang -> TIMEOUT, SIGABRT -> WORKER_CRASH, MemoryError
@@ -286,7 +358,8 @@ def run_chaos(
     4. *cache corruption* -- truncated and garbled cache entries must
        quarantine, recompute identically, and a killed ``cache_store``
        (orphaned temp file) must be swept, never loaded.
-    5. *interrupt + resume* -- a SIGINT mid-sweep must drain cleanly,
+    5. *interrupt + resume* -- a SIGINT mid-sweep (one job, no timeout:
+       inline) must stop cleanly,
        leave a consistent journal, and a ``resume`` pass must replay
        completed runs and finish the rest, bit-identical to baseline.
     6. *distributed worker kill* -- a ``dir://`` worker SIGKILLed while
@@ -319,7 +392,7 @@ def run_chaos(
 
     # -- Phase 1: baseline ------------------------------------------------
     say(f"chaos: baseline sweep ({len(specs)} runs, jobs={jobs}) ...")
-    baseline = execute_runs_resilient(
+    baseline = execute_runs_detailed(
         specs, jobs=jobs, cache_dir=cache_dir,
         journal_path=os.path.join(work_dir, "baseline.jsonl"),
     )
@@ -352,7 +425,7 @@ def run_chaos(
     say(f"chaos: fault storm ({', '.join(sorted(set(faulted.values())))}) ...")
     journal_path = os.path.join(work_dir, "faulted.jsonl")
     with active_plan(plan, work_dir):
-        stormed = execute_runs_resilient(
+        stormed = execute_runs_detailed(
             specs, jobs=jobs, cache_dir=cache_dir,
             resilience=ResilienceConfig(
                 run_timeout_s=timeout_s, retry=retry,
@@ -394,7 +467,7 @@ def run_chaos(
                    action="hang", attempt=None),
     ))
     with active_plan(plan, work_dir):
-        degraded = execute_runs_resilient(
+        degraded = execute_runs_detailed(
             specs, jobs=jobs, cache_dir=cache_dir,
             resilience=ResilienceConfig(
                 run_timeout_s=timeout_s, retry=quarantine_retry,
@@ -443,7 +516,7 @@ def run_chaos(
     # -- Phase 4: cache corruption quarantines and recomputes ------------
     say("chaos: cache corruption ...")
     for spec, outcome in zip(specs, baseline):
-        cache_store(cache_dir, spec, outcome.result)
+        cache_store(cache_dir, spec.cache_key(), outcome.result)
     corrupt_cache_entry(cache_dir, specs[0], mode="truncate")
     if len(specs) > 1:
         corrupt_cache_entry(cache_dir, specs[-1], mode="garbage")
@@ -451,7 +524,7 @@ def run_chaos(
     orphan = _cache_path(cache_dir, specs[0].cache_key()) + ".tmp.99999"
     with open(orphan, "w", encoding="utf-8") as handle:
         handle.write('{"half": "written')
-    rebuilt = execute_runs_resilient(
+    rebuilt = execute_runs_detailed(
         specs, jobs=jobs, use_cache=True, cache_dir=cache_dir,
         journal_path=os.path.join(work_dir, "cache.jsonl"),
     )
@@ -472,18 +545,11 @@ def run_chaos(
     # -- Phase 5: SIGINT drains; --resume replays bit-identically ---------
     say("chaos: interrupt + resume ...")
     resume_journal = os.path.join(work_dir, "resume.jsonl")
-    completions = {"count": 0}
-
-    def interrupt_after_first(protocol: str, seed: int) -> None:
-        completions["count"] += 1
-        if completions["count"] == 1:
-            os.kill(os.getpid(), signal.SIGINT)
-
     interrupted = False
     try:
-        execute_runs_resilient(
+        execute_runs_detailed(
             specs, jobs=1, cache_dir=cache_dir,
-            journal_path=resume_journal, progress=interrupt_after_first,
+            journal_path=resume_journal, progress=_interrupt_after_first(),
         )
     except KeyboardInterrupt:
         interrupted = True
@@ -498,7 +564,7 @@ def run_chaos(
         f"interrupted={interrupted}, {len(journaled)}/{len(specs)} "
         "run(s) journaled consistently",
     )
-    resumed = execute_runs_resilient(
+    resumed = execute_runs_detailed(
         specs, jobs=jobs, cache_dir=cache_dir,
         journal_path=resume_journal, resume=True,
     )
@@ -619,159 +685,46 @@ def run_chaos(
         if dir_identical else "distributed results diverged from baseline",
     )
 
-    # -- Phase 7: adaptive plan survives a mid-batch kill -----------------
-    say("chaos: adaptive mid-batch interrupt + resume ...")
+    # -- Phases 7-8: planners survive a mid-sweep kill --------------------
     from repro.experiments.adaptive import (
+        ADAPTIVE_PLAN_KEY,
         AdaptiveConfig,
-        replay_plan,
         run_adaptive_experiment,
+    )
+    from repro.experiments.campaigns import (
+        CAMPAIGN_PLAN_KEY,
+        CampaignConfig,
+        run_campaign_experiment,
     )
     from repro.experiments.spec import ExperimentSpec
 
-    adaptive_spec = ExperimentSpec(
-        name="chaos-adaptive",
-        protocols=protocols,
-        seeds=seeds,
-        jobs=1,
-        # Engages the resilient executor: supervised workers + journal,
-        # so the interrupt below kills a real run child mid-batch.
-        run_timeout_s=timeout_s,
-        adaptive=AdaptiveConfig(
-            target_half_width=0.25, batch_size=1, min_seeds=1, max_seeds=2,
+    # A timeout puts even one job on a supervised worker, so each
+    # interrupt kills a real run child in flight.
+    planned = ExperimentSpec(
+        protocols=protocols, seeds=seeds, jobs=1, run_timeout_s=timeout_s,
+        config=config,
+    )
+    say("chaos: adaptive mid-batch interrupt + resume ...")
+    _check_planner_resume(
+        report, "adaptive", run_adaptive_experiment,
+        dataclasses.replace(
+            planned, name="chaos-adaptive", adaptive=AdaptiveConfig(
+                target_half_width=0.25, batch_size=1, min_seeds=1,
+                max_seeds=2,
+            ),
         ),
-        config=config,
+        ADAPTIVE_PLAN_KEY, lambda result: result.plan_dict()["batches"],
+        cache_dir, work_dir,
     )
-    clean_plan = run_adaptive_experiment(
-        adaptive_spec, cache_dir=cache_dir,
-        journal_path=os.path.join(work_dir, "adaptive-clean.jsonl"),
-    )
-    adaptive_journal = os.path.join(work_dir, "adaptive.jsonl")
-    adaptive_completions = {"count": 0}
-
-    def adaptive_interrupt(protocol: str, seed: int) -> None:
-        adaptive_completions["count"] += 1
-        if adaptive_completions["count"] == 1:
-            os.kill(os.getpid(), signal.SIGINT)
-
-    adaptive_interrupted = False
-    try:
-        run_adaptive_experiment(
-            adaptive_spec, cache_dir=cache_dir,
-            journal_path=adaptive_journal, progress=adaptive_interrupt,
-        )
-    except KeyboardInterrupt:
-        adaptive_interrupted = True
-    partial = SweepJournal.replay(adaptive_journal)
-    report.add(
-        "adaptive-interrupt-drains",
-        adaptive_interrupted and len(partial) >= 1
-        and all(record.ok for record in partial.values()),
-        f"interrupted={adaptive_interrupted}, {len(partial)} run(s) "
-        "journaled mid-batch",
-    )
-    resumed_plan = run_adaptive_experiment(
-        adaptive_spec, cache_dir=cache_dir,
-        journal_path=adaptive_journal, resume=True,
-    )
-    plan_identical = (
-        resumed_plan.plan_dict() == clean_plan.plan_dict()
-        and resumed_plan.runs == clean_plan.runs
-    )
-    report.add(
-        "adaptive-resume-identical", plan_identical,
-        "resumed adaptive plan bit-identical to the clean plan"
-        if plan_identical else "resumed adaptive plan diverged",
-    )
-    journaled_plan = replay_plan(adaptive_journal, adaptive_spec.name)
-    plan_journaled = [
-        {key: record[key] for key in
-         ("batch", "seeds", "protocols", "decisions")}
-        for record in journaled_plan
-    ] == [
-        {"batch": batch["batch"], "seeds": batch["seeds"],
-         "protocols": batch["protocols"], "decisions": batch["decisions"]}
-        for batch in resumed_plan.plan_dict()["batches"]
-    ]
-    report.add(
-        "adaptive-plan-journaled", plan_journaled,
-        f"{len(journaled_plan)} per-batch stopping decision(s) in the "
-        "journal match the resumed plan"
-        if plan_journaled else "journaled plan records diverged",
-    )
-
-    # -- Phase 8: campaign plan survives a mid-draw kill ------------------
     say("chaos: campaign mid-draw interrupt + resume ...")
-    from repro.experiments.campaigns import (
-        CampaignConfig,
-        replay_campaign_plan,
-        run_campaign_experiment,
-    )
-
-    campaign_spec = ExperimentSpec(
-        name="chaos-campaign",
-        protocols=protocols,
-        seeds=seeds,
-        jobs=1,
-        # Same trick as phase 7: the timeout engages the resilient
-        # executor, so the interrupt kills a real run child in flight.
-        run_timeout_s=timeout_s,
-        campaign=CampaignConfig(draws=2, master_seed=3),
-        config=config,
-    )
-    clean_campaign = run_campaign_experiment(
-        campaign_spec, cache_dir=cache_dir,
-        journal_path=os.path.join(work_dir, "campaign-clean.jsonl"),
-    )
-    campaign_journal = os.path.join(work_dir, "campaign.jsonl")
-    campaign_completions = {"count": 0}
-
-    def campaign_interrupt(protocol: str, seed: int) -> None:
-        campaign_completions["count"] += 1
-        if campaign_completions["count"] == 1:
-            os.kill(os.getpid(), signal.SIGINT)
-
-    campaign_interrupted = False
-    try:
-        run_campaign_experiment(
-            campaign_spec, cache_dir=cache_dir,
-            journal_path=campaign_journal, progress=campaign_interrupt,
-        )
-    except KeyboardInterrupt:
-        campaign_interrupted = True
-    campaign_partial = SweepJournal.replay(campaign_journal)
-    report.add(
-        "campaign-interrupt-drains",
-        campaign_interrupted and len(campaign_partial) >= 1
-        and all(record.ok for record in campaign_partial.values()),
-        f"interrupted={campaign_interrupted}, {len(campaign_partial)} "
-        "run(s) journaled mid-campaign",
-    )
-    resumed_campaign = run_campaign_experiment(
-        campaign_spec, cache_dir=cache_dir,
-        journal_path=campaign_journal, resume=True,
-    )
-    campaign_identical = (
-        resumed_campaign.plan_dict() == clean_campaign.plan_dict()
-        and resumed_campaign.runs == clean_campaign.runs
-    )
-    report.add(
-        "campaign-resume-identical", campaign_identical,
-        "resumed campaign plan and runs bit-identical to the clean run"
-        if campaign_identical else "resumed campaign diverged",
-    )
-    journaled_campaign = replay_campaign_plan(
-        campaign_journal, campaign_spec.name
-    )
-    campaign_journaled = [
-        {key: record[key] for key in
-         ("draw", "generator", "theta", "weight", "faults")}
-        for record in journaled_campaign
-    ] == resumed_campaign.plan_dict()["plan"]
-    report.add(
-        "campaign-plan-journaled", campaign_journaled,
-        f"{len(journaled_campaign)} journaled draw record(s) match the "
-        "resumed plan, weights included"
-        if campaign_journaled else "journaled campaign records diverged",
+    _check_planner_resume(
+        report, "campaign", run_campaign_experiment,
+        dataclasses.replace(
+            planned, name="chaos-campaign",
+            campaign=CampaignConfig(draws=2, master_seed=3),
+        ),
+        CAMPAIGN_PLAN_KEY, lambda result: result.plan_dict()["plan"],
+        cache_dir, work_dir,
     )
     say("chaos: done")
     return report

@@ -452,7 +452,7 @@ class LeaseQueue:
 def record_is_final(record: JournalRecord, max_retries: int) -> bool:
     """Does this journal record settle its run, or is a retry owed?
 
-    Mirrors the resilient executor's policy: successes and
+    Mirrors the local engine's retry policy: successes and
     deterministic (non-transient) failures are final; transient
     failures are final only once the fleet-wide dispatch count exceeds
     the retry budget.
@@ -556,7 +556,7 @@ def drain_worker(
             spec = specs[held.index]
             if use_cache:
                 shard = cache_shard_dir(sweep.cache_dir, held.key)
-                cached = cache_load(shard, spec)
+                cached = cache_load(shard, held.key)
                 if cached is not None:
                     SweepJournal.append_record(
                         sweep.journal_path,
@@ -616,7 +616,7 @@ def drain_worker(
                 if use_cache:
                     cache_store(
                         cache_shard_dir(sweep.cache_dir, held.key),
-                        spec, result,
+                        held.key, result,
                     )
             else:
                 stats.failed += 1

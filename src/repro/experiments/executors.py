@@ -1,9 +1,9 @@
 """Pluggable sweep executors: one lifecycle, many backends.
 
 Everything above the run level -- ``runner.compare_protocols``, the
-experiment spec runner, and the CLI -- schedules sweeps through the
-:class:`SweepExecutor` protocol instead of calling a process pool
-directly.  An executor owns the full lifecycle of one sweep:
+experiment spec runner, the planners, and the CLI -- schedules sweeps
+through the :class:`SweepExecutor` protocol instead of calling an
+engine directly.  An executor owns the full lifecycle of one sweep:
 
 ``submit(specs)``
     Publish the work set.  For the local backend this just records the
@@ -12,8 +12,7 @@ directly.  An executor owns the full lifecycle of one sweep:
 ``collect(progress)``
     Drive the sweep to completion and return ordered
     :class:`~repro.experiments.parallel.RunOutcome` objects -- one per
-    spec, in spec order, exactly like the plain and resilient executors
-    always have.
+    spec, in spec order.
 ``abort()`` / ``close()``
     Tear down in-flight work / release resources.  Executors are
     context managers; :meth:`SweepExecutor.execute` is the one-call
@@ -22,37 +21,41 @@ directly.  An executor owns the full lifecycle of one sweep:
 Backends are addressed by URI:
 
 ``local-pool``
-    Today's in-process execution, verbatim: the plain
-    :func:`~repro.experiments.parallel.execute_runs_detailed` pool
-    when no resilience knob is set, the supervised
-    :func:`~repro.experiments.resilience.execute_runs_resilient`
-    otherwise.  Bit-identical to the pre-refactor call paths.
+    This host: :func:`~repro.experiments.resilience.
+    execute_runs_detailed`, which runs a one-job sweep without a
+    timeout inline and anything else on persistent supervised workers.
 ``dir://<shared-dir>``
     The distributed backend (:mod:`repro.experiments.distributed`): a
     lease-based work queue over a shared directory that any number of
     worker processes -- spawned by the coordinator or started by hand
     with ``repro worker`` on other hosts -- drain cooperatively.
+
+:func:`journal_path_for` is the one rule for which sweeps journal.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.experiments.parallel import (
     ProgressCallback,
     RunOutcome,
     RunSpec,
-    execute_runs_detailed,
+    _execute_spec,
+    resolve_jobs,
 )
 from repro.experiments.resilience import (
     ResilienceConfig,
     RetryPolicy,
+    SweepJournal,
     WorkerFn,
-    _execute_spec,
-    execute_runs_resilient,
+    execute_runs_detailed,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec -> here)
+    from repro.experiments.spec import ExperimentSpec
 
 LOCAL_POOL_KIND = "local-pool"
 DIR_KIND = "dir"
@@ -142,43 +145,23 @@ class SweepExecutor:
         self.close()
 
 
+@dataclass(eq=False)
 class LocalPoolExecutor(SweepExecutor):
-    """The in-process backend: plain pool, or supervised when asked.
+    """The in-process backend: :func:`execute_runs_detailed` on this host.
 
-    ``resilience=None`` (and no journal/resume request) selects the
-    plain :func:`execute_runs_detailed` path -- no supervision
-    processes, no journal, exactly the historical fast path.  Setting
-    any of ``resilience``, ``journal_path``, or ``resume`` selects the
-    supervised :func:`execute_runs_resilient` path.
+    ``journal_path=None`` means the sweep keeps no journal.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = 1,
-        use_cache: bool = False,
-        cache_dir: Optional[str] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        journal_path: Optional[str] = None,
-        resume: bool = False,
-        worker: Optional[WorkerFn] = None,
-    ) -> None:
-        self.jobs = jobs
-        self.use_cache = use_cache
-        self.cache_dir = cache_dir
-        self.resilience = resilience
-        self.journal_path = journal_path
-        self.resume = resume
-        self.worker = worker
-        self._specs: Optional[List[RunSpec]] = None
-
-    @property
-    def resilient(self) -> bool:
-        return (
-            self.resilience is not None
-            or self.journal_path is not None
-            or self.resume
-            or self.worker is not None
-        )
+    jobs: Optional[int] = 1
+    use_cache: bool = False
+    cache_dir: Optional[str] = None
+    resilience: Optional[ResilienceConfig] = None
+    journal_path: Optional[str] = None
+    resume: bool = False
+    worker: WorkerFn = _execute_spec
+    _specs: Optional[List[RunSpec]] = field(
+        default=None, init=False, repr=False
+    )
 
     def submit(self, specs: Sequence[RunSpec]) -> None:
         if self._specs is not None:
@@ -190,25 +173,50 @@ class LocalPoolExecutor(SweepExecutor):
     ) -> List[RunOutcome]:
         if self._specs is None:
             raise RuntimeError("collect() before submit()")
-        if self.resilient:
-            return execute_runs_resilient(
-                self._specs,
-                jobs=self.jobs,
-                use_cache=self.use_cache,
-                cache_dir=self.cache_dir,
-                progress=progress,
-                resilience=self.resilience,
-                journal_path=self.journal_path,
-                resume=self.resume,
-                worker=self.worker or _execute_spec,
-            )
         return execute_runs_detailed(
             self._specs,
             jobs=self.jobs,
             use_cache=self.use_cache,
             cache_dir=self.cache_dir,
             progress=progress,
+            resilience=self.resilience,
+            journal_path=self.journal_path,
+            resume=self.resume,
+            worker=self.worker,
         )
+
+
+def _parse(backend: Optional[object]) -> Backend:
+    if isinstance(backend, Backend):
+        return backend
+    return parse_backend(backend if backend is None else str(backend))
+
+
+def journal_path_for(
+    backend: Optional[object] = None,
+    *,
+    cache_dir: Optional[str] = None,
+    journal_path: Optional[str] = None,
+    resume: bool = False,
+    run_timeout_s: Optional[float] = None,
+    max_retries: Optional[int] = None,
+) -> Optional[str]:
+    """Where a sweep journals, or None when it keeps no journal.
+
+    A ``dir://`` sweep always journals into its shared directory.  A
+    local sweep journals to an explicit ``journal_path``, else to the
+    default under the cache dir when it may need resuming: ``resume``,
+    ``run_timeout_s`` or ``max_retries`` is set.
+    """
+    parsed = _parse(backend)
+    if parsed.kind == DIR_KIND:
+        assert parsed.root is not None
+        return os.path.join(parsed.root, "journal.jsonl")
+    if journal_path is not None:
+        return journal_path
+    if resume or run_timeout_s is not None or max_retries is not None:
+        return SweepJournal.default_path(cache_dir)
+    return None
 
 
 def create_executor(
@@ -227,44 +235,34 @@ def create_executor(
 ) -> SweepExecutor:
     """Build the executor for a backend URI (or parsed :class:`Backend`).
 
-    For ``local-pool`` the resilient path engages exactly when a
-    resilience knob (``run_timeout_s`` / ``max_retries`` / ``resume`` /
-    ``journal_path``) is set, preserving ``compare_protocols``'s
-    historical routing bit-for-bit.  ``workers`` and
-    ``lease_timeout_s`` only apply to ``dir://`` backends.
+    ``jobs<=0`` means one per CPU on either backend.  ``max_retries=None``
+    means the default :class:`RetryPolicy`.  ``workers`` (default: the
+    resolved ``jobs``) and ``lease_timeout_s`` only apply to ``dir://``
+    backends.
     """
-    parsed = (
-        backend if isinstance(backend, Backend)
-        else parse_backend(backend if backend is None else str(backend))
-    )
+    parsed = _parse(backend)
     if parsed.kind == LOCAL_POOL_KIND:
-        resilient = (
-            run_timeout_s is not None
-            or max_retries is not None
-            or resume
-            or journal_path is not None
-            or worker_fn is not None
+        retry = (
+            RetryPolicy(max_retries=max_retries)
+            if max_retries is not None else RetryPolicy()
         )
-        resilience = None
-        if resilient:
-            retry = (
-                RetryPolicy(max_retries=max_retries)
-                if max_retries is not None else RetryPolicy()
-            )
-            resilience = ResilienceConfig(
-                run_timeout_s=run_timeout_s, retry=retry
-            )
         return LocalPoolExecutor(
             jobs=jobs,
             use_cache=use_cache,
             cache_dir=cache_dir,
-            resilience=resilience,
-            journal_path=journal_path,
+            resilience=ResilienceConfig(
+                run_timeout_s=run_timeout_s, retry=retry
+            ),
+            journal_path=journal_path_for(
+                parsed, cache_dir=cache_dir, journal_path=journal_path,
+                resume=resume, run_timeout_s=run_timeout_s,
+                max_retries=max_retries,
+            ),
             resume=resume,
-            worker=worker_fn,
+            worker=worker_fn or _execute_spec,
         )
     # Imported lazily: distributed pulls in telemetry + manifest
-    # machinery the plain local path never needs.
+    # machinery the local path never needs.
     from repro.experiments.distributed import DirExecutor, LeaseConfig
 
     lease_kwargs = {}
@@ -277,9 +275,33 @@ def create_executor(
     assert parsed.root is not None
     return DirExecutor(
         root=parsed.root,
-        workers=workers if workers is not None else (jobs or 1),
+        workers=workers if workers is not None else resolve_jobs(jobs),
         lease=LeaseConfig(**lease_kwargs),
         use_cache=use_cache,
         resume=resume,
         worker_fn=worker_fn or _execute_spec,
     )
+
+
+def execute_spec_runs(
+    spec: "ExperimentSpec",
+    runs: Sequence[RunSpec],
+    progress: Optional[ProgressCallback] = None,
+    cache_dir: Optional[str] = None,
+    resume: bool = False,
+    journal_path: Optional[str] = None,
+    workers: Optional[int] = None,
+) -> List[RunOutcome]:
+    """Execute ``runs`` under ``spec``'s backend, jobs, cache and
+    resilience settings: one batch of a planner, or a whole sweep."""
+    return create_executor(
+        spec.backend,
+        jobs=spec.jobs,
+        use_cache=spec.use_cache,
+        cache_dir=cache_dir,
+        run_timeout_s=spec.run_timeout_s,
+        max_retries=spec.max_retries,
+        resume=resume,
+        journal_path=journal_path,
+        workers=workers,
+    ).execute(runs, progress=progress)

@@ -1,26 +1,25 @@
-"""Parallel experiment execution with an on-disk result cache.
+"""Run specs, the on-disk result cache, and the determinism gate.
 
 The paper's sweeps (6 protocol variants x 10 topology seeds, Section 4)
 are embarrassingly parallel: every run is fully determined by its
 ``(protocol, config, seed)`` triple and shares no state with any other
-run.  This module fans such run specs out across a
-:class:`concurrent.futures.ProcessPoolExecutor` -- the scenario is built
-*inside* the worker so only the small, picklable spec crosses the process
-boundary -- and collects results in submission order, so a parallel sweep
-returns the exact list the serial loop would.
+run.  A :class:`RunSpec` is that triple -- small and picklable, so the
+scenario is built wherever the run executes.  The engine that executes
+a list of specs (inline, or on persistent supervised worker processes)
+is :func:`repro.experiments.resilience.execute_runs_detailed`;
+:func:`execute_runs` here is its bare-results form.
 
 Determinism is inherited, not re-engineered: every RNG stream in a run is
 derived from the spec's seeds (see :mod:`repro.sim.rng`), so a run
 produces a bit-identical :class:`RunResult` whether it executes inline,
-in a pool worker, or is replayed from the cache.  ``benchmarks/
-bench_perf_engine.py`` and ``scripts/bench_check.py`` assert this.
+in a worker process, or is replayed from the cache.
+:func:`verify_parallel_consistency` (behind ``scripts/bench_check.py``
+and the perfsmoke tier) asserts this.
 
-Failure containment: a worker that raises inside a run returns an
-*error-annotated* result (``RunResult.error`` holds the traceback and all
-measurements are zeroed) instead of killing the sweep; a worker process
-that dies outright (segfault, OOM kill) is caught via the broken-pool
-exception and annotated the same way.  :func:`repro.experiments.results.
-aggregate_runs` skips errored runs.
+Failure containment: a run that raises returns an *error-annotated*
+result (``RunResult.error`` holds the traceback and all measurements
+are zeroed) instead of killing the sweep.
+:func:`repro.experiments.results.aggregate_runs` skips errored runs.
 
 Caching: results are stored one JSON file per run under ``cache_dir``,
 keyed by a SHA-256 over the canonicalized ``(protocol, config fields,
@@ -38,7 +37,6 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -103,11 +101,9 @@ class RunOutcome:
     result: RunResult
     elapsed_s: float
     from_cache: bool
-    #: How many times the run was dispatched (>1 only under the
-    #: resilient executor's retry policy).
+    #: How many times the run was dispatched (>1 only after a retry).
     attempts: int = 1
-    #: Taxonomy classification when the run was quarantined by the
-    #: resilient executor; None for successes and plain-executor runs.
+    #: Taxonomy classification of a quarantined run; None on success.
     failure_kind: Optional["FailureKind"] = None
     #: True when the result was replayed from the sweep journal by a
     #: ``--resume`` pass instead of being executed or cache-loaded.
@@ -138,7 +134,7 @@ def _error_result(spec: RunSpec, error: str) -> RunResult:
 def _execute_spec(spec: RunSpec) -> tuple:
     """Worker entry point: build, run, and measure one scenario.
 
-    Runs inside the pool process (or inline for ``jobs=1``).  Exceptions
+    Runs inside a worker process (or inline).  Exceptions
     are converted to error-annotated results here so a bad run reports
     itself instead of poisoning the whole sweep.  Returns
     ``(result, elapsed_s)``.
@@ -196,8 +192,9 @@ def _quarantine_cache_entry(path: str) -> None:
             pass
 
 
-def cache_load(cache_dir: str, spec: RunSpec) -> Optional[RunResult]:
-    """Load a cached result, or None on a miss.
+def cache_load(cache_dir: str, key: str) -> Optional[RunResult]:
+    """Load the result cached under ``key`` (a ``RunSpec.cache_key()``),
+    or None on a miss.
 
     A corrupted or truncated entry (invalid JSON -- the signature of a
     worker killed mid-write by pre-atomic-store versions -- or a record
@@ -205,7 +202,7 @@ def cache_load(cache_dir: str, spec: RunSpec) -> Optional[RunResult]:
     *and quarantined*: the file is renamed to ``<key>.json.corrupt`` so
     it can be inspected but never re-read, and the run recomputes.
     """
-    path = _cache_path(cache_dir, spec.cache_key())
+    path = _cache_path(cache_dir, key)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -224,19 +221,20 @@ def cache_load(cache_dir: str, spec: RunSpec) -> Optional[RunResult]:
         return None
 
 
-def cache_store(cache_dir: str, spec: RunSpec, result: RunResult) -> None:
-    """Atomically persist one result (errored runs are never cached).
+def cache_store(cache_dir: str, key: str, result: RunResult) -> None:
+    """Atomically persist one result under ``key`` (errored runs are
+    never cached).
 
     The entry is written to a temp file, flushed and fsync'd, then
     ``os.replace``d into place -- a worker killed at any instant leaves
     either the old entry, the new entry, or an orphaned temp file
     (never a half-written entry).  Orphaned temps are swept by
-    :func:`sweep_stale_cache_tmps` at the next resilient sweep start.
+    :func:`sweep_stale_cache_tmps` at the next journaled sweep start.
     """
     if result.error is not None:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, spec.cache_key())
+    path = _cache_path(cache_dir, key)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -280,92 +278,11 @@ def sweep_stale_cache_tmps(cache_dir: str) -> int:
 # Sweep execution
 
 
-def execute_runs_detailed(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[RunOutcome]:
-    """Execute run specs, possibly in parallel, returning ordered outcomes.
-
-    ``jobs=None`` or ``jobs<=0`` means one worker per CPU; ``jobs=1``
-    runs inline with no pool (and no pickling requirement on the config).
-    Results come back in ``specs`` order regardless of completion order.
-    """
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Worker count for ``jobs``: ``None`` or ``<= 0`` is one per CPU."""
     if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
-    directory = resolve_cache_dir(cache_dir)
-
-    outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
-    misses: List[int] = []
-    for index, spec in enumerate(specs):
-        cached = cache_load(directory, spec) if use_cache else None
-        if cached is not None:
-            outcomes[index] = RunOutcome(spec, cached, 0.0, from_cache=True)
-        else:
-            misses.append(index)
-
-    if misses and jobs == 1:
-        for index in misses:
-            spec = specs[index]
-            if progress is not None:
-                progress(spec.protocol, spec.seed)
-            result, elapsed = _execute_spec(spec)
-            outcomes[index] = RunOutcome(spec, result, elapsed, False)
-            if use_cache:
-                cache_store(directory, spec, result)
-    elif misses:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(misses)))
-        try:
-            futures = {
-                index: pool.submit(_execute_spec, specs[index])
-                for index in misses
-            }
-            for index, future in futures.items():
-                spec = specs[index]
-                try:
-                    result, elapsed = future.result()
-                except Exception:  # noqa: BLE001 - worker process died
-                    result, elapsed = _error_result(
-                        spec, traceback.format_exc()
-                    ), 0.0
-                if progress is not None:
-                    progress(spec.protocol, spec.seed)
-                outcomes[index] = RunOutcome(spec, result, elapsed, False)
-                if use_cache:
-                    cache_store(directory, spec, result)
-        except BaseException:
-            # KeyboardInterrupt (or anything else escaping the collection
-            # loop) must not orphan workers: cancel what never started and
-            # put down what did, then re-raise.
-            _abort_pool(pool)
-            raise
-        else:
-            pool.shutdown(wait=True)
-
-    return [outcome for outcome in outcomes if outcome is not None]
-
-
-def _abort_pool(pool: ProcessPoolExecutor) -> None:
-    """Emergency pool teardown: cancel pending futures, kill workers.
-
-    ``shutdown(cancel_futures=True)`` only prevents queued work from
-    starting; in-flight runs would otherwise keep simulating for
-    minutes after a Ctrl-C, so live worker processes are terminated
-    outright (runs are deterministic and restartable, so nothing of
-    value is lost).
-    """
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in processes:
-        proc.join(2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(2.0)
+        return os.cpu_count() or 1
+    return jobs
 
 
 def execute_runs(
@@ -375,7 +292,13 @@ def execute_runs(
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> List[RunResult]:
-    """Like :func:`execute_runs_detailed` but returns bare results."""
+    """Execute ``specs`` and return bare results, in spec order.
+
+    See :func:`repro.experiments.resilience.execute_runs_detailed`.
+    """
+    # Imported here: resilience builds on this module.
+    from repro.experiments.resilience import execute_runs_detailed
+
     return [
         outcome.result
         for outcome in execute_runs_detailed(
@@ -409,7 +332,7 @@ def verify_parallel_consistency(
     jobs: int = 2,
     cache_dir: Optional[str] = None,
 ) -> List[str]:
-    """Run a sweep serially and in a pool; describe any divergence.
+    """Run a sweep inline and on workers; describe any divergence.
 
     Returns an empty list when every (protocol, seed) pair produced an
     identical :class:`RunResult` both ways -- the property the parallel

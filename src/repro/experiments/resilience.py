@@ -1,18 +1,21 @@
-"""Resilient sweep execution: supervision, retries, and a durable journal.
+"""Sweep execution: supervised workers, retries, and a durable journal.
 
-The plain executor (:mod:`repro.experiments.parallel`) assumes every run
-terminates and every worker survives.  At paper scale (hundreds of
-50-node runs, hours of wall time) that assumption fails in practice: a
-pathological topology can hang a run, the kernel OOM-killer can shoot a
-worker, and a Ctrl-C used to throw away everything computed so far.
-This module wraps the same picklable :class:`~repro.experiments.parallel.
-RunSpec` workers in a *supervisor* that makes sweeps survivable:
+:func:`execute_runs_detailed` is the one engine every local sweep runs
+through.  It takes the picklable :class:`~repro.experiments.parallel.
+RunSpec` list a sweep is made of and returns one
+:class:`~repro.experiments.parallel.RunOutcome` per spec, in spec
+order, bit-identical whatever the job count.  At paper scale (hundreds
+of 50-node runs, hours of wall time) a pathological topology can hang a
+run, the kernel OOM-killer can shoot a worker, and Ctrl-C arrives
+mid-sweep, so the engine makes sweeps survivable:
 
-* **Per-run wall-clock timeouts**, enforced from the parent.  Each run
-  executes in its own child process; a run that exceeds
-  ``ResilienceConfig.run_timeout_s`` is terminated (SIGTERM, then
-  SIGKILL after a grace period) and the slot is re-dispatched -- the
-  pool can never silently hang on one stuck simulation.
+* **Inline or persistent workers.**  One job without a timeout runs
+  inline: the serial reference every bit-identity check compares
+  against, and the only mode an in-process tracer sees.  Otherwise at
+  most ``jobs`` child processes each serve run after run over a pipe.
+* **Per-run wall-clock timeouts**, enforced from the parent: a run that
+  exceeds ``ResilienceConfig.run_timeout_s`` has its worker terminated
+  (SIGTERM, then SIGKILL after a grace period) and is re-dispatched.
 * **A structured failure taxonomy** (:class:`FailureKind`).  Every
   failure is classified -- ``TIMEOUT``, ``WORKER_CRASH`` (worker died
   with a signal / nonzero exit before reporting), ``OOM`` (SIGKILL or a
@@ -20,7 +23,7 @@ RunSpec` workers in a *supervisor* that makes sweeps survivable:
   ``EXCEPTION`` (any other in-run error) -- and the kind is recorded on
   the :class:`~repro.experiments.parallel.RunOutcome` and as a
   ``KIND:`` prefix on ``RunResult.error`` so it survives journaling and
-  aggregation.
+  aggregation.  Inline and worker runs are classified alike.
 * **Bounded retry with exponential backoff + deterministic jitter**
   (:class:`RetryPolicy`) for *transient* kinds (``TIMEOUT``,
   ``WORKER_CRASH``, ``OOM``).  Deterministic model failures
@@ -34,11 +37,12 @@ RunSpec` workers in a *supervisor* that makes sweeps survivable:
   under the cache dir, one fsync'd record per finished (or quarantined)
   run keyed by ``RunSpec.cache_key()``.  ``repro run --resume`` replays
   completed runs from the journal and re-dispatches only the failures.
-* **Graceful SIGINT/SIGTERM draining**: the first signal stops
-  dispatching, terminates active children, and leaves the journal
-  consistent (records are written atomically per line), then raises
-  ``KeyboardInterrupt``.  Re-running with ``--resume`` picks up where
-  the sweep left off.
+  Which sweeps journal is decided in one place,
+  :func:`repro.experiments.executors.journal_path_for`.
+* **Graceful Ctrl-C**: an interrupt stops the sweep, puts down active
+  workers, and leaves the journal consistent (records are written
+  atomically per line), then raises ``KeyboardInterrupt``.  Re-running
+  with ``--resume`` picks up where the sweep left off.
 * **Graceful degradation**: a run whose retry budget is exhausted is
   *quarantined* -- it comes back as an error-annotated result with its
   failure kind, and the sweep completes.  Aggregation and reporting
@@ -65,21 +69,24 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
+# Cache loads and stores go through the module so that instrumentation
+# wrapping ``parallel.cache_load`` / ``cache_store`` sees every call.
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ProgressCallback,
     RunOutcome,
     RunSpec,
     _error_result,
     _execute_spec,
-    cache_load,
-    cache_store,
     resolve_cache_dir,
+    resolve_jobs,
     sweep_stale_cache_tmps,
 )
 from repro.experiments.results import RunResult
@@ -128,8 +135,8 @@ TRANSIENT_KINDS = frozenset(
 def classify_failure(error: Optional[str]) -> Optional[FailureKind]:
     """Map a ``RunResult.error`` string to its :class:`FailureKind`.
 
-    Supervisor-annotated errors carry a ``KIND:`` prefix and classify
-    exactly.  Legacy errors (raw tracebacks from the plain executor) are
+    Engine-annotated errors carry a ``KIND:`` prefix and classify
+    exactly.  Raw tracebacks (a worker's report, or a legacy record) are
     sniffed: ``MemoryError`` means OOM, ``InvariantViolation`` means a
     validation monitor fired, a broken-pool message means the worker
     died, anything else is a plain exception.  ``None`` for a
@@ -189,10 +196,10 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Supervision knobs for one resilient sweep."""
+    """Supervision knobs for one sweep."""
 
-    #: Per-run wall-clock budget; ``None`` disables the timeout (runs
-    #: are still isolated in their own process and crash-contained).
+    #: Per-run wall-clock budget; ``None`` disables the timeout (then a
+    #: one-job sweep runs inline, since nothing needs killing).
     run_timeout_s: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Seconds between SIGTERM and SIGKILL when putting down a worker.
@@ -218,7 +225,7 @@ class JournalRecord:
     failure_kind: Optional[str]
     result: Dict[str, Any]
     #: Id of the worker that journaled the record (``dir://`` backend);
-    #: None for records written by the in-process supervisor.
+    #: None for records written by a local sweep.
     worker: Optional[str] = None
     #: True when the record replayed a shared-cache hit rather than an
     #: execution (``dir://`` workers journal cache hits so the shared
@@ -343,7 +350,7 @@ class SweepJournal:
     def compact(cls, path: str) -> int:
         """Atomically rewrite the journal keeping only surviving records.
 
-        A long resilient sweep accretes one line per *attempt* (retries
+        A long journaled sweep accretes one line per *attempt* (retries
         append, they don't replace) plus possibly one torn trailing
         line; replay cost and disk grow without bound.  Compaction
         keeps exactly the line that :meth:`replay` would surface for
@@ -355,28 +362,13 @@ class SweepJournal:
         Returns the number of lines dropped.  Call only when no other
         process is appending (clean sweep completion).
         """
-        try:
-            with open(path, "rb") as handle:
-                raw_lines = handle.readlines()
-        except OSError:
-            return 0
         survivors: Dict[str, bytes] = {}
         total = 0
-        for raw in raw_lines:
-            if not raw.strip():
-                continue
+        for raw, data in cls._lines(path):
             total += 1
-            try:
-                data = json.loads(raw)
-            except ValueError:
-                continue  # torn / garbled line: drop
-            if not isinstance(data, dict):
-                continue
-            if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                continue
-            key = data.get("key")
+            key = data.get("key") if data is not None else None
             if not isinstance(key, str):
-                continue
+                continue  # torn, garbled, or alien line: drop
             # Preserve first-seen order; a retry overwrites in place.
             survivors[key] = raw if raw.endswith(b"\n") else raw + b"\n"
         dropped = total - len(survivors)
@@ -417,57 +409,108 @@ class SweepJournal:
         the final line can be damaged, and its run simply re-executes.
         """
         records: Dict[str, JournalRecord] = {}
-        try:
-            handle = open(path, "r", encoding="utf-8")
-        except OSError:
-            return records
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except ValueError:
-                    continue  # torn trailing write: re-run that spec
-                if not isinstance(data, dict):
-                    continue
-                if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                    continue
-                try:
-                    record = JournalRecord(
-                        key=data["key"],
-                        protocol=data["protocol"],
-                        seed=data["seed"],
-                        status=data["status"],
-                        attempts=data["attempts"],
-                        elapsed_s=data["elapsed_s"],
-                        failure_kind=data.get("failure_kind"),
-                        result=data["result"],
-                        worker=data.get("worker"),
-                        cached=bool(data.get("cached", False)),
-                    )
-                except KeyError:
-                    continue
-                records[record.key] = record
+        for _, data in cls._lines(path):
+            if data is None:
+                continue  # torn trailing write: re-run that spec
+            try:
+                record = JournalRecord(
+                    key=data["key"],
+                    protocol=data["protocol"],
+                    seed=data["seed"],
+                    status=data["status"],
+                    attempts=data["attempts"],
+                    elapsed_s=data["elapsed_s"],
+                    failure_kind=data.get("failure_kind"),
+                    result=data["result"],
+                    worker=data.get("worker"),
+                    cached=bool(data.get("cached", False)),
+                )
+            except KeyError:
+                continue
+            records[record.key] = record
         return records
+
+    @staticmethod
+    def _lines(path: str) -> Iterator[Tuple[bytes, Optional[Dict[str, Any]]]]:
+        """Each non-blank line of a journal with its decoded record.
+
+        The record is None for a torn or garbled line, a non-object,
+        or another schema version; a missing journal yields nothing.
+        """
+        try:
+            handle = open(path, "rb")
+        except OSError:
+            return
+        with handle:
+            for raw in handle:
+                if not raw.strip():
+                    continue
+                try:
+                    data = json.loads(raw)
+                except ValueError:
+                    data = None
+                if not isinstance(data, dict) \
+                        or data.get("schema") != JOURNAL_SCHEMA_VERSION:
+                    data = None
+                yield raw, data
+
+    @classmethod
+    def append_plan(
+        cls, path: str, kind: str, name: str, index: int,
+        fields: Dict[str, Any],
+    ) -> None:
+        """Append one planner record (``kind`` names the planner).
+
+        Plan records share the run journal under unique string keys
+        (``<kind>:<name>:<index>``), so :meth:`compact` keeps them and
+        :meth:`replay` -- which only surfaces run records -- skips them.
+        """
+        cls.append_record(path, {
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "key": f"{kind}:{name}:{index:04d}",
+            "kind": kind,
+            "name": name,
+            **fields,
+        })
+
+    @classmethod
+    def replay_plans(
+        cls, path: str, kind: str, name: str
+    ) -> List[Dict[str, Any]]:
+        """The ``kind`` plan records of sweep ``name``, in index order.
+
+        Same damage tolerance as :meth:`replay`: torn or alien lines
+        are skipped, the last record per key wins.
+        """
+        by_key: Dict[str, Dict[str, Any]] = {}
+        for _, data in cls._lines(path):
+            if data is None or data.get("kind") != kind \
+                    or data.get("name") != name:
+                continue
+            key = data.get("key")
+            if isinstance(key, str):
+                by_key[key] = data
+        return [by_key[key] for key in sorted(by_key)]
 
 
 # ----------------------------------------------------------------------
-# The supervised worker shim (runs in the child process)
+# Supervised workers (`_worker_main` runs in the child process)
 
 
-def _child_main(
-    conn: Any, spec: RunSpec, attempt: int, worker: WorkerFn
-) -> None:
-    """Child entry: run one spec, send ``(result, elapsed_s)`` back.
+def _worker_main(conn: Any, worker: WorkerFn) -> None:
+    """Child entry: serve ``(spec, attempt)`` requests until told to stop.
 
-    Any exception the worker (or an injected chaos fault) raises is
-    converted to an error-annotated result here; a child that dies
-    before sending anything is classified by the parent from its exit
-    code.
+    Each request is answered with ``(result, elapsed_s)``.  Any
+    exception the worker (or an injected chaos fault) raises becomes an
+    error-annotated result; a child that dies mid-run is classified by
+    the parent from its exit code.  ``None`` or a closed pipe ends the
+    loop.
     """
-    os.environ[ATTEMPT_ENV] = str(attempt)
+    # The supervisor owns Ctrl-C (it drains, then puts workers down),
+    # and its SIGTERM must kill at once: a forked child inherits the
+    # parent's handlers, which here would only set a flag.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         import faulthandler
 
@@ -478,19 +521,26 @@ def _child_main(
         faulthandler.disable()
     except Exception:  # noqa: BLE001 - best-effort hygiene only
         pass
-    try:
-        from repro.experiments.chaos import maybe_inject_fault
+    from repro.experiments.chaos import maybe_inject_fault
 
-        maybe_inject_fault(spec, attempt)
-        payload = worker(spec)
-    except BaseException:  # noqa: BLE001 - annotate anything, incl. chaos
-        payload = (_error_result(spec, traceback.format_exc()), 0.0)
-    try:
-        conn.send(payload)
-    except Exception:  # noqa: BLE001 - parent gone; nothing left to do
-        pass
-    finally:
-        conn.close()
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        if request is None:
+            return
+        spec, attempt = request
+        os.environ[ATTEMPT_ENV] = str(attempt)
+        try:
+            maybe_inject_fault(spec, attempt)
+            payload = worker(spec)
+        except BaseException:  # noqa: BLE001 - annotate anything, incl. chaos
+            payload = (_error_result(spec, traceback.format_exc()), 0.0)
+        try:
+            conn.send(payload)
+        except Exception:  # noqa: BLE001 - parent gone or unpicklable
+            return  # the parent sees EOF and classifies the exit
 
 
 def _put_down(proc: Any, grace_s: float) -> None:
@@ -503,16 +553,93 @@ def _put_down(proc: Any, grace_s: float) -> None:
         proc.join(5.0)
 
 
-@dataclass
-class _Active:
-    """Bookkeeping for one in-flight supervised worker."""
+_TIMEOUT_DETAIL = (
+    "run exceeded the {:.1f}s wall-clock budget; worker terminated by "
+    "the supervisor"
+)
 
-    proc: Any
-    conn: Any
-    index: int
-    attempt: int
-    started: float
-    deadline: Optional[float]
+
+def _classify_report(
+    payload: Optional[Tuple[RunResult, float]], exitcode: Optional[int]
+) -> Tuple[Optional[FailureKind], str]:
+    """What one run's report says: ``(None, "")`` on success.
+
+    ``payload`` is the ``(result, elapsed_s)`` the run produced, or
+    ``None`` when its worker died before reporting -- then the exit
+    code decides: SIGKILL is the kernel OOM-killer's signature, any
+    other death is a crash.  Otherwise the kind comes from the
+    result's error text.
+    """
+    if payload is None:
+        if exitcode == -int(signal.SIGKILL):
+            return FailureKind.OOM, (
+                "worker killed by SIGKILL before reporting a result "
+                "(likely the kernel OOM-killer)"
+            )
+        return FailureKind.WORKER_CRASH, (
+            f"worker process exited with code {exitcode} before "
+            "reporting a result"
+        )
+    error = payload[0].error
+    if error is None:
+        return None, ""
+    return classify_failure(error) or FailureKind.EXCEPTION, error
+
+
+class _Worker:
+    """One persistent child process and the run it is serving, if any."""
+
+    def __init__(self, ctx: Any, worker: WorkerFn) -> None:
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
+            target=_worker_main, args=(child_conn, worker), daemon=True,
+        )
+        self.proc.start()
+        child_conn.close()
+        self.index: Optional[int] = None
+        self.attempt = 0
+        self.started = 0.0
+        self.deadline: Optional[float] = None
+
+    @property
+    def busy(self) -> bool:
+        return self.index is not None
+
+    def dispatch(
+        self, spec: RunSpec, index: int, attempt: int,
+        run_timeout_s: Optional[float],
+    ) -> None:
+        self.index, self.attempt = index, attempt
+        self.started = time.monotonic()
+        self.deadline = (
+            self.started + run_timeout_s if run_timeout_s is not None
+            else None
+        )
+        try:
+            self.conn.send((spec, attempt))
+        except OSError:
+            pass  # died since its last report: the pipe's EOF says so
+
+    def receive(self) -> Optional[Tuple[RunResult, float]]:
+        """The busy run's report, or None if the worker died first."""
+        self.index = None
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self.conn.close()
+            _put_down(self.proc, 5.0)  # normally already exiting
+            return None
+
+    def shut_down(self, grace_s: float) -> None:
+        """Stop an idle worker politely; put a busy one down."""
+        if not self.busy:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+            self.proc.join(grace_s)
+        _put_down(self.proc, grace_s)
+        self.conn.close()
 
 
 def supervise_single_run(
@@ -526,96 +653,55 @@ def supervise_single_run(
 ) -> Tuple[RunResult, float, Optional[FailureKind]]:
     """Run one spec in its own supervised child; classify any failure.
 
-    The single-run core of :func:`execute_runs_resilient`'s supervision
-    loop, reusable by executors that schedule one run at a time (the
-    ``dir://`` backend's lease workers).  The child is the same
-    :func:`_child_main` shim the pooled supervisor uses, so chaos
-    injection, the ``ATTEMPT_ENV`` contract, and crash containment are
-    identical.  ``on_poll`` is invoked once per poll tick while the run
-    is in flight -- the lease-heartbeat hook; if it raises, the child is
-    put down before the exception propagates.
+    For executors that schedule one run at a time (the ``dir://``
+    backend's lease workers).  The child is the same worker loop
+    :func:`execute_runs_detailed` keeps alive across runs, serving a
+    single request, so chaos injection, the ``ATTEMPT_ENV`` contract,
+    and crash containment are identical.  ``on_poll`` is invoked once
+    per poll tick while the run is in flight -- the lease-heartbeat
+    hook; if it raises, the child is put down before the exception
+    propagates.
 
     Returns ``(result, elapsed_s, failure_kind)`` where the kind is
     ``None`` on success; error results carry the usual ``KIND:``
     prefix.  Retry policy is the *caller's* job.
     """
-    ctx = multiprocessing.get_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_child_main, args=(child_conn, spec, attempt, worker),
-        daemon=True,
-    )
-    started = time.monotonic()
-    proc.start()
-    child_conn.close()
-    deadline = (
-        started + run_timeout_s if run_timeout_s is not None else None
-    )
+    child = _Worker(multiprocessing.get_context(), worker)
+    child.dispatch(spec, 0, attempt, run_timeout_s)
     payload = None
     timed_out = False
     try:
         while True:
-            if parent_conn.poll(poll_interval_s):
-                try:
-                    payload = parent_conn.recv()
-                except (EOFError, OSError):
-                    payload = None  # died before reporting
+            if child.conn.poll(poll_interval_s):
+                payload = child.receive()
                 break
             if on_poll is not None:
                 on_poll()
-            if deadline is not None and time.monotonic() >= deadline:
+            if child.deadline is not None \
+                    and time.monotonic() >= child.deadline:
                 timed_out = True
                 break
     finally:
-        try:
-            parent_conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if timed_out or payload is None:
-            _put_down(proc, kill_grace_s)
-        proc.join(5.0)
-        if proc.is_alive():  # pragma: no cover - stuck post-send
-            _put_down(proc, kill_grace_s)
-    elapsed = time.monotonic() - started
+        child.shut_down(kill_grace_s)
+    elapsed = time.monotonic() - child.started
     if timed_out:
-        detail = (
-            f"run exceeded the {run_timeout_s:.1f}s wall-clock budget; "
-            "worker terminated by the supervisor"
-        )
-        kind = FailureKind.TIMEOUT
-        return _error_result(spec, _prefixed_error(kind, detail)), \
-            elapsed, kind
-    if payload is None:
-        code = proc.exitcode
-        if code == -int(signal.SIGKILL):
-            kind = FailureKind.OOM
-            detail = (
-                "worker killed by SIGKILL before reporting a result "
-                "(likely the kernel OOM-killer)"
-            )
-        else:
-            kind = FailureKind.WORKER_CRASH
-            detail = (
-                f"worker process exited with code {code} before "
-                "reporting a result"
-            )
-        return _error_result(spec, _prefixed_error(kind, detail)), \
-            elapsed, kind
-    result, run_elapsed = payload
-    if result.error is not None:
-        kind = classify_failure(result.error) or FailureKind.EXCEPTION
-        result = dataclasses.replace(
-            result, error=_prefixed_error(kind, result.error)
-        )
-        return result, run_elapsed, kind
-    return result, run_elapsed, None
+        kind: Optional[FailureKind] = FailureKind.TIMEOUT
+        detail = _TIMEOUT_DETAIL.format(run_timeout_s)
+    else:
+        kind, detail = _classify_report(payload, child.proc.exitcode)
+    if payload is not None:
+        elapsed = payload[1]
+        if kind is None:
+            return payload[0], elapsed, None
+    assert kind is not None
+    return _error_result(spec, _prefixed_error(kind, detail)), elapsed, kind
 
 
 # ----------------------------------------------------------------------
-# The supervisor
+# The sweep engine
 
 
-def execute_runs_resilient(
+def execute_runs_detailed(
     specs: Sequence[RunSpec],
     jobs: Optional[int] = 1,
     use_cache: bool = False,
@@ -626,32 +712,33 @@ def execute_runs_resilient(
     resume: bool = False,
     worker: WorkerFn = _execute_spec,
 ) -> List[RunOutcome]:
-    """Execute run specs under supervision; returns ordered outcomes.
+    """Execute run specs; returns one outcome per spec, in spec order.
 
-    The resilient counterpart of :func:`~repro.experiments.parallel.
-    execute_runs_detailed`: every run gets its own child process (so a
-    crash or hang is isolated to that run), a wall-clock timeout
-    enforced from the parent, and bounded retry with backoff for
-    transient failures.  Finished runs -- including quarantined
-    failures -- are journaled; with ``resume=True`` previously
-    completed runs replay from the journal and only failures (and
-    never-started specs) are dispatched.
-
-    On SIGINT/SIGTERM the supervisor drains: active children are
-    terminated, the journal stays consistent, and ``KeyboardInterrupt``
-    is raised -- re-invoke with ``resume=True`` to continue.
+    ``jobs=None`` or ``jobs<=0`` means one per CPU.  One job without a
+    ``run_timeout_s`` runs inline; otherwise at most ``jobs`` persistent
+    workers serve the runs, each replaced only after it dies or is put
+    down on timeout.  Both paths classify, retry, cache and -- when
+    ``journal_path`` is given -- journal runs alike; ``resume=True``
+    replays runs that journal already completed.  Ctrl-C (or SIGTERM,
+    under workers) stops the sweep with the journal consistent and
+    raises ``KeyboardInterrupt``.
 
     ``worker`` exists for the chaos harness and tests: any picklable
     top-level function with the :data:`WorkerFn` contract can stand in
     for the real simulation worker.
     """
-    if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
+    jobs = resolve_jobs(jobs)
     config = resilience if resilience is not None else ResilienceConfig()
     directory = resolve_cache_dir(cache_dir)
-    sweep_stale_cache_tmps(directory)
-    path = journal_path or SweepJournal.default_path(directory)
-    replayed = SweepJournal.replay(path) if resume else {}
+    if journal_path is not None:
+        # A journaled sweep is a resumable one: clear temp files a
+        # killed predecessor left.  Unjournaled sweeps skip this so
+        # they never race a concurrent sweep's in-flight store.
+        sweep_stale_cache_tmps(directory)
+    replayed = (
+        SweepJournal.replay(journal_path)
+        if resume and journal_path is not None else {}
+    )
 
     keys = [spec.cache_key() for spec in specs]
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
@@ -667,7 +754,7 @@ def execute_runs_resilient(
                 )
                 continue
         if use_cache:
-            cached = cache_load(directory, spec)
+            cached = parallel.cache_load(directory, keys[index])
             if cached is not None:
                 outcomes[index] = RunOutcome(
                     spec, cached, 0.0, from_cache=True
@@ -678,23 +765,9 @@ def execute_runs_resilient(
     if not pending:
         return [outcome for outcome in outcomes if outcome is not None]
 
-    journal = SweepJournal(path)
-    ctx = multiprocessing.get_context()
-    active: List[_Active] = []
+    journal = SweepJournal(journal_path) if journal_path is not None \
+        else None
     delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
-    stop: Dict[str, Optional[int]] = {"signal": None}
-
-    def _request_stop(signum: int, frame: Any) -> None:
-        stop["signal"] = signum
-
-    # Signal handlers can only be installed from the main thread; a
-    # supervisor running elsewhere still works, it just drains only on
-    # exceptions.
-    in_main = threading.current_thread() is threading.main_thread()
-    previous_handlers = {}
-    if in_main:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous_handlers[signum] = signal.signal(signum, _request_stop)
 
     def _finalize(
         index: int,
@@ -708,9 +781,10 @@ def execute_runs_resilient(
             spec, result, elapsed, from_cache=False,
             attempts=attempts, failure_kind=kind,
         )
-        journal.record(spec, result, attempts, elapsed, kind)
+        if journal is not None:
+            journal.record(spec, result, attempts, elapsed, kind)
         if use_cache and result.error is None:
-            cache_store(directory, spec, result)
+            parallel.cache_store(directory, keys[index], result)
         if progress is not None:
             progress(spec.protocol, spec.seed)
 
@@ -728,124 +802,146 @@ def execute_runs_resilient(
         result = _error_result(specs[index], _prefixed_error(kind, detail))
         _finalize(index, result, attempt + 1, elapsed, kind)
 
-    def _reap(entry: _Active) -> None:
-        """Handle one worker whose pipe became readable (result or EOF)."""
-        payload = None
-        try:
-            payload = entry.conn.recv()
-        except (EOFError, OSError):
-            payload = None  # died before reporting: classify from exit
-        entry.conn.close()
-        entry.proc.join(5.0)
-        if entry.proc.is_alive():  # pragma: no cover - stuck post-send
-            _put_down(entry.proc, config.kill_grace_s)
-        elapsed = time.monotonic() - entry.started
-        if payload is None:
-            code = entry.proc.exitcode
-            if code == -int(signal.SIGKILL):
-                kind = FailureKind.OOM
-                detail = (
-                    "worker killed by SIGKILL before reporting a result "
-                    "(likely the kernel OOM-killer)"
-                )
-            else:
-                kind = FailureKind.WORKER_CRASH
-                detail = (
-                    f"worker process exited with code {code} before "
-                    "reporting a result"
-                )
-            _fail(entry.index, entry.attempt, kind, detail, elapsed)
-            return
-        result, run_elapsed = payload
-        if result.error is not None:
-            kind = classify_failure(result.error) or FailureKind.EXCEPTION
-            _fail(entry.index, entry.attempt, kind, result.error, run_elapsed)
-            return
-        _finalize(entry.index, result, entry.attempt + 1, run_elapsed, None)
+    def _settle(
+        index: int, attempt: int,
+        payload: Optional[Tuple[RunResult, float]],
+        exitcode: Optional[int], elapsed: float,
+    ) -> None:
+        kind, detail = _classify_report(payload, exitcode)
+        if payload is not None:
+            elapsed = payload[1]
+        if kind is None:
+            _finalize(index, payload[0], attempt + 1, elapsed, None)
+        else:
+            _fail(index, attempt, kind, detail, elapsed)
 
-    try:
-        while (pending or delayed or active) and stop["signal"] is None:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, index, attempt = heapq.heappop(delayed)
-                pending.append((index, attempt))
-            while pending and len(active) < jobs:
-                index, attempt = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_child_main,
-                    args=(child_conn, specs[index], attempt, worker),
-                    daemon=True,
+    def _promote_due() -> None:
+        now = time.monotonic()
+        while delayed and delayed[0][0] <= now:
+            _, index, attempt = heapq.heappop(delayed)
+            pending.append((index, attempt))
+
+    def _run_inline() -> None:
+        while pending or delayed:
+            _promote_due()
+            if not pending:
+                time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
+                continue
+            index, attempt = pending.popleft()
+            spec = specs[index]
+            try:
+                payload = worker(spec)
+            except Exception:  # noqa: BLE001 - Ctrl-C must propagate
+                payload = (_error_result(spec, traceback.format_exc()), 0.0)
+            _settle(index, attempt, payload, None, 0.0)
+
+    def _run_workers() -> Optional[int]:
+        """Supervise the sweep; returns the signal that stopped it."""
+        ctx = multiprocessing.get_context()
+        slots = min(jobs, len(pending))
+        workers: List[_Worker] = []
+        stop: Dict[str, Optional[int]] = {"signal": None}
+
+        def _request_stop(signum: int, frame: Any) -> None:
+            stop["signal"] = signum
+
+        def _dispatch(entry: _Worker) -> None:
+            index, attempt = pending.popleft()
+            entry.dispatch(specs[index], index, attempt, config.run_timeout_s)
+
+        # Signal handlers can only be installed from the main thread; a
+        # supervisor running elsewhere still works, it just drains only
+        # on exceptions.
+        in_main = threading.current_thread() is threading.main_thread()
+        previous_handlers = {}
+        if in_main:
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous_handlers[signum] = signal.signal(
+                    signum, _request_stop
                 )
-                proc.start()
-                child_conn.close()
-                deadline = (
-                    time.monotonic() + config.run_timeout_s
-                    if config.run_timeout_s is not None else None
-                )
-                active.append(_Active(
-                    proc=proc, conn=parent_conn, index=index,
-                    attempt=attempt, started=time.monotonic(),
-                    deadline=deadline,
-                ))
-            if not active:
-                # Everything is waiting out a backoff: sleep until the
-                # earliest becomes ready (in poll-sized slices so a
-                # signal still drains promptly).
-                if delayed:
+        try:
+            while (pending or delayed or any(w.busy for w in workers)) \
+                    and stop["signal"] is None:
+                _promote_due()
+                for entry in workers:
+                    if pending and not entry.busy:
+                        _dispatch(entry)
+                while pending and len(workers) < slots:
+                    workers.append(_Worker(ctx, worker))
+                    _dispatch(workers[-1])
+                busy = [entry for entry in workers if entry.busy]
+                if not busy:
+                    # Everything is waiting out a backoff: sleep until
+                    # the earliest becomes ready (in poll-sized slices
+                    # so a signal still drains promptly).
                     time.sleep(min(
                         config.poll_interval_s,
                         max(0.0, delayed[0][0] - time.monotonic()),
                     ))
-                continue
-            ready = multiprocessing.connection.wait(
-                [entry.conn for entry in active],
-                timeout=config.poll_interval_s,
-            )
-            ready_set = set(ready)
-            for entry in list(active):
-                if entry.conn in ready_set:
-                    active.remove(entry)
-                    _reap(entry)
-            now = time.monotonic()
-            for entry in list(active):
-                if entry.deadline is None or now < entry.deadline:
                     continue
-                if entry.conn.poll():
-                    continue  # result raced the deadline: reap next pass
-                active.remove(entry)
-                _put_down(entry.proc, config.kill_grace_s)
-                entry.conn.close()
-                _fail(
-                    entry.index, entry.attempt, FailureKind.TIMEOUT,
-                    (
-                        f"run exceeded the {config.run_timeout_s:.1f}s "
-                        "wall-clock budget; worker terminated by the "
-                        "supervisor"
-                    ),
-                    now - entry.started,
-                )
-    finally:
-        for entry in active:
-            _put_down(entry.proc, config.kill_grace_s)
-            try:
-                entry.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        if in_main:
+                ready = set(multiprocessing.connection.wait(
+                    [entry.conn for entry in busy],
+                    timeout=config.poll_interval_s,
+                ))
+                for entry in busy:
+                    if entry.conn not in ready:
+                        continue
+                    index, attempt = entry.index, entry.attempt
+                    payload = entry.receive()
+                    if payload is None:
+                        workers.remove(entry)
+                        _settle(
+                            index, attempt, None, entry.proc.exitcode,
+                            time.monotonic() - entry.started,
+                        )
+                        continue
+                    # Keep the worker busy before the parent-side
+                    # bookkeeping (fsync'd cache and journal writes).
+                    if pending and stop["signal"] is None:
+                        _dispatch(entry)
+                    _settle(index, attempt, payload, None, 0.0)
+                now = time.monotonic()
+                for entry in busy:
+                    if not entry.busy or entry.deadline is None \
+                            or now < entry.deadline or entry.conn.poll():
+                        continue  # reported, on time, or its report raced
+                    index, attempt = entry.index, entry.attempt
+                    workers.remove(entry)
+                    entry.shut_down(config.kill_grace_s)
+                    _fail(
+                        index, attempt, FailureKind.TIMEOUT,
+                        _TIMEOUT_DETAIL.format(config.run_timeout_s),
+                        now - entry.started,
+                    )
+        finally:
+            for entry in workers:
+                entry.shut_down(config.kill_grace_s)
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
-        journal.close()
+        return stop["signal"]
 
-    if stop["signal"] is not None:
-        done = sum(1 for outcome in outcomes if outcome is not None)
+    inline = jobs == 1 and config.run_timeout_s is None
+    interrupted = False
+    try:
+        if inline:
+            _run_inline()
+        else:
+            interrupted = _run_workers() is not None
+    except KeyboardInterrupt:
+        interrupted = True
+    finally:
+        if journal is not None:
+            journal.close()
+
+    if interrupted:
+        done = sum(outcome is not None for outcome in outcomes)
         raise KeyboardInterrupt(
-            f"sweep interrupted by signal {stop['signal']}: {done}/"
-            f"{len(specs)} run(s) journaled to {path}; re-run with "
-            "resume to continue"
+            f"sweep interrupted after {done}/{len(specs)} run(s)"
+            + (f"; journal: {journal_path}" if journal_path else "")
         )
-    # Clean completion: every spec has a surviving record, so superseded
-    # retry lines (and any torn line inherited from a crashed ancestor
-    # sweep) are dead weight -- drop them.
-    SweepJournal.compact(path)
+    if journal_path is not None:
+        # Clean completion: every spec has a surviving record, so
+        # superseded retry lines (and any torn line inherited from a
+        # crashed ancestor sweep) are dead weight -- drop them.
+        SweepJournal.compact(journal_path)
     return [outcome for outcome in outcomes if outcome is not None]

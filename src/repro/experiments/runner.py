@@ -75,7 +75,7 @@ def export_run_telemetry(
     }
     attempt = os.environ.get("REPRO_RUN_ATTEMPT")  # resilience.ATTEMPT_ENV
     if attempt is not None:
-        # Retry provenance under the resilient executor: attempt 0 is
+        # Retry provenance from a supervised worker: attempt 0 is
         # the first dispatch, >0 means this artifact came from a retry.
         try:
             extra["attempt"] = int(attempt)
@@ -177,27 +177,26 @@ def compare_protocols(
     """The paper's comparison loop: every protocol on every topology.
 
     Execution routes through the pluggable executor layer
-    (:mod:`repro.experiments.executors`).  The default ``local-pool``
-    backend preserves the historical behavior exactly: ``jobs`` fans
-    the (protocol, seed) grid out across worker processes (``jobs<=0``
-    means one per CPU); every run is seed-deterministic, so the
-    returned list is identical to the serial one in both order and
-    content.  ``use_cache`` replays unchanged runs from the on-disk
-    result cache (see :mod:`repro.experiments.parallel` for the key and
-    its invalidation rule).
+    (:mod:`repro.experiments.executors`).  On the default ``local-pool``
+    backend, ``jobs`` fans the (protocol, seed) grid out across
+    persistent worker processes (``jobs<=0`` means one per CPU); with
+    ``jobs=1`` and no ``run_timeout_s`` the runs execute inline, with no
+    pickling requirement on the config.  Every run is
+    seed-deterministic, so the returned list is identical to the serial
+    one in both order and content.  ``use_cache`` replays unchanged
+    runs from the on-disk result cache (see
+    :mod:`repro.experiments.parallel` for the key and its invalidation
+    rule).
 
-    Regardless of ``jobs``, a run that raises comes back as an
-    error-annotated :class:`RunResult` (``result.error`` holds the
-    traceback) rather than aborting the sweep; ``jobs=1`` runs inline
-    with no pool and no pickling requirement on the config.
-
-    Setting any of ``run_timeout_s`` / ``max_retries`` / ``resume`` /
-    ``journal_path`` selects the *resilient* local executor
-    (:mod:`repro.experiments.resilience`): every run gets its own
-    supervised worker process with a wall-clock timeout, transient
-    failures retry with backoff, finished runs are journaled, and
-    ``resume=True`` replays previously completed runs instead of
-    re-simulating them.
+    Every path supervises the same way
+    (:mod:`repro.experiments.resilience`): a run that raises comes back
+    as an error-annotated :class:`RunResult` (``result.error`` holds the
+    ``KIND:``-prefixed traceback) rather than aborting the sweep, and
+    transient failures retry with backoff (``max_retries``, default 2).
+    ``run_timeout_s`` kills and retries a run past its wall-clock
+    budget.  Setting ``run_timeout_s`` / ``max_retries`` / ``resume`` /
+    ``journal_path`` journals finished runs, and ``resume=True``
+    replays previously completed runs instead of re-simulating them.
 
     ``backend="dir://<shared-dir>"`` selects the distributed executor
     (:mod:`repro.experiments.distributed`): the sweep is published into
@@ -244,10 +243,10 @@ def run_experiment(
 
     The spec is validated (every protocol resolved through the registry)
     before any simulation starts; execution then flows through the same
-    :func:`compare_protocols` path as programmatic sweeps, so parallel
-    fan-out, the result cache, and telemetry export all apply.  Specs
-    that set ``run_timeout_s`` / ``max_retries`` -- or callers passing
-    ``resume=True`` -- execute under the resilient supervisor (see
+    executor layer as :func:`compare_protocols`, so worker fan-out, the
+    result cache, and telemetry export all apply.  Specs that set
+    ``run_timeout_s`` / ``max_retries`` -- or callers passing
+    ``resume=True`` -- journal their runs (see
     :mod:`repro.experiments.resilience`).
 
     A spec with ``mobility_models`` runs the protocols x seeds grid once
@@ -261,22 +260,16 @@ def run_experiment(
 
     spec.validate()
 
+    from repro.experiments.executors import execute_spec_runs
+    from repro.experiments.parallel import sweep_specs
+
     def _execute(config, label_suffix: str) -> List[RunResult]:
-        results = compare_protocols(
-            config,
-            protocols=spec.protocols,
-            topology_seeds=spec.seeds,
-            progress=progress,
-            jobs=spec.jobs,
-            use_cache=spec.use_cache,
-            cache_dir=cache_dir,
-            run_timeout_s=spec.run_timeout_s,
-            max_retries=spec.max_retries,
-            resume=resume,
-            journal_path=journal_path,
-            backend=spec.backend,
-            workers=workers,
+        outcomes = execute_spec_runs(
+            spec, sweep_specs(config, spec.protocols, spec.seeds),
+            progress=progress, cache_dir=cache_dir, resume=resume,
+            journal_path=journal_path, workers=workers,
         )
+        results = [outcome.result for outcome in outcomes]
         if not label_suffix:
             return results
         return [

@@ -260,16 +260,14 @@ class ExperimentSpec:
     seeds: Tuple[int, ...] = (1,)
     jobs: int = 1
     use_cache: bool = False
-    #: Per-run wall-clock timeout (seconds).  Setting this -- or
-    #: ``max_retries`` -- executes the sweep under the resilient
-    #: supervisor (:mod:`repro.experiments.resilience`): one worker
-    #: process per run, timeout enforcement, retry with backoff, and a
-    #: durable journal that ``repro run --resume`` replays.  ``None``
-    #: (the default) keeps the plain executor.
+    #: Per-run wall-clock timeout (seconds), enforced by killing the
+    #: run's worker process (:mod:`repro.experiments.resilience`), so
+    #: even ``jobs = 1`` then runs on a supervised worker.  Setting this
+    #: -- or ``max_retries`` -- also journals the sweep for ``repro run
+    #: --resume``.  ``None`` (the default) means no timeout.
     run_timeout_s: Optional[float] = None
     #: Retry budget for transient failures (timeouts, worker crashes,
-    #: OOM kills).  ``None`` = plain executor unless another resilience
-    #: knob is set, in which case the default policy (2 retries) applies.
+    #: OOM kills).  ``None`` = the default policy (2 retries).
     max_retries: Optional[int] = None
     #: Optional mobility axis: run the whole protocols x seeds grid once
     #: per listed model (``config.mobility.model`` replaced per cell) and
@@ -476,7 +474,7 @@ class ExperimentSpec:
             )
             lines.append(
                 f"resilience: run-timeout={timeout} max-retries={retries} "
-                "(supervised workers, journaled)"
+                "(journaled)"
             )
         lines.append("protocols:")
         for proto in self.resolve_protocols():

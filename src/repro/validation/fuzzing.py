@@ -175,7 +175,7 @@ def differential_check(
     """Run ``spec`` through every execution path; describe divergences.
 
     The serial in-process sweep is the oracle.  Each alternate path --
-    a process pool, the adaptive sequential planner capped to the same
+    worker processes, the adaptive sequential planner capped to the same
     seed pool, a one-draw fault campaign, a cold-then-warm cache, a
     telemetry-enabled serial pass, and one forced-``phy_backend``
     serial pass per entry in ``phy_backends`` -- must reproduce the

@@ -115,3 +115,21 @@ def make_loss_network(
 
 def link(a: int, b: int) -> FrozenSet[int]:
     return frozenset((a, b))
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Every child process started while the test runs, in start order."""
+    import multiprocessing.process
+
+    started = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def recording_start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", recording_start
+    )
+    return started

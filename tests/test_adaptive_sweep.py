@@ -21,11 +21,11 @@ import pathlib
 import pytest
 
 from repro.experiments.adaptive import (
+    ADAPTIVE_PLAN_KEY,
     AdaptiveConfig,
     build_seed_pool,
     default_baseline,
     plan_journal_path,
-    replay_plan,
     run_adaptive_experiment,
 )
 from repro.experiments.report import adaptive_section, render_report
@@ -235,7 +235,9 @@ class TestPlanJournal:
             ),
         )
         plan = run_adaptive_experiment(spec, journal_path=journal)
-        records = replay_plan(journal, spec.name)
+        records = SweepJournal.replay_plans(
+            journal, ADAPTIVE_PLAN_KEY, spec.name
+        )
         assert len(records) == len(plan.batches)
         for record, batch in zip(
             records, plan.plan_dict()["batches"]
@@ -250,7 +252,9 @@ class TestPlanJournal:
         run_records = SweepJournal.replay(journal)
         assert len(run_records) == plan.total_runs
         SweepJournal.compact(journal)
-        assert replay_plan(journal, spec.name) == records
+        assert SweepJournal.replay_plans(
+            journal, ADAPTIVE_PLAN_KEY, spec.name
+        ) == records
         assert len(SweepJournal.replay(journal)) == plan.total_runs
 
     def test_resume_replays_identical_plan(self, tmp_path):

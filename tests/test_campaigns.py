@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.experiments.campaigns import (
+    CAMPAIGN_PLAN_KEY,
     CampaignConfig,
     CampaignDraw,
     CampaignResult,
@@ -28,7 +29,6 @@ from repro.experiments.campaigns import (
     draw_campaign,
     materialize_fault_plan,
     plan_digest,
-    replay_campaign_plan,
     run_campaign_experiment,
     severity_from_uniform,
 )
@@ -468,7 +468,9 @@ class TestPlanJournal:
         journal = str(tmp_path / "journal.jsonl")
         spec = tiny_spec()
         result = run_campaign_experiment(spec, journal_path=journal)
-        records = replay_campaign_plan(journal, spec.name)
+        records = SweepJournal.replay_plans(
+            journal, CAMPAIGN_PLAN_KEY, spec.name
+        )
         assert len(records) == len(result.draws)
         for record, draw in zip(records, result.plan_dict()["plan"]):
             assert record["draw"] == draw["draw"]
@@ -482,7 +484,9 @@ class TestPlanJournal:
         run_records = SweepJournal.replay(journal)
         assert len(run_records) == result.total_runs
         SweepJournal.compact(journal)
-        assert replay_campaign_plan(journal, spec.name) == records
+        assert SweepJournal.replay_plans(
+            journal, CAMPAIGN_PLAN_KEY, spec.name
+        ) == records
         assert len(SweepJournal.replay(journal)) == result.total_runs
 
     def test_resume_replays_identical_campaign(self, tmp_path):
@@ -496,8 +500,8 @@ class TestPlanJournal:
         assert resumed.runs == first.runs
 
     def test_missing_journal_returns_empty(self, tmp_path):
-        assert replay_campaign_plan(
-            str(tmp_path / "absent.jsonl"), "anything"
+        assert SweepJournal.replay_plans(
+            str(tmp_path / "absent.jsonl"), CAMPAIGN_PLAN_KEY, "anything"
         ) == []
 
 

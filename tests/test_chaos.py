@@ -117,10 +117,10 @@ class TestCacheCorruption:
     def test_corrupted_entry_becomes_a_miss(self, tmp_path, mode):
         cache_dir = str(tmp_path)
         spec = RunSpec("odmrp", CFG, 1)
-        cache_store(cache_dir, spec, self._result(spec))
-        assert cache_load(cache_dir, spec) is not None
+        cache_store(cache_dir, spec.cache_key(), self._result(spec))
+        assert cache_load(cache_dir, spec.cache_key()) is not None
         assert corrupt_cache_entry(cache_dir, spec, mode=mode)
-        assert cache_load(cache_dir, spec) is None
+        assert cache_load(cache_dir, spec.cache_key()) is None
 
 
 def test_chaos_config_is_tiny():

@@ -397,7 +397,7 @@ class TestDrainWorker:
         publish_sweep(sweep, [spec])
         key = spec.cache_key()
         cache_store(
-            cache_shard_dir(sweep.cache_dir, key), spec,
+            cache_shard_dir(sweep.cache_dir, key), key,
             _quick_result(spec),
         )
         stats = drain_worker(
@@ -419,7 +419,7 @@ class TestDrainWorker:
         from repro.experiments.parallel import cache_load
 
         shard = cache_shard_dir(sweep.cache_dir, spec.cache_key())
-        assert cache_load(shard, spec) == _quick_result(spec)
+        assert cache_load(shard, spec.cache_key()) == _quick_result(spec)
 
     def test_max_runs_bounds_the_drain(self, tmp_path):
         root = str(tmp_path)

@@ -1,11 +1,11 @@
 """Tests for the pluggable sweep-executor layer.
 
 The contract under test: backend URIs parse predictably; the default
-``local-pool`` executor routes plain sweeps through the historical
-process pool and resilience-flagged sweeps through the supervisor,
-bit-identically to the pre-refactor call paths; and the executor
-lifecycle (submit once, collect after submit) fails loudly when
-misused.  The ``dir://`` backend's own machinery is covered in
+``local-pool`` executor runs every sweep through the one engine, inline
+for one job without a timeout and on workers otherwise, journaling
+exactly when the journal rule says so; and the executor lifecycle
+(submit once, collect after submit) fails loudly when misused.  The
+``dir://`` backend's own machinery is covered in
 ``test_distributed.py``.
 """
 
@@ -20,8 +20,14 @@ from repro.experiments.executors import (
     create_executor,
     parse_backend,
 )
-from repro.experiments.parallel import RunSpec, execute_runs_detailed
-from repro.experiments.resilience import ResilienceConfig
+import os
+
+from repro.experiments.parallel import RunSpec
+from repro.experiments.resilience import (
+    ResilienceConfig,
+    RetryPolicy,
+    execute_runs_detailed,
+)
 from repro.experiments.results import RunResult
 from repro.experiments.scenarios import SimulationScenarioConfig
 
@@ -41,6 +47,13 @@ def _quick_result(spec: RunSpec) -> RunResult:
 
 def ok_worker(spec):
     return _quick_result(spec), 0.01
+
+
+def pid_worker(spec):
+    """Reports the process the run executed in."""
+    result = _quick_result(spec)
+    result.counters = {"pid": os.getpid()}
+    return result, 0.01
 
 
 class TestParseBackend:
@@ -80,12 +93,23 @@ class TestParseBackend:
         assert issubclass(BackendError, ValueError)
 
 
+def _ran_inline(executor) -> bool:
+    [outcome] = executor.execute([RunSpec("odmrp", CFG, 1)])
+    assert outcome.result.error is None
+    return outcome.result.counters["pid"] == os.getpid()
+
+
 class TestCreateExecutorRouting:
-    def test_default_is_plain_local_pool(self):
-        executor = create_executor(None, jobs=2)
+    def test_default_is_plain_local_pool(self, tmp_path):
+        """No knob: one job runs inline, with no journal."""
+        executor = create_executor(
+            None, cache_dir=str(tmp_path), worker_fn=pid_worker
+        )
         assert isinstance(executor, LocalPoolExecutor)
-        assert not executor.resilient
-        assert executor.jobs == 2
+        assert executor.journal_path is None
+        assert _ran_inline(executor)
+        assert list(tmp_path.iterdir()) == []
+        assert create_executor(None, jobs=2).jobs == 2
 
     def test_parsed_backend_object_is_accepted(self):
         executor = create_executor(Backend(kind="local-pool"))
@@ -98,15 +122,32 @@ class TestCreateExecutorRouting:
         {"journal_path": "j.jsonl"},
         {"worker_fn": ok_worker},
     ])
-    def test_any_resilience_knob_selects_the_supervisor(self, kwargs):
-        executor = create_executor(None, **kwargs)
+    def test_any_resilience_knob_selects_the_supervisor(
+        self, kwargs, tmp_path
+    ):
+        """The dispatch rule: one job runs inline unless a timeout needs
+        a worker to kill.  The journal rule: an explicit path, or the
+        default one when resume, a timeout or a retry budget is set."""
+        kwargs = dict(kwargs)
+        if "journal_path" in kwargs:
+            kwargs["journal_path"] = str(tmp_path / kwargs["journal_path"])
+        kwargs["worker_fn"] = pid_worker
+        executor = create_executor(None, cache_dir=str(tmp_path), **kwargs)
         assert isinstance(executor, LocalPoolExecutor)
-        assert executor.resilient
+        assert _ran_inline(executor) is ("run_timeout_s" not in kwargs)
+        journaled = set(kwargs) & {
+            "run_timeout_s", "max_retries", "resume", "journal_path"
+        }
+        if journaled:
+            assert os.path.exists(executor.journal_path)
+        else:
+            assert executor.journal_path is None
 
     def test_retry_budget_reaches_the_resilience_config(self):
         executor = create_executor(None, run_timeout_s=12.0, max_retries=5)
         assert executor.resilience.run_timeout_s == 12.0
         assert executor.resilience.retry.max_retries == 5
+        assert create_executor(None).resilience.retry == RetryPolicy()
 
     def test_dir_backend_builds_dir_executor(self, tmp_path):
         from repro.experiments.distributed import DirExecutor
@@ -123,6 +164,13 @@ class TestCreateExecutorRouting:
     def test_dir_workers_default_to_jobs(self, tmp_path):
         executor = create_executor(f"dir://{tmp_path}", jobs=4)
         assert executor.workers == 4
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_dir_workers_resolve_nonpositive_jobs_per_cpu(
+        self, tmp_path, jobs
+    ):
+        executor = create_executor(f"dir://{tmp_path}", jobs=jobs)
+        assert executor.workers == os.cpu_count()
 
 
 class TestLocalPoolExecutor:

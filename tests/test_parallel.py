@@ -1,8 +1,8 @@
 """Tests for the parallel experiment runner and its result cache.
 
 The contract under test: a (protocol, config, seed) triple produces an
-identical :class:`RunResult` whether executed inline, in a process pool,
-or replayed from the on-disk cache -- and a crashing run annotates
+identical :class:`RunResult` whether executed inline, on worker
+processes, or replayed from the on-disk cache -- and a crashing run annotates
 itself instead of killing the sweep.
 """
 
@@ -17,11 +17,11 @@ from repro.experiments.parallel import (
     cache_load,
     cache_store,
     execute_runs,
-    execute_runs_detailed,
     sweep_specs,
     sweep_stale_cache_tmps,
     verify_parallel_consistency,
 )
+from repro.experiments.resilience import execute_runs_detailed
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.runner import compare_protocols
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -130,7 +130,7 @@ class TestFailureContainment:
     def test_errored_runs_are_never_cached(self, tmp_path):
         spec = RunSpec("not-a-protocol", TINY, 1)
         execute_runs([spec], jobs=1, use_cache=True, cache_dir=str(tmp_path))
-        assert cache_load(str(tmp_path), spec) is None
+        assert cache_load(str(tmp_path), spec.cache_key()) is None
 
     def test_aggregate_skips_errored_runs(self):
         good = RunResult(
@@ -150,8 +150,8 @@ class TestCachePlumbing:
     def test_round_trip_preserves_every_field(self, tmp_path):
         spec = RunSpec("spp", TINY, 1)
         [outcome] = execute_runs_detailed([spec], jobs=1)
-        cache_store(str(tmp_path), spec, outcome.result)
-        loaded = cache_load(str(tmp_path), spec)
+        cache_store(str(tmp_path), spec.cache_key(), outcome.result)
+        loaded = cache_load(str(tmp_path), spec.cache_key())
         assert loaded == outcome.result
         assert loaded.counters == outcome.result.counters
 
@@ -159,7 +159,7 @@ class TestCachePlumbing:
         spec = RunSpec("spp", TINY, 1)
         path = tmp_path / f"{spec.cache_key()}.json"
         path.write_text("{not json")
-        assert cache_load(str(tmp_path), spec) is None
+        assert cache_load(str(tmp_path), spec.cache_key()) is None
         # The damaged artifact is moved aside, never silently re-read.
         assert not path.exists()
         assert (tmp_path / f"{spec.cache_key()}.json.corrupt").exists()
@@ -169,13 +169,13 @@ class TestCachePlumbing:
         a miss, and the slot must accept the recomputed result."""
         spec = RunSpec("spp", TINY, 1)
         result = _tiny_result(spec)
-        cache_store(str(tmp_path), spec, result)
+        cache_store(str(tmp_path), spec.cache_key(), result)
         path = tmp_path / f"{spec.cache_key()}.json"
         content = path.read_text()
         path.write_text(content[: len(content) // 2])
-        assert cache_load(str(tmp_path), spec) is None
-        cache_store(str(tmp_path), spec, result)
-        assert cache_load(str(tmp_path), spec) == result
+        assert cache_load(str(tmp_path), spec.cache_key()) is None
+        cache_store(str(tmp_path), spec.cache_key(), result)
+        assert cache_load(str(tmp_path), spec.cache_key()) == result
 
     @pytest.mark.parametrize("payload", [
         '"a json string, not an object"',
@@ -185,7 +185,7 @@ class TestCachePlumbing:
         spec = RunSpec("spp", TINY, 1)
         path = tmp_path / f"{spec.cache_key()}.json"
         path.write_text(payload)
-        assert cache_load(str(tmp_path), spec) is None
+        assert cache_load(str(tmp_path), spec.cache_key()) is None
         assert (tmp_path / f"{spec.cache_key()}.json.corrupt").exists()
 
     def test_cache_store_cleans_temp_file_on_error(self, tmp_path,
@@ -200,14 +200,14 @@ class TestCachePlumbing:
         monkeypatch.setattr(parallel_module.json, "dump", explode)
         spec = RunSpec("spp", TINY, 1)
         with pytest.raises(OSError, match="disk full"):
-            cache_store(str(tmp_path), spec, _tiny_result(spec))
+            cache_store(str(tmp_path), spec.cache_key(), _tiny_result(spec))
         monkeypatch.setattr(parallel_module.json, "dump",
                             json_module.dump)
         assert list(tmp_path.iterdir()) == []  # no orphaned temp
 
     def test_sweep_stale_cache_tmps(self, tmp_path):
         spec = RunSpec("spp", TINY, 1)
-        cache_store(str(tmp_path), spec, _tiny_result(spec))
+        cache_store(str(tmp_path), spec.cache_key(), _tiny_result(spec))
         entry = tmp_path / f"{spec.cache_key()}.json"
         orphan = tmp_path / f"{spec.cache_key()}.json.tmp.99999"
         orphan.write_text("{torn")
@@ -233,28 +233,15 @@ def _tiny_result(spec: RunSpec) -> RunResult:
 
 
 class TestInterruptedPoolShutdown:
-    """Satellite: a KeyboardInterrupt escaping the collection loop must
-    cancel pending futures and put down live workers -- no orphaned
-    simulations grinding on after Ctrl-C."""
+    """A KeyboardInterrupt escaping the collection loop must put down
+    live workers -- no orphaned simulations grinding on after Ctrl-C."""
 
     def test_keyboard_interrupt_terminates_pool_workers(
-        self, monkeypatch
+        self, process_starts
     ):
         import time
-        from concurrent.futures import ProcessPoolExecutor
 
-        import repro.experiments.parallel as parallel_module
-
-        created = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", RecordingPool
-        )
+        started = process_starts
 
         def interrupt_immediately(protocol: str, seed: int) -> None:
             raise KeyboardInterrupt
@@ -264,11 +251,10 @@ class TestInterruptedPoolShutdown:
             execute_runs_detailed(
                 specs, jobs=2, progress=interrupt_immediately
             )
-        [pool] = created
-        procs = list((getattr(pool, "_processes", None) or {}).values())
+        assert started
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline and any(
-            proc.is_alive() for proc in procs
+            proc.is_alive() for proc in started
         ):
             time.sleep(0.05)
-        assert not any(proc.is_alive() for proc in procs)
+        assert not any(proc.is_alive() for proc in started)

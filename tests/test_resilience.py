@@ -1,7 +1,8 @@
 """Tests for the resilient sweep executor.
 
-The contract under test: every run is supervised in its own worker
-process with a wall-clock timeout; transient failures (timeouts, worker
+The contract under test: runs execute inline (one job, no timeout) or
+on persistent supervised worker processes with a wall-clock timeout;
+every path classifies failures alike; transient failures (timeouts, worker
 crashes, OOM) retry with backoff while deterministic failures
 quarantine immediately; every finished run lands in a durable journal
 that ``resume`` replays; and a SIGINT drains the sweep without
@@ -32,7 +33,7 @@ from repro.experiments.resilience import (
     RetryPolicy,
     SweepJournal,
     classify_failure,
-    execute_runs_resilient,
+    execute_runs_detailed,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -114,12 +115,30 @@ def never_worker(spec):
     raise AssertionError("this spec should have replayed, not re-run")
 
 
+# Slow enough that the other worker is still busy when seed 1's worker
+# is lost, so the sweep needs a replacement to make progress.
+
+
+def seed_one_crash_worker(spec):
+    if spec.seed == 1 and _attempt() == 0:
+        os.kill(os.getpid(), signal.SIGABRT)
+    time.sleep(0.2)
+    return _quick_result(spec), 0.2
+
+
+def seed_one_hang_worker(spec):
+    if spec.seed == 1 and _attempt() == 0:
+        time.sleep(60.0)
+    time.sleep(0.2)
+    return _quick_result(spec), 0.2
+
+
 def _specs(n: int = 1, protocol: str = "odmrp"):
     return [RunSpec(protocol, CFG, seed) for seed in range(1, n + 1)]
 
 
 def _run(specs, worker, journal, resilience=FAST, **kwargs):
-    return execute_runs_resilient(
+    return execute_runs_detailed(
         specs, jobs=kwargs.pop("jobs", 1), resilience=resilience,
         journal_path=journal, worker=worker, **kwargs,
     )
@@ -256,7 +275,7 @@ class TestSupervisedFailures:
         """Graceful degradation: the sweep completes around a failure."""
         specs = [RunSpec("odmrp", CFG, 1), RunSpec("spp", CFG, 1),
                  RunSpec("etx", CFG, 1)]
-        mixed = execute_runs_resilient(
+        mixed = execute_runs_detailed(
             specs, jobs=2, resilience=FAST,
             journal_path=str(tmp_path / "mixed.jsonl"),
             worker=ok_if_not_spp_worker,
@@ -265,6 +284,55 @@ class TestSupervisedFailures:
             True, False, True
         ]
         assert mixed[1].failure_kind is FailureKind.EXCEPTION
+
+
+class TestPersistentWorkers:
+    def test_workers_serve_many_runs(self, tmp_path, process_starts):
+        """A jobs=2 sweep of 6 runs starts at most 2 child processes."""
+        specs = _specs(6)
+        outcomes = _run(specs, ok_worker, str(tmp_path / "j.jsonl"),
+                        jobs=2)
+        assert [o.result for o in outcomes] == [
+            _quick_result(spec) for spec in specs
+        ]
+        assert 1 <= len(process_starts) <= 2
+        assert not any(proc.is_alive() for proc in process_starts)
+
+    @pytest.mark.parametrize(
+        "worker", [seed_one_crash_worker, seed_one_hang_worker]
+    )
+    def test_lost_worker_is_replaced(self, tmp_path, process_starts, worker):
+        """A worker killed mid-run or put down on timeout is replaced
+        once; its run retries and every other run completes unchanged."""
+        journal = str(tmp_path / "j.jsonl")
+        specs = _specs(6)
+        outcomes = _run(specs, worker, journal, jobs=2)
+        assert [o.result for o in outcomes] == [
+            _quick_result(spec) for spec in specs
+        ]
+        assert [o.attempts for o in outcomes] == [2, 1, 1, 1, 1, 1]
+        assert len(process_starts) == 3
+        assert process_starts[0].exitcode != 0  # seed 1's lost worker
+        assert not any(proc.is_alive() for proc in process_starts)
+
+    def test_inline_exception_is_classified(self, process_starts):
+        """One job and no timeout runs inline, through the same
+        classification as worker runs."""
+        [outcome] = execute_runs_detailed(
+            _specs(1), jobs=1, worker=value_error_worker
+        )
+        assert process_starts == []
+        assert outcome.failure_kind is FailureKind.EXCEPTION
+        assert outcome.result.error.startswith("EXCEPTION: ")
+        assert "deterministic model bug" in outcome.result.error
+
+    def test_inline_real_failure_is_classified(self, process_starts):
+        [outcome] = execute_runs_detailed(
+            [RunSpec("not-a-protocol", CFG, 1)], jobs=1
+        )
+        assert process_starts == []
+        assert outcome.failure_kind is FailureKind.EXCEPTION
+        assert outcome.result.error.startswith("EXCEPTION: ")
 
 
 def ok_if_not_spp_worker(spec):
@@ -436,7 +504,7 @@ class TestJournalCompaction:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(KeyboardInterrupt):
-            execute_runs_resilient(
+            execute_runs_detailed(
                 specs, jobs=1, resilience=FAST, journal_path=journal,
                 progress=interrupt_after_first, worker=ok_worker,
             )
@@ -453,7 +521,7 @@ class TestResume:
         specs = _specs(3)
         first = _run(specs[:2], ok_worker, journal, jobs=2)
         assert all(o.result.error is None for o in first)
-        resumed = execute_runs_resilient(
+        resumed = execute_runs_detailed(
             specs, jobs=2, resilience=FAST, journal_path=journal,
             resume=True, worker=ok_worker,
         )
@@ -466,7 +534,7 @@ class TestResume:
         journal = str(tmp_path / "journal.jsonl")
         specs = _specs(2)
         _run(specs, ok_worker, journal, jobs=2)
-        resumed = execute_runs_resilient(
+        resumed = execute_runs_detailed(
             specs, jobs=2, resilience=FAST, journal_path=journal,
             resume=True, worker=never_worker,
         )
@@ -481,7 +549,7 @@ class TestResume:
         [quarantined] = _run(specs, value_error_worker, journal,
                              resilience=no_retry)
         assert quarantined.result.error is not None
-        [outcome] = execute_runs_resilient(
+        [outcome] = execute_runs_detailed(
             specs, resilience=FAST, journal_path=journal, resume=True,
             worker=ok_worker,
         )
@@ -506,7 +574,7 @@ class TestSignalDraining:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(KeyboardInterrupt):
-            execute_runs_resilient(
+            execute_runs_detailed(
                 specs, jobs=1, resilience=FAST, journal_path=journal,
                 progress=interrupt_after_first, worker=ok_worker,
             )
@@ -522,7 +590,7 @@ class TestSignalDraining:
         assert 1 <= len(records) < len(specs)
         assert all(record.ok for record in records.values())
         # Resume finishes the sweep with identical results.
-        resumed = execute_runs_resilient(
+        resumed = execute_runs_detailed(
             specs, jobs=2, resilience=FAST, journal_path=journal,
             resume=True, worker=ok_worker,
         )
@@ -530,6 +598,28 @@ class TestSignalDraining:
             _quick_result(spec) for spec in specs
         ]
         assert sum(1 for o in resumed if o.from_journal) == len(records)
+
+    def test_inline_sigint_stops_with_a_consistent_journal(
+        self, tmp_path, process_starts
+    ):
+        journal = str(tmp_path / "journal.jsonl")
+        specs = _specs(3)
+        completions = {"count": 0}
+
+        def interrupt_after_first(protocol: str, seed: int) -> None:
+            completions["count"] += 1
+            if completions["count"] == 1:
+                os.kill(os.getpid(), signal.SIGINT)
+
+        with pytest.raises(KeyboardInterrupt, match="1/3"):
+            execute_runs_detailed(
+                specs, jobs=1, journal_path=journal,
+                progress=interrupt_after_first, worker=ok_worker,
+            )
+        assert process_starts == []
+        records = SweepJournal.replay(journal)
+        assert list(records) == [specs[0].cache_key()]
+        assert records[specs[0].cache_key()].ok
 
     def test_signal_handlers_are_restored(self, tmp_path):
         before_int = signal.getsignal(signal.SIGINT)
@@ -553,7 +643,7 @@ class TestResilientRealRuns:
 
         specs = [RunSpec("odmrp", self.TINY, 1)]
         plain = execute_runs(specs, jobs=1)
-        supervised = execute_runs_resilient(
+        supervised = execute_runs_detailed(
             specs, jobs=1,
             resilience=ResilienceConfig(run_timeout_s=120.0),
             journal_path=str(tmp_path / "journal.jsonl"),
