@@ -198,74 +198,6 @@ def bench_sweep_parallel_vs_serial() -> None:
     )
 
 
-def bench_distributed_drain() -> None:
-    """Time a dir:// sweep drained by 1 worker vs N; identity first.
-
-    The distributed backend adds supervision, lease, and journal
-    overhead per run, so the interesting numbers are the N-worker
-    speedup over the 1-worker drain (queue scaling) and the identity
-    gate against the plain serial pool (correctness).
-    """
-    import tempfile
-
-    from repro.experiments.distributed import DirExecutor, LeaseConfig
-
-    workers = _env_int("REPRO_DIST_WORKERS", 2) or (os.cpu_count() or 1)
-    seeds = tuple(range(1, _env_int("REPRO_PERF_SEEDS", 2) + 1))
-    specs = sweep_specs(MESO_CONFIG, ("odmrp", "spp"), seeds)
-    lease = LeaseConfig(lease_timeout_s=60.0, heartbeat_interval_s=1.0,
-                        poll_interval_s=0.1)
-    serial = execute_runs(specs, jobs=1, use_cache=False)
-
-    def drain(n_workers: int) -> Tuple[float, List[RunResult]]:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-dir-") as tmp:
-            start = time.perf_counter()
-            outcomes = DirExecutor(
-                os.path.join(tmp, "shared"), workers=n_workers,
-                lease=lease, use_cache=False,
-            ).execute(specs)
-            return time.perf_counter() - start, [
-                outcome.result for outcome in outcomes
-            ]
-
-    wall_one, results_one = drain(1)
-    wall_fleet, results_fleet = drain(workers)
-
-    # The gate: a fleet drain must not change a single bit of any run.
-    assert results_one == serial, "1-worker dir:// drain diverged"
-    assert results_fleet == serial, f"{workers}-worker dir:// drain diverged"
-    assert all(run.error is None for run in results_fleet)
-
-    cpu_count = os.cpu_count() or 1
-    payload = {
-        "runs": len(specs),
-        "protocols": ["odmrp", "spp"],
-        "seeds": list(seeds),
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "wall_one_worker_s": round(wall_one, 3),
-        "wall_fleet_s": round(wall_fleet, 3),
-        "results_identical": True,
-    }
-    if cpu_count < 2:
-        payload["speedup_vs_one_worker"] = None
-        payload["speedup_note"] = (
-            f"skipped: host has {cpu_count} CPU(s); extra workers "
-            "cannot beat one worker on a single core"
-        )
-        speedup_text = "skipped (single-core host)"
-    else:
-        speedup = wall_one / wall_fleet if wall_fleet > 0 else 0.0
-        payload["speedup_vs_one_worker"] = round(speedup, 3)
-        speedup_text = f"speedup {speedup:.2f}x"
-    _write_report("distributed_sweep", payload)
-    print(
-        f"\ndistributed drain: {len(specs)} runs, 1 worker "
-        f"{wall_one:.1f}s, {workers} workers {wall_fleet:.1f}s, "
-        f"{speedup_text} (identical results)"
-    )
-
-
 def phy_backend_micro() -> Tuple[float, float, RunResult, RunResult]:
     """Time one dense-mesh run per reception backend.
 
@@ -517,7 +449,6 @@ if __name__ == "__main__":
 
     bench_engine_micro()
     bench_sweep_parallel_vs_serial()
-    bench_distributed_drain()
     bench_phy_backends()
     bench_phy_crossover()
     bench_macro_flood()

@@ -280,7 +280,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         run_timeout_s=args.run_timeout,
         max_retries=args.max_retries,
         mobility_models=_parse_csv(args.mobility_models),
-        backend=args.backend,
     )
     if getattr(args, "adaptive", False) and spec.adaptive is None:
         from dataclasses import replace
@@ -315,6 +314,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
 
     print()
+
+    def progress(protocol: str, seed: int) -> None:
+        print(f"  running {protocol} seed={seed} ...", flush=True)
+
     plan = None
     campaign = None
     try:
@@ -322,35 +325,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             from repro.experiments.campaigns import run_campaign_experiment
 
             campaign = run_campaign_experiment(
-                spec,
-                progress=lambda protocol, seed: print(
-                    f"  running {protocol} seed={seed} ...", flush=True
-                ),
-                resume=args.resume,
-                workers=args.workers,
+                spec, progress=progress, resume=args.resume
             )
             runs = campaign.runs
         elif spec.adaptive is not None:
             from repro.experiments.adaptive import run_adaptive_experiment
 
             plan = run_adaptive_experiment(
-                spec,
-                progress=lambda protocol, seed: print(
-                    f"  running {protocol} seed={seed} ...", flush=True
-                ),
-                resume=args.resume,
-                workers=args.workers,
+                spec, progress=progress, resume=args.resume
             )
             runs = plan.runs
         else:
-            runs = run_experiment(
-                spec,
-                progress=lambda protocol, seed: print(
-                    f"  running {protocol} seed={seed} ...", flush=True
-                ),
-                resume=args.resume,
-                workers=args.workers,
-            )
+            runs = run_experiment(spec, progress=progress, resume=args.resume)
     except KeyboardInterrupt as interrupt:
         # The sweep engine stops with its journal consistent, so
         # tell the user how to pick the sweep back up.
@@ -375,59 +361,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report)
         print(f"report written to {args.report}")
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.distributed import (
-        DistributedSweepError,
-        LeaseConfig,
-        drain_worker,
-    )
-    from repro.experiments.executors import BackendError, parse_backend
-
-    try:
-        backend = parse_backend(args.backend)
-    except BackendError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
-    if backend.kind != "dir":
-        print(
-            "ERROR: 'repro worker' only drains dir:// backends "
-            f"(got {args.backend!r})",
-            file=sys.stderr,
-        )
-        return 1
-    lease_kwargs = {}
-    if args.lease_timeout is not None:
-        lease_kwargs["lease_timeout_s"] = args.lease_timeout
-    if args.run_timeout is not None:
-        lease_kwargs["run_timeout_s"] = args.run_timeout
-    if args.max_retries is not None:
-        lease_kwargs["max_retries"] = args.max_retries
-    try:
-        stats = drain_worker(
-            backend.root,
-            worker_id=args.worker_id,
-            lease=LeaseConfig(**lease_kwargs),
-            use_cache=not args.no_cache,
-            wait_for_sweep_s=args.wait,
-            max_runs=args.max_runs,
-            log=print,
-        )
-    except DistributedSweepError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("\nworker interrupted; unfinished leases will expire and "
-              "be reclaimed by other workers", file=sys.stderr)
-        return 130
-    print(
-        f"worker {stats.worker_id}: {stats.completed} completed, "
-        f"{stats.cache_hits} cache hit(s), {stats.failed} failed, "
-        f"{stats.reclaimed} lease(s) reclaimed, "
-        f"{stats.wall_time_s:.1f}s wall"
-    )
     return 0
 
 
@@ -684,50 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replay completed runs from the sweep journal "
                           "(.repro_cache/runs/journal.jsonl) and execute "
                           "only the rest")
-    run.add_argument("--backend", metavar="URI", default=None,
-                     help="sweep execution backend: 'local-pool' "
-                          "(default) or 'dir://<shared-dir>' to publish "
-                          "the sweep into a shared directory drained by "
-                          "worker processes (see 'repro worker')")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="dir:// backend only: worker processes to "
-                          "spawn locally (default: the spec's jobs; 0 = "
-                          "rely entirely on external 'repro worker' "
-                          "processes)")
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="drain a dir:// sweep as one worker process (run on each "
-             "host sharing the sweep directory)",
-    )
-    worker.set_defaults(handler=cmd_worker)
-    worker.add_argument("--backend", metavar="URI", required=True,
-                        help="the shared sweep to join: dir://<shared-dir>")
-    worker.add_argument("--worker-id", metavar="ID", default=None,
-                        help="stable worker identity (default: "
-                             "<hostname>-<pid>)")
-    worker.add_argument("--lease-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="heartbeat age after which another worker "
-                             "may reclaim this worker's leases "
-                             "(default 15)")
-    worker.add_argument("--run-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-run wall-clock budget enforced by this "
-                             "worker's supervisor")
-    worker.add_argument("--max-retries", type=int, default=None,
-                        metavar="N",
-                        help="fleet-wide transient-failure retry budget "
-                             "(must match the coordinator's; default 2)")
-    worker.add_argument("--max-runs", type=int, default=None, metavar="N",
-                        help="exit after executing N runs (bounded smoke "
-                             "jobs)")
-    worker.add_argument("--wait", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="how long to wait for the sweep manifest to "
-                             "appear before giving up")
-    worker.add_argument("--no-cache", action="store_true",
-                        help="skip the shared result cache")
 
     validate = subparsers.add_parser(
         "validate",

@@ -26,17 +26,15 @@ pairing buys).
 
 Execution and replay
 --------------------
-Batches route through the ordinary executor layer
+Batches run through the ordinary executor
 (:func:`~repro.experiments.executors.execute_spec_runs`), one executor
-per batch: local workers and the ``dir://``
-distributed backend both work unchanged -- under ``dir://`` each batch
-is published as an incremental sweep extension into the same shared
-directory, and the shared journal accumulates batch after batch because
-batch keys never overlap.  After every batch the planner appends an
-``adaptive-plan`` record to the sweep journal (when one is in play)
-capturing the per-protocol stopping decision; the whole plan is a pure
-function of journal-replayable run results, so ``repro run --adaptive
---resume`` replays the identical batch-by-batch plan bit for bit.
+per batch, and a journaled sweep's journal accumulates batch after
+batch because batch keys never overlap.  After every batch the planner
+appends an ``adaptive-plan`` record to the sweep journal (when one is
+in play) capturing the per-protocol stopping decision; the whole plan
+is a pure function of journal-replayable run results, so ``repro run
+--adaptive --resume`` replays the identical batch-by-batch plan bit for
+bit.
 """
 
 from __future__ import annotations
@@ -213,7 +211,7 @@ class AdaptiveResult:
 
         This is the golden-regression and determinism-matrix surface:
         two executions of the same spec must produce equal plan dicts,
-        whatever the job count, cache state, backend, or resume point.
+        whatever the job count, cache state, or resume point.
         """
         return {
             "schema": 1,
@@ -406,7 +404,7 @@ def plan_journal_path(
     from repro.experiments.executors import journal_path_for
 
     return journal_path_for(
-        spec.backend, cache_dir=cache_dir, journal_path=journal_path,
+        cache_dir=cache_dir, journal_path=journal_path,
         resume=resume, run_timeout_s=spec.run_timeout_s,
         max_retries=spec.max_retries,
     )
@@ -422,18 +420,17 @@ def run_adaptive_experiment(
     cache_dir: Optional[str] = None,
     resume: bool = False,
     journal_path: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> AdaptiveResult:
     """Run ``spec`` under the sequential planner; returns plan + runs.
 
     Accepts the same execution knobs as
     :func:`~repro.experiments.runner.run_experiment` and routes every
     batch through :func:`~repro.experiments.executors.execute_spec_runs`,
-    so backend/cache/resilience behavior is identical to an exhaustive
+    so cache/resilience behavior is identical to an exhaustive
     sweep -- the only difference is *which* (protocol, seed) cells get
     executed.  Because each cell is seed-deterministic and the stopping
     rule is a pure function of cell results, the plan itself is
-    deterministic: any jobs count, cache state, backend, or mid-sweep
+    deterministic: any jobs count, cache state, or mid-sweep
     ``--resume`` reproduces the identical batch sequence.
     """
     from repro.experiments.executors import execute_spec_runs
@@ -474,7 +471,7 @@ def run_adaptive_experiment(
         ]
         outcomes = execute_spec_runs(
             spec, specs, progress=progress, cache_dir=cache_dir,
-            resume=resume, journal_path=journal_path, workers=workers,
+            resume=resume, journal_path=journal_path,
         )
         for outcome in outcomes:
             run = outcome.result

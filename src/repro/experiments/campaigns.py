@@ -47,10 +47,10 @@ the same seeds: per-(protocol, seed) ratios de-noise the degradation
 the same way paired CRN comparisons de-noise protocol deltas.  Draws
 are pure functions of ``(master_seed, draw index, seed)`` via
 :func:`~repro.sim.rng.derive_seed`, execution routes through the
-ordinary executor layer (local-pool / resilient / ``dir://``), and the
-planner journals one ``campaign-plan`` record per draw -- generator,
-theta, weight, per-seed fault digests -- so ``repro run --campaign
---resume`` replays the identical plan bit for bit.
+ordinary executor (inline or supervised workers), and the planner
+journals one ``campaign-plan`` record per draw -- generator, theta,
+weight, per-seed fault digests -- so ``repro run --campaign --resume``
+replays the identical plan bit for bit.
 
 Sources are never fully silenced: generators trim fault windows on
 multicast source nodes so the final ``SOURCE_GUARD_FRACTION`` of the
@@ -507,7 +507,7 @@ def draw_campaign(
     the stream ``campaign.draw.{i}`` of the master seed, and the
     per-seed window placement from ``campaign.draw.{i}.seed.{s}`` -- so
     the plan is a pure function of (campaign, scenario config, seeds)
-    and any resume, backend, or cache state reproduces it bit for bit.
+    and any resume or cache state reproduces it bit for bit.
     """
     campaign.validate()
     generators = [g.validate() for g in campaign.resolved_generators()]
@@ -602,7 +602,7 @@ class CampaignResult:
         """The sampled plan as JSON-stable primitives.
 
         The determinism surface: two executions of the same spec --
-        any jobs count, cache state, backend, or resume point -- must
+        any jobs count, cache state, or resume point -- must
         produce equal plan dicts, weights included.
         """
         return {
@@ -844,7 +844,6 @@ def run_campaign_experiment(
     cache_dir: Optional[str] = None,
     resume: bool = False,
     journal_path: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> CampaignResult:
     """Run ``spec`` as a fault campaign; returns plan, runs, estimates.
 
@@ -853,14 +852,13 @@ def run_campaign_experiment(
     subsequent phase executes one sampled fault configuration against
     every (protocol, seed) cell with ``config.faults`` replaced by the
     draw's per-seed plan.  Every phase routes through
-    :func:`~repro.experiments.executors.execute_spec_runs`, so cache,
-    resilience, and ``dir://`` behavior match ordinary sweeps --
-    distinct fault plans hash to distinct cache keys, and under
-    ``dir://`` each draw is published as an incremental sweep
-    extension.  After each draw a ``campaign-plan`` record lands in the
-    sweep journal (when one is in play): the plan is a pure function of
-    the master seed, so ``--resume`` reproduces it bit for bit and the
-    journaled records double as a tamper check.
+    :func:`~repro.experiments.executors.execute_spec_runs`, so cache
+    and resilience behavior match ordinary sweeps -- distinct fault
+    plans hash to distinct cache keys.  After each draw a
+    ``campaign-plan`` record lands in the sweep journal (when one is in
+    play): the plan is a pure function of the master seed, so
+    ``--resume`` reproduces it bit for bit and the journaled records
+    double as a tamper check.
     """
     from repro.experiments.adaptive import (
         default_baseline,
@@ -882,7 +880,7 @@ def run_campaign_experiment(
     def _execute(specs):
         return execute_spec_runs(
             spec, specs, progress=progress, cache_dir=cache_dir,
-            resume=resume, journal_path=journal_path, workers=workers,
+            resume=resume, journal_path=journal_path,
         )
 
     result = CampaignResult(

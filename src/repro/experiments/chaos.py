@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import signal
 import tempfile
@@ -183,29 +182,6 @@ def corrupt_cache_entry(
     return True
 
 
-def _victim_worker_main(root: str) -> None:
-    """Phase-6 victim: a ``dir://`` worker fated to die holding a lease.
-
-    Runs in its own session (``os.setsid``) so the harness can SIGKILL
-    the worker *and* its hung run child with one ``os.killpg`` -- the
-    exact shape of a host dropping off the fleet.  No run timeout: the
-    injected hang must pin the lease until the kill, not trip a
-    supervisor timeout.
-    """
-    os.setsid()
-    from repro.experiments.distributed import LeaseConfig, drain_worker
-
-    drain_worker(
-        root,
-        worker_id="victim-worker",
-        lease=LeaseConfig(
-            lease_timeout_s=5.0,
-            heartbeat_interval_s=0.2,
-            poll_interval_s=0.1,
-        ),
-    )
-
-
 def _interrupt_after_first() -> Callable[[str, int], None]:
     """A progress callback that SIGINTs this process once, after the
     first finished run."""
@@ -362,16 +338,12 @@ def run_chaos(
        inline) must stop cleanly,
        leave a consistent journal, and a ``resume`` pass must replay
        completed runs and finish the rest, bit-identical to baseline.
-    6. *distributed worker kill* -- a ``dir://`` worker SIGKILLed while
-       holding a lease (with its run child hung) must leave a lease
-       that expires, gets reclaimed by a rescue worker, and the rescued
-       sweep's results must be bit-identical to the baseline.
-    7. *adaptive mid-batch kill* -- an adaptive sweep interrupted while
+    6. *adaptive mid-batch kill* -- an adaptive sweep interrupted while
        a batch is in flight must drain, journal consistently, and a
        ``resume`` pass must replay into the *identical* batch-by-batch
        plan (stopping decisions, seeds spent, and run results all
        bit-identical to a clean adaptive run).
-    8. *campaign mid-draw kill* -- a fault campaign interrupted while
+    7. *campaign mid-draw kill* -- a fault campaign interrupted while
        its runs are in flight must drain, and a ``resume`` pass must
        replay into the *identical* sampled plan (generators, severities,
        importance weights, per-seed fault digests) with run results
@@ -578,114 +550,7 @@ def run_chaos(
         f"{resume_identical}",
     )
 
-    # -- Phase 6: dir:// worker kill -> lease reclaim -> identical results
-    say("chaos: distributed worker kill + lease reclaim ...")
-    from repro.experiments.distributed import (
-        BACKEND_ENV,
-        WORKER_ID_ENV,
-        LeaseConfig,
-        SweepDir,
-        drain_worker,
-        publish_sweep,
-    )
-
-    shared = SweepDir(os.path.join(work_dir, "shared")).ensure()
-    publish_sweep(shared, specs)
-    keys = [spec.cache_key() for spec in specs]
-    victim_key = keys[0]
-    # The victim's first claim is specs[0] (claims scan in sweep order);
-    # hang its run child so the lease stays held until the kill.  The
-    # hang bound is a backstop only -- the group kill lands first.
-    plan = ChaosPlan(faults=(
-        ChaosFault(protocol=specs[0].protocol, seed=specs[0].seed,
-                   action="hang", attempt=0, hang_s=120.0),
-    ))
-    ctx = multiprocessing.get_context()
-    with active_plan(plan, work_dir):
-        victim = ctx.Process(
-            target=_victim_worker_main, args=(shared.root,)
-        )
-        victim.start()
-        lease_file = shared.lease_path(victim_key)
-        deadline = time.monotonic() + 60.0
-        while not os.path.exists(lease_file):
-            if time.monotonic() >= deadline or not victim.is_alive():
-                break
-            time.sleep(0.05)
-        lease_observed = os.path.exists(lease_file)
-        # Give the hung run child a beat to fork into the victim's
-        # session, then kill the whole group -- worker and child die
-        # together, heartbeats stop, the lease goes stale.
-        time.sleep(0.75)
-        try:
-            os.killpg(victim.pid, signal.SIGKILL)
-        except (OSError, TypeError):
-            pass
-        victim.join(10.0)
-    # Plan disarmed *before* the rescue: the re-issued attempt of the
-    # victim's run must execute clean, exactly like a healthy re-run.
-    saved_env = {
-        name: os.environ.get(name)
-        for name in (WORKER_ID_ENV, BACKEND_ENV)
-    }
-    try:
-        rescue_stats = drain_worker(
-            shared.root,
-            worker_id="rescue-worker",
-            lease=LeaseConfig(
-                lease_timeout_s=1.5,
-                heartbeat_interval_s=0.2,
-                poll_interval_s=0.1,
-            ),
-        )
-    finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    stale_leases = os.listdir(shared.stale_dir)
-    reclaim_ok = (
-        lease_observed
-        and rescue_stats.reclaimed >= 1
-        and len(stale_leases) >= 1
-    )
-    report.add(
-        "dir-lease-reclaimed", reclaim_ok,
-        f"victim lease observed={lease_observed}, rescue reclaimed="
-        f"{rescue_stats.reclaimed}, {len(stale_leases)} stale carcass(es)",
-    )
-    leftover = [
-        name for name in os.listdir(shared.leases_dir)
-        if name.endswith(".lease")
-    ]
-    journaled = SweepJournal.replay(shared.journal_path)
-    victim_record = journaled.get(victim_key)
-    drained = (
-        not leftover
-        and all(key in journaled for key in keys)
-        and all(journaled[key].ok for key in keys)
-        and victim_record is not None
-        and victim_record.worker == "rescue-worker"
-    )
-    report.add(
-        "dir-queue-drained", drained,
-        f"{len(journaled)}/{len(specs)} run(s) journaled ok, "
-        f"{len(leftover)} leftover lease(s), victim run finished by "
-        f"{victim_record.worker if victim_record else '?'}",
-    )
-    dir_results = [
-        journaled[key].to_run_result()
-        for key in keys if key in journaled
-    ]
-    dir_identical = dir_results == _results(baseline)
-    report.add(
-        "dir-identical", dir_identical,
-        "rescued distributed sweep bit-identical to baseline"
-        if dir_identical else "distributed results diverged from baseline",
-    )
-
-    # -- Phases 7-8: planners survive a mid-sweep kill --------------------
+    # -- Phases 6-7: planners survive a mid-sweep kill --------------------
     from repro.experiments.adaptive import (
         ADAPTIVE_PLAN_KEY,
         AdaptiveConfig,

@@ -164,19 +164,6 @@ def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"{key}.json")
 
 
-def cache_shard_dir(cache_dir: str, key: str) -> str:
-    """The shard directory for one cache key: ``<cache_dir>/<key[:2]>``.
-
-    The ``dir://`` backend keeps its shared result cache sharded by the
-    first two hex digits of the content hash (256-way fan-out), so a
-    fleet-sized sweep never piles tens of thousands of entries into one
-    directory on a network filesystem.  Each shard is an ordinary cache
-    directory: :func:`cache_load` / :func:`cache_store` (and their
-    atomicity and self-healing behavior) apply unchanged.
-    """
-    return os.path.join(cache_dir, key[:2])
-
-
 def _quarantine_cache_entry(path: str) -> None:
     """Move a damaged cache file aside (``<path>.corrupt``) or drop it.
 
@@ -250,6 +237,25 @@ def cache_store(cache_dir: str, key: str, result: RunResult) -> None:
         raise
 
 
+def remove_stale_files(directory: str, matches: Callable[[str], bool]) -> int:
+    """Unlink the files in ``directory`` whose names ``matches``;
+    returns the count (0 for a missing directory)."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return 0
+    removed = 0
+    for name in names:
+        if not matches(name):
+            continue
+        try:
+            os.unlink(os.path.join(directory, name))
+            removed += 1
+        except OSError:
+            pass
+    return removed
+
+
 def sweep_stale_cache_tmps(cache_dir: str) -> int:
     """Remove orphaned ``*.json.tmp.<pid>`` files; returns the count.
 
@@ -258,20 +264,7 @@ def sweep_stale_cache_tmps(cache_dir: str) -> int:
     disk belongs to a killed worker.  Callers should only invoke this
     at sweep start, when no workers are writing to ``cache_dir``.
     """
-    try:
-        names = os.listdir(cache_dir)
-    except OSError:
-        return 0
-    removed = 0
-    for name in names:
-        if ".json.tmp." not in name:
-            continue
-        try:
-            os.unlink(os.path.join(cache_dir, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed
+    return remove_stale_files(cache_dir, lambda name: ".json.tmp." in name)
 
 
 # ----------------------------------------------------------------------

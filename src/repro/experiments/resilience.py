@@ -224,13 +224,6 @@ class JournalRecord:
     elapsed_s: float
     failure_kind: Optional[str]
     result: Dict[str, Any]
-    #: Id of the worker that journaled the record (``dir://`` backend);
-    #: None for records written by a local sweep.
-    worker: Optional[str] = None
-    #: True when the record replayed a shared-cache hit rather than an
-    #: execution (``dir://`` workers journal cache hits so the shared
-    #: journal is a complete completion ledger).
-    cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -248,11 +241,9 @@ class SweepJournal:
     """Append-only JSONL record of finished runs, keyed by cache key.
 
     Every record is a single ``os.write`` to an ``O_APPEND`` descriptor,
-    fsync'd before the supervisor moves on.  On a local filesystem an
-    O_APPEND write of one line is atomic, so concurrent writers (the
-    ``dir://`` backend's worker fleet sharing one journal) never
-    interleave bytes, and a sweep killed at any instant leaves at worst
-    one truncated *trailing* line -- which :meth:`replay` skips.
+    fsync'd before the supervisor moves on, so a sweep killed at any
+    instant leaves at worst one truncated *trailing* line -- which
+    :meth:`replay` skips.
     Records are append-only; on replay the last record per key wins, so
     a resumed sweep that re-runs a previously failed run simply appends
     the new outcome.  :meth:`compact` rewrites the file keeping only
@@ -274,16 +265,21 @@ class SweepJournal:
         return os.path.join(resolve_cache_dir(cache_dir), "journal.jsonl")
 
     @staticmethod
-    def build_record(
+    def _encode(record: Dict[str, Any]) -> bytes:
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return (line + "\n").encode("utf-8")
+
+    def record(
+        self,
         spec: RunSpec,
         result: RunResult,
         attempts: int,
         elapsed_s: float,
         failure_kind: Optional[FailureKind] = None,
-        worker: Optional[str] = None,
-        cached: bool = False,
-    ) -> Dict[str, Any]:
-        record = {
+    ) -> None:
+        if self._fd is None:
+            raise ValueError("journal is closed")
+        os.write(self._fd, self._encode({
             "schema": JOURNAL_SCHEMA_VERSION,
             "key": spec.cache_key(),
             "protocol": spec.protocol.lower(),
@@ -296,45 +292,17 @@ class SweepJournal:
             ),
             "written_unix": time.time(),
             "result": dataclasses.asdict(result),
-        }
-        if worker is not None:
-            record["worker"] = worker
-        if cached:
-            record["cached"] = True
-        return record
-
-    @staticmethod
-    def _encode(record: Dict[str, Any]) -> bytes:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        return (line + "\n").encode("utf-8")
-
-    def record(
-        self,
-        spec: RunSpec,
-        result: RunResult,
-        attempts: int,
-        elapsed_s: float,
-        failure_kind: Optional[FailureKind] = None,
-        worker: Optional[str] = None,
-        cached: bool = False,
-    ) -> None:
-        if self._fd is None:
-            raise ValueError("journal is closed")
-        data = self._encode(self.build_record(
-            spec, result, attempts, elapsed_s, failure_kind,
-            worker=worker, cached=cached,
-        ))
-        os.write(self._fd, data)
+        }))
         os.fsync(self._fd)
 
     @classmethod
     def append_record(cls, path: str, record: Dict[str, Any]) -> None:
         """Append one record with open-write-fsync-close semantics.
 
-        The ``dir://`` workers use this instead of a long-lived handle:
-        if another worker :meth:`compact`-replaces the journal inode
-        between two of our appends, a fresh open always lands on the
-        live file instead of the orphaned old inode.
+        For writers that journal between sweeps rather than during one
+        (the planners' plan records): no handle outlives the call, so a
+        :meth:`compact` that replaced the file since the last append is
+        harmless.
         """
         directory = os.path.dirname(path)
         if directory:
@@ -389,6 +357,16 @@ class SweepJournal:
             raise
         return dropped
 
+    @staticmethod
+    def sweep_stale_tmps(path: str) -> int:
+        """Remove ``<path>.tmp.<pid>`` files a killed :meth:`compact`
+        left; returns the count.  Call only at sweep start, when nothing
+        is compacting ``path``."""
+        prefix = os.path.basename(path) + ".tmp."
+        return parallel.remove_stale_files(
+            os.path.dirname(path) or ".", lambda name: name.startswith(prefix)
+        )
+
     def close(self) -> None:
         if self._fd is not None:
             os.close(self._fd)
@@ -422,8 +400,6 @@ class SweepJournal:
                     elapsed_s=data["elapsed_s"],
                     failure_kind=data.get("failure_kind"),
                     result=data["result"],
-                    worker=data.get("worker"),
-                    cached=bool(data.get("cached", False)),
                 )
             except KeyError:
                 continue
@@ -553,12 +529,6 @@ def _put_down(proc: Any, grace_s: float) -> None:
         proc.join(5.0)
 
 
-_TIMEOUT_DETAIL = (
-    "run exceeded the {:.1f}s wall-clock budget; worker terminated by "
-    "the supervisor"
-)
-
-
 def _classify_report(
     payload: Optional[Tuple[RunResult, float]], exitcode: Optional[int]
 ) -> Tuple[Optional[FailureKind], str]:
@@ -642,61 +612,6 @@ class _Worker:
         self.conn.close()
 
 
-def supervise_single_run(
-    spec: RunSpec,
-    attempt: int = 0,
-    worker: WorkerFn = _execute_spec,
-    run_timeout_s: Optional[float] = None,
-    kill_grace_s: float = 1.0,
-    poll_interval_s: float = 0.05,
-    on_poll: Optional[Callable[[], None]] = None,
-) -> Tuple[RunResult, float, Optional[FailureKind]]:
-    """Run one spec in its own supervised child; classify any failure.
-
-    For executors that schedule one run at a time (the ``dir://``
-    backend's lease workers).  The child is the same worker loop
-    :func:`execute_runs_detailed` keeps alive across runs, serving a
-    single request, so chaos injection, the ``ATTEMPT_ENV`` contract,
-    and crash containment are identical.  ``on_poll`` is invoked once
-    per poll tick while the run is in flight -- the lease-heartbeat
-    hook; if it raises, the child is put down before the exception
-    propagates.
-
-    Returns ``(result, elapsed_s, failure_kind)`` where the kind is
-    ``None`` on success; error results carry the usual ``KIND:``
-    prefix.  Retry policy is the *caller's* job.
-    """
-    child = _Worker(multiprocessing.get_context(), worker)
-    child.dispatch(spec, 0, attempt, run_timeout_s)
-    payload = None
-    timed_out = False
-    try:
-        while True:
-            if child.conn.poll(poll_interval_s):
-                payload = child.receive()
-                break
-            if on_poll is not None:
-                on_poll()
-            if child.deadline is not None \
-                    and time.monotonic() >= child.deadline:
-                timed_out = True
-                break
-    finally:
-        child.shut_down(kill_grace_s)
-    elapsed = time.monotonic() - child.started
-    if timed_out:
-        kind: Optional[FailureKind] = FailureKind.TIMEOUT
-        detail = _TIMEOUT_DETAIL.format(run_timeout_s)
-    else:
-        kind, detail = _classify_report(payload, child.proc.exitcode)
-    if payload is not None:
-        elapsed = payload[1]
-        if kind is None:
-            return payload[0], elapsed, None
-    assert kind is not None
-    return _error_result(spec, _prefixed_error(kind, detail)), elapsed, kind
-
-
 # ----------------------------------------------------------------------
 # The sweep engine
 
@@ -732,9 +647,11 @@ def execute_runs_detailed(
     directory = resolve_cache_dir(cache_dir)
     if journal_path is not None:
         # A journaled sweep is a resumable one: clear temp files a
-        # killed predecessor left.  Unjournaled sweeps skip this so
-        # they never race a concurrent sweep's in-flight store.
+        # killed predecessor left in the cache and beside the journal.
+        # Unjournaled sweeps skip this so they never race a concurrent
+        # sweep's in-flight store.
         sweep_stale_cache_tmps(directory)
+        SweepJournal.sweep_stale_tmps(journal_path)
     replayed = (
         SweepJournal.replay(journal_path)
         if resume and journal_path is not None else {}
@@ -910,7 +827,9 @@ def execute_runs_detailed(
                     entry.shut_down(config.kill_grace_s)
                     _fail(
                         index, attempt, FailureKind.TIMEOUT,
-                        _TIMEOUT_DETAIL.format(config.run_timeout_s),
+                        f"run exceeded the {config.run_timeout_s:.1f}s "
+                        "wall-clock budget; worker terminated by the "
+                        "supervisor",
                         now - entry.started,
                     )
         finally:

@@ -81,15 +81,6 @@ def export_run_telemetry(
             extra["attempt"] = int(attempt)
         except ValueError:
             pass
-    # Fleet provenance under the dir:// backend: which worker executed
-    # the run, against which shared sweep (distributed.WORKER_ID_ENV /
-    # BACKEND_ENV, inherited by the supervised run child).
-    worker_id = os.environ.get("REPRO_WORKER_ID")
-    if worker_id:
-        extra["worker_id"] = worker_id
-    backend = os.environ.get("REPRO_SWEEP_BACKEND")
-    if backend:
-        extra["backend"] = backend
     if scenario.spec is not None:
         # Provenance for sweep tooling: which registry binding ran.
         extra["protocol_spec"] = scenario.spec.to_record()
@@ -171,15 +162,13 @@ def compare_protocols(
     max_retries: Optional[int] = None,
     resume: bool = False,
     journal_path: Optional[str] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> List[RunResult]:
     """The paper's comparison loop: every protocol on every topology.
 
-    Execution routes through the pluggable executor layer
-    (:mod:`repro.experiments.executors`).  On the default ``local-pool``
-    backend, ``jobs`` fans the (protocol, seed) grid out across
-    persistent worker processes (``jobs<=0`` means one per CPU); with
+    Execution goes through
+    :meth:`~repro.experiments.executors.SweepExecutor.execute`: ``jobs``
+    fans the (protocol, seed) grid out across persistent worker
+    processes (``jobs<=0`` means one per CPU); with
     ``jobs=1`` and no ``run_timeout_s`` the runs execute inline, with no
     pickling requirement on the config.  Every run is
     seed-deterministic, so the returned list is identical to the serial
@@ -197,13 +186,6 @@ def compare_protocols(
     budget.  Setting ``run_timeout_s`` / ``max_retries`` / ``resume`` /
     ``journal_path`` journals finished runs, and ``resume=True``
     replays previously completed runs instead of re-simulating them.
-
-    ``backend="dir://<shared-dir>"`` selects the distributed executor
-    (:mod:`repro.experiments.distributed`): the sweep is published into
-    the shared directory, ``workers`` local worker processes (plus any
-    external ``repro worker`` processes pointed at the same URI) drain
-    it via lease claims, and results aggregate incrementally as journal
-    records land.  Results stay bit-identical across all backends.
     """
     if config is None:
         config = SimulationScenarioConfig()
@@ -217,7 +199,6 @@ def compare_protocols(
 
     specs = sweep_specs(config, tuple(protocols), tuple(topology_seeds))
     executor = create_executor(
-        backend,
         jobs=jobs,
         use_cache=use_cache,
         cache_dir=cache_dir,
@@ -225,7 +206,6 @@ def compare_protocols(
         max_retries=max_retries,
         resume=resume,
         journal_path=journal_path,
-        workers=workers,
     )
     outcomes = executor.execute(specs, progress=progress)
     return [outcome.result for outcome in outcomes]
@@ -237,7 +217,6 @@ def run_experiment(
     cache_dir: Optional[str] = None,
     resume: bool = False,
     journal_path: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> List[RunResult]:
     """Execute a declarative :class:`~repro.experiments.spec.ExperimentSpec`.
 
@@ -267,7 +246,7 @@ def run_experiment(
         outcomes = execute_spec_runs(
             spec, sweep_specs(config, spec.protocols, spec.seeds),
             progress=progress, cache_dir=cache_dir, resume=resume,
-            journal_path=journal_path, workers=workers,
+            journal_path=journal_path,
         )
         results = [outcome.result for outcome in outcomes]
         if not label_suffix:

@@ -274,10 +274,6 @@ class ExperimentSpec:
     #: label results ``protocol@model``.  Empty = no axis, the spec's
     #: ``config.mobility`` applies as-is.
     mobility_models: Tuple[str, ...] = ()
-    #: Sweep execution backend URI: ``"local-pool"`` (default, this
-    #: process's pool) or ``"dir://<shared-dir>"`` (the distributed
-    #: lease-queue backend; see :mod:`repro.experiments.distributed`).
-    backend: str = "local-pool"
     #: Optional ``[adaptive]`` section: run the sweep under the
     #: sequential planner (:mod:`repro.experiments.adaptive`) -- seeds
     #: in batches, CI-driven stopping per protocol, paired
@@ -329,12 +325,6 @@ class ExperimentSpec:
                 f"max_retries must be a non-negative integer, "
                 f"got {self.max_retries!r}"
             )
-        from repro.experiments.executors import BackendError, parse_backend
-
-        try:
-            parse_backend(self.backend)
-        except BackendError as exc:
-            raise SpecError(str(exc)) from exc
         self.resolve_protocols()
         if self.adaptive is not None:
             try:
@@ -425,11 +415,7 @@ class ExperimentSpec:
             f"{self.config.members_per_group} members",
             f"execution: jobs={self.jobs} "
             f"cache={'on' if self.use_cache else 'off'} "
-            f"telemetry={'on' if self.config.telemetry.enabled else 'off'}"
-            + (
-                f" backend={self.backend}"
-                if self.backend != "local-pool" else ""
-            ),
+            f"telemetry={'on' if self.config.telemetry.enabled else 'off'}",
         ]
         if self.adaptive is not None:
             lines.append(
@@ -505,8 +491,6 @@ class ExperimentSpec:
             data["max_retries"] = self.max_retries
         if self.mobility_models:
             data["mobility_models"] = list(self.mobility_models)
-        if self.backend != "local-pool":
-            data["backend"] = self.backend
         if self.adaptive is not None:
             data["adaptive"] = _plain(self.adaptive, "adaptive")
         if self.campaign is not None:
@@ -524,10 +508,17 @@ class ExperimentSpec:
                 f"spec schema {schema!r} not supported "
                 f"(this version reads schema {SPEC_SCHEMA_VERSION})"
             )
+        if "backend" in data:
+            raise SpecError(
+                "spec key 'backend' is no longer supported: the dir:// "
+                "backend was removed and every sweep runs locally (set "
+                "jobs, run_timeout_s and max_retries; resume with "
+                "--resume)"
+            )
         known = {
             "schema", "name", "description", "protocols", "seeds",
             "jobs", "use_cache", "run_timeout_s", "max_retries",
-            "mobility_models", "backend", "adaptive", "campaign", "config",
+            "mobility_models", "adaptive", "campaign", "config",
         }
         unknown = set(data) - known
         if unknown:
@@ -537,7 +528,7 @@ class ExperimentSpec:
             )
         kwargs: Dict[str, Any] = {}
         for key in ("name", "description", "jobs", "use_cache",
-                    "run_timeout_s", "max_retries", "backend"):
+                    "run_timeout_s", "max_retries"):
             if key in data:
                 kwargs[key] = data[key]
         if "protocols" in data:
@@ -618,7 +609,6 @@ class ExperimentSpec:
         run_timeout_s: Optional[float] = None,
         max_retries: Optional[int] = None,
         mobility_models: Optional[Sequence[str]] = None,
-        backend: Optional[str] = None,
     ) -> "ExperimentSpec":
         """A copy with CLI-style overrides applied (None = keep)."""
         return dataclasses.replace(
@@ -634,7 +624,6 @@ class ExperimentSpec:
             else run_timeout_s,
             max_retries=self.max_retries if max_retries is None
             else max_retries,
-            backend=self.backend if backend is None else backend,
         )
 
 

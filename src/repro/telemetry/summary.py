@@ -30,7 +30,7 @@ def _fmt(value: Optional[float]) -> str:
 
 def manifest_lines(trace: TelemetryTrace) -> List[str]:
     manifest = trace.manifest
-    lines = [
+    return [
         f"run      : {manifest.protocol} seed={manifest.seed}",
         f"config   : {manifest.config_hash[:16]} "
         f"(repro {manifest.package_version})",
@@ -43,15 +43,6 @@ def manifest_lines(trace: TelemetryTrace) -> List[str]:
         f"events   : {len(trace.events)} recorded, "
         f"{trace.events_dropped} dropped",
     ]
-    extra = manifest.extra or {}
-    if extra.get("worker_id") or extra.get("backend"):
-        # dir:// fleet provenance: which worker produced this trace,
-        # against which shared sweep.
-        lines.append(
-            f"worker   : {extra.get('worker_id', '?')} "
-            f"backend={extra.get('backend', 'local-pool')}"
-        )
-    return lines
 
 
 def summarize_trace(trace: TelemetryTrace) -> str:

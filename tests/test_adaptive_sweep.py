@@ -280,10 +280,6 @@ class TestPlanJournal:
             plain, journal_path=str(tmp_path / "j.jsonl")
         )
         assert explicit == str(tmp_path / "j.jsonl")
-        distributed = tiny_spec(backend=f"dir://{tmp_path}/shared")
-        assert plan_journal_path(distributed) == (
-            f"{tmp_path}/shared/journal.jsonl"
-        )
         resilient = tiny_spec(run_timeout_s=30.0)
         assert plan_journal_path(resilient) is not None
 

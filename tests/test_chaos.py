@@ -142,5 +142,4 @@ def test_chaos_harness_quick(tmp_path):
         "baseline-clean", "chaos-recovered", "chaos-identical",
         "quarantine-surfaces", "cache-corruption-recovers",
         "interrupt-drains", "resume-identical",
-        "dir-lease-reclaimed", "dir-queue-drained", "dir-identical",
     } <= names

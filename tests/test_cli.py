@@ -145,71 +145,25 @@ class TestRunCommand:
         assert "Normalized throughput" in report_path.read_text()
 
 
-class TestWorkerCommand:
-    def _publish(self, tmp_path, n_runs: int = 1):
-        from repro.experiments.distributed import SweepDir, publish_sweep
-        from repro.experiments.parallel import RunSpec
-        from repro.experiments.scenarios import SimulationScenarioConfig
-
-        config = SimulationScenarioConfig(
-            num_nodes=6, area_width_m=400.0, area_height_m=400.0,
-            num_groups=1, members_per_group=3, duration_s=3.0,
-            warmup_s=1.0,
-        )
-        root = str(tmp_path / "shared")
-        sweep = SweepDir(root).ensure()
-        specs = [
-            RunSpec("odmrp", config, seed)
-            for seed in range(1, n_runs + 1)
-        ]
-        publish_sweep(sweep, specs)
-        return root, specs
-
-    def test_backend_flag_is_required(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-
-    def test_local_backend_is_rejected(self, capsys):
-        assert main(["worker", "--backend", "local-pool"]) == 1
-        assert "only drains dir://" in capsys.readouterr().err
-
-    def test_bad_backend_uri_is_rejected(self, capsys):
-        assert main(["worker", "--backend", "ftp://x"]) == 1
-        assert "unknown sweep backend" in capsys.readouterr().err
-
-    def test_missing_sweep_times_out_with_error(self, tmp_path, capsys):
-        code = main([
-            "worker", "--backend", f"dir://{tmp_path}",
-            "--wait", "0.2",
-        ])
-        assert code == 1
-        assert "no sweep manifest" in capsys.readouterr().err
-
-    def test_worker_drains_a_published_sweep(self, tmp_path, capsys):
-        root, specs = self._publish(tmp_path, n_runs=1)
-        code = main([
-            "worker", "--backend", f"dir://{root}",
-            "--worker-id", "cli-test-worker",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "worker cli-test-worker: 1 completed" in out
-        from repro.experiments.resilience import SweepJournal
-
-        records = SweepJournal.replay(
-            str(Path(root) / "journal.jsonl")
-        )
-        assert len(records) == 1
-        assert all(r.ok for r in records.values())
+class TestRemovedFleetSurface:
+    def test_backend_flag_and_worker_command_exit_nonzero(self):
+        for argv in (["run", "--backend", "dir://x", "--dry-run"],
+                     ["worker"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code != 0
 
 
-class TestRunDirBackend:
-    def test_run_and_resume_are_bit_identical(self, tmp_path, capsys):
+class TestRunResume:
+    def test_run_and_resume_are_bit_identical(
+        self, tmp_path, capsys, monkeypatch
+    ):
         from repro.experiments.spec import ExperimentSpec
         from repro.experiments.scenarios import SimulationScenarioConfig
 
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         spec = ExperimentSpec(
-            name="cli-dir",
+            name="cli-resume",
             protocols=("odmrp", "spp"),
             seeds=(1,),
             config=SimulationScenarioConfig(
@@ -218,24 +172,24 @@ class TestRunDirBackend:
                 duration_s=4.0, warmup_s=1.0,
             ),
         )
-        spec_path = tmp_path / "dir.toml"
+        spec_path = tmp_path / "resume.toml"
         spec.save(str(spec_path))
-        shared = tmp_path / "shared"
         first = tmp_path / "first.md"
         second = tmp_path / "second.md"
+        # A retry budget journals the sweep.
         assert main([
-            "run", "--spec", str(spec_path),
-            "--backend", f"dir://{shared}", "--workers", "2",
-            "--report", str(first),
+            "run", "--spec", str(spec_path), "--jobs", "2",
+            "--max-retries", "1", "--no-cache", "--report", str(first),
         ]) == 0
         capsys.readouterr()
         # The journal is the completion ledger: --resume replays every
         # run without re-simulating, to the byte-identical report.
         assert main([
-            "run", "--spec", str(spec_path),
-            "--backend", f"dir://{shared}", "--workers", "2",
-            "--resume", "--report", str(second),
+            "run", "--spec", str(spec_path), "--jobs", "2",
+            "--max-retries", "1", "--no-cache", "--resume",
+            "--report", str(second),
         ]) == 0
+        assert "running" not in capsys.readouterr().out
         assert first.read_text() == second.read_text()
 
 

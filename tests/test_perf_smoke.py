@@ -82,12 +82,11 @@ def test_mobile_flood_500_nodes_completes():
 
 @pytest.mark.perfsmoke
 def test_seed_determinism_matrix(tmp_path):
-    """jobs x cache x backend matrix: every cell aggregates identically.
+    """jobs x cache matrix: every cell aggregates identically.
 
-    The serial, no-cache sweep is the oracle; pools of 2 and 4 workers,
-    cold/warm cache replays (themselves at different job counts), and a
-    two-worker ``dir://`` distributed drain must reproduce its
-    aggregates exactly -- not approximately.
+    The serial, no-cache sweep is the oracle; pools of 2 and 4 workers
+    and cold/warm cache replays (themselves at different job counts)
+    must reproduce its aggregates exactly -- not approximately.
     """
     config = SimulationScenarioConfig(
         num_nodes=10,
@@ -119,29 +118,15 @@ def test_seed_determinism_matrix(tmp_path):
         )
         assert warm == baseline, f"warm cache (jobs={jobs}) diverged"
 
-    # Backend axis: the same sweep drained by two dir:// workers over a
-    # shared directory must aggregate identically to the serial oracle.
-    from repro.experiments.distributed import DirExecutor, LeaseConfig
-
-    outcomes = DirExecutor(
-        str(tmp_path / "matrix-shared"), workers=2,
-        lease=LeaseConfig(lease_timeout_s=60.0,
-                          heartbeat_interval_s=1.0,
-                          poll_interval_s=0.1),
-        use_cache=False,
-    ).execute(specs)
-    distributed = aggregate_runs([o.result for o in outcomes])
-    assert distributed == baseline, "dir:// backend diverged from serial"
-
 
 @pytest.mark.perfsmoke
 def test_adaptive_determinism_matrix(tmp_path):
     """The adaptive planner's determinism contract across the same
-    matrix: jobs 1/2/4, cold/warm cache, the ``dir://`` backend, and a
-    mid-sweep ``--resume`` must all reproduce the serial oracle's
-    batch-by-batch plan *and* run list bit for bit -- the stopping rule
-    is a pure function of seed-deterministic cell results, so nothing
-    about how cells execute may change which cells get planned.
+    matrix: jobs 1/2/4, cold/warm cache, and a mid-sweep ``--resume``
+    must all reproduce the serial oracle's batch-by-batch plan *and* run
+    list bit for bit -- the stopping rule is a pure function of
+    seed-deterministic cell results, so nothing about how cells execute
+    may change which cells get planned.
     """
     import dataclasses
 
@@ -194,11 +179,6 @@ def test_adaptive_determinism_matrix(tmp_path):
             dataclasses.replace(cached, jobs=4), cache_dir=cache_dir
         ),
     )
-
-    shared = dataclasses.replace(
-        spec, backend=f"dir://{tmp_path / 'adaptive-shared'}"
-    )
-    check("dir:// backend", run_adaptive_experiment(shared, workers=2))
 
     # Mid-sweep resume: journal only the first batch (batch_size * both
     # protocols = the first 4 cells), then resume -- the replayed prefix

@@ -469,6 +469,23 @@ class TestJournalCompaction:
     def test_compact_missing_journal_is_a_noop(self, tmp_path):
         assert SweepJournal.compact(str(tmp_path / "nope.jsonl")) == 0
 
+    def test_killed_compaction_orphan_is_swept(self, tmp_path):
+        """A compaction SIGKILLed mid-rewrite leaves
+        ``<journal>.tmp.<pid>`` behind; the next journaled sweep removes
+        it, and the journal still replays."""
+        journal = str(tmp_path / "journal.jsonl")
+        specs = _specs(2)
+        _run(specs[:1], ok_worker, journal)
+        orphan = journal + ".tmp.99999"
+        with open(orphan, "wb") as handle:
+            handle.write(b'{"schema": 1, "key": "half')
+        outcomes = _run(specs, ok_worker, journal, resume=True)
+        assert not os.path.exists(orphan)
+        assert [o.from_journal for o in outcomes] == [True, False]
+        assert set(SweepJournal.replay(journal)) == {
+            spec.cache_key() for spec in specs
+        }
+
     def _preseed_superseded(self, journal, spec):
         """A failed earlier attempt that a fresh record will shadow."""
         with SweepJournal(journal) as handle:

@@ -106,6 +106,23 @@ class TestStrictness:
             ExperimentSpec.from_dict(data)
         assert "protocol" in str(excinfo.value)
 
+    @pytest.mark.parametrize("fmt", ["toml", "json"])
+    def test_backend_key_names_the_removal(self, fmt):
+        data = sample_spec().to_dict()
+        if fmt == "toml":
+            text = 'backend = "dir:///mnt/shared"\n' + sample_spec().to_toml()
+            load = ExperimentSpec.from_toml
+        else:
+            text = json.dumps({**data, "backend": "dir:///mnt/shared"})
+            load = ExperimentSpec.from_json
+        with pytest.raises(SpecError) as excinfo:
+            load(text)
+        message = str(excinfo.value)
+        assert "dir:// backend was removed" in message
+        assert "unknown key" not in message
+        for knob in ("jobs", "run_timeout_s", "max_retries", "--resume"):
+            assert knob in message
+
     def test_unknown_config_key_rejected(self):
         data = sample_spec().to_dict()
         data["config"]["num_node"] = 10  # typo'd "num_nodes"
