@@ -21,6 +21,11 @@ PRs has a recorded trajectory to compare against.  It measures:
 * **mobility flood** -- the same flood at 500 nodes with every node in
   random-waypoint motion: tracks the incremental topology-invalidation
   pipeline's per-tick cost.
+* **paper run** -- the paper's own run, ODMRP and SPP on the 50-node
+  mesh for 400 s (topology seed 1), each in a fresh interpreter: frames,
+  wall time raw and corrected for core contention the way
+  ``benchmarks/e2e`` corrects it, frames per second, peak RSS and the
+  result digest.
 
 Results land in ``BENCH_perf.json`` at the repo root: events/sec,
 wall-clock per run, and the parallel speedup.  Speedup tracks the
@@ -444,6 +449,84 @@ def bench_mobility_flood() -> None:
     )
 
 
+#: The ``paper_run`` row's runs: Section 4.1's mesh and traffic for the
+#: paper's full 400 s, one protocol per fresh interpreter.
+PAPER_RUN_PROTOCOLS = ("odmrp", "spp")
+PAPER_RUN_SECONDS = 400.0
+PAPER_RUN_TOPOLOGY_SEED = 1
+#: Sim-time chunk between host-speed probes, as in the e2e workloads.
+PAPER_RUN_STEP_S = 0.05
+
+_E2E_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e")
+_SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+#: One paper run, in a child interpreter: argv is (src dir, e2e dir,
+#: protocol, seconds, topology seed, step); prints one JSON object.
+_PAPER_RUN_CHILD = """
+import json, statistics, sys
+sys.path[:0] = sys.argv[1:3]
+from repro.experiments.scenarios import SimulationScenarioConfig
+from hostspeed import HostSpeed, pin_to_one_cpu
+from ledger import frames_on_air
+from workloads import peak_rss_mb, result_digest, run_unit
+
+protocol, seconds, seed, step = sys.argv[3], float(sys.argv[4]), int(sys.argv[5]), float(sys.argv[6])
+pin_to_one_cpu()
+speed = HostSpeed()
+unit = run_unit(protocol, SimulationScenarioConfig(duration_s=seconds, topology_seed=seed), step, speed)
+assert unit.result.error is None, unit.result.error
+frames = frames_on_air(unit.result)
+print(json.dumps({
+    "frames": frames,
+    "wall_s": round(unit.wall_s, 3),
+    "raw_wall_s": round(unit.raw_wall_s, 3),
+    "frames_per_s": round(frames / (unit.wall_s - unit.setup_s)),
+    "raw_frames_per_s": round(frames / (unit.raw_wall_s - unit.raw_setup_s)),
+    "speed_factor_median": round(statistics.median(speed.probes), 3),
+    "peak_rss_mb": round(peak_rss_mb(), 1),
+    "digest": result_digest(unit.result),
+}))
+"""
+
+
+def paper_run(protocol: str) -> Dict:
+    """One 400-s paper run of ``protocol`` in a fresh interpreter."""
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c", _PAPER_RUN_CHILD, os.path.normpath(_SRC_DIR),
+         _E2E_DIR, protocol, str(PAPER_RUN_SECONDS),
+         str(PAPER_RUN_TOPOLOGY_SEED), str(PAPER_RUN_STEP_S)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def bench_paper_run() -> None:
+    """Record the headline row: the paper's 400-s run per protocol.
+
+    ``wall_s`` is build, run and collect scaled by the host-speed probes
+    around each ``PAPER_RUN_STEP_S`` chunk (``benchmarks/e2e/hostspeed.py``);
+    ``frames_per_s`` leaves the build out, as the e2e metric does.
+    """
+    runs = {protocol: paper_run(protocol) for protocol in PAPER_RUN_PROTOCOLS}
+    _write_report("paper_run", {
+        "num_nodes": 50,
+        "duration_s": PAPER_RUN_SECONDS,
+        "topology_seed": PAPER_RUN_TOPOLOGY_SEED,
+        "step_s": PAPER_RUN_STEP_S,
+        "runs": runs,
+    })
+    print("\npaper run (50 nodes, 400 s, topology seed 1):")
+    for protocol, run in runs.items():
+        print(
+            f"  {protocol:6s} {run['frames']:9.0f} frames, "
+            f"{run['wall_s']:6.1f} s corrected ({run['raw_wall_s']:.1f} s raw), "
+            f"{run['frames_per_s']} frames/s, {run['peak_rss_mb']} MiB peak"
+        )
+
+
 if __name__ == "__main__":
     import sys
 
@@ -453,5 +536,6 @@ if __name__ == "__main__":
     bench_phy_crossover()
     bench_macro_flood()
     bench_mobility_flood()
+    bench_paper_run()
     print(f"wrote {os.path.normpath(BENCH_PATH)}")
     sys.exit(0)

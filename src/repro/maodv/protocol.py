@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 from repro.net.packet import Packet
 from repro.odmrp.messages import DataPayload, JoinReplyPayload
-from repro.odmrp.protocol import OdmrpRouter
+from repro.odmrp.protocol import RX_FROM_NAMES, OdmrpRouter
 
 
 class MaodvRouter(OdmrpRouter):
@@ -82,20 +82,20 @@ class MaodvRouter(OdmrpRouter):
 
     def _on_data(self, packet: Packet, sender_id: int, rx_power_mw: float) -> None:
         payload: DataPayload = packet.payload
-        key = (payload.group_id, payload.source_id, payload.sequence)
-        if not self._data_cache.check_and_add(key):
-            self.node.counters.add("odmrp.data_duplicate")
+        counts = self.node.counters.counts
+        if not self._data_cache.first_sighting(
+            payload.group_id, payload.source_id, payload.sequence
+        ):
+            counts["odmrp.data_duplicate"] += 1.0
             return
-        self.node.counters.add(f"odmrp.data_rx_from.{sender_id}")
+        counts[RX_FROM_NAMES[sender_id]] += 1.0
         if payload.group_id in self.member_groups:
-            self.node.counters.add("odmrp.data_delivered")
-            self.node.counters.add(
-                "odmrp.data_delivered_bytes", packet.size_bytes
-            )
+            counts["odmrp.data_delivered"] += 1.0
+            counts["odmrp.data_delivered_bytes"] += packet.size_bytes
             if self.on_deliver is not None:
                 self.on_deliver(packet, payload, self.node.node_id)
         if self._on_tree(payload.group_id, payload.source_id):
-            self.node.counters.add("odmrp.data_forwarded")
+            counts["odmrp.data_forwarded"] += 1.0
             self.node.send_broadcast(packet.copy_for_forwarding())
 
     # ------------------------------------------------------------------

@@ -22,19 +22,28 @@ Two scale paths keep large meshes tractable without changing results:
 * ``begin_transmission`` draws a whole transmission's fading in one
   call -- a numpy batch (:mod:`repro.phy.vectorized`) or the fading
   model's pure-Python ``sample_link_gains`` -- both bit-identical to
-  one draw per receiver, then makes one node call per receiver.  The
-  backend is chosen per channel -- never per sender, since mixing would
+  one draw per receiver, then makes one pass over the receivers.  On
+  the scalar backend with correlated Rayleigh fading, a sender whose
+  links share one last-update time skips the call: each link's AR(1)
+  step is drawn inside that pass (``_fused_start``).  The backend is
+  chosen per channel -- never per sender, since mixing would
   desynchronize the cloned RNG stream from the scalar one.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.topology import SpatialGridIndex
-from repro.phy.fading import FadingModel, NoFading
+from repro.phy.fading import (
+    TWOPI,
+    CorrelatedRayleighFading,
+    FadingModel,
+    NoFading,
+)
 from repro.phy.propagation import PropagationModel, TwoRayGroundPropagation
 from repro.phy.reception import Reception
 from repro.sim.engine import Simulator
@@ -48,10 +57,11 @@ GRID_MIN_NODES = 64
 #: Node count from which ``phy_backend="auto"`` picks the vectorized
 #: reception path (results are bit-identical either way).  Read from
 #: the ``phy_crossover`` row of BENCH_perf.json: at the paper's density
-#: numpy's per-call overhead ties with the scalar batch near 32 nodes
-#: and beats it by 5-15 % at 50, but importing numpy costs a run about
-#: 14 MiB (+35 % peak memory on a 50-node run), which only wider
-#: fan-outs repay.
+#: the scalar backend's fused frame-start pass ties numpy from 32 to 64
+#: nodes (within about 10 % either way, run to run) and trails it by
+#: 6-14 % at 100, while importing numpy costs a run about 14 MiB (a
+#: third more peak memory on a 50-node run), which only wider fan-outs
+#: repay.
 VECTOR_MIN_NODES = 64
 
 PHY_BACKENDS = ("auto", "scalar", "vectorized")
@@ -98,18 +108,22 @@ class _FanOut:
     Mirrors one ``_audible`` list in audible-list order, so element
     ``k`` of every column is receiver ``k``: the receivers, their ids
     (the list object the scalar fading batch keys its link state on),
-    mean powers and decode thresholds.  On the vectorized backend it
-    also holds the mean powers as a numpy array and the sampler's
-    per-link fading state.
+    mean powers, decode thresholds and carrier-sense thresholds.  On
+    the vectorized backend it also holds the mean powers as a numpy
+    array and the sampler's per-link fading state.
     """
 
     __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr",
-                 "mean_array", "slot")
+                 "cs_thr", "mean_array", "slot")
 
     def __init__(self, audible: List[Tuple[Node, float, float]]) -> None:
         columns = tuple(zip(*audible)) or ((), (), ())
         self.receivers, self.mean_mw, self.rx_thr = map(list, columns)
         self.receiver_ids = [receiver.node_id for receiver in self.receivers]
+        self.cs_thr = [
+            receiver.params.carrier_sense_threshold_mw
+            for receiver in self.receivers
+        ]
         self.mean_array = None
         self.slot = None
 
@@ -163,6 +177,10 @@ class WirelessChannel:
         #: the scalar loop may call the fading model directly and the
         #: vectorized backend may replicate it with batched samplers.
         self._inline_fading = False
+        #: The scalar backend's correlated-Rayleigh model when its AR(1)
+        #: update may be drawn inside the frame-start pass (see
+        #: ``CorrelatedRayleighFading.uniform_row``), else ``None``.
+        self._fused_fading: Optional[CorrelatedRayleighFading] = None
         #: Count of nodes with the radio administratively down
         #: (maintained via :meth:`note_active_change`), so the batched
         #: path skips building an active-subset mask when all are up.
@@ -246,6 +264,13 @@ class WirelessChannel:
             1 for node in nodes if not node.active
         )
         self._resolve_backend()
+        self._fused_fading = (
+            self.fading
+            if base_sampled_power
+            and not self._vectorized
+            and isinstance(self.fading, CorrelatedRayleighFading)
+            else None
+        )
         self._finalized = True
 
     def _rebuild_audible(self) -> None:
@@ -516,13 +541,14 @@ class WirelessChannel:
         if counter_name is None:
             counter_name = f"channel.tx.{kind.value}"
             self._tx_counter_names[kind] = counter_name
-        self.counters.add(counter_name)
+        self.counters.counts[counter_name] += 1.0
         self._in_flight[tx] = None
         sender.phy_begin_own_tx()
         fan = self._fanout[sender.node_id]
         targets = fan.receivers
         means = fan.mean_mw
         thresholds = fan.rx_thr
+        sense_thresholds = fan.cs_thr
         receiver_ids = fan.receiver_ids
         sel = None
         if self._inactive_nodes and targets:
@@ -534,9 +560,122 @@ class WirelessChannel:
                 targets = [targets[k] for k in sel]
                 means = [means[k] for k in sel]
                 thresholds = [thresholds[k] for k in sel]
+                sense_thresholds = [sense_thresholds[k] for k in sel]
                 receiver_ids = [receiver_ids[k] for k in sel]
-        # One fading call for the whole transmission, then one pass over
-        # its receivers.
+        row = None
+        if self._fused_fading is not None and sel is None and targets:
+            row = self._fused_fading.uniform_row(
+                sender.node_id, receiver_ids, now, self._fading_rng
+            )
+        if row is not None:
+            self._fused_start(tx, targets, means, thresholds,
+                              sense_thresholds, row)
+        else:
+            self._batched_start(tx, fan, sel, targets, means, thresholds,
+                                sense_thresholds, receiver_ids)
+        self.sim.schedule(
+            duration_s, self._end_transmission, tx, priority=EventPriority.PHY
+        )
+        return tx
+
+    # Both frame-start passes below do each receiver's bookkeeping for
+    # an arriving frame, inlined: add its power, raise the peak
+    # interference of every pending reception (the total minus that
+    # reception's own signal), flip carrier sense idle -> busy (power
+    # only rises here), and -- when the power is decodable and the
+    # receiver is not transmitting -- start a pending reception whose
+    # initial interference is every other audible frame.
+
+    def _fused_start(
+        self,
+        tx: Transmission,
+        targets: List[Node],
+        means: List[float],
+        thresholds: List[float],
+        sense_thresholds: List[float],
+        row: Tuple[List[list], float, float],
+    ) -> None:
+        """The frame start with each link's AR(1) step drawn in the pass.
+
+        ``row`` is ``CorrelatedRayleighFading.uniform_row``'s: every
+        link shares one ``rho``/innovation, so each receiver costs two
+        ``random()`` draws and the batch loop's exact update.  Nothing
+        in the bookkeeping draws from ``phy.fading`` (a MAC's backoff
+        draws from ``mac.backoff``), so interleaving the draws with it
+        consumes the stream exactly as one batch before the pass would.
+        """
+        states, rho, innovation = row
+        random_ = self._fading_rng.random
+        twopi = TWOPI
+        log = math.log
+        sqrt = math.sqrt
+        cos = math.cos
+        sin = math.sin
+        now = tx.start_time
+        end_time = tx.end_time
+        silenced = None
+        powers_append = tx.powers.append
+        decoding_append = tx.decoding.append
+        for receiver, mean_mw, threshold, sense_mw, state in zip(
+            targets, means, thresholds, sense_thresholds, states
+        ):
+            x2pi = random_() * twopi
+            g2rad = sqrt(-2.0 * log(1.0 - random_()))
+            real = rho * state[1] + (0.0 + (cos(x2pi) * g2rad) * innovation)
+            imag = rho * state[2] + (0.0 + (sin(x2pi) * g2rad) * innovation)
+            state[0] = now
+            state[1] = real
+            state[2] = imag
+            power_mw = mean_mw * (real * real + imag * imag)
+            if power_mw <= 0.0:
+                # Not touched, as in the batched pass's filter.
+                if silenced is None:
+                    silenced = []
+                silenced.append(receiver)
+                continue
+            powers_append(power_mw)
+            total = receiver.current_power_mw + power_mw
+            receiver.current_power_mw = total
+            receiver.on_air_count += 1
+            pending = receiver.pending_receptions
+            if pending:
+                for reception in pending.values():
+                    level = total - reception.signal_mw
+                    if level > reception.peak_interference_mw:
+                        reception.peak_interference_mw = level
+            if not receiver._last_busy and total >= sense_mw:
+                receiver._last_busy = True
+                mac = receiver.mac
+                if mac.awaited_sense is True:
+                    mac.on_medium_state(True)
+            if power_mw >= threshold and not receiver.transmitting:
+                reception = Reception(
+                    tx, receiver.node_id, power_mw, now, end_time
+                )
+                pending[tx] = reception
+                level = total - power_mw
+                if level > 0.0:
+                    reception.peak_interference_mw = level
+                decoding_append(receiver)
+        tx.touched = (
+            list(targets) if silenced is None
+            else [receiver for receiver in targets if receiver not in silenced]
+        )
+
+    def _batched_start(
+        self,
+        tx: Transmission,
+        fan: _FanOut,
+        sel: Optional[List[int]],
+        targets: List[Node],
+        means: List[float],
+        thresholds: List[float],
+        sense_thresholds: List[float],
+        receiver_ids: List[int],
+    ) -> None:
+        """The frame start with the fading drawn in one call first."""
+        now = tx.start_time
+        end_time = tx.end_time
         if not targets or self._deterministic_power:
             powers = means
         elif self._vectorized:
@@ -552,12 +691,12 @@ class WirelessChannel:
                 powers = (fan.mean_array[index] * gains).tolist()
         elif self._inline_fading:
             gains = self.fading.sample_link_gains(
-                sender.node_id, receiver_ids, now, self._fading_rng
+                tx.sender_id, receiver_ids, now, self._fading_rng
             )
             powers = [mean * gain for mean, gain in zip(means, gains)]
         else:
             powers = [
-                self._sampled_power(sender, receiver, mean)
+                self._sampled_power(tx.sender, receiver, mean)
                 for receiver, mean in zip(targets, means)
             ]
         if powers and min(powers) <= 0.0:
@@ -566,27 +705,23 @@ class WirelessChannel:
             targets = [targets[k] for k in keep]
             powers = [powers[k] for k in keep]
             thresholds = [thresholds[k] for k in keep]
+            sense_thresholds = [sense_thresholds[k] for k in keep]
         tx.touched = list(targets)
         tx.powers = list(powers)
-        # Each receiver's bookkeeping for an arriving frame, inlined: add
-        # its power, raise the peak interference of every pending
-        # reception (the total minus that reception's own signal), flip
-        # carrier sense idle -> busy (power only rises here), and -- when
-        # the power is decodable and the receiver is not transmitting --
-        # start a pending reception whose initial interference is every
-        # other audible frame.
         decoding_append = tx.decoding.append
-        for receiver, power_mw, threshold in zip(targets, powers, thresholds):
+        for receiver, power_mw, threshold, sense_mw in zip(
+            targets, powers, thresholds, sense_thresholds
+        ):
             total = receiver.current_power_mw + power_mw
             receiver.current_power_mw = total
             receiver.on_air_count += 1
             pending = receiver.pending_receptions
             if pending:
                 for reception in pending.values():
-                    reception.note_interference(total - reception.signal_mw)
-            if not receiver._last_busy and (
-                total >= receiver.params.carrier_sense_threshold_mw
-            ):
+                    level = total - reception.signal_mw
+                    if level > reception.peak_interference_mw:
+                        reception.peak_interference_mw = level
+            if not receiver._last_busy and total >= sense_mw:
                 receiver._last_busy = True
                 mac = receiver.mac
                 if mac.awaited_sense is True:
@@ -596,12 +731,10 @@ class WirelessChannel:
                     tx, receiver.node_id, power_mw, now, end_time
                 )
                 pending[tx] = reception
-                reception.note_interference(total - power_mw)
+                level = total - power_mw
+                if level > 0.0:
+                    reception.peak_interference_mw = level
                 decoding_append(receiver)
-        self.sim.schedule(
-            duration_s, self._end_transmission, tx, priority=EventPriority.PHY
-        )
-        return tx
 
     def _sampled_power(
         self, sender: Node, receiver: Node, mean_mw: float
@@ -642,15 +775,16 @@ class WirelessChannel:
         for receiver in tx.decoding:
             reception = receiver.pending_receptions.pop(tx)
             signal_mw = reception.signal_mw
+            tally = receiver.counters.counts
             if signal_mw <= 0.0:
-                receiver.counters.add("phy.rx_failed_half_duplex")
+                tally["phy.rx_failed_half_duplex"] += 1.0
             elif receiver.reception_model.decide(reception):
-                receiver.counters.add("phy.rx_ok")
+                tally["phy.rx_ok"] += 1.0
                 receiver.deliver(packet, sender_id, dest_id, signal_mw)
             elif signal_mw < receiver.params.rx_threshold_mw:
-                receiver.counters.add("phy.rx_failed_weak")
+                tally["phy.rx_failed_weak"] += 1.0
             else:
-                receiver.counters.add("phy.rx_failed_collision")
+                tally["phy.rx_failed_collision"] += 1.0
         if tx.notify_sender:
             tx.sender.mac.on_tx_complete()
 

@@ -139,8 +139,9 @@ class Node:
     ) -> bool:
         """Queue a link-layer broadcast (one attempt, no ACK)."""
         packets, size = _TX_COUNTERS[packet.kind]
-        self.counters.add(packets)
-        self.counters.add(size, packet.size_bytes)
+        counts = self.counters.counts
+        counts[packets] += 1.0
+        counts[size] += packet.size_bytes
         return self.mac.enqueue(packet, BROADCAST_ID, on_done)
 
     def send_unicast(
@@ -151,8 +152,9 @@ class Node:
     ) -> bool:
         """Queue a link-layer unicast (ACKed, retried)."""
         packets, size = _TX_COUNTERS[packet.kind]
-        self.counters.add(packets)
-        self.counters.add(size, packet.size_bytes)
+        counts = self.counters.counts
+        counts[packets] += 1.0
+        counts[size] += packet.size_bytes
         return self.mac.enqueue(packet, dest_id, on_done)
 
     def set_position(self, position: Position) -> None:
@@ -242,12 +244,13 @@ class Node:
         self, packet: Packet, sender_id: int, dest_id: int, rx_power_mw: float
     ) -> None:
         """A frame was successfully decoded; dispatch it."""
+        counts = self.counters.counts
         if dest_id != BROADCAST_ID and dest_id != self.node_id:
-            self.counters.add("phy.rx_overheard")
+            counts["phy.rx_overheard"] += 1.0
             return
         packets, size = _RX_COUNTERS[packet.kind]
-        self.counters.add(packets)
-        self.counters.add(size, packet.size_bytes)
+        counts[packets] += 1.0
+        counts[size] += packet.size_bytes
         if packet.kind is PacketKind.ACK:
             if packet.payload.acked_sender == self.node_id:
                 self.mac.on_ack(packet.payload.acked_uid)
@@ -258,7 +261,7 @@ class Node:
         if handler is not None:
             handler(packet, sender_id, rx_power_mw)
         else:
-            self.counters.add("rx.unhandled")
+            counts["rx.unhandled"] += 1.0
 
     def distance_to(self, other: "Node") -> float:
         return self.position.distance_to(other.position)

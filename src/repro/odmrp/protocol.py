@@ -31,7 +31,12 @@ from repro.odmrp.messages import (
     JoinReplyEntry,
     JoinReplyPayload,
 )
-from repro.odmrp.state import DuplicateCache, ForwardingGroupState, QueryRoundState
+from repro.odmrp.state import (
+    DuplicateCache,
+    ForwardingGroupState,
+    QueryRoundState,
+    SequenceRecord,
+)
 from repro.probing.neighbor_table import NeighborTable
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
@@ -39,6 +44,18 @@ from repro.sim.process import PeriodicTask
 
 #: ``on_deliver(packet, payload, receiver_id)`` fires at each member delivery.
 DeliverCallback = Callable[[Packet, DataPayload, int], Any]
+
+
+class _RxFromNames(dict):
+    """sender id -> ``"odmrp.data_rx_from.<id>"``, formatted once each."""
+
+    def __missing__(self, sender_id: int) -> str:
+        name = self[sender_id] = f"odmrp.data_rx_from.{sender_id}"
+        return name
+
+
+#: The per-sender first-copy counter names ``_on_data`` increments.
+RX_FROM_NAMES = _RxFromNames()
 
 
 class _SourceState:
@@ -81,7 +98,7 @@ class OdmrpRouter:
         # several groups, each with its own flood-round numbering.
         self._rounds: Dict[Tuple[int, int, int], QueryRoundState] = {}
         self._replied: DuplicateCache = DuplicateCache()
-        self._data_cache: DuplicateCache = DuplicateCache()
+        self._data_cache = SequenceRecord()
         self.forwarding_groups = ForwardingGroupState()
 
         node.register_handler(PacketKind.JOIN_QUERY, self._on_join_query)
@@ -138,8 +155,8 @@ class OdmrpRouter:
             created_at=self.sim.now,
             payload=payload,
         )
-        self._data_cache.check_and_add(
-            (group_id, self.node.node_id, source.data_sequence)
+        self._data_cache.first_sighting(
+            group_id, self.node.node_id, source.data_sequence
         )
         self.node.counters.add("odmrp.data_originated")
         self.node.send_broadcast(packet)
@@ -356,20 +373,22 @@ class OdmrpRouter:
 
     def _on_data(self, packet: Packet, sender_id: int, rx_power_mw: float) -> None:
         payload: DataPayload = packet.payload
-        key = (payload.group_id, payload.source_id, payload.sequence)
-        if not self._data_cache.check_and_add(key):
-            self.node.counters.add("odmrp.data_duplicate")
+        counts = self.node.counters.counts
+        if not self._data_cache.first_sighting(
+            payload.group_id, payload.source_id, payload.sequence
+        ):
+            counts["odmrp.data_duplicate"] += 1.0
             return
         # Which link actually carried this packet first -- the raw material
         # for the Figure 5 "heavily used links" tree extraction.
-        self.node.counters.add(f"odmrp.data_rx_from.{sender_id}")
+        counts[RX_FROM_NAMES[sender_id]] += 1.0
         if payload.group_id in self.member_groups:
-            self.node.counters.add("odmrp.data_delivered")
-            self.node.counters.add("odmrp.data_delivered_bytes", packet.size_bytes)
+            counts["odmrp.data_delivered"] += 1.0
+            counts["odmrp.data_delivered_bytes"] += packet.size_bytes
             if self.on_deliver is not None:
                 self.on_deliver(packet, payload, self.node.node_id)
         if self.forwarding_groups.is_active(payload.group_id, self.sim.now):
-            self.node.counters.add("odmrp.data_forwarded")
+            counts["odmrp.data_forwarded"] += 1.0
             self.node.send_broadcast(packet.copy_for_forwarding())
 
     # ------------------------------------------------------------------

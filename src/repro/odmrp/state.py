@@ -7,7 +7,7 @@ machines directly and so the MAODV extension can reuse the caches.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, List, Optional
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 
 class QueryRoundState:
@@ -85,6 +85,60 @@ class DuplicateCache:
 
     def __len__(self) -> int:
         return len(self._seen)
+
+
+class SequenceRecord:
+    """Exact record of seen data packets: one byte per flow sequence.
+
+    Data keys are ``(group, source, sequence)`` where the sequence is a
+    source's packet counter, so one ``bytearray`` per (group, source),
+    indexed by sequence, holds every verdict in a byte per packet
+    instead of a hashed tuple, and never evicts.  (A
+    :class:`DuplicateCache` forgets keys past its bound, so the two
+    could disagree only after one node saw more than that many keys.)
+    :meth:`first_sighting` is the hot path; ``check_and_add`` and
+    ``in`` take the tuple key, as :class:`DuplicateCache` does.
+    """
+
+    __slots__ = ("_flows",)
+
+    def __init__(self) -> None:
+        #: group -> source -> seen flags indexed by sequence.
+        self._flows: Dict[int, Dict[int, bytearray]] = {}
+
+    def first_sighting(self, group_id: int, source_id: int, sequence: int) -> bool:
+        """True if the packet is new (and record it); False for duplicates."""
+        if type(sequence) is not int or sequence < 0:
+            # A negative index would silently read from the end.
+            raise ValueError(
+                f"data sequence must be a non-negative int, got {sequence!r}"
+            )
+        sources = self._flows.get(group_id)
+        if sources is None:
+            sources = self._flows[group_id] = {}
+        seen = sources.get(source_id)
+        if seen is None:
+            seen = sources[source_id] = bytearray()
+        if sequence >= len(seen):
+            seen.extend(bytes(sequence + 1 - len(seen)))
+        elif seen[sequence]:
+            return False
+        seen[sequence] = 1
+        return True
+
+    def check_and_add(self, key: Tuple[int, int, int]) -> bool:
+        """``first_sighting`` for a ``(group, source, sequence)`` key."""
+        return self.first_sighting(*key)
+
+    def __contains__(self, key: Tuple[int, int, int]) -> bool:
+        group_id, source_id, sequence = key
+        seen = self._flows.get(group_id, {}).get(source_id)
+        return (
+            seen is not None
+            and type(sequence) is int
+            and 0 <= sequence < len(seen)
+            and seen[sequence] == 1
+        )
 
 
 class ForwardingGroupState:

@@ -15,7 +15,11 @@ The channel asks for a whole transmission's gains in one
 override it with a loop that inlines ``random.Random``'s own formulas
 (``expovariate``, the Box-Muller pair behind ``gauss``) so the batch
 returns exactly the floats, and consumes exactly the stream, that one
-:meth:`~FadingModel.sample_link_gain` call per link would.
+:meth:`~FadingModel.sample_link_gain` call per link would.  For
+:class:`CorrelatedRayleighFading` the scalar channel goes one step
+further: while a sender's links share one last-update time,
+:meth:`CorrelatedRayleighFading.uniform_row` hands it the link states so
+it draws each AR(1) step inside its own receiver pass.
 """
 
 from __future__ import annotations
@@ -157,6 +161,11 @@ class CorrelatedRayleighFading(FadingModel):
         # batch path's view of ``_state``, holding the very same mutable
         # lists, reused while the channel passes the same list object.
         self._rows: Dict[int, Tuple[Sequence[int], List[Optional[list]]]] = {}
+        # sender id -> the one time every link of its cached row was
+        # last updated at: set by each full-row update (a rebuilt row
+        # is fully updated before it is used), dropped by any per-link
+        # call for that sender.
+        self._row_time: Dict[int, float] = {}
         self._sigma = math.sqrt(0.5)  # per-component: E[|h|^2] = 1
 
     def sample_power_gain(self, rng: random.Random) -> float:
@@ -166,6 +175,7 @@ class CorrelatedRayleighFading(FadingModel):
     def sample_link_gain(
         self, link_key: tuple, now: float, rng: random.Random
     ) -> float:
+        self._row_time.pop(link_key[0], None)
         state = self._state.get(link_key)
         if state is None:
             sigma = self._sigma
@@ -252,7 +262,51 @@ class CorrelatedRayleighFading(FadingModel):
             state[1] = real
             state[2] = imag
             append(real * real + imag * imag)
+        self._row_time[sender_id] = now
         return gains
+
+    def uniform_row(
+        self,
+        sender_id: int,
+        receiver_ids: Sequence[int],
+        now: float,
+        rng: random.Random,
+    ) -> Optional[Tuple[List[list], float, float]]:
+        """The cached row's states plus their shared ``rho``/innovation.
+
+        Lets a caller fold the AR(1) update into its own pass over the
+        receivers: it returns ``(states, rho, innovation)`` only when
+        :meth:`sample_link_gains` would take its inlined path, its
+        cached row is for this very ``receiver_ids`` list, every link
+        in it was last updated at one time (the row time), and the
+        innovation is non-zero.  Otherwise it returns ``None`` and the
+        caller must call :meth:`sample_link_gains`.
+
+        A caller that gets a row must, in row order, draw ``x2pi =
+        random() * TWOPI`` and then ``g2rad = sqrt(-2 log(1 - random()))``,
+        set ``real = rho * state[1] + (0.0 + (cos(x2pi) * g2rad) *
+        innovation)`` and ``imag`` likewise with ``sin``/``state[2]``,
+        and write ``[now, real, imag]`` back into the state: exactly
+        the batch loop's update of a link whose last-update time is the
+        row's.  The row time is set to ``now`` here, on that promise.
+        """
+        last_t = self._row_time.get(sender_id)
+        if (
+            last_t is None
+            or not self._batch_is_exact(CorrelatedRayleighFading, rng)
+            or type(self).sample_link_gains
+            is not CorrelatedRayleighFading.sample_link_gains
+        ):
+            return None
+        row = self._rows[sender_id]
+        if row[0] is not receiver_ids:
+            return None
+        rho = math.exp(-(now - last_t) / self.coherence_time_s)
+        innovation = self._sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
+        if not innovation:
+            return None
+        self._row_time[sender_id] = now
+        return row[1], rho, innovation
 
 
 def rayleigh_outage_probability(mean_snr_linear: float, threshold_linear: float) -> float:

@@ -85,7 +85,7 @@ class Simulator:
         time = self._now + delay
         event = Event(time, callback, args, priority)
         heapq.heappush(self._queue, (time, priority, event.seq, event))
-        return EventHandle(event)
+        return event
 
     def schedule_at(
         self,
@@ -101,7 +101,7 @@ class Simulator:
             )
         event = Event(time, callback, args, priority)
         heapq.heappush(self._queue, (time, priority, event.seq, event))
-        return EventHandle(event)
+        return event
 
     def run(self, until: Optional[float] = None) -> None:
         """Run events in order until the queue drains or ``until`` is reached.

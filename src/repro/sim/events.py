@@ -30,10 +30,15 @@ class EventPriority:
 
 
 class Event:
-    """A single scheduled callback.
+    """A single scheduled callback, and the handle to cancel it.
 
     Events should not be created directly; use
-    :meth:`repro.sim.engine.Simulator.schedule`.
+    :meth:`repro.sim.engine.Simulator.schedule`, which returns the event
+    itself as its cancellation handle.
+
+    Cancellation is lazy: the event stays in the heap but is skipped when
+    popped.  This makes cancel O(1), which matters because MAC backoff and
+    routing timers cancel events constantly.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
@@ -54,6 +59,13 @@ class Event:
         self.args = args
         self.cancelled = False
 
+    def cancel(self) -> bool:
+        """Cancel the event; returns False if it was already cancelled."""
+        if self.cancelled:
+            return False
+        self.cancelled = True
+        return True
+
     def sort_key(self) -> tuple[float, int, int]:
         return (self.time, self.priority, self.seq)
 
@@ -72,31 +84,6 @@ class Event:
         return f"<Event t={self.time:.6f} prio={self.priority} {name}{state}>"
 
 
-class EventHandle:
-    """Cancellation handle returned by ``Simulator.schedule``.
-
-    Cancellation is lazy: the event stays in the heap but is skipped when
-    popped.  This makes cancel O(1), which matters because MAC backoff and
-    routing timers cancel events constantly.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Scheduled execution time of the underlying event."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    def cancel(self) -> bool:
-        """Cancel the event; returns False if it was already cancelled."""
-        if self._event.cancelled:
-            return False
-        self._event.cancelled = True
-        return True
+#: What ``Simulator.schedule`` returns: the event itself, so scheduling
+#: allocates no separate handle (``time``, ``cancelled``, ``cancel()``).
+EventHandle = Event

@@ -14,40 +14,45 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 
 class CounterSet:
-    """A dictionary of named numeric counters with a few conveniences."""
+    """A dictionary of named numeric counters with a few conveniences.
+
+    ``counts`` is the underlying ``defaultdict(float)``: per-frame hot
+    paths write ``counts[name] += 1.0`` directly, which is exactly
+    :meth:`add` without the method call.
+    """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, float] = defaultdict(float)
+        self.counts: Dict[str, float] = defaultdict(float)
 
     def add(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] += amount
+        self.counts[name] += amount
 
     def get(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
+        return self.counts.get(name, 0.0)
 
     def __getitem__(self, name: str) -> float:
         return self.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._counters
+        return name in self.counts
 
     def names(self) -> List[str]:
-        return sorted(self._counters)
+        return sorted(self.counts)
 
     def as_dict(self) -> Dict[str, float]:
-        return dict(self._counters)
+        return dict(self.counts)
 
     def total(self, prefix: str) -> float:
         """Sum of all counters whose name starts with ``prefix``."""
         return sum(
-            value for name, value in self._counters.items()
+            value for name, value in self.counts.items()
             if name.startswith(prefix)
         )
 
     def merge(self, other: "CounterSet") -> None:
         """Add all of ``other``'s counters into this set."""
-        for name, value in other._counters.items():
-            self._counters[name] += value
+        for name, value in other.counts.items():
+            self.counts[name] += value
 
 
 class TraceEntry(NamedTuple):

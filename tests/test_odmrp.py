@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import EtxMetric, MetxMetric, SppMetric
 from repro.odmrp.config import OdmrpConfig
 from repro.odmrp.messages import JoinQueryPayload
 from repro.odmrp.protocol import OdmrpRouter
-from repro.odmrp.state import DuplicateCache, ForwardingGroupState
+from repro.odmrp.state import DuplicateCache, ForwardingGroupState, SequenceRecord
 from repro.probing.broadcast_probe import BroadcastProbeAgent
 from repro.probing.neighbor_table import NeighborTable
 from tests.conftest import link, make_chain_network, make_loss_network
@@ -32,6 +33,40 @@ class TestDuplicateCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             DuplicateCache(max_entries=0)
+
+
+class TestSequenceRecord:
+    def test_first_is_new_second_is_duplicate(self):
+        record = SequenceRecord()
+        assert record.first_sighting(1, 7, 3)
+        assert not record.first_sighting(1, 7, 3)
+        assert record.first_sighting(2, 7, 3)  # another group's flow
+        assert record.first_sighting(1, 8, 3)  # another source's flow
+        assert record.check_and_add((1, 7, 0))
+        assert not record.check_and_add((1, 7, 0))
+        assert (1, 7, 3) in record and (1, 7, 2) not in record
+        assert (1, 7, 99) not in record and (5, 5, 5) not in record
+
+    @pytest.mark.parametrize("sequence", [-1, 1.0, "3", True])
+    def test_rejects_non_index_sequences(self, sequence):
+        record = SequenceRecord()
+        with pytest.raises(ValueError):
+            record.first_sighting(1, 1, sequence)
+        assert (1, 1, 0) not in record
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 2), st.integers(0, 3), st.integers(0, 300)
+    ), max_size=400))
+    def test_agrees_with_a_set(self, keys):
+        """Random streams with duplicates and reordering: every verdict
+        and membership answer equals a plain set's."""
+        record, seen = SequenceRecord(), set()
+        for key in keys:
+            assert record.check_and_add(key) == (key not in seen)
+            seen.add(key)
+        for key in keys + [(g, s, q + 1) for g, s, q in keys]:
+            assert (key in record) == (key in seen)
 
 
 class TestForwardingGroupState:

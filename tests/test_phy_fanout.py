@@ -1,9 +1,13 @@
 """The batched PHY fan-out, bit-identical to the per-link loop.
 
-Each transmission makes one fading call for all of its audible links
-(:meth:`FadingModel.sample_link_gains`) and one inlined pass over its
-receivers at each end of the frame.  Both are speed-only changes, so
-these tests pin them to the per-link formulation:
+Each transmission draws all of its audible links' fading at once and
+makes one inlined pass over its receivers at each end of the frame.  On
+the scalar backend with correlated Rayleigh fading, a sender whose
+cached row was last updated at one time draws each link's AR(1) step
+inside the frame-start pass (:meth:`CorrelatedRayleighFading.uniform_row`);
+any other frame makes one :meth:`FadingModel.sample_link_gains` call
+first.  All of it is speed-only, so these tests pin it to the per-link
+formulation:
 
 * every stochastic model's batch returns the floats, and leaves the
   stream where, one ``sample_link_gain`` call per link would -- under
@@ -12,7 +16,9 @@ these tests pin them to the per-link formulation:
 * models the batch cannot mirror (subclasses, a half-drawn gaussian)
   fall back to the per-link default;
 * whole runs of the six paper protocols are equal with and without the
-  batch;
+  batch and the fused pass, also under faults (filtered frames),
+  mobility (row rebuilds) and per-link calls mid-run; a plain paper
+  run takes the fused pass for every frame but each sender's first;
 * a frame's receivers split into ``touched`` (power) and ``decoding``
   (pending reception), and only the latter are decided;
 * a carrier-sense flip reaches a MAC only when it acts on it: a busy
@@ -23,20 +29,25 @@ these tests pin them to the per-link formulation:
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
 
-from repro.experiments.runner import run_protocol
+from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
+from repro.experiments.runner import collect_result, run_protocol
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
     SimulationScenarioConfig,
+    build_simulation_scenario,
 )
 from repro.mac.csma import BROADCAST_ID
+from repro.mobility.config import MobilitySpec
 from repro.net.network import Network, NetworkConfig
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import chain_topology
 from repro.phy.fading import (
+    TWOPI,
     CorrelatedRayleighFading,
     RayleighFading,
     RicianFading,
@@ -142,6 +153,54 @@ class TestSampleLinkGains:
         )
 
 
+class TestUniformRow:
+    def test_offered_only_for_a_uniform_cached_row(self):
+        fading = CorrelatedRayleighFading(coherence_time_s=2.0)
+        rng = random.Random(4)
+        assert fading.uniform_row(0, FULL, 0.0, rng) is None  # no row
+        fading.sample_link_gains(0, FULL, 0.0, rng)
+        assert fading.uniform_row(0, list(FULL), 0.5, rng) is None
+        assert fading.uniform_row(0, FULL, 0.0, rng) is None  # rho == 1
+        states, rho, innovation = fading.uniform_row(0, FULL, 0.5, rng)
+        assert rho == math.exp(-0.25) and innovation > 0.0
+        assert states == [fading._state[(0, rid)] for rid in FULL]
+        fading.sample_link_gain((0, 3), 1.0, rng)
+        assert fading.uniform_row(0, FULL, 1.5, rng) is None
+        fading.sample_link_gains(0, FULL, 1.5, rng)
+        fading.sample_link_gain((1, 3), 1.6, rng)  # another sender's link
+        assert fading.uniform_row(0, FULL, 2.0, rng) is not None
+        fading.sample_link_gains(0, [1, 2], 2.5, rng)  # row rebuilt
+        assert fading.uniform_row(0, FULL, 3.0, rng) is None
+        rng.gauss(0.0, 1.0)
+        fading.sample_link_gains(0, FULL, 3.5, rng)
+        assert fading.uniform_row(0, FULL, 4.0, rng) is None  # half-drawn
+
+    def test_documented_update_equals_per_link_draws(self):
+        reference = CorrelatedRayleighFading(coherence_time_s=1.0)
+        fading = CorrelatedRayleighFading(coherence_time_s=1.0)
+        ref_rng, rng = random.Random(9), random.Random(9)
+        expected, got = [], []
+        for now in (0.0, 0.3, 0.7, 2.0):
+            expected += [
+                reference.sample_link_gain((0, rid), now, ref_rng)
+                for rid in FULL
+            ]
+            row = fading.uniform_row(0, FULL, now, rng)
+            if row is None:
+                got += fading.sample_link_gains(0, FULL, now, rng)
+                continue
+            states, rho, innovation = row
+            for state in states:
+                x2pi = rng.random() * TWOPI
+                g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+                real = rho * state[1] + (math.cos(x2pi) * g2rad) * innovation
+                imag = rho * state[2] + (math.sin(x2pi) * g2rad) * innovation
+                state[:] = [now, real, imag]
+                got.append(real * real + imag * imag)
+        assert got == expected
+        assert rng.random() == ref_rng.random()
+
+
 class PerLinkCorrelated(CorrelatedRayleighFading):
     """The stock model behind a replaced per-link entry point, so the
     channel's one batch call falls back to one call per link."""
@@ -149,6 +208,19 @@ class PerLinkCorrelated(CorrelatedRayleighFading):
     def sample_link_gain(self, link_key, now, rng):
         return super().sample_link_gain(link_key, now, rng)
 
+
+#: Each case is a ``SimulationScenarioConfig`` field override.
+PARITY_CASES = {
+    "faults": FaultPlan(
+        outages=(OutageWindow(node_id=2, start_s=3.0, end_s=5.0),),
+        flapping=(FlappingSpec(node_id=5, start_s=2.0, period_s=2.0,
+                               down_fraction=0.4, until_s=7.0),),
+    ),
+    "mobility": MobilitySpec(
+        model="random-waypoint", update_interval_s=0.5,
+        speed_min_mps=2.0, speed_max_mps=15.0,
+    ),
+}
 
 RUN_CONFIG = SimulationScenarioConfig(
     num_nodes=12,
@@ -184,25 +256,85 @@ class TestRunParity:
         assert batched_run.delivered_packets > 0
         assert batched_run == per_link_run
 
-    def test_one_fading_call_per_transmission(self):
+    @pytest.mark.parametrize("case", ["faults", "mobility"])
+    def test_fused_run_equals_per_link_run(self, case):
+        """Down receivers filter a frame (``sel``) and mobility rebuilds
+        every row; both hand those frames back to the batch call, and
+        the run stays equal to the per-link one."""
+        config = dataclasses.replace(RUN_CONFIG, **{case: PARITY_CASES[case]})
+        coherence = config.network.fading_coherence_time_s
+        fused = run_protocol(
+            "spp", with_fading(config, CorrelatedRayleighFading(coherence))
+        )
+        per_link = run_protocol(
+            "spp", with_fading(config, PerLinkCorrelated(coherence))
+        )
+        assert fused.error is None
+        assert fused.delivered_packets > 0
+        assert fused == per_link
+
+    def test_per_link_calls_mid_run_leave_the_run_unchanged(self):
+        """A ``sample_link_gain`` call between frames clears its
+        sender's row time, so that sender's next frame takes the batch
+        call and resumes the link exactly."""
+        coherence = RUN_CONFIG.network.fading_coherence_time_s
+        results, batch_calls = [], []
+        for fading in (
+            CorrelatedRayleighFading(coherence),
+            PerLinkCorrelated(coherence),
+        ):
+            scenario = build_simulation_scenario(
+                "odmrp", with_fading(RUN_CONFIG, fading)
+            )
+            channel = scenario.network.channel
+            calls = _count_calls(fading, "sample_link_gains")
+
+            def touch(sender_id):
+                rid = channel.audible_neighbors(sender_id)[0][0].node_id
+                fading.sample_link_gain(
+                    (sender_id, rid), channel.sim.now, channel._fading_rng
+                )
+
+            for k in range(40):
+                channel.sim.schedule(0.25 * k + 0.1, touch, k % 12)
+            scenario.network.sim.run(until=RUN_CONFIG.duration_s)
+            results.append(collect_result(scenario))
+            batch_calls.append(calls[0])
+        assert results[0].error is None
+        assert results[0] == results[1]
+        # Every touch sends its sender back through one batch call.
+        assert 12 < batch_calls[0] <= 12 + 40
+
+    def test_plain_paper_run_takes_the_fused_pass(self):
+        """On a static paper-density mesh a sender's receiver list never
+        changes, so after its first frame every frame is drawn inside
+        the frame-start pass: one batch call per sender, not per frame."""
+        config = SimulationScenarioConfig(duration_s=6.0, warmup_s=2.0)
+        scenario = build_simulation_scenario("spp", config)
+        channel = scenario.network.channel
+        assert channel.phy_backend_resolved == "scalar"
+        senders = []
+        batch = channel.fading.sample_link_gains
+
+        def counted_batch(sender_id, *args):
+            senders.append(sender_id)
+            return batch(sender_id, *args)
+
+        channel.fading.sample_link_gains = counted_batch
+        scenario.network.sim.run(until=config.duration_s)
+        frames = channel.counters.total("channel.tx.")
+        assert frames > 20 * config.num_nodes
+        assert len(senders) == len(set(senders)) <= config.num_nodes
+
+    def test_two_fading_draws_per_audible_receiver(self):
         network = Network(
             chain_topology(5, 150.0), seed=3,
             config=NetworkConfig(phy_backend="scalar"),
         )
         channel = network.channel
-        calls = {"batch": 0, "link": 0}
-        batch, link = channel.fading.sample_link_gains, channel.fading.sample_link_gain
-
-        def counted_batch(*args):
-            calls["batch"] += 1
-            return batch(*args)
-
-        def counted_link(*args):
-            calls["link"] += 1
-            return link(*args)
-
-        channel.fading.sample_link_gains = counted_batch
-        channel.fading.sample_link_gain = counted_link
+        batch_calls = _count_calls(channel.fading, "sample_link_gains")
+        link_calls = _count_calls(channel.fading, "sample_link_gain")
+        draws = _count_calls(channel._fading_rng, "random")
         for node in network.nodes:
             for k in range(4):
                 network.sim.schedule(
@@ -214,7 +346,26 @@ class TestRunParity:
         network.run(1.0)
         frames = channel.counters.total("channel.tx.")
         assert frames == 20
-        assert calls == {"batch": frames, "link": 0}
+        audible = sum(
+            4 * len(channel.audible_neighbors(node.node_id))
+            for node in network.nodes
+        )
+        assert draws[0] == 2 * audible
+        assert link_calls[0] == 0
+        assert batch_calls[0] == len(network.nodes)
+
+
+def _count_calls(owner, attr):
+    """Count calls of ``owner.attr`` (patched on the instance)."""
+    count = [0]
+    original = getattr(owner, attr)
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    setattr(owner, attr, counted)
+    return count
 
 
 class TestReceiverBookkeeping:

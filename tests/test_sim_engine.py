@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import Event, EventHandle, EventPriority
 
 
 class TestScheduling:
@@ -105,6 +105,33 @@ class TestCancellation:
         handle = sim.schedule(1.0, lambda: None)
         assert handle.cancel() is True
         assert handle.cancel() is False
+
+    def test_schedule_returns_the_event_as_its_handle(self, sim):
+        """``EventHandle`` is ``Event``: the handle is the queued event,
+        and ``EventHandle.cancel`` is the method a handle's cancel runs
+        (the benchmark ledger patches it there to count cancels)."""
+        assert EventHandle is Event
+        handle = sim.schedule(1.0, lambda: None)
+        at = sim.schedule_at(2.0, lambda: None)
+        assert type(handle) is Event and type(at) is Event
+        assert [entry[3] for entry in sorted(sim._queue)] == [handle, at]
+        assert (handle.time, at.time) == (1.0, 2.0)
+        calls = []
+        original = EventHandle.cancel
+
+        def counted(event):
+            calls.append(event)
+            return original(event)
+
+        EventHandle.cancel = counted
+        try:
+            assert handle.cancel() is True
+            assert handle.cancel() is False
+        finally:
+            EventHandle.cancel = original
+        assert calls == [handle, handle]
+        assert handle.cancelled and not at.cancelled
+        assert sim.pending_events() == 1
 
     def test_pending_events_skips_cancelled(self, sim):
         keep = sim.schedule(1.0, lambda: None)
