@@ -33,7 +33,8 @@ from repro.experiments.adaptive import (
     AdaptiveConfig,
     run_adaptive_experiment,
 )
-from repro.experiments.parallel import execute_runs, sweep_specs
+from repro.experiments.executors import SweepExecutor
+from repro.experiments.parallel import sweep_specs
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec
 
@@ -122,7 +123,7 @@ def bench_adaptive_vs_exhaustive() -> None:
     # seeds, same pool -- the sweep the planner made unnecessary).
     grid = sweep_specs(TINY_PAPER_CONFIG, PROTOCOLS, plan.seed_pool)
     start = time.perf_counter()
-    exhaustive = execute_runs(grid, jobs=jobs, use_cache=False)
+    exhaustive = [o.result for o in SweepExecutor(jobs=jobs).execute(grid)]
     wall_exhaustive = time.perf_counter() - start
     assert all(run.error is None for run in exhaustive)
 

@@ -13,9 +13,9 @@ from repro.analysis.tables import render_comparison
 from repro.experiments.figures import PAPER_DELAY, figure2_delay
 
 
-def bench_fig2_delay(benchmark, shared_simulation_sweep):
+def bench_fig2_delay(benchmark, shared_paper_sweep):
     result = benchmark.pedantic(
-        lambda: figure2_delay(runs=shared_simulation_sweep),
+        lambda: figure2_delay(runs=shared_paper_sweep),
         iterations=1,
         rounds=1,
     )

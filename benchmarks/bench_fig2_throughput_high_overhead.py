@@ -16,7 +16,7 @@ from repro.experiments.figures import (
 from benchmarks.conftest import simulation_config, topology_seeds
 
 
-def bench_fig2_throughput_high_overhead(benchmark, shared_simulation_sweep):
+def bench_fig2_throughput_high_overhead(benchmark, shared_paper_sweep):
     result = benchmark.pedantic(
         lambda: figure2_throughput_high_overhead(
             simulation_config(), topology_seeds()
@@ -24,7 +24,7 @@ def bench_fig2_throughput_high_overhead(benchmark, shared_simulation_sweep):
         iterations=1,
         rounds=1,
     )
-    normal = figure2_throughput_simulations(runs=shared_simulation_sweep)
+    normal = figure2_throughput_simulations(runs=shared_paper_sweep)
     print()
     print(render_comparison(
         result.measured, PAPER_THROUGHPUT_HIGH_OVERHEAD,

@@ -16,9 +16,9 @@ from repro.experiments.figures import (
 from benchmarks.conftest import simulation_config, topology_seeds
 
 
-def bench_fig2_throughput_simulations(benchmark, shared_simulation_sweep):
+def bench_fig2_throughput_simulations(benchmark, shared_paper_sweep):
     result = benchmark.pedantic(
-        lambda: figure2_throughput_simulations(runs=shared_simulation_sweep),
+        lambda: figure2_throughput_simulations(runs=shared_paper_sweep),
         iterations=1,
         rounds=1,
     )

@@ -51,7 +51,8 @@ import platform
 import time
 from typing import Dict, List, Tuple
 
-from repro.experiments.parallel import execute_runs, sweep_specs
+from repro.experiments.executors import SweepExecutor
+from repro.experiments.parallel import sweep_specs
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_protocol
 from repro.experiments.scenarios import (
@@ -152,11 +153,11 @@ def bench_sweep_parallel_vs_serial() -> None:
     specs = sweep_specs(MESO_CONFIG, PROTOCOL_NAMES, seeds)
 
     start = time.perf_counter()
-    serial = execute_runs(specs, jobs=1, use_cache=False)
+    serial = [o.result for o in SweepExecutor(jobs=1).execute(specs)]
     wall_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = execute_runs(specs, jobs=jobs, use_cache=False)
+    pooled = [o.result for o in SweepExecutor(jobs=jobs).execute(specs)]
     wall_parallel = time.perf_counter() - start
 
     # The gate: parallel execution must not change a single bit of any

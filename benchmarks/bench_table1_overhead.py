@@ -15,9 +15,9 @@ from repro.experiments.figures import (
 )
 
 
-def bench_table1_probing_overhead(benchmark, shared_simulation_sweep):
+def bench_table1_probing_overhead(benchmark, shared_paper_sweep):
     result = benchmark.pedantic(
-        lambda: table1_probing_overhead(runs=shared_simulation_sweep),
+        lambda: table1_probing_overhead(runs=shared_paper_sweep),
         iterations=1,
         rounds=1,
     )

@@ -70,15 +70,17 @@ def testbed_config() -> TestbedScenarioConfig:
 
 
 @pytest.fixture(scope="session")
-def shared_simulation_sweep() -> List[RunResult]:
+def shared_paper_sweep() -> List[RunResult]:
     """One full-protocol sweep shared by the Figure 2 / Table 1 benches.
 
     The throughput, delay, and overhead columns of the paper all come
     from the same runs; sharing the sweep keeps the suite's wall time
     proportional to one comparison, not three.
     """
-    from repro.experiments.figures import simulation_sweep
+    from repro.experiments.runner import run_experiment
+    from repro.experiments.spec import ExperimentSpec
 
-    return simulation_sweep(
-        simulation_config(), topology_seeds(), jobs=sweep_jobs()
-    )
+    return run_experiment(ExperimentSpec(
+        seeds=topology_seeds(), jobs=sweep_jobs(),
+        config=simulation_config(),
+    ))

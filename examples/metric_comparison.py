@@ -14,7 +14,9 @@ import sys
 from repro.analysis.tables import render_comparison
 from repro.experiments import figures
 from repro.experiments.results import aggregate_runs, normalized_metric_table
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import SimulationScenarioConfig
+from repro.experiments.spec import ExperimentSpec
 
 
 def main() -> None:
@@ -30,7 +32,7 @@ def main() -> None:
         f"Running 6 protocols x {topologies} topologies "
         f"({config.num_nodes} nodes, {config.duration_s:.0f} s each) ..."
     )
-    runs = figures.simulation_sweep(config, seeds)
+    runs = run_experiment(ExperimentSpec(seeds=seeds, config=config))
     aggregates = aggregate_runs(runs)
 
     throughput = normalized_metric_table(aggregates, "throughput")

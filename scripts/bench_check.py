@@ -2,9 +2,12 @@
 
 Two always-on guards, each failing the script (exit 1) on violation:
 
-1. **Parallel consistency** -- a few-second mini-sweep run serially,
-   with a pool of 2 workers, and from the warm disk cache; every pass
-   must produce ``RunResult`` rows bit-identical to the serial
+1. **Differential oracle** -- a few-second mini-sweep through
+   :func:`repro.validation.fuzzing.differential_check`: serially (the
+   oracle), with a pool of 2 workers, stored cold into the disk cache
+   by that pool and replayed warm inline, under the adaptive and
+   campaign planners, per PHY backend and with telemetry on; every
+   pass must produce ``RunResult`` rows bit-identical to the serial
    baseline.
 2. **Vectorized no-regression** -- the dense-mesh micro benchmark from
    ``benchmarks/bench_perf_engine.py`` run once per reception backend;
@@ -13,8 +16,8 @@ Two always-on guards, each failing the script (exit 1) on violation:
    default, for timer noise on loaded CI hosts).  This is the gate
    that the numpy path stays an optimization, not just an alternative.
 
-The consistency check also runs under pytest as the ``perfsmoke``
-marker (``pytest -m perfsmoke``); it is deselected from the default
+The oracle also runs on the same mini-sweep under pytest as the
+``perfsmoke`` marker (``pytest -m perfsmoke``); it is deselected from the default
 tier-1 run to keep that fast.
 
 Usage: PYTHONPATH=src python scripts/bench_check.py [--jobs N]
@@ -29,7 +32,7 @@ import sys
 import tempfile
 import time
 
-from repro.experiments.parallel import verify_parallel_consistency
+from repro.validation.fuzzing import consistency_spec, differential_check
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
@@ -88,9 +91,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="repro-bench-check-") as cache:
-        divergences = verify_parallel_consistency(
-            jobs=args.jobs, cache_dir=cache
+    with tempfile.TemporaryDirectory(prefix="repro-bench-check-") as work:
+        divergences = differential_check(
+            consistency_spec(), jobs=args.jobs, work_dir=work
         )
     elapsed = time.perf_counter() - start
 
@@ -101,7 +104,8 @@ def main(argv=None) -> int:
         return 1
     print(
         f"bench_check: OK ({elapsed:.1f}s) -- serial, jobs={args.jobs}, "
-        "and warm-cache sweeps are bit-identical"
+        "cache, planner, PHY-backend and telemetry passes are "
+        "bit-identical"
     )
 
     if not args.skip_phy:

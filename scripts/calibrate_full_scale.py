@@ -20,13 +20,10 @@ import time
 
 from repro.analysis.tables import render_comparison
 from repro.experiments import figures
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.parallel import sweep_specs
-from repro.experiments.resilience import execute_runs_detailed
 from repro.experiments.results import aggregate_runs, normalized_metric_table
-from repro.experiments.scenarios import (
-    PROTOCOL_NAMES,
-    SimulationScenarioConfig,
-)
+from repro.experiments.spec import ExperimentSpec
 
 
 def log(message: str) -> None:
@@ -45,11 +42,13 @@ def main(argv=None) -> int:
 
     seeds = tuple(range(1, args.topologies + 1))
     log(f"simulation sweep: seeds {seeds}, jobs={args.jobs or 'auto'}")
-    specs = sweep_specs(SimulationScenarioConfig(), PROTOCOL_NAMES, seeds)
+    spec = ExperimentSpec(
+        name="calibrate-full-scale", seeds=seeds, jobs=args.jobs,
+        use_cache=not args.no_cache,
+    ).validate()
+    specs = sweep_specs(spec.config, spec.protocols, spec.seeds)
     wall_start = time.time()
-    outcomes = execute_runs_detailed(
-        specs, jobs=args.jobs, use_cache=not args.no_cache
-    )
+    outcomes = SweepExecutor.for_spec(spec).execute(specs)
     runs = []
     for outcome in outcomes:
         result = outcome.result

@@ -11,9 +11,12 @@ Most users want one of:
 
 * :mod:`repro.core` -- the metrics themselves (pure algebra, no
   simulator needed).
-* :func:`repro.experiments.run_protocol` /
-  :func:`repro.experiments.compare_protocols` -- run the paper's
-  Section 4 simulation scenario.
+* :func:`repro.experiments.run_protocol` -- run one protocol on the
+  paper's Section 4 simulation scenario;
+  :func:`repro.experiments.run_experiment` runs a whole
+  :class:`~repro.experiments.ExperimentSpec` sweep (protocols x
+  topologies), every sweep through one
+  :class:`~repro.experiments.SweepExecutor`.
 * :func:`repro.testbed.build_testbed_scenario` -- the Section 5 testbed
   experiment.
 """

@@ -117,6 +117,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def cmd_fig2_sim(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_experiment
+    from repro.experiments.spec import ExperimentSpec
+
     config = _simulation_config(args)
     seeds = _seeds(args)
     print(
@@ -124,9 +127,10 @@ def cmd_fig2_sim(args: argparse.Namespace) -> int:
         f"({config.num_nodes} nodes, {config.duration_s:.0f} s each, "
         f"jobs={args.jobs}) ..."
     )
-    runs = figures.simulation_sweep(
-        config, seeds, jobs=args.jobs, use_cache=not args.no_cache
-    )
+    runs = run_experiment(ExperimentSpec(
+        seeds=seeds, jobs=args.jobs, use_cache=not args.no_cache,
+        config=config,
+    ))
     if not _warn_failed_runs(runs):
         return 1
     aggregates = aggregate_runs(runs)

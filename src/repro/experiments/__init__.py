@@ -2,17 +2,21 @@
 
 * :mod:`repro.experiments.scenarios` -- build a ready-to-run protocol
   stack (network + probing + routers + traffic) for one protocol variant.
-* :mod:`repro.experiments.runner` -- run variants across topologies and
-  collect :class:`~repro.experiments.results.RunResult` rows.
+* :mod:`repro.experiments.runner` -- run one protocol on one topology,
+  or a whole :class:`~repro.experiments.spec.ExperimentSpec` sweep
+  (:func:`~repro.experiments.runner.run_experiment`), and collect
+  :class:`~repro.experiments.results.RunResult` rows.
 * :mod:`repro.experiments.results` -- aggregation and normalization.
 * :mod:`repro.experiments.spec` -- declarative, serializable
   :class:`~repro.experiments.spec.ExperimentSpec` sweeps (TOML/JSON).
 * :mod:`repro.experiments.figures` -- one entry point per paper table or
   figure (the benchmark suite calls these).
-* :mod:`repro.experiments.resilience` -- the sweep engine: inline or
-  persistent supervised workers, per-run timeouts, retry with backoff,
-  a failure taxonomy, and a durable journal enabling ``repro run
-  --resume``.
+* :mod:`repro.experiments.executors` -- :class:`SweepExecutor`, the
+  one way a list of runs executes: inline or on persistent supervised
+  workers.
+* :mod:`repro.experiments.resilience` -- what the engine is built from:
+  per-run timeouts, retry with backoff, a failure taxonomy, and a
+  durable journal enabling ``repro run --resume``.
 * :mod:`repro.experiments.chaos` -- fault injection harness asserting
   the engine recovers (``repro chaos`` / ``pytest -m chaos``).
 * :mod:`repro.experiments.adaptive` -- sequential seed allocation with
@@ -25,6 +29,7 @@ from repro.experiments.adaptive import (
     AdaptiveResult,
     run_adaptive_experiment,
 )
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.faults import (
     FailureInjector,
     FaultPlan,
@@ -38,7 +43,6 @@ from repro.experiments.resilience import (
     RetryPolicy,
     SweepJournal,
     classify_failure,
-    execute_runs_detailed,
 )
 from repro.experiments.results import (
     AggregateResult,
@@ -46,22 +50,14 @@ from repro.experiments.results import (
     aggregate_runs,
     normalized_metric_table,
 )
-from repro.experiments.runner import (
-    compare_protocols,
-    run_experiment,
-    run_protocol,
-)
+from repro.experiments.runner import run_experiment, run_protocol
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
     SimulationScenario,
     SimulationScenarioConfig,
     build_simulation_scenario,
 )
-from repro.experiments.spec import (
-    ExperimentSpec,
-    SpecError,
-    load_experiment_spec,
-)
+from repro.experiments.spec import ExperimentSpec, SpecError
 
 __all__ = [
     "AdaptiveConfig",
@@ -73,10 +69,8 @@ __all__ = [
     "PROTOCOL_NAMES",
     "ExperimentSpec",
     "SpecError",
-    "load_experiment_spec",
     "run_experiment",
     "run_protocol",
-    "compare_protocols",
     "RunResult",
     "AggregateResult",
     "aggregate_runs",
@@ -87,7 +81,7 @@ __all__ = [
     "RetryPolicy",
     "SweepJournal",
     "classify_failure",
-    "execute_runs_detailed",
+    "SweepExecutor",
     "FailureInjector",
     "FaultPlan",
     "FlappingSpec",

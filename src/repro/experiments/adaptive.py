@@ -1,6 +1,6 @@
 """Adaptive sweeps: sequential seed allocation with CI-driven stopping.
 
-The exhaustive sweep (:func:`~repro.experiments.runner.compare_protocols`)
+The exhaustive sweep (:func:`~repro.experiments.runner.run_experiment`)
 spends the same seed budget on every protocol -- as many runs on
 low-variance SPP as on the noisiest ETX variant.  This module plans the
 sweep *sequentially* instead: seeds are executed in small batches per
@@ -26,12 +26,12 @@ pairing buys).
 
 Execution and replay
 --------------------
-Batches run through the ordinary executor
-(:func:`~repro.experiments.executors.execute_spec_runs`), one executor
-per batch, and a journaled sweep's journal accumulates batch after
-batch because batch keys never overlap.  After every batch the planner
-appends an ``adaptive-plan`` record to the sweep journal (when one is
-in play) capturing the per-protocol stopping decision; the whole plan
+Batches run through one ordinary executor per sweep
+(:meth:`~repro.experiments.executors.SweepExecutor.for_spec`), and a
+journaled sweep's journal accumulates batch after batch because batch
+keys never overlap.  After every batch the planner appends an
+``adaptive-plan`` record to the executor's journal (when it keeps one)
+capturing the per-protocol stopping decision; the whole plan
 is a pure function of journal-replayable run results, so ``repro run
 --adaptive --resume`` replays the identical batch-by-batch plan bit for
 bit.
@@ -388,29 +388,6 @@ def _decide(
 
 
 # ----------------------------------------------------------------------
-# Journal plumbing
-
-
-def plan_journal_path(
-    spec: "ExperimentSpec",
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    journal_path: Optional[str] = None,
-) -> Optional[str]:
-    """Where this sweep's plan records land: the journal its runs use
-    (:func:`~repro.experiments.executors.journal_path_for`), or
-    ``None`` when the sweep keeps no journal.
-    """
-    from repro.experiments.executors import journal_path_for
-
-    return journal_path_for(
-        cache_dir=cache_dir, journal_path=journal_path,
-        resume=resume, run_timeout_s=spec.run_timeout_s,
-        max_retries=spec.max_retries,
-    )
-
-
-# ----------------------------------------------------------------------
 # The sequential executor loop
 
 
@@ -425,7 +402,7 @@ def run_adaptive_experiment(
 
     Accepts the same execution knobs as
     :func:`~repro.experiments.runner.run_experiment` and routes every
-    batch through :func:`~repro.experiments.executors.execute_spec_runs`,
+    batch through one :class:`~repro.experiments.executors.SweepExecutor`,
     so cache/resilience behavior is identical to an exhaustive
     sweep -- the only difference is *which* (protocol, seed) cells get
     executed.  Because each cell is seed-deterministic and the stopping
@@ -433,7 +410,7 @@ def run_adaptive_experiment(
     deterministic: any jobs count, cache state, or mid-sweep
     ``--resume`` reproduces the identical batch sequence.
     """
-    from repro.experiments.executors import execute_spec_runs
+    from repro.experiments.executors import SweepExecutor
     from repro.experiments.parallel import RunSpec
     from repro.experiments.resilience import SweepJournal
 
@@ -446,8 +423,8 @@ def run_adaptive_experiment(
         name: (0 if adaptive.paired else index * stride)
         for index, name in enumerate(spec.protocols)
     }
-    plan_path = plan_journal_path(
-        spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path
+    executor = SweepExecutor.for_spec(
+        spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path,
     )
 
     result = AdaptiveResult(
@@ -469,10 +446,7 @@ def run_adaptive_experiment(
             for seed in batch_seeds
             for protocol in batch_protocols
         ]
-        outcomes = execute_spec_runs(
-            spec, specs, progress=progress, cache_dir=cache_dir,
-            resume=resume, journal_path=journal_path,
-        )
+        outcomes = executor.execute(specs, progress=progress)
         for outcome in outcomes:
             run = outcome.result
             result.runs.append(run)
@@ -502,9 +476,9 @@ def run_adaptive_experiment(
             decisions=decisions,
         )
         result.batches.append(batch)
-        if plan_path is not None:
+        if executor.journal_path is not None:
             SweepJournal.append_plan(
-                plan_path, ADAPTIVE_PLAN_KEY, spec.name, batch.index,
+                executor.journal_path, ADAPTIVE_PLAN_KEY, spec.name, batch.index,
                 batch.plan_dict(),
             )
         active = [d.protocol for d in decisions if not d.stopped]

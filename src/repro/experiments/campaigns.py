@@ -851,20 +851,17 @@ def run_campaign_experiment(
     spec's seeds, the exact cells an exhaustive sweep would run); each
     subsequent phase executes one sampled fault configuration against
     every (protocol, seed) cell with ``config.faults`` replaced by the
-    draw's per-seed plan.  Every phase routes through
-    :func:`~repro.experiments.executors.execute_spec_runs`, so cache
+    draw's per-seed plan.  Every phase routes through one
+    :class:`~repro.experiments.executors.SweepExecutor`, so cache
     and resilience behavior match ordinary sweeps -- distinct fault
     plans hash to distinct cache keys.  After each draw a
-    ``campaign-plan`` record lands in the sweep journal (when one is in
-    play): the plan is a pure function of the master seed, so
+    ``campaign-plan`` record lands in the executor's journal (when it
+    keeps one): the plan is a pure function of the master seed, so
     ``--resume`` reproduces it bit for bit and the journaled records
     double as a tamper check.
     """
-    from repro.experiments.adaptive import (
-        default_baseline,
-        plan_journal_path,
-    )
-    from repro.experiments.executors import execute_spec_runs
+    from repro.experiments.adaptive import default_baseline
+    from repro.experiments.executors import SweepExecutor
     from repro.experiments.parallel import RunSpec
     from repro.experiments.resilience import SweepJournal
 
@@ -873,15 +870,12 @@ def run_campaign_experiment(
     baseline = campaign.baseline or default_baseline(spec.protocols)
     seeds = tuple(spec.seeds)
     draws = draw_campaign(campaign, spec.config, seeds)
-    plan_path = plan_journal_path(
-        spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path
+    executor = SweepExecutor.for_spec(
+        spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path,
     )
 
     def _execute(specs):
-        return execute_spec_runs(
-            spec, specs, progress=progress, cache_dir=cache_dir,
-            resume=resume, journal_path=journal_path,
-        )
+        return executor.execute(specs, progress=progress)
 
     result = CampaignResult(
         name=spec.name,
@@ -912,9 +906,9 @@ def run_campaign_experiment(
         result.draw_runs.append(
             [outcome.result for outcome in _execute(draw_specs)]
         )
-        if plan_path is not None:
+        if executor.journal_path is not None:
             SweepJournal.append_plan(
-                plan_path, CAMPAIGN_PLAN_KEY, spec.name, draw.index,
+                executor.journal_path, CAMPAIGN_PLAN_KEY, spec.name, draw.index,
                 draw.plan_dict(),
             )
     return result

@@ -2,8 +2,8 @@
 
 Injects real worker faults -- hangs, aborts, SIGKILLs, allocation
 failures, raised exceptions, cache corruption -- into supervised sweeps
-and asserts the engine (:mod:`repro.experiments.resilience`)
-recovers: faulted runs are retried to bit-identical results, exhausted
+and asserts the engine
+(:meth:`repro.experiments.executors.SweepExecutor.execute`) recovers: faulted runs are retried to bit-identical results, exhausted
 runs are quarantined without aborting the sweep, corrupted cache
 entries recompute, and an interrupted sweep resumes from its journal.
 
@@ -39,12 +39,12 @@ from repro.experiments.parallel import (
     cache_store,
     sweep_specs,
 )
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.resilience import (
     FailureKind,
     ResilienceConfig,
     RetryPolicy,
     SweepJournal,
-    execute_runs_detailed,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -364,10 +364,10 @@ def run_chaos(
 
     # -- Phase 1: baseline ------------------------------------------------
     say(f"chaos: baseline sweep ({len(specs)} runs, jobs={jobs}) ...")
-    baseline = execute_runs_detailed(
-        specs, jobs=jobs, cache_dir=cache_dir,
+    baseline = SweepExecutor(
+        jobs=jobs, cache_dir=cache_dir,
         journal_path=os.path.join(work_dir, "baseline.jsonl"),
-    )
+    ).execute(specs)
     clean = all(outcome.result.error is None for outcome in baseline)
     report.add(
         "baseline-clean", clean,
@@ -397,13 +397,13 @@ def run_chaos(
     say(f"chaos: fault storm ({', '.join(sorted(set(faulted.values())))}) ...")
     journal_path = os.path.join(work_dir, "faulted.jsonl")
     with active_plan(plan, work_dir):
-        stormed = execute_runs_detailed(
-            specs, jobs=jobs, cache_dir=cache_dir,
+        stormed = SweepExecutor(
+            jobs=jobs, cache_dir=cache_dir,
             resilience=ResilienceConfig(
                 run_timeout_s=timeout_s, retry=retry,
             ),
             journal_path=journal_path,
-        )
+        ).execute(specs)
     recovered = all(outcome.result.error is None for outcome in stormed)
     report.add(
         "chaos-recovered", recovered,
@@ -439,13 +439,13 @@ def run_chaos(
                    action="hang", attempt=None),
     ))
     with active_plan(plan, work_dir):
-        degraded = execute_runs_detailed(
-            specs, jobs=jobs, cache_dir=cache_dir,
+        degraded = SweepExecutor(
+            jobs=jobs, cache_dir=cache_dir,
             resilience=ResilienceConfig(
                 run_timeout_s=timeout_s, retry=quarantine_retry,
             ),
             journal_path=os.path.join(work_dir, "quarantine.jsonl"),
-        )
+        ).execute(specs)
     victim_outcome = next(
         o for o in degraded
         if (o.spec.protocol, o.spec.seed)
@@ -496,10 +496,10 @@ def run_chaos(
     orphan = _cache_path(cache_dir, specs[0].cache_key()) + ".tmp.99999"
     with open(orphan, "w", encoding="utf-8") as handle:
         handle.write('{"half": "written')
-    rebuilt = execute_runs_detailed(
-        specs, jobs=jobs, use_cache=True, cache_dir=cache_dir,
+    rebuilt = SweepExecutor(
+        jobs=jobs, use_cache=True, cache_dir=cache_dir,
         journal_path=os.path.join(work_dir, "cache.jsonl"),
-    )
+    ).execute(specs)
     cache_identical = _results(rebuilt) == _results(baseline)
     recomputed = not rebuilt[0].from_cache and rebuilt[0].result.error is None
     quarantine_file = (
@@ -519,10 +519,9 @@ def run_chaos(
     resume_journal = os.path.join(work_dir, "resume.jsonl")
     interrupted = False
     try:
-        execute_runs_detailed(
-            specs, jobs=1, cache_dir=cache_dir,
-            journal_path=resume_journal, progress=_interrupt_after_first(),
-        )
+        SweepExecutor(
+            jobs=1, cache_dir=cache_dir, journal_path=resume_journal,
+        ).execute(specs, progress=_interrupt_after_first())
     except KeyboardInterrupt:
         interrupted = True
     journaled = SweepJournal.replay(resume_journal)
@@ -536,10 +535,10 @@ def run_chaos(
         f"interrupted={interrupted}, {len(journaled)}/{len(specs)} "
         "run(s) journaled consistently",
     )
-    resumed = execute_runs_detailed(
-        specs, jobs=jobs, cache_dir=cache_dir,
-        journal_path=resume_journal, resume=True,
-    )
+    resumed = SweepExecutor(
+        jobs=jobs, cache_dir=cache_dir, journal_path=resume_journal,
+        resume=True,
+    ).execute(specs)
     replayed = [outcome for outcome in resumed if outcome.from_journal]
     resume_identical = _results(resumed) == _results(baseline)
     report.add(

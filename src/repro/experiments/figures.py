@@ -22,11 +22,12 @@ from repro.experiments.results import (
     aggregate_runs,
     normalized_metric_table,
 )
-from repro.experiments.runner import collect_result, compare_protocols
+from repro.experiments.runner import collect_result, run_experiment
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
     SimulationScenarioConfig,
 )
+from repro.experiments.spec import ExperimentSpec
 from repro.testbed.emulator import TestbedScenarioConfig, build_testbed_scenario
 
 #: The five metric-enhanced variants (everything in the paper family
@@ -168,26 +169,6 @@ def figure3_etx_vs_spp() -> FigureResult:
 # ----------------------------------------------------------------------
 # Simulation columns of Figure 2 (and Table 1)
 
-def simulation_sweep(
-    config: Optional[SimulationScenarioConfig] = None,
-    seeds: Iterable[int] = (1, 2, 3),
-    protocols: Sequence[str] = PROTOCOL_NAMES,
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-) -> List[RunResult]:
-    """Run the Section 4 comparison once; several figures share it.
-
-    ``jobs``/``use_cache`` fan the grid out across processes and replay
-    unchanged runs from disk (see :mod:`repro.experiments.parallel`);
-    results are bit-identical to the serial path either way.
-    """
-    return compare_protocols(
-        config, protocols=protocols, topology_seeds=seeds,
-        jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-    )
-
-
 def figure2_throughput_simulations(
     config: Optional[SimulationScenarioConfig] = None,
     seeds: Iterable[int] = (1, 2, 3),
@@ -195,7 +176,9 @@ def figure2_throughput_simulations(
 ) -> FigureResult:
     """Figure 2, column "Throughput-simulations"."""
     if runs is None:
-        runs = simulation_sweep(config, seeds)
+        runs = run_experiment(ExperimentSpec(
+            seeds=seeds, config=config or SimulationScenarioConfig(),
+        ))
     aggregates = aggregate_runs(runs)
     measured = normalized_metric_table(aggregates, "throughput")
     return FigureResult(
@@ -213,7 +196,9 @@ def figure2_delay(
 ) -> FigureResult:
     """Figure 2, column "Delay" (normalized mean end-to-end delay)."""
     if runs is None:
-        runs = simulation_sweep(config, seeds)
+        runs = run_experiment(ExperimentSpec(
+            seeds=seeds, config=config or SimulationScenarioConfig(),
+        ))
     aggregates = aggregate_runs(runs)
     measured = normalized_metric_table(aggregates, "delay")
     return FigureResult(
@@ -237,8 +222,9 @@ def figure2_throughput_high_overhead(
     """
     if config is None:
         config = SimulationScenarioConfig()
-    boosted = config.with_probing_rate(rate_multiplier)
-    runs = compare_protocols(boosted, topology_seeds=seeds)
+    runs = run_experiment(ExperimentSpec(
+        seeds=seeds, config=config.with_probing_rate(rate_multiplier),
+    ))
     aggregates = aggregate_runs(runs)
     measured = normalized_metric_table(aggregates, "throughput")
     return FigureResult(
@@ -258,10 +244,10 @@ def table1_probing_overhead(
 ) -> FigureResult:
     """Table 1: probe bytes as a percentage of data bytes received."""
     if runs is None:
-        runs = simulation_sweep(
-            config, seeds, protocols=METRIC_PROTOCOLS,
-            jobs=jobs, use_cache=use_cache,
-        )
+        runs = run_experiment(ExperimentSpec(
+            protocols=METRIC_PROTOCOLS, seeds=seeds, jobs=jobs,
+            use_cache=use_cache, config=config or SimulationScenarioConfig(),
+        ))
     aggregates = aggregate_runs(runs)
     measured = {
         name: agg.mean_probe_overhead_pct
@@ -292,10 +278,10 @@ def probing_rate_sensitivity(
         config = SimulationScenarioConfig()
     results: Dict[float, FigureResult] = {}
     for multiplier in multipliers:
-        tuned = config.with_probing_rate(multiplier)
-        runs = compare_protocols(
-            tuned, protocols=protocols, topology_seeds=seeds
-        )
+        runs = run_experiment(ExperimentSpec(
+            protocols=protocols, seeds=seeds,
+            config=config.with_probing_rate(multiplier),
+        ))
         aggregates = aggregate_runs(runs)
         measured = normalized_metric_table(aggregates, "throughput")
         results[multiplier] = FigureResult(
@@ -324,10 +310,10 @@ def multi_source_gain_reduction(
         config = SimulationScenarioConfig()
     results: Dict[int, FigureResult] = {}
     for count in source_counts:
-        adjusted = replace(config, sources_per_group=count)
-        runs = compare_protocols(
-            adjusted, protocols=protocols, topology_seeds=seeds
-        )
+        runs = run_experiment(ExperimentSpec(
+            protocols=protocols, seeds=seeds,
+            config=replace(config, sources_per_group=count),
+        ))
         aggregates = aggregate_runs(runs)
         measured = normalized_metric_table(aggregates, "throughput")
         results[count] = FigureResult(

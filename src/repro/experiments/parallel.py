@@ -4,17 +4,17 @@ The paper's sweeps (6 protocol variants x 10 topology seeds, Section 4)
 are embarrassingly parallel: every run is fully determined by its
 ``(protocol, config, seed)`` triple and shares no state with any other
 run.  A :class:`RunSpec` is that triple -- small and picklable, so the
-scenario is built wherever the run executes.  The engine that executes
-a list of specs (inline, or on persistent supervised worker processes)
-is :func:`repro.experiments.resilience.execute_runs_detailed`;
-:func:`execute_runs` here is its bare-results form.
+scenario is built wherever the run executes.  A list of specs executes
+(inline, or on persistent supervised worker processes) through
+:meth:`repro.experiments.executors.SweepExecutor.execute`.
 
 Determinism is inherited, not re-engineered: every RNG stream in a run is
 derived from the spec's seeds (see :mod:`repro.sim.rng`), so a run
 produces a bit-identical :class:`RunResult` whether it executes inline,
 in a worker process, or is replayed from the cache.
-:func:`verify_parallel_consistency` (behind ``scripts/bench_check.py``
-and the perfsmoke tier) asserts this.
+:func:`repro.validation.fuzzing.differential_check` (behind
+``scripts/bench_check.py``, the perfsmoke tier and the fuzz tier)
+asserts this.
 
 Failure containment: a run that raises returns an *error-annotated*
 result (``RunResult.error`` holds the traceback and all measurements
@@ -38,7 +38,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (resilience -> here)
     from repro.experiments.resilience import FailureKind
@@ -268,7 +268,7 @@ def sweep_stale_cache_tmps(cache_dir: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Sweep execution
+# Sweep shape
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -276,29 +276,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None or jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def execute_runs(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[RunResult]:
-    """Execute ``specs`` and return bare results, in spec order.
-
-    See :func:`repro.experiments.resilience.execute_runs_detailed`.
-    """
-    # Imported here: resilience builds on this module.
-    from repro.experiments.resilience import execute_runs_detailed
-
-    return [
-        outcome.result
-        for outcome in execute_runs_detailed(
-            specs, jobs=jobs, use_cache=use_cache,
-            cache_dir=cache_dir, progress=progress,
-        )
-    ]
 
 
 def sweep_specs(
@@ -312,57 +289,3 @@ def sweep_specs(
         for seed in topology_seeds
         for protocol in protocols
     ]
-
-
-# ----------------------------------------------------------------------
-# Consistency gate (used by scripts/bench_check.py and the perfsmoke test)
-
-
-def verify_parallel_consistency(
-    config: Optional[SimulationScenarioConfig] = None,
-    protocols: Sequence[str] = ("odmrp", "spp"),
-    topology_seeds: Sequence[int] = (1,),
-    jobs: int = 2,
-    cache_dir: Optional[str] = None,
-) -> List[str]:
-    """Run a sweep inline and on workers; describe any divergence.
-
-    Returns an empty list when every (protocol, seed) pair produced an
-    identical :class:`RunResult` both ways -- the property the parallel
-    subsystem exists to preserve.  When ``cache_dir`` is given, a third
-    pass replays the sweep from the warm cache and is held to the same
-    standard.
-    """
-    if config is None:
-        config = SimulationScenarioConfig(
-            num_nodes=10,
-            area_width_m=500.0,
-            area_height_m=500.0,
-            num_groups=1,
-            members_per_group=3,
-            duration_s=15.0,
-            warmup_s=5.0,
-        )
-    specs = sweep_specs(config, protocols, topology_seeds)
-    serial = execute_runs(specs, jobs=1, use_cache=False)
-    pooled = execute_runs(specs, jobs=jobs, use_cache=cache_dir is not None,
-                          cache_dir=cache_dir)
-    passes: Dict[str, List[RunResult]] = {f"jobs={jobs}": pooled}
-    if cache_dir is not None:
-        passes["warm-cache"] = execute_runs(
-            specs, jobs=1, use_cache=True, cache_dir=cache_dir
-        )
-
-    divergences: List[str] = []
-    for label, results in passes.items():
-        for spec, baseline, candidate in zip(specs, serial, results):
-            where = f"{spec.protocol}/seed={spec.seed} [{label}]"
-            if candidate.error is not None:
-                divergences.append(f"{where}: run failed: {candidate.error}")
-            elif baseline != candidate:
-                divergences.append(
-                    f"{where}: diverged from serial "
-                    f"(serial delivered={baseline.delivered_packets}, "
-                    f"got delivered={candidate.delivered_packets})"
-                )
-    return divergences

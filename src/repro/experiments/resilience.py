@@ -1,18 +1,17 @@
-"""Sweep execution: supervised workers, retries, and a durable journal.
+"""Sweep resilience: failure taxonomy, retries, journal, supervised workers.
 
-:func:`execute_runs_detailed` is the one engine every local sweep runs
-through.  It takes the picklable :class:`~repro.experiments.parallel.
-RunSpec` list a sweep is made of and returns one
-:class:`~repro.experiments.parallel.RunOutcome` per spec, in spec
-order, bit-identical whatever the job count.  At paper scale (hundreds
-of 50-node runs, hours of wall time) a pathological topology can hang a
-run, the kernel OOM-killer can shoot a worker, and Ctrl-C arrives
-mid-sweep, so the engine makes sweeps survivable:
+:meth:`repro.experiments.executors.SweepExecutor.execute` is the one
+engine every sweep runs through; this module holds the pieces it is
+built from.  At paper scale (hundreds of 50-node runs, hours of wall
+time) a pathological topology can hang a run, the kernel OOM-killer
+can shoot a worker, and Ctrl-C arrives mid-sweep, so sweeps are made
+survivable:
 
 * **Inline or persistent workers.**  One job without a timeout runs
   inline: the serial reference every bit-identity check compares
   against, and the only mode an in-process tracer sees.  Otherwise at
-  most ``jobs`` child processes each serve run after run over a pipe.
+  most ``jobs`` child processes (:class:`_Worker`) each serve run after
+  run over a pipe.
 * **Per-run wall-clock timeouts**, enforced from the parent: a run that
   exceeds ``ResilienceConfig.run_timeout_s`` has its worker terminated
   (SIGTERM, then SIGKILL after a grace period) and is re-dispatched.
@@ -38,7 +37,7 @@ mid-sweep, so the engine makes sweeps survivable:
   run keyed by ``RunSpec.cache_key()``.  ``repro run --resume`` replays
   completed runs from the journal and re-dispatches only the failures.
   Which sweeps journal is decided in one place,
-  :func:`repro.experiments.executors.journal_path_for`.
+  :meth:`repro.experiments.executors.SweepExecutor.for_spec`.
 * **Graceful Ctrl-C**: an interrupt stops the sweep, puts down active
   workers, and leaves the journal consistent (records are written
   atomically per line), then raises ``KeyboardInterrupt``.  Re-running
@@ -54,40 +53,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
 import json
-import multiprocessing
 import os
 import signal
-import threading
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-# Cache loads and stores go through the module so that instrumentation
-# wrapping ``parallel.cache_load`` / ``cache_store`` sees every call.
 from repro.experiments import parallel
 from repro.experiments.parallel import (
-    ProgressCallback,
-    RunOutcome,
     RunSpec,
     _error_result,
-    _execute_spec,
     resolve_cache_dir,
-    resolve_jobs,
-    sweep_stale_cache_tmps,
 )
 from repro.experiments.results import RunResult
 
@@ -126,7 +105,7 @@ class FailureKind(Enum):
     EXCEPTION = "exception"
 
 
-#: Kinds the default policy considers transient.
+#: Kinds :class:`RetryPolicy` retries; every other kind quarantines.
 TRANSIENT_KINDS = frozenset(
     {FailureKind.TIMEOUT, FailureKind.WORKER_CRASH, FailureKind.OOM}
 )
@@ -164,34 +143,37 @@ def _prefixed_error(kind: FailureKind, detail: str) -> str:
     return f"{kind.name}: {detail}"
 
 
+#: Backoffs are stretched by up to this fraction of themselves.
+JITTER_FRACTION = 0.25
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff and deterministic jitter.
 
-    ``max_retries`` counts *re*-dispatches: a run is attempted at most
-    ``max_retries + 1`` times.  The backoff for attempt ``n`` (0-based,
-    i.e. before re-dispatch ``n+1``) is
-    ``min(backoff_max_s, backoff_base_s * 2**n)`` stretched by up to
-    ``jitter_fraction``; the jitter is derived from a hash of the run's
-    cache key and attempt number, so a replayed sweep waits the exact
-    same amounts -- no wall-clock randomness leaks into scheduling.
+    Only :data:`TRANSIENT_KINDS` retry.  ``max_retries`` counts
+    *re*-dispatches: a run is attempted at most ``max_retries + 1``
+    times.  The backoff for attempt ``n`` (0-based, i.e. before
+    re-dispatch ``n+1``) is ``min(backoff_max_s, backoff_base_s * 2**n)``
+    stretched by up to :data:`JITTER_FRACTION`; the jitter is derived
+    from a hash of the run's cache key and attempt number, so a replayed
+    sweep waits the exact same amounts -- no wall-clock randomness leaks
+    into scheduling.
     """
 
     max_retries: int = 2
     backoff_base_s: float = 0.25
     backoff_max_s: float = 30.0
-    jitter_fraction: float = 0.25
-    retryable: frozenset = TRANSIENT_KINDS
 
     def should_retry(self, kind: FailureKind, attempt: int) -> bool:
         """May attempt ``attempt`` (0-based) be re-dispatched?"""
-        return kind in self.retryable and attempt < self.max_retries
+        return kind in TRANSIENT_KINDS and attempt < self.max_retries
 
     def backoff_s(self, key: str, attempt: int) -> float:
         base = min(self.backoff_max_s, self.backoff_base_s * (2 ** attempt))
         digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
         unit = int.from_bytes(digest[:8], "big") / float(2 ** 64)
-        return base * (1.0 + self.jitter_fraction * unit)
+        return base * (1.0 + JITTER_FRACTION * unit)
 
 
 @dataclass(frozen=True)
@@ -610,257 +592,3 @@ class _Worker:
             self.proc.join(grace_s)
         _put_down(self.proc, grace_s)
         self.conn.close()
-
-
-# ----------------------------------------------------------------------
-# The sweep engine
-
-
-def execute_runs_detailed(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-    resilience: Optional[ResilienceConfig] = None,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
-    worker: WorkerFn = _execute_spec,
-) -> List[RunOutcome]:
-    """Execute run specs; returns one outcome per spec, in spec order.
-
-    ``jobs=None`` or ``jobs<=0`` means one per CPU.  One job without a
-    ``run_timeout_s`` runs inline; otherwise at most ``jobs`` persistent
-    workers serve the runs, each replaced only after it dies or is put
-    down on timeout.  Both paths classify, retry, cache and -- when
-    ``journal_path`` is given -- journal runs alike; ``resume=True``
-    replays runs that journal already completed.  Ctrl-C (or SIGTERM,
-    under workers) stops the sweep with the journal consistent and
-    raises ``KeyboardInterrupt``.
-
-    ``worker`` exists for the chaos harness and tests: any picklable
-    top-level function with the :data:`WorkerFn` contract can stand in
-    for the real simulation worker.
-    """
-    jobs = resolve_jobs(jobs)
-    config = resilience if resilience is not None else ResilienceConfig()
-    directory = resolve_cache_dir(cache_dir)
-    if journal_path is not None:
-        # A journaled sweep is a resumable one: clear temp files a
-        # killed predecessor left in the cache and beside the journal.
-        # Unjournaled sweeps skip this so they never race a concurrent
-        # sweep's in-flight store.
-        sweep_stale_cache_tmps(directory)
-        SweepJournal.sweep_stale_tmps(journal_path)
-    replayed = (
-        SweepJournal.replay(journal_path)
-        if resume and journal_path is not None else {}
-    )
-
-    keys = [spec.cache_key() for spec in specs]
-    outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
-    pending: deque = deque()
-    for index, spec in enumerate(specs):
-        record = replayed.get(keys[index])
-        if record is not None and record.ok:
-            result = record.to_run_result()
-            if result is not None:
-                outcomes[index] = RunOutcome(
-                    spec, result, record.elapsed_s, from_cache=False,
-                    attempts=record.attempts, from_journal=True,
-                )
-                continue
-        if use_cache:
-            cached = parallel.cache_load(directory, keys[index])
-            if cached is not None:
-                outcomes[index] = RunOutcome(
-                    spec, cached, 0.0, from_cache=True
-                )
-                continue
-        pending.append((index, 0))
-
-    if not pending:
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    journal = SweepJournal(journal_path) if journal_path is not None \
-        else None
-    delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
-
-    def _finalize(
-        index: int,
-        result: RunResult,
-        attempts: int,
-        elapsed: float,
-        kind: Optional[FailureKind],
-    ) -> None:
-        spec = specs[index]
-        outcomes[index] = RunOutcome(
-            spec, result, elapsed, from_cache=False,
-            attempts=attempts, failure_kind=kind,
-        )
-        if journal is not None:
-            journal.record(spec, result, attempts, elapsed, kind)
-        if use_cache and result.error is None:
-            parallel.cache_store(directory, keys[index], result)
-        if progress is not None:
-            progress(spec.protocol, spec.seed)
-
-    def _fail(
-        index: int, attempt: int, kind: FailureKind, detail: str,
-        elapsed: float,
-    ) -> None:
-        """Retry a transient failure with backoff, else quarantine."""
-        if config.retry.should_retry(kind, attempt):
-            delay = config.retry.backoff_s(keys[index], attempt)
-            heapq.heappush(
-                delayed, (time.monotonic() + delay, index, attempt + 1)
-            )
-            return
-        result = _error_result(specs[index], _prefixed_error(kind, detail))
-        _finalize(index, result, attempt + 1, elapsed, kind)
-
-    def _settle(
-        index: int, attempt: int,
-        payload: Optional[Tuple[RunResult, float]],
-        exitcode: Optional[int], elapsed: float,
-    ) -> None:
-        kind, detail = _classify_report(payload, exitcode)
-        if payload is not None:
-            elapsed = payload[1]
-        if kind is None:
-            _finalize(index, payload[0], attempt + 1, elapsed, None)
-        else:
-            _fail(index, attempt, kind, detail, elapsed)
-
-    def _promote_due() -> None:
-        now = time.monotonic()
-        while delayed and delayed[0][0] <= now:
-            _, index, attempt = heapq.heappop(delayed)
-            pending.append((index, attempt))
-
-    def _run_inline() -> None:
-        while pending or delayed:
-            _promote_due()
-            if not pending:
-                time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                continue
-            index, attempt = pending.popleft()
-            spec = specs[index]
-            try:
-                payload = worker(spec)
-            except Exception:  # noqa: BLE001 - Ctrl-C must propagate
-                payload = (_error_result(spec, traceback.format_exc()), 0.0)
-            _settle(index, attempt, payload, None, 0.0)
-
-    def _run_workers() -> Optional[int]:
-        """Supervise the sweep; returns the signal that stopped it."""
-        ctx = multiprocessing.get_context()
-        slots = min(jobs, len(pending))
-        workers: List[_Worker] = []
-        stop: Dict[str, Optional[int]] = {"signal": None}
-
-        def _request_stop(signum: int, frame: Any) -> None:
-            stop["signal"] = signum
-
-        def _dispatch(entry: _Worker) -> None:
-            index, attempt = pending.popleft()
-            entry.dispatch(specs[index], index, attempt, config.run_timeout_s)
-
-        # Signal handlers can only be installed from the main thread; a
-        # supervisor running elsewhere still works, it just drains only
-        # on exceptions.
-        in_main = threading.current_thread() is threading.main_thread()
-        previous_handlers = {}
-        if in_main:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                previous_handlers[signum] = signal.signal(
-                    signum, _request_stop
-                )
-        try:
-            while (pending or delayed or any(w.busy for w in workers)) \
-                    and stop["signal"] is None:
-                _promote_due()
-                for entry in workers:
-                    if pending and not entry.busy:
-                        _dispatch(entry)
-                while pending and len(workers) < slots:
-                    workers.append(_Worker(ctx, worker))
-                    _dispatch(workers[-1])
-                busy = [entry for entry in workers if entry.busy]
-                if not busy:
-                    # Everything is waiting out a backoff: sleep until
-                    # the earliest becomes ready (in poll-sized slices
-                    # so a signal still drains promptly).
-                    time.sleep(min(
-                        config.poll_interval_s,
-                        max(0.0, delayed[0][0] - time.monotonic()),
-                    ))
-                    continue
-                ready = set(multiprocessing.connection.wait(
-                    [entry.conn for entry in busy],
-                    timeout=config.poll_interval_s,
-                ))
-                for entry in busy:
-                    if entry.conn not in ready:
-                        continue
-                    index, attempt = entry.index, entry.attempt
-                    payload = entry.receive()
-                    if payload is None:
-                        workers.remove(entry)
-                        _settle(
-                            index, attempt, None, entry.proc.exitcode,
-                            time.monotonic() - entry.started,
-                        )
-                        continue
-                    # Keep the worker busy before the parent-side
-                    # bookkeeping (fsync'd cache and journal writes).
-                    if pending and stop["signal"] is None:
-                        _dispatch(entry)
-                    _settle(index, attempt, payload, None, 0.0)
-                now = time.monotonic()
-                for entry in busy:
-                    if not entry.busy or entry.deadline is None \
-                            or now < entry.deadline or entry.conn.poll():
-                        continue  # reported, on time, or its report raced
-                    index, attempt = entry.index, entry.attempt
-                    workers.remove(entry)
-                    entry.shut_down(config.kill_grace_s)
-                    _fail(
-                        index, attempt, FailureKind.TIMEOUT,
-                        f"run exceeded the {config.run_timeout_s:.1f}s "
-                        "wall-clock budget; worker terminated by the "
-                        "supervisor",
-                        now - entry.started,
-                    )
-        finally:
-            for entry in workers:
-                entry.shut_down(config.kill_grace_s)
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)
-        return stop["signal"]
-
-    inline = jobs == 1 and config.run_timeout_s is None
-    interrupted = False
-    try:
-        if inline:
-            _run_inline()
-        else:
-            interrupted = _run_workers() is not None
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        if journal is not None:
-            journal.close()
-
-    if interrupted:
-        done = sum(outcome is not None for outcome in outcomes)
-        raise KeyboardInterrupt(
-            f"sweep interrupted after {done}/{len(specs)} run(s)"
-            + (f"; journal: {journal_path}" if journal_path else "")
-        )
-    if journal_path is not None:
-        # Clean completion: every spec has a surviving record, so
-        # superseded retry lines (and any torn line inherited from a
-        # crashed ancestor sweep) are dead weight -- drop them.
-        SweepJournal.compact(journal_path)
-    return [outcome for outcome in outcomes if outcome is not None]

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.experiments.results import RunResult
 from repro.experiments.scenarios import (
-    PROTOCOL_NAMES,
     SimulationScenario,
     SimulationScenarioConfig,
     build_simulation_scenario,
 )
-from repro.protocols import protocol_by_name
 from repro.telemetry.export import trace_filename, write_trace
 from repro.telemetry.manifest import build_manifest
 
@@ -150,67 +148,6 @@ def collect_result(
     )
 
 
-def compare_protocols(
-    config: Optional[SimulationScenarioConfig] = None,
-    protocols: Sequence[str] = PROTOCOL_NAMES,
-    topology_seeds: Iterable[int] = (1,),
-    progress: Optional[ProgressCallback] = None,
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    run_timeout_s: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    resume: bool = False,
-    journal_path: Optional[str] = None,
-) -> List[RunResult]:
-    """The paper's comparison loop: every protocol on every topology.
-
-    Execution goes through
-    :meth:`~repro.experiments.executors.SweepExecutor.execute`: ``jobs``
-    fans the (protocol, seed) grid out across persistent worker
-    processes (``jobs<=0`` means one per CPU); with
-    ``jobs=1`` and no ``run_timeout_s`` the runs execute inline, with no
-    pickling requirement on the config.  Every run is
-    seed-deterministic, so the returned list is identical to the serial
-    one in both order and content.  ``use_cache`` replays unchanged
-    runs from the on-disk result cache (see
-    :mod:`repro.experiments.parallel` for the key and its invalidation
-    rule).
-
-    Every path supervises the same way
-    (:mod:`repro.experiments.resilience`): a run that raises comes back
-    as an error-annotated :class:`RunResult` (``result.error`` holds the
-    ``KIND:``-prefixed traceback) rather than aborting the sweep, and
-    transient failures retry with backoff (``max_retries``, default 2).
-    ``run_timeout_s`` kills and retries a run past its wall-clock
-    budget.  Setting ``run_timeout_s`` / ``max_retries`` / ``resume`` /
-    ``journal_path`` journals finished runs, and ``resume=True``
-    replays previously completed runs instead of re-simulating them.
-    """
-    if config is None:
-        config = SimulationScenarioConfig()
-    # Resolve every name up front: a typo'd protocol fails here with the
-    # registry's valid-name listing instead of deep inside a worker.
-    for name in protocols:
-        protocol_by_name(name)
-
-    from repro.experiments.executors import create_executor
-    from repro.experiments.parallel import sweep_specs
-
-    specs = sweep_specs(config, tuple(protocols), tuple(topology_seeds))
-    executor = create_executor(
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        run_timeout_s=run_timeout_s,
-        max_retries=max_retries,
-        resume=resume,
-        journal_path=journal_path,
-    )
-    outcomes = executor.execute(specs, progress=progress)
-    return [outcome.result for outcome in outcomes]
-
-
 def run_experiment(
     spec: "ExperimentSpec",
     progress: Optional[ProgressCallback] = None,
@@ -221,12 +158,14 @@ def run_experiment(
     """Execute a declarative :class:`~repro.experiments.spec.ExperimentSpec`.
 
     The spec is validated (every protocol resolved through the registry)
-    before any simulation starts; execution then flows through the same
-    executor layer as :func:`compare_protocols`, so worker fan-out, the
-    result cache, and telemetry export all apply.  Specs that set
-    ``run_timeout_s`` / ``max_retries`` -- or callers passing
-    ``resume=True`` -- journal their runs (see
-    :mod:`repro.experiments.resilience`).
+    before any simulation starts; execution then goes through one
+    :class:`~repro.experiments.executors.SweepExecutor` built by
+    :meth:`~repro.experiments.executors.SweepExecutor.for_spec`, so
+    worker fan-out, the result cache, and telemetry export all apply.
+    Every run is seed-deterministic, so the returned list is identical
+    whatever the job count.  Specs that set ``run_timeout_s`` /
+    ``max_retries`` -- or callers passing ``resume=True`` -- journal
+    their runs (see :mod:`repro.experiments.resilience`).
 
     A spec with ``mobility_models`` runs the protocols x seeds grid once
     per listed model (``config.mobility.model`` replaced per cell) and
@@ -239,14 +178,17 @@ def run_experiment(
 
     spec.validate()
 
-    from repro.experiments.executors import execute_spec_runs
+    from repro.experiments.executors import SweepExecutor
     from repro.experiments.parallel import sweep_specs
 
+    executor = SweepExecutor.for_spec(
+        spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path,
+    )
+
     def _execute(config, label_suffix: str) -> List[RunResult]:
-        outcomes = execute_spec_runs(
-            spec, sweep_specs(config, spec.protocols, spec.seeds),
-            progress=progress, cache_dir=cache_dir, resume=resume,
-            journal_path=journal_path,
+        outcomes = executor.execute(
+            sweep_specs(config, spec.protocols, spec.seeds),
+            progress=progress,
         )
         results = [outcome.result for outcome in outcomes]
         if not label_suffix:

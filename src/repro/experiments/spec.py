@@ -1,7 +1,7 @@
 """Declarative experiment specs: a sweep as serializable data.
 
 An :class:`ExperimentSpec` captures everything
-:func:`~repro.experiments.runner.compare_protocols` needs -- the
+:func:`~repro.experiments.runner.run_experiment` needs -- the
 protocol list (resolved through the protocol registry), topology seeds,
 parallelism/caching knobs, and the full
 :class:`~repro.experiments.scenarios.SimulationScenarioConfig` -- as a
@@ -312,9 +312,23 @@ class ExperimentSpec:
         if any(not isinstance(seed, int) or isinstance(seed, bool)
                for seed in self.seeds):
             raise SpecError(f"seeds must be integers, got {self.seeds!r}")
-        if self.run_timeout_s is not None and self.run_timeout_s <= 0:
+        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise SpecError(
-                f"run_timeout_s must be positive, got {self.run_timeout_s!r}"
+                f"jobs must be an integer (<= 0 means one per CPU), "
+                f"got {self.jobs!r}"
+            )
+        if not isinstance(self.use_cache, bool):
+            raise SpecError(
+                f"use_cache must be true or false, got {self.use_cache!r}"
+            )
+        if self.run_timeout_s is not None and (
+            not isinstance(self.run_timeout_s, (int, float))
+            or isinstance(self.run_timeout_s, bool)
+            or self.run_timeout_s <= 0
+        ):
+            raise SpecError(
+                f"run_timeout_s must be a positive number of seconds, "
+                f"got {self.run_timeout_s!r}"
             )
         if self.max_retries is not None and (
             not isinstance(self.max_retries, int)
@@ -375,6 +389,10 @@ class ExperimentSpec:
                 mobility_model_by_name(model)
             except ValueError as exc:
                 raise SpecError(str(exc)) from exc
+        for key in ("protocols", "seeds", "mobility_models"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise SpecError(f"{key} has duplicates: {list(values)!r}")
         return self
 
     @property
@@ -531,12 +549,12 @@ class ExperimentSpec:
                     "run_timeout_s", "max_retries"):
             if key in data:
                 kwargs[key] = data[key]
-        if "protocols" in data:
-            kwargs["protocols"] = tuple(data["protocols"])
-        if "seeds" in data:
-            kwargs["seeds"] = tuple(data["seeds"])
-        if "mobility_models" in data:
-            kwargs["mobility_models"] = tuple(data["mobility_models"])
+        for key in ("protocols", "seeds", "mobility_models"):
+            if key not in data:
+                continue
+            if not isinstance(data[key], (list, tuple)):
+                raise SpecError(f"{key} must be a list, got {data[key]!r}")
+            kwargs[key] = tuple(data[key])
         if "adaptive" in data:
             kwargs["adaptive"] = _build_dataclass(
                 AdaptiveConfig, data["adaptive"], "adaptive"
@@ -630,7 +648,3 @@ class ExperimentSpec:
 def _is_json(path: str) -> bool:
     return path.lower().endswith(".json")
 
-
-def load_experiment_spec(path: str) -> ExperimentSpec:
-    """Module-level convenience alias for :meth:`ExperimentSpec.load`."""
-    return ExperimentSpec.load(path)

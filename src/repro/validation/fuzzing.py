@@ -10,17 +10,20 @@ on one hand-picked scenario:
   (topology size, metric/protocol mix, seeds, fault schedules) from a
   seeded generator, so every fuzz case is itself replayable.
 * :func:`differential_check` runs the spec through the serial path as
-  the oracle, then through jobs=N / cold-cache / warm-cache /
-  telemetry-enabled paths and reports any result that is not
-  bit-identical.
+  the oracle, then through jobs=N / pooled cold-cache / serial
+  warm-cache / telemetry-enabled paths and reports any result that is
+  not bit-identical.  It is the one bit-identity oracle:
+  ``scripts/bench_check.py``, the perfsmoke tier and the fuzz tier all
+  call it.
 * :func:`run_with_invariants` replays a spec serially with the runtime
   invariant monitors attached (:mod:`repro.validation.invariants`).
 * :func:`write_replay_spec` turns a caught
   :class:`~repro.validation.invariants.InvariantViolation` into a
   one-run spec file for ``repro validate --spec``.
 
-The CLI subcommand (``repro validate``) and the ``pytest -m fuzz`` tier
-are thin wrappers over these functions.
+The CLI subcommand (``repro validate``), ``scripts/bench_check.py`` and
+the ``pytest -m fuzz`` / ``-m perfsmoke`` tiers are thin wrappers over
+these functions.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ import os
 import random
 from typing import List, Optional, Sequence, Tuple
 
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
-from repro.experiments.parallel import execute_runs, sweep_specs
+from repro.experiments.parallel import sweep_specs
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_protocol
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -175,9 +179,10 @@ def differential_check(
     """Run ``spec`` through every execution path; describe divergences.
 
     The serial in-process sweep is the oracle.  Each alternate path --
-    worker processes, the adaptive sequential planner capped to the same
-    seed pool, a one-draw fault campaign, a cold-then-warm cache, a
-    telemetry-enabled serial pass, and one forced-``phy_backend``
+    ``jobs`` worker processes, the adaptive sequential planner capped to
+    the same seed pool, a one-draw fault campaign, a cache stored cold
+    by ``jobs`` workers then replayed warm inline, a telemetry-enabled
+    serial pass, and one forced-``phy_backend``
     serial pass per entry in ``phy_backends`` -- must reproduce the
     oracle's :class:`RunResult` rows bit-for-bit (the telemetry pass
     is compared with its artifact path masked, since the path is the
@@ -192,7 +197,7 @@ def differential_check(
     """
     spec.validate()
     specs = sweep_specs(spec.config, spec.protocols, spec.seeds)
-    baseline = execute_runs(specs, jobs=1, use_cache=False)
+    baseline = [o.result for o in SweepExecutor(jobs=1).execute(specs)]
     errors = [
         f"baseline: run ({r.protocol}, seed {r.topology_seed}) "
         f"errored: {r.error.splitlines()[-1]}"
@@ -204,7 +209,7 @@ def differential_check(
         # passes would only echo the same traceback four more times.
         return errors
 
-    pooled = execute_runs(specs, jobs=jobs, use_cache=False)
+    pooled = [o.result for o in SweepExecutor(jobs=jobs).execute(specs)]
     divergence = _first_difference(f"jobs={jobs}", baseline, pooled)
     if divergence:
         errors.append(divergence)
@@ -241,15 +246,15 @@ def differential_check(
 
     if work_dir is not None:
         cache_dir = os.path.join(work_dir, "fuzz-cache")
-        cold = execute_runs(
-            specs, jobs=1, use_cache=True, cache_dir=cache_dir
-        )
+        cold = [o.result for o in SweepExecutor(
+            jobs=jobs, use_cache=True, cache_dir=cache_dir,
+        ).execute(specs)]
         divergence = _first_difference("cache-cold", baseline, cold)
         if divergence:
             errors.append(divergence)
-        warm = execute_runs(
-            specs, jobs=1, use_cache=True, cache_dir=cache_dir
-        )
+        warm = [o.result for o in SweepExecutor(
+            jobs=1, use_cache=True, cache_dir=cache_dir,
+        ).execute(specs)]
         divergence = _first_difference("cache-warm", baseline, warm)
         if divergence:
             errors.append(divergence)
@@ -448,6 +453,26 @@ def default_validation_spec() -> ExperimentSpec:
             num_nodes=12,
             area_width_m=600.0,
             area_height_m=600.0,
+            num_groups=1,
+            members_per_group=3,
+            duration_s=15.0,
+            warmup_s=5.0,
+        ),
+    )
+
+
+def consistency_spec() -> ExperimentSpec:
+    """The mini-sweep ``scripts/bench_check.py`` and the perfsmoke tier
+    hold to :func:`differential_check`: two protocols on a 10-node mesh,
+    a few seconds of wall time."""
+    return ExperimentSpec(
+        name="consistency-mini",
+        protocols=("odmrp", "spp"),
+        seeds=(1,),
+        config=SimulationScenarioConfig(
+            num_nodes=10,
+            area_width_m=500.0,
+            area_height_m=500.0,
             num_groups=1,
             members_per_group=3,
             duration_s=15.0,

@@ -25,9 +25,9 @@ from repro.experiments.adaptive import (
     AdaptiveConfig,
     build_seed_pool,
     default_baseline,
-    plan_journal_path,
     run_adaptive_experiment,
 )
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.report import adaptive_section, render_report
 from repro.experiments.resilience import SweepJournal
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -275,13 +275,13 @@ class TestPlanJournal:
 
     def test_journal_path_resolution(self, tmp_path):
         plain = tiny_spec()
-        assert plan_journal_path(plain) is None
-        explicit = plan_journal_path(
+        assert SweepExecutor.for_spec(plain).journal_path is None
+        explicit = SweepExecutor.for_spec(
             plain, journal_path=str(tmp_path / "j.jsonl")
-        )
+        ).journal_path
         assert explicit == str(tmp_path / "j.jsonl")
         resilient = tiny_spec(run_timeout_s=30.0)
-        assert plan_journal_path(resilient) is not None
+        assert SweepExecutor.for_spec(resilient).journal_path is not None
 
 
 class TestReporting:

@@ -1,7 +1,9 @@
-"""Smoke tests for the example scripts and shipped spec files.
+"""Smoke tests for the example scripts, tools and shipped spec files.
 
 Each example script is importable (no work at import time) and exposes
-a ``main()``.  The fast ones are executed end-to-end; the slow ones
+a ``main()``; every ``scripts/*.py`` tool and ``benchmarks/bench_*.py``
+module imports, so a package name they use that goes away fails here
+rather than in CI or a benchmark run.  The fast ones are executed end-to-end; the slow ones
 (multi-minute sweeps) are only imported -- their underlying entry points
 are exercised by the benchmark suite anyway.  Every ``examples/*.toml``
 experiment spec must load, validate against the protocol registry, and
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
 
 ALL_EXAMPLES = [
     "quickstart",
@@ -40,6 +43,26 @@ class TestExamplesImport:
     def test_importable_with_main(self, name):
         module = load_example(name)
         assert callable(module.main)
+
+
+TOOLS = sorted(
+    [*(REPO_ROOT / "scripts").glob("*.py"),
+     *(REPO_ROOT / "benchmarks").glob("bench_*.py")]
+)
+
+
+class TestToolsImport:
+    @pytest.mark.parametrize(
+        "path", TOOLS, ids=[f"{p.parent.name}/{p.stem}" for p in TOOLS]
+    )
+    def test_importable(self, path, monkeypatch):
+        # Benchmarks import ``benchmarks.conftest`` and each other.
+        monkeypatch.syspath_prepend(str(REPO_ROOT))
+        monkeypatch.syspath_prepend(str(path.parent))
+        spec = importlib.util.spec_from_file_location(
+            f"_import_smoke_{path.stem}", path
+        )
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 SPEC_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.toml"))

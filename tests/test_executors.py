@@ -1,28 +1,37 @@
 """Tests for the sweep executor.
 
 The contract under test: :class:`SweepExecutor` runs every sweep
-through the one engine, inline for one job without a timeout and on
-workers otherwise, journaling exactly when the journal rule says so.
+through its one engine, inline for one job without a timeout and on
+workers otherwise, journaling exactly when :meth:`SweepExecutor.
+for_spec`'s rule says so -- and it keeps the names the end-to-end
+benchmark harness imports and patches.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.experiments.executors import SweepExecutor, create_executor
+from repro.experiments import parallel, runner
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.parallel import RunSpec
-from repro.experiments.resilience import (
-    ResilienceConfig,
-    RetryPolicy,
-    execute_runs_detailed,
-)
+from repro.experiments.resilience import ResilienceConfig, RetryPolicy
 from repro.experiments.results import RunResult
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import SimulationScenarioConfig
+from repro.experiments.spec import ExperimentSpec
 
 CFG = SimulationScenarioConfig(
     num_nodes=4, duration_s=1.0, warmup_s=0.1, topology_seed=1
+)
+
+#: Smallest connectable mesh: real runs in well under a second.
+TINY = SimulationScenarioConfig(
+    num_nodes=6, area_width_m=400.0, area_height_m=400.0,
+    num_groups=1, members_per_group=3, duration_s=4.0,
+    warmup_s=1.0, topology_seed=1,
 )
 
 
@@ -52,26 +61,27 @@ def _ran_inline(executor) -> bool:
     return outcome.result.counters["pid"] == os.getpid()
 
 
-class TestCreateExecutorRouting:
+class TestForSpecRouting:
     def test_default_is_plain_local_pool(self, tmp_path):
         """No knob: one job runs inline, with no journal."""
-        executor = create_executor(
-            cache_dir=str(tmp_path), worker_fn=pid_worker
+        executor = dataclasses.replace(
+            SweepExecutor.for_spec(ExperimentSpec(), cache_dir=str(tmp_path)),
+            worker=pid_worker,
         )
         assert executor.journal_path is None
         assert _ran_inline(executor)
         assert list(tmp_path.iterdir()) == []
-        assert create_executor(jobs=2).jobs == 2
+        assert SweepExecutor.for_spec(ExperimentSpec(jobs=2)).jobs == 2
 
-    @pytest.mark.parametrize("kwargs", [
-        {"run_timeout_s": 30.0},
-        {"max_retries": 1},
-        {"resume": True},
-        {"journal_path": "j.jsonl"},
-        {"worker_fn": ok_worker},
+    @pytest.mark.parametrize("spec_fields, kwargs", [
+        ({"run_timeout_s": 30.0}, {}),
+        ({"max_retries": 1}, {}),
+        ({}, {"resume": True}),
+        ({}, {"journal_path": "j.jsonl"}),
+        ({}, {}),
     ])
     def test_any_resilience_knob_selects_the_supervisor(
-        self, kwargs, tmp_path
+        self, spec_fields, kwargs, tmp_path
     ):
         """The dispatch rule: one job runs inline unless a timeout needs
         a worker to kill.  The journal rule: an explicit path, or the
@@ -79,37 +89,31 @@ class TestCreateExecutorRouting:
         kwargs = dict(kwargs)
         if "journal_path" in kwargs:
             kwargs["journal_path"] = str(tmp_path / kwargs["journal_path"])
-        kwargs["worker_fn"] = pid_worker
-        executor = create_executor(cache_dir=str(tmp_path), **kwargs)
-        assert _ran_inline(executor) is ("run_timeout_s" not in kwargs)
-        journaled = set(kwargs) & {
-            "run_timeout_s", "max_retries", "resume", "journal_path"
-        }
-        if journaled:
+        executor = dataclasses.replace(
+            SweepExecutor.for_spec(
+                ExperimentSpec(**spec_fields), cache_dir=str(tmp_path),
+                **kwargs,
+            ),
+            worker=pid_worker,
+        )
+        assert _ran_inline(executor) is ("run_timeout_s" not in spec_fields)
+        if spec_fields or kwargs:
             assert os.path.exists(executor.journal_path)
         else:
             assert executor.journal_path is None
 
     def test_retry_budget_reaches_the_resilience_config(self):
-        executor = create_executor(run_timeout_s=12.0, max_retries=5)
+        executor = SweepExecutor.for_spec(
+            ExperimentSpec(run_timeout_s=12.0, max_retries=5)
+        )
         assert executor.resilience.run_timeout_s == 12.0
         assert executor.resilience.retry.max_retries == 5
-        assert create_executor().resilience.retry == RetryPolicy()
+        assert SweepExecutor.for_spec(
+            ExperimentSpec()
+        ).resilience.retry == RetryPolicy()
 
 
 class TestSweepExecutor:
-    def test_plain_path_matches_execute_runs_detailed(self):
-        tiny = SimulationScenarioConfig(
-            num_nodes=6, area_width_m=400.0, area_height_m=400.0,
-            num_groups=1, members_per_group=3, duration_s=4.0,
-            warmup_s=1.0, topology_seed=1,
-        )
-        specs = [RunSpec("odmrp", tiny, 1)]
-        direct = execute_runs_detailed(specs, jobs=1)
-        routed = SweepExecutor(jobs=1).execute(specs)
-        assert [o.result for o in routed] == [o.result for o in direct]
-        assert routed[0].result.error is None
-
     def test_resilient_path_supervises(self, tmp_path):
         journal = str(tmp_path / "journal.jsonl")
         specs = [RunSpec("odmrp", CFG, 1), RunSpec("odmrp", CFG, 2)]
@@ -133,3 +137,61 @@ class TestSweepExecutor:
             progress=lambda protocol, seed: seen.append((protocol, seed)),
         )
         assert sorted(seen) == [("odmrp", 1), ("spp", 2)]
+
+
+class TestFrozenContract:
+    """What ``benchmarks/e2e`` imports and patches must stay put."""
+
+    def test_execute_is_defined_on_the_class(self):
+        assert "execute" in vars(SweepExecutor)
+
+    @pytest.mark.parametrize("models", [(), ("static", "random-waypoint")])
+    def test_grid_sweep_calls_execute_once_per_mobility_model(
+        self, monkeypatch, models
+    ):
+        batches = []
+        execute = SweepExecutor.execute
+
+        def counting(executor, specs, progress=None):
+            batches.append(len(specs))
+            return execute(executor, specs, progress=progress)
+
+        monkeypatch.setattr(SweepExecutor, "execute", counting)
+        runs = run_experiment(ExperimentSpec(
+            protocols=("odmrp", "spp"), seeds=(1, 2),
+            mobility_models=models, config=TINY,
+        ))
+        assert batches == [4] * max(1, len(models))
+        assert len(runs) == 4 * max(1, len(models))
+        assert all(type(run) is RunResult for run in runs)
+        assert all(run.error is None for run in runs)
+
+    def test_runs_go_through_module_globals(self, monkeypatch, tmp_path):
+        """Build and collect through ``runner``, cache I/O through
+        ``parallel``: the attributes the harness patches."""
+        calls = []
+        for module, name in (
+            (runner, "build_simulation_scenario"),
+            (runner, "collect_result"),
+            (parallel, "cache_load"),
+            (parallel, "cache_store"),
+        ):
+            original = getattr(module, name)
+
+            def traced(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, traced)
+        [run] = run_experiment(
+            ExperimentSpec(
+                protocols=("odmrp",), seeds=(1,), use_cache=True,
+                config=TINY,
+            ),
+            cache_dir=str(tmp_path),
+        )
+        assert run.error is None
+        assert calls == [
+            "cache_load", "build_simulation_scenario", "collect_result",
+            "cache_store",
+        ]

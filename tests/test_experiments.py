@@ -15,7 +15,8 @@ from repro.experiments.results import (
     aggregate_runs,
     normalized_metric_table,
 )
-from repro.experiments.runner import collect_result, compare_protocols, run_protocol
+from repro.experiments.runner import collect_result, run_experiment, run_protocol
+from repro.experiments.spec import ExperimentSpec
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
     SimulationScenarioConfig,
@@ -93,10 +94,10 @@ class TestRunner:
         result = run_protocol("odmrp", SMALL)
         assert result.probe_bytes == 0.0
 
-    def test_compare_protocols_runs_grid(self):
-        runs = compare_protocols(
-            SMALL, protocols=("odmrp", "spp"), topology_seeds=(4, 5)
-        )
+    def test_run_experiment_runs_grid(self):
+        runs = run_experiment(ExperimentSpec(
+            protocols=("odmrp", "spp"), seeds=(4, 5), config=SMALL
+        ))
         assert len(runs) == 4
         assert {run.protocol for run in runs} == {"odmrp", "spp"}
         assert {run.topology_seed for run in runs} == {4, 5}
@@ -322,9 +323,9 @@ class TestEndToEndShape:
         original ODMRP summed over a few topologies.  (A single tiny
         topology is a coin flip -- with slow fading the channel is nearly
         static over 45 s -- so this aggregates three.)"""
-        runs = compare_protocols(
-            SMALL, protocols=("odmrp", "spp"), topology_seeds=(4, 5, 6)
-        )
+        runs = run_experiment(ExperimentSpec(
+            protocols=("odmrp", "spp"), seeds=(4, 5, 6), config=SMALL
+        ))
         totals = {"odmrp": 0, "spp": 0}
         for run in runs:
             totals[run.protocol] += run.delivered_packets

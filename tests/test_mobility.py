@@ -604,17 +604,15 @@ class TestSpecAxis:
         assert moving.counters.get("mobility.moves", 0) > 0
 
     def test_pool_matches_serial_on_moving_mesh(self):
-        from repro.experiments.runner import compare_protocols
-
         config = tiny_config(
             duration_s=6.0,
             mobility=MobilitySpec(model="random-waypoint",
                                   update_interval_s=1.0),
         )
-        serial = compare_protocols(config, protocols=("odmrp",),
-                                   topology_seeds=(1, 2), jobs=1)
-        pooled = compare_protocols(config, protocols=("odmrp",),
-                                   topology_seeds=(1, 2), jobs=2)
+        spec = ExperimentSpec(protocols=("odmrp",), seeds=(1, 2),
+                              config=config)
+        serial = run_experiment(spec)
+        pooled = run_experiment(dataclasses.replace(spec, jobs=2))
         assert serial == pooled
 
     def test_report_renders_labeled_cells(self):

@@ -12,19 +12,18 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.parallel import (
     RunSpec,
     cache_load,
     cache_store,
-    execute_runs,
     sweep_specs,
     sweep_stale_cache_tmps,
-    verify_parallel_consistency,
 )
-from repro.experiments.resilience import execute_runs_detailed
 from repro.experiments.results import RunResult, aggregate_runs
-from repro.experiments.runner import compare_protocols
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import SimulationScenarioConfig
+from repro.experiments.spec import ExperimentSpec
 
 #: Smallest config that still exercises MAC, fading, probing, and ODMRP.
 TINY = SimulationScenarioConfig(
@@ -37,6 +36,10 @@ TINY = SimulationScenarioConfig(
     warmup_s=4.0,
     topology_seed=1,
 )
+
+
+def _results(specs, **settings):
+    return [o.result for o in SweepExecutor(**settings).execute(specs)]
 
 
 class TestRunSpec:
@@ -68,11 +71,11 @@ class TestDeterminismAcrossExecutionModes:
 
     def test_serial_pool_and_cache_agree(self, tmp_path):
         specs = sweep_specs(TINY, ("odmrp", "spp"), (1,))
-        serial = execute_runs(specs, jobs=1, use_cache=False)
-        pooled = execute_runs(specs, jobs=2, use_cache=True,
-                              cache_dir=str(tmp_path))
-        cached = execute_runs(specs, jobs=1, use_cache=True,
-                              cache_dir=str(tmp_path))
+        serial = _results(specs, jobs=1)
+        pooled = _results(specs, jobs=2, use_cache=True,
+                          cache_dir=str(tmp_path))
+        cached = _results(specs, jobs=1, use_cache=True,
+                          cache_dir=str(tmp_path))
         assert serial == pooled
         assert serial == cached
         assert all(run.error is None for run in serial)
@@ -80,29 +83,23 @@ class TestDeterminismAcrossExecutionModes:
 
     def test_cached_pass_does_not_recompute(self, tmp_path):
         specs = sweep_specs(TINY, ("odmrp",), (1,))
-        first = execute_runs_detailed(specs, jobs=1, use_cache=True,
-                                      cache_dir=str(tmp_path))
-        second = execute_runs_detailed(specs, jobs=1, use_cache=True,
-                                       cache_dir=str(tmp_path))
+        executor = SweepExecutor(jobs=1, use_cache=True,
+                                 cache_dir=str(tmp_path))
+        first = executor.execute(specs)
+        second = executor.execute(specs)
         assert not first[0].from_cache
         assert second[0].from_cache
         assert first[0].result == second[0].result
 
-    def test_compare_protocols_parallel_matches_serial(self, tmp_path):
-        serial = compare_protocols(
-            TINY, protocols=("odmrp", "spp"), topology_seeds=(1, 2)
+    def test_run_experiment_parallel_matches_serial(self, tmp_path):
+        spec = ExperimentSpec(
+            protocols=("odmrp", "spp"), seeds=(1, 2), config=TINY
         )
-        pooled = compare_protocols(
-            TINY, protocols=("odmrp", "spp"), topology_seeds=(1, 2),
-            jobs=2, use_cache=True, cache_dir=str(tmp_path),
+        serial = run_experiment(spec)
+        pooled = run_experiment(
+            replace(spec, jobs=2, use_cache=True), cache_dir=str(tmp_path)
         )
         assert serial == pooled
-
-    def test_verify_helper_reports_no_divergence(self, tmp_path):
-        assert verify_parallel_consistency(
-            config=TINY, protocols=("odmrp", "spp"), topology_seeds=(1,),
-            jobs=2, cache_dir=str(tmp_path),
-        ) == []
 
 
 class TestFailureContainment:
@@ -111,7 +108,7 @@ class TestFailureContainment:
             RunSpec("odmrp", TINY, 1),
             RunSpec("not-a-protocol", TINY, 1),
         ]
-        results = execute_runs(specs, jobs=1)
+        results = _results(specs, jobs=1)
         assert results[0].error is None
         assert results[1].error is not None
         assert "not-a-protocol" in results[1].error
@@ -122,14 +119,14 @@ class TestFailureContainment:
             RunSpec("not-a-protocol", TINY, 1),
             RunSpec("odmrp", TINY, 1),
         ]
-        results = execute_runs(specs, jobs=2)
+        results = _results(specs, jobs=2)
         assert results[0].error is not None
         assert results[1].error is None
         assert results[1].delivered_packets > 0
 
     def test_errored_runs_are_never_cached(self, tmp_path):
         spec = RunSpec("not-a-protocol", TINY, 1)
-        execute_runs([spec], jobs=1, use_cache=True, cache_dir=str(tmp_path))
+        _results([spec], jobs=1, use_cache=True, cache_dir=str(tmp_path))
         assert cache_load(str(tmp_path), spec.cache_key()) is None
 
     def test_aggregate_skips_errored_runs(self):
@@ -149,7 +146,7 @@ class TestFailureContainment:
 class TestCachePlumbing:
     def test_round_trip_preserves_every_field(self, tmp_path):
         spec = RunSpec("spp", TINY, 1)
-        [outcome] = execute_runs_detailed([spec], jobs=1)
+        [outcome] = SweepExecutor(jobs=1).execute([spec])
         cache_store(str(tmp_path), spec.cache_key(), outcome.result)
         loaded = cache_load(str(tmp_path), spec.cache_key())
         assert loaded == outcome.result
@@ -248,8 +245,8 @@ class TestInterruptedPoolShutdown:
 
         specs = sweep_specs(TINY, ("odmrp",), (1, 2, 3, 4))
         with pytest.raises(KeyboardInterrupt):
-            execute_runs_detailed(
-                specs, jobs=2, progress=interrupt_immediately
+            SweepExecutor(jobs=2).execute(
+                specs, progress=interrupt_immediately
             )
         assert started
         deadline = time.monotonic() + 10.0

@@ -1,31 +1,32 @@
-"""Perf-smoke gate: mini-sweep parallel/serial/cache equivalence.
+"""Perf-smoke gate: the differential oracle on a mini-sweep, plus
+city-scale completion smokes.
 
 Marked ``perfsmoke`` and deselected from the default tier-1 run (see
 ``addopts`` in pyproject.toml); CI runs it explicitly with
-``pytest -m perfsmoke``.  ``scripts/bench_check.py`` is the same gate as
-a standalone script.
+``pytest -m perfsmoke``.  ``scripts/bench_check.py`` runs the same
+oracle on the same mini-sweep as a standalone script.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.experiments.parallel import (
-    execute_runs,
-    sweep_specs,
-    verify_parallel_consistency,
-)
 from repro.experiments.results import aggregate_runs
 from repro.experiments.runner import run_protocol
 from repro.experiments.scenarios import (
     SimulationScenarioConfig,
     macro_flood_config,
 )
+from repro.validation.fuzzing import consistency_spec, differential_check
 
 
 @pytest.mark.perfsmoke
 def test_mini_sweep_parallel_matches_serial(tmp_path):
-    divergences = verify_parallel_consistency(jobs=2, cache_dir=str(tmp_path))
+    divergences = differential_check(
+        consistency_spec(), jobs=2, work_dir=str(tmp_path)
+    )
     assert divergences == [], "\n".join(divergences)
 
 
@@ -58,8 +59,6 @@ def test_mobile_flood_500_nodes_completes():
     per tick would dominate the run.  Must complete and must actually
     have moved the mesh.
     """
-    import dataclasses
-
     from repro.mobility.config import MobilitySpec
 
     config = dataclasses.replace(
@@ -82,41 +81,14 @@ def test_mobile_flood_500_nodes_completes():
 
 @pytest.mark.perfsmoke
 def test_seed_determinism_matrix(tmp_path):
-    """jobs x cache matrix: every cell aggregates identically.
-
-    The serial, no-cache sweep is the oracle; pools of 2 and 4 workers
-    and cold/warm cache replays (themselves at different job counts)
-    must reproduce its aggregates exactly -- not approximately.
+    """The oracle at four workers over two seeds: the pooled sweep, a
+    cache stored cold by four workers then replayed warm inline, the
+    planners, both PHY backends and telemetry must all reproduce the
+    serial sweep bit for bit -- not approximately.
     """
-    config = SimulationScenarioConfig(
-        num_nodes=10,
-        area_width_m=500.0,
-        area_height_m=500.0,
-        num_groups=1,
-        members_per_group=3,
-        duration_s=15.0,
-        warmup_s=5.0,
-    )
-    specs = sweep_specs(config, ("odmrp", "spp"), (1, 2))
-    baseline = aggregate_runs(execute_runs(specs, jobs=1, use_cache=False))
-
-    for jobs in (2, 4):
-        pooled = aggregate_runs(
-            execute_runs(specs, jobs=jobs, use_cache=False)
-        )
-        assert pooled == baseline, f"jobs={jobs} diverged from serial"
-
-    cache_dir = str(tmp_path / "matrix-cache")
-    cold = aggregate_runs(
-        execute_runs(specs, jobs=1, use_cache=True, cache_dir=cache_dir)
-    )
-    assert cold == baseline, "cold cache pass diverged"
-    for jobs in (1, 4):
-        warm = aggregate_runs(
-            execute_runs(specs, jobs=jobs, use_cache=True,
-                         cache_dir=cache_dir)
-        )
-        assert warm == baseline, f"warm cache (jobs={jobs}) diverged"
+    spec = dataclasses.replace(consistency_spec(), seeds=(1, 2))
+    divergences = differential_check(spec, jobs=4, work_dir=str(tmp_path))
+    assert divergences == [], "\n".join(divergences)
 
 
 @pytest.mark.perfsmoke
@@ -128,8 +100,6 @@ def test_adaptive_determinism_matrix(tmp_path):
     seed-deterministic cell results, so nothing about how cells execute
     may change which cells get planned.
     """
-    import dataclasses
-
     from repro.experiments.adaptive import (
         AdaptiveConfig,
         run_adaptive_experiment,

@@ -15,6 +15,7 @@ chaos suite against real simulations lives in ``test_chaos.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -23,6 +24,7 @@ import time
 
 import pytest
 
+from repro.experiments.executors import SweepExecutor
 from repro.experiments.parallel import RunSpec
 from repro.experiments.report import render_report
 from repro.experiments.resilience import (
@@ -33,7 +35,6 @@ from repro.experiments.resilience import (
     RetryPolicy,
     SweepJournal,
     classify_failure,
-    execute_runs_detailed,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -138,10 +139,10 @@ def _specs(n: int = 1, protocol: str = "odmrp"):
 
 
 def _run(specs, worker, journal, resilience=FAST, **kwargs):
-    return execute_runs_detailed(
-        specs, jobs=kwargs.pop("jobs", 1), resilience=resilience,
+    return SweepExecutor(
+        jobs=kwargs.pop("jobs", 1), resilience=resilience,
         journal_path=journal, worker=worker, **kwargs,
-    )
+    ).execute(specs)
 
 
 class TestFailureClassification:
@@ -205,8 +206,7 @@ class TestRetryPolicy:
         assert not policy.should_retry(FailureKind.TIMEOUT, attempt=2)
 
     def test_backoff_grows_is_capped_and_is_deterministic(self):
-        policy = RetryPolicy(backoff_base_s=0.5, backoff_max_s=4.0,
-                             jitter_fraction=0.25)
+        policy = RetryPolicy(backoff_base_s=0.5, backoff_max_s=4.0)
         waits = [policy.backoff_s("key", attempt) for attempt in range(6)]
         assert waits == [policy.backoff_s("key", a) for a in range(6)]
         assert waits[0] >= 0.5
@@ -275,11 +275,11 @@ class TestSupervisedFailures:
         """Graceful degradation: the sweep completes around a failure."""
         specs = [RunSpec("odmrp", CFG, 1), RunSpec("spp", CFG, 1),
                  RunSpec("etx", CFG, 1)]
-        mixed = execute_runs_detailed(
-            specs, jobs=2, resilience=FAST,
+        mixed = SweepExecutor(
+            jobs=2, resilience=FAST,
             journal_path=str(tmp_path / "mixed.jsonl"),
             worker=ok_if_not_spp_worker,
-        )
+        ).execute(specs)
         assert [o.result.error is None for o in mixed] == [
             True, False, True
         ]
@@ -318,17 +318,17 @@ class TestPersistentWorkers:
     def test_inline_exception_is_classified(self, process_starts):
         """One job and no timeout runs inline, through the same
         classification as worker runs."""
-        [outcome] = execute_runs_detailed(
-            _specs(1), jobs=1, worker=value_error_worker
-        )
+        [outcome] = SweepExecutor(
+            jobs=1, worker=value_error_worker
+        ).execute(_specs(1))
         assert process_starts == []
         assert outcome.failure_kind is FailureKind.EXCEPTION
         assert outcome.result.error.startswith("EXCEPTION: ")
         assert "deterministic model bug" in outcome.result.error
 
     def test_inline_real_failure_is_classified(self, process_starts):
-        [outcome] = execute_runs_detailed(
-            [RunSpec("not-a-protocol", CFG, 1)], jobs=1
+        [outcome] = SweepExecutor(jobs=1).execute(
+            [RunSpec("not-a-protocol", CFG, 1)]
         )
         assert process_starts == []
         assert outcome.failure_kind is FailureKind.EXCEPTION
@@ -521,10 +521,10 @@ class TestJournalCompaction:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(KeyboardInterrupt):
-            execute_runs_detailed(
-                specs, jobs=1, resilience=FAST, journal_path=journal,
-                progress=interrupt_after_first, worker=ok_worker,
-            )
+            SweepExecutor(
+                jobs=1, resilience=FAST, journal_path=journal,
+                worker=ok_worker,
+            ).execute(specs, progress=interrupt_after_first)
         # The superseded pre-seeded line survives the interrupt.
         with open(journal, "rb") as handle:
             lines = [line for line in handle if line.strip()]
@@ -538,10 +538,10 @@ class TestResume:
         specs = _specs(3)
         first = _run(specs[:2], ok_worker, journal, jobs=2)
         assert all(o.result.error is None for o in first)
-        resumed = execute_runs_detailed(
-            specs, jobs=2, resilience=FAST, journal_path=journal,
+        resumed = SweepExecutor(
+            jobs=2, resilience=FAST, journal_path=journal,
             resume=True, worker=ok_worker,
-        )
+        ).execute(specs)
         assert [o.from_journal for o in resumed] == [True, True, False]
         assert [o.result for o in resumed] == [
             _quick_result(spec) for spec in specs
@@ -551,10 +551,10 @@ class TestResume:
         journal = str(tmp_path / "journal.jsonl")
         specs = _specs(2)
         _run(specs, ok_worker, journal, jobs=2)
-        resumed = execute_runs_detailed(
-            specs, jobs=2, resilience=FAST, journal_path=journal,
+        resumed = SweepExecutor(
+            jobs=2, resilience=FAST, journal_path=journal,
             resume=True, worker=never_worker,
-        )
+        ).execute(specs)
         assert all(o.from_journal for o in resumed)
 
     def test_resume_redispatches_failed_runs(self, tmp_path):
@@ -566,10 +566,10 @@ class TestResume:
         [quarantined] = _run(specs, value_error_worker, journal,
                              resilience=no_retry)
         assert quarantined.result.error is not None
-        [outcome] = execute_runs_detailed(
-            specs, resilience=FAST, journal_path=journal, resume=True,
+        [outcome] = SweepExecutor(
+            resilience=FAST, journal_path=journal, resume=True,
             worker=ok_worker,
-        )
+        ).execute(specs)
         assert not outcome.from_journal
         assert outcome.result.error is None
         # The journal's last record for the key is now the success.
@@ -591,10 +591,10 @@ class TestSignalDraining:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(KeyboardInterrupt):
-            execute_runs_detailed(
-                specs, jobs=1, resilience=FAST, journal_path=journal,
-                progress=interrupt_after_first, worker=ok_worker,
-            )
+            SweepExecutor(
+                jobs=1, resilience=FAST, journal_path=journal,
+                worker=ok_worker,
+            ).execute(specs, progress=interrupt_after_first)
         # No orphaned supervised workers linger.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline and any(
@@ -607,10 +607,10 @@ class TestSignalDraining:
         assert 1 <= len(records) < len(specs)
         assert all(record.ok for record in records.values())
         # Resume finishes the sweep with identical results.
-        resumed = execute_runs_detailed(
-            specs, jobs=2, resilience=FAST, journal_path=journal,
+        resumed = SweepExecutor(
+            jobs=2, resilience=FAST, journal_path=journal,
             resume=True, worker=ok_worker,
-        )
+        ).execute(specs)
         assert [o.result for o in resumed] == [
             _quick_result(spec) for spec in specs
         ]
@@ -629,10 +629,9 @@ class TestSignalDraining:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(KeyboardInterrupt, match="1/3"):
-            execute_runs_detailed(
-                specs, jobs=1, journal_path=journal,
-                progress=interrupt_after_first, worker=ok_worker,
-            )
+            SweepExecutor(
+                jobs=1, journal_path=journal, worker=ok_worker,
+            ).execute(specs, progress=interrupt_after_first)
         assert process_starts == []
         records = SweepJournal.replay(journal)
         assert list(records) == [specs[0].cache_key()]
@@ -656,27 +655,25 @@ class TestResilientRealRuns:
     )
 
     def test_supervised_run_matches_plain_executor(self, tmp_path):
-        from repro.experiments.parallel import execute_runs
-
         specs = [RunSpec("odmrp", self.TINY, 1)]
-        plain = execute_runs(specs, jobs=1)
-        supervised = execute_runs_detailed(
-            specs, jobs=1,
+        plain = SweepExecutor(jobs=1).execute(specs)
+        supervised = SweepExecutor(
+            jobs=1,
             resilience=ResilienceConfig(run_timeout_s=120.0),
             journal_path=str(tmp_path / "journal.jsonl"),
-        )
-        assert [o.result for o in supervised] == plain
+        ).execute(specs)
+        assert [o.result for o in supervised] == [o.result for o in plain]
         assert supervised[0].result.error is None
 
-    def test_compare_protocols_routes_through_supervisor(self, tmp_path):
-        from repro.experiments.runner import compare_protocols
+    def test_run_experiment_routes_through_supervisor(self, tmp_path):
+        from repro.experiments.runner import run_experiment
+        from repro.experiments.spec import ExperimentSpec
 
-        plain = compare_protocols(
-            self.TINY, protocols=("odmrp",), topology_seeds=(1,)
-        )
-        resilient = compare_protocols(
-            self.TINY, protocols=("odmrp",), topology_seeds=(1,),
-            run_timeout_s=120.0, max_retries=1,
+        spec = ExperimentSpec(protocols=("odmrp",), seeds=(1,),
+                              config=self.TINY)
+        plain = run_experiment(spec)
+        resilient = run_experiment(
+            dataclasses.replace(spec, run_timeout_s=120.0, max_retries=1),
             journal_path=str(tmp_path / "journal.jsonl"),
         )
         assert resilient == plain

@@ -17,12 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.report import render_report
-from repro.experiments.runner import compare_protocols, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import (
     ExperimentSpec,
     SpecError,
-    load_experiment_spec,
     toml_dumps,
 )
 from repro.telemetry.hub import TelemetryConfig
@@ -89,7 +88,6 @@ class TestRoundTrip:
             path = str(tmp_path / filename)
             spec.save(path)
             assert ExperimentSpec.load(path) == spec
-            assert load_experiment_spec(path) == spec
 
     def test_none_fields_omitted_from_serialized_form(self):
         data = sample_spec().to_dict()
@@ -154,6 +152,35 @@ class TestStrictness:
         )
         with pytest.raises(SpecError):
             spec.to_dict()
+
+    @pytest.mark.parametrize("key, value", [
+        ("jobs", "2"),
+        ("jobs", 2.0),
+        ("jobs", True),
+        ("use_cache", "false"),
+        ("use_cache", 1),
+        ("run_timeout_s", "5"),
+        ("run_timeout_s", True),
+        ("protocols", "odmrp"),
+        ("protocols", ["odmrp", "spp", "odmrp"]),
+        ("seeds", [1, 2, 1]),
+        ("mobility_models", "static"),
+        ("mobility_models", ["static", "static"]),
+    ])
+    def test_mistyped_field_rejected(self, key, value):
+        """A field a file can get wrong fails as a SpecError up front,
+        not as a TypeError or a silently wrong sweep later."""
+        data = sample_spec().to_dict()
+        data[key] = value
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.from_dict(data).validate()
+        assert key in str(excinfo.value)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_non_positive_jobs_means_one_per_cpu(self, jobs):
+        data = sample_spec().to_dict()
+        data["jobs"] = jobs
+        assert ExperimentSpec.from_dict(data).validate().jobs == jobs
 
     def test_invalid_toml_raises_spec_error(self):
         with pytest.raises(SpecError):
@@ -277,11 +304,9 @@ class TestGoldenRegression:
             {run["protocol"] for run in golden["runs"]},
             key=[r["protocol"] for r in golden["runs"]].index,
         )
-        runs = compare_protocols(
-            config,
-            protocols=protocols,
-            topology_seeds=tuple(golden["seeds"]),
-        )
+        runs = run_experiment(ExperimentSpec(
+            protocols=protocols, seeds=tuple(golden["seeds"]), config=config,
+        ))
         measured = {
             (run.protocol, run.topology_seed): run for run in runs
         }
