@@ -4,11 +4,11 @@ Two always-on guards, each failing the script (exit 1) on violation:
 
 1. **Differential oracle** -- a few-second mini-sweep through
    :func:`repro.validation.fuzzing.differential_check`: serially (the
-   oracle), with a pool of 2 workers, stored cold into the disk cache
-   by that pool and replayed warm inline, under the adaptive and
-   campaign planners, per PHY backend and with telemetry on; every
-   pass must produce ``RunResult`` rows bit-identical to the serial
-   baseline.
+   oracle), with a pool of 2 workers, per PHY backend, stored cold
+   into the disk cache by that pool and replayed warm inline,
+   interrupted after its first run and resumed from the journal, and
+   with telemetry on; every pass must produce ``RunResult`` rows
+   bit-identical to the serial baseline.
 2. **Vectorized no-regression** -- the dense-mesh micro benchmark from
    ``benchmarks/bench_perf_engine.py`` run once per reception backend;
    the results must be bit-identical and the vectorized wall time must
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
         return 1
     print(
         f"bench_check: OK ({elapsed:.1f}s) -- serial, jobs={args.jobs}, "
-        "cache, planner, PHY-backend and telemetry passes are "
+        "PHY-backend, cache, resume and telemetry passes are "
         "bit-identical"
     )
 

@@ -254,6 +254,18 @@ def _parse_csv(text: Optional[str]) -> Optional[list]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _valid(spec) -> bool:
+    """Validate ``spec``; print why it is invalid and return False."""
+    from repro.experiments.spec import SpecError
+
+    try:
+        spec.validate()
+    except (UnknownProtocolError, SpecError) as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_report
     from repro.experiments.runner import run_experiment
@@ -307,10 +319,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             ),
         )
 
-    try:
-        spec.validate()
-    except (UnknownProtocolError, SpecError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
+    if not _valid(spec):
         return 1
     print(spec.describe())
     if args.dry_run:
@@ -400,10 +409,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     specs = []
     if args.spec:
         try:
-            specs.append(ExperimentSpec.load(args.spec))
+            spec = ExperimentSpec.load(args.spec)
         except (OSError, SpecError) as exc:
             print(f"ERROR: {args.spec}: {exc}", file=sys.stderr)
             return 1
+        if not _valid(spec):
+            return 1
+        specs.append(spec)
     elif not args.fuzz:
         specs.append(default_validation_spec())
         specs.append(moving_validation_spec())

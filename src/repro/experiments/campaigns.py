@@ -107,6 +107,14 @@ DEFENSIVE_MIX = 0.5
 
 GENERATOR_KINDS = ("storm", "regional", "flapping", "ramp")
 
+#: Flapping period (seconds) of ``kind = "flapping"`` generators.
+FLAPPING_PERIOD_S = 8.0
+#: Disc radius of ``kind = "regional"`` generators at severity 1, as a
+#: fraction of the larger area dimension.
+REGIONAL_RADIUS_FRACTION = 0.35
+#: Number of rising-intensity segments of ``kind = "ramp"`` generators.
+RAMP_STEPS = 4
+
 
 @dataclass
 class FaultGeneratorSpec:
@@ -129,13 +137,6 @@ class FaultGeneratorSpec:
     #: Longest single outage at severity 1, as a fraction of the
     #: traffic interval.
     max_outage_fraction: float = 0.6
-    #: Flapping period (seconds); only used by ``kind = "flapping"``.
-    period_s: float = 8.0
-    #: Disc radius at severity 1 as a fraction of the larger area
-    #: dimension; only used by ``kind = "regional"``.
-    radius_fraction: float = 0.35
-    #: Number of rising-intensity segments; only ``kind = "ramp"``.
-    ramp_steps: int = 4
 
     def validate(self) -> "FaultGeneratorSpec":
         if self.kind not in GENERATOR_KINDS:
@@ -147,23 +148,12 @@ class FaultGeneratorSpec:
             raise ValueError(
                 f"generator weight must be positive, got {self.weight!r}"
             )
-        for name in ("max_node_fraction", "max_outage_fraction",
-                     "radius_fraction"):
+        for name in ("max_node_fraction", "max_outage_fraction"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(
                     f"generator {name} must lie in (0, 1], got {value!r}"
                 )
-        if not self.period_s > 0:
-            raise ValueError(
-                f"generator period_s must be positive, got {self.period_s!r}"
-            )
-        if not isinstance(self.ramp_steps, int) \
-                or isinstance(self.ramp_steps, bool) or self.ramp_steps < 1:
-            raise ValueError(
-                f"generator ramp_steps must be a positive integer, "
-                f"got {self.ramp_steps!r}"
-            )
         return self
 
 
@@ -396,7 +386,7 @@ def materialize_fault_plan(
         positions = _node_positions(config, seed)
         center_x = rng.uniform(0.0, config.area_width_m)
         center_y = rng.uniform(0.0, config.area_height_m)
-        radius = theta * generator.radius_fraction * max(
+        radius = theta * REGIONAL_RADIUS_FRACTION * max(
             config.area_width_m, config.area_height_m
         )
         length = theta * generator.max_outage_fraction * interval
@@ -413,7 +403,7 @@ def materialize_fault_plan(
             range(num_nodes), max(1, round(theta * max_victims))
         )
         down_fraction = min(0.9, 0.2 + 0.7 * theta)
-        span = max(theta * interval, min(generator.period_s, interval))
+        span = max(theta * interval, min(FLAPPING_PERIOD_S, interval))
         for victim in victims:
             start = config.warmup_s + rng.uniform(
                 0.0, max(interval - span, 0.0)
@@ -421,12 +411,12 @@ def materialize_fault_plan(
             flapping.append(FlappingSpec(
                 node_id=victim,
                 start_s=start,
-                period_s=generator.period_s,
+                period_s=FLAPPING_PERIOD_S,
                 down_fraction=down_fraction,
                 until_s=min(start + span, config.duration_s),
             ))
     elif generator.kind == "ramp":
-        steps = generator.ramp_steps
+        steps = RAMP_STEPS
         segment = interval / steps
         for step in range(steps):
             intensity = theta * (step + 1) / steps

@@ -3,9 +3,13 @@
 Injects real worker faults -- hangs, aborts, SIGKILLs, allocation
 failures, raised exceptions, cache corruption -- into supervised sweeps
 and asserts the engine
-(:meth:`repro.experiments.executors.SweepExecutor.execute`) recovers: faulted runs are retried to bit-identical results, exhausted
-runs are quarantined without aborting the sweep, corrupted cache
-entries recompute, and an interrupted sweep resumes from its journal.
+(:meth:`repro.experiments.executors.SweepExecutor.execute`) recovers:
+faulted runs are retried to bit-identical results, exhausted runs are
+quarantined without aborting the sweep, and corrupted cache entries
+recompute.  Interrupt-and-resume of every sweep kind is the
+differential oracle's own path
+(:func:`repro.validation.fuzzing.interrupt_and_resume`); the harness
+runs it on its tiny scenario and reports its verdicts.
 
 Fault injection is *in-band*: the supervised worker loop calls
 :func:`maybe_inject_fault` before running each spec, and the fault plan
@@ -28,7 +32,7 @@ import signal
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from contextlib import contextmanager
 
@@ -44,7 +48,6 @@ from repro.experiments.resilience import (
     FailureKind,
     ResilienceConfig,
     RetryPolicy,
-    SweepJournal,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -182,19 +185,6 @@ def corrupt_cache_entry(
     return True
 
 
-def _interrupt_after_first() -> Callable[[str, int], None]:
-    """A progress callback that SIGINTs this process once, after the
-    first finished run."""
-    completions = {"count": 0}
-
-    def interrupt(protocol: str, seed: int) -> None:
-        completions["count"] += 1
-        if completions["count"] == 1:
-            os.kill(os.getpid(), signal.SIGINT)
-
-    return interrupt
-
-
 # ----------------------------------------------------------------------
 # The harness
 
@@ -253,65 +243,6 @@ def _results(outcomes: Sequence[RunOutcome]) -> List[RunResult]:
     return [outcome.result for outcome in outcomes]
 
 
-def _check_planner_resume(
-    report: "ChaosReport",
-    label: str,
-    run: Callable[..., Any],
-    spec: Any,
-    kind: str,
-    planned_records: Callable[[Any], List[dict]],
-    cache_dir: str,
-    work_dir: str,
-) -> None:
-    """Interrupt planner ``run`` after its first finished run, resume
-    it, and check the plan against a clean run and the journal.
-
-    ``planned_records(result)`` lists the fields each ``kind`` plan
-    record in the journal must carry for that result's plan.
-    """
-    clean = run(
-        spec, cache_dir=cache_dir,
-        journal_path=os.path.join(work_dir, f"{label}-clean.jsonl"),
-    )
-    journal = os.path.join(work_dir, f"{label}.jsonl")
-    interrupted = False
-    try:
-        run(spec, cache_dir=cache_dir, journal_path=journal,
-            progress=_interrupt_after_first())
-    except KeyboardInterrupt:
-        interrupted = True
-    partial = SweepJournal.replay(journal)
-    report.add(
-        f"{label}-interrupt-drains",
-        interrupted and len(partial) >= 1
-        and all(record.ok for record in partial.values()),
-        f"interrupted={interrupted}, {len(partial)} run(s) journaled "
-        "mid-sweep",
-    )
-    resumed = run(spec, cache_dir=cache_dir, journal_path=journal,
-                  resume=True)
-    identical = (
-        resumed.plan_dict() == clean.plan_dict()
-        and resumed.runs == clean.runs
-    )
-    report.add(
-        f"{label}-resume-identical", identical,
-        f"resumed {label} plan and runs bit-identical to the clean run"
-        if identical else f"resumed {label} diverged",
-    )
-    records = SweepJournal.replay_plans(journal, kind, spec.name)
-    expected = planned_records(resumed)
-    journaled = len(records) == len(expected) and all(
-        {key: record.get(key) for key in fields} == fields
-        for record, fields in zip(records, expected)
-    )
-    report.add(
-        f"{label}-plan-journaled", journaled,
-        f"{len(records)} journaled {kind} record(s) match the resumed "
-        "plan" if journaled else f"journaled {kind} records diverged",
-    )
-
-
 def run_chaos(
     quick: bool = False,
     jobs: int = 2,
@@ -334,21 +265,15 @@ def run_chaos(
     4. *cache corruption* -- truncated and garbled cache entries must
        quarantine, recompute identically, and a killed ``cache_store``
        (orphaned temp file) must be swept, never loaded.
-    5. *interrupt + resume* -- a SIGINT mid-sweep (one job, no timeout:
-       inline) must stop cleanly,
-       leave a consistent journal, and a ``resume`` pass must replay
-       completed runs and finish the rest, bit-identical to baseline.
-    6. *adaptive mid-batch kill* -- an adaptive sweep interrupted while
-       a batch is in flight must drain, journal consistently, and a
-       ``resume`` pass must replay into the *identical* batch-by-batch
-       plan (stopping decisions, seeds spent, and run results all
-       bit-identical to a clean adaptive run).
-    7. *campaign mid-draw kill* -- a fault campaign interrupted while
-       its runs are in flight must drain, and a ``resume`` pass must
-       replay into the *identical* sampled plan (generators, severities,
-       importance weights, per-seed fault digests) with run results
-       bit-identical to a clean campaign; the journaled
-       ``campaign-plan`` records must match the resumed plan.
+    5-7. *interrupt + resume* -- the grid, an adaptive plan and a
+       two-draw fault campaign, each through the differential oracle's
+       :func:`~repro.validation.fuzzing.interrupt_and_resume` path: a
+       SIGINT after the first finished run at one job (inline for the
+       grid, one supervised worker for the planners, which set a
+       timeout) must stop cleanly with a consistent journal, and a
+       ``resume`` pass must execute only the missing runs and replay
+       into the oracle's runs -- and plan, whose journaled records
+       must match it.
     """
     report = ChaosReport()
     say = log or (lambda message: None)
@@ -382,6 +307,13 @@ def run_chaos(
     retry = RetryPolicy(max_retries=2, backoff_base_s=0.05,
                         backoff_max_s=0.2)
 
+    def supervised(retry: RetryPolicy, journal: str) -> SweepExecutor:
+        return SweepExecutor(
+            jobs=jobs, cache_dir=cache_dir,
+            resilience=ResilienceConfig(run_timeout_s=timeout_s, retry=retry),
+            journal_path=os.path.join(work_dir, journal),
+        )
+
     # -- Phase 2: transient faults recover to identical results ----------
     faulted = {
         (protocols[0], seeds[0]): "hang",
@@ -395,15 +327,8 @@ def run_chaos(
         for (protocol, seed), action in faulted.items()
     ))
     say(f"chaos: fault storm ({', '.join(sorted(set(faulted.values())))}) ...")
-    journal_path = os.path.join(work_dir, "faulted.jsonl")
     with active_plan(plan, work_dir):
-        stormed = SweepExecutor(
-            jobs=jobs, cache_dir=cache_dir,
-            resilience=ResilienceConfig(
-                run_timeout_s=timeout_s, retry=retry,
-            ),
-            journal_path=journal_path,
-        ).execute(specs)
+        stormed = supervised(retry, "faulted.jsonl").execute(specs)
     recovered = all(outcome.result.error is None for outcome in stormed)
     report.add(
         "chaos-recovered", recovered,
@@ -439,18 +364,10 @@ def run_chaos(
                    action="hang", attempt=None),
     ))
     with active_plan(plan, work_dir):
-        degraded = SweepExecutor(
-            jobs=jobs, cache_dir=cache_dir,
-            resilience=ResilienceConfig(
-                run_timeout_s=timeout_s, retry=quarantine_retry,
-            ),
-            journal_path=os.path.join(work_dir, "quarantine.jsonl"),
+        degraded = supervised(
+            quarantine_retry, "quarantine.jsonl"
         ).execute(specs)
-    victim_outcome = next(
-        o for o in degraded
-        if (o.spec.protocol, o.spec.seed)
-        == (victim.protocol, victim.seed)
-    )
+    victim_outcome = degraded[0]  # outcomes come back in spec order
     quarantined = (
         victim_outcome.failure_kind is FailureKind.TIMEOUT
         and victim_outcome.attempts == 2
@@ -461,9 +378,7 @@ def run_chaos(
         f"victim kind={victim_outcome.failure_kind} "
         f"attempts={victim_outcome.attempts}",
     )
-    others_ok = all(
-        o.result.error is None for o in degraded if o is not victim_outcome
-    )
+    others_ok = all(o.result.error is None for o in degraded[1:])
     report.add(
         "quarantine-degrades", others_ok,
         "sweep completed around the quarantined run" if others_ok
@@ -514,81 +429,34 @@ def run_chaos(
         f"tmp-swept={not os.path.exists(orphan)}",
     )
 
-    # -- Phase 5: SIGINT drains; --resume replays bit-identically ---------
-    say("chaos: interrupt + resume ...")
-    resume_journal = os.path.join(work_dir, "resume.jsonl")
-    interrupted = False
-    try:
-        SweepExecutor(
-            jobs=1, cache_dir=cache_dir, journal_path=resume_journal,
-        ).execute(specs, progress=_interrupt_after_first())
-    except KeyboardInterrupt:
-        interrupted = True
-    journaled = SweepJournal.replay(resume_journal)
-    drained = (
-        interrupted
-        and 1 <= len(journaled) < len(specs)
-        and all(record.ok for record in journaled.values())
-    )
-    report.add(
-        "interrupt-drains", drained,
-        f"interrupted={interrupted}, {len(journaled)}/{len(specs)} "
-        "run(s) journaled consistently",
-    )
-    resumed = SweepExecutor(
-        jobs=jobs, cache_dir=cache_dir, journal_path=resume_journal,
-        resume=True,
-    ).execute(specs)
-    replayed = [outcome for outcome in resumed if outcome.from_journal]
-    resume_identical = _results(resumed) == _results(baseline)
-    report.add(
-        "resume-identical",
-        resume_identical and len(replayed) == len(journaled),
-        f"{len(replayed)} run(s) replayed from the journal, "
-        f"{len(specs) - len(replayed)} executed; bit-identical="
-        f"{resume_identical}",
-    )
-
-    # -- Phases 6-7: planners survive a mid-sweep kill --------------------
-    from repro.experiments.adaptive import (
-        ADAPTIVE_PLAN_KEY,
-        AdaptiveConfig,
-        run_adaptive_experiment,
-    )
-    from repro.experiments.campaigns import (
-        CAMPAIGN_PLAN_KEY,
-        CampaignConfig,
-        run_campaign_experiment,
-    )
+    # -- Phases 5-7: SIGINT drains; resume replays bit-identically -------
+    # The oracle's interrupt + resume path, once per sweep kind.  The
+    # planners keep a timeout, which puts even one job on a supervised
+    # worker, so their interrupts kill a real run child in flight.
+    from repro.experiments.adaptive import AdaptiveConfig
+    from repro.experiments.campaigns import CampaignConfig
     from repro.experiments.spec import ExperimentSpec
+    from repro.validation.fuzzing import interrupt_and_resume
 
-    # A timeout puts even one job on a supervised worker, so each
-    # interrupt kills a real run child in flight.
-    planned = ExperimentSpec(
-        protocols=protocols, seeds=seeds, jobs=1, run_timeout_s=timeout_s,
-        config=config,
+    grid = ExperimentSpec(
+        name="chaos-grid", protocols=protocols, seeds=seeds, config=config,
     )
-    say("chaos: adaptive mid-batch interrupt + resume ...")
-    _check_planner_resume(
-        report, "adaptive", run_adaptive_experiment,
-        dataclasses.replace(
+    planned = dataclasses.replace(grid, run_timeout_s=timeout_s)
+    for prefix, spec in (
+        ("", grid),
+        ("adaptive-", dataclasses.replace(
             planned, name="chaos-adaptive", adaptive=AdaptiveConfig(
                 target_half_width=0.25, batch_size=1, min_seeds=1,
                 max_seeds=2,
             ),
-        ),
-        ADAPTIVE_PLAN_KEY, lambda result: result.plan_dict()["batches"],
-        cache_dir, work_dir,
-    )
-    say("chaos: campaign mid-draw interrupt + resume ...")
-    _check_planner_resume(
-        report, "campaign", run_campaign_experiment,
-        dataclasses.replace(
+        )),
+        ("campaign-", dataclasses.replace(
             planned, name="chaos-campaign",
             campaign=CampaignConfig(draws=2, master_seed=3),
-        ),
-        CAMPAIGN_PLAN_KEY, lambda result: result.plan_dict()["plan"],
-        cache_dir, work_dir,
-    )
+        )),
+    ):
+        say(f"chaos: {prefix}interrupt + resume ...")
+        for name, ok, detail in interrupt_and_resume(spec, jobs, work_dir):
+            report.add(prefix + name, ok, detail)
     say("chaos: done")
     return report

@@ -278,25 +278,6 @@ class SweepJournal:
         os.fsync(self._fd)
 
     @classmethod
-    def append_record(cls, path: str, record: Dict[str, Any]) -> None:
-        """Append one record with open-write-fsync-close semantics.
-
-        For writers that journal between sweeps rather than during one
-        (the planners' plan records): no handle outlives the call, so a
-        :meth:`compact` that replaced the file since the last append is
-        harmless.
-        """
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, cls._encode(record))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    @classmethod
     def compact(cls, path: str) -> int:
         """Atomically rewrite the journal keeping only surviving records.
 
@@ -422,14 +403,26 @@ class SweepJournal:
         Plan records share the run journal under unique string keys
         (``<kind>:<name>:<index>``), so :meth:`compact` keeps them and
         :meth:`replay` -- which only surfaces run records -- skips them.
+        Planners journal between sweeps rather than during one, so the
+        append opens, writes, fsyncs and closes: no handle outlives the
+        call, and a :meth:`compact` that replaced the file since the
+        last append is harmless.
         """
-        cls.append_record(path, {
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "key": f"{kind}:{name}:{index:04d}",
-            "kind": kind,
-            "name": name,
-            **fields,
-        })
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, cls._encode({
+                "schema": JOURNAL_SCHEMA_VERSION,
+                "key": f"{kind}:{name}:{index:04d}",
+                "kind": kind,
+                "name": name,
+                **fields,
+            }))
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     @classmethod
     def replay_plans(

@@ -2,19 +2,21 @@
 
 The determinism contract says a run is fully determined by its
 ``(protocol, config, seed)`` triple -- whether it executes inline, in a
-pool worker, replayed from the cache, or with telemetry attached.  This
-module *hunts* for violations of that contract instead of asserting it
-on one hand-picked scenario:
+pool worker, replayed from the cache, resumed from a journal, or with
+telemetry attached -- and so is a planner's plan.  This module *hunts*
+for violations of that contract instead of asserting it on one
+hand-picked scenario:
 
 * :func:`random_spec` draws a small random :class:`ExperimentSpec`
-  (topology size, metric/protocol mix, seeds, fault schedules) from a
-  seeded generator, so every fuzz case is itself replayable.
-* :func:`differential_check` runs the spec through the serial path as
-  the oracle, then through jobs=N / pooled cold-cache / serial
-  warm-cache / telemetry-enabled paths and reports any result that is
-  not bit-identical.  It is the one bit-identity oracle:
-  ``scripts/bench_check.py``, the perfsmoke tier and the fuzz tier all
-  call it.
+  (topology size, metric/protocol mix, seeds, fault schedules, sweep
+  kind) from a seeded generator, so every fuzz case is itself
+  replayable.
+* :func:`differential_check` runs the sweep a spec declares (grid,
+  adaptive plan or fault campaign) inline as the oracle, then through
+  one matrix of paths -- jobs=N, each PHY backend, cold then warm
+  cache, interrupt + resume, telemetry -- and reports any path whose
+  runs or plan are not bit-identical.  It is the one bit-identity
+  oracle; the chaos harness calls its :func:`interrupt_and_resume`.
 * :func:`run_with_invariants` replays a spec serially with the runtime
   invariant monitors attached (:mod:`repro.validation.invariants`).
 * :func:`write_replay_spec` turns a caught
@@ -31,13 +33,26 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
-from typing import List, Optional, Sequence, Tuple
+import signal
+import tempfile
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.executors import SweepExecutor
+from repro.experiments.adaptive import (
+    ADAPTIVE_PLAN_KEY,
+    AdaptiveConfig,
+    run_adaptive_experiment,
+)
+from repro.experiments.campaigns import (
+    CAMPAIGN_PLAN_KEY,
+    CampaignConfig,
+    run_campaign_experiment,
+)
 from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.parallel import sweep_specs
+from repro.experiments.resilience import SweepJournal
 from repro.experiments.results import RunResult
-from repro.experiments.runner import run_protocol
+from repro.experiments.runner import run_experiment, run_protocol
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec
 from repro.mobility.config import EnergySpec, MobilitySpec
@@ -64,8 +79,13 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
 
     The generator RNG is derived from ``(master_seed, index)`` alone, so
     ``repro validate --fuzz N`` enumerates the same cases on every
-    machine and a failing index can be re-drawn in isolation.
+    machine and a failing index can be re-drawn in isolation.  The
+    sweep kind cycles with ``index % 3`` -- grid, ``[adaptive]`` plan,
+    one-draw ``[campaign]`` -- without an RNG draw of its own, so every
+    kind keeps the scenario the case draws (a campaign drops its fault
+    plan and samples its own).
     """
+    kind = ("grid", "adaptive", "campaign")[index % 3]
     rng = random.Random(derive_seed(master_seed, f"fuzz.{index}"))
     num_nodes = rng.randint(8, 14)
     duration_s = float(rng.choice((8, 10, 12)))
@@ -125,31 +145,79 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
         rate_pps=10.0,
         duration_s=duration_s,
         warmup_s=warmup_s,
-        faults=FaultPlan(outages=tuple(outages), flapping=tuple(flapping)),
+        # A campaign samples its own fault plans.
+        faults=FaultPlan() if kind == "campaign" else FaultPlan(
+            outages=tuple(outages), flapping=tuple(flapping)
+        ),
         mobility=mobility,
         energy=energy,
     )
     return ExperimentSpec(
         name=f"fuzz-{master_seed}-{index}",
         description=(
-            f"differential fuzz case {index} (master seed {master_seed})"
+            f"differential fuzz case {index}, {kind} "
+            f"(master seed {master_seed})"
         ),
         protocols=protocols,
         seeds=seeds,
         config=config,
+        # The sequential planner, capped to the case's own seed pool.
+        adaptive=AdaptiveConfig(
+            target_half_width=0.25, batch_size=1, min_seeds=1,
+            max_seeds=len(seeds), paired=True,
+        ) if kind == "adaptive" else None,
+        campaign=(
+            CampaignConfig(draws=1, master_seed=7)
+            if kind == "campaign" else None
+        ),
     )
 
 
-def _first_difference(
-    label: str, baseline: Sequence[RunResult], candidate: Sequence[RunResult]
-) -> Optional[str]:
-    """Describe the first divergence between two result lists, if any."""
-    if len(baseline) != len(candidate):
+#: One path's ``(plan, runs)``; ``plan`` is None for a grid, else
+#: ``(journal record kind, plan_dict(), the per-round records journaled)``.
+Sweep = Tuple[Optional[Tuple[str, Dict[str, Any], List[Any]]], List[RunResult]]
+
+
+def _sweep(
+    spec: ExperimentSpec, jobs: int = 1, use_cache: bool = False,
+    run_timeout_s: Optional[float] = None, **execution: Any,
+) -> Sweep:
+    """Run the sweep ``spec`` declares -- grid, ``[adaptive]`` plan or
+    ``[campaign]`` plan -- as one path; the one place the oracle names
+    the kinds.  The path's settings replace the spec's own (retries
+    off), so nothing caches or journals where the caller did not say;
+    ``execution`` passes through to the kind's entry point."""
+    spec = replace(
+        spec, jobs=jobs, use_cache=use_cache, run_timeout_s=run_timeout_s,
+        max_retries=None,
+    )
+    if spec.campaign is not None:
+        result = run_campaign_experiment(spec, **execution)
+        kind, rounds = CAMPAIGN_PLAN_KEY, "plan"
+    elif spec.adaptive is not None:
+        result = run_adaptive_experiment(spec, **execution)
+        kind, rounds = ADAPTIVE_PLAN_KEY, "batches"
+    else:
+        return None, run_experiment(spec, **execution)
+    plan = result.plan_dict()
+    return (kind, plan, plan[rounds]), result.runs
+
+
+def _difference(label: str, oracle: Sweep, candidate: Sweep) -> Optional[str]:
+    """Describe the first divergence of a path from the oracle, if any:
+    its plan first, then its runs."""
+    (want_plan, baseline), (plan, results) = oracle, candidate
+    if want_plan is not None and plan[1] != want_plan[1]:
+        keys = sorted(
+            key for key in want_plan[1] if plan[1].get(key) != want_plan[1][key]
+        )
+        return f"{label}: plan diverged in key(s) {keys}"
+    if len(baseline) != len(results):
         return (
-            f"{label}: produced {len(candidate)} results, "
+            f"{label}: produced {len(results)} results, "
             f"expected {len(baseline)}"
         )
-    for expected, got in zip(baseline, candidate):
+    for expected, got in zip(baseline, results):
         if expected != got:
             fields = [
                 f.name
@@ -164,10 +232,82 @@ def _first_difference(
     return None
 
 
-def _strip_telemetry_path(results: Sequence[RunResult]) -> List[RunResult]:
-    return [
-        dataclasses.replace(result, telemetry_path=None) for result in results
+def _interrupt_after_first() -> Callable[[str, int], None]:
+    """A progress callback that SIGINTs this process once, after the
+    first finished run."""
+    fired: List[bool] = []
+
+    def interrupt(protocol: str, seed: int) -> None:
+        if not fired:
+            fired.append(True)
+            os.kill(os.getpid(), signal.SIGINT)
+
+    return interrupt
+
+
+def interrupt_and_resume(
+    spec: ExperimentSpec,
+    jobs: int,
+    work_dir: str,
+    oracle: Optional[Sweep] = None,
+) -> List[Tuple[str, bool, str]]:
+    """The matrix's interrupt + resume path, as ``(name, ok, detail)``.
+
+    Journals the sweep ``spec`` declares under ``work_dir``, SIGINTs it
+    after its first finished run at one job (inline, or one supervised
+    worker if the spec sets ``run_timeout_s``), then resumes it at
+    ``jobs``.  ``interrupt-drains``: the pass was interrupted and
+    journaled at least one run, all ok, and (from two cells) fewer runs
+    than cells.  ``resume-identical``: the resume executed only the
+    runs the journal lacked, and its plan and runs equal the inline
+    ``oracle``'s.  ``plan-journaled`` (planners only): the journaled
+    plan records equal the resumed plan's.
+    """
+    oracle = oracle or _sweep(spec)
+    cells = len(oracle[1])
+    work_dir = tempfile.mkdtemp(prefix="resume-", dir=work_dir)
+    journal = os.path.join(work_dir, "journal.jsonl")
+    execution: Dict[str, Any] = dict(
+        cache_dir=os.path.join(work_dir, "cache"), journal_path=journal,
+        run_timeout_s=spec.run_timeout_s,
+    )
+    interrupted = False
+    try:
+        _sweep(spec, progress=_interrupt_after_first(), **execution)
+    except KeyboardInterrupt:
+        interrupted = True
+    journaled = SweepJournal.replay(journal)
+    drained = interrupted and len(journaled) >= 1 and (
+        all(record.ok for record in journaled.values())
+        and (cells < 2 or len(journaled) < cells)
+    )
+    executed: List[Tuple[str, int]] = []
+    resumed = _sweep(
+        spec, jobs=jobs, resume=True,
+        progress=lambda *run: executed.append(run), **execution,
+    )
+    # Progress fires only for executed runs, each journaled afresh.
+    missing = len(SweepJournal.replay(journal)) - len(journaled)
+    divergence = _difference("resumed", oracle, resumed)
+    verdicts = [
+        ("interrupt-drains", drained, f"interrupted={interrupted}, "
+         f"{len(journaled)}/{cells} run(s) journaled"),
+        ("resume-identical", divergence is None and len(executed) == missing,
+         divergence or f"{len(executed)} run(s) executed for {missing} "
+         "missing from the journal; plan and runs bit-identical"),
     ]
+    if resumed[0] is not None:
+        kind, _plan, expected = resumed[0]
+        records = SweepJournal.replay_plans(journal, kind, spec.name)
+        verdicts.append((
+            "plan-journaled", len(records) == len(expected) and all(
+                {key: record.get(key) for key in fields} == fields
+                for record, fields in zip(records, expected)
+            ),
+            f"{len(records)} journaled {kind} record(s) for a "
+            f"{len(expected)}-round resumed plan",
+        ))
+    return verdicts
 
 
 def differential_check(
@@ -176,32 +316,27 @@ def differential_check(
     work_dir: Optional[str] = None,
     phy_backends: Sequence[str] = ("scalar", "vectorized"),
 ) -> List[str]:
-    """Run ``spec`` through every execution path; describe divergences.
+    """Run the sweep ``spec`` declares (grid, ``[adaptive]`` plan or
+    ``[campaign]`` plan) through every execution path; describe each
+    path whose runs -- or, for a planner, ``plan_dict()`` -- are not
+    bit-identical to the inline serial oracle's.
 
-    The serial in-process sweep is the oracle.  Each alternate path --
-    ``jobs`` worker processes, the adaptive sequential planner capped to
-    the same seed pool, a one-draw fault campaign, a cache stored cold
-    by ``jobs`` workers then replayed warm inline, a telemetry-enabled
-    serial pass, and one forced-``phy_backend``
-    serial pass per entry in ``phy_backends`` -- must reproduce the
-    oracle's :class:`RunResult` rows bit-for-bit (the telemetry pass
-    is compared with its artifact path masked, since the path is the
-    one legitimately new field).
-    The backend axis is the scalar<->vectorized parity gate: forcing
-    either reception path through :class:`NetworkConfig.phy_backend`
-    must not move a single bit relative to the spec's own (usually
-    "auto") setting.  Backend passes are skipped when numpy is absent
-    (the vectorized path cannot be forced without it) or when the spec
-    already pins a non-auto backend.  Returns an empty list when every
-    path agrees; error strings otherwise.
+    The paths: ``jobs`` workers; one inline pass per forced
+    ``phy_backend`` (skipped without numpy or when the spec pins one);
+    and, given a ``work_dir`` to hold every cache, journal and trace, a
+    cache stored cold by ``jobs`` workers then replayed warm inline,
+    :func:`interrupt_and_resume`, and an inline telemetry pass.
+    Returns an empty list when every path agrees.
     """
     spec.validate()
-    specs = sweep_specs(spec.config, spec.protocols, spec.seeds)
-    baseline = [o.result for o in SweepExecutor(jobs=1).execute(specs)]
+    execution: Dict[str, Any] = {}
+    if work_dir is not None:
+        execution["cache_dir"] = os.path.join(work_dir, "fuzz-cache")
+    oracle = _sweep(spec, **execution)
     errors = [
         f"baseline: run ({r.protocol}, seed {r.topology_seed}) "
         f"errored: {r.error.splitlines()[-1]}"
-        for r in baseline
+        for r in oracle[1]
         if r.error is not None
     ]
     if errors:
@@ -209,187 +344,44 @@ def differential_check(
         # passes would only echo the same traceback four more times.
         return errors
 
-    pooled = [o.result for o in SweepExecutor(jobs=jobs).execute(specs)]
-    divergence = _first_difference(f"jobs={jobs}", baseline, pooled)
-    if divergence:
-        errors.append(divergence)
+    def check(label: str, path: ExperimentSpec = spec, **settings) -> None:
+        got, want = _sweep(path, **settings, **execution), oracle
+        if path.config.telemetry != spec.config.telemetry:
+            # Tracing adds an artifact path to each run; nothing else.
+            got, want = (
+                (plan, [replace(run, telemetry_path=None) for run in runs])
+                for plan, runs in (got, want)
+            )
+        divergence = _difference(label, want, got)
+        if divergence:
+            errors.append(divergence)
 
-    errors.extend(_adaptive_differences(spec, baseline))
+    def with_config(**fields: Any) -> ExperimentSpec:
+        return replace(spec, config=replace(spec.config, **fields))
 
-    errors.extend(_campaign_differences(spec))
-
+    check(f"jobs={jobs}", jobs=jobs)
     if phy_backends and spec.config.network.phy_backend == "auto":
         try:
             import repro.phy.vectorized  # noqa: F401
         except ImportError:
-            backends: Sequence[str] = ()
-        else:
-            backends = phy_backends
-        for backend in backends:
-            backend_config = dataclasses.replace(
-                spec.config,
-                network=dataclasses.replace(
-                    spec.config.network, phy_backend=backend
-                ),
-            )
-            forced = [
-                run_protocol(s.protocol, s.seeded_config())
-                for s in sweep_specs(
-                    backend_config, spec.protocols, spec.seeds
-                )
-            ]
-            divergence = _first_difference(
-                f"phy-{backend}", baseline, forced
-            )
-            if divergence:
-                errors.append(divergence)
-
-    if work_dir is not None:
-        cache_dir = os.path.join(work_dir, "fuzz-cache")
-        cold = [o.result for o in SweepExecutor(
-            jobs=jobs, use_cache=True, cache_dir=cache_dir,
-        ).execute(specs)]
-        divergence = _first_difference("cache-cold", baseline, cold)
-        if divergence:
-            errors.append(divergence)
-        warm = [o.result for o in SweepExecutor(
-            jobs=1, use_cache=True, cache_dir=cache_dir,
-        ).execute(specs)]
-        divergence = _first_difference("cache-warm", baseline, warm)
-        if divergence:
-            errors.append(divergence)
-
-        telemetry_config = dataclasses.replace(
-            spec.config,
-            telemetry=TelemetryConfig(
-                enabled=True,
-                export_dir=os.path.join(work_dir, "fuzz-telemetry"),
-            ),
+            phy_backends = ()
+        for backend in phy_backends:
+            network = replace(spec.config.network, phy_backend=backend)
+            check(f"phy-{backend}", with_config(network=network))
+    if work_dir is None:
+        return errors
+    check("cache-cold", jobs=jobs, use_cache=True)
+    check("cache-warm", use_cache=True)
+    errors.extend(
+        f"{name}: {detail}"
+        for name, ok, detail in interrupt_and_resume(
+            spec, jobs, work_dir, oracle
         )
-        with_telemetry = [
-            run_protocol(s.protocol, s.seeded_config())
-            for s in sweep_specs(telemetry_config, spec.protocols, spec.seeds)
-        ]
-        divergence = _first_difference(
-            "telemetry",
-            _strip_telemetry_path(baseline),
-            _strip_telemetry_path(with_telemetry),
-        )
-        if divergence:
-            errors.append(divergence)
-
-    return errors
-
-
-def _adaptive_differences(
-    spec: ExperimentSpec, baseline: Sequence[RunResult]
-) -> List[str]:
-    """The adaptive axis: the sequential planner, capped to the spec's
-    own seed pool, must agree bit-for-bit with the exhaustive grid on
-    every (protocol, seed) cell both of them executed.  The planner may
-    legitimately execute *fewer* cells (that is its job); executing a
-    cell outside the exhaustive grid, or producing a different result
-    for a shared cell, is a determinism violation.
-    """
-    from repro.experiments.adaptive import (
-        AdaptiveConfig,
-        run_adaptive_experiment,
+        if not ok
     )
-
-    adaptive_spec = dataclasses.replace(
-        spec,
-        adaptive=AdaptiveConfig(
-            target_half_width=0.25,
-            batch_size=1,
-            min_seeds=1,
-            max_seeds=len(spec.seeds),
-            paired=True,
-        ),
-    )
-    plan = run_adaptive_experiment(adaptive_spec)
-    expected = {
-        (run.protocol, run.topology_seed): run for run in baseline
-    }
-    errors: List[str] = []
-    for run in plan.runs:
-        cell = (run.protocol, run.topology_seed)
-        want = expected.get(cell)
-        if want is None:
-            errors.append(
-                f"adaptive: executed ({run.protocol}, seed "
-                f"{run.topology_seed}) which is outside the exhaustive "
-                "grid"
-            )
-            continue
-        if run != want:
-            fields = [
-                f.name
-                for f in dataclasses.fields(want)
-                if getattr(want, f.name) != getattr(run, f.name)
-            ]
-            errors.append(
-                f"adaptive: run ({run.protocol}, seed "
-                f"{run.topology_seed}) diverged in field(s) {fields}: "
-                f"baseline={want!r} candidate={run!r}"
-            )
-    return errors
-
-
-def _campaign_differences(spec: ExperimentSpec) -> List[str]:
-    """The campaign axis: every cell the fault-campaign planner runs --
-    the fault-free CRN baseline and each cell of a one-draw importance
-    sample -- must equal an independently executed ``run_protocol``
-    call on the same (protocol, seed, fault plan) triple bit-for-bit.
-    The planner only adds orchestration (severity sampling, journals,
-    importance weights) on top of the run layer; none of it may move a
-    result bit.  The campaign strips any spec-level fault plan and
-    mobility axis first (campaigns sample fault plans themselves and
-    reject mobility specs), so this axis checks planner-vs-independent
-    execution, not planner-vs-oracle.
-    """
-    from repro.experiments.campaigns import (
-        CampaignConfig,
-        run_campaign_experiment,
-    )
-    from repro.experiments.faults import FaultPlan
-
-    campaign_spec = dataclasses.replace(
-        spec,
-        adaptive=None,
-        mobility_models=(),
-        campaign=CampaignConfig(draws=1, master_seed=7),
-        config=dataclasses.replace(spec.config, faults=FaultPlan()),
-    )
-    result = run_campaign_experiment(campaign_spec)
-    errors: List[str] = []
-    independent_baseline = [
-        run_protocol(s.protocol, s.seeded_config())
-        for s in sweep_specs(
-            campaign_spec.config, campaign_spec.protocols, campaign_spec.seeds
-        )
-    ]
-    divergence = _first_difference(
-        "campaign-baseline", independent_baseline, result.baseline_runs
-    )
-    if divergence:
-        errors.append(divergence)
-    for draw, runs in zip(result.draws, result.draw_runs):
-        independent = [
-            run_protocol(s.protocol, s.seeded_config())
-            for seed in campaign_spec.seeds
-            for s in sweep_specs(
-                dataclasses.replace(
-                    campaign_spec.config, faults=draw.plans[seed]
-                ),
-                campaign_spec.protocols,
-                (seed,),
-            )
-        ]
-        divergence = _first_difference(
-            f"campaign-draw-{draw.index}", independent, runs
-        )
-        if divergence:
-            errors.append(divergence)
+    check("telemetry", with_config(telemetry=TelemetryConfig(
+        enabled=True, export_dir=os.path.join(work_dir, "fuzz-telemetry"),
+    )))
     return errors
 
 
@@ -405,7 +397,7 @@ def run_with_invariants(
     replay triple intact.
     """
     spec.validate()
-    config = dataclasses.replace(
+    config = replace(
         spec.config,
         validation=ValidationConfig(
             enabled=True,
@@ -413,10 +405,10 @@ def run_with_invariants(
             monitors=tuple(monitors),
         ),
     )
-    results: List[RunResult] = []
-    for run_spec in sweep_specs(config, spec.protocols, spec.seeds):
-        results.append(run_protocol(run_spec.protocol, run_spec.seeded_config()))
-    return results
+    return [
+        run_protocol(run_spec.protocol, run_spec.seeded_config())
+        for run_spec in sweep_specs(config, spec.protocols, spec.seeds)
+    ]
 
 
 def write_replay_spec(violation: InvariantViolation, path: str) -> str:
@@ -428,7 +420,7 @@ def write_replay_spec(violation: InvariantViolation, path: str) -> str:
         )
     config = violation.config
     if violation.seed is not None:
-        config = dataclasses.replace(config, topology_seed=violation.seed)
+        config = replace(config, topology_seed=violation.seed)
     spec = ExperimentSpec(
         name=f"replay-{violation.invariant}",
         description=(
@@ -465,18 +457,11 @@ def consistency_spec() -> ExperimentSpec:
     """The mini-sweep ``scripts/bench_check.py`` and the perfsmoke tier
     hold to :func:`differential_check`: two protocols on a 10-node mesh,
     a few seconds of wall time."""
-    return ExperimentSpec(
-        name="consistency-mini",
-        protocols=("odmrp", "spp"),
-        seeds=(1,),
-        config=SimulationScenarioConfig(
-            num_nodes=10,
-            area_width_m=500.0,
-            area_height_m=500.0,
-            num_groups=1,
-            members_per_group=3,
-            duration_s=15.0,
-            warmup_s=5.0,
+    spec = default_validation_spec()
+    return replace(
+        spec, name="consistency-mini", description="",
+        protocols=("odmrp", "spp"), config=replace(
+            spec.config, num_nodes=10, area_width_m=500.0, area_height_m=500.0,
         ),
     )
 
@@ -489,26 +474,18 @@ def moving_validation_spec() -> ExperimentSpec:
     power-conservation, and rng-isolation get checked while audible
     sets churn every tick.
     """
-    return ExperimentSpec(
+    spec = default_validation_spec()
+    return replace(
+        spec,
         name="paper-mini-moving",
         description=(
             "paper protocols on a random-waypoint mesh, full monitor suite"
         ),
         protocols=("odmrp", "spp"),
-        seeds=(1,),
-        config=SimulationScenarioConfig(
-            num_nodes=12,
-            area_width_m=600.0,
-            area_height_m=600.0,
-            num_groups=1,
-            members_per_group=3,
-            duration_s=15.0,
-            warmup_s=5.0,
-            mobility=MobilitySpec(
-                model="random-waypoint",
-                update_interval_s=1.0,
-                speed_min_mps=2.0,
-                speed_max_mps=15.0,
-            ),
-        ),
+        config=replace(spec.config, mobility=MobilitySpec(
+            model="random-waypoint",
+            update_interval_s=1.0,
+            speed_min_mps=2.0,
+            speed_max_mps=15.0,
+        )),
     )

@@ -196,6 +196,19 @@ class TestPlanner:
         assert again.plan_dict() == tiny_plan.plan_dict()
         assert again.runs == tiny_plan.runs
 
+    def test_cells_equal_the_exhaustive_grid(self, tiny_plan):
+        """The planner only picks cells: each one it ran is bit-identical
+        to the same cell of the exhaustive grid over the seeds it used."""
+        from repro.experiments.runner import run_experiment
+
+        seeds = tuple(sorted({run.topology_seed for run in tiny_plan.runs}))
+        grid = run_experiment(tiny_spec(adaptive=None, seeds=seeds))
+        by_cell = {(run.protocol, run.topology_seed): run for run in grid}
+        assert tiny_plan.runs == [
+            by_cell[(run.protocol, run.topology_seed)]
+            for run in tiny_plan.runs
+        ]
+
     def test_paired_comparisons_cover_non_baseline(self, tiny_plan):
         comparisons = {
             c.protocol: c for c in tiny_plan.paired_comparisons()

@@ -133,7 +133,8 @@ def test_chaos_config_is_tiny():
 @pytest.mark.chaos
 def test_chaos_harness_quick(tmp_path):
     """End-to-end: inject kills/hangs/corruption against real runs and
-    assert the supervisor recovers, quarantines, and resumes
+    assert the supervisor recovers, quarantines, and -- through the
+    oracle's interrupt + resume path, once per sweep kind -- resumes
     bit-identically.  ~15 s; excluded from the default run."""
     report = run_chaos(quick=True, jobs=2, work_dir=str(tmp_path))
     assert report.ok, "\n" + report.render()
@@ -142,4 +143,8 @@ def test_chaos_harness_quick(tmp_path):
         "baseline-clean", "chaos-recovered", "chaos-identical",
         "quarantine-surfaces", "cache-corruption-recovers",
         "interrupt-drains", "resume-identical",
+        "adaptive-interrupt-drains", "adaptive-resume-identical",
+        "adaptive-plan-journaled", "campaign-interrupt-drains",
+        "campaign-resume-identical", "campaign-plan-journaled",
     } <= names
+    assert len(report.checks) == 16

@@ -145,6 +145,19 @@ class TestRunCommand:
         assert "Normalized throughput" in report_path.read_text()
 
 
+class TestValidateCommand:
+    def test_invalid_spec_fails_like_run(self, tmp_path, capsys):
+        spec_path = tmp_path / "bad.toml"
+        spec_path.write_text(
+            'schema = 1\nname = "bad"\nprotocols = ["odmrp", "nosuch"]\n'
+            "seeds = [1]\n"
+        )
+        for command in ("run", "validate"):
+            assert main([command, "--spec", str(spec_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR: unknown protocol 'nosuch'")
+
+
 class TestRemovedFleetSurface:
     def test_backend_flag_and_worker_command_exit_nonzero(self):
         for argv in (["run", "--backend", "dir://x", "--dry-run"],

@@ -8,9 +8,11 @@ Three layers of evidence:
    immortal forwarding state, a double-counting sink, shared RNG
    streams, an upstream cycle) are each caught by the matching monitor,
    with a replayable violation report.
-3. The differential fuzz oracle (``pytest -m fuzz``) holds randomly
-   generated scenarios to bit-identical results across the serial,
-   pooled, cached, and telemetry-enabled execution paths.
+3. The differential oracle runs the sweep a spec declares (grid,
+   adaptive plan or fault campaign) and holds its runs and plan to
+   bit-identity across the serial, pooled, cached, interrupt-and-resume,
+   forced-backend and telemetry-enabled paths; the fuzz tier
+   (``pytest -m fuzz``) feeds it random scenarios of every kind.
 """
 
 from __future__ import annotations
@@ -336,26 +338,88 @@ class TestDifferentialOracle:
         spec = dataclasses.replace(
             random_spec(0), protocols=("odmrp",), seeds=(1,)
         )
-        real_first_difference = fuzzing._first_difference
+        real_difference = fuzzing._difference
         tampered = {"done": False}
 
-        def tamper(label, baseline, candidate):
-            if not tampered["done"] and candidate:
+        def tamper(label, oracle, candidate):
+            plan, runs = candidate
+            if not tampered["done"] and runs:
                 tampered["done"] = True
-                candidate = [
+                runs = [
                     dataclasses.replace(
-                        candidate[0],
-                        delivered_packets=candidate[0].delivered_packets + 1,
+                        runs[0], delivered_packets=runs[0].delivered_packets + 1,
                     )
-                ] + list(candidate[1:])
-            return real_first_difference(label, baseline, candidate)
+                ] + list(runs[1:])
+            return real_difference(label, oracle, (plan, runs))
 
-        fuzzing._first_difference = tamper
+        fuzzing._difference = tamper
         try:
             errors = differential_check(spec, jobs=2, work_dir=str(tmp_path))
         finally:
-            fuzzing._first_difference = real_first_difference
+            fuzzing._difference = real_difference
         assert errors and "delivered_packets" in errors[0]
+
+
+    def _planner_spec(self, **planner):
+        from repro.experiments.chaos import chaos_config
+
+        return ExperimentSpec(
+            name="oracle-planner", protocols=("odmrp", "spp"), seeds=(1, 2),
+            config=chaos_config(quick=True), **planner,
+        )
+
+    def test_campaign_spec_passes_the_matrix(self, tmp_path):
+        from repro.experiments.campaigns import CampaignConfig
+
+        spec = self._planner_spec(campaign=CampaignConfig(draws=1))
+        assert differential_check(spec, jobs=2, work_dir=str(tmp_path)) == []
+
+    def test_oracle_writes_only_under_its_work_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """A spec's own cache, timeout and retry settings would journal
+        and cache under the default cache dir; every path clears them."""
+        from repro.experiments.adaptive import AdaptiveConfig
+
+        default_cache = tmp_path / "default-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default_cache))
+        spec = dataclasses.replace(
+            self._planner_spec(adaptive=AdaptiveConfig(max_seeds=2)),
+            use_cache=True, run_timeout_s=60.0, max_retries=1,
+        )
+        work_dir = tmp_path / "work"
+        work_dir.mkdir()
+        assert differential_check(spec, jobs=2, work_dir=str(work_dir)) == []
+        assert not default_cache.exists()
+
+    def test_adaptive_oracle_runs_the_declared_plan(
+        self, tmp_path, monkeypatch
+    ):
+        """The oracle's plan is the spec's own, and a path whose plan
+        diverges from it is reported by name."""
+        import repro.validation.fuzzing as fuzzing
+        from repro.experiments.adaptive import (
+            AdaptiveConfig,
+            run_adaptive_experiment,
+        )
+
+        spec = self._planner_spec(adaptive=AdaptiveConfig(
+            target_half_width=0.01, batch_size=2, min_seeds=2, max_seeds=3,
+        ))
+        real_sweep = fuzzing._sweep
+        plans = []
+
+        def tamper(path, **execution):
+            (kind, plan, records), runs = real_sweep(path, **execution)
+            plans.append(plan)
+            if len(plans) == 2:  # the pooled path
+                plan = {**plan, "total_runs": -1}
+            return (kind, plan, records), runs
+
+        monkeypatch.setattr(fuzzing, "_sweep", tamper)
+        errors = differential_check(spec, jobs=2, work_dir=str(tmp_path))
+        assert plans[0] == run_adaptive_experiment(spec).plan_dict()
+        assert errors == ["jobs=2: plan diverged in key(s) ['total_runs']"]
 
 
 @pytest.mark.fuzz
