@@ -8,8 +8,7 @@ The simulation sweep fans out across worker processes (``--jobs``,
 default one per CPU) and reuses the on-disk result cache, so a re-run
 after a config tweak only recomputes the runs the tweak touched; pass
 ``--no-cache`` after *code* changes (the cache key covers config fields,
-not source).  Serially this sweep takes tens of minutes; see
-``results_full_scale.log`` for a pre-parallel trace.
+not source).  Serially this sweep takes tens of minutes.
 """
 
 from __future__ import annotations

@@ -25,11 +25,11 @@ Edge-case sentinels (never raise on legal-but-degenerate data)
   when they differ.
 * ``paired_difference_ci`` with a single pair returns the degenerate
   interval around that one difference.
-* The importance-weighted estimators (``weighted_mean`` and friends,
-  used by :mod:`repro.experiments.campaigns`) *do* raise ``ValueError``
-  on structurally broken input -- empty/misaligned samples, negative or
-  non-finite weights, all-zero mass -- because a weight vector that
-  malformed signals a planner bug, not a degenerate-but-legal sample.
+* The importance-weighted estimators (``weighted_mean`` and friends)
+  *do* raise ``ValueError`` on structurally broken input --
+  empty/misaligned samples, negative or non-finite weights, all-zero
+  mass -- because a weight vector that malformed signals a caller bug,
+  not a degenerate-but-legal sample.
   Legal degeneracy (n == 1, zero residual variance, ESS <= 1) again
   collapses to point intervals.
 """
@@ -307,10 +307,10 @@ def relative_gain_pct(value: float, baseline: float) -> float:
 # ---------------------------------------------------------------------------
 # Importance-weighted (self-normalized) estimators.
 #
-# The fault-campaign planner draws fault configurations from a proposal
-# distribution biased toward severe schedules and re-weights each draw
-# by the likelihood ratio w_i = p(x_i) / q(x_i) back to the nominal
-# fault distribution.  Everything below is the self-normalized flavor:
+# A sampler that draws from a proposal distribution q (say, biased
+# toward severe configurations) re-weights each draw by the likelihood
+# ratio w_i = p(x_i) / q(x_i) back to the nominal distribution p.
+# Everything below is the self-normalized flavor:
 # estimates divide by sum(w) rather than n, so the weights only need to
 # be known up to a common constant.  The price is a small O(1/n) bias
 # (the estimator is a ratio), which the effective-sample-size
@@ -437,7 +437,7 @@ def weighted_tail_probability(
     distribution, from draws made under the proposal.
 
     This is :func:`weighted_mean` over the indicator 1[x < threshold]
-    -- the rare-event estimator the fault campaigns exist for.
+    -- the rare-event estimator importance sampling exists for.
     """
     return weighted_mean(
         [1.0 if x < threshold else 0.0 for x in values], weights

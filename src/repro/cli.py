@@ -303,12 +303,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.experiments.adaptive import AdaptiveConfig
 
         spec = replace(spec, adaptive=AdaptiveConfig())
-    if getattr(args, "campaign", False) and spec.campaign is None:
-        from dataclasses import replace
-
-        from repro.experiments.campaigns import CampaignConfig
-
-        spec = replace(spec, campaign=CampaignConfig())
     if getattr(args, "telemetry_dir", None):
         from dataclasses import replace
 
@@ -332,16 +326,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  running {protocol} seed={seed} ...", flush=True)
 
     plan = None
-    campaign = None
     try:
-        if spec.campaign is not None:
-            from repro.experiments.campaigns import run_campaign_experiment
-
-            campaign = run_campaign_experiment(
-                spec, progress=progress, resume=args.resume
-            )
-            runs = campaign.runs
-        elif spec.adaptive is not None:
+        if spec.adaptive is not None:
             from repro.experiments.adaptive import run_adaptive_experiment
 
             plan = run_adaptive_experiment(
@@ -361,13 +347,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 130
     if not _warn_failed_runs(runs):
         return 1
-    # Campaign reports: the standard paper-comparison sections render
-    # the fault-free CRN baseline (averaging across fault severities
-    # would mean nothing); the Robustness section carries the faults.
-    report_runs = campaign.baseline_runs if campaign is not None else runs
-    report = render_report(
-        report_runs, title=spec.name, adaptive=plan, campaign=campaign
-    )
+    report = render_report(runs, title=spec.name, adaptive=plan)
     print()
     print(report)
     if args.report:
@@ -621,14 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "paired common-random-number comparisons "
                           "(defaults apply unless the spec has an "
                           "[adaptive] section)")
-    run.add_argument("--campaign", action="store_true",
-                     help="run as a fault campaign: sample fault plans "
-                          "under an importance proposal biased toward "
-                          "severe schedules, pair every draw with a "
-                          "fault-free CRN baseline, and report "
-                          "importance-weighted robustness estimates "
-                          "(defaults apply unless the spec has a "
-                          "[campaign] section)")
     run.add_argument("--resume", action="store_true",
                      help="replay completed runs from the sweep journal "
                           "(.repro_cache/runs/journal.jsonl) and execute "

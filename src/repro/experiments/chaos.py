@@ -265,11 +265,11 @@ def run_chaos(
     4. *cache corruption* -- truncated and garbled cache entries must
        quarantine, recompute identically, and a killed ``cache_store``
        (orphaned temp file) must be swept, never loaded.
-    5-7. *interrupt + resume* -- the grid, an adaptive plan and a
-       two-draw fault campaign, each through the differential oracle's
+    5-6. *interrupt + resume* -- the grid and an adaptive plan, each
+       through the differential oracle's
        :func:`~repro.validation.fuzzing.interrupt_and_resume` path: a
        SIGINT after the first finished run at one job (inline for the
-       grid, one supervised worker for the planners, which set a
+       grid, one supervised worker for the planner, which sets a
        timeout) must stop cleanly with a consistent journal, and a
        ``resume`` pass must execute only the missing runs and replay
        into the oracle's runs -- and plan, whose journaled records
@@ -429,30 +429,25 @@ def run_chaos(
         f"tmp-swept={not os.path.exists(orphan)}",
     )
 
-    # -- Phases 5-7: SIGINT drains; resume replays bit-identically -------
+    # -- Phases 5-6: SIGINT drains; resume replays bit-identically -------
     # The oracle's interrupt + resume path, once per sweep kind.  The
-    # planners keep a timeout, which puts even one job on a supervised
-    # worker, so their interrupts kill a real run child in flight.
+    # planner keeps a timeout, which puts even one job on a supervised
+    # worker, so its interrupt kills a real run child in flight.
     from repro.experiments.adaptive import AdaptiveConfig
-    from repro.experiments.campaigns import CampaignConfig
     from repro.experiments.spec import ExperimentSpec
     from repro.validation.fuzzing import interrupt_and_resume
 
     grid = ExperimentSpec(
         name="chaos-grid", protocols=protocols, seeds=seeds, config=config,
     )
-    planned = dataclasses.replace(grid, run_timeout_s=timeout_s)
     for prefix, spec in (
         ("", grid),
         ("adaptive-", dataclasses.replace(
-            planned, name="chaos-adaptive", adaptive=AdaptiveConfig(
+            grid, name="chaos-adaptive", run_timeout_s=timeout_s,
+            adaptive=AdaptiveConfig(
                 target_half_width=0.25, batch_size=1, min_seeds=1,
                 max_seeds=2,
             ),
-        )),
-        ("campaign-", dataclasses.replace(
-            planned, name="chaos-campaign",
-            campaign=CampaignConfig(draws=2, master_seed=3),
         )),
     ):
         say(f"chaos: {prefix}interrupt + resume ...")

@@ -1,8 +1,9 @@
 """The sweep executor: the one way a list of runs executes.
 
-Every sweep -- :func:`~repro.experiments.runner.run_experiment`, both
-planners, the chaos harness, the differential oracle and the scripts --
-builds a :class:`SweepExecutor` and calls :meth:`SweepExecutor.execute`.
+Every sweep -- :func:`~repro.experiments.runner.run_experiment`, the
+adaptive planner, the chaos harness, the differential oracle and the
+scripts -- builds a :class:`SweepExecutor` and calls
+:meth:`SweepExecutor.execute`.
 A one-job sweep without a timeout runs inline, anything else on
 persistent supervised workers on this host
 (:mod:`repro.experiments.resilience`).  :meth:`SweepExecutor.for_spec`

@@ -160,24 +160,6 @@ class FaultPlan:
             for node_id, intervals in raw.items()
         }
 
-    def merged_downtime_s(self, node_id: int | None = None) -> float:
-        """Planned downtime after merging overlaps (union, not sum).
-
-        With ``node_id`` the downtime of that one node; without it the
-        total across all nodes (node-seconds of outage the plan
-        injects) -- the plan's headline severity number.
-        """
-        per_node = self.node_intervals()
-        if node_id is not None:
-            return sum(
-                end - start for start, end in per_node.get(node_id, [])
-            )
-        return sum(
-            end - start
-            for intervals in per_node.values()
-            for start, end in intervals
-        )
-
     def severity_summary(self) -> Dict[str, float]:
         """Compact per-plan severity numbers for reports and journals."""
         per_node = self.node_intervals()

@@ -16,7 +16,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.stats import confidence_interval_95, mean
 from repro.experiments.adaptive import AdaptiveResult
-from repro.experiments.campaigns import CampaignResult
 from repro.experiments.results import (
     RunResult,
     aggregate_runs,
@@ -252,88 +251,12 @@ def injected_downtime_note(runs: Sequence[RunResult]) -> Optional[str]:
     )
 
 
-def robustness_section(campaign: CampaignResult) -> str:
-    """The fault campaign's outcome: the headline verdict, per-protocol
-    tail probabilities with ESS-honest CIs, and degradation curves."""
-    diagnostics = campaign.weight_diagnostics()
-    rows = []
-    for row in campaign.robustness():
-        probability_cell = (
-            f"{row.tail_probability:.4f} "
-            f"[{row.tail_ci_low:.4f}, {row.tail_ci_high:.4f}]"
-        )
-        rows.append((
-            row.protocol,
-            f"{row.fault_free_gain:.3f}",
-            f"{row.faulted_gain:.3f}" if row.protocol != campaign.baseline
-            else "1.000",
-            f"{row.mean_relative_delivery:.3f}",
-            probability_cell,
-            row.failed_runs or "-",
-            row.verdict,
-        ))
-    proposal = (
-        f"defensive mixture proposal, severe tilt "
-        f"theta^{campaign.config.proposal_shape:g}"
-        if campaign.config.importance else "nominal (unweighted) sampling"
-    )
-    header = (
-        "### Robustness\n\n"
-        f"{len(campaign.draws)} fault configurations sampled "
-        f"({proposal}), each run against every protocol with a "
-        f"fault-free common-random-number baseline on seeds "
-        f"{', '.join(str(seed) for seed in campaign.seeds)}; "
-        f"importance weights recover nominal-world estimates "
-        f"(severity ~ {campaign.config.nominal_shape:g}(1-t)^"
-        f"{campaign.config.nominal_shape - 1:g}).  "
-        f"Effective sample size {diagnostics.ess:.1f} of "
-        f"{diagnostics.n} draws"
-        + (
-            " -- **weights degenerate; widen the proposal or add draws**"
-            if diagnostics.degenerate else ""
-        )
-        + f".\n\n**Verdict:** {campaign.headline()}\n\n"
-    )
-    table = markdown_table(
-        (
-            "protocol",
-            "fault-free vs " + campaign.baseline,
-            "faulted vs " + campaign.baseline,
-            "rel. delivery",
-            f"P[delivery < {campaign.config.tail_fraction:g}x baseline]",
-            "failed",
-            "verdict",
-        ),
-        rows,
-    )
-    curves = []
-    for protocol in campaign.protocols:
-        for bucket in campaign.degradation_curve(protocol):
-            curves.append((
-                protocol,
-                f"{bucket['downtime_low_s']:.1f}.."
-                f"{bucket['downtime_high_s']:.1f}",
-                int(bucket["draws"]),
-                f"{bucket['relative_delivery']:.3f}",
-            ))
-    if curves:
-        table += "\n\n" + (
-            "Degradation (weighted mean relative delivery by injected "
-            "downtime, node-seconds):\n\n"
-        ) + markdown_table(
-            ("protocol", "downtime range", "draws", "rel. delivery"),
-            curves,
-        )
-    return header + table
-
-
 def render_report(
     runs: Sequence[RunResult],
     title: str = "Experiment report",
     paper_throughput: Optional[Mapping[str, float]] = None,
     paper_overhead: Optional[Mapping[str, float]] = None,
     adaptive: Optional[AdaptiveResult] = None,
-    campaign: Optional[CampaignResult] = None,
 ) -> str:
     """A complete markdown report for one sweep's runs."""
     if not runs:
@@ -377,6 +300,4 @@ def render_report(
     ]
     if adaptive is not None:
         sections.insert(1, adaptive_section(adaptive))
-    if campaign is not None:
-        sections.insert(1, robustness_section(campaign))
     return "\n\n".join(sections) + "\n"

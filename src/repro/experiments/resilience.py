@@ -403,7 +403,7 @@ class SweepJournal:
         Plan records share the run journal under unique string keys
         (``<kind>:<name>:<index>``), so :meth:`compact` keeps them and
         :meth:`replay` -- which only surfaces run records -- skips them.
-        Planners journal between sweeps rather than during one, so the
+        The planner journals between sweeps rather than during one, so the
         append opens, writes, fsyncs and closes: no handle outlives the
         call, and a :meth:`compact` that replaced the file since the
         last append is harmless.

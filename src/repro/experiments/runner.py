@@ -7,6 +7,7 @@ config object.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional
@@ -174,8 +175,6 @@ def run_experiment(
     hash to distinct cache keys, and the shared journal (``resume``)
     records per-run spec keys, so sub-sweeps can share one journal.
     """
-    import dataclasses as _dc
-
     spec.validate()
 
     from repro.experiments.executors import SweepExecutor
@@ -185,26 +184,37 @@ def run_experiment(
         spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path,
     )
 
-    def _execute(config, label_suffix: str) -> List[RunResult]:
+    def _execute(config: SimulationScenarioConfig) -> List[RunResult]:
         outcomes = executor.execute(
             sweep_specs(config, spec.protocols, spec.seeds),
             progress=progress,
         )
-        results = [outcome.result for outcome in outcomes]
-        if not label_suffix:
-            return results
-        return [
-            _dc.replace(result, protocol=f"{result.protocol}{label_suffix}")
-            for result in results
-        ]
+        return [outcome.result for outcome in outcomes]
 
+    return per_mobility_model(spec, _execute)
+
+
+def per_mobility_model(
+    spec: "ExperimentSpec",
+    execute: Callable[[SimulationScenarioConfig], List[RunResult]],
+) -> List[RunResult]:
+    """Run ``execute`` on each cell of ``spec``'s mobility axis.
+
+    Without ``mobility_models`` that is one call on ``spec.config``.
+    Otherwise it is one call per listed model, in order, on a config
+    whose ``mobility.model`` is replaced, with every result relabelled
+    ``protocol@model``.
+    """
     if not spec.mobility_models:
-        return _execute(spec.config, "")
-    all_results: List[RunResult] = []
+        return execute(spec.config)
+    results: List[RunResult] = []
     for model in spec.mobility_models:
-        config = _dc.replace(
+        config = dataclasses.replace(
             spec.config,
-            mobility=_dc.replace(spec.config.mobility, model=model),
+            mobility=dataclasses.replace(spec.config.mobility, model=model),
         )
-        all_results.extend(_execute(config, f"@{model}"))
-    return all_results
+        results.extend(
+            dataclasses.replace(result, protocol=f"{result.protocol}@{model}")
+            for result in execute(config)
+        )
+    return results

@@ -45,7 +45,6 @@ from typing import (
 )
 
 from repro.experiments.adaptive import AdaptiveConfig
-from repro.experiments.campaigns import CampaignConfig
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
     SimulationScenarioConfig,
@@ -280,14 +279,6 @@ class ExperimentSpec:
     #: common-random-number comparisons.  ``None`` keeps the exhaustive
     #: grid; ``repro run --adaptive`` fills in the defaults.
     adaptive: Optional[AdaptiveConfig] = None
-    #: Optional ``[campaign]`` section: sample the fault-plan space
-    #: under an importance proposal biased toward severe schedules
-    #: (:mod:`repro.experiments.campaigns`), run every draw against
-    #: every protocol with a fault-free CRN baseline, and recover
-    #: nominal-world tail estimates from the weighted runs.  ``None``
-    #: keeps the ordinary sweep; ``repro run --campaign`` fills in the
-    #: defaults.
-    campaign: Optional[CampaignConfig] = None
     config: SimulationScenarioConfig = field(
         default_factory=SimulationScenarioConfig
     )
@@ -356,32 +347,6 @@ class ExperimentSpec:
                     f"adaptive.baseline {baseline!r} is not among the "
                     f"spec's protocols {list(self.protocols)}"
                 )
-        if self.campaign is not None:
-            try:
-                self.campaign.validate()
-            except ValueError as exc:
-                raise SpecError(str(exc)) from exc
-            if self.adaptive is not None:
-                raise SpecError(
-                    "campaign and adaptive sections do not combine; "
-                    "pick one planner per spec"
-                )
-            if self.mobility_models:
-                raise SpecError(
-                    "fault campaigns do not combine with a "
-                    "mobility_models axis; run one model per spec"
-                )
-            if not self.config.faults.is_empty():
-                raise SpecError(
-                    "campaign specs must leave config.faults empty -- "
-                    "the campaign samples the fault plans itself"
-                )
-            baseline = self.campaign.baseline
-            if baseline is not None and baseline not in self.protocols:
-                raise SpecError(
-                    f"campaign.baseline {baseline!r} is not among the "
-                    f"spec's protocols {list(self.protocols)}"
-                )
         from repro.mobility.models import mobility_model_by_name
 
         for model in self.mobility_models:
@@ -397,10 +362,11 @@ class ExperimentSpec:
 
     @property
     def total_runs(self) -> int:
+        """Runs in the exhaustive grid: protocols x seeds x mobility
+        models.  An ``[adaptive]`` sweep ignores ``seeds`` and runs up
+        to ``len(protocols) * adaptive.max_seeds`` instead (see
+        :meth:`describe`)."""
         cells = max(1, len(self.mobility_models))
-        if self.campaign is not None:
-            # Fault-free CRN baseline plus one faulted grid per draw.
-            cells *= 1 + self.campaign.draws
         return len(self.protocols) * len(self.seeds) * cells
 
     def describe(self) -> str:
@@ -410,17 +376,24 @@ class ExperimentSpec:
         ]
         if self.description:
             lines.append(f"  {self.description}")
-        mobility_axis = (
-            f" x {len(self.mobility_models)} mobility models"
-            if self.mobility_models else ""
-        )
-        if self.campaign is not None:
-            mobility_axis += (
-                f" x (1 baseline + {self.campaign.draws} fault draws)"
+        if self.adaptive is not None:
+            cap = self.adaptive.max_seeds
+            runs = (
+                f"runs: {len(self.protocols)} protocols x up to {cap} "
+                f"seeds = at most {len(self.protocols) * cap}"
+            )
+        else:
+            mobility_axis = (
+                f" x {len(self.mobility_models)} mobility models"
+                if self.mobility_models else ""
+            )
+            runs = (
+                f"runs: {len(self.protocols)} protocols x "
+                f"{len(self.seeds)} topologies{mobility_axis} = "
+                f"{self.total_runs}"
             )
         lines += [
-            f"runs: {len(self.protocols)} protocols x "
-            f"{len(self.seeds)} topologies{mobility_axis} = {self.total_runs}",
+            runs,
             f"seeds: {', '.join(str(seed) for seed in self.seeds)}",
             *(
                 [f"mobility: {', '.join(self.mobility_models)} "
@@ -446,25 +419,6 @@ class ExperimentSpec:
                 + (
                     f" baseline={self.adaptive.baseline}"
                     if self.adaptive.baseline else ""
-                )
-            )
-        if self.campaign is not None:
-            proposal = (
-                f"{self.campaign.proposal_shape:g}"
-                if self.campaign.importance else "nominal"
-            )
-            generators = ", ".join(
-                g.kind for g in self.campaign.resolved_generators()
-            )
-            lines.append(
-                f"campaign: {self.campaign.draws} fault draws "
-                f"(nominal-shape={self.campaign.nominal_shape:g} "
-                f"proposal-shape={proposal} "
-                f"tail<{self.campaign.tail_fraction:g}) "
-                f"generators: {generators}"
-                + (
-                    f" baseline={self.campaign.baseline}"
-                    if self.campaign.baseline else ""
                 )
             )
         if self.run_timeout_s is not None or self.max_retries is not None:
@@ -511,8 +465,6 @@ class ExperimentSpec:
             data["mobility_models"] = list(self.mobility_models)
         if self.adaptive is not None:
             data["adaptive"] = _plain(self.adaptive, "adaptive")
-        if self.campaign is not None:
-            data["campaign"] = _plain(self.campaign, "campaign")
         data["config"] = config_to_dict(self.config)
         return data
 
@@ -533,10 +485,16 @@ class ExperimentSpec:
                 "jobs, run_timeout_s and max_retries; resume with "
                 "--resume)"
             )
+        if "campaign" in data:
+            raise SpecError(
+                "spec key 'campaign' is no longer supported: fault "
+                "campaigns were removed; sweep a hand-written fault plan "
+                "with config.faults"
+            )
         known = {
             "schema", "name", "description", "protocols", "seeds",
             "jobs", "use_cache", "run_timeout_s", "max_retries",
-            "mobility_models", "adaptive", "campaign", "config",
+            "mobility_models", "adaptive", "config",
         }
         unknown = set(data) - known
         if unknown:
@@ -558,10 +516,6 @@ class ExperimentSpec:
         if "adaptive" in data:
             kwargs["adaptive"] = _build_dataclass(
                 AdaptiveConfig, data["adaptive"], "adaptive"
-            )
-        if "campaign" in data:
-            kwargs["campaign"] = _build_dataclass(
-                CampaignConfig, data["campaign"], "campaign"
             )
         if "config" in data:
             kwargs["config"] = config_from_dict(data["config"])

@@ -11,9 +11,9 @@ hand-picked scenario:
   (topology size, metric/protocol mix, seeds, fault schedules, sweep
   kind) from a seeded generator, so every fuzz case is itself
   replayable.
-* :func:`differential_check` runs the sweep a spec declares (grid,
-  adaptive plan or fault campaign) inline as the oracle, then through
-  one matrix of paths -- jobs=N, each PHY backend, cold then warm
+* :func:`differential_check` runs the sweep a spec declares (grid or
+  adaptive plan) inline as the oracle, then through one matrix of
+  paths -- jobs=N, each PHY backend, cold then warm
   cache, interrupt + resume, telemetry -- and reports any path whose
   runs or plan are not bit-identical.  It is the one bit-identity
   oracle; the chaos harness calls its :func:`interrupt_and_resume`.
@@ -43,16 +43,15 @@ from repro.experiments.adaptive import (
     AdaptiveConfig,
     run_adaptive_experiment,
 )
-from repro.experiments.campaigns import (
-    CAMPAIGN_PLAN_KEY,
-    CampaignConfig,
-    run_campaign_experiment,
-)
 from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.parallel import sweep_specs
 from repro.experiments.resilience import SweepJournal
 from repro.experiments.results import RunResult
-from repro.experiments.runner import run_experiment, run_protocol
+from repro.experiments.runner import (
+    per_mobility_model,
+    run_experiment,
+    run_protocol,
+)
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec
 from repro.mobility.config import EnergySpec, MobilitySpec
@@ -80,12 +79,11 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
     The generator RNG is derived from ``(master_seed, index)`` alone, so
     ``repro validate --fuzz N`` enumerates the same cases on every
     machine and a failing index can be re-drawn in isolation.  The
-    sweep kind cycles with ``index % 3`` -- grid, ``[adaptive]`` plan,
-    one-draw ``[campaign]`` -- without an RNG draw of its own, so every
-    kind keeps the scenario the case draws (a campaign drops its fault
-    plan and samples its own).
+    sweep kind cycles with ``index % 2`` -- grid, then ``[adaptive]``
+    plan -- without an RNG draw of its own, so both kinds keep the
+    scenario, fault plan included, that the case draws.
     """
-    kind = ("grid", "adaptive", "campaign")[index % 3]
+    kind = ("grid", "adaptive")[index % 2]
     rng = random.Random(derive_seed(master_seed, f"fuzz.{index}"))
     num_nodes = rng.randint(8, 14)
     duration_s = float(rng.choice((8, 10, 12)))
@@ -145,10 +143,7 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
         rate_pps=10.0,
         duration_s=duration_s,
         warmup_s=warmup_s,
-        # A campaign samples its own fault plans.
-        faults=FaultPlan() if kind == "campaign" else FaultPlan(
-            outages=tuple(outages), flapping=tuple(flapping)
-        ),
+        faults=FaultPlan(outages=tuple(outages), flapping=tuple(flapping)),
         mobility=mobility,
         energy=energy,
     )
@@ -166,10 +161,6 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
             target_half_width=0.25, batch_size=1, min_seeds=1,
             max_seeds=len(seeds), paired=True,
         ) if kind == "adaptive" else None,
-        campaign=(
-            CampaignConfig(draws=1, master_seed=7)
-            if kind == "campaign" else None
-        ),
     )
 
 
@@ -182,25 +173,20 @@ def _sweep(
     spec: ExperimentSpec, jobs: int = 1, use_cache: bool = False,
     run_timeout_s: Optional[float] = None, **execution: Any,
 ) -> Sweep:
-    """Run the sweep ``spec`` declares -- grid, ``[adaptive]`` plan or
-    ``[campaign]`` plan -- as one path; the one place the oracle names
-    the kinds.  The path's settings replace the spec's own (retries
-    off), so nothing caches or journals where the caller did not say;
-    ``execution`` passes through to the kind's entry point."""
+    """Run the sweep ``spec`` declares -- grid or ``[adaptive]`` plan --
+    as one path; the one place the oracle names the two kinds.  The
+    path's settings replace the spec's own (retries off), so nothing
+    caches or journals where the caller did not say; ``execution``
+    passes through to the kind's entry point."""
     spec = replace(
         spec, jobs=jobs, use_cache=use_cache, run_timeout_s=run_timeout_s,
         max_retries=None,
     )
-    if spec.campaign is not None:
-        result = run_campaign_experiment(spec, **execution)
-        kind, rounds = CAMPAIGN_PLAN_KEY, "plan"
-    elif spec.adaptive is not None:
-        result = run_adaptive_experiment(spec, **execution)
-        kind, rounds = ADAPTIVE_PLAN_KEY, "batches"
-    else:
+    if spec.adaptive is None:
         return None, run_experiment(spec, **execution)
+    result = run_adaptive_experiment(spec, **execution)
     plan = result.plan_dict()
-    return (kind, plan, plan[rounds]), result.runs
+    return (ADAPTIVE_PLAN_KEY, plan, plan["batches"]), result.runs
 
 
 def _difference(label: str, oracle: Sweep, candidate: Sweep) -> Optional[str]:
@@ -260,8 +246,8 @@ def interrupt_and_resume(
     journaled at least one run, all ok, and (from two cells) fewer runs
     than cells.  ``resume-identical``: the resume executed only the
     runs the journal lacked, and its plan and runs equal the inline
-    ``oracle``'s.  ``plan-journaled`` (planners only): the journaled
-    plan records equal the resumed plan's.
+    ``oracle``'s.  ``plan-journaled`` (adaptive plans only): the
+    journaled plan records equal the resumed plan's.
     """
     oracle = oracle or _sweep(spec)
     cells = len(oracle[1])
@@ -316,8 +302,8 @@ def differential_check(
     work_dir: Optional[str] = None,
     phy_backends: Sequence[str] = ("scalar", "vectorized"),
 ) -> List[str]:
-    """Run the sweep ``spec`` declares (grid, ``[adaptive]`` plan or
-    ``[campaign]`` plan) through every execution path; describe each
+    """Run the sweep ``spec`` declares (grid or ``[adaptive]`` plan)
+    through every execution path; describe each
     path whose runs -- or, for a planner, ``plan_dict()`` -- are not
     bit-identical to the inline serial oracle's.
 
@@ -390,25 +376,27 @@ def run_with_invariants(
     monitors: Sequence[str] = (),
     check_interval_s: float = 1.0,
 ) -> List[RunResult]:
-    """Replay every run in ``spec`` with invariant monitors attached.
+    """Replay every run in ``spec`` -- every mobility model's cell
+    included, labelled ``protocol@model`` -- with invariant monitors
+    attached.
 
     Runs serially (monitored runs are about catching bugs, not speed).
     An :class:`InvariantViolation` propagates to the caller with its
     replay triple intact.
     """
     spec.validate()
-    config = replace(
+    spec = replace(spec, config=replace(
         spec.config,
         validation=ValidationConfig(
             enabled=True,
             check_interval_s=check_interval_s,
             monitors=tuple(monitors),
         ),
-    )
-    return [
+    ))
+    return per_mobility_model(spec, lambda config: [
         run_protocol(run_spec.protocol, run_spec.seeded_config())
         for run_spec in sweep_specs(config, spec.protocols, spec.seeds)
-    ]
+    ])
 
 
 def write_replay_spec(violation: InvariantViolation, path: str) -> str:

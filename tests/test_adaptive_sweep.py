@@ -286,6 +286,11 @@ class TestPlanJournal:
         assert resumed.plan_dict() == first.plan_dict()
         assert resumed.runs == first.runs
 
+    def test_missing_journal_returns_empty(self, tmp_path):
+        assert SweepJournal.replay_plans(
+            str(tmp_path / "absent.jsonl"), ADAPTIVE_PLAN_KEY, "anything"
+        ) == []
+
     def test_journal_path_resolution(self, tmp_path):
         plain = tiny_spec()
         assert SweepExecutor.for_spec(plain).journal_path is None

@@ -1,9 +1,8 @@
 """Property battery for the importance-weighted estimator layer.
 
-The fault-campaign planner biases its fault draws toward severe
-configurations and re-weights them back to the nominal distribution,
-so the weighted estimators are load-bearing in exactly the way the
-Student-t layer is for adaptive sweeps.  This suite checks the
+An importance sampler biases its draws toward severe configurations
+and re-weights them back to the nominal distribution, so its numbers
+are only as good as the weighted estimators.  This suite checks the
 *statistical* claims (unbiasedness on a mixture with a known closed
 form, CI coverage on synthetic importance samples, rare-event tail
 recovery), the algebraic identities (equal weights reduce to the
@@ -37,10 +36,9 @@ from repro.analysis.stats import (
     weighted_tail_probability_ci,
 )
 
-# The synthetic campaign used throughout: nominal severity density
-# p(theta) = kappa (1 - theta)^(kappa - 1) on [0, 1] (mild-biased, mean
-# 1 / (kappa + 1), tail P[theta > c] = (1 - c)^kappa), matching the
-# planner's CampaignConfig.nominal_shape.
+# The synthetic importance sample used throughout: nominal severity
+# density p(theta) = kappa (1 - theta)^(kappa - 1) on [0, 1]
+# (mild-biased, mean 1 / (kappa + 1), tail P[theta > c] = (1 - c)^kappa).
 KAPPA = 3.0
 TRUE_MEAN = 1.0 / (KAPPA + 1.0)
 
@@ -58,12 +56,12 @@ def uniform_proposal_sample(rng: random.Random, n: int):
 
 
 def severe_proposal_sample(rng: random.Random, n: int, lam: float = 3.0):
-    """The planner's own proposal q(theta) = lam theta^(lam - 1)
-    (severe-biased).  Does NOT dominate p near theta = 0, so the
+    """A severe-biased proposal q(theta) = lam theta^(lam - 1).
+    Does NOT dominate p near theta = 0, so the
     weights have infinite variance for full-support functionals --
     exactly the pathology the degeneracy sentinels exist to flag.  Tail
     functionals (indicators supported at large theta) stay
-    finite-variance, which is the regime the campaigns run in.
+    finite-variance, which is the regime tail estimates run in.
     """
     thetas, weights = [], []
     for _ in range(n):
@@ -257,7 +255,7 @@ class TestTailProbability:
         assert weighted_tail_probability(values, [1.0] * 4, 1.0) == 0.0
 
     def test_recovers_rare_event_from_severe_proposal(self):
-        """The estimator the campaigns exist for: P[delivery < 0.1]
+        """The rare-event estimate: P[delivery < 0.1]
         with delivery = 1 - theta is P[theta > 0.9] = 0.1^3 = 1e-3
         under the nominal -- a ~4-hit event in 4000 nominal draws, but
         the severe proposal lands ~27 % of its draws there and the
@@ -332,7 +330,7 @@ class TestWeightedMeanCI:
 
 class TestMalformedWeights:
     """Weighted estimators raise on caller bugs instead of returning
-    sentinels: a malformed weight vector means the campaign bookkeeping
+    sentinels: a malformed weight vector means the caller's bookkeeping
     is broken, and no number computed from it can be trusted."""
 
     CASES = (

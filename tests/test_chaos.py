@@ -144,7 +144,6 @@ def test_chaos_harness_quick(tmp_path):
         "quarantine-surfaces", "cache-corruption-recovers",
         "interrupt-drains", "resume-identical",
         "adaptive-interrupt-drains", "adaptive-resume-identical",
-        "adaptive-plan-journaled", "campaign-interrupt-drains",
-        "campaign-resume-identical", "campaign-plan-journaled",
+        "adaptive-plan-journaled",
     } <= names
-    assert len(report.checks) == 16
+    assert len(report.checks) == 13

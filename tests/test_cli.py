@@ -98,6 +98,16 @@ class TestRunCommand:
         assert "maodv-spp" in out
         assert "MaodvRouter" in out
 
+    def test_dry_run_states_the_adaptive_run_cap(self, capsys):
+        code = main([
+            "run", "--spec", str(EXAMPLES_DIR / "adaptive_sweep.toml"),
+            "--dry-run",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "runs: 3 protocols x up to 12 seeds = at most 36" in out
+        assert "topologies" not in out
+
     def test_typoed_protocol_fails_with_suggestion(self, capsys):
         code = main([
             "run", "--protocols", "sppp", "--dry-run",
@@ -156,6 +166,19 @@ class TestValidateCommand:
             assert main([command, "--spec", str(spec_path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("ERROR: unknown protocol 'nosuch'")
+
+    def test_campaign_table_names_the_removal(self, tmp_path, capsys):
+        spec_path = tmp_path / "old.toml"
+        spec_path.write_text(
+            'schema = 1\nname = "old"\nprotocols = ["odmrp"]\n'
+            "seeds = [1]\n\n[campaign]\ndraws = 4\n"
+        )
+        for command in ("run", "validate"):
+            assert main([command, "--spec", str(spec_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR: ")
+            assert "spec key 'campaign' is no longer supported" in err
+            assert "config.faults" in err and "Traceback" not in err
 
 
 class TestRemovedFleetSurface:

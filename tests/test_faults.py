@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.faults import (
@@ -9,6 +11,10 @@ from repro.experiments.faults import (
     FaultPlan,
     FlappingSpec,
     OutageWindow,
+)
+from repro.experiments.scenarios import (
+    SimulationScenarioConfig,
+    build_simulation_scenario,
 )
 from repro.net.packet import Packet, PacketKind
 from repro.sim.process import PeriodicTask
@@ -191,6 +197,43 @@ class TestFaultPlan:
         assert injector.total_downtime_s(0) == pytest.approx(6.0)
         network.run(1.5)
         assert not network.nodes[1].active
+
+
+class TestSourceSilencingRejection:
+    """A plan keeping a source down for the whole traffic interval is
+    rejected by the scenario builder, not measured as zero delivery."""
+
+    CONFIG = SimulationScenarioConfig(
+        num_nodes=8,
+        area_width_m=500.0,
+        area_height_m=500.0,
+        num_groups=1,
+        members_per_group=4,
+        duration_s=8.0,
+        warmup_s=2.0,
+        topology_seed=1,
+    )
+
+    def _source(self) -> int:
+        scenario = build_simulation_scenario("odmrp", self.CONFIG)
+        return next(source for _gid, source in scenario.groups.all_sources())
+
+    def _build(self, *outages: OutageWindow) -> None:
+        build_simulation_scenario("odmrp", dataclasses.replace(
+            self.CONFIG, faults=FaultPlan(outages=outages),
+        ))
+
+    def test_full_coverage_rejected(self):
+        with pytest.raises(ValueError, match="source"):
+            self._build(OutageWindow(self._source(), 0.0, 8.0))
+
+    def test_partial_coverage_accepted(self):
+        self._build(OutageWindow(self._source(), 2.0, 5.0))
+
+    def test_other_nodes_may_be_down_throughout(self):
+        source = self._source()
+        victim = next(node for node in range(8) if node != source)
+        self._build(OutageWindow(victim, 0.0, 8.0))
 
 
 class TestOdmrpRepair:

@@ -8,8 +8,8 @@ Three layers of evidence:
    immortal forwarding state, a double-counting sink, shared RNG
    streams, an upstream cycle) are each caught by the matching monitor,
    with a replayable violation report.
-3. The differential oracle runs the sweep a spec declares (grid,
-   adaptive plan or fault campaign) and holds its runs and plan to
+3. The differential oracle runs the sweep a spec declares (grid or
+   adaptive plan) and holds its runs and plan to
    bit-identity across the serial, pooled, cached, interrupt-and-resume,
    forced-backend and telemetry-enabled paths; the fuzz tier
    (``pytest -m fuzz``) feeds it random scenarios of every kind.
@@ -323,6 +323,18 @@ class TestDifferentialOracle:
         spec.validate()
         assert spec.total_runs == 3
 
+    def test_invariant_replay_covers_every_mobility_model(self):
+        spec = ExperimentSpec(
+            name="moving-mini", protocols=("odmrp",), seeds=(1,),
+            mobility_models=("static", "random-waypoint"),
+            config=mini_config(duration_s=6.0, warmup_s=2.0),
+        )
+        results = run_with_invariants(spec)
+        assert len(results) == spec.total_runs == 2
+        assert [run.protocol for run in results] == [
+            "odmrp@static", "odmrp@random-waypoint",
+        ]
+
     def test_random_specs_are_deterministic_and_distinct(self):
         a = random_spec(0)
         b = random_spec(0)
@@ -367,12 +379,6 @@ class TestDifferentialOracle:
             name="oracle-planner", protocols=("odmrp", "spp"), seeds=(1, 2),
             config=chaos_config(quick=True), **planner,
         )
-
-    def test_campaign_spec_passes_the_matrix(self, tmp_path):
-        from repro.experiments.campaigns import CampaignConfig
-
-        spec = self._planner_spec(campaign=CampaignConfig(draws=1))
-        assert differential_check(spec, jobs=2, work_dir=str(tmp_path)) == []
 
     def test_oracle_writes_only_under_its_work_dir(
         self, tmp_path, monkeypatch
