@@ -25,13 +25,6 @@ Edge-case sentinels (never raise on legal-but-degenerate data)
   when they differ.
 * ``paired_difference_ci`` with a single pair returns the degenerate
   interval around that one difference.
-* The importance-weighted estimators (``weighted_mean`` and friends)
-  *do* raise ``ValueError`` on structurally broken input --
-  empty/misaligned samples, negative or non-finite weights, all-zero
-  mass -- because a weight vector that malformed signals a caller bug,
-  not a degenerate-but-legal sample.
-  Legal degeneracy (n == 1, zero residual variance, ESS <= 1) again
-  collapses to point intervals.
 """
 
 from __future__ import annotations
@@ -302,184 +295,3 @@ def relative_gain_pct(value: float, baseline: float) -> float:
     if baseline == 0:
         raise ValueError("baseline is zero")
     return 100.0 * (value - baseline) / baseline
-
-
-# ---------------------------------------------------------------------------
-# Importance-weighted (self-normalized) estimators.
-#
-# A sampler that draws from a proposal distribution q (say, biased
-# toward severe configurations) re-weights each draw by the likelihood
-# ratio w_i = p(x_i) / q(x_i) back to the nominal distribution p.
-# Everything below is the self-normalized flavor:
-# estimates divide by sum(w) rather than n, so the weights only need to
-# be known up to a common constant.  The price is a small O(1/n) bias
-# (the estimator is a ratio), which the effective-sample-size
-# diagnostics below are there to keep honest.
-# ---------------------------------------------------------------------------
-
-
-def _check_weights(
-    values: Sequence[float], weights: Sequence[float]
-) -> None:
-    if len(values) != len(weights):
-        raise ValueError(
-            f"values and weights must align: {len(values)} vs "
-            f"{len(weights)}"
-        )
-    if not weights:
-        raise ValueError("need at least one weighted observation")
-    for w in weights:
-        if not (w >= 0.0) or math.isinf(w):
-            raise ValueError(f"weights must be finite and >= 0, got {w}")
-    if math.fsum(weights) <= 0.0:
-        raise ValueError("weights sum to zero: no observation has mass")
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Self-normalized importance-weighted mean: sum(w x) / sum(w).
-
-    With equal weights this is exactly :func:`mean`.  Raises
-    ``ValueError`` on empty input, misaligned lengths, negative /
-    non-finite weights, or an all-zero weight vector (a fully
-    degenerate sample estimates nothing).
-    """
-    _check_weights(values, weights)
-    total = math.fsum(weights)
-    return math.fsum(w * x for w, x in zip(weights, values)) / total
-
-
-def effective_sample_size(weights: Sequence[float]) -> float:
-    """Kish effective sample size: (sum w)^2 / sum(w^2).
-
-    Equals ``n`` exactly when all weights are equal and degrades toward
-    1.0 as mass concentrates on a single draw; invariant to rescaling
-    all weights by a common constant.  The standard self-normalized-IS
-    health check: an ESS far below ``n`` means the proposal is poorly
-    matched to the nominal distribution and the estimates below carry
-    far less information than the raw draw count suggests.
-    """
-    _check_weights(weights, weights)
-    total = math.fsum(weights)
-    return total * total / math.fsum(w * w for w in weights)
-
-
-#: An ESS share (ESS / n) below this marks the weight vector as
-#: degenerate -- over ~2/3 of the nominal-distribution information was
-#: lost to weight mismatch, so point estimates are dominated by a
-#: handful of draws and the CI below is untrustworthy.
-DEGENERACY_ESS_SHARE = 1.0 / 3.0
-
-#: A single draw carrying more than this share of the total weight also
-#: flags degeneracy, even when the ESS share still looks healthy.
-DEGENERACY_MAX_SHARE = 0.5
-
-
-@dataclass(frozen=True)
-class WeightDiagnostics:
-    """Health report for an importance-weight vector."""
-
-    n: int
-    ess: float
-    max_share: float  # largest single weight / sum of weights
-    degenerate: bool
-
-
-def weight_diagnostics(weights: Sequence[float]) -> WeightDiagnostics:
-    """Degeneracy sentinel for importance weights.
-
-    ``degenerate`` is True when ``ess / n < DEGENERACY_ESS_SHARE`` or a
-    single draw holds more than ``DEGENERACY_MAX_SHARE`` of the total
-    mass.  A singleton sample (n == 1) trivially maxes both shares yet
-    is reported non-degenerate: with one draw there is no weight
-    *imbalance* to flag, only a small sample, which ``n`` conveys.
-    """
-    _check_weights(weights, weights)
-    n = len(weights)
-    ess = effective_sample_size(weights)
-    max_share = max(weights) / math.fsum(weights)
-    degenerate = n > 1 and (
-        ess / n < DEGENERACY_ESS_SHARE or max_share > DEGENERACY_MAX_SHARE
-    )
-    return WeightDiagnostics(
-        n=n, ess=ess, max_share=max_share, degenerate=degenerate
-    )
-
-
-def weighted_quantile(
-    values: Sequence[float], weights: Sequence[float], q: float
-) -> float:
-    """Self-normalized weighted quantile (inverse of the weighted CDF).
-
-    Returns the smallest observed value whose cumulative normalized
-    weight reaches ``q``; with equal weights and q = k/n this is the
-    k-th order statistic.  ``q`` outside [0, 1] raises; q = 0 returns
-    the smallest value carrying positive weight.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must lie in [0, 1], got {q}")
-    _check_weights(values, weights)
-    total = math.fsum(weights)
-    pairs = sorted(
-        (x, w) for x, w in zip(values, weights) if w > 0.0
-    )
-    cumulative = 0.0
-    for x, w in pairs:
-        cumulative += w
-        if cumulative >= q * total - 1e-12 * total:
-            return x
-    return pairs[-1][0]
-
-
-def weighted_tail_probability(
-    values: Sequence[float], weights: Sequence[float], threshold: float
-) -> float:
-    """Self-normalized estimate of P[X < threshold] under the nominal
-    distribution, from draws made under the proposal.
-
-    This is :func:`weighted_mean` over the indicator 1[x < threshold]
-    -- the rare-event estimator importance sampling exists for.
-    """
-    return weighted_mean(
-        [1.0 if x < threshold else 0.0 for x in values], weights
-    )
-
-
-def weighted_mean_ci(
-    values: Sequence[float],
-    weights: Sequence[float],
-    confidence: float = 0.95,
-) -> Tuple[float, float]:
-    """Approximate CI for the self-normalized weighted mean.
-
-    Uses the standard linearization (delta-method) variance of the
-    ratio estimator, var ~= sum(w_i^2 (x_i - m)^2) / (sum w)^2, with a
-    Student-t critical value on ``ESS - 1`` degrees of freedom so heavy
-    weight concentration widens the interval instead of silently
-    narrowing it.  Degenerate inputs return the point interval: a
-    single observation, a single positive weight, or zero residual
-    variance all yield ``(m, m)``.
-    """
-    m = weighted_mean(values, weights)
-    ess = effective_sample_size(weights)
-    if len(values) < 2 or ess <= 1.0:
-        return (m, m)
-    total = math.fsum(weights)
-    variance = math.fsum(
-        (w * (x - m)) ** 2 for w, x in zip(weights, values)
-    ) / (total * total)
-    if variance <= 0.0:
-        return (m, m)
-    half_width = t_critical(ess - 1.0, confidence) * math.sqrt(variance)
-    return (m - half_width, m + half_width)
-
-
-def weighted_tail_probability_ci(
-    values: Sequence[float],
-    weights: Sequence[float],
-    threshold: float,
-    confidence: float = 0.95,
-) -> Tuple[float, float]:
-    """CI for :func:`weighted_tail_probability`, clipped into [0, 1]."""
-    indicators = [1.0 if x < threshold else 0.0 for x in values]
-    low, high = weighted_mean_ci(indicators, weights, confidence)
-    return (max(0.0, low), min(1.0, high))

@@ -184,6 +184,18 @@ class EttMetric(RouteMetric):
         return path_cost + link_cost
 
 
+class WcettSingleChannelMetric(EttMetric):
+    """WCETT (Draves et al., MobiCom 2004) on the paper's single channel.
+
+    WCETT is ``(1 - beta) * sum_i ETT_i + beta * max_j X_j``, where
+    ``X_j`` sums the ETTs of the hops on channel ``j``.  On one channel
+    ``max_j X_j == sum_i ETT_i``, so WCETT equals forward-only ETT for
+    every ``beta`` and folds hop by hop exactly like :class:`EttMetric`.
+    """
+
+    name = "wcett"
+
+
 class PpMetric(RouteMetric):
     """Packet-pair delay, summed over the path.
 
@@ -272,6 +284,7 @@ _METRIC_TYPES: Dict[str, Type[RouteMetric]] = {
         HopCountMetric,
         EtxMetric,
         EttMetric,
+        WcettSingleChannelMetric,
         PpMetric,
         MetxMetric,
         SppMetric,
@@ -294,6 +307,11 @@ def register_metric(metric_type: Type[RouteMetric]) -> Type[RouteMetric]:
     if not name:
         raise ValueError(
             f"{metric_type.__name__} must set a non-empty `name` attribute"
+        )
+    if name != name.lower():
+        raise ValueError(
+            f"metric name {name!r} must be lowercase: lookup lowercases "
+            "the name it is given"
         )
     existing = _METRIC_TYPES.get(name)
     if existing is not None and existing is not metric_type:

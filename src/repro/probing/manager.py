@@ -57,7 +57,7 @@ class ProbingConfig:
         if self.probe_size_bytes is None:
             self.probe_size_bytes = {"etx": 61, "metx": 57, "spp": 49}
         # WCETT's link measurement *is* forward-only ETT (see
-        # repro.multichannel.wcett), so it probes with ETT-sized pairs.
+        # repro.core.metrics), so it probes with ETT-sized pairs.
         if self.pair_small_bytes is None:
             self.pair_small_bytes = {"pp": 106, "ett": 129, "wcett": 129}
         if self.pair_large_bytes is None:

@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, Type
 
 from repro.core.metrics import RouteMetric, metric_type_by_name
 from repro.maodv.protocol import MaodvRouter
-from repro.multichannel.wcett import WcettSingleChannelMetric  # noqa: F401 - registers "wcett"
 from repro.odmrp.config import OdmrpConfig
 from repro.odmrp.protocol import OdmrpRouter
 
@@ -295,6 +294,6 @@ register_protocol(
     "wcett", OdmrpRouter, metric="wcett", family="multichannel",
     description=(
         "ODMRP on single-channel WCETT (degenerates to forward-only ETT "
-        "on one channel; see repro.multichannel.wcett)."
+        "on one channel; see repro.core.metrics)."
     ),
 )

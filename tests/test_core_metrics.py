@@ -24,11 +24,28 @@ from repro.core.metrics import (
     MetxMetric,
     PpMetric,
     SppMetric,
+    _METRIC_TYPES,
     metric_by_name,
+    register_metric,
 )
+from repro.protocols import protocol_by_name
 
 delivery_ratios = st.floats(min_value=0.01, max_value=1.0)
 paths = st.lists(delivery_ratios, min_size=1, max_size=8)
+#: One link as (df, packet-pair delay), so PP costs are finite too.
+links = st.tuples(delivery_ratios, st.floats(min_value=1e-4, max_value=0.1))
+link_paths = st.lists(links, min_size=1, max_size=8)
+
+
+def registered_metrics():
+    """One default instance of every registered metric, by name."""
+    return [(name, metric_by_name(name)) for name in sorted(_METRIC_TYPES)]
+
+
+def cost_of(metric, path) -> float:
+    return path_cost(
+        metric, [metric.link_cost(quality(df, delay=d)) for df, d in path]
+    )
 
 
 def quality(df: float = 1.0, delay=None, bandwidth=None) -> LinkQuality:
@@ -102,6 +119,48 @@ class TestEtt:
             EttMetric(packet_size_bytes=0)
         with pytest.raises(ValueError):
             EttMetric(default_bandwidth_bps=0.0)
+
+
+class TestWcett:
+    """On one channel WCETT's bottleneck term is the whole path: ETT."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                delivery_ratios,
+                st.one_of(st.none(), st.floats(min_value=1e5, max_value=1e7)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(delivery_ratios, min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=2048),
+    )
+    def test_wcett_is_ett(self, path, other, packet_size_bytes):
+        wcett = metric_by_name("wcett", packet_size_bytes=packet_size_bytes)
+        ett = metric_by_name("ett", packet_size_bytes=packet_size_bytes)
+        qualities = [quality(df, bandwidth=bw) for df, bw in path]
+        costs = [
+            path_cost(m, [m.link_cost(q) for q in qualities])
+            for m in (wcett, ett)
+        ]
+        assert costs[0] == costs[1]
+        other_cost = path_cost(ett, [ett.link_cost(quality(df)) for df in other])
+        assert wcett.is_better(costs[0], other_cost) == ett.is_better(
+            costs[1], other_cost
+        )
+        assert wcett.is_better(other_cost, costs[0]) == ett.is_better(
+            other_cost, costs[1]
+        )
+
+    def test_protocol_builds_with_workload_packet_size(self):
+        for name in ("wcett", "ett"):
+            metric = protocol_by_name(name).build_metric(
+                packet_size_bytes=1024, default_bandwidth_bps=1e6
+            )
+            assert metric.name == name
+            assert metric.packet_size_bytes == 1024
+            assert metric.default_bandwidth_bps == 1e6
 
 
 class TestPp:
@@ -197,20 +256,50 @@ class TestSpp:
 
 
 class TestMonotonicity:
-    """Adding a lossy link must never make any metric's path better."""
+    """The metric algebra of Javaid et al. (arXiv:1108.3706).
 
-    @given(paths, delivery_ratios)
-    def test_extension_never_improves(self, dfs, extra_df):
-        for name in ALL_METRIC_NAMES:
-            metric = metric_by_name(name)
-            costs = [metric.link_cost(quality(df)) for df in dfs]
-            base = path_cost(metric, costs)
+    Every registered metric is monotone (a longer path is never better)
+    and right-isotonic (appending one link to two paths keeps their
+    order).  The sum and product metrics are left-isotonic too; METX is
+    not, because a link prepended to a path scales everything after it.
+    """
+
+    @given(link_paths, links)
+    def test_extension_never_improves(self, path, extra):
+        for name, metric in registered_metrics():
+            base = cost_of(metric, path)
             extended = metric.combine(
-                base, metric.link_cost(quality(extra_df))
+                base, metric.link_cost(quality(extra[0], delay=extra[1]))
             )
             assert not metric.is_better(extended, base), (
                 f"{name}: extending a path improved it"
             )
+
+    @given(link_paths, link_paths, links)
+    def test_appending_a_link_keeps_the_order(self, a, b, extra):
+        for name, metric in registered_metrics():
+            cost_a, cost_b = cost_of(metric, a), cost_of(metric, b)
+            if metric.is_better(cost_b, cost_a):
+                cost_a, cost_b = cost_b, cost_a
+            link = metric.link_cost(quality(extra[0], delay=extra[1]))
+            assert not metric.is_better(
+                metric.combine(cost_b, link), metric.combine(cost_a, link)
+            ), f"{name}: appending one link reversed two paths' order"
+
+    def test_metx_is_not_left_isotonic(self):
+        metric = MetxMetric()
+
+        def metx(dfs):
+            return cost_of(metric, [(df, None) for df in dfs])
+
+        a, b = [0.55], [1.0, 1.0]
+        assert metx(a) == pytest.approx(1.818, abs=1e-3)
+        assert metx(b) == 2.0
+        assert metric.is_better(metx(a), metx(b))
+        # Prepending one 0.1 link to both flips the order.
+        assert metx([0.1] + a) == pytest.approx(20.0)
+        assert metx([0.1] + b) == pytest.approx(12.0)
+        assert metric.is_better(metx([0.1] + b), metx([0.1] + a))
 
     @given(paths, st.integers(min_value=0, max_value=7), delivery_ratios)
     def test_degrading_a_link_never_helps(self, dfs, index, worse_df):
@@ -239,9 +328,18 @@ class TestRegistry:
 
     def test_unknown_name_raises(self):
         # "wcett" used to be the canary here, but it is a registered
-        # extension metric now (repro.multichannel.wcett).
+        # metric now (repro.core.metrics).
         with pytest.raises(ValueError, match="unknown metric"):
             metric_by_name("airtime")
+
+    def test_register_metric_rejects_uppercase_name(self):
+        class Airtime(EttMetric):
+            name = "Airtime"
+
+        before = dict(_METRIC_TYPES)
+        with pytest.raises(ValueError, match="lowercase"):
+            register_metric(Airtime)
+        assert _METRIC_TYPES == before
 
     def test_kwargs_forwarded(self):
         metric = metric_by_name("ett", packet_size_bytes=256)

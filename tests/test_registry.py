@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.metrics import (
     EtxMetric,
+    WcettSingleChannelMetric,
     metric_by_name,
     metric_type_by_name,
     register_metric,
 )
 from repro.maodv.protocol import MaodvRouter
-from repro.multichannel.wcett import WcettSingleChannelMetric
 from repro.odmrp.config import OdmrpConfig
 from repro.odmrp.protocol import OdmrpRouter
 from repro.protocols import (
@@ -225,5 +225,6 @@ class TestMetricRegistry:
 
     def test_wcett_registered_as_extension_metric(self):
         assert metric_type_by_name("wcett") is WcettSingleChannelMetric
+        assert WcettSingleChannelMetric.__module__ == "repro.core.metrics"
         metric = metric_by_name("wcett")
         assert metric.name == "wcett"
