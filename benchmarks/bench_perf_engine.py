@@ -9,13 +9,15 @@ PRs has a recorded trajectory to compare against.  It measures:
 * **sweep meso** -- a fixed-seed multi-protocol sweep executed serially
   and through the parallel runner (``jobs=2``), asserting the two
   produce *bit-identical* ``RunResult`` lists before timing them.
-* **phy micro** -- one dense-mesh run under the scalar and the
+* **phy micro** -- one dense-mesh run under the scalar, compiled and
   vectorized reception backends, asserting bit-identical results and
-  timing both (``scripts/bench_check.py`` gates on this row).
-* **phy crossover** -- host time per frame under both backends across
+  timing each (``scripts/bench_check.py`` gates on this row).
+* **phy crossover** -- host time per frame under each backend across
   mesh sizes at the paper's density, plus the peak memory numpy's
   import costs: the measurements behind ``VECTOR_MIN_NODES`` (where
-  ``phy_backend="auto"`` switches).
+  ``phy_backend="auto"`` switches) and the evidence for replacing the
+  vectorized backend with the compiled kernel.  "compiled" is left out
+  of both rows where the kernel cannot be built.
 * **macro flood** -- a 2,000-node JOIN QUERY flood at paper density:
   the workload the spatial grid index and vectorized PHY exist for.
 * **mobility flood** -- the same flood at 500 nodes with every node in
@@ -204,18 +206,27 @@ def bench_sweep_parallel_vs_serial() -> None:
     )
 
 
-def phy_backend_micro() -> Tuple[float, float, RunResult, RunResult]:
+#: Reception backends the PHY rows time, where this interpreter can run
+#: them.  Vectorized first so the scalar pass cannot look better purely
+#: by running on a warmed-up allocator.
+TIMED_BACKENDS = ("vectorized", "compiled", "scalar")
+
+
+def available_phy_backends() -> Tuple[str, ...]:
+    from repro.net.channel import backend_unavailable
+
+    return tuple(b for b in TIMED_BACKENDS if backend_unavailable(b) is None)
+
+
+def phy_backend_micro() -> Dict[str, Tuple[float, RunResult]]:
     """Time one dense-mesh run per reception backend.
 
-    Returns ``(wall_scalar_s, wall_vectorized_s, result_scalar,
-    result_vectorized)``; callers assert identity and gate on the walls
+    Returns ``backend -> (wall_s, result)`` for every backend that can
+    run here; callers assert identity and gate on the walls
     (``scripts/bench_check.py`` does both).
     """
-    walls: Dict[str, float] = {}
-    results: Dict[str, RunResult] = {}
-    # Vectorized first so the scalar pass cannot look better purely by
-    # running on a warmed-up allocator.
-    for backend in ("vectorized", "scalar"):
+    runs: Dict[str, Tuple[float, RunResult]] = {}
+    for backend in available_phy_backends():
         config = dataclasses.replace(
             PHY_MICRO_CONFIG,
             network=dataclasses.replace(
@@ -223,37 +234,36 @@ def phy_backend_micro() -> Tuple[float, float, RunResult, RunResult]:
             ),
         )
         start = time.perf_counter()
-        results[backend] = run_protocol("odmrp", config)
-        walls[backend] = time.perf_counter() - start
-    return (
-        walls["scalar"],
-        walls["vectorized"],
-        results["scalar"],
-        results["vectorized"],
-    )
+        result = run_protocol("odmrp", config)
+        runs[backend] = (time.perf_counter() - start, result)
+    return runs
 
 
 def bench_phy_backends() -> None:
-    """Record the scalar-vs-vectorized micro row (identity first)."""
-    wall_scalar, wall_vectorized, scalar, vectorized = phy_backend_micro()
-    assert scalar == vectorized, (
-        "scalar and vectorized backends produced different results"
-    )
+    """Record the per-backend micro row (identity first)."""
+    runs = phy_backend_micro()
+    scalar_wall, scalar = runs["scalar"]
     assert scalar.error is None, scalar.error
-    speedup = wall_scalar / wall_vectorized if wall_vectorized > 0 else 0.0
-    _write_report("phy_micro", {
+    for backend, (_wall, result) in runs.items():
+        assert result == scalar, (
+            f"scalar and {backend} backends produced different results"
+        )
+    row = {
         "num_nodes": PHY_MICRO_CONFIG.num_nodes,
         "duration_s": PHY_MICRO_CONFIG.duration_s,
         "protocol": "odmrp",
-        "wall_scalar_s": round(wall_scalar, 3),
-        "wall_vectorized_s": round(wall_vectorized, 3),
-        "vectorized_speedup": round(speedup, 3),
-        "results_identical": True,
-    })
+    }
+    for backend, (wall, _result) in runs.items():
+        row[f"wall_{backend}_s"] = round(wall, 3)
+        if backend != "scalar":
+            row[f"{backend}_speedup"] = round(scalar_wall / wall, 3)
+    row["results_identical"] = True
+    _write_report("phy_micro", row)
     print(
-        f"\nphy micro: {PHY_MICRO_CONFIG.num_nodes} nodes, scalar "
-        f"{wall_scalar:.2f}s, vectorized {wall_vectorized:.2f}s, "
-        f"{speedup:.2f}x (identical results)"
+        f"\nphy micro: {PHY_MICRO_CONFIG.num_nodes} nodes, "
+        + ", ".join(f"{backend} {wall:.2f}s" for backend, (wall, _r)
+                    in runs.items())
+        + " (identical results)"
     )
 
 
@@ -267,10 +277,10 @@ def phy_crossover_curve(
 ) -> List[Dict]:
     """Host µs per frame under each backend, by mesh size.
 
-    Each (size, seed) runs under both backends back to back, so the two
-    share a topology and a host state; the row keeps per-backend medians
-    and the median of the paired scalar/vectorized ratios (above 1 means
-    the vectorized path is faster).
+    Each (size, seed) runs under every available backend back to back,
+    so they share a topology and a host state; the row keeps
+    per-backend medians and the medians of the paired scalar/vectorized
+    and scalar/compiled ratios (above 1 means the other path is faster).
     """
     import statistics
 
@@ -286,7 +296,9 @@ def phy_crossover_curve(
             duration_s=duration_s,
             warmup_s=duration_s / 4,
         )
-        per_frame: Dict[str, List[float]] = {"scalar": [], "vectorized": []}
+        per_frame: Dict[str, List[float]] = {
+            backend: [] for backend in available_phy_backends()
+        }
         fanout: List[float] = []
         for seed in seeds:
             for backend in per_frame:
@@ -304,16 +316,20 @@ def phy_crossover_curve(
             fanout.append(statistics.mean(
                 len(receivers) for receivers in channel._audible.values()
             ))
-        ratios = [s / v for s, v in zip(per_frame["scalar"], per_frame["vectorized"])]
-        curve.append({
+        point = {
             "num_nodes": num_nodes,
             "audible_per_tx": round(statistics.median(fanout), 1),
-            "scalar_us_per_frame": round(statistics.median(per_frame["scalar"]), 1),
-            "vectorized_us_per_frame": round(
-                statistics.median(per_frame["vectorized"]), 1
-            ),
-            "scalar_over_vectorized": round(statistics.median(ratios), 3),
-        })
+        }
+        for backend in sorted(per_frame):
+            point[f"{backend}_us_per_frame"] = round(
+                statistics.median(per_frame[backend]), 1
+            )
+        for backend in sorted(per_frame):
+            if backend != "scalar":
+                point[f"scalar_over_{backend}"] = round(statistics.median(
+                    s / o for s, o in zip(per_frame["scalar"], per_frame[backend])
+                ), 3)
+        curve.append(point)
     return curve
 
 
@@ -357,13 +373,15 @@ def bench_phy_crossover() -> None:
         "curve": curve,
     })
     print(f"\nphy crossover (numpy import: +{import_mb:.1f} MiB peak RSS; "
-          "us/frame scalar vs vectorized):")
+          "us/frame per backend):")
     for point in curve:
+        backends = ", ".join(
+            f"{key[:-len('_us_per_frame')]} {value:.1f}"
+            for key, value in point.items() if key.endswith("_us_per_frame")
+        )
         print(
             f"  {point['num_nodes']:4d} nodes, {point['audible_per_tx']:5.1f} "
-            f"audible: {point['scalar_us_per_frame']:7.1f} vs "
-            f"{point['vectorized_us_per_frame']:7.1f} "
-            f"({point['scalar_over_vectorized']:.2f}x)"
+            f"audible: {backends}"
         )
 
 

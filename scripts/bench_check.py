@@ -1,4 +1,4 @@
-"""Smoke gate for the parallel runner and the vectorized PHY backend.
+"""Smoke gate for the parallel runner and the PHY reception backends.
 
 Two always-on guards, each failing the script (exit 1) on violation:
 
@@ -9,12 +9,14 @@ Two always-on guards, each failing the script (exit 1) on violation:
    interrupted after its first run and resumed from the journal, and
    with telemetry on; every pass must produce ``RunResult`` rows
    bit-identical to the serial baseline.
-2. **Vectorized no-regression** -- the dense-mesh micro benchmark from
-   ``benchmarks/bench_perf_engine.py`` run once per reception backend;
-   the results must be bit-identical and the vectorized wall time must
-   not exceed the scalar wall time by more than a tolerance (10% by
-   default, for timer noise on loaded CI hosts).  This is the gate
-   that the numpy path stays an optimization, not just an alternative.
+2. **PHY backends** -- the dense-mesh micro benchmark from
+   ``benchmarks/bench_perf_engine.py`` run once per reception backend
+   (scalar, compiled where the kernel builds, vectorized); every
+   backend's results must be bit-identical to the scalar ones, and the
+   vectorized wall time must not exceed the scalar wall time by more
+   than a tolerance (10% by default, for timer noise on loaded CI
+   hosts).  This is the gate that the numpy path stays an
+   optimization, not just an alternative.
 
 The oracle also runs on the same mini-sweep under pytest as the
 ``perfsmoke`` marker (``pytest -m perfsmoke``); it is deselected from the default
@@ -44,22 +46,25 @@ def check_phy_backends(tolerance: float) -> int:
     from bench_perf_engine import phy_backend_micro
 
     start = time.perf_counter()
-    wall_scalar, wall_vectorized, scalar, vectorized = phy_backend_micro()
+    runs = phy_backend_micro()
     elapsed = time.perf_counter() - start
 
-    if scalar != vectorized:
-        print(
-            f"bench_check: FAIL ({elapsed:.1f}s) -- scalar and vectorized "
-            "backends produced different results",
-            file=sys.stderr,
-        )
-        return 1
+    wall_scalar, scalar = runs["scalar"]
     if scalar.error is not None:
         print(
             f"bench_check: FAIL -- micro benchmark errored: {scalar.error}",
             file=sys.stderr,
         )
         return 1
+    for backend, (_wall, result) in runs.items():
+        if result != scalar:
+            print(
+                f"bench_check: FAIL ({elapsed:.1f}s) -- scalar and {backend} "
+                "backends produced different results",
+                file=sys.stderr,
+            )
+            return 1
+    wall_vectorized = runs["vectorized"][0]
     budget = wall_scalar * (1.0 + tolerance)
     if wall_vectorized > budget:
         print(
@@ -70,11 +75,13 @@ def check_phy_backends(tolerance: float) -> int:
             file=sys.stderr,
         )
         return 1
-    speedup = wall_scalar / wall_vectorized if wall_vectorized > 0 else 0.0
+    others = ", ".join(
+        f"{backend} {wall_scalar / wall:.2f}x ({wall:.2f}s)"
+        for backend, (wall, _result) in runs.items() if backend != "scalar"
+    )
     print(
-        f"bench_check: OK ({elapsed:.1f}s) -- vectorized backend "
-        f"bit-identical and {speedup:.2f}x vs scalar "
-        f"({wall_vectorized:.2f}s vs {wall_scalar:.2f}s)"
+        f"bench_check: OK ({elapsed:.1f}s) -- {', '.join(runs)} backends "
+        f"bit-identical; vs scalar ({wall_scalar:.2f}s): {others}"
     )
     return 0
 
@@ -84,7 +91,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=2,
                         help="pool size for the parallel pass (default 2)")
     parser.add_argument("--skip-phy", action="store_true",
-                        help="skip the scalar-vs-vectorized micro gate")
+                        help="skip the PHY-backend micro gate")
     parser.add_argument("--phy-tolerance", type=float, default=0.10,
                         help="allowed vectorized-over-scalar wall overrun "
                              "(fraction, default 0.10)")

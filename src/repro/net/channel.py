@@ -28,6 +28,10 @@ Two scale paths keep large meshes tractable without changing results:
   step is drawn inside that pass (``_fused_start``).  The backend is
   chosen per channel -- never per sender, since mixing would
   desynchronize the cloned RNG stream from the scalar one.
+* The "compiled" backend runs the fused frame-start pass in C
+  (:mod:`repro.phy.kernel`), operation for operation as the Python pass
+  does; every other step -- a sender's first frame, the frame-end
+  withdrawal, decisions, deliveries -- stays in Python.
 """
 
 from __future__ import annotations
@@ -55,16 +59,37 @@ from repro.sim.trace import CounterSet
 GRID_MIN_NODES = 64
 
 #: Node count from which ``phy_backend="auto"`` picks the vectorized
-#: reception path (results are bit-identical either way).  Read from
-#: the ``phy_crossover`` row of BENCH_perf.json: at the paper's density
-#: the scalar backend's fused frame-start pass ties numpy from 32 to 64
-#: nodes (within about 10 % either way, run to run) and trails it by
-#: 6-14 % at 100, while importing numpy costs a run about 14 MiB (a
-#: third more peak memory on a 50-node run), which only wider fan-outs
-#: repay.
+#: reception path (results are bit-identical either way); below it
+#: "auto" picks the compiled kernel when it loads and the fused pass
+#: applies, else the scalar loop.  Read from the ``phy_crossover`` row
+#: of BENCH_perf.json: at the paper's density the scalar backend's
+#: fused frame-start pass ties numpy from 32 to 64 nodes (within about
+#: 10 % either way, run to run) and trails it by 6-14 % at 100, while
+#: importing numpy costs a run about 14 MiB (a third more peak memory
+#: on a 50-node run), which only wider fan-outs repay.
 VECTOR_MIN_NODES = 64
 
-PHY_BACKENDS = ("auto", "scalar", "vectorized")
+PHY_BACKENDS = ("auto", "scalar", "compiled", "vectorized")
+
+
+def backend_unavailable(backend: str) -> Optional[str]:
+    """Why ``backend`` cannot run in this interpreter, or ``None``.
+
+    "vectorized" needs numpy and "compiled" the kernel build; the
+    others always run.
+    """
+    if backend == "vectorized":
+        try:
+            import repro.phy.vectorized  # noqa: F401
+        except ImportError as exc:
+            return str(exc)
+    elif backend == "compiled":
+        from repro.phy import kernel
+
+        reason = kernel.unavailable_reason()
+        if reason is not None:
+            return f"the compiled PHY kernel is unavailable: {reason}"
+    return None
 
 
 class Transmission:
@@ -150,7 +175,8 @@ class WirelessChannel:
         self.audible_margin_linear = 10.0 ** (audible_margin_db / 10.0)
         #: Requested reception backend ("auto" resolves at finalize).
         self.phy_backend = phy_backend
-        #: What finalize() actually picked: "scalar" or "vectorized".
+        #: What finalize() actually picked: "scalar", "compiled" or
+        #: "vectorized".
         self.phy_backend_resolved: Optional[str] = None
         self.nodes: List[Node] = []
         self.counters = CounterSet()
@@ -181,6 +207,9 @@ class WirelessChannel:
         #: update may be drawn inside the frame-start pass (see
         #: ``CorrelatedRayleighFading.uniform_row``), else ``None``.
         self._fused_fading: Optional[CorrelatedRayleighFading] = None
+        #: The compiled kernel module once this channel resolved
+        #: "compiled" (it then owns ``_fading_rng``), else ``None``.
+        self._kernel = None
         #: Count of nodes with the radio administratively down
         #: (maintained via :meth:`note_active_change`), so the batched
         #: path skips building an active-subset mask when all are up.
@@ -263,13 +292,12 @@ class WirelessChannel:
         self._inactive_nodes = sum(
             1 for node in nodes if not node.active
         )
-        self._resolve_backend()
+        fusable = base_sampled_power and isinstance(
+            self.fading, CorrelatedRayleighFading
+        )
+        self._resolve_backend(fusable)
         self._fused_fading = (
-            self.fading
-            if base_sampled_power
-            and not self._vectorized
-            and isinstance(self.fading, CorrelatedRayleighFading)
-            else None
+            self.fading if fusable and not self._vectorized else None
         )
         self._finalized = True
 
@@ -369,27 +397,47 @@ class WirelessChannel:
             max_tx, cutoff, max_gain, max_gain
         )
 
-    def _resolve_backend(self) -> None:
-        """Pick scalar vs vectorized reception for this channel.
+    def _resolve_backend(self, fusable: bool) -> None:
+        """Pick scalar, compiled or vectorized reception for this channel.
 
-        "auto" vectorizes when the mesh is large enough, numpy imports,
-        no subclass replaced ``_sampled_power``, and the fading model
-        has a bit-identical batched sampler; anything else falls back to
-        the scalar loop.  "vectorized" demands it and raises with the
-        reason when impossible -- except for deterministic (NoFading)
+        Below :data:`VECTOR_MIN_NODES` nodes "auto" compiles when the
+        kernel loads and the fused pass applies (``fusable``: correlated
+        Rayleigh fading through the base ``_sampled_power``), else stays
+        scalar.  "compiled" demands the kernel and raises with the
+        reason when it cannot load; it runs any channel, since frames
+        the fused pass cannot take go through the Python batch path on
+        the kernel's stream.
+
+        From :data:`VECTOR_MIN_NODES` nodes "auto" vectorizes when numpy
+        imports, no subclass replaced ``_sampled_power``, and the fading
+        model has a bit-identical batched sampler; anything else falls
+        back to the scalar loop.  "vectorized" demands it and raises with
+        the reason when impossible -- except for deterministic (NoFading)
         channels, where the sample-free scalar loop *is* the batch
         (there is nothing stochastic to vectorize) and is reported as
         resolved "scalar".
 
-        The decision is per channel, never per sender: the sampler owns
-        a clone of the ``phy.fading`` uniform stream, and mixing scalar
-        draws into the original stream would desynchronize the two.
+        The decision is per channel, never per sender: the kernel and
+        the sampler each own a clone of the ``phy.fading`` uniform
+        stream, and mixing scalar draws into the original stream would
+        desynchronize the two.
         """
-        forced = self.phy_backend == "vectorized"
-        if self.phy_backend == "scalar" or self._deterministic_power:
+        requested = self.phy_backend
+        wants_kernel = requested == "compiled" or (
+            requested == "auto" and fusable
+            and len(self.nodes) < VECTOR_MIN_NODES
+        )
+        if wants_kernel and self._kernel is None:
+            self._use_compiled(required=requested == "compiled")
+        if self._kernel is not None:
+            # A channel that compiled once keeps its kernel's stream.
+            self.phy_backend_resolved = "compiled"
+            return
+        forced = requested == "vectorized"
+        if requested == "scalar" or self._deterministic_power:
             self._use_scalar()
             return
-        if self.phy_backend == "auto" and len(self.nodes) < VECTOR_MIN_NODES:
+        if requested == "auto" and len(self.nodes) < VECTOR_MIN_NODES:
             self._use_scalar()
             return
         if not self._inline_fading:
@@ -431,6 +479,25 @@ class WirelessChannel:
     def _use_scalar(self) -> None:
         self.phy_backend_resolved = "scalar"
         self._vectorized = False
+
+    def _use_compiled(self, required: bool) -> None:
+        """Hand the ``phy.fading`` stream to the compiled kernel.
+
+        The kernel continues the stream's exact state, and the channel,
+        the fading model and the simulator's registry all draw from the
+        kernel's generator from here on.  If the kernel cannot load, a
+        ``required`` request raises; otherwise nothing changes.
+        """
+        from repro.phy import kernel
+
+        reason = backend_unavailable("compiled")
+        if reason is not None:
+            if required:
+                raise ChannelError(f"phy_backend='compiled' but {reason}")
+            return
+        self._fading_rng = kernel.KernelRandom.continuing(self._fading_rng)
+        self.sim.rng.replace("phy.fading", self._fading_rng)
+        self._kernel = kernel.load()
 
     def _attach_vector_state(self, previous: Dict[int, _FanOut]) -> None:
         """Give every fan-out its batch arrays, migrating fading state.
@@ -568,8 +635,14 @@ class WirelessChannel:
                 sender.node_id, receiver_ids, now, self._fading_rng
             )
         if row is not None:
-            self._fused_start(tx, targets, means, thresholds,
-                              sense_thresholds, row)
+            if self._kernel is not None:
+                self._kernel.frame_start(
+                    self._fading_rng.stream, tx, targets, means, thresholds,
+                    sense_thresholds, *row, Reception,
+                )
+            else:
+                self._fused_start(tx, targets, means, thresholds,
+                                  sense_thresholds, row)
         else:
             self._batched_start(tx, fan, sel, targets, means, thresholds,
                                 sense_thresholds, receiver_ids)

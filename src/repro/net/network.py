@@ -41,9 +41,12 @@ class NetworkConfig:
     #: min-hop baseline collapses and the metrics' relative gains come
     #: out ~2x the paper's.  10 s reproduces the paper's gain magnitudes.
     fading_coherence_time_s: float = 10.0
-    #: Reception backend: "auto" batches fading/decode math with numpy
-    #: on large meshes (bit-identical to the per-receiver loop),
-    #: "scalar"/"vectorized" force a path (see repro.net.channel).
+    #: Reception backend, bit-identical whichever runs: "auto" batches
+    #: fading with numpy from 64 nodes and, below that, runs the
+    #: frame-start pass in the compiled kernel when it builds and the
+    #: fading is correlated Rayleigh, else in pure Python;
+    #: "scalar"/"compiled"/"vectorized" force a path (see
+    #: repro.net.channel).
     phy_backend: str = "auto"
     propagation: Optional[PropagationModel] = None
     fading: Optional[FadingModel] = None

@@ -40,6 +40,15 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
+    def replace(self, name: str, rng: random.Random) -> None:
+        """Make ``rng`` the stream for ``name`` from here on.
+
+        For a stream object that continues the old one's sequence (the
+        compiled PHY kernel's generator), so lookups and isolation
+        audits see the object that actually draws.
+        """
+        self._streams[name] = rng
+
     def fork(self, name: str) -> "RngRegistry":
         """A child registry whose master seed is derived from ``name``.
 

@@ -35,6 +35,7 @@ import os
 import random
 import signal
 import tempfile
+import warnings
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec
 from repro.mobility.config import EnergySpec, MobilitySpec
+from repro.net.channel import backend_unavailable
 from repro.sim.rng import derive_seed
 from repro.telemetry.hub import TelemetryConfig
 from repro.validation.invariants import InvariantViolation, ValidationConfig
@@ -300,7 +302,7 @@ def differential_check(
     spec: ExperimentSpec,
     jobs: int = 2,
     work_dir: Optional[str] = None,
-    phy_backends: Sequence[str] = ("scalar", "vectorized"),
+    phy_backends: Sequence[str] = ("scalar", "compiled", "vectorized"),
 ) -> List[str]:
     """Run the sweep ``spec`` declares (grid or ``[adaptive]`` plan)
     through every execution path; describe each
@@ -308,7 +310,9 @@ def differential_check(
     bit-identical to the inline serial oracle's.
 
     The paths: ``jobs`` workers; one inline pass per forced
-    ``phy_backend`` (skipped without numpy or when the spec pins one);
+    ``phy_backend`` (none when the spec pins one; a backend that cannot
+    run here -- "vectorized" without numpy, "compiled" without the
+    kernel -- is skipped with a warning that names it and why);
     and, given a ``work_dir`` to hold every cache, journal and trace, a
     cache stored cold by ``jobs`` workers then replayed warm inline,
     :func:`interrupt_and_resume`, and an inline telemetry pass.
@@ -346,14 +350,21 @@ def differential_check(
         return replace(spec, config=replace(spec.config, **fields))
 
     check(f"jobs={jobs}", jobs=jobs)
-    if phy_backends and spec.config.network.phy_backend == "auto":
-        try:
-            import repro.phy.vectorized  # noqa: F401
-        except ImportError:
-            phy_backends = ()
+    if spec.config.network.phy_backend == "auto":
+        skipped = []
         for backend in phy_backends:
+            reason = backend_unavailable(backend)
+            if reason is not None:
+                skipped.append(f"{backend!r} ({reason})")
+                continue
             network = replace(spec.config.network, phy_backend=backend)
             check(f"phy-{backend}", with_config(network=network))
+        if skipped:
+            warnings.warn(
+                "differential_check skipped the phy backend(s) that "
+                "cannot run here: " + "; ".join(skipped),
+                RuntimeWarning, stacklevel=2,
+            )
     if work_dir is None:
         return errors
     check("cache-cold", jobs=jobs, use_cache=True)

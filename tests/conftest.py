@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.database import DirectoryBasedExampleDatabase
 
+from repro.net.channel import backend_unavailable
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Position, chain_topology
 from repro.sim.engine import Simulator
@@ -61,6 +62,31 @@ def _isolated_result_cache(tmp_path_factory, monkeypatch):
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=1234)
+
+
+#: Skips a test that needs the compiled PHY kernel when it cannot be
+#: built here (no compiler, or ``CC=/bin/false``).
+KERNEL_UNAVAILABLE = backend_unavailable("compiled")
+requires_kernel = pytest.mark.skipif(
+    KERNEL_UNAVAILABLE is not None, reason=str(KERNEL_UNAVAILABLE)
+)
+
+
+@pytest.fixture
+def no_kernel(tmp_path, monkeypatch):
+    """The compiled PHY kernel as a machine without a compiler sees it.
+
+    The loader forgets its outcome, looks for artifacts in an empty
+    directory and compiles with ``/bin/false``; the test sees a fresh
+    :func:`repro.phy.kernel.load` fail, and the loader's state comes
+    back afterwards.
+    """
+    from repro.phy import kernel
+
+    monkeypatch.setattr(kernel, "BUILD_DIR", str(tmp_path / "kernel"))
+    monkeypatch.setattr(kernel, "_loaded", None)
+    monkeypatch.setenv("CC", "/bin/false")
+    return kernel
 
 
 def make_clean_network(

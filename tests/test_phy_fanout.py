@@ -52,7 +52,7 @@ from repro.phy.fading import (
     RayleighFading,
     RicianFading,
 )
-from tests.conftest import make_chain_network
+from tests.conftest import make_chain_network, requires_kernel
 
 MODELS = [
     RayleighFading,
@@ -234,23 +234,33 @@ RUN_CONFIG = SimulationScenarioConfig(
 )
 
 
-def with_fading(config, fading):
+def with_fading(config, fading, backend="scalar"):
     return dataclasses.replace(
         config,
-        network=dataclasses.replace(config.network, fading=fading),
+        network=dataclasses.replace(
+            config.network, fading=fading, phy_backend=backend
+        ),
     )
 
 
 class TestRunParity:
+    """Runs on the pure-Python passes; :class:`TestCompiledRunParity`
+    repeats every case on the compiled kernel."""
+
+    BACKEND = "scalar"
+
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     def test_batched_run_equals_per_link_run(self, protocol):
         coherence = RUN_CONFIG.network.fading_coherence_time_s
         batched_run = run_protocol(
             protocol,
-            with_fading(RUN_CONFIG, CorrelatedRayleighFading(coherence)),
+            with_fading(RUN_CONFIG, CorrelatedRayleighFading(coherence),
+                        self.BACKEND),
         )
         per_link_run = run_protocol(
-            protocol, with_fading(RUN_CONFIG, PerLinkCorrelated(coherence))
+            protocol,
+            with_fading(RUN_CONFIG, PerLinkCorrelated(coherence),
+                        self.BACKEND),
         )
         assert batched_run.error is None
         assert batched_run.delivered_packets > 0
@@ -264,10 +274,12 @@ class TestRunParity:
         config = dataclasses.replace(RUN_CONFIG, **{case: PARITY_CASES[case]})
         coherence = config.network.fading_coherence_time_s
         fused = run_protocol(
-            "spp", with_fading(config, CorrelatedRayleighFading(coherence))
+            "spp", with_fading(config, CorrelatedRayleighFading(coherence),
+                               self.BACKEND)
         )
         per_link = run_protocol(
-            "spp", with_fading(config, PerLinkCorrelated(coherence))
+            "spp", with_fading(config, PerLinkCorrelated(coherence),
+                               self.BACKEND)
         )
         assert fused.error is None
         assert fused.delivered_packets > 0
@@ -284,7 +296,7 @@ class TestRunParity:
             PerLinkCorrelated(coherence),
         ):
             scenario = build_simulation_scenario(
-                "odmrp", with_fading(RUN_CONFIG, fading)
+                "odmrp", with_fading(RUN_CONFIG, fading, self.BACKEND)
             )
             channel = scenario.network.channel
             calls = _count_calls(fading, "sample_link_gains")
@@ -309,10 +321,13 @@ class TestRunParity:
         """On a static paper-density mesh a sender's receiver list never
         changes, so after its first frame every frame is drawn inside
         the frame-start pass: one batch call per sender, not per frame."""
-        config = SimulationScenarioConfig(duration_s=6.0, warmup_s=2.0)
+        config = SimulationScenarioConfig(
+            duration_s=6.0, warmup_s=2.0,
+            network=NetworkConfig(phy_backend=self.BACKEND),
+        )
         scenario = build_simulation_scenario("spp", config)
         channel = scenario.network.channel
-        assert channel.phy_backend_resolved == "scalar"
+        assert channel.phy_backend_resolved == self.BACKEND
         senders = []
         batch = channel.fading.sample_link_gains
 
@@ -351,6 +366,47 @@ class TestRunParity:
             for node in network.nodes
         )
         assert draws[0] == 2 * audible
+        assert link_calls[0] == 0
+        assert batch_calls[0] == len(network.nodes)
+
+
+@requires_kernel
+class TestCompiledRunParity(TestRunParity):
+    """Every :class:`TestRunParity` case on the compiled kernel."""
+
+    BACKEND = "compiled"
+
+    def test_two_fading_draws_per_audible_receiver(self):
+        """The kernel draws in C, where no Python ``random()`` call can
+        be counted: the stream must end where a clone of it advanced by
+        two draws per audible receiver ends."""
+        network = Network(
+            chain_topology(5, 150.0), seed=3,
+            config=NetworkConfig(phy_backend="compiled"),
+        )
+        channel = network.channel
+        clone = random.Random()
+        clone.setstate(channel._fading_rng.getstate())
+        batch_calls = _count_calls(channel.fading, "sample_link_gains")
+        link_calls = _count_calls(channel.fading, "sample_link_gain")
+        for node in network.nodes:
+            for k in range(4):
+                network.sim.schedule(
+                    0.05 * k + 0.003 * node.node_id,
+                    lambda n=node: n.send_broadcast(
+                        Packet(PacketKind.DATA, n.node_id, 200, n.sim.now)
+                    ),
+                )
+        network.run(1.0)
+        assert channel.counters.total("channel.tx.") == 20
+        audible = sum(
+            4 * len(channel.audible_neighbors(node.node_id))
+            for node in network.nodes
+        )
+        for _ in range(2 * audible):
+            clone.random()
+        assert channel._fading_rng.getstate() == clone.getstate()
+        assert network.sim.rng.stream("phy.fading") is channel._fading_rng
         assert link_calls[0] == 0
         assert batch_calls[0] == len(network.nodes)
 

@@ -371,6 +371,38 @@ class TestDifferentialOracle:
             fuzzing._difference = real_difference
         assert errors and "delivered_packets" in errors[0]
 
+    def test_missing_numpy_skips_only_the_vectorized_backend(
+        self, monkeypatch
+    ):
+        """Without numpy the oracle still forces every other PHY backend,
+        and its warning names the one it skipped and why."""
+        import sys
+
+        import repro.validation.fuzzing as fuzzing
+        from tests.conftest import KERNEL_UNAVAILABLE
+
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.delitem(sys.modules, "repro.phy.vectorized",
+                            raising=False)
+        labels = []
+        real_difference = fuzzing._difference
+
+        def spy(label, oracle, candidate):
+            labels.append(label)
+            return real_difference(label, oracle, candidate)
+
+        monkeypatch.setattr(fuzzing, "_difference", spy)
+        spec = dataclasses.replace(
+            random_spec(0), protocols=("odmrp",), seeds=(1,)
+        )
+        assert spec.config.network.phy_backend == "auto"
+        with pytest.warns(RuntimeWarning, match="'vectorized' .*numpy"):
+            errors = differential_check(spec, jobs=1)
+        assert errors == []
+        assert "phy-scalar" in labels
+        assert "phy-vectorized" not in labels
+        assert ("phy-compiled" in labels) == (KERNEL_UNAVAILABLE is None)
+
 
     def _planner_spec(self, **planner):
         from repro.experiments.chaos import chaos_config

@@ -7,8 +7,9 @@ the *same bits* as the per-receiver scalar loop, at every level:
 * each batched fading sampler reproduces its scalar model's draw
   sequence under arbitrary interleavings of times and link subsets,
 * full runs of all six paper protocols produce equal ``RunResult``
-  rows whichever backend is forced (via ``differential_check``'s
-  ``phy_backend`` axis),
+  rows whichever backend is forced -- scalar, compiled (where the
+  kernel builds) or vectorized -- (via ``differential_check``'s
+  ``phy_backend`` axis), also under faults and across a re-finalize,
 * and backend resolution refuses configurations it cannot replicate
   (custom fading models, channels overriding ``_sampled_power``).
 
@@ -30,7 +31,11 @@ from repro.experiments.scenarios import (
     SimulationScenarioConfig,
 )
 from repro.experiments.spec import ExperimentSpec
-from repro.net.channel import ChannelError, WirelessChannel
+from repro.net.channel import (
+    ChannelError,
+    WirelessChannel,
+    backend_unavailable,
+)
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import random_topology
 from repro.phy.fading import (
@@ -53,6 +58,14 @@ PARITY_CONFIG = SimulationScenarioConfig(
     rate_pps=10.0,
     duration_s=8.0,
     warmup_s=2.0,
+)
+
+
+#: The forced backends the run-parity tests compare; "compiled" only
+#: where the kernel builds.
+BACKENDS = tuple(
+    backend for backend in ("scalar", "compiled", "vectorized")
+    if backend_unavailable(backend) is None
 )
 
 
@@ -189,7 +202,9 @@ class TestBackendResolution:
         config = NetworkConfig(phy_backend=backend, **config_kwargs)
         return Network(positions, seed=1, config=config)
 
-    def test_auto_stays_scalar_on_small_meshes(self):
+    def test_auto_stays_scalar_on_small_meshes(self, no_kernel):
+        # With the compiled kernel "auto" compiles small meshes instead
+        # (tests/test_compiled_phy.py); it never vectorizes them.
         network = self._network("auto")
         assert network.channel.phy_backend_resolved == "scalar"
 
@@ -245,8 +260,7 @@ class TestRunParity:
             config=PARITY_CONFIG,
         )
         divergences = differential_check(
-            spec, jobs=2, work_dir=str(tmp_path),
-            phy_backends=("scalar", "vectorized"),
+            spec, jobs=2, work_dir=str(tmp_path), phy_backends=BACKENDS,
         )
         assert divergences == [], "\n".join(divergences)
 
@@ -284,9 +298,9 @@ class TestRunParity:
         )
         results = [
             run_protocol("etx", forced(config, backend))
-            for backend in ("scalar", "vectorized")
+            for backend in BACKENDS
         ]
-        assert results[0] == results[1]
+        assert all(result == results[0] for result in results)
         assert results[0].error is None
 
     def test_parity_across_refinalize(self):
@@ -300,7 +314,7 @@ class TestRunParity:
         from repro.net.packet import Packet, PacketKind
 
         totals = {}
-        for backend in ("scalar", "vectorized"):
+        for backend in BACKENDS:
             network = Network(
                 positions, seed=5, config=NetworkConfig(phy_backend=backend)
             )
@@ -327,4 +341,4 @@ class TestRunParity:
                 "channel": dict(network.channel.counters.as_dict()),
                 "power": [node.current_power_mw for node in network.nodes],
             }
-        assert totals["scalar"] == totals["vectorized"]
+        assert all(total == totals["scalar"] for total in totals.values())
