@@ -20,9 +20,6 @@ PRs has a recorded trajectory to compare against.  It measures:
   of both rows where the kernel cannot be built.
 * **macro flood** -- a 2,000-node JOIN QUERY flood at paper density:
   the workload the spatial grid index and vectorized PHY exist for.
-* **mobility flood** -- the same flood at 500 nodes with every node in
-  random-waypoint motion: tracks the incremental topology-invalidation
-  pipeline's per-tick cost.
 * **paper run** -- the paper's own run, ODMRP and SPP on the 50-node
   mesh for 400 s (topology seed 1), each in a fresh interpreter: frames,
   wall time raw and corrected for core contention the way
@@ -40,8 +37,7 @@ Run via pytest (``pytest benchmarks/bench_perf_engine.py -s``) or
 directly (``PYTHONPATH=src python benchmarks/bench_perf_engine.py``).
 Scale knobs: ``REPRO_PERF_EVENTS`` (micro events), ``REPRO_PERF_SEEDS``
 (meso seeds), ``REPRO_JOBS`` (meso pool size), ``REPRO_MACRO_NODES``
-(macro flood mesh size), ``REPRO_MOBILITY_NODES`` (mobility flood mesh
-size).
+(macro flood mesh size).
 """
 
 from __future__ import annotations
@@ -415,59 +411,6 @@ def bench_macro_flood() -> None:
     )
 
 
-def bench_mobility_flood() -> None:
-    """Record the moving-mesh row: 500 nodes under random-waypoint.
-
-    Times the same flood workload as the macro row, but with every node
-    in motion -- each mobility tick pays the incremental topology
-    pipeline (O(1) grid re-buckets, one pruned audibility re-derivation,
-    vectorized fading-state migration), so this row tracks the cost of
-    dynamics on top of raw event churn.
-    """
-    from repro.mobility.config import MobilitySpec
-
-    num_nodes = _env_int("REPRO_MOBILITY_NODES", 500)
-    config = dataclasses.replace(
-        macro_flood_config(
-            num_nodes=num_nodes, duration_s=6.0, warmup_s=0.5,
-            members_per_group=10, rate_pps=2.0,
-        ),
-        mobility=MobilitySpec(
-            model="random-waypoint",
-            update_interval_s=1.0,
-            speed_min_mps=1.0,
-            speed_max_mps=20.0,
-        ),
-    )
-    start = time.perf_counter()
-    result = run_protocol("odmrp", config)
-    wall = time.perf_counter() - start
-    assert result.error is None, result.error
-    moves = result.counters.get("mobility.moves", 0.0)
-    assert moves > 0, "mobility flood produced no moves"
-    _write_report("mobility_flood", {
-        "num_nodes": num_nodes,
-        "area_side_m": round(config.area_width_m, 1),
-        "duration_s": config.duration_s,
-        "protocol": "odmrp",
-        "mobility_model": "random-waypoint",
-        "update_interval_s": config.mobility.update_interval_s,
-        "wall_s": round(wall, 3),
-        "sim_seconds_per_wall_second": round(config.duration_s / wall, 3)
-        if wall > 0 else None,
-        "position_updates": moves,
-        "distance_travelled_m": round(
-            result.counters.get("mobility.distance_m", 0.0), 1
-        ),
-        "phy_backend": "auto",
-    })
-    print(
-        f"\nmobility flood: {num_nodes} nodes moving, "
-        f"{config.duration_s:.0f} sim-s in {wall:.1f}s wall "
-        f"({moves:.0f} position updates)"
-    )
-
-
 #: The ``paper_run`` row's runs: Section 4.1's mesh and traffic for the
 #: paper's full 400 s, one protocol per fresh interpreter.
 PAPER_RUN_PROTOCOLS = ("odmrp", "spp")
@@ -554,7 +497,6 @@ if __name__ == "__main__":
     bench_phy_backends()
     bench_phy_crossover()
     bench_macro_flood()
-    bench_mobility_flood()
     bench_paper_run()
     print(f"wrote {os.path.normpath(BENCH_PATH)}")
     sys.exit(0)

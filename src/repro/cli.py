@@ -295,7 +295,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         use_cache=False if args.no_cache else None,
         run_timeout_s=args.run_timeout,
         max_retries=args.max_retries,
-        mobility_models=_parse_csv(args.mobility_models),
     )
     if getattr(args, "adaptive", False) and spec.adaptive is None:
         from dataclasses import replace
@@ -364,7 +363,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from repro.validation.fuzzing import (
         default_validation_spec,
         differential_check,
-        moving_validation_spec,
         random_spec,
         run_with_invariants,
         write_replay_spec,
@@ -398,7 +396,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         specs.append(spec)
     elif not args.fuzz:
         specs.append(default_validation_spec())
-        specs.append(moving_validation_spec())
     specs += [
         random_spec(index, master_seed=args.fuzz_seed)
         for index in range(args.fuzz)
@@ -567,12 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "names, e.g. maodv,maodv-etx,maodv-spp)")
     run.add_argument("--seeds", metavar="1,2,...", default=None,
                      help="override the spec's topology seeds")
-    run.add_argument("--mobility-models", metavar="A,B,...", default=None,
-                     help="override the spec's mobility axis (model names "
-                          "from the mobility registry, e.g. "
-                          "static,random-waypoint,gauss-markov); each "
-                          "model reruns the whole grid, results are "
-                          "labeled protocol@model")
     run.add_argument("--jobs", type=int, default=None,
                      help="override the spec's worker-process count "
                           "(0 = one per CPU)")

@@ -62,7 +62,9 @@ from repro.telemetry.manifest import canonicalize
 #: v7: faulty runs record `faults.*` severity counters in results, and
 #: plans that silence a source for the whole traffic interval are
 #: rejected instead of reporting zero delivery.
-CACHE_SCHEMA_VERSION = 7
+#: v8: scenario configs lost `mobility` and `energy` (both retired;
+#: every run is on the static mesh).
+CACHE_SCHEMA_VERSION = 8
 
 #: Default on-disk cache location (override with $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = os.path.join(".repro_cache", "runs")

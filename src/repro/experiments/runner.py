@@ -7,7 +7,6 @@ config object.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional
@@ -108,7 +107,7 @@ def collect_result(
         else 0.0
     )
     interesting_prefixes = (
-        "odmrp.", "phy.", "tx.", "channel.", "mobility.", "energy.",
+        "odmrp.", "phy.", "tx.", "channel.",
     )
     counters = {}
     for node in scenario.network.nodes:
@@ -167,13 +166,6 @@ def run_experiment(
     whatever the job count.  Specs that set ``run_timeout_s`` /
     ``max_retries`` -- or callers passing ``resume=True`` -- journal
     their runs (see :mod:`repro.experiments.resilience`).
-
-    A spec with ``mobility_models`` runs the protocols x seeds grid once
-    per listed model (``config.mobility.model`` replaced per cell) and
-    relabels each result ``protocol@model``, so reports and result files
-    keep the cells apart.  Run caching stays sound: per-model configs
-    hash to distinct cache keys, and the shared journal (``resume``)
-    records per-run spec keys, so sub-sweeps can share one journal.
     """
     spec.validate()
 
@@ -183,38 +175,8 @@ def run_experiment(
     executor = SweepExecutor.for_spec(
         spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path,
     )
-
-    def _execute(config: SimulationScenarioConfig) -> List[RunResult]:
-        outcomes = executor.execute(
-            sweep_specs(config, spec.protocols, spec.seeds),
-            progress=progress,
-        )
-        return [outcome.result for outcome in outcomes]
-
-    return per_mobility_model(spec, _execute)
-
-
-def per_mobility_model(
-    spec: "ExperimentSpec",
-    execute: Callable[[SimulationScenarioConfig], List[RunResult]],
-) -> List[RunResult]:
-    """Run ``execute`` on each cell of ``spec``'s mobility axis.
-
-    Without ``mobility_models`` that is one call on ``spec.config``.
-    Otherwise it is one call per listed model, in order, on a config
-    whose ``mobility.model`` is replaced, with every result relabelled
-    ``protocol@model``.
-    """
-    if not spec.mobility_models:
-        return execute(spec.config)
-    results: List[RunResult] = []
-    for model in spec.mobility_models:
-        config = dataclasses.replace(
-            spec.config,
-            mobility=dataclasses.replace(spec.config.mobility, model=model),
-        )
-        results.extend(
-            dataclasses.replace(result, protocol=f"{result.protocol}@{model}")
-            for result in execute(config)
-        )
-    return results
+    outcomes = executor.execute(
+        sweep_specs(spec.config, spec.protocols, spec.seeds),
+        progress=progress,
+    )
+    return [outcome.result for outcome in outcomes]

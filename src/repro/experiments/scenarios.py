@@ -25,10 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import RouteMetric
 from repro.experiments.faults import FailureInjector, FaultPlan
-from repro.mobility.config import EnergySpec, MobilitySpec
-from repro.mobility.driver import MobilityDriver
-from repro.mobility.energy import EnergyModel
-from repro.mobility.models import build_mobility_model
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Position, random_topology
 from repro.phy.obstacles import ObstacleShadowingPropagation, ObstacleSpec
@@ -87,16 +83,9 @@ class SimulationScenarioConfig:
     #: Disabled by default: no suite is built and the run executes the
     #: exact pre-validation instruction stream.
     validation: ValidationConfig = field(default_factory=ValidationConfig)
-    #: Mobility model (see :mod:`repro.mobility`).  The "static" default
-    #: schedules no driver and executes the exact pre-mobility
-    #: instruction stream.
-    mobility: MobilitySpec = field(default_factory=MobilitySpec)
     #: Obstacle layout folded into propagation as per-wall shadowing
     #: (see :mod:`repro.phy.obstacles`).  Empty default wraps nothing.
     obstacles: ObstacleSpec = field(default_factory=ObstacleSpec)
-    #: Per-node battery accounting with dead-at-zero through the fault
-    #: path (see :mod:`repro.mobility.energy`).  Disabled by default.
-    energy: EnergySpec = field(default_factory=EnergySpec)
 
     def with_probing_rate(self, multiplier: float) -> "SimulationScenarioConfig":
         """A copy with the probing rate scaled (overhead experiments)."""
@@ -164,34 +153,20 @@ class SimulationScenario:
     #: The injector that scheduled ``config.faults``, or None when the
     #: plan is empty.
     failure_injector: Optional[FailureInjector] = None
-    #: The mobility driver, or None when the model is "static".
-    mobility: Optional[MobilityDriver] = None
-    #: The energy accountant, or None when accounting is disabled.
-    energy: Optional[EnergyModel] = None
 
     def run(self) -> None:
         """Run the full configured duration.
 
-        With mobility, energy, telemetry, and/or validation enabled the
-        simulation advances in interval-sized chunks so the observers
-        can act between events; chunking a half-open ``run(until=...)``
-        loop does not reorder events, so every path executes the same
-        instruction stream.  Model-affecting observers (mobility,
-        energy) are registered before the read-only ones (telemetry,
-        validation), so samples and invariant checks taken at a shared
-        boundary observe the post-update state.
+        With telemetry and/or validation enabled the simulation
+        advances in interval-sized chunks so the observers can act
+        between events; chunking a half-open ``run(until=...)`` loop
+        does not reorder events, so every path executes the same
+        instruction stream.  Telemetry is registered before validation,
+        so both see the same state at a shared boundary.
         """
         sim = self.network.sim
         until = self.config.duration_s
         observers: List[Tuple[float, Callable[[], None]]] = []
-        if self.mobility is not None:
-            observers.append(
-                (self.config.mobility.update_interval_s, self.mobility.step)
-            )
-        if self.energy is not None:
-            observers.append(
-                (self.config.energy.accounting_interval_s, self.energy.step)
-            )
         if self.telemetry is not None:
             hub = self.telemetry
             observers.append(
@@ -361,25 +336,6 @@ def build_simulation_scenario(
         node_map = {node.node_id: node for node in network.nodes}
         config.faults.apply(failure_injector, node_map)
 
-    mobility_driver: Optional[MobilityDriver] = None
-    if not config.mobility.is_static():
-        # Each mobility model draws from its own named stream, so a
-        # moving scenario perturbs no other subsystem's randomness: the
-        # same (protocol, config, seed) with mobility toggled still sees
-        # identical topology/membership/traffic draws.
-        model = build_mobility_model(
-            config.mobility,
-            config.area_width_m,
-            config.area_height_m,
-            positions,
-            network.sim.rng.stream(f"mobility.{config.mobility.model}"),
-        )
-        mobility_driver = MobilityDriver(model, network)
-
-    energy_model: Optional[EnergyModel] = None
-    if config.energy.enabled:
-        energy_model = EnergyModel(config.energy, network)
-
     scenario = SimulationScenario(
         config=config,
         protocol_name=spec.name,
@@ -393,8 +349,6 @@ def build_simulation_scenario(
         positions=positions,
         spec=spec,
         failure_injector=failure_injector,
-        mobility=mobility_driver,
-        energy=energy_model,
     )
     if config.telemetry.enabled:
         scenario.telemetry = TelemetryHub(config.telemetry)

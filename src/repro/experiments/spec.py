@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -152,9 +153,90 @@ def config_to_dict(config: SimulationScenarioConfig) -> Dict[str, Any]:
     return _plain(config, "config")
 
 
+#: Keys of retired features, each with the reason loading it fails:
+#: dropping one silently would run a different experiment than the
+#: file describes.
+_REMOVED_SPEC_KEYS = {
+    "backend": (
+        "the dir:// backend was removed and every sweep runs locally (set "
+        "jobs, run_timeout_s and max_retries; resume with --resume)"
+    ),
+    "campaign": (
+        "fault campaigns were removed; sweep a hand-written fault plan "
+        "with config.faults"
+    ),
+    "mobility_models": (
+        "mobility was removed and every run uses the static mesh the "
+        "paper measures; delete the key"
+    ),
+}
+_REMOVED_CONFIG_KEYS = {
+    "mobility": (
+        "mobility was removed and every run uses the static mesh the "
+        "paper measures; delete the [config.mobility] table"
+    ),
+    "energy": (
+        "energy accounting was removed; delete the [config.energy] table"
+    ),
+}
+
+
+def _reject_removed(
+    data: Mapping[str, Any], removed: Mapping[str, str], where: str
+) -> None:
+    for key, reason in removed.items():
+        if key in data:
+            raise SpecError(
+                f"{where} key {key!r} is no longer supported: {reason}"
+            )
+
+
 def config_from_dict(data: Mapping[str, Any]) -> SimulationScenarioConfig:
     """Rebuild a scenario config; unknown keys are an error."""
+    if isinstance(data, Mapping):
+        _reject_removed(data, _REMOVED_CONFIG_KEYS, "config")
     return _build_dataclass(SimulationScenarioConfig, data, "config")
+
+
+def _is_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _validate_scenario(config: SimulationScenarioConfig) -> None:
+    """Reject a scenario every run of it would fail to build.
+
+    Catches at load time what would otherwise raise in each worker and
+    quarantine every run; the fault plan and obstacle layout reuse the
+    checks the scenario builder applies.
+    """
+    nodes = config.num_nodes
+    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1:
+        raise SpecError(
+            f"config.num_nodes must be a positive integer, got {nodes!r}"
+        )
+    for key in ("duration_s", "warmup_s", "area_width_m", "area_height_m"):
+        value = getattr(config, key)
+        if not _is_number(value):
+            raise SpecError(
+                f"config.{key} must be a finite number, got {value!r}"
+            )
+    if not 0.0 <= config.warmup_s < config.duration_s:
+        raise SpecError(
+            f"config.warmup_s ({config.warmup_s!r}) must be at least 0 and "
+            f"less than config.duration_s ({config.duration_s!r}): traffic "
+            "runs from the end of the warmup to the end of the run"
+        )
+    try:
+        config.faults.validate_for(nodes)
+        config.obstacles.validate_for(
+            config.area_width_m, config.area_height_m
+        )
+    except ValueError as exc:
+        raise SpecError(f"invalid config: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -268,11 +350,6 @@ class ExperimentSpec:
     #: Retry budget for transient failures (timeouts, worker crashes,
     #: OOM kills).  ``None`` = the default policy (2 retries).
     max_retries: Optional[int] = None
-    #: Optional mobility axis: run the whole protocols x seeds grid once
-    #: per listed model (``config.mobility.model`` replaced per cell) and
-    #: label results ``protocol@model``.  Empty = no axis, the spec's
-    #: ``config.mobility`` applies as-is.
-    mobility_models: Tuple[str, ...] = ()
     #: Optional ``[adaptive]`` section: run the sweep under the
     #: sequential planner (:mod:`repro.experiments.adaptive`) -- seeds
     #: in batches, CI-driven stopping per protocol, paired
@@ -286,7 +363,6 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         self.protocols = tuple(self.protocols)
         self.seeds = tuple(self.seeds)
-        self.mobility_models = tuple(self.mobility_models)
 
     # -- validation ----------------------------------------------------
 
@@ -331,30 +407,19 @@ class ExperimentSpec:
                 f"got {self.max_retries!r}"
             )
         self.resolve_protocols()
+        _validate_scenario(self.config)
         if self.adaptive is not None:
             try:
                 self.adaptive.validate()
             except ValueError as exc:
                 raise SpecError(str(exc)) from exc
-            if self.mobility_models:
-                raise SpecError(
-                    "adaptive sweeps do not combine with a "
-                    "mobility_models axis; run one model per spec"
-                )
             baseline = self.adaptive.baseline
             if baseline is not None and baseline not in self.protocols:
                 raise SpecError(
                     f"adaptive.baseline {baseline!r} is not among the "
                     f"spec's protocols {list(self.protocols)}"
                 )
-        from repro.mobility.models import mobility_model_by_name
-
-        for model in self.mobility_models:
-            try:
-                mobility_model_by_name(model)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from exc
-        for key in ("protocols", "seeds", "mobility_models"):
+        for key in ("protocols", "seeds"):
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise SpecError(f"{key} has duplicates: {list(values)!r}")
@@ -362,12 +427,11 @@ class ExperimentSpec:
 
     @property
     def total_runs(self) -> int:
-        """Runs in the exhaustive grid: protocols x seeds x mobility
-        models.  An ``[adaptive]`` sweep ignores ``seeds`` and runs up
-        to ``len(protocols) * adaptive.max_seeds`` instead (see
+        """Runs in the exhaustive grid: protocols x seeds.  An
+        ``[adaptive]`` sweep ignores ``seeds`` and runs up to
+        ``len(protocols) * adaptive.max_seeds`` instead (see
         :meth:`describe`)."""
-        cells = max(1, len(self.mobility_models))
-        return len(self.protocols) * len(self.seeds) * cells
+        return len(self.protocols) * len(self.seeds)
 
     def describe(self) -> str:
         """Human-readable run plan (the CLI's ``--dry-run`` output)."""
@@ -383,23 +447,13 @@ class ExperimentSpec:
                 f"seeds = at most {len(self.protocols) * cap}"
             )
         else:
-            mobility_axis = (
-                f" x {len(self.mobility_models)} mobility models"
-                if self.mobility_models else ""
-            )
             runs = (
                 f"runs: {len(self.protocols)} protocols x "
-                f"{len(self.seeds)} topologies{mobility_axis} = "
-                f"{self.total_runs}"
+                f"{len(self.seeds)} topologies = {self.total_runs}"
             )
         lines += [
             runs,
             f"seeds: {', '.join(str(seed) for seed in self.seeds)}",
-            *(
-                [f"mobility: {', '.join(self.mobility_models)} "
-                 f"(interval {self.config.mobility.update_interval_s:g} s)"]
-                if self.mobility_models else []
-            ),
             f"scenario: {self.config.num_nodes} nodes, "
             f"{self.config.duration_s:g} s simulated, "
             f"{self.config.num_groups} group(s) x "
@@ -461,8 +515,6 @@ class ExperimentSpec:
             data["run_timeout_s"] = self.run_timeout_s
         if self.max_retries is not None:
             data["max_retries"] = self.max_retries
-        if self.mobility_models:
-            data["mobility_models"] = list(self.mobility_models)
         if self.adaptive is not None:
             data["adaptive"] = _plain(self.adaptive, "adaptive")
         data["config"] = config_to_dict(self.config)
@@ -478,23 +530,11 @@ class ExperimentSpec:
                 f"spec schema {schema!r} not supported "
                 f"(this version reads schema {SPEC_SCHEMA_VERSION})"
             )
-        if "backend" in data:
-            raise SpecError(
-                "spec key 'backend' is no longer supported: the dir:// "
-                "backend was removed and every sweep runs locally (set "
-                "jobs, run_timeout_s and max_retries; resume with "
-                "--resume)"
-            )
-        if "campaign" in data:
-            raise SpecError(
-                "spec key 'campaign' is no longer supported: fault "
-                "campaigns were removed; sweep a hand-written fault plan "
-                "with config.faults"
-            )
+        _reject_removed(data, _REMOVED_SPEC_KEYS, "spec")
         known = {
             "schema", "name", "description", "protocols", "seeds",
             "jobs", "use_cache", "run_timeout_s", "max_retries",
-            "mobility_models", "adaptive", "config",
+            "adaptive", "config",
         }
         unknown = set(data) - known
         if unknown:
@@ -507,7 +547,7 @@ class ExperimentSpec:
                     "run_timeout_s", "max_retries"):
             if key in data:
                 kwargs[key] = data[key]
-        for key in ("protocols", "seeds", "mobility_models"):
+        for key in ("protocols", "seeds"):
             if key not in data:
                 continue
             if not isinstance(data[key], (list, tuple)):
@@ -580,7 +620,6 @@ class ExperimentSpec:
         use_cache: Optional[bool] = None,
         run_timeout_s: Optional[float] = None,
         max_retries: Optional[int] = None,
-        mobility_models: Optional[Sequence[str]] = None,
     ) -> "ExperimentSpec":
         """A copy with CLI-style overrides applied (None = keep)."""
         return dataclasses.replace(
@@ -588,8 +627,6 @@ class ExperimentSpec:
             protocols=tuple(protocols) if protocols is not None
             else self.protocols,
             seeds=tuple(seeds) if seeds is not None else self.seeds,
-            mobility_models=tuple(mobility_models)
-            if mobility_models is not None else self.mobility_models,
             jobs=self.jobs if jobs is None else jobs,
             use_cache=self.use_cache if use_cache is None else use_cache,
             run_timeout_s=self.run_timeout_s if run_timeout_s is None

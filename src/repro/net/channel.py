@@ -1,8 +1,8 @@
 """The shared wireless broadcast medium.
 
 Every transmission is visible to every node whose *mean* received power
-clears an audibility cutoff (precomputed while the topology holds; under
-mobility, re-derived per update tick via :meth:`invalidate_topology`).
+clears an audibility cutoff (precomputed by ``finalize()`` for the
+static layout).
 For each audible node the channel samples one fading realization, feeds
 the power into that node's carrier-sense and interference bookkeeping,
 and registers a pending reception if the faded power is decodable.  At
@@ -39,9 +39,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.net import topology
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.topology import SpatialGridIndex
 from repro.phy.fading import (
     TWOPI,
     CorrelatedRayleighFading,
@@ -53,10 +53,6 @@ from repro.phy.reception import Reception
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.trace import CounterSet
-
-#: Node count from which ``finalize()`` routes its audibility scan
-#: through the spatial grid index (below it the brute scan is cheaper).
-GRID_MIN_NODES = 64
 
 #: Node count from which ``phy_backend="auto"`` picks the vectorized
 #: reception path (results are bit-identical either way); below it
@@ -225,14 +221,8 @@ class WirelessChannel:
         #: dict it never prunes, so a link that leaves audibility and
         #: later returns resumes its old state; this archive gives the
         #: batched path the same memory so both backends stay
-        #: bit-identical under mobility-driven audibility churn.
+        #: bit-identical across a re-finalize that changes audibility.
         self._vector_state_archive: Dict[int, Dict[int, tuple]] = {}
-        #: Persistent spatial index over node positions (large meshes
-        #: with an analytically bounded reach only); kept in sync by
-        #: note_position_change so topology re-derivations stay pruned.
-        self._grid: Optional[SpatialGridIndex] = None
-        self._grid_reach: Optional[float] = None
-        self._node_slots: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -246,79 +236,40 @@ class WirelessChannel:
     def finalize(self) -> None:
         """Precompute per-sender audibility lists for the current layout.
 
-        Re-running ``finalize()`` -- or, after position changes, the
-        cheaper :meth:`invalidate_topology` -- is the only legal way to
-        change the topology; both invalidate every derived cache
-        (audibility lists, the memoized connectivity map, the vectorized
-        backend's per-sender arrays -- whose per-link fading state is
-        migrated by receiver id, exactly as the scalar model's keyed
-        dict survives a re-finalize).
+        Re-running ``finalize()`` is the only legal way to change the
+        topology; it invalidates every derived cache (audibility lists,
+        the memoized connectivity map, the vectorized backend's
+        per-sender arrays -- whose per-link fading state is migrated by
+        receiver id, exactly as the scalar model's keyed dict survives a
+        re-finalize).  Transmissions already in flight are untouched:
+        their power contributions were recorded at start time.
 
-        On meshes of :data:`GRID_MIN_NODES` or more, the O(N^2) pairing
-        scan is pruned through a persistent :class:`SpatialGridIndex`
-        with cells of half the propagation model's analytic reach: its
-        in-disk query yields a superset of each sender's audible nodes
-        (sorted by node index, i.e. registration order), so the power
-        test runs about once per audible pair, and the exact per-pair
-        power test decides audibility just as in the brute scan -- the
-        resulting lists are bit-identical.  The grid is kept in sync
-        incrementally by :meth:`note_position_change` (an O(1)
-        re-bucket per move), so mobility ticks pay the pruned
-        re-derivation cost, never a full index rebuild.
+        On meshes of :data:`~repro.net.topology.GRID_AUTO_NODES` or
+        more, the O(N^2) pairing scan is pruned through a throwaway
+        :class:`~repro.net.topology.SpatialGridIndex` with cells of half the propagation
+        model's analytic reach: its in-disk query yields a superset of
+        each sender's audible nodes (sorted by node index, i.e.
+        registration order), so the power test runs about once per
+        audible pair, and the exact per-pair power test decides
+        audibility just as in the brute scan -- the resulting lists are
+        bit-identical.
         """
         nodes = self.nodes
-        self._node_slots = {
-            node.node_id: index for index, node in enumerate(nodes)
-        }
-        self._grid = None
-        self._grid_reach = None
-        if len(nodes) >= GRID_MIN_NODES:
+        grid: Optional[topology.SpatialGridIndex] = None
+        if len(nodes) >= topology.GRID_AUTO_NODES:
             reach = self._max_audible_range_m()
             if reach is not None:
                 # Half-reach cells keep the scanned box near the disk.
-                self._grid = SpatialGridIndex(
-                    [node.position for node in nodes],
-                    cell_size_m=reach / 2.0,
+                grid = topology.SpatialGridIndex(
+                    [node.position for node in nodes], cell_size_m=reach / 2.0
                 )
-                self._grid_reach = reach
-        self._rebuild_audible()
-        base_sampled_power = (
-            type(self)._sampled_power is WirelessChannel._sampled_power
-        )
-        self._deterministic_power = (
-            isinstance(self.fading, NoFading) and base_sampled_power
-        )
-        self._inline_fading = base_sampled_power
-        self._inactive_nodes = sum(
-            1 for node in nodes if not node.active
-        )
-        fusable = base_sampled_power and isinstance(
-            self.fading, CorrelatedRayleighFading
-        )
-        self._resolve_backend(fusable)
-        self._fused_fading = (
-            self.fading if fusable and not self._vectorized else None
-        )
-        self._finalized = True
-
-    def _rebuild_audible(self) -> None:
-        """Re-derive every sender's audibility list from current positions.
-
-        On the vectorized backend the new fan-outs take over the old
-        ones' per-link fading state (see :meth:`_attach_vector_state`).
-        """
-        nodes = self.nodes
-        grid = self._grid
         self._audible = {}
         for index, sender in enumerate(nodes):
             audible: List[Tuple[Node, float, float]] = []
             pool = (
                 nodes
                 if grid is None
-                else [
-                    nodes[j]
-                    for j in grid.candidates_in_disk(index, self._grid_reach)
-                ]
+                else [nodes[j] for j in grid.candidates_in_disk(index, reach)]
             )
             for receiver in pool:
                 if receiver is sender:
@@ -339,41 +290,28 @@ class WirelessChannel:
             for sender_id, audible in self._audible.items()
         }
         if self._vectorized:
+            # The new fan-outs take over the old ones' per-link fading
+            # state (see _attach_vector_state).
             self._attach_vector_state(previous)
         self._connectivity_cache = None
-
-    def note_position_change(self, node: Node) -> None:
-        """O(1) hook from ``Node.set_position``: re-bucket in the grid.
-
-        Keeps the persistent spatial index exact while a mobility tick
-        batches several moves; derived radio state stays stale until the
-        batch's single :meth:`invalidate_topology` call re-derives it.
-        """
-        if self._grid is not None:
-            self._grid.update_position(
-                self._node_slots[node.node_id], node.position
-            )
-
-    def invalidate_topology(self) -> None:
-        """Re-derive position-dependent state after nodes moved.
-
-        The mobility-path counterpart of ``finalize()``: recomputes the
-        audibility lists (through the incrementally maintained spatial
-        grid on large meshes), drops the memoized connectivity map, and
-        rebuilds the vectorized backend's per-sender arrays with
-        per-link fading state migrated by receiver id -- so a link that
-        leaves and later re-enters audibility resumes its correlated
-        fading exactly as the scalar model's never-pruned state dict
-        does.  Transmissions already in flight are untouched: their
-        power contributions were recorded at start time, and only
-        future transmissions see the new topology.
-        """
-        if not self._finalized:
-            raise ChannelError(
-                "channel not finalized; call finalize() before "
-                "invalidate_topology()"
-            )
-        self._rebuild_audible()
+        base_sampled_power = (
+            type(self)._sampled_power is WirelessChannel._sampled_power
+        )
+        self._deterministic_power = (
+            isinstance(self.fading, NoFading) and base_sampled_power
+        )
+        self._inline_fading = base_sampled_power
+        self._inactive_nodes = sum(
+            1 for node in nodes if not node.active
+        )
+        fusable = base_sampled_power and isinstance(
+            self.fading, CorrelatedRayleighFading
+        )
+        self._resolve_backend(fusable)
+        self._fused_fading = (
+            self.fading if fusable and not self._vectorized else None
+        )
+        self._finalized = True
 
     def _max_audible_range_m(self) -> Optional[float]:
         """Worst-case audibility radius, or ``None`` if unbounded.
@@ -506,8 +444,8 @@ class WirelessChannel:
         ``previous`` fan-outs is dumped into the archive first (fresher
         slot state overwrites older archive entries), then each new slot
         loads whatever the archive holds for its receiver ids.  Links
-        absent from the new audible list keep their archived state, so
-        audibility churn under mobility preserves exactly the link
+        absent from the new audible list keep their archived state, so a
+        re-finalize that changes audibility preserves exactly the link
         memory the scalar model's never-pruned ``(sender, receiver)``
         dict would.
         """
@@ -877,9 +815,8 @@ class WirelessChannel:
 
         Memoized after :meth:`finalize`: while the topology holds, the
         O(n^2) scan happens once no matter how often benches poll it.
-        Invalidation rule: re-running ``finalize()`` or calling
-        :meth:`invalidate_topology` after position changes (the two
-        legal topology changes) clears the memo; callers must treat the
+        Invalidation rule: re-running ``finalize()`` (the one legal
+        topology change) clears the memo; callers must treat the
         returned mapping as read-only.
         """
         if self._connectivity_cache is None:

@@ -52,7 +52,7 @@ _RX_COUNTERS = {
 
 
 class Node:
-    """One mesh router (static by default; movable via set_position)."""
+    """One static mesh router."""
 
     def __init__(
         self,
@@ -156,23 +156,6 @@ class Node:
         counts[packets] += 1.0
         counts[size] += packet.size_bytes
         return self.mac.enqueue(packet, dest_id, on_done)
-
-    def set_position(self, position: Position) -> None:
-        """Move the node (mobility).
-
-        The one legal way to change a position after network assembly:
-        it keeps the channel's spatial grid in sync via an O(1)
-        re-bucket.  Derived radio state (audible sets, connectivity
-        map, vectorized batch arrays) is *not* recomputed here -- after
-        a batch of moves, call ``channel.invalidate_topology()`` once,
-        which is how :class:`~repro.mobility.driver.MobilityDriver`
-        amortizes one re-derivation over a whole tick.
-        """
-        if position == self.position:
-            return
-        self.position = position
-        if self.channel is not None:
-            self.channel.note_position_change(self)
 
     def set_active(self, active: bool) -> None:
         """Turn the radio on or off (failure injection).

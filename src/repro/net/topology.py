@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import random
 import sys
-from bisect import insort
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-#: Node count above which the O(N^2) helpers (``is_connected``,
-#: ``average_degree``) switch to a :class:`SpatialGridIndex`.  Below it
-#: the brute-force scan is faster than building the index.
+#: Node count from which the O(N^2) pair scans -- ``is_connected``,
+#: ``average_degree`` and the channel's audibility scan in
+#: ``WirelessChannel.finalize`` -- go through a throwaway
+#: :class:`SpatialGridIndex`.  Below it the brute-force scan is faster
+#: than building the index.
 GRID_AUTO_NODES = 64
 
 #: Relative widening of the radius in the grid's in-disk test, far above
@@ -51,10 +52,6 @@ class SpatialGridIndex:
     the iteration order of a plain ``for i, pos in enumerate(...)``
     scan; downstream consumers (audible lists, connectivity maps) keep
     their deterministic ordering for free.
-
-    :meth:`update_position` re-buckets a single node, which is how the
-    channel keeps its index current through a mobility tick;
-    :meth:`rebuild` re-buckets everything.
     """
 
     def __init__(
@@ -66,47 +63,15 @@ class SpatialGridIndex:
             )
         self.cell_size_m = float(cell_size_m)
         self._positions: List[Position] = list(positions)
-        self._cells: Dict[Tuple[int, int], List[int]] = {}
-        self._bucket_all()
+        size = self.cell_size_m
+        cells: Dict[Tuple[int, int], List[int]] = {}
+        for index, (x, y) in enumerate(self._positions):
+            cell = (math.floor(x / size), math.floor(y / size))
+            cells.setdefault(cell, []).append(index)
+        self._cells = cells
 
     def __len__(self) -> int:
         return len(self._positions)
-
-    def _cell_of(self, position: Position) -> Tuple[int, int]:
-        size = self.cell_size_m
-        return (
-            math.floor(position.x / size),
-            math.floor(position.y / size),
-        )
-
-    def _bucket_all(self) -> None:
-        cells: Dict[Tuple[int, int], List[int]] = {}
-        for index, position in enumerate(self._positions):
-            cells.setdefault(self._cell_of(position), []).append(index)
-        self._cells = cells
-
-    def rebuild(
-        self, positions: Optional[Sequence[Position]] = None
-    ) -> None:
-        """Re-bucket every node (bulk invalidation hook for mobility)."""
-        if positions is not None:
-            self._positions = list(positions)
-        self._bucket_all()
-
-    def update_position(self, index: int, position: Position) -> None:
-        """Move one node to ``position`` and re-bucket it."""
-        old_cell = self._cell_of(self._positions[index])
-        new_cell = self._cell_of(position)
-        self._positions[index] = position
-        if old_cell == new_cell:
-            return
-        bucket = self._cells[old_cell]
-        bucket.remove(index)
-        if not bucket:
-            del self._cells[old_cell]
-        # insort keeps per-cell lists ascending so candidate lists stay
-        # sorted without a per-query sort of every bucket.
-        insort(self._cells.setdefault(new_cell, []), index)
 
     def candidates_in_disk(self, index: int, range_m: float) -> List[int]:
         """Superset of the nodes within ``range_m`` of node ``index``.

@@ -20,9 +20,6 @@ Installed series (per sample interval, virtual time):
   group size per multicast group and JOIN QUERY rebroadcasts per tick.
 * ``maodv.tree_nodes``, ``maodv.tree_churn`` -- when the scenario runs
   the tree-based router.
-* ``mobility.speed_mean``, ``mobility.update_rate`` -- when a mobility
-  driver is attached; ``energy.remaining_j``, ``energy.alive_nodes`` --
-  when battery accounting is enabled.
 
 Forwarding-group size *changes* are additionally logged as structured
 events (tag ``fg_size``), which is what makes tree churn legible in the
@@ -162,37 +159,6 @@ def install_scenario_probes(hub: TelemetryHub, scenario: "SimulationScenario") -
         )),
         unit="rebroadcasts/tick",
     )
-
-    # ---- mobility / energy ---------------------------------------------
-    # Pull-based like everything else: the driver/accountant maintain
-    # these totals for their own bookkeeping; sampling them cannot
-    # perturb the run.
-    if scenario.mobility is not None:
-        mobility = scenario.mobility
-        hub.add_probe(
-            "mobility.speed_mean",
-            _delta(
-                lambda: mobility.total_distance_m
-                / (interval * len(nodes))
-            ),
-            unit="m/s",
-        )
-        hub.add_probe(
-            "mobility.update_rate",
-            _delta(lambda: float(mobility.updates) / interval),
-            unit="ticks/s",
-        )
-    if scenario.energy is not None:
-        energy = scenario.energy
-        hub.add_probe(
-            "energy.remaining_j",
-            lambda: energy.total_remaining_j(),
-            unit="J",
-        )
-        hub.add_probe(
-            "energy.alive_nodes",
-            lambda: float(energy.alive_count()),
-        )
 
     # Tree probes apply when the registry spec resolved a tree-based
     # router (any MaodvRouter subclass); hand-assembled scenarios without

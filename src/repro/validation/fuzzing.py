@@ -48,14 +48,9 @@ from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.parallel import sweep_specs
 from repro.experiments.resilience import SweepJournal
 from repro.experiments.results import RunResult
-from repro.experiments.runner import (
-    per_mobility_model,
-    run_experiment,
-    run_protocol,
-)
+from repro.experiments.runner import run_experiment, run_protocol
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec
-from repro.mobility.config import EnergySpec, MobilitySpec
 from repro.net.channel import backend_unavailable
 from repro.sim.rng import derive_seed
 from repro.telemetry.hub import TelemetryConfig
@@ -117,24 +112,6 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
             )
         )
 
-    mobility = MobilitySpec()
-    if rng.random() < 0.35:
-        # A moving mesh exercises the whole invalidation pipeline
-        # (set_position -> grid re-bucket -> audibility re-derivation ->
-        # vectorized state migration) under every differential path.
-        mobility = MobilitySpec(
-            model=rng.choice(("random-waypoint", "gauss-markov")),
-            update_interval_s=rng.choice((0.5, 1.0)),
-            speed_min_mps=1.0,
-            speed_max_mps=float(rng.choice((10, 20))),
-            pause_s=rng.choice((0.0, 1.0)),
-        )
-    energy = EnergySpec()
-    if rng.random() < 0.15:
-        # Small batteries so some nodes actually die mid-run, driving
-        # churn through the same path the fault injector uses.
-        energy = EnergySpec(enabled=True, initial_j=rng.choice((0.5, 2.0)))
-
     side = float(rng.randint(450, 650))
     config = SimulationScenarioConfig(
         num_nodes=num_nodes,
@@ -146,8 +123,6 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
         duration_s=duration_s,
         warmup_s=warmup_s,
         faults=FaultPlan(outages=tuple(outages), flapping=tuple(flapping)),
-        mobility=mobility,
-        energy=energy,
     )
     return ExperimentSpec(
         name=f"fuzz-{master_seed}-{index}",
@@ -387,9 +362,7 @@ def run_with_invariants(
     monitors: Sequence[str] = (),
     check_interval_s: float = 1.0,
 ) -> List[RunResult]:
-    """Replay every run in ``spec`` -- every mobility model's cell
-    included, labelled ``protocol@model`` -- with invariant monitors
-    attached.
+    """Replay every run in ``spec`` with invariant monitors attached.
 
     Runs serially (monitored runs are about catching bugs, not speed).
     An :class:`InvariantViolation` propagates to the caller with its
@@ -404,10 +377,10 @@ def run_with_invariants(
             monitors=tuple(monitors),
         ),
     ))
-    return per_mobility_model(spec, lambda config: [
+    return [
         run_protocol(run_spec.protocol, run_spec.seeded_config())
-        for run_spec in sweep_specs(config, spec.protocols, spec.seeds)
-    ])
+        for run_spec in sweep_specs(spec.config, spec.protocols, spec.seeds)
+    ]
 
 
 def write_replay_spec(violation: InvariantViolation, path: str) -> str:
@@ -464,27 +437,3 @@ def consistency_spec() -> ExperimentSpec:
         ),
     )
 
-
-def moving_validation_spec() -> ExperimentSpec:
-    """A moving-mesh mini-sweep: the default monitors under churn.
-
-    Complements :func:`default_validation_spec`: same small scale, but
-    nodes follow random-waypoint trajectories so forwarding state,
-    power-conservation, and rng-isolation get checked while audible
-    sets churn every tick.
-    """
-    spec = default_validation_spec()
-    return replace(
-        spec,
-        name="paper-mini-moving",
-        description=(
-            "paper protocols on a random-waypoint mesh, full monitor suite"
-        ),
-        protocols=("odmrp", "spp"),
-        config=replace(spec.config, mobility=MobilitySpec(
-            model="random-waypoint",
-            update_interval_s=1.0,
-            speed_min_mps=2.0,
-            speed_max_mps=15.0,
-        )),
-    )

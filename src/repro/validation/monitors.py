@@ -381,7 +381,7 @@ def _find_cycle(upstreams: Dict[int, int]) -> Optional[list]:
 
 #: Stream names a scenario run may legitimately create on its simulator.
 ALLOWED_STREAM_PREFIXES = (
-    "mac.", "phy.", "odmrp.", "probe.", "cbr.", "testbed.", "mobility.",
+    "mac.", "phy.", "odmrp.", "probe.", "cbr.", "testbed.",
 )
 ALLOWED_STREAM_NAMES = frozenset({"topology", "membership", "traffic"})
 

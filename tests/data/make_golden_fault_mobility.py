@@ -1,8 +1,9 @@
 """Regenerate ``golden_fault_mobility.json``.
 
-Result digests for the run paths the stored benchmark digests do not
-cover: radio outages plus flapping, and random-waypoint mobility on both
-PHY backends.  Run after an *intentional* change of simulation results::
+Result digests for the run path the stored benchmark digests do not
+cover: radio outages plus flapping on the scalar PHY.  (The file keeps
+its name from when it also pinned mobile meshes, so the fault cases'
+test ids stay put.)  Run after an *intentional* change of simulation results::
 
     PYTHONPATH=src python tests/data/make_golden_fault_mobility.py
 
@@ -34,7 +35,6 @@ from repro.experiments.runner import run_protocol  # noqa: E402
 from repro.experiments.scenarios import (  # noqa: E402
     SimulationScenarioConfig,
 )
-from repro.mobility.config import MobilitySpec  # noqa: E402
 from repro.net.network import NetworkConfig  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_fault_mobility.json"
@@ -45,14 +45,6 @@ _FAULTS = FaultPlan(
     outages=(OutageWindow(3, 4.0, 7.5), OutageWindow(11, 6.0, 12.0)),
     flapping=(FlappingSpec(7, 3.0, 1.5, 0.4, 13.0),),
 )
-
-_WAYPOINT = MobilitySpec(
-    model="random-waypoint",
-    update_interval_s=0.5,
-    speed_min_mps=2.0,
-    speed_max_mps=15.0,
-)
-
 
 def _config(num_nodes: int, backend: str, **fields) -> SimulationScenarioConfig:
     return SimulationScenarioConfig(
@@ -68,8 +60,6 @@ def _config(num_nodes: int, backend: str, **fields) -> SimulationScenarioConfig:
 #: case name -> scenario config; every case runs every protocol.
 CASES: Dict[str, SimulationScenarioConfig] = {
     "faults-30-scalar": _config(30, "scalar", faults=_FAULTS),
-    "waypoint-30-scalar": _config(30, "scalar", mobility=_WAYPOINT),
-    "waypoint-80-vectorized": _config(80, "vectorized", mobility=_WAYPOINT),
 }
 
 

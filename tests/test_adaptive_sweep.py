@@ -106,11 +106,6 @@ class TestAdaptiveConfigValidation:
         with pytest.raises(SpecError, match="baseline"):
             spec.validate()
 
-    def test_spec_rejects_mobility_axis_combination(self):
-        spec = tiny_spec(mobility_models=("random-waypoint",))
-        with pytest.raises(SpecError, match="mobility_models"):
-            spec.validate()
-
     def test_spec_surfaces_adaptive_errors_as_spec_errors(self):
         spec = tiny_spec(adaptive=AdaptiveConfig(batch_size=0))
         with pytest.raises(SpecError, match="batch_size"):

@@ -181,6 +181,31 @@ class TestValidateCommand:
             assert "config.faults" in err and "Traceback" not in err
 
 
+class TestRemovedMobilitySurface:
+    @pytest.mark.parametrize("table", [
+        'mobility_models = ["static"]\n',
+        '[config.mobility]\nmodel = "random-waypoint"\n',
+        "[config.energy]\nenabled = true\n",
+    ], ids=["mobility_models", "config.mobility", "config.energy"])
+    def test_dry_run_names_the_removal(self, tmp_path, capsys, table):
+        spec_path = tmp_path / "old.toml"
+        spec_path.write_text(
+            'schema = 1\nname = "old"\nprotocols = ["odmrp"]\n'
+            "seeds = [1]\n" + table
+        )
+        assert main(["run", "--spec", str(spec_path), "--dry-run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"ERROR: {spec_path}: ")
+        assert "is no longer supported" in captured.err
+        assert "was removed" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_mobility_models_flag_exits_nonzero(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mobility-models", "static", "--dry-run"])
+        assert exc.value.code != 0
+
+
 class TestRemovedFleetSurface:
     def test_backend_flag_and_worker_command_exit_nonzero(self):
         for argv in (["run", "--backend", "dir://x", "--dry-run"],

@@ -145,10 +145,7 @@ class TestFrozenContract:
     def test_execute_is_defined_on_the_class(self):
         assert "execute" in vars(SweepExecutor)
 
-    @pytest.mark.parametrize("models", [(), ("static", "random-waypoint")])
-    def test_grid_sweep_calls_execute_once_per_mobility_model(
-        self, monkeypatch, models
-    ):
+    def test_grid_sweep_calls_execute_once(self, monkeypatch):
         batches = []
         execute = SweepExecutor.execute
 
@@ -158,11 +155,10 @@ class TestFrozenContract:
 
         monkeypatch.setattr(SweepExecutor, "execute", counting)
         runs = run_experiment(ExperimentSpec(
-            protocols=("odmrp", "spp"), seeds=(1, 2),
-            mobility_models=models, config=TINY,
+            protocols=("odmrp", "spp"), seeds=(1, 2), config=TINY,
         ))
-        assert batches == [4] * max(1, len(models))
-        assert len(runs) == 4 * max(1, len(models))
+        assert batches == [4]
+        assert len(runs) == 4
         assert all(type(run) is RunResult for run in runs)
         assert all(run.error is None for run in runs)
 

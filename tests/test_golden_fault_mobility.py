@@ -1,12 +1,10 @@
-"""Golden result digests for fault-plan and mobility runs.
+"""Golden result digests for fault-plan runs.
 
-The benchmark's stored digests pin static, fault-free meshes.  These pin
-the paths they miss -- radio outages plus flapping on the scalar PHY,
-and random-waypoint mobility on the scalar (30 nodes) and vectorized
-(80 nodes) PHY -- for ODMRP, SPP and METX, so a speed-only change to the
-channel, node or MAC bookkeeping cannot shift a result there unseen.
-The scalar cases also run on the compiled kernel against the same
-digests.
+The benchmark's stored digests pin fault-free meshes.  These pin the
+path they miss -- radio outages plus flapping on the scalar PHY -- for
+ODMRP, SPP and METX, so a speed-only change to the channel, node or MAC
+bookkeeping cannot shift a result there unseen.  The same cases also
+run on the compiled kernel against the same digests.
 
 Regenerate after an *intentional* change of results with::
 

@@ -51,34 +51,6 @@ def test_macro_flood_2000_nodes_completes():
 
 
 @pytest.mark.perfsmoke
-def test_mobile_flood_500_nodes_completes():
-    """500 nodes under random-waypoint motion: the mobility tick's
-    incremental pipeline (grid re-bucket -> audibility re-derivation ->
-    vectorized state migration) at a scale where a naive full rebuild
-    per tick would dominate the run.  Must complete and must actually
-    have moved the mesh.
-    """
-    from repro.mobility.config import MobilitySpec
-
-    config = dataclasses.replace(
-        macro_flood_config(
-            num_nodes=500, duration_s=6.0, warmup_s=0.5,
-            members_per_group=10, rate_pps=2.0,
-        ),
-        mobility=MobilitySpec(
-            model="random-waypoint",
-            update_interval_s=1.0,
-            speed_min_mps=1.0,
-            speed_max_mps=20.0,
-        ),
-    )
-    result = run_protocol("odmrp", config)
-    assert result.error is None, result.error
-    assert result.counters.get("mobility.moves", 0) >= 500
-    assert result.counters.get("channel.tx.join_query", 0.0) >= 500
-
-
-@pytest.mark.perfsmoke
 def test_seed_determinism_matrix(tmp_path):
     """The oracle at four workers over two seeds: the pooled sweep, a
     cache stored cold by four workers then replayed warm inline, an

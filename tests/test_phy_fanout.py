@@ -16,8 +16,8 @@ formulation:
 * models the batch cannot mirror (subclasses, a half-drawn gaussian)
   fall back to the per-link default;
 * whole runs of the six paper protocols are equal with and without the
-  batch and the fused pass, also under faults (filtered frames),
-  mobility (row rebuilds) and per-link calls mid-run; a plain paper
+  batch and the fused pass, also under faults (filtered frames) and
+  per-link calls mid-run; a plain paper
   run takes the fused pass for every frame but each sender's first;
 * a frame's receivers split into ``touched`` (power) and ``decoding``
   (pending reception), and only the latter are decided;
@@ -42,7 +42,6 @@ from repro.experiments.scenarios import (
     build_simulation_scenario,
 )
 from repro.mac.csma import BROADCAST_ID
-from repro.mobility.config import MobilitySpec
 from repro.net.network import Network, NetworkConfig
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import chain_topology
@@ -216,10 +215,6 @@ PARITY_CASES = {
         flapping=(FlappingSpec(node_id=5, start_s=2.0, period_s=2.0,
                                down_fraction=0.4, until_s=7.0),),
     ),
-    "mobility": MobilitySpec(
-        model="random-waypoint", update_interval_s=0.5,
-        speed_min_mps=2.0, speed_max_mps=15.0,
-    ),
 }
 
 RUN_CONFIG = SimulationScenarioConfig(
@@ -266,11 +261,11 @@ class TestRunParity:
         assert batched_run.delivered_packets > 0
         assert batched_run == per_link_run
 
-    @pytest.mark.parametrize("case", ["faults", "mobility"])
+    @pytest.mark.parametrize("case", ["faults"])
     def test_fused_run_equals_per_link_run(self, case):
-        """Down receivers filter a frame (``sel``) and mobility rebuilds
-        every row; both hand those frames back to the batch call, and
-        the run stays equal to the per-link one."""
+        """Down receivers filter a frame (``sel``), which hands it back
+        to the batch call, and the run stays equal to the per-link
+        one."""
         config = dataclasses.replace(RUN_CONFIG, **{case: PARITY_CASES[case]})
         coherence = config.network.fading_coherence_time_s
         fused = run_protocol(

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.net.channel as channel_module
+import repro.net.topology as topology_module
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import (
     GRID_AUTO_NODES,
@@ -219,38 +220,6 @@ class TestEdgeOfCellBoundaries:
             SpatialGridIndex([Position(0.0, 0.0)], cell_size_m=math.inf)
 
 
-class TestMobilityHooks:
-    def test_update_position_rebuckets(self):
-        positions = [Position(0.0, 0.0), Position(500.0, 500.0),
-                     Position(505.0, 505.0)]
-        grid = SpatialGridIndex(positions, cell_size_m=100.0)
-        assert grid.neighbors_within(0, 50.0) == []
-        grid.update_position(1, Position(10.0, 10.0))
-        positions[1] = Position(10.0, 10.0)
-        for index in range(len(positions)):
-            assert grid.neighbors_within(index, 50.0) == (
-                neighbors_within(positions, index, 50.0)
-            )
-
-    def test_rebuild_matches_fresh_index(self):
-        rng = random.Random(3)
-        positions = [
-            Position(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            for _ in range(30)
-        ]
-        grid = SpatialGridIndex(positions, cell_size_m=120.0)
-        moved = [
-            Position(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            for _ in range(30)
-        ]
-        grid.rebuild(moved)
-        fresh = SpatialGridIndex(moved, cell_size_m=120.0)
-        for index in range(len(moved)):
-            assert grid.neighbors_within(index, 200.0) == (
-                fresh.neighbors_within(index, 200.0)
-            )
-
-
 class TestChannelGridPruning:
     """Grid-pruned finalize() == brute finalize(), bit for bit."""
 
@@ -273,9 +242,9 @@ class TestChannelGridPruning:
         )
         config = NetworkConfig(phy_backend="scalar")
 
-        monkeypatch.setattr(channel_module, "GRID_MIN_NODES", 10**9)
+        monkeypatch.setattr(topology_module, "GRID_AUTO_NODES", 10**9)
         brute = Network(positions, seed=1, config=config)
-        monkeypatch.setattr(channel_module, "GRID_MIN_NODES", 2)
+        monkeypatch.setattr(topology_module, "GRID_AUTO_NODES", 2)
         gridded = Network(positions, seed=1, config=config)
 
         assert self._audible_snapshot(brute) == (
@@ -320,7 +289,7 @@ class TestChannelGridPruning:
         assert len(calls) == audible_pairs
 
         calls.clear()
-        monkeypatch.setattr(channel_module, "GRID_MIN_NODES", 10**9)
+        monkeypatch.setattr(topology_module, "GRID_AUTO_NODES", 10**9)
         brute = Network(positions, seed=1, config=config)
         assert len(calls) == n * (n - 1)
         assert self._audible_snapshot(brute) == (

@@ -121,6 +121,31 @@ class TestStrictness:
         for knob in ("jobs", "run_timeout_s", "max_retries", "--resume"):
             assert knob in message
 
+    @pytest.mark.parametrize("path, value, removed", [
+        (("mobility_models",), ["static", "random-waypoint"], "mobility"),
+        (("config", "mobility"), {"model": "random-waypoint"}, "mobility"),
+        (("config", "energy"), {"enabled": True}, "energy accounting"),
+    ], ids=["mobility_models", "config.mobility", "config.energy"])
+    @pytest.mark.parametrize("suffix", [".toml", ".json"])
+    def test_retired_key_names_the_removal(
+        self, tmp_path, path, value, removed, suffix
+    ):
+        data = sample_spec().to_dict()
+        table = data
+        for key in path[:-1]:
+            table = table[key]
+        table[path[-1]] = value
+        spec_path = tmp_path / f"old{suffix}"
+        spec_path.write_text(
+            json.dumps(data) if suffix == ".json" else toml_dumps(data)
+        )
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.load(str(spec_path))
+        message = str(excinfo.value)
+        assert f"key {path[-1]!r} is no longer supported" in message
+        assert f"{removed} was removed" in message
+        assert "unknown key" not in message
+
     def test_unknown_config_key_rejected(self):
         data = sample_spec().to_dict()
         data["config"]["num_node"] = 10  # typo'd "num_nodes"
@@ -164,8 +189,6 @@ class TestStrictness:
         ("protocols", "odmrp"),
         ("protocols", ["odmrp", "spp", "odmrp"]),
         ("seeds", [1, 2, 1]),
-        ("mobility_models", "static"),
-        ("mobility_models", ["static", "static"]),
     ])
     def test_mistyped_field_rejected(self, key, value):
         """A field a file can get wrong fails as a SpecError up front,
@@ -175,6 +198,32 @@ class TestStrictness:
         with pytest.raises(SpecError) as excinfo:
             ExperimentSpec.from_dict(data).validate()
         assert key in str(excinfo.value)
+
+    @pytest.mark.parametrize("config, field", [
+        ({"num_nodes": -3}, "num_nodes"),
+        ({"num_nodes": 8.0}, "num_nodes"),
+        ({"warmup_s": 10.0, "duration_s": 5.0}, "warmup_s"),
+        ({"warmup_s": -1.0}, "warmup_s"),
+        ({"duration_s": "x"}, "duration_s"),
+        ({"faults": {"outages": [
+            {"node_id": 99, "start_s": 12.0, "end_s": 14.0},
+        ]}}, "node 99"),
+        ({"obstacles": {"obstacles": [
+            {"x_min_m": 2000.0, "y_min_m": 0.0,
+             "x_max_m": 2100.0, "y_max_m": 10.0},
+        ]}}, "outside"),
+    ], ids=["negative-nodes", "float-nodes", "warmup-after-end",
+            "negative-warmup", "text-duration", "fault-on-missing-node",
+            "obstacle-outside-arena"])
+    def test_unrunnable_scenario_rejected(self, config, field):
+        """A scenario every run of which would raise in its worker
+        fails validation, so --dry-run and ``repro validate --spec``
+        catch it before a sweep quarantines every run."""
+        data = sample_spec().to_dict()
+        data["config"].update(config)
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.from_dict(data).validate()
+        assert field in str(excinfo.value)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_non_positive_jobs_means_one_per_cpu(self, jobs):

@@ -323,18 +323,6 @@ class TestDifferentialOracle:
         spec.validate()
         assert spec.total_runs == 3
 
-    def test_invariant_replay_covers_every_mobility_model(self):
-        spec = ExperimentSpec(
-            name="moving-mini", protocols=("odmrp",), seeds=(1,),
-            mobility_models=("static", "random-waypoint"),
-            config=mini_config(duration_s=6.0, warmup_s=2.0),
-        )
-        results = run_with_invariants(spec)
-        assert len(results) == spec.total_runs == 2
-        assert [run.protocol for run in results] == [
-            "odmrp@static", "odmrp@random-waypoint",
-        ]
-
     def test_random_specs_are_deterministic_and_distinct(self):
         a = random_spec(0)
         b = random_spec(0)
