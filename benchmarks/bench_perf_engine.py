@@ -265,7 +265,7 @@ def bench_phy_backends() -> None:
 
 #: Mesh sizes for the backend crossover curve, at the paper's density
 #: (50 nodes per km^2), where the audible fan-out grows with the mesh.
-CROSSOVER_SIZES = (16, 32, 40, 50, 64, 100)
+CROSSOVER_SIZES = (16, 32, 40, 50, 64, 100, 200, 400)
 
 
 def phy_crossover_curve(

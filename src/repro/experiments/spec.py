@@ -213,17 +213,32 @@ def _validate_scenario(config: SimulationScenarioConfig) -> None:
     quarantine every run; the fault plan and obstacle layout reuse the
     checks the scenario builder applies.
     """
-    nodes = config.num_nodes
-    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1:
-        raise SpecError(
-            f"config.num_nodes must be a positive integer, got {nodes!r}"
-        )
-    for key in ("duration_s", "warmup_s", "area_width_m", "area_height_m"):
+    for key in ("num_nodes", "num_groups", "members_per_group",
+                "sources_per_group", "packet_size_bytes"):
+        value = getattr(config, key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise SpecError(
+                f"config.{key} must be a positive integer, got {value!r}"
+            )
+    for key in ("duration_s", "warmup_s", "area_width_m", "area_height_m",
+                "rate_pps"):
         value = getattr(config, key)
         if not _is_number(value):
             raise SpecError(
                 f"config.{key} must be a finite number, got {value!r}"
             )
+    nodes = config.num_nodes
+    per_group = config.members_per_group + config.sources_per_group
+    if per_group > nodes:
+        raise SpecError(
+            f"config.members_per_group + config.sources_per_group "
+            f"({per_group}) must not exceed config.num_nodes ({nodes}): "
+            "each group draws that many distinct nodes"
+        )
+    if config.rate_pps <= 0.0:
+        raise SpecError(
+            f"config.rate_pps must be positive, got {config.rate_pps!r}"
+        )
     if not 0.0 <= config.warmup_s < config.duration_s:
         raise SpecError(
             f"config.warmup_s ({config.warmup_s!r}) must be at least 0 and "

@@ -13,7 +13,7 @@ Subclasses can override :meth:`_sampled_power` to replace the
 pathloss-times-fading model; the testbed emulation uses this to drive the
 same MAC with empirically measured link loss rates.
 
-Two scale paths keep large meshes tractable without changing results:
+These paths keep large meshes and long runs fast without changing results:
 
 * ``finalize()`` prunes its audibility scan through a
   :class:`~repro.net.topology.SpatialGridIndex` when the propagation
@@ -28,10 +28,15 @@ Two scale paths keep large meshes tractable without changing results:
   step is drawn inside that pass (``_fused_start``).  The backend is
   chosen per channel -- never per sender, since mixing would
   desynchronize the cloned RNG stream from the scalar one.
-* The "compiled" backend runs the fused frame-start pass in C
-  (:mod:`repro.phy.kernel`), operation for operation as the Python pass
-  does; every other step -- a sender's first frame, the frame-end
-  withdrawal, decisions, deliveries -- stays in Python.
+* Per-node PHY state (power, on-air count, carrier sense, half duplex,
+  sense threshold, MAC, pending receptions) lives in the channel's
+  :class:`PhyLedger`, columns indexed by node id that every pass
+  updates by list subscript; :class:`~repro.net.node.Node` exposes its
+  row as views.
+* The "compiled" backend runs the fused frame-start pass and the
+  frame-end withdrawal in C (:mod:`repro.phy.kernel`) over those
+  columns, operation for operation as the Python passes do; a sender's
+  first frame, the decisions and the deliveries stay in Python.
 """
 
 from __future__ import annotations
@@ -110,8 +115,10 @@ class Transmission:
         self.start_time = start_time
         self.end_time = end_time
         self.notify_sender = notify_sender
-        #: Receivers holding a power contribution from this frame.
-        self.touched: List[Node] = []
+        #: Ids of the receivers holding a power contribution from this
+        #: frame; when no receiver is left out, the fan-out's own
+        #: ``receiver_ids`` list (never mutated).
+        self.touched: List[int] = []
         #: Each touched receiver's faded power (same order): the frame's
         #: share of that receiver's ``current_power_mw``.
         self.powers: List[float] = []
@@ -129,28 +136,75 @@ class _FanOut:
     Mirrors one ``_audible`` list in audible-list order, so element
     ``k`` of every column is receiver ``k``: the receivers, their ids
     (the list object the scalar fading batch keys its link state on),
-    mean powers, decode thresholds and carrier-sense thresholds.  On
+    mean powers and decode thresholds.  On
     the vectorized backend it also holds the mean powers as a numpy
     array and the sampler's per-link fading state.
     """
 
     __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr",
-                 "cs_thr", "mean_array", "slot")
+                 "mean_array", "slot")
 
     def __init__(self, audible: List[Tuple[Node, float, float]]) -> None:
         columns = tuple(zip(*audible)) or ((), (), ())
         self.receivers, self.mean_mw, self.rx_thr = map(list, columns)
         self.receiver_ids = [receiver.node_id for receiver in self.receivers]
-        self.cs_thr = [
-            receiver.params.carrier_sense_threshold_mw
-            for receiver in self.receivers
-        ]
         self.mean_array = None
         self.slot = None
 
 
+class PhyLedger:
+    """Every node's PHY state as columns indexed by node id.
+
+    The channel's frame passes read and write these lists by subscript
+    (and the compiled kernel through ``columns``); each
+    :class:`~repro.net.node.Node` reads its row through views.  A
+    column is never replaced, only written in place, so ``columns`` and
+    any local binding stay valid.  ``pending`` holds each node's own
+    ``pending_receptions`` dict object.
+    """
+
+    __slots__ = ("power_mw", "on_air", "busy", "transmitting", "sense_mw",
+                 "macs", "pending", "nodes", "columns")
+
+    def __init__(self) -> None:
+        #: Summed faded power of the frames on the air at each node.
+        self.power_mw: List[float] = []
+        #: How many frames each ``power_mw`` entry holds.
+        self.on_air: List[int] = []
+        #: Cached carrier-sense state, always equal to ``medium_busy``.
+        self.busy: List[bool] = []
+        #: Half duplex: the node's own frame is on the air.
+        self.transmitting: List[bool] = []
+        #: Carrier-sense threshold of each node's radio.
+        self.sense_mw: List[float] = []
+        self.macs: List[Any] = []
+        self.pending: List[Dict[Any, Reception]] = []
+        self.nodes: List[Node] = []
+        #: The columns in the order the compiled kernel takes them.
+        self.columns = (self.power_mw, self.on_air, self.busy,
+                        self.transmitting, self.sense_mw, self.macs,
+                        self.pending, self.nodes)
+
+    def add(self, node: Node) -> None:
+        """Give ``node`` the next row, as an idle radio."""
+        if node.node_id != len(self.nodes):
+            raise ChannelError(
+                f"node ids must be dense in registration order: expected "
+                f"{len(self.nodes)}, got {node.node_id}"
+            )
+        self.power_mw.append(0.0)
+        self.on_air.append(0)
+        self.busy.append(False)
+        self.transmitting.append(False)
+        self.sense_mw.append(node.params.carrier_sense_threshold_mw)
+        self.macs.append(node.mac)
+        self.pending.append(node.pending_receptions)
+        self.nodes.append(node)
+        node._ledger = self
+
+
 class WirelessChannel:
-    """Shared medium connecting a set of (possibly mobile) nodes."""
+    """Shared medium connecting a set of static nodes."""
 
     def __init__(
         self,
@@ -174,7 +228,9 @@ class WirelessChannel:
         #: What finalize() actually picked: "scalar", "compiled" or
         #: "vectorized".
         self.phy_backend_resolved: Optional[str] = None
-        self.nodes: List[Node] = []
+        #: Per-node PHY state; ``nodes`` is its node column.
+        self.ledger = PhyLedger()
+        self.nodes: List[Node] = self.ledger.nodes
         self.counters = CounterSet()
         #: sender id -> [(receiver, mean power, rx threshold)], with the
         #: receiver's decode threshold baked in so the per-transmission
@@ -230,8 +286,8 @@ class WirelessChannel:
     def register_node(self, node: Node) -> None:
         if self._finalized:
             raise ChannelError("cannot add nodes after finalize()")
+        self.ledger.add(node)
         node.channel = self
-        self.nodes.append(node)
 
     def finalize(self) -> None:
         """Precompute per-sender audibility lists for the current layout.
@@ -550,60 +606,57 @@ class WirelessChannel:
         self._in_flight[tx] = None
         sender.phy_begin_own_tx()
         fan = self._fanout[sender.node_id]
-        targets = fan.receivers
+        receiver_ids = fan.receiver_ids
         means = fan.mean_mw
         thresholds = fan.rx_thr
-        sense_thresholds = fan.cs_thr
-        receiver_ids = fan.receiver_ids
         sel = None
-        if self._inactive_nodes and targets:
+        if self._inactive_nodes and receiver_ids:
             # Down radios neither hear the frame nor draw its fading.
-            sel = [k for k, receiver in enumerate(targets) if receiver.active]
-            if len(sel) == len(targets):
+            sel = [
+                k for k, receiver in enumerate(fan.receivers)
+                if receiver.active
+            ]
+            if len(sel) == len(receiver_ids):
                 sel = None
             else:
-                targets = [targets[k] for k in sel]
                 means = [means[k] for k in sel]
                 thresholds = [thresholds[k] for k in sel]
-                sense_thresholds = [sense_thresholds[k] for k in sel]
                 receiver_ids = [receiver_ids[k] for k in sel]
         row = None
-        if self._fused_fading is not None and sel is None and targets:
+        if self._fused_fading is not None and sel is None and receiver_ids:
             row = self._fused_fading.uniform_row(
                 sender.node_id, receiver_ids, now, self._fading_rng
             )
         if row is not None:
             if self._kernel is not None:
                 self._kernel.frame_start(
-                    self._fading_rng.stream, tx, targets, means, thresholds,
-                    sense_thresholds, *row, Reception,
+                    self._fading_rng.stream, tx, receiver_ids, means,
+                    thresholds, *row, Reception, self.ledger.columns,
                 )
             else:
-                self._fused_start(tx, targets, means, thresholds,
-                                  sense_thresholds, row)
+                self._fused_start(tx, receiver_ids, means, thresholds, row)
         else:
-            self._batched_start(tx, fan, sel, targets, means, thresholds,
-                                sense_thresholds, receiver_ids)
+            self._batched_start(tx, fan, sel, receiver_ids, means,
+                                thresholds)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
         )
         return tx
 
     # Both frame-start passes below do each receiver's bookkeeping for
-    # an arriving frame, inlined: add its power, raise the peak
-    # interference of every pending reception (the total minus that
-    # reception's own signal), flip carrier sense idle -> busy (power
-    # only rises here), and -- when the power is decodable and the
-    # receiver is not transmitting -- start a pending reception whose
-    # initial interference is every other audible frame.
+    # an arriving frame, inlined on the ledger's columns: add its power,
+    # raise the peak interference of every pending reception (the total
+    # minus that reception's own signal), flip carrier sense idle -> busy
+    # (power only rises here), and -- when the power is decodable and
+    # the receiver is not transmitting -- start a pending reception
+    # whose initial interference is every other audible frame.
 
     def _fused_start(
         self,
         tx: Transmission,
-        targets: List[Node],
+        receiver_ids: List[int],
         means: List[float],
         thresholds: List[float],
-        sense_thresholds: List[float],
         row: Tuple[List[list], float, float],
     ) -> None:
         """The frame start with each link's AR(1) step drawn in the pass.
@@ -616,6 +669,15 @@ class WirelessChannel:
         consumes the stream exactly as one batch before the pass would.
         """
         states, rho, innovation = row
+        ledger = self.ledger
+        power = ledger.power_mw
+        on_air = ledger.on_air
+        busy = ledger.busy
+        transmitting = ledger.transmitting
+        sense = ledger.sense_mw
+        macs = ledger.macs
+        pending_of = ledger.pending
+        nodes = ledger.nodes
         random_ = self._fading_rng.random
         twopi = TWOPI
         log = math.log
@@ -627,8 +689,8 @@ class WirelessChannel:
         silenced = None
         powers_append = tx.powers.append
         decoding_append = tx.decoding.append
-        for receiver, mean_mw, threshold, sense_mw, state in zip(
-            targets, means, thresholds, sense_thresholds, states
+        for rid, mean_mw, threshold, state in zip(
+            receiver_ids, means, thresholds, states
         ):
             x2pi = random_() * twopi
             g2rad = sqrt(-2.0 * log(1.0 - random_()))
@@ -642,35 +704,33 @@ class WirelessChannel:
                 # Not touched, as in the batched pass's filter.
                 if silenced is None:
                     silenced = []
-                silenced.append(receiver)
+                silenced.append(rid)
                 continue
             powers_append(power_mw)
-            total = receiver.current_power_mw + power_mw
-            receiver.current_power_mw = total
-            receiver.on_air_count += 1
-            pending = receiver.pending_receptions
+            total = power[rid] + power_mw
+            power[rid] = total
+            on_air[rid] += 1
+            pending = pending_of[rid]
             if pending:
                 for reception in pending.values():
                     level = total - reception.signal_mw
                     if level > reception.peak_interference_mw:
                         reception.peak_interference_mw = level
-            if not receiver._last_busy and total >= sense_mw:
-                receiver._last_busy = True
-                mac = receiver.mac
+            if not busy[rid] and total >= sense[rid]:
+                busy[rid] = True
+                mac = macs[rid]
                 if mac.awaited_sense is True:
                     mac.on_medium_state(True)
-            if power_mw >= threshold and not receiver.transmitting:
-                reception = Reception(
-                    tx, receiver.node_id, power_mw, now, end_time
-                )
+            if power_mw >= threshold and not transmitting[rid]:
+                reception = Reception(tx, rid, power_mw, now, end_time)
                 pending[tx] = reception
                 level = total - power_mw
                 if level > 0.0:
                     reception.peak_interference_mw = level
-                decoding_append(receiver)
+                decoding_append(nodes[rid])
         tx.touched = (
-            list(targets) if silenced is None
-            else [receiver for receiver in targets if receiver not in silenced]
+            receiver_ids if silenced is None
+            else [rid for rid in receiver_ids if rid not in silenced]
         )
 
     def _batched_start(
@@ -678,16 +738,14 @@ class WirelessChannel:
         tx: Transmission,
         fan: _FanOut,
         sel: Optional[List[int]],
-        targets: List[Node],
+        receiver_ids: List[int],
         means: List[float],
         thresholds: List[float],
-        sense_thresholds: List[float],
-        receiver_ids: List[int],
     ) -> None:
         """The frame start with the fading drawn in one call first."""
         now = tx.start_time
         end_time = tx.end_time
-        if not targets or self._deterministic_power:
+        if not receiver_ids or self._deterministic_power:
             powers = means
         elif self._vectorized:
             # tolist() hands back plain Python floats, so power ledgers
@@ -707,45 +765,78 @@ class WirelessChannel:
             powers = [mean * gain for mean, gain in zip(means, gains)]
         else:
             powers = [
-                self._sampled_power(tx.sender, receiver, mean)
-                for receiver, mean in zip(targets, means)
+                self._sampled_power(tx.sender, self.nodes[rid], mean)
+                for rid, mean in zip(receiver_ids, means)
             ]
         if powers and min(powers) <= 0.0:
             # Only a custom power model silences a link outright.
             keep = [k for k, power_mw in enumerate(powers) if power_mw > 0.0]
-            targets = [targets[k] for k in keep]
+            receiver_ids = [receiver_ids[k] for k in keep]
             powers = [powers[k] for k in keep]
             thresholds = [thresholds[k] for k in keep]
-            sense_thresholds = [sense_thresholds[k] for k in keep]
-        tx.touched = list(targets)
-        tx.powers = list(powers)
+        tx.touched = receiver_ids
+        # ``powers`` may be the fan-out's own mean column.
+        tx.powers = list(powers) if powers is means else powers
+        ledger = self.ledger
+        power = ledger.power_mw
+        on_air = ledger.on_air
+        busy = ledger.busy
+        transmitting = ledger.transmitting
+        sense = ledger.sense_mw
+        macs = ledger.macs
+        pending_of = ledger.pending
+        nodes = ledger.nodes
         decoding_append = tx.decoding.append
-        for receiver, power_mw, threshold, sense_mw in zip(
-            targets, powers, thresholds, sense_thresholds
-        ):
-            total = receiver.current_power_mw + power_mw
-            receiver.current_power_mw = total
-            receiver.on_air_count += 1
-            pending = receiver.pending_receptions
+        for rid, power_mw, threshold in zip(receiver_ids, powers, thresholds):
+            total = power[rid] + power_mw
+            power[rid] = total
+            on_air[rid] += 1
+            pending = pending_of[rid]
             if pending:
                 for reception in pending.values():
                     level = total - reception.signal_mw
                     if level > reception.peak_interference_mw:
                         reception.peak_interference_mw = level
-            if not receiver._last_busy and total >= sense_mw:
-                receiver._last_busy = True
-                mac = receiver.mac
+            if not busy[rid] and total >= sense[rid]:
+                busy[rid] = True
+                mac = macs[rid]
                 if mac.awaited_sense is True:
                     mac.on_medium_state(True)
-            if power_mw >= threshold and not receiver.transmitting:
-                reception = Reception(
-                    tx, receiver.node_id, power_mw, now, end_time
-                )
+            if power_mw >= threshold and not transmitting[rid]:
+                reception = Reception(tx, rid, power_mw, now, end_time)
                 pending[tx] = reception
                 level = total - power_mw
                 if level > 0.0:
                     reception.peak_interference_mw = level
-                decoding_append(receiver)
+                decoding_append(nodes[rid])
+
+    def _withdraw(self, touched: List[int], powers: List[float]) -> None:
+        """Take a finished frame's power off its receivers' ledger rows.
+
+        The compiled kernel's ``frame_end`` is this loop in C.
+        """
+        ledger = self.ledger
+        power = ledger.power_mw
+        on_air = ledger.on_air
+        busy = ledger.busy
+        transmitting = ledger.transmitting
+        sense = ledger.sense_mw
+        macs = ledger.macs
+        for rid, power_mw in zip(touched, powers):
+            count = on_air[rid] - 1
+            on_air[rid] = count
+            if count:
+                total = power[rid] - power_mw
+                if total < 0.0:  # guard against float drift
+                    total = 0.0
+            else:
+                total = 0.0
+            power[rid] = total
+            if busy[rid] and not transmitting[rid] and total < sense[rid]:
+                busy[rid] = False
+                mac = macs[rid]
+                if mac.awaited_sense is False:
+                    mac.on_medium_state(False)
 
     def _sampled_power(
         self, sender: Node, receiver: Node, mean_mw: float
@@ -763,23 +854,10 @@ class WirelessChannel:
         # precedes every decision, so MAC backoffs are drawn before any
         # delivery's upper-layer sends.  Power only falls here, so the
         # only possible flip is busy -> idle.
-        for receiver, power_mw in zip(tx.touched, tx.powers):
-            count = receiver.on_air_count - 1
-            receiver.on_air_count = count
-            if count:
-                total = receiver.current_power_mw - power_mw
-                if total < 0.0:  # guard against float drift
-                    total = 0.0
-            else:
-                total = 0.0
-            receiver.current_power_mw = total
-            if receiver._last_busy and not receiver.transmitting and (
-                total < receiver.params.carrier_sense_threshold_mw
-            ):
-                receiver._last_busy = False
-                mac = receiver.mac
-                if mac.awaited_sense is False:
-                    mac.on_medium_state(False)
+        if self._kernel is not None:
+            self._kernel.frame_end(tx.touched, tx.powers, self.ledger.columns)
+        else:
+            self._withdraw(tx.touched, tx.powers)
         packet = tx.packet
         sender_id = tx.sender_id
         dest_id = tx.dest_id

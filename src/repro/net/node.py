@@ -1,15 +1,24 @@
 """A mesh router node: radio state, MAC, and protocol dispatch.
 
-The node holds the PHY-side state of its position on the shared channel:
+The node's PHY-side state lives in its channel's
+:class:`~repro.net.channel.PhyLedger`, a set of per-node columns
+indexed by node id, so the channel's frame passes (and the compiled
+kernel) update it with list subscripts, never attribute lookups.  The
+node reads its own row through views:
 
 * ``current_power_mw``, the summed faded power of every transmission
   audible here, and ``on_air_count``, how many frames that sum holds
   (each :class:`~repro.net.channel.Transmission` keeps its own
-  per-receiver powers, so the node stores no per-frame ledger),
-* the pending :class:`~repro.phy.reception.Reception` objects for frames
-  this node may decode, and
-* ``_last_busy``, the carrier-sense state, always equal to
+  per-receiver powers, so nothing stores a per-frame ledger),
+* ``transmitting``, the half-duplex flag, and
+* ``sensed_busy``, the cached carrier-sense state, always equal to
   :attr:`Node.medium_busy`.
+
+The views are read-only: the channel's passes and the node's own
+radio-state methods write the columns.  A node not yet registered with a channel reads as an idle radio.  The
+pending :class:`~repro.phy.reception.Reception` objects for frames this
+node may decode stay in the node's own ``pending_receptions`` dict, which
+the ledger holds by reference.
 
 The channel updates that state in place, in one pass over a frame's
 receivers at each edge of the frame.  Power only rises when a frame
@@ -70,15 +79,12 @@ class Node:
         self.mac = mac or CsmaMac(sim)
         self.mac.node = self
         self.channel: Any = None  # set when registered with a channel
+        #: The channel's PHY ledger holding this node's row (at index
+        #: ``node_id``), set on registration.
+        self._ledger: Any = None
         self.counters = CounterSet()
 
-        # PHY state
-        self.transmitting = False
-        self.current_power_mw = 0.0
-        #: Transmissions whose power ``current_power_mw`` holds.
-        self.on_air_count = 0
         self.pending_receptions: Dict[Any, Reception] = {}
-        self._last_busy = False
         #: Radio power state; a "failed" node neither sends nor receives.
         self.active = True
 
@@ -127,11 +133,12 @@ class Node:
         """
         if self.channel is None:
             return {}
+        node_id = self.node_id
         return {
             tx: power_mw
             for tx in self.channel.in_flight()
-            for receiver, power_mw in zip(tx.touched, tx.powers)
-            if receiver is self
+            for receiver_id, power_mw in zip(tx.touched, tx.powers)
+            if receiver_id == node_id
         }
 
     def send_broadcast(
@@ -179,25 +186,33 @@ class Node:
         self._update_sense_state()
 
     # ------------------------------------------------------------------
-    # PHY-side interface (called by the channel)
+    # PHY-side interface (views over the channel's ledger)
+
+    def _registered_ledger(self) -> Any:
+        ledger = self._ledger
+        if ledger is None:
+            raise RuntimeError(
+                f"node {self.node_id} is not registered with a channel"
+            )
+        return ledger
 
     @property
-    def medium_busy(self) -> bool:
-        """Carrier-sense state: own transmission or enough foreign energy."""
-        return self.transmitting or self.reception_model.can_sense(
-            self.current_power_mw
-        )
+    def current_power_mw(self) -> float:
+        """Summed faded power of the frames on the air here."""
+        ledger = self._ledger
+        return 0.0 if ledger is None else ledger.power_mw[self.node_id]
 
-    def phy_begin_own_tx(self) -> None:
-        """Half duplex: starting to transmit kills any in-flight receptions."""
-        self.transmitting = True
-        for reception in self.pending_receptions.values():
-            reception.signal_mw = 0.0
-        self._update_sense_state()
+    @property
+    def on_air_count(self) -> int:
+        """Transmissions whose power ``current_power_mw`` holds."""
+        ledger = self._ledger
+        return 0 if ledger is None else ledger.on_air[self.node_id]
 
-    def phy_end_own_tx(self) -> None:
-        self.transmitting = False
-        self._update_sense_state()
+    @property
+    def transmitting(self) -> bool:
+        """Half duplex: True while the node's own frame is on the air."""
+        ledger = self._ledger
+        return False if ledger is None else ledger.transmitting[self.node_id]
 
     @property
     def sensed_busy(self) -> bool:
@@ -207,15 +222,42 @@ class Node:
         passes and :meth:`_update_sense_state`; the two must always
         agree.
         """
-        return self._last_busy
+        ledger = self._ledger
+        return False if ledger is None else ledger.busy[self.node_id]
+
+    @property
+    def medium_busy(self) -> bool:
+        """Carrier-sense state: own transmission or enough foreign energy."""
+        ledger = self._ledger
+        if ledger is None:
+            return False
+        node_id = self.node_id
+        return ledger.transmitting[node_id] or self.reception_model.can_sense(
+            ledger.power_mw[node_id]
+        )
+
+    def phy_begin_own_tx(self) -> None:
+        """Half duplex: starting to transmit kills any in-flight receptions."""
+        self._registered_ledger().transmitting[self.node_id] = True
+        for reception in self.pending_receptions.values():
+            reception.signal_mw = 0.0
+        self._update_sense_state()
+
+    def phy_end_own_tx(self) -> None:
+        self._registered_ledger().transmitting[self.node_id] = False
+        self._update_sense_state()
 
     def _update_sense_state(self) -> None:
         # Radio-state changes; the channel's frame passes inline this.
-        busy = self.transmitting or self.reception_model.can_sense(
-            self.current_power_mw
+        ledger = self._ledger
+        if ledger is None:
+            return  # an unregistered radio is idle and senses nothing
+        node_id = self.node_id
+        busy = ledger.transmitting[node_id] or self.reception_model.can_sense(
+            ledger.power_mw[node_id]
         )
-        if busy != self._last_busy:
-            self._last_busy = busy
+        if busy != ledger.busy[node_id]:
+            ledger.busy[node_id] = busy
             mac = self.mac
             if mac.awaited_sense == busy:
                 mac.on_medium_state(busy)

@@ -1,23 +1,26 @@
 /*
  * The compiled receiver kernel of the scalar PHY.
  *
- * frame_start is WirelessChannel._fused_start (repro.net.channel),
- * operation for operation, so a run is bit-identical to the pure-Python
- * pass: each link's AR(1) step drawn from the channel's MT19937, the
- * faded power added to the receiver, the peak interference of its
- * pending receptions raised, idle -> busy carrier-sense flips passed to
- * a waiting MAC, decode starts.
+ * frame_start is WirelessChannel._fused_start (repro.net.channel) and
+ * frame_end is WirelessChannel._withdraw, operation for operation, so a
+ * run is bit-identical to the pure-Python passes: each link's AR(1) step
+ * drawn from the channel's MT19937, the faded power added to the
+ * receiver, the peak interference of its pending receptions raised,
+ * idle -> busy carrier-sense flips passed to a waiting MAC, decode
+ * starts; at the frame's end its power withdrawn and busy -> idle flips
+ * passed on.
  *
- * Node, Reception and MAC state is read and written through ordinary
- * attribute access, never through an object's __dict__, and every
- * Python-level call (the MAC's on_medium_state, the Reception
- * constructor) happens at the point the Python pass makes it.  That
- * generic attribute access costs about 30 ns an operation, several
- * times what CPython's specialized bytecode pays, so the pass gains from
- * C only through its fading math.  The frame-end withdrawal, which is
- * nothing but attribute bookkeeping, ran slower here than in Python
- * (about 160 against 96 ns a receiver) and stays in Python, as do the
- * decisions (about 1 % of a paper run in C, within noise).
+ * Per-node state is the channel's PhyLedger: plain lists indexed by
+ * node id (power, on-air count, sensed-busy, transmitting, sense
+ * threshold, MAC, pending-reception dict, node), read and written with
+ * PyList_GET_ITEM/PyList_SetItem.  Python is called only where the
+ * Python pass calls it: the MAC's on_medium_state on a flip it awaits,
+ * the Reception constructor on a decode start.  Receptions are still
+ * reached through attribute access.  A callback may run arbitrary
+ * Python, so every list index is checked against the list's current
+ * size, and every borrowed object a callback could release is held.
+ * The decisions and deliveries stay in Python (about 1 % of a paper run
+ * in C, within noise).
  *
  * Stream is an MT19937 that reproduces random.Random: random() is the
  * same 53-bit recipe over the same generator, getstate()/setstate() use
@@ -232,13 +235,116 @@ static PyTypeObject StreamType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* Attribute helpers                                                   */
+/* The ledger                                                          */
 
-static PyObject *s_current_power_mw, *s_on_air_count, *s_pending_receptions,
-    *s_last_busy, *s_mac, *s_awaited_sense, *s_on_medium_state,
-    *s_transmitting, *s_node_id, *s_signal_mw, *s_peak_interference_mw,
-    *s_params, *s_carrier_sense_threshold_mw, *s_touched, *s_powers,
-    *s_decoding, *s_start_time, *s_end_time;
+static PyObject *s_awaited_sense, *s_on_medium_state, *s_signal_mw,
+    *s_peak_interference_mw, *s_touched, *s_powers, *s_decoding,
+    *s_start_time, *s_end_time;
+
+/* PhyLedger.columns, in its order. */
+enum { L_POWER, L_ON_AIR, L_BUSY, L_TRANSMITTING, L_SENSE, L_MACS,
+       L_PENDING, L_NODES, L_COLUMNS };
+
+typedef struct {
+    PyObject *col[L_COLUMNS];  /* borrowed from the columns tuple */
+} Ledger;
+
+static int
+unpack_ledger(PyObject *columns, Ledger *ledger)
+{
+    if (!PyTuple_Check(columns) || PyTuple_GET_SIZE(columns) != L_COLUMNS) {
+        PyErr_Format(PyExc_TypeError,
+                     "the ledger must be a tuple of %d columns", L_COLUMNS);
+        return -1;
+    }
+    for (int c = 0; c < L_COLUMNS; c++) {
+        PyObject *column = PyTuple_GET_ITEM(columns, c);
+        if (!PyList_Check(column)) {
+            PyErr_Format(PyExc_TypeError, "ledger column %d must be a list", c);
+            return -1;
+        }
+        ledger->col[c] = column;
+    }
+    return 0;
+}
+
+/* The node id in `id_obj`, checked against every column's current size;
+ * -1 with an exception set when it is not a row of the ledger. */
+static Py_ssize_t
+ledger_row(const Ledger *ledger, PyObject *id_obj)
+{
+    Py_ssize_t rid = PyLong_AsSsize_t(id_obj);
+    if (rid == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    for (int c = 0; c < L_COLUMNS; c++) {
+        if (rid < 0 || rid >= PyList_GET_SIZE(ledger->col[c])) {
+            PyErr_Format(PyExc_IndexError,
+                         "receiver id %zd is not a row of the ledger", rid);
+            return -1;
+        }
+    }
+    return rid;
+}
+
+static inline PyObject *
+cell(const Ledger *ledger, int column, Py_ssize_t rid)
+{
+    return PyList_GET_ITEM(ledger->col[column], rid);
+}
+
+/* column[rid] = value, stealing the reference to value (NULL fails). */
+static int
+set_cell(const Ledger *ledger, int column, Py_ssize_t rid, PyObject *value)
+{
+    if (value == NULL) {
+        return -1;
+    }
+    return PyList_SetItem(ledger->col[column], rid, value);
+}
+
+/* busy[rid] = busy; then macs[rid].on_medium_state(busy) when that MAC
+ * waits for exactly this state (awaited_sense is busy).  The caller
+ * re-checks `rid` afterwards: the callback may resize a column. */
+static int
+flip_sense(const Ledger *ledger, Py_ssize_t rid, PyObject *busy)
+{
+    if (set_cell(ledger, L_BUSY, rid, Py_NewRef(busy)) < 0) {
+        return -1;
+    }
+    PyObject *mac = Py_NewRef(cell(ledger, L_MACS, rid));
+    PyObject *awaited = PyObject_GetAttr(mac, s_awaited_sense);
+    int status = awaited == NULL ? -1 : 0;
+    if (awaited == busy) {
+        PyObject *done = PyObject_CallMethodOneArg(mac, s_on_medium_state, busy);
+        status = done == NULL ? -1 : 0;
+        Py_XDECREF(done);
+    }
+    Py_XDECREF(awaited);
+    Py_DECREF(mac);
+    return status;
+}
+
+static double
+list_double(PyObject *list, Py_ssize_t k)
+{
+    return PyFloat_AsDouble(PyList_GET_ITEM(list, k));
+}
+
+static int
+check_list(PyObject *obj, const char *what)
+{
+    if (!PyList_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a list", what);
+        return -1;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The frame-start pass                                                */
+
+static const double TWOPI = 2.0 * 3.14159265358979323846;  /* math.tau */
 
 static int
 get_double(PyObject *obj, PyObject *name, double *out)
@@ -268,87 +374,6 @@ set_double(PyObject *obj, PyObject *name, double value)
     return status;
 }
 
-/* Truth value of obj.name: 1, 0, or -1 on error. */
-static int
-get_truth(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL) {
-        return -1;
-    }
-    int truth = PyObject_IsTrue(value);
-    Py_DECREF(value);
-    return truth;
-}
-
-/* obj.name += delta on an int attribute; the new value, or -1 with an
- * exception set (counts never go negative in a consistent ledger). */
-static long
-add_count(PyObject *obj, PyObject *name, long delta)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL) {
-        return -1;
-    }
-    long count = PyLong_AsLong(value);
-    Py_DECREF(value);
-    if (count == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    count += delta;
-    PyObject *boxed = PyLong_FromLong(count);
-    if (boxed == NULL) {
-        return -1;
-    }
-    int status = PyObject_SetAttr(obj, name, boxed);
-    Py_DECREF(boxed);
-    if (status < 0) {
-        return -1;
-    }
-    return count;
-}
-
-static double
-list_double(PyObject *list, Py_ssize_t k)
-{
-    return PyFloat_AsDouble(PyList_GET_ITEM(list, k));
-}
-
-/* receiver._last_busy = busy; then mac.on_medium_state(busy) when the
- * receiver's MAC waits for exactly that state (awaited_sense is busy). */
-static int
-flip_sense(PyObject *receiver, PyObject *busy)
-{
-    if (PyObject_SetAttr(receiver, s_last_busy, busy) < 0) {
-        return -1;
-    }
-    PyObject *mac = PyObject_GetAttr(receiver, s_mac);
-    if (mac == NULL) {
-        return -1;
-    }
-    PyObject *awaited = PyObject_GetAttr(mac, s_awaited_sense);
-    if (awaited == NULL) {
-        Py_DECREF(mac);
-        return -1;
-    }
-    int status = 0;
-    if (awaited == busy) {
-        PyObject *done = PyObject_CallMethodOneArg(mac, s_on_medium_state, busy);
-        if (done == NULL) {
-            status = -1;
-        }
-        Py_XDECREF(done);
-    }
-    Py_DECREF(awaited);
-    Py_DECREF(mac);
-    return status;
-}
-
-/* ------------------------------------------------------------------ */
-/* The frame-start pass                                                */
-
-static const double TWOPI = 2.0 * 3.14159265358979323846;  /* math.tau */
-
 /* For every pending reception at the receiver: raise its peak
  * interference to the total power minus its own signal. */
 static int
@@ -375,64 +400,69 @@ raise_interference(PyObject *pending, double total)
 /* One receiver's share of frame_start after its power is known: the
  * ledger update, interference, carrier sense and decode start. */
 static int
-start_receiver(PyObject *tx, PyObject *receiver, PyObject *power_obj,
-               double power, double threshold, double sense,
+start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
+               PyObject *power_obj, double power, double threshold,
                PyObject *now, PyObject *end_time, PyObject *reception_type,
                PyObject *decoding)
 {
-    double current;
-    if (get_double(receiver, s_current_power_mw, &current) < 0) {
+    Py_ssize_t rid = ledger_row(ledger, id_obj);
+    if (rid < 0) {
+        return -1;
+    }
+    double current = PyFloat_AsDouble(cell(ledger, L_POWER, rid));
+    long count = PyLong_AsLong(cell(ledger, L_ON_AIR, rid));
+    if (PyErr_Occurred()) {
         return -1;
     }
     double total = current + power;
-    if (set_double(receiver, s_current_power_mw, total) < 0
-        || (add_count(receiver, s_on_air_count, 1) == -1 && PyErr_Occurred())) {
+    if (set_cell(ledger, L_POWER, rid, PyFloat_FromDouble(total)) < 0
+        || set_cell(ledger, L_ON_AIR, rid, PyLong_FromLong(count + 1)) < 0) {
         return -1;
     }
-    PyObject *pending = PyObject_GetAttr(receiver, s_pending_receptions);
-    if (pending == NULL) {
-        return -1;
-    }
+    PyObject *pending = Py_NewRef(cell(ledger, L_PENDING, rid));
     int status = -1;
     if (!PyDict_Check(pending)) {
         PyErr_SetString(PyExc_TypeError, "pending_receptions must be a dict");
         goto done;
     }
-    if (PyDict_GET_SIZE(pending) && raise_interference(pending, total) < 0) {
+    /* A Reception's attribute access may run Python: look the row up
+     * again after it. */
+    if (PyDict_GET_SIZE(pending)
+        && (raise_interference(pending, total) < 0
+            || (rid = ledger_row(ledger, id_obj)) < 0)) {
         goto done;
     }
-    int busy = get_truth(receiver, s_last_busy);
-    if (busy < 0) {
+    int busy = PyObject_IsTrue(cell(ledger, L_BUSY, rid));
+    double sense = PyFloat_AsDouble(cell(ledger, L_SENSE, rid));
+    if (busy < 0 || PyErr_Occurred()) {
         goto done;
     }
-    if (!busy && total >= sense && flip_sense(receiver, Py_True) < 0) {
+    if (!busy && total >= sense
+        && (flip_sense(ledger, rid, Py_True) < 0
+            || (rid = ledger_row(ledger, id_obj)) < 0)) {
         goto done;
     }
     if (power >= threshold) {
-        int transmitting = get_truth(receiver, s_transmitting);
+        int transmitting = PyObject_IsTrue(cell(ledger, L_TRANSMITTING, rid));
         if (transmitting < 0) {
             goto done;
         }
         if (!transmitting) {
-            PyObject *node_id = PyObject_GetAttr(receiver, s_node_id);
-            if (node_id == NULL) {
-                goto done;
-            }
-            PyObject *args[5] = {tx, node_id, power_obj, now, end_time};
+            PyObject *args[5] = {tx, id_obj, power_obj, now, end_time};
             PyObject *reception = PyObject_Vectorcall(reception_type, args, 5, NULL);
-            Py_DECREF(node_id);
             if (reception == NULL) {
                 goto done;
             }
             double level = total - power;
-            if (PyDict_SetItem(pending, tx, reception) < 0
+            int failed = PyDict_SetItem(pending, tx, reception) < 0
                 || (level > 0.0
                     && set_double(reception, s_peak_interference_mw, level) < 0)
-                || PyList_Append(decoding, receiver) < 0) {
-                Py_DECREF(reception);
+                || (rid = ledger_row(ledger, id_obj)) < 0
+                || PyList_Append(decoding, cell(ledger, L_NODES, rid)) < 0;
+            Py_DECREF(reception);
+            if (failed) {
                 goto done;
             }
-            Py_DECREF(reception);
         }
     }
     status = 0;
@@ -441,23 +471,14 @@ done:
     return status;
 }
 
-static int
-check_list(PyObject *obj, const char *what)
-{
-    if (!PyList_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a list", what);
-        return -1;
-    }
-    return 0;
-}
-
 /*
- * frame_start(stream, tx, targets, means, thresholds, sense_thresholds,
- *             states, rho, innovation, reception_type)
+ * frame_start(stream, tx, receiver_ids, means, thresholds, states, rho,
+ *             innovation, reception_type, ledger_columns)
  *
  * The fused frame start: `states`, `rho` and `innovation` are
  * CorrelatedRayleighFading.uniform_row's.  Appends to tx.powers and
- * tx.decoding and sets tx.touched, as WirelessChannel._fused_start does.
+ * tx.decoding and sets tx.touched -- to `receiver_ids` itself when no
+ * receiver was silenced -- as WirelessChannel._fused_start does.
  */
 static PyObject *
 frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -471,17 +492,18 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     StreamObject *stream = (StreamObject *)args[0];
-    PyObject *tx = args[1], *targets = args[2], *means = args[3],
-             *thresholds = args[4], *senses = args[5], *states = args[6],
-             *reception_type = args[9];
-    if (check_list(targets, "targets") < 0 || check_list(means, "means") < 0
+    PyObject *tx = args[1], *ids = args[2], *means = args[3],
+             *thresholds = args[4], *states = args[5],
+             *reception_type = args[8];
+    Ledger ledger;
+    if (check_list(ids, "receiver_ids") < 0 || check_list(means, "means") < 0
         || check_list(thresholds, "thresholds") < 0
-        || check_list(senses, "sense_thresholds") < 0
-        || check_list(states, "states") < 0) {
+        || check_list(states, "states") < 0
+        || unpack_ledger(args[9], &ledger) < 0) {
         return NULL;
     }
-    double rho = PyFloat_AsDouble(args[7]);
-    double innovation = PyFloat_AsDouble(args[8]);
+    double rho = PyFloat_AsDouble(args[6]);
+    double innovation = PyFloat_AsDouble(args[7]);
     if (PyErr_Occurred()) {
         return NULL;
     }
@@ -489,6 +511,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *now = NULL, *end_time = NULL, *powers = NULL, *decoding = NULL,
              *touched = NULL, *result = NULL;
     char *silenced = NULL;
+    int any_silenced = 0;
     now = PyObject_GetAttr(tx, s_start_time);
     end_time = now ? PyObject_GetAttr(tx, s_end_time) : NULL;
     powers = end_time ? PyObject_GetAttr(tx, s_powers) : NULL;
@@ -498,10 +521,9 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
 
-    Py_ssize_t n = PyList_GET_SIZE(targets);
+    Py_ssize_t n = PyList_GET_SIZE(ids);
     n = Py_MIN(n, PyList_GET_SIZE(means));
     n = Py_MIN(n, PyList_GET_SIZE(thresholds));
-    n = Py_MIN(n, PyList_GET_SIZE(senses));
     n = Py_MIN(n, PyList_GET_SIZE(states));
     silenced = PyMem_Calloc(n ? n : 1, 1);
     if (silenced == NULL) {
@@ -510,8 +532,8 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     for (Py_ssize_t k = 0; k < n; k++) {
         /* A callback may have shortened a list, as zip() would notice. */
-        if (k >= PyList_GET_SIZE(targets) || k >= PyList_GET_SIZE(means)
-            || k >= PyList_GET_SIZE(thresholds) || k >= PyList_GET_SIZE(senses)
+        if (k >= PyList_GET_SIZE(ids) || k >= PyList_GET_SIZE(means)
+            || k >= PyList_GET_SIZE(thresholds)
             || k >= PyList_GET_SIZE(states)) {
             break;
         }
@@ -523,7 +545,6 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         double mean = list_double(means, k);
         double threshold = list_double(thresholds, k);
-        double sense = list_double(senses, k);
         double old_real = list_double(state, 1);
         double old_imag = list_double(state, 2);
         if (PyErr_Occurred()) {
@@ -551,36 +572,41 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (power <= 0.0) {
             /* Not touched, as in the batched pass's filter. */
             silenced[k] = 1;
+            any_silenced = 1;
             continue;
         }
         PyObject *power_obj = PyFloat_FromDouble(power);
         if (power_obj == NULL) {
             goto done;
         }
-        PyObject *receiver = PyList_GET_ITEM(targets, k);
-        Py_INCREF(receiver);
+        PyObject *id_obj = Py_NewRef(PyList_GET_ITEM(ids, k));
         int status = PyList_Append(powers, power_obj);
         if (status == 0) {
-            status = start_receiver(tx, receiver, power_obj, power, threshold,
-                                    sense, now, end_time, reception_type,
+            status = start_receiver(&ledger, tx, id_obj, power_obj, power,
+                                    threshold, now, end_time, reception_type,
                                     decoding);
         }
-        Py_DECREF(receiver);
+        Py_DECREF(id_obj);
         Py_DECREF(power_obj);
         if (status < 0) {
             goto done;
         }
     }
-    touched = PyList_New(0);
-    if (touched == NULL) {
-        goto done;
+    if (!any_silenced) {
+        touched = Py_NewRef(ids);
     }
-    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(targets); k++) {
-        if (k < n && silenced[k]) {
-            continue;
-        }
-        if (PyList_Append(touched, PyList_GET_ITEM(targets, k)) < 0) {
+    else {
+        touched = PyList_New(0);
+        if (touched == NULL) {
             goto done;
+        }
+        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(ids); k++) {
+            if (k < n && silenced[k]) {
+                continue;
+            }
+            if (PyList_Append(touched, PyList_GET_ITEM(ids, k)) < 0) {
+                goto done;
+            }
         }
     }
     if (PyObject_SetAttr(tx, s_touched, touched) < 0) {
@@ -598,10 +624,101 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* The frame-end withdrawal                                            */
+
+/*
+ * frame_end(touched, powers, ledger_columns)
+ *
+ * Takes a finished frame's power off each touched receiver's ledger row
+ * and passes busy -> idle flips to a waiting MAC, as
+ * WirelessChannel._withdraw does.
+ */
+static PyObject *
+frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "frame_end takes 3 arguments");
+        return NULL;
+    }
+    Ledger ledger;
+    if (unpack_ledger(args[2], &ledger) < 0) {
+        return NULL;
+    }
+    PyObject *touched = PySequence_Fast(args[0], "touched must be a sequence");
+    PyObject *powers = touched
+        ? PySequence_Fast(args[1], "powers must be a sequence") : NULL;
+    PyObject *result = NULL;
+    if (powers == NULL) {
+        goto done;
+    }
+    /* A callback may shorten a list, as zip() would notice. */
+    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(touched)
+                           && k < PySequence_Fast_GET_SIZE(powers); k++) {
+        PyObject *id_obj = PySequence_Fast_GET_ITEM(touched, k);
+        double power = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(powers, k));
+        if (power == -1.0 && PyErr_Occurred()) {
+            goto done;
+        }
+        Py_INCREF(id_obj);
+        Py_ssize_t rid = ledger_row(&ledger, id_obj);
+        Py_DECREF(id_obj);
+        if (rid < 0) {
+            goto done;
+        }
+        long count = PyLong_AsLong(cell(&ledger, L_ON_AIR, rid)) - 1;
+        if (PyErr_Occurred()
+            || set_cell(&ledger, L_ON_AIR, rid, PyLong_FromLong(count)) < 0) {
+            goto done;
+        }
+        double total = 0.0;
+        if (count) {
+            total = PyFloat_AsDouble(cell(&ledger, L_POWER, rid)) - power;
+            if (PyErr_Occurred()) {
+                goto done;
+            }
+            if (total < 0.0) {  /* guard against float drift */
+                total = 0.0;
+            }
+        }
+        if (set_cell(&ledger, L_POWER, rid, PyFloat_FromDouble(total)) < 0) {
+            goto done;
+        }
+        int busy = PyObject_IsTrue(cell(&ledger, L_BUSY, rid));
+        if (busy < 0) {
+            goto done;
+        }
+        if (!busy) {
+            continue;
+        }
+        int transmitting = PyObject_IsTrue(cell(&ledger, L_TRANSMITTING, rid));
+        if (transmitting < 0) {
+            goto done;
+        }
+        if (transmitting) {
+            continue;
+        }
+        double sense = PyFloat_AsDouble(cell(&ledger, L_SENSE, rid));
+        if (sense == -1.0 && PyErr_Occurred()) {
+            goto done;
+        }
+        if (total < sense && flip_sense(&ledger, rid, Py_False) < 0) {
+            goto done;
+        }
+    }
+    result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(powers);
+    Py_XDECREF(touched);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 
 static PyMethodDef module_methods[] = {
     {"frame_start", (PyCFunction)(void (*)(void))frame_start, METH_FASTCALL,
      "The fused frame-start pass over one frame's receivers."},
+    {"frame_end", (PyCFunction)(void (*)(void))frame_end, METH_FASTCALL,
+     "The frame-end withdrawal over one frame's receivers."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -622,19 +739,10 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__rxkernel(void)
 {
-    INTERN(s_current_power_mw, "current_power_mw");
-    INTERN(s_on_air_count, "on_air_count");
-    INTERN(s_pending_receptions, "pending_receptions");
-    INTERN(s_last_busy, "_last_busy");
-    INTERN(s_mac, "mac");
     INTERN(s_awaited_sense, "awaited_sense");
     INTERN(s_on_medium_state, "on_medium_state");
-    INTERN(s_transmitting, "transmitting");
-    INTERN(s_node_id, "node_id");
     INTERN(s_signal_mw, "signal_mw");
     INTERN(s_peak_interference_mw, "peak_interference_mw");
-    INTERN(s_params, "params");
-    INTERN(s_carrier_sense_threshold_mw, "carrier_sense_threshold_mw");
     INTERN(s_touched, "touched");
     INTERN(s_powers, "powers");
     INTERN(s_decoding, "decoding");

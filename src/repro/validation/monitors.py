@@ -8,9 +8,11 @@ scheduling events, so an enabled suite perturbs nothing but wall time.
 Registered names:
 
 ``channel-conservation``
-    Power ledgers sum to ``current_power_mw`` and number
-    ``on_air_count``; each node's cached carrier-sense state equals
-    ``medium_busy``; pending receptions never outlive their end time;
+    The per-frame powers of the transmissions on the air (rebuilt from
+    their ``touched`` receiver ids) sum, per node, to the channel
+    ledger's power column and number its on-air count; each node's
+    cached carrier-sense state equals ``medium_busy``; pending
+    receptions never outlive their end time;
     everything drains exactly when the channel reports zero
     transmissions in flight (and at quiescence).
 ``data-provenance``
@@ -88,66 +90,81 @@ class ChannelConservationMonitor(InvariantMonitor):
                 "(more ended than began)"
             )
         idle = in_flight == 0
+        # Every node's per-frame contributions, rebuilt in one pass over
+        # the frames on the air (``Node.power_ledger`` per node).
+        shares: Dict[int, Dict[object, float]] = defaultdict(dict)
+        for tx in channel.in_flight():
+            for receiver_id, power_mw in zip(tx.touched, tx.powers):
+                shares[receiver_id][tx] = power_mw
+        ledger = channel.ledger
         for node in network.nodes:
-            ledger = node.power_ledger()
-            total = math.fsum(ledger.values())
-            power = node.current_power_mw
+            node_id = node.node_id
+            contributions = shares.get(node_id, {})
+            total = math.fsum(contributions.values())
+            power = ledger.power_mw[node_id]
             if power < 0.0:
                 self.fail(
                     f"negative audible power {power!r} mW",
-                    node_id=node.node_id,
+                    node_id=node_id,
                 )
             if not math.isclose(total, power, rel_tol=1e-6, abs_tol=1e-9):
                 self.fail(
                     f"power ledger sums to {total!r} mW but "
                     f"current_power_mw is {power!r} mW "
-                    f"({len(ledger)} contribution(s))",
-                    node_id=node.node_id,
+                    f"({len(contributions)} contribution(s))",
+                    node_id=node_id,
                 )
-            if node.on_air_count != len(ledger):
+            on_air = ledger.on_air[node_id]
+            if on_air != len(contributions):
                 self.fail(
-                    f"node counts {node.on_air_count} frame(s) on the air "
-                    f"but its power ledger holds {len(ledger)}",
-                    node_id=node.node_id,
+                    f"node counts {on_air} frame(s) on the air "
+                    f"but its power ledger holds {len(contributions)}",
+                    node_id=node_id,
                 )
-            if node.sensed_busy != node.medium_busy:
+            sensed = ledger.busy[node_id]
+            if sensed != node.medium_busy:
                 self.fail(
-                    f"cached carrier-sense state {node.sensed_busy} "
+                    f"cached carrier-sense state {sensed} "
                     f"disagrees with medium_busy={node.medium_busy}",
-                    node_id=node.node_id,
+                    node_id=node_id,
                 )
-            for reception in node.pending_receptions.values():
+            pending = ledger.pending[node_id]
+            if pending is not node.pending_receptions:
+                self.fail(
+                    "the ledger's pending receptions are not the node's own",
+                    node_id=node_id,
+                )
+            for reception in pending.values():
                 if reception.end_time < now - _TIME_EPS:
                     self.fail(
                         f"pending reception outlived its end time "
                         f"({reception.end_time!r} < now={now!r})",
-                        node_id=node.node_id,
+                        node_id=node_id,
                     )
-                if reception.transmission not in ledger:
+                if reception.transmission not in contributions:
                     self.fail(
                         "pending reception for a transmission with no "
                         "power contribution on this node",
-                        node_id=node.node_id,
+                        node_id=node_id,
                     )
             if idle:
-                if power != 0.0 or ledger:
+                if power != 0.0 or contributions:
                     self.fail(
-                        f"channel is idle but {len(ledger)} power "
+                        f"channel is idle but {len(contributions)} power "
                         f"contribution(s) ({power!r} mW) did not drain",
-                        node_id=node.node_id,
+                        node_id=node_id,
                     )
-                if node.pending_receptions:
+                if pending:
                     self.fail(
-                        f"channel is idle but "
-                        f"{len(node.pending_receptions)} pending "
+                        f"channel is idle but {len(pending)} pending "
                         "reception(s) did not drain",
-                        node_id=node.node_id,
+                        node_id=node_id,
                     )
-                if node.transmitting:
+                if ledger.transmitting[node_id]:
                     self.fail(
                         "channel is idle but the node believes it is "
                         "transmitting",
-                        node_id=node.node_id,
+                        node_id=node_id,
                     )
 
     def final_check(self, now: float) -> None:

@@ -17,7 +17,11 @@ reference:
   load a valid module;
 * whole runs on the kernel equal scalar runs for channels the fused pass
   does not take (i.i.d. fading, no fading, a custom power model) and
-  keep the invariant monitors green.
+  keep the invariant monitors green;
+* the kernel's frame-end withdrawal equals the Python one
+  (``WirelessChannel._withdraw``) on hand-built ledgers and frame by
+  frame over a run with overlapping frames, receivers that start their
+  own frame mid-frame and radios that go down mid-frame.
 
 Run-level parity of the fused pass itself lives in
 ``tests/test_phy_fanout.py`` (``TestCompiledRunParity``) and
@@ -36,10 +40,14 @@ import sys
 
 import pytest
 
-from repro.experiments.runner import run_protocol
-from repro.experiments.scenarios import SimulationScenarioConfig
+from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
+from repro.experiments.runner import collect_result, run_protocol
+from repro.experiments.scenarios import (
+    SimulationScenarioConfig,
+    build_simulation_scenario,
+)
 from repro.experiments.spec import ExperimentSpec
-from repro.net.channel import ChannelError
+from repro.net.channel import ChannelError, PhyLedger, WirelessChannel
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import random_topology
 from repro.phy import kernel
@@ -295,3 +303,142 @@ class TestCompiledRuns:
             spec, monitors=("channel-conservation", "rng-isolation")
         )
         assert all(result.error is None for result in results)
+
+
+class _Mac:
+    """A MAC stand-in that records the sense flips passed to it."""
+
+    def __init__(self, awaited_sense=None):
+        self.awaited_sense = awaited_sense
+        self.calls = []
+
+    def on_medium_state(self, busy):
+        self.calls.append(busy)
+
+
+def _hand_ledger(rows):
+    """A ledger of ``(power, on_air, busy, transmitting, sense, mac)`` rows."""
+    ledger = PhyLedger()
+    for power, on_air, busy, transmitting, sense, mac in rows:
+        ledger.power_mw.append(power)
+        ledger.on_air.append(on_air)
+        ledger.busy.append(busy)
+        ledger.transmitting.append(transmitting)
+        ledger.sense_mw.append(sense)
+        ledger.macs.append(mac)
+        ledger.pending.append({})
+        ledger.nodes.append(None)
+    return ledger
+
+
+def _ledger_state(ledger):
+    return (
+        list(ledger.power_mw), list(ledger.on_air), list(ledger.busy),
+        list(ledger.transmitting),
+        [(mac.awaited_sense, mac.calls) for mac in ledger.macs],
+    )
+
+
+#: Rows covering every branch of the withdrawal: the last frame on the
+#: air (reset to exactly 0.0), float drift below zero (clamped), a flip
+#: to idle the MAC awaits, one it does not, a transmitting receiver that
+#: stays busy, and receivers still over and exactly at their sense
+#: threshold.
+HAND_ROWS = [
+    (3e-9, 1, True, False, 1e-9, "awaits-idle"),
+    (2e-9, 2, False, False, 1e-9, None),
+    (5e-9, 2, True, False, 1e-9, None),
+    (5e-9, 1, True, True, 1e-9, "awaits-idle"),
+    (9e-9, 2, True, False, 1e-9, "awaits-idle"),
+    (2e-9, 2, True, False, 1e-9, "awaits-idle"),
+]
+HAND_FRAME = (
+    [0, 1, 2, 3, 4, 5], [3e-9, 2e-9 + 1e-24, 4.5e-9, 5e-9, 1e-9, 1e-9],
+)
+
+
+def _hand_rows():
+    return [
+        row[:5] + (_Mac(False if row[5] else None),) for row in HAND_ROWS
+    ]
+
+
+@requires_kernel
+class TestFrameEndParity:
+    def test_hand_built_ledger(self):
+        module = kernel.load()
+        compiled = _hand_ledger(_hand_rows())
+        python = _hand_ledger(_hand_rows())
+        module.frame_end(*HAND_FRAME, compiled.columns)
+        WirelessChannel._withdraw(
+            type("Channel", (), {"ledger": python})(), *HAND_FRAME
+        )
+        assert _ledger_state(compiled) == _ledger_state(python)
+        power, on_air, busy, _, macs = _ledger_state(compiled)
+        assert power[0] == 0.0 and power[1] == 0.0 and on_air[:2] == [0, 1]
+        assert busy == [False, False, False, True, True, True]
+        assert macs[0] == (False, [False]) and macs[3] == (False, [])
+        assert macs[2] == (None, [])
+
+    def test_bad_receiver_id_raises(self):
+        module = kernel.load()
+        ledger = _hand_ledger(_hand_rows())
+        with pytest.raises(IndexError, match="not a row"):
+            module.frame_end([7], [1e-9], ledger.columns)
+        with pytest.raises(TypeError, match="columns"):
+            module.frame_end([0], [1e-9], ledger.columns[:-1])
+
+    def test_run_frame_by_frame(self):
+        """Two compiled runs, one withdrawing in C and one in Python:
+        the ledger after every frame end and the results are equal."""
+        config = forced(SimulationScenarioConfig(
+            num_nodes=30, duration_s=10.0, warmup_s=3.0, topology_seed=3,
+            faults=FaultPlan(
+                outages=(OutageWindow(3, 4.0, 7.5),),
+                flapping=(FlappingSpec(7, 3.0, 1.5, 0.4, 10.0),),
+            ),
+        ), "compiled")
+        runs = [_recorded_run(config, python_end) for python_end in (False, True)]
+        (frames, seen, result), (python_frames, _, python_result) = runs
+        assert frames == python_frames
+        assert result.error is None and result.delivered_packets > 0
+        assert result == python_result
+        assert seen == {"overlapping", "half-duplex", "down"}
+
+
+def _recorded_run(config, python_end):
+    """Run spp recording the ledger after each frame end; also note which
+    of the parity cases the run's frame ends covered."""
+    scenario = build_simulation_scenario("spp", config)
+    channel = scenario.network.channel
+    module = channel._kernel
+    ledger = channel.ledger
+    frames = []
+    seen = set()
+
+    class Recording:
+        frame_start = module.frame_start
+
+        @staticmethod
+        def frame_end(touched, powers, columns):
+            for rid in touched:
+                if ledger.on_air[rid] > 1:
+                    seen.add("overlapping")
+                if ledger.transmitting[rid]:
+                    seen.add("half-duplex")
+                if not ledger.nodes[rid].active:
+                    seen.add("down")
+            if python_end:
+                channel._withdraw(touched, powers)
+            else:
+                module.frame_end(touched, powers, columns)
+            frames.append((
+                list(ledger.power_mw), list(ledger.on_air),
+                list(ledger.busy), list(ledger.transmitting),
+                [mac.awaited_sense for mac in ledger.macs],
+            ))
+
+    channel._kernel = Recording
+    scenario.run()
+    assert frames
+    return frames, seen, collect_result(scenario)

@@ -23,7 +23,11 @@ formulation:
   (pending reception), and only the latter are decided;
 * a carrier-sense flip reaches a MAC only when it acts on it: a busy
   flip cancels a pending backoff, an idle flip restarts a deferring
-  MAC, and an idle MAC gets no call.
+  MAC, and an idle MAC gets no call;
+* each node's PHY state is a row of the channel's ledger: the node's
+  views equal the ledger's columns at every invariant-monitor check on
+  every backend, an unregistered node reads as an idle radio, and a
+  run without the compiled kernel reproduces the fault goldens.
 """
 
 from __future__ import annotations
@@ -42,16 +46,26 @@ from repro.experiments.scenarios import (
     build_simulation_scenario,
 )
 from repro.mac.csma import BROADCAST_ID
+from repro.net.channel import (
+    ChannelError,
+    WirelessChannel,
+    backend_unavailable,
+)
 from repro.net.network import Network, NetworkConfig
+from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
-from repro.net.topology import chain_topology
+from repro.net.topology import Position, chain_topology
 from repro.phy.fading import (
     TWOPI,
     CorrelatedRayleighFading,
     RayleighFading,
     RicianFading,
 )
+from repro.sim.engine import Simulator
+from repro.validation.invariants import ValidationConfig
+from repro.validation.monitors import ChannelConservationMonitor
 from tests.conftest import make_chain_network, requires_kernel
+from tests.test_golden_fault_mobility import CASES, GOLDEN, result_digest
 
 MODELS = [
     RayleighFading,
@@ -429,7 +443,7 @@ class TestReceiverBookkeeping:
             nodes[0], Packet(PacketKind.DATA, 0, 300, 0.0), BROADCAST_ID,
             0.002, notify_sender=False,
         )
-        assert [n.node_id for n in tx.touched][:2] == [1, 2]
+        assert tx.touched[:2] == [1, 2]
         assert tx.decoding == [nodes[1]]
         assert set(nodes[1].pending_receptions) == {tx}
         assert not nodes[2].pending_receptions
@@ -454,7 +468,7 @@ class TestReceiverBookkeeping:
             notify_sender=False,
         )
         assert own.decoding == [a]
-        assert tx.touched == [b] and tx.decoding == []
+        assert tx.touched == [b.node_id] and tx.decoding == []
         assert tx in b.power_ledger()
         # ``a`` started transmitting while decoding ``own``: half duplex.
         network.run(0.1)
@@ -523,7 +537,7 @@ class TestGatedSenseNotification:
         assert not handle.cancelled
 
         loud = _frame(network, near, 0.01)
-        assert quiet.touched[0] is node and loud.touched[0] is node
+        assert quiet.touched[0] == loud.touched[0] == node.node_id
         assert node.current_power_mw >= threshold
         assert calls == [True]
         assert node.sensed_busy and node.medium_busy
@@ -564,3 +578,81 @@ class TestGatedSenseNotification:
         assert not node.sensed_busy and not node.medium_busy
         assert node.mac.awaited_sense is None
         assert calls == []
+
+
+class TestLedgerViews:
+    @pytest.mark.parametrize("backend", ["scalar", "compiled", "vectorized"])
+    def test_views_equal_the_ledger_at_every_monitor_check(
+        self, backend, monkeypatch
+    ):
+        reason = backend_unavailable(backend)
+        if reason is not None:
+            pytest.skip(reason)
+        checked = []
+        original = ChannelConservationMonitor.check
+
+        def check(monitor, now):
+            network = monitor.scenario.network
+            ledger = network.channel.ledger
+            assert ledger.nodes == network.nodes
+            for node_id, node in enumerate(network.nodes):
+                assert node.node_id == node_id
+                assert node.current_power_mw == ledger.power_mw[node_id]
+                assert node.on_air_count == ledger.on_air[node_id]
+                assert node.sensed_busy is ledger.busy[node_id]
+                assert node.transmitting is ledger.transmitting[node_id]
+                assert node.pending_receptions is ledger.pending[node_id]
+                assert node.mac is ledger.macs[node_id]
+                assert ledger.sense_mw[node_id] == (
+                    node.params.carrier_sense_threshold_mw
+                )
+            checked.append(now)
+            original(monitor, now)
+
+        monkeypatch.setattr(ChannelConservationMonitor, "check", check)
+        config = SimulationScenarioConfig(
+            num_nodes=12, area_width_m=600.0, area_height_m=600.0,
+            num_groups=1, members_per_group=4, duration_s=8.0,
+            warmup_s=2.0, topology_seed=5,
+            faults=FaultPlan(outages=(OutageWindow(2, 3.0, 5.0),)),
+            network=NetworkConfig(phy_backend=backend),
+            validation=ValidationConfig(
+                enabled=True, check_interval_s=0.5,
+                monitors=("channel-conservation",),
+            ),
+        )
+        scenario = build_simulation_scenario("spp", config)
+        assert scenario.network.channel.phy_backend_resolved == backend
+        scenario.run()
+        assert len(checked) >= 16
+
+    def test_unregistered_node_reads_as_an_idle_radio(self):
+        node = Node(0, Position(0.0, 0.0), Simulator(seed=1))
+        assert node.current_power_mw == 0.0 and node.on_air_count == 0
+        assert not node.transmitting and not node.sensed_busy
+        assert not node.medium_busy
+        node.set_active(False)  # no ledger row to update
+        with pytest.raises(RuntimeError, match="not registered"):
+            node.phy_begin_own_tx()
+
+    def test_node_ids_must_be_dense(self):
+        sim = Simulator(seed=1)
+        with pytest.raises(ChannelError, match="dense"):
+            WirelessChannel(sim).register_node(
+                Node(1, Position(0.0, 0.0), sim)
+            )
+
+    @pytest.mark.parametrize("protocol", ["odmrp", "spp"])
+    def test_no_kernel_run_matches_the_fault_golden(self, protocol, no_kernel):
+        """Without a compiler "auto" runs the pure-Python ledger passes
+        and reproduces the scalar fault golden bit for bit."""
+        config = CASES["faults-30-scalar"]
+        config = dataclasses.replace(config, network=dataclasses.replace(
+            config.network, phy_backend="auto",
+        ))
+        assert no_kernel.load() is None
+        scenario = build_simulation_scenario(protocol, config)
+        assert scenario.network.channel.phy_backend_resolved == "scalar"
+        scenario.run()
+        result = collect_result(scenario)
+        assert result_digest(result) == GOLDEN["faults-30-scalar"][protocol]

@@ -225,6 +225,25 @@ class TestStrictness:
             ExperimentSpec.from_dict(data).validate()
         assert field in str(excinfo.value)
 
+    @pytest.mark.parametrize("config, field", [
+        ({"members_per_group": 11, "sources_per_group": 2},
+         "members_per_group + config.sources_per_group"),
+        ({"rate_pps": 0.0}, "rate_pps"),
+        ({"rate_pps": -5.0}, "rate_pps"),
+        ({"packet_size_bytes": 0}, "packet_size_bytes"),
+        ({"num_groups": 0}, "num_groups"),
+    ], ids=["group-larger-than-mesh", "zero-rate", "negative-rate",
+            "empty-packets", "no-groups"])
+    def test_unrunnable_traffic_rejected(self, config, field):
+        """Traffic and group settings every run would reject (or, with
+        no group, run with nothing offered) fail validation and name
+        the field."""
+        data = sample_spec().to_dict()
+        data["config"].update(config)
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.from_dict(data).validate()
+        assert f"config.{field}" in str(excinfo.value)
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_non_positive_jobs_means_one_per_cpu(self, jobs):
         data = sample_spec().to_dict()

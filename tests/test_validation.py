@@ -215,14 +215,34 @@ class TestInjectedBugsAreCaught:
 
         def uncounted(self, tx):
             original(self, tx)
-            for receiver in tx.touched[::3]:
-                receiver.on_air_count += 1
+            for receiver_id in tx.touched[::3]:
+                self.ledger.on_air[receiver_id] += 1
 
         monkeypatch.setattr(WirelessChannel, "_end_transmission", uncounted)
         with pytest.raises(InvariantViolation) as excinfo:
             run_validated("odmrp")
         assert excinfo.value.invariant == "channel-conservation"
         assert "on the air" in str(excinfo.value)
+
+    def test_wrong_ledger_power_caught(self, monkeypatch):
+        """A wrong power written straight into the ledger's column."""
+        from repro.validation.monitors import ChannelConservationMonitor
+
+        original = ChannelConservationMonitor.check
+
+        def poke_then_check(self, now):
+            if now >= 5.0:
+                self.scenario.network.channel.ledger.power_mw[4] += 1e-6
+            original(self, now)
+
+        monkeypatch.setattr(
+            ChannelConservationMonitor, "check", poke_then_check
+        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_validated("odmrp")
+        assert excinfo.value.invariant == "channel-conservation"
+        assert excinfo.value.node_id == 4
+        assert "power ledger sums to" in str(excinfo.value)
 
     def test_stale_sense_state_caught(self, monkeypatch):
         """Radio-state changes that never refresh the cached sense state."""
