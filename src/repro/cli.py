@@ -15,17 +15,16 @@ Commands::
     fig5        Figure 5 tree edges, ODMRP vs ODMRP_PP
     run         Execute a declarative experiment spec (TOML/JSON)
     validate    Invariant-monitored runs + differential scenario fuzzing
-    chaos       Fault-injection suite for the resilient sweep executor
     protocols   List the registered router x metric combinations
     telemetry   Inspect exported run telemetry (summarize / diff)
 
 ``repro run --spec examples/paper_spec.toml`` executes a serialized
 :class:`~repro.experiments.spec.ExperimentSpec`; ``--protocols``/
 ``--seeds`` narrow it, ``--dry-run`` prints the resolved plan without
-simulating.  ``--run-timeout`` kills and retries a run past its
-wall-clock budget, ``--max-retries`` sets the retry budget for
-transient failures, and either journals the sweep; ``--resume``
-replays a previously interrupted sweep from that journal.  Protocol names everywhere resolve through the registry
+simulating.  ``--run-timeout`` kills and quarantines a run past its
+wall-clock budget and journals the sweep; ``--resume`` replays a
+previously interrupted sweep from that journal and re-dispatches its
+failed runs.  Protocol names everywhere resolve through the registry
 (:mod:`repro.protocols`), so MAODV and WCETT variants sweep through the
 same pipeline as the paper's six.
 
@@ -294,7 +293,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         use_cache=False if args.no_cache else None,
         run_timeout_s=args.run_timeout,
-        max_retries=args.max_retries,
     )
     if getattr(args, "adaptive", False) and spec.adaptive is None:
         from dataclasses import replace
@@ -438,21 +436,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import run_chaos
-
-    print(
-        "chaos: injecting worker faults (hangs, crashes, OOM kills, "
-        "cache corruption, SIGINT) into supervised sweeps ..."
-    )
-    report = run_chaos(
-        quick=args.quick, jobs=args.jobs,
-        log=print if args.verbose else None,
-    )
-    print(report.render())
-    return 0 if report.ok else 1
-
-
 def cmd_protocols(args: argparse.Namespace) -> int:
     rows = [
         (
@@ -581,11 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--run-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-run wall-clock budget; a run exceeding it "
-                          "is killed and retried (journals the sweep)")
-    run.add_argument("--max-retries", type=int, default=None, metavar="N",
-                     help="retry budget for transient failures -- "
-                          "timeouts, worker crashes, OOM kills (default "
-                          "2; journals the sweep)")
+                          "is killed and quarantined (journals the sweep; "
+                          "--resume re-dispatches it)")
     run.add_argument("--adaptive", action="store_true",
                      help="run under the sequential planner: seeds in "
                           "batches, CI-driven stopping per protocol, "
@@ -623,18 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--skip-differential", action="store_true",
                           help="only run the invariant-monitored pass")
 
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="fault-injection suite for the resilient sweep executor",
-    )
-    chaos.set_defaults(handler=cmd_chaos)
-    chaos.add_argument("--quick", action="store_true",
-                       help="smaller scenario and fewer faults (CI smoke)")
-    chaos.add_argument("--jobs", type=int, default=2,
-                       help="supervised worker processes per sweep")
-    chaos.add_argument("--verbose", action="store_true",
-                       help="narrate each chaos phase as it runs")
-
     protocols_cmd = subparsers.add_parser(
         "protocols", help="list the registered router x metric combinations"
     )
@@ -662,6 +630,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    for arg in sys.argv[1:] if argv is None else argv:
+        if arg.split("=", 1)[0] == "--max-retries":
+            from repro.experiments.spec import _REMOVED_SPEC_KEYS
+
+            parser.error(
+                "option --max-retries is no longer supported: "
+                + _REMOVED_SPEC_KEYS["max_retries"]
+            )
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

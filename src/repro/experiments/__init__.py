@@ -15,10 +15,9 @@
   one way a list of runs executes: inline or on persistent supervised
   workers.
 * :mod:`repro.experiments.resilience` -- what the engine is built from:
-  per-run timeouts, retry with backoff, a failure taxonomy, and a
-  durable journal enabling ``repro run --resume``.
-* :mod:`repro.experiments.chaos` -- fault injection harness asserting
-  the engine recovers (``repro chaos`` / ``pytest -m chaos``).
+  per-run timeouts, a failure taxonomy, quarantine of failed runs, and
+  a durable journal enabling ``repro run --resume``, which
+  re-dispatches them.
 * :mod:`repro.experiments.adaptive` -- sequential seed allocation with
   CI-driven stopping and paired common-random-number comparisons
   (``repro run --adaptive``).
@@ -40,7 +39,6 @@ from repro.experiments.report import render_report
 from repro.experiments.resilience import (
     FailureKind,
     ResilienceConfig,
-    RetryPolicy,
     SweepJournal,
     classify_failure,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "render_report",
     "FailureKind",
     "ResilienceConfig",
-    "RetryPolicy",
     "SweepJournal",
     "classify_failure",
     "SweepExecutor",

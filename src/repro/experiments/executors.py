@@ -1,9 +1,8 @@
 """The sweep executor: the one way a list of runs executes.
 
 Every sweep -- :func:`~repro.experiments.runner.run_experiment`, the
-adaptive planner, the chaos harness, the differential oracle and the
-scripts -- builds a :class:`SweepExecutor` and calls
-:meth:`SweepExecutor.execute`.
+adaptive planner, the differential oracle and the scripts -- builds a
+:class:`SweepExecutor` and calls :meth:`SweepExecutor.execute`.
 A one-job sweep without a timeout runs inline, anything else on
 persistent supervised workers on this host
 (:mod:`repro.experiments.resilience`).  :meth:`SweepExecutor.for_spec`
@@ -13,7 +12,6 @@ ExperimentSpec` and holds the one rule for which sweeps journal.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import signal
 import threading
@@ -39,7 +37,6 @@ from repro.experiments.parallel import (
 from repro.experiments.resilience import (
     FailureKind,
     ResilienceConfig,
-    RetryPolicy,
     SweepJournal,
     WorkerFn,
     _classify_report,
@@ -58,9 +55,9 @@ class SweepExecutor:
 
     ``jobs=None`` or ``jobs<=0`` means one per CPU.
     ``journal_path=None`` means the sweep keeps no journal.  ``worker``
-    exists for the chaos harness and tests: any picklable top-level
-    function with the :data:`~repro.experiments.resilience.WorkerFn`
-    contract can stand in for the real simulation worker.
+    exists for tests: any picklable top-level function with the
+    :data:`~repro.experiments.resilience.WorkerFn` contract can stand in
+    for the real simulation worker.
     """
 
     jobs: Optional[int] = 1
@@ -85,23 +82,17 @@ class SweepExecutor:
         The sweep journals to ``journal_path`` when one is given;
         otherwise to the default journal under the cache dir when it
         may need resuming (``resume``, or a spec that sets
-        ``run_timeout_s`` or ``max_retries``); otherwise not at all.
+        ``run_timeout_s``); otherwise not at all.
         """
-        resumable = resume or spec.run_timeout_s is not None \
-            or spec.max_retries is not None
-        if journal_path is None and resumable:
+        if journal_path is None and (
+            resume or spec.run_timeout_s is not None
+        ):
             journal_path = SweepJournal.default_path(cache_dir)
-        retry = (
-            RetryPolicy(max_retries=spec.max_retries)
-            if spec.max_retries is not None else RetryPolicy()
-        )
         return cls(
             jobs=spec.jobs,
             use_cache=spec.use_cache,
             cache_dir=cache_dir,
-            resilience=ResilienceConfig(
-                run_timeout_s=spec.run_timeout_s, retry=retry,
-            ),
+            resilience=ResilienceConfig(run_timeout_s=spec.run_timeout_s),
             journal_path=journal_path,
             resume=resume,
         )
@@ -117,9 +108,10 @@ class SweepExecutor:
         One job without a ``run_timeout_s`` runs inline; otherwise at
         most ``jobs`` persistent workers serve the runs, each replaced
         only after it dies or is put down on timeout.  Both paths
-        classify, retry, cache and -- when ``journal_path`` is set --
-        journal runs alike; ``resume`` replays runs that journal
-        already completed.  Ctrl-C (or SIGTERM, under workers) stops the
+        classify, quarantine failures, cache and -- when
+        ``journal_path`` is set -- journal runs alike; ``resume``
+        replays runs that journal already completed and re-dispatches
+        the rest.  Ctrl-C (or SIGTERM, under workers) stops the
         sweep with the journal consistent and raises
         ``KeyboardInterrupt``.
         """
@@ -149,7 +141,7 @@ class SweepExecutor:
                 if result is not None:
                     outcomes[index] = RunOutcome(
                         spec, result, record.elapsed_s, from_cache=False,
-                        attempts=record.attempts, from_journal=True,
+                        from_journal=True,
                     )
                     continue
             if self.use_cache:
@@ -159,50 +151,40 @@ class SweepExecutor:
                         spec, cached, 0.0, from_cache=True
                     )
                     continue
-            pending.append((index, 0))
+            pending.append(index)
 
         if not pending:
             return [outcome for outcome in outcomes if outcome is not None]
 
         journal = SweepJournal(journal_path) if journal_path is not None \
             else None
-        delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
 
         def _finalize(
             index: int,
             result: RunResult,
-            attempts: int,
             elapsed: float,
             kind: Optional[FailureKind],
         ) -> None:
             spec = specs[index]
             outcomes[index] = RunOutcome(
-                spec, result, elapsed, from_cache=False,
-                attempts=attempts, failure_kind=kind,
+                spec, result, elapsed, from_cache=False, failure_kind=kind,
             )
             if journal is not None:
-                journal.record(spec, result, attempts, elapsed, kind)
+                journal.record(spec, result, elapsed, kind)
             if self.use_cache and result.error is None:
                 parallel.cache_store(directory, keys[index], result)
             if progress is not None:
                 progress(spec.protocol, spec.seed)
 
         def _fail(
-            index: int, attempt: int, kind: FailureKind, detail: str,
-            elapsed: float,
+            index: int, kind: FailureKind, detail: str, elapsed: float,
         ) -> None:
-            """Retry a transient failure with backoff, else quarantine."""
-            if config.retry.should_retry(kind, attempt):
-                delay = config.retry.backoff_s(keys[index], attempt)
-                heapq.heappush(
-                    delayed, (time.monotonic() + delay, index, attempt + 1)
-                )
-                return
+            """Quarantine a failed run; ``--resume`` re-dispatches it."""
             result = _error_result(specs[index], _prefixed_error(kind, detail))
-            _finalize(index, result, attempt + 1, elapsed, kind)
+            _finalize(index, result, elapsed, kind)
 
         def _settle(
-            index: int, attempt: int,
+            index: int,
             payload: Optional[Tuple[RunResult, float]],
             exitcode: Optional[int], elapsed: float,
         ) -> None:
@@ -210,29 +192,19 @@ class SweepExecutor:
             if payload is not None:
                 elapsed = payload[1]
             if kind is None:
-                _finalize(index, payload[0], attempt + 1, elapsed, None)
+                _finalize(index, payload[0], elapsed, None)
             else:
-                _fail(index, attempt, kind, detail, elapsed)
-
-        def _promote_due() -> None:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, index, attempt = heapq.heappop(delayed)
-                pending.append((index, attempt))
+                _fail(index, kind, detail, elapsed)
 
         def _run_inline() -> None:
-            while pending or delayed:
-                _promote_due()
-                if not pending:
-                    time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                    continue
-                index, attempt = pending.popleft()
+            while pending:
+                index = pending.popleft()
                 spec = specs[index]
                 try:
                     payload = self.worker(spec)
                 except Exception:  # noqa: BLE001 - Ctrl-C must propagate
                     payload = (_error_result(spec, traceback.format_exc()), 0.0)
-                _settle(index, attempt, payload, None, 0.0)
+                _settle(index, payload, None, 0.0)
 
         def _run_workers() -> Optional[int]:
             """Supervise the sweep; returns the signal that stopped it."""
@@ -245,8 +217,8 @@ class SweepExecutor:
                 stop["signal"] = signum
 
             def _dispatch(entry: _Worker) -> None:
-                index, attempt = pending.popleft()
-                entry.dispatch(specs[index], index, attempt, config.run_timeout_s)
+                index = pending.popleft()
+                entry.dispatch(specs[index], index, config.run_timeout_s)
 
             # Signal handlers can only be installed from the main thread; a
             # supervisor running elsewhere still works, it just drains only
@@ -259,9 +231,8 @@ class SweepExecutor:
                         signum, _request_stop
                     )
             try:
-                while (pending or delayed or any(w.busy for w in workers)) \
+                while (pending or any(w.busy for w in workers)) \
                         and stop["signal"] is None:
-                    _promote_due()
                     for entry in workers:
                         if pending and not entry.busy:
                             _dispatch(entry)
@@ -269,15 +240,6 @@ class SweepExecutor:
                         workers.append(_Worker(ctx, self.worker))
                         _dispatch(workers[-1])
                     busy = [entry for entry in workers if entry.busy]
-                    if not busy:
-                        # Everything is waiting out a backoff: sleep until
-                        # the earliest becomes ready (in poll-sized slices
-                        # so a signal still drains promptly).
-                        time.sleep(min(
-                            config.poll_interval_s,
-                            max(0.0, delayed[0][0] - time.monotonic()),
-                        ))
-                        continue
                     ready = set(multiprocessing.connection.wait(
                         [entry.conn for entry in busy],
                         timeout=config.poll_interval_s,
@@ -285,12 +247,12 @@ class SweepExecutor:
                     for entry in busy:
                         if entry.conn not in ready:
                             continue
-                        index, attempt = entry.index, entry.attempt
+                        index = entry.index
                         payload = entry.receive()
                         if payload is None:
                             workers.remove(entry)
                             _settle(
-                                index, attempt, None, entry.proc.exitcode,
+                                index, None, entry.proc.exitcode,
                                 time.monotonic() - entry.started,
                             )
                             continue
@@ -298,17 +260,17 @@ class SweepExecutor:
                         # bookkeeping (fsync'd cache and journal writes).
                         if pending and stop["signal"] is None:
                             _dispatch(entry)
-                        _settle(index, attempt, payload, None, 0.0)
+                        _settle(index, payload, None, 0.0)
                     now = time.monotonic()
                     for entry in busy:
                         if not entry.busy or entry.deadline is None \
                                 or now < entry.deadline or entry.conn.poll():
                             continue  # reported, on time, or its report raced
-                        index, attempt = entry.index, entry.attempt
+                        index = entry.index
                         workers.remove(entry)
                         entry.shut_down(config.kill_grace_s)
                         _fail(
-                            index, attempt, FailureKind.TIMEOUT,
+                            index, FailureKind.TIMEOUT,
                             f"run exceeded the {config.run_timeout_s:.1f}s "
                             "wall-clock budget; worker terminated by the "
                             "supervisor",
@@ -342,7 +304,7 @@ class SweepExecutor:
             )
         if journal_path is not None:
             # Clean completion: every spec has a surviving record, so
-            # superseded retry lines (and any torn line inherited from a
-            # crashed ancestor sweep) are dead weight -- drop them.
+            # lines superseded by a resume (and any torn line inherited
+            # from a crashed ancestor sweep) are dead weight -- drop them.
             SweepJournal.compact(journal_path)
         return [outcome for outcome in outcomes if outcome is not None]

@@ -64,7 +64,9 @@ from repro.telemetry.manifest import canonicalize
 #: rejected instead of reporting zero delivery.
 #: v8: scenario configs lost `mobility` and `energy` (both retired;
 #: every run is on the static mesh).
-CACHE_SCHEMA_VERSION = 8
+#: v9: scenario configs lost `obstacles` (retired; propagation is open
+#: space).
+CACHE_SCHEMA_VERSION = 9
 
 #: Default on-disk cache location (override with $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = os.path.join(".repro_cache", "runs")
@@ -103,8 +105,6 @@ class RunOutcome:
     result: RunResult
     elapsed_s: float
     from_cache: bool
-    #: How many times the run was dispatched (>1 only after a retry).
-    attempts: int = 1
     #: Taxonomy classification of a quarantined run; None on success.
     failure_kind: Optional["FailureKind"] = None
     #: True when the result was replayed from the sweep journal by a

@@ -1,4 +1,4 @@
-"""Sweep resilience: failure taxonomy, retries, journal, supervised workers.
+"""Sweep resilience: failure taxonomy, journal, supervised workers.
 
 :meth:`repro.experiments.executors.SweepExecutor.execute` is the one
 engine every sweep runs through; this module holds the pieces it is
@@ -14,7 +14,7 @@ survivable:
   run over a pipe.
 * **Per-run wall-clock timeouts**, enforced from the parent: a run that
   exceeds ``ResilienceConfig.run_timeout_s`` has its worker terminated
-  (SIGTERM, then SIGKILL after a grace period) and is re-dispatched.
+  (SIGTERM, then SIGKILL after a grace period) and is quarantined.
 * **A structured failure taxonomy** (:class:`FailureKind`).  Every
   failure is classified -- ``TIMEOUT``, ``WORKER_CRASH`` (worker died
   with a signal / nonzero exit before reporting), ``OOM`` (SIGKILL or a
@@ -23,42 +23,34 @@ survivable:
   the :class:`~repro.experiments.parallel.RunOutcome` and as a
   ``KIND:`` prefix on ``RunResult.error`` so it survives journaling and
   aggregation.  Inline and worker runs are classified alike.
-* **Bounded retry with exponential backoff + deterministic jitter**
-  (:class:`RetryPolicy`) for *transient* kinds (``TIMEOUT``,
-  ``WORKER_CRASH``, ``OOM``).  Deterministic model failures
-  (``EXCEPTION``, ``INVARIANT``) are quarantined immediately: the
-  simulation is seed-deterministic, so re-running them can only waste
-  the sweep's time budget.  Because runs are seed-deterministic, a
-  retried run that succeeds produces a bit-identical
-  :class:`~repro.experiments.results.RunResult` -- the chaos harness
-  (:mod:`repro.experiments.chaos`) asserts this.
+* **Quarantine on the first failure**: a failed run comes back as an
+  error-annotated result with its failure kind, and the sweep
+  completes.  Runs are seed-deterministic, so re-running a model
+  failure in the same sweep only repeats it; aggregation and reporting
+  (:mod:`repro.experiments.results` / ``report.py``) surface the
+  quarantined runs per protocol instead of aborting.
 * **A durable sweep journal** (:class:`SweepJournal`): append-only JSONL
   under the cache dir, one fsync'd record per finished (or quarantined)
   run keyed by ``RunSpec.cache_key()``.  ``repro run --resume`` replays
-  completed runs from the journal and re-dispatches only the failures.
-  Which sweeps journal is decided in one place,
+  completed runs from the journal and re-dispatches only the failures:
+  it is the one way to recover a failed run.  Which sweeps journal is
+  decided in one place,
   :meth:`repro.experiments.executors.SweepExecutor.for_spec`.
 * **Graceful Ctrl-C**: an interrupt stops the sweep, puts down active
   workers, and leaves the journal consistent (records are written
   atomically per line), then raises ``KeyboardInterrupt``.  Re-running
   with ``--resume`` picks up where the sweep left off.
-* **Graceful degradation**: a run whose retry budget is exhausted is
-  *quarantined* -- it comes back as an error-annotated result with its
-  failure kind, and the sweep completes.  Aggregation and reporting
-  (:mod:`repro.experiments.results` / ``report.py``) surface the
-  quarantined runs per protocol instead of aborting.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -71,54 +63,44 @@ from repro.experiments.parallel import (
 from repro.experiments.results import RunResult
 
 #: Bump when the journal record shape changes incompatibly.
-JOURNAL_SCHEMA_VERSION = 1
-
-#: Set in every supervised worker: the run's 0-based attempt number.
-#: Telemetry manifests record it (``extra["attempt"]``) and the chaos
-#: harness keys attempt-gated faults off it.
-ATTEMPT_ENV = "REPRO_RUN_ATTEMPT"
+#: v2: records dropped ``attempts`` (runs are dispatched once).
+JOURNAL_SCHEMA_VERSION = 2
 
 #: A supervised worker: takes a spec, returns ``(result, elapsed_s)``.
 #: Exceptions it raises are converted to error-annotated results by the
-#: child shim, so custom workers (tests, chaos probes) can just raise.
+#: child shim, so custom workers (tests) can just raise.
 WorkerFn = Callable[[RunSpec], Tuple[RunResult, float]]
 
 
 class FailureKind(Enum):
-    """Why a run failed.  The taxonomy drives the retry policy."""
+    """Why a run failed.  Every kind is quarantined at once; ``repro
+    run --resume`` re-dispatches failed runs."""
 
     #: Exceeded the per-run wall-clock budget; worker killed by the
-    #: supervisor.  Transient (system load), so retryable.
+    #: supervisor.  May be host load rather than the spec: resume it.
     TIMEOUT = "timeout"
     #: Worker process died (signal or nonzero exit) before reporting a
-    #: result -- segfault, interpreter abort, pool breakage.  Retryable.
+    #: result -- segfault, interpreter abort.
     WORKER_CRASH = "worker_crash"
     #: Worker was SIGKILLed (the kernel OOM-killer's signature) or the
-    #: run raised ``MemoryError``.  Retryable: memory pressure is a
-    #: property of the host at that moment, not of the spec.
+    #: run raised ``MemoryError``.  Memory pressure is a property of the
+    #: host at that moment, not of the spec: resume it.
     OOM = "oom"
     #: A runtime invariant monitor fired (:mod:`repro.validation`).
-    #: Deterministic -- never retried, always quarantined.
+    #: Deterministic: a resume repeats it.
     INVARIANT = "invariant"
     #: Any other in-run exception.  Deterministic model failures repeat
-    #: bit-for-bit, so retrying only burns the sweep's time budget.
+    #: bit-for-bit.
     EXCEPTION = "exception"
-
-
-#: Kinds :class:`RetryPolicy` retries; every other kind quarantines.
-TRANSIENT_KINDS = frozenset(
-    {FailureKind.TIMEOUT, FailureKind.WORKER_CRASH, FailureKind.OOM}
-)
 
 
 def classify_failure(error: Optional[str]) -> Optional[FailureKind]:
     """Map a ``RunResult.error`` string to its :class:`FailureKind`.
 
     Engine-annotated errors carry a ``KIND:`` prefix and classify
-    exactly.  Raw tracebacks (a worker's report, or a legacy record) are
-    sniffed: ``MemoryError`` means OOM, ``InvariantViolation`` means a
-    validation monitor fired, a broken-pool message means the worker
-    died, anything else is a plain exception.  ``None`` for a
+    exactly.  Raw tracebacks (a worker's report) are sniffed:
+    ``MemoryError`` means OOM, ``InvariantViolation`` means a validation
+    monitor fired, anything else is a plain exception.  ``None`` for a
     successful run.
     """
     if not error:
@@ -130,8 +112,6 @@ def classify_failure(error: Optional[str]) -> Optional[FailureKind]:
         return FailureKind.OOM
     if "InvariantViolation" in error:
         return FailureKind.INVARIANT
-    if "BrokenProcessPool" in error or "process pool" in error:
-        return FailureKind.WORKER_CRASH
     return FailureKind.EXCEPTION
 
 
@@ -143,39 +123,6 @@ def _prefixed_error(kind: FailureKind, detail: str) -> str:
     return f"{kind.name}: {detail}"
 
 
-#: Backoffs are stretched by up to this fraction of themselves.
-JITTER_FRACTION = 0.25
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and deterministic jitter.
-
-    Only :data:`TRANSIENT_KINDS` retry.  ``max_retries`` counts
-    *re*-dispatches: a run is attempted at most ``max_retries + 1``
-    times.  The backoff for attempt ``n`` (0-based, i.e. before
-    re-dispatch ``n+1``) is ``min(backoff_max_s, backoff_base_s * 2**n)``
-    stretched by up to :data:`JITTER_FRACTION`; the jitter is derived
-    from a hash of the run's cache key and attempt number, so a replayed
-    sweep waits the exact same amounts -- no wall-clock randomness leaks
-    into scheduling.
-    """
-
-    max_retries: int = 2
-    backoff_base_s: float = 0.25
-    backoff_max_s: float = 30.0
-
-    def should_retry(self, kind: FailureKind, attempt: int) -> bool:
-        """May attempt ``attempt`` (0-based) be re-dispatched?"""
-        return kind in TRANSIENT_KINDS and attempt < self.max_retries
-
-    def backoff_s(self, key: str, attempt: int) -> float:
-        base = min(self.backoff_max_s, self.backoff_base_s * (2 ** attempt))
-        digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(2 ** 64)
-        return base * (1.0 + JITTER_FRACTION * unit)
-
-
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Supervision knobs for one sweep."""
@@ -183,10 +130,9 @@ class ResilienceConfig:
     #: Per-run wall-clock budget; ``None`` disables the timeout (then a
     #: one-job sweep runs inline, since nothing needs killing).
     run_timeout_s: Optional[float] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Seconds between SIGTERM and SIGKILL when putting down a worker.
     kill_grace_s: float = 1.0
-    #: Supervisor poll cadence; only affects timeout/backoff resolution.
+    #: Supervisor poll cadence; only affects timeout resolution.
     poll_interval_s: float = 0.05
 
 
@@ -202,7 +148,6 @@ class JournalRecord:
     protocol: str
     seed: int
     status: str  # "ok" | "failed"
-    attempts: int
     elapsed_s: float
     failure_kind: Optional[str]
     result: Dict[str, Any]
@@ -255,7 +200,6 @@ class SweepJournal:
         self,
         spec: RunSpec,
         result: RunResult,
-        attempts: int,
         elapsed_s: float,
         failure_kind: Optional[FailureKind] = None,
     ) -> None:
@@ -267,7 +211,6 @@ class SweepJournal:
             "protocol": spec.protocol.lower(),
             "seed": spec.seed,
             "status": "ok" if result.error is None else "failed",
-            "attempts": attempts,
             "elapsed_s": elapsed_s,
             "failure_kind": (
                 failure_kind.value if failure_kind is not None else None
@@ -281,12 +224,12 @@ class SweepJournal:
     def compact(cls, path: str) -> int:
         """Atomically rewrite the journal keeping only surviving records.
 
-        A long journaled sweep accretes one line per *attempt* (retries
-        append, they don't replace) plus possibly one torn trailing
-        line; replay cost and disk grow without bound.  Compaction
-        keeps exactly the line that :meth:`replay` would surface for
-        each key -- the last valid record, byte-for-byte -- and drops
-        superseded attempts and damaged lines.  The rewrite goes
+        A journal resumed many times accretes one line per *dispatch*
+        (a resumed run appends, it doesn't replace) plus possibly one
+        torn trailing line; replay cost and disk grow without bound.
+        Compaction keeps exactly the line that :meth:`replay` would
+        surface for each key -- the last valid record, byte-for-byte --
+        and drops superseded records and damaged lines.  The rewrite goes
         through a temp file + fsync + ``os.replace``, so a crash
         mid-compaction leaves the original journal untouched.
 
@@ -300,7 +243,7 @@ class SweepJournal:
             key = data.get("key") if data is not None else None
             if not isinstance(key, str):
                 continue  # torn, garbled, or alien line: drop
-            # Preserve first-seen order; a retry overwrites in place.
+            # Preserve first-seen order; a re-run overwrites in place.
             survivors[key] = raw if raw.endswith(b"\n") else raw + b"\n"
         dropped = total - len(survivors)
         if dropped <= 0:
@@ -359,7 +302,6 @@ class SweepJournal:
                     protocol=data["protocol"],
                     seed=data["seed"],
                     status=data["status"],
-                    attempts=data["attempts"],
                     elapsed_s=data["elapsed_s"],
                     failure_kind=data.get("failure_kind"),
                     result=data["result"],
@@ -449,10 +391,10 @@ class SweepJournal:
 
 
 def _worker_main(conn: Any, worker: WorkerFn) -> None:
-    """Child entry: serve ``(spec, attempt)`` requests until told to stop.
+    """Child entry: serve spec requests until told to stop.
 
     Each request is answered with ``(result, elapsed_s)``.  Any
-    exception the worker (or an injected chaos fault) raises becomes an
+    exception the worker raises becomes an
     error-annotated result; a child that dies mid-run is classified by
     the parent from its exit code.  ``None`` or a closed pipe ends the
     loop.
@@ -466,14 +408,12 @@ def _worker_main(conn: Any, worker: WorkerFn) -> None:
         import faulthandler
 
         # A forked child inherits the parent's faulthandler (pytest
-        # enables one); an injected crash would dump the whole parent
+        # enables one); a crashing run would dump the whole parent
         # test session's stacks. The parent classifies us from the exit
         # signal, so the dump is pure noise.
         faulthandler.disable()
     except Exception:  # noqa: BLE001 - best-effort hygiene only
         pass
-    from repro.experiments.chaos import maybe_inject_fault
-
     while True:
         try:
             request = conn.recv()
@@ -481,12 +421,10 @@ def _worker_main(conn: Any, worker: WorkerFn) -> None:
             return
         if request is None:
             return
-        spec, attempt = request
-        os.environ[ATTEMPT_ENV] = str(attempt)
+        spec = request
         try:
-            maybe_inject_fault(spec, attempt)
             payload = worker(spec)
-        except BaseException:  # noqa: BLE001 - annotate anything, incl. chaos
+        except BaseException:  # noqa: BLE001 - annotate anything
             payload = (_error_result(spec, traceback.format_exc()), 0.0)
         try:
             conn.send(payload)
@@ -542,7 +480,6 @@ class _Worker:
         self.proc.start()
         child_conn.close()
         self.index: Optional[int] = None
-        self.attempt = 0
         self.started = 0.0
         self.deadline: Optional[float] = None
 
@@ -551,17 +488,16 @@ class _Worker:
         return self.index is not None
 
     def dispatch(
-        self, spec: RunSpec, index: int, attempt: int,
-        run_timeout_s: Optional[float],
+        self, spec: RunSpec, index: int, run_timeout_s: Optional[float],
     ) -> None:
-        self.index, self.attempt = index, attempt
+        self.index = index
         self.started = time.monotonic()
         self.deadline = (
             self.started + run_timeout_s if run_timeout_s is not None
             else None
         )
         try:
-            self.conn.send((spec, attempt))
+            self.conn.send(spec)
         except OSError:
             pass  # died since its last report: the pipe's EOF says so
 

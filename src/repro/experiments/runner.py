@@ -71,14 +71,6 @@ def export_run_telemetry(
         "samples_taken": hub.samples_taken,
         "offered_packets": scenario.offered_packets(),
     }
-    attempt = os.environ.get("REPRO_RUN_ATTEMPT")  # resilience.ATTEMPT_ENV
-    if attempt is not None:
-        # Retry provenance from a supervised worker: attempt 0 is
-        # the first dispatch, >0 means this artifact came from a retry.
-        try:
-            extra["attempt"] = int(attempt)
-        except ValueError:
-            pass
     if scenario.spec is not None:
         # Provenance for sweep tooling: which registry binding ran.
         extra["protocol_spec"] = scenario.spec.to_record()
@@ -163,9 +155,9 @@ def run_experiment(
     :meth:`~repro.experiments.executors.SweepExecutor.for_spec`, so
     worker fan-out, the result cache, and telemetry export all apply.
     Every run is seed-deterministic, so the returned list is identical
-    whatever the job count.  Specs that set ``run_timeout_s`` /
-    ``max_retries`` -- or callers passing ``resume=True`` -- journal
-    their runs (see :mod:`repro.experiments.resilience`).
+    whatever the job count.  Specs that set ``run_timeout_s`` -- or
+    callers passing ``resume=True`` -- journal their runs (see
+    :mod:`repro.experiments.resilience`).
     """
     spec.validate()
 

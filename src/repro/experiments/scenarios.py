@@ -27,7 +27,6 @@ from repro.core.metrics import RouteMetric
 from repro.experiments.faults import FailureInjector, FaultPlan
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Position, random_topology
-from repro.phy.obstacles import ObstacleShadowingPropagation, ObstacleSpec
 from repro.odmrp.config import OdmrpConfig
 from repro.odmrp.protocol import OdmrpRouter
 from repro.probing.manager import ProbingConfig, ProbingManager
@@ -83,9 +82,6 @@ class SimulationScenarioConfig:
     #: Disabled by default: no suite is built and the run executes the
     #: exact pre-validation instruction stream.
     validation: ValidationConfig = field(default_factory=ValidationConfig)
-    #: Obstacle layout folded into propagation as per-wall shadowing
-    #: (see :mod:`repro.phy.obstacles`).  Empty default wraps nothing.
-    obstacles: ObstacleSpec = field(default_factory=ObstacleSpec)
 
     def with_probing_rate(self, multiplier: float) -> "SimulationScenarioConfig":
         """A copy with the probing rate scaled (overhead experiments)."""
@@ -268,20 +264,9 @@ def build_simulation_scenario(
         rng=scenario_rng.stream("membership"),
     )
 
-    network_config = config.network
-    if not config.obstacles.is_empty():
-        # Fold the obstacle layout into propagation as a shadowing
-        # wrapper.  Radio calibration and the analytic range bound go
-        # through the distance-only envelope, which delegates to the
-        # base model, so thresholds and grid cell size are unaffected.
-        config.obstacles.validate_for(config.area_width_m, config.area_height_m)
-        network_config = replace(
-            network_config,
-            propagation=ObstacleShadowingPropagation(
-                network_config.build_propagation(), config.obstacles.obstacles
-            ),
-        )
-    network = Network(positions, seed=config.topology_seed, config=network_config)
+    network = Network(
+        positions, seed=config.topology_seed, config=config.network
+    )
     metric = spec.build_metric(
         packet_size_bytes=config.packet_size_bytes,
         default_bandwidth_bps=config.network.data_rate_bps,

@@ -159,7 +159,7 @@ def config_to_dict(config: SimulationScenarioConfig) -> Dict[str, Any]:
 _REMOVED_SPEC_KEYS = {
     "backend": (
         "the dir:// backend was removed and every sweep runs locally (set "
-        "jobs, run_timeout_s and max_retries; resume with --resume)"
+        "jobs and run_timeout_s; resume with --resume)"
     ),
     "campaign": (
         "fault campaigns were removed; sweep a hand-written fault plan "
@@ -169,6 +169,10 @@ _REMOVED_SPEC_KEYS = {
         "mobility was removed and every run uses the static mesh the "
         "paper measures; delete the key"
     ),
+    "max_retries": (
+        "in-sweep retry was removed: a failed run is quarantined at once; "
+        "re-dispatch it with repro run --resume"
+    ),
 }
 _REMOVED_CONFIG_KEYS = {
     "mobility": (
@@ -177,6 +181,10 @@ _REMOVED_CONFIG_KEYS = {
     ),
     "energy": (
         "energy accounting was removed; delete the [config.energy] table"
+    ),
+    "obstacles": (
+        "obstacle shadowing was removed and every run uses open-space "
+        "propagation; delete the [config.obstacles] table"
     ),
 }
 
@@ -210,8 +218,8 @@ def _validate_scenario(config: SimulationScenarioConfig) -> None:
     """Reject a scenario every run of it would fail to build.
 
     Catches at load time what would otherwise raise in each worker and
-    quarantine every run; the fault plan and obstacle layout reuse the
-    checks the scenario builder applies.
+    quarantine every run; the fault plan reuses the check the scenario
+    builder applies.
     """
     for key in ("num_nodes", "num_groups", "members_per_group",
                 "sources_per_group", "packet_size_bytes"):
@@ -247,9 +255,6 @@ def _validate_scenario(config: SimulationScenarioConfig) -> None:
         )
     try:
         config.faults.validate_for(nodes)
-        config.obstacles.validate_for(
-            config.area_width_m, config.area_height_m
-        )
     except ValueError as exc:
         raise SpecError(f"invalid config: {exc}") from exc
 
@@ -358,13 +363,11 @@ class ExperimentSpec:
     use_cache: bool = False
     #: Per-run wall-clock timeout (seconds), enforced by killing the
     #: run's worker process (:mod:`repro.experiments.resilience`), so
-    #: even ``jobs = 1`` then runs on a supervised worker.  Setting this
-    #: -- or ``max_retries`` -- also journals the sweep for ``repro run
-    #: --resume``.  ``None`` (the default) means no timeout.
+    #: even ``jobs = 1`` then runs on a supervised worker.  A run that
+    #: times out is quarantined; setting this also journals the sweep,
+    #: so ``repro run --resume`` re-dispatches it.  ``None`` (the
+    #: default) means no timeout.
     run_timeout_s: Optional[float] = None
-    #: Retry budget for transient failures (timeouts, worker crashes,
-    #: OOM kills).  ``None`` = the default policy (2 retries).
-    max_retries: Optional[int] = None
     #: Optional ``[adaptive]`` section: run the sweep under the
     #: sequential planner (:mod:`repro.experiments.adaptive`) -- seeds
     #: in batches, CI-driven stopping per protocol, paired
@@ -411,15 +414,6 @@ class ExperimentSpec:
             raise SpecError(
                 f"run_timeout_s must be a positive number of seconds, "
                 f"got {self.run_timeout_s!r}"
-            )
-        if self.max_retries is not None and (
-            not isinstance(self.max_retries, int)
-            or isinstance(self.max_retries, bool)
-            or self.max_retries < 0
-        ):
-            raise SpecError(
-                f"max_retries must be a non-negative integer, "
-                f"got {self.max_retries!r}"
             )
         self.resolve_protocols()
         _validate_scenario(self.config)
@@ -490,17 +484,9 @@ class ExperimentSpec:
                     if self.adaptive.baseline else ""
                 )
             )
-        if self.run_timeout_s is not None or self.max_retries is not None:
-            timeout = (
-                f"{self.run_timeout_s:g}s" if self.run_timeout_s is not None
-                else "none"
-            )
-            retries = (
-                self.max_retries if self.max_retries is not None
-                else "default"
-            )
+        if self.run_timeout_s is not None:
             lines.append(
-                f"resilience: run-timeout={timeout} max-retries={retries} "
+                f"resilience: run-timeout={self.run_timeout_s:g}s "
                 "(journaled)"
             )
         lines.append("protocols:")
@@ -528,8 +514,6 @@ class ExperimentSpec:
         # absent keys take the dataclass default on read.
         if self.run_timeout_s is not None:
             data["run_timeout_s"] = self.run_timeout_s
-        if self.max_retries is not None:
-            data["max_retries"] = self.max_retries
         if self.adaptive is not None:
             data["adaptive"] = _plain(self.adaptive, "adaptive")
         data["config"] = config_to_dict(self.config)
@@ -548,8 +532,7 @@ class ExperimentSpec:
         _reject_removed(data, _REMOVED_SPEC_KEYS, "spec")
         known = {
             "schema", "name", "description", "protocols", "seeds",
-            "jobs", "use_cache", "run_timeout_s", "max_retries",
-            "adaptive", "config",
+            "jobs", "use_cache", "run_timeout_s", "adaptive", "config",
         }
         unknown = set(data) - known
         if unknown:
@@ -559,7 +542,7 @@ class ExperimentSpec:
             )
         kwargs: Dict[str, Any] = {}
         for key in ("name", "description", "jobs", "use_cache",
-                    "run_timeout_s", "max_retries"):
+                    "run_timeout_s"):
             if key in data:
                 kwargs[key] = data[key]
         for key in ("protocols", "seeds"):
@@ -634,7 +617,6 @@ class ExperimentSpec:
         jobs: Optional[int] = None,
         use_cache: Optional[bool] = None,
         run_timeout_s: Optional[float] = None,
-        max_retries: Optional[int] = None,
     ) -> "ExperimentSpec":
         """A copy with CLI-style overrides applied (None = keep)."""
         return dataclasses.replace(
@@ -646,8 +628,6 @@ class ExperimentSpec:
             use_cache=self.use_cache if use_cache is None else use_cache,
             run_timeout_s=self.run_timeout_s if run_timeout_s is None
             else run_timeout_s,
-            max_retries=self.max_retries if max_retries is None
-            else max_retries,
         )
 
 

@@ -539,17 +539,11 @@ class WirelessChannel:
         self._inactive_nodes += -1 if active else 1
 
     def mean_rx_power_mw(self, sender: Node, receiver: Node) -> float:
-        """Mean (un-faded) received power for the sender->receiver link.
-
-        Goes through the propagation model's position-aware entry point
-        so geometry-sensitive models (obstacle shadowing) see the actual
-        endpoints; for plain models the base implementation reduces to
-        the identical distance-only computation.
-        """
-        return self.propagation.rx_power_mw_between(
+        """Mean (un-faded) received power for the sender->receiver link:
+        open-space path loss over the endpoints' distance."""
+        return self.propagation.rx_power_mw(
             sender.params.tx_power_mw,
-            sender.position,
-            receiver.position,
+            sender.position.distance_to(receiver.position),
             sender.params.antenna_gain,
             receiver.params.antenna_gain,
         )

@@ -36,29 +36,6 @@ class PropagationModel(ABC):
     ) -> float:
         """Mean received power in mW over a link of the given length."""
 
-    def rx_power_mw_between(
-        self,
-        tx_power_mw: float,
-        tx_position,
-        rx_position,
-        tx_gain: float = 1.0,
-        rx_gain: float = 1.0,
-    ) -> float:
-        """Mean received power between two endpoint positions.
-
-        The base model is isotropic, so this reduces to the distance-only
-        form through the exact ``Position.distance_to`` hypot the channel
-        has always used -- bit-identical to the historical path.  Models
-        that care about geometry beyond distance (obstacle shadowing)
-        override this; the distance-only :meth:`rx_power_mw` remains the
-        obstacle-free envelope used for radio calibration and range
-        bounds.
-        """
-        return self.rx_power_mw(
-            tx_power_mw, tx_position.distance_to(rx_position),
-            tx_gain, rx_gain,
-        )
-
     def gain(self, distance_m: float) -> float:
         """Channel power gain (rx power / tx power) with unit antennas."""
         return self.rx_power_mw(1.0, distance_m)

@@ -16,7 +16,7 @@ hand-picked scenario:
   paths -- jobs=N, each PHY backend, cold then warm
   cache, interrupt + resume, telemetry -- and reports any path whose
   runs or plan are not bit-identical.  It is the one bit-identity
-  oracle; the chaos harness calls its :func:`interrupt_and_resume`.
+  oracle.
 * :func:`run_with_invariants` replays a spec serially with the runtime
   invariant monitors attached (:mod:`repro.validation.invariants`).
 * :func:`write_replay_spec` turns a caught
@@ -152,12 +152,11 @@ def _sweep(
 ) -> Sweep:
     """Run the sweep ``spec`` declares -- grid or ``[adaptive]`` plan --
     as one path; the one place the oracle names the two kinds.  The
-    path's settings replace the spec's own (retries off), so nothing
-    caches or journals where the caller did not say; ``execution``
+    path's settings replace the spec's own, so nothing caches or
+    journals where the caller did not say; ``execution``
     passes through to the kind's entry point."""
     spec = replace(
         spec, jobs=jobs, use_cache=use_cache, run_timeout_s=run_timeout_s,
-        max_retries=None,
     )
     if spec.adaptive is None:
         return None, run_experiment(spec, **execution)

@@ -186,7 +186,10 @@ class TestRemovedMobilitySurface:
         'mobility_models = ["static"]\n',
         '[config.mobility]\nmodel = "random-waypoint"\n',
         "[config.energy]\nenabled = true\n",
-    ], ids=["mobility_models", "config.mobility", "config.energy"])
+        "max_retries = 1\n",
+        "[[config.obstacles.obstacles]]\nx_min_m = 100.0\n",
+    ], ids=["mobility_models", "config.mobility", "config.energy",
+            "max_retries", "config.obstacles"])
     def test_dry_run_names_the_removal(self, tmp_path, capsys, table):
         spec_path = tmp_path / "old.toml"
         spec_path.write_text(
@@ -215,6 +218,20 @@ class TestRemovedFleetSurface:
             assert exc.value.code != 0
 
 
+class TestRemovedRetrySurface:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--max-retries", "1", "--dry-run"],
+        ["run", "--max-retries=1", "--dry-run"],
+    ])
+    def test_max_retries_flag_names_the_removal(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "--max-retries is no longer supported" in err
+        assert "--resume" in err
+
+
 class TestRunResume:
     def test_run_and_resume_are_bit_identical(
         self, tmp_path, capsys, monkeypatch
@@ -237,17 +254,17 @@ class TestRunResume:
         spec.save(str(spec_path))
         first = tmp_path / "first.md"
         second = tmp_path / "second.md"
-        # A retry budget journals the sweep.
+        # A run timeout journals the sweep.
         assert main([
             "run", "--spec", str(spec_path), "--jobs", "2",
-            "--max-retries", "1", "--no-cache", "--report", str(first),
+            "--run-timeout", "120", "--no-cache", "--report", str(first),
         ]) == 0
         capsys.readouterr()
         # The journal is the completion ledger: --resume replays every
         # run without re-simulating, to the byte-identical report.
         assert main([
             "run", "--spec", str(spec_path), "--jobs", "2",
-            "--max-retries", "1", "--no-cache", "--resume",
+            "--run-timeout", "120", "--no-cache", "--resume",
             "--report", str(second),
         ]) == 0
         assert "running" not in capsys.readouterr().out

@@ -17,7 +17,7 @@ import pytest
 from repro.experiments import parallel, runner
 from repro.experiments.executors import SweepExecutor
 from repro.experiments.parallel import RunSpec
-from repro.experiments.resilience import ResilienceConfig, RetryPolicy
+from repro.experiments.resilience import ResilienceConfig
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -75,7 +75,6 @@ class TestForSpecRouting:
 
     @pytest.mark.parametrize("spec_fields, kwargs", [
         ({"run_timeout_s": 30.0}, {}),
-        ({"max_retries": 1}, {}),
         ({}, {"resume": True}),
         ({}, {"journal_path": "j.jsonl"}),
         ({}, {}),
@@ -85,7 +84,7 @@ class TestForSpecRouting:
     ):
         """The dispatch rule: one job runs inline unless a timeout needs
         a worker to kill.  The journal rule: an explicit path, or the
-        default one when resume, a timeout or a retry budget is set."""
+        default one when resume or a timeout is set."""
         kwargs = dict(kwargs)
         if "journal_path" in kwargs:
             kwargs["journal_path"] = str(tmp_path / kwargs["journal_path"])
@@ -102,15 +101,12 @@ class TestForSpecRouting:
         else:
             assert executor.journal_path is None
 
-    def test_retry_budget_reaches_the_resilience_config(self):
-        executor = SweepExecutor.for_spec(
-            ExperimentSpec(run_timeout_s=12.0, max_retries=5)
-        )
+    def test_timeout_reaches_the_resilience_config(self):
+        executor = SweepExecutor.for_spec(ExperimentSpec(run_timeout_s=12.0))
         assert executor.resilience.run_timeout_s == 12.0
-        assert executor.resilience.retry.max_retries == 5
         assert SweepExecutor.for_spec(
             ExperimentSpec()
-        ).resilience.retry == RetryPolicy()
+        ).resilience == ResilienceConfig()
 
 
 class TestSweepExecutor:

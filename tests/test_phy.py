@@ -8,14 +8,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.topology import Position
+from repro.net.network import NetworkConfig
 from repro.phy.fading import (
     NoFading,
     RayleighFading,
     RicianFading,
     rayleigh_outage_probability,
 )
-from repro.phy.obstacles import Obstacle, ObstacleShadowingPropagation
 from repro.phy.propagation import (
     FreeSpacePropagation,
     LogDistancePropagation,
@@ -167,20 +166,6 @@ class TestMaxRangeForPower:
 
     _TIGHT = 1.0 + 1e-5
 
-    def _check(self, model, tx_mw, gains, cutoff_m, probes):
-        """``probes``: (distance, power) pairs measured on ``model``."""
-        def envelope(distance_m):
-            return model.rx_power_mw(tx_mw, distance_m, *gains)
-
-        cutoff = envelope(cutoff_m)
-        bound = model.max_range_for_power(tx_mw, cutoff, *gains)
-        assert bound is not None and cutoff_m <= bound
-        for distance_m, power_mw in probes:
-            if power_mw >= cutoff:
-                assert distance_m <= bound
-        assert envelope(bound / self._TIGHT) >= cutoff
-        assert envelope(bound * self._TIGHT) < cutoff
-
     @given(
         model=_path_loss_models,
         tx_mw=st.floats(min_value=0.01, max_value=1000.0),
@@ -194,61 +179,18 @@ class TestMaxRangeForPower:
     def test_bound_is_exact_reach(
         self, model, tx_mw, gains, cutoff_scale, probe_scales
     ):
-        cutoff_m = _knee_m(model) * 10.0 ** cutoff_scale
-        probes = [
-            (cutoff_m * scale,
-             model.rx_power_mw(tx_mw, cutoff_m * scale, *gains))
-            for scale in probe_scales
-        ]
-        self._check(model, tx_mw, gains, cutoff_m, probes)
+        def power(distance_m):
+            return model.rx_power_mw(tx_mw, distance_m, *gains)
 
-    @given(
-        model=_path_loss_models,
-        tx_mw=st.floats(min_value=0.01, max_value=1000.0),
-        gains=st.tuples(_gains, _gains),
-        cutoff_scale=st.floats(min_value=-2.0, max_value=2.0),
-        walls=st.lists(
-            st.tuples(
-                st.floats(min_value=-2.0, max_value=2.0),
-                st.floats(min_value=-2.0, max_value=2.0),
-                st.floats(min_value=0.01, max_value=1.0),
-                st.floats(min_value=0.01, max_value=1.0),
-                st.floats(min_value=0.0, max_value=20.0),
-            ),
-            min_size=1, max_size=4,
-        ),
-        endpoints=st.lists(
-            st.tuples(
-                st.floats(min_value=-2.0, max_value=2.0),
-                st.floats(min_value=-2.0, max_value=2.0),
-            ),
-            min_size=1, max_size=8,
-        ),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_obstacle_bound_is_base_reach(
-        self, model, tx_mw, gains, cutoff_scale, walls, endpoints
-    ):
-        """Walls only attenuate: the base model's exact reach still
-        bounds every shadowed link, and stays tight on the open-space
-        envelope."""
         cutoff_m = _knee_m(model) * 10.0 ** cutoff_scale
-        shadowed = ObstacleShadowingPropagation(model, tuple(
-            Obstacle(x * cutoff_m, y * cutoff_m, (x + w) * cutoff_m,
-                     (y + h) * cutoff_m, attenuation_db=att)
-            for x, y, w, h, att in walls
-        ))
-        origin = Position(0.0, 0.0)
-        ends = [Position(x * cutoff_m, y * cutoff_m) for x, y in endpoints]
-        probes = [
-            (origin.distance_to(end),
-             shadowed.rx_power_mw_between(tx_mw, origin, end, *gains))
-            for end in ends
-        ]
-        self._check(shadowed, tx_mw, gains, cutoff_m, probes)
-        assert shadowed.max_range_for_power(tx_mw, 1e-9, *gains) == (
-            model.max_range_for_power(tx_mw, 1e-9, *gains)
-        )
+        cutoff = power(cutoff_m)
+        bound = model.max_range_for_power(tx_mw, cutoff, *gains)
+        assert bound is not None and cutoff_m <= bound
+        for scale in probe_scales:
+            if power(cutoff_m * scale) >= cutoff:
+                assert cutoff_m * scale <= bound
+        assert power(bound / self._TIGHT) >= cutoff
+        assert power(bound * self._TIGHT) < cutoff
 
 
 class TestFading:
@@ -383,3 +325,8 @@ class TestReception:
         assert model.snr_db_margin(dbm_to_mw(-60.0)) > 0
         assert model.snr_db_margin(dbm_to_mw(-90.0)) < 0
         assert model.snr_db_margin(0.0) == float("-inf")
+
+
+def test_network_config_rejects_typo_backend_with_suggestion():
+    with pytest.raises(ValueError, match="did you mean 'vectorized'"):
+        NetworkConfig(phy_backend="vectorised")

@@ -2,15 +2,15 @@
 
 The contract under test: runs execute inline (one job, no timeout) or
 on persistent supervised worker processes with a wall-clock timeout;
-every path classifies failures alike; transient failures (timeouts, worker
-crashes, OOM) retry with backoff while deterministic failures
-quarantine immediately; every finished run lands in a durable journal
-that ``resume`` replays; and a SIGINT drains the sweep without
+every path classifies failures alike; every failed run is quarantined
+after its one dispatch while the rest of the sweep completes; every
+finished run lands in a durable journal that ``resume`` replays,
+re-dispatching the failures; and a SIGINT drains the sweep without
 orphaning workers or corrupting the journal.
 
 Most tests use tiny *fake* workers (the ``worker=`` hook) so the
-supervision machinery is exercised in milliseconds; the end-to-end
-chaos suite against real simulations lives in ``test_chaos.py``.
+supervision machinery is exercised in milliseconds;
+:class:`TestResilientRealRuns` drives real simulations.
 """
 
 from __future__ import annotations
@@ -24,16 +24,16 @@ import time
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.executors import SweepExecutor
 from repro.experiments.parallel import RunSpec
 from repro.experiments.report import render_report
 from repro.experiments.resilience import (
-    ATTEMPT_ENV,
     FailureKind,
     JournalRecord,
     ResilienceConfig,
-    RetryPolicy,
     SweepJournal,
+    _Worker,
     classify_failure,
 )
 from repro.experiments.results import RunResult, aggregate_runs
@@ -43,11 +43,9 @@ CFG = SimulationScenarioConfig(
     num_nodes=4, duration_s=1.0, warmup_s=0.1, topology_seed=1
 )
 
-#: Fast supervision knobs: sub-second timeout, near-instant backoff.
+#: Fast supervision knobs: a sub-second timeout.
 FAST = ResilienceConfig(
     run_timeout_s=0.6,
-    retry=RetryPolicy(max_retries=1, backoff_base_s=0.01,
-                      backoff_max_s=0.05),
     kill_grace_s=0.5,
     poll_interval_s=0.02,
 )
@@ -62,8 +60,19 @@ def _quick_result(spec: RunSpec, delivered: int = 5) -> RunResult:
     )
 
 
-def _attempt() -> int:
-    return int(os.environ.get(ATTEMPT_ENV, "0"))
+@pytest.fixture
+def dispatches(monkeypatch):
+    """``(protocol, seed)`` of every run handed to a supervised worker,
+    in dispatch order (recorded in the parent)."""
+    seen = []
+    original = _Worker.dispatch
+
+    def recording_dispatch(self, spec, index, run_timeout_s):
+        seen.append((spec.protocol, spec.seed))
+        original(self, spec, index, run_timeout_s)
+
+    monkeypatch.setattr(_Worker, "dispatch", recording_dispatch)
+    return seen
 
 
 # -- fake workers (module-level: must survive the process boundary) ----
@@ -78,26 +87,16 @@ def hang_worker(spec):
     return _quick_result(spec), 60.0
 
 
-def flaky_hang_worker(spec):
-    if _attempt() == 0:
-        time.sleep(60.0)
-    return _quick_result(spec), 0.01
-
-
-def flaky_crash_worker(spec):
-    if _attempt() == 0:
-        os.kill(os.getpid(), signal.SIGABRT)
-    return _quick_result(spec), 0.01
+def crash_worker(spec):
+    os.kill(os.getpid(), signal.SIGABRT)
 
 
 def sigkill_worker(spec):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def flaky_memory_worker(spec):
-    if _attempt() == 0:
-        raise MemoryError("transient allocation failure")
-    return _quick_result(spec), 0.01
+def memory_worker(spec):
+    raise MemoryError("allocation failure")
 
 
 def value_error_worker(spec):
@@ -117,18 +116,19 @@ def never_worker(spec):
 
 
 # Slow enough that the other worker is still busy when seed 1's worker
-# is lost, so the sweep needs a replacement to make progress.
+# is lost, so the sweep needs a replacement to make progress.  Seed 1
+# fails on every dispatch.
 
 
 def seed_one_crash_worker(spec):
-    if spec.seed == 1 and _attempt() == 0:
+    if spec.seed == 1:
         os.kill(os.getpid(), signal.SIGABRT)
     time.sleep(0.2)
     return _quick_result(spec), 0.2
 
 
 def seed_one_hang_worker(spec):
-    if spec.seed == 1 and _attempt() == 0:
+    if spec.seed == 1:
         time.sleep(60.0)
     time.sleep(0.2)
     return _quick_result(spec), 0.2
@@ -152,15 +152,10 @@ class TestFailureClassification:
         kind = classify_failure("TIMEOUT: run exceeded the 5.0s budget")
         assert kind is FailureKind.TIMEOUT
 
-    def test_worker_crash_prefix_and_legacy_pool_text(self):
+    def test_worker_crash_prefix(self):
         assert classify_failure(
             "WORKER_CRASH: worker process exited with code -6"
         ) is FailureKind.WORKER_CRASH
-        legacy = (
-            "Traceback ...\nBrokenProcessPool: A process in the "
-            "process pool was terminated abruptly"
-        )
-        assert classify_failure(legacy) is FailureKind.WORKER_CRASH
 
     def test_oom_from_prefix_and_from_traceback(self):
         assert classify_failure("OOM: worker killed by SIGKILL") \
@@ -184,92 +179,84 @@ class TestFailureClassification:
         assert classify_failure("") is None
 
 
-class TestRetryPolicy:
-    """Satellite: retry/no-retry policy per FailureKind."""
-
-    @pytest.mark.parametrize("kind, retries", [
-        (FailureKind.TIMEOUT, True),
-        (FailureKind.WORKER_CRASH, True),
-        (FailureKind.OOM, True),
-        (FailureKind.INVARIANT, False),
-        (FailureKind.EXCEPTION, False),
-    ])
-    def test_transient_kinds_retry_deterministic_kinds_do_not(
-        self, kind, retries
-    ):
-        policy = RetryPolicy(max_retries=3)
-        assert policy.should_retry(kind, attempt=0) is retries
-
-    def test_budget_is_bounded(self):
-        policy = RetryPolicy(max_retries=2)
-        assert policy.should_retry(FailureKind.TIMEOUT, attempt=1)
-        assert not policy.should_retry(FailureKind.TIMEOUT, attempt=2)
-
-    def test_backoff_grows_is_capped_and_is_deterministic(self):
-        policy = RetryPolicy(backoff_base_s=0.5, backoff_max_s=4.0)
-        waits = [policy.backoff_s("key", attempt) for attempt in range(6)]
-        assert waits == [policy.backoff_s("key", a) for a in range(6)]
-        assert waits[0] >= 0.5
-        assert all(wait <= 4.0 * 1.25 for wait in waits)
-        assert waits[2] > waits[0]
-        # Jitter depends on the key, so herds of retries spread out.
-        assert policy.backoff_s("key", 0) != policy.backoff_s("other", 0)
-
-
 class TestSupervisedFailures:
-    def test_timeout_is_killed_and_quarantined(self, tmp_path):
+    """Every failure kind is quarantined after the run's one dispatch."""
+
+    def test_timeout_is_killed_and_quarantined(self, tmp_path, dispatches):
         journal = str(tmp_path / "journal.jsonl")
-        no_retry = ResilienceConfig(
-            run_timeout_s=0.3,
-            retry=RetryPolicy(max_retries=0),
-            kill_grace_s=0.3, poll_interval_s=0.02,
+        quick_timeout = ResilienceConfig(
+            run_timeout_s=0.3, kill_grace_s=0.3, poll_interval_s=0.02,
         )
         start = time.monotonic()
         [outcome] = _run(_specs(), hang_worker, journal,
-                         resilience=no_retry)
+                         resilience=quick_timeout)
         assert time.monotonic() - start < 10.0  # killed, not waited out
         assert outcome.failure_kind is FailureKind.TIMEOUT
-        assert outcome.attempts == 1
         assert outcome.result.error.startswith("TIMEOUT")
+        assert dispatches == [("odmrp", 1)]
 
-    def test_timeout_retries_to_success(self, tmp_path):
+    def test_hang_on_every_dispatch_is_quarantined_once(
+        self, tmp_path, dispatches
+    ):
+        """A run that would hang however often it ran times out once, is
+        quarantined, and the rest of the sweep completes; aggregation
+        and the report both show the failure."""
+        specs = _specs(3) + [RunSpec("spp", CFG, 2)]
+        outcomes = _run(specs, seed_one_hang_worker,
+                        str(tmp_path / "j.jsonl"), jobs=2)
+        victim = outcomes[0]
+        assert victim.failure_kind is FailureKind.TIMEOUT
+        assert victim.result.error.startswith("TIMEOUT")
+        assert [o.result for o in outcomes[1:]] == [
+            _quick_result(spec) for spec in specs[1:]
+        ]
+        assert dispatches.count(("odmrp", 1)) == 1
+        assert len(dispatches) == len(specs)
+        results = [outcome.result for outcome in outcomes]
+        aggregates = aggregate_runs(results)
+        assert aggregates["odmrp"].failed_runs == 1
+        assert aggregates["odmrp"].failure_kinds == {"timeout": 1}
+        assert aggregates["spp"].failed_runs == 0
+        report = render_report(results, title="quarantine")
+        assert "quarantined" in report and "1 timeout" in report
+
+    def test_worker_crash_is_quarantined_on_first_failure(
+        self, tmp_path, dispatches
+    ):
         journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), flaky_hang_worker, journal)
-        assert outcome.result.error is None
-        assert outcome.attempts == 2
-        assert outcome.result == _quick_result(outcome.spec)
+        [outcome] = _run(_specs(), crash_worker, journal)
+        assert outcome.failure_kind is FailureKind.WORKER_CRASH
+        assert outcome.result.error.startswith("WORKER_CRASH")
+        assert dispatches == [("odmrp", 1)]
 
-    def test_worker_crash_retries_to_success(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), flaky_crash_worker, journal)
-        assert outcome.result.error is None
-        assert outcome.attempts == 2
-
-    def test_sigkill_classifies_as_oom_and_exhausts(self, tmp_path):
+    def test_sigkill_classifies_as_oom_and_quarantines(
+        self, tmp_path, dispatches
+    ):
         journal = str(tmp_path / "journal.jsonl")
         [outcome] = _run(_specs(), sigkill_worker, journal)
         assert outcome.failure_kind is FailureKind.OOM
-        assert outcome.attempts == 2  # retried once, then quarantined
         assert outcome.result.error.startswith("OOM")
+        assert dispatches == [("odmrp", 1)]
 
-    def test_memory_error_is_oom_and_retryable(self, tmp_path):
+    def test_memory_error_is_oom_and_quarantined(self, tmp_path, dispatches):
         journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), flaky_memory_worker, journal)
-        assert outcome.result.error is None
-        assert outcome.attempts == 2
+        [outcome] = _run(_specs(), memory_worker, journal)
+        assert outcome.failure_kind is FailureKind.OOM
+        assert "allocation failure" in outcome.result.error
+        assert dispatches == [("odmrp", 1)]
 
-    def test_plain_exception_is_not_retried(self, tmp_path):
+    def test_plain_exception_is_not_retried(self, tmp_path, dispatches):
         journal = str(tmp_path / "journal.jsonl")
         [outcome] = _run(_specs(), value_error_worker, journal)
         assert outcome.failure_kind is FailureKind.EXCEPTION
-        assert outcome.attempts == 1
         assert "deterministic model bug" in outcome.result.error
+        assert dispatches == [("odmrp", 1)]
 
-    def test_invariant_violation_is_not_retried(self, tmp_path):
+    def test_invariant_violation_is_not_retried(self, tmp_path, dispatches):
         journal = str(tmp_path / "journal.jsonl")
         [outcome] = _run(_specs(), invariant_worker, journal)
         assert outcome.failure_kind is FailureKind.INVARIANT
-        assert outcome.attempts == 1
+        assert dispatches == [("odmrp", 1)]
 
     def test_quarantined_run_does_not_block_the_rest(self, tmp_path):
         """Graceful degradation: the sweep completes around a failure."""
@@ -301,16 +288,23 @@ class TestPersistentWorkers:
     @pytest.mark.parametrize(
         "worker", [seed_one_crash_worker, seed_one_hang_worker]
     )
-    def test_lost_worker_is_replaced(self, tmp_path, process_starts, worker):
+    def test_lost_worker_is_replaced(
+        self, tmp_path, process_starts, dispatches, worker
+    ):
         """A worker killed mid-run or put down on timeout is replaced
-        once; its run retries and every other run completes unchanged."""
+        once; its run is quarantined and every other run completes
+        unchanged."""
         journal = str(tmp_path / "j.jsonl")
         specs = _specs(6)
         outcomes = _run(specs, worker, journal, jobs=2)
-        assert [o.result for o in outcomes] == [
-            _quick_result(spec) for spec in specs
+        assert outcomes[0].failure_kind is (
+            FailureKind.WORKER_CRASH if worker is seed_one_crash_worker
+            else FailureKind.TIMEOUT
+        )
+        assert [o.result for o in outcomes[1:]] == [
+            _quick_result(spec) for spec in specs[1:]
         ]
-        assert [o.attempts for o in outcomes] == [2, 1, 1, 1, 1, 1]
+        assert len(dispatches) == len(specs)
         assert len(process_starts) == 3
         assert process_starts[0].exitcode != 0  # seed 1's lost worker
         assert not any(proc.is_alive() for proc in process_starts)
@@ -380,24 +374,22 @@ class TestJournal:
         failed.delivered_bytes = 0
         failed.error = "TIMEOUT: first try"
         with SweepJournal(path) as journal:
-            journal.record(spec, failed, attempts=1, elapsed_s=0.5,
+            journal.record(spec, failed, elapsed_s=0.5,
                            failure_kind=FailureKind.TIMEOUT)
-            journal.record(spec, _quick_result(spec), attempts=2,
-                           elapsed_s=0.7)
+            journal.record(spec, _quick_result(spec), elapsed_s=0.7)
         records = SweepJournal.replay(path)
         assert len(records) == 1
         record = records[spec.cache_key()]
-        assert record.ok and record.attempts == 2
+        assert record.ok and record.elapsed_s == 0.7
         assert record.to_run_result() == _quick_result(spec)
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         spec = RunSpec("odmrp", CFG, 1)
         with SweepJournal(path) as journal:
-            journal.record(spec, _quick_result(spec), attempts=1,
-                           elapsed_s=0.1)
+            journal.record(spec, _quick_result(spec), elapsed_s=0.1)
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": 1, "key": "abc", "trunc')
+            handle.write('{"schema": 2, "key": "abc", "trunc')
         records = SweepJournal.replay(path)
         assert list(records) == [spec.cache_key()]
 
@@ -412,7 +404,7 @@ class TestJournal:
 
     def test_journal_record_schema_drift_returns_none(self):
         record = JournalRecord(
-            key="k", protocol="odmrp", seed=1, status="ok", attempts=1,
+            key="k", protocol="odmrp", seed=1, status="ok",
             elapsed_s=0.1, failure_kind=None,
             result={"not_a_runresult_field": 1},
         )
@@ -427,30 +419,26 @@ class TestJournalCompaction:
         return result
 
     def test_compact_keeps_only_surviving_records(self, tmp_path):
-        """Regression: a journal with retries plus a torn trailing line
-        compacts to exactly the surviving record per key."""
+        """Regression: a journal with a resumed run plus a torn trailing
+        line compacts to exactly the surviving record per key."""
         path = str(tmp_path / "journal.jsonl")
         specs = _specs(2)
         with SweepJournal(path) as journal:
-            journal.record(specs[0], self._failed(specs[0]), attempts=1,
-                           elapsed_s=0.5,
+            journal.record(specs[0], self._failed(specs[0]), elapsed_s=0.5,
                            failure_kind=FailureKind.TIMEOUT)
-            journal.record(specs[0], _quick_result(specs[0]),
-                           attempts=2, elapsed_s=0.7)
-            journal.record(specs[1], _quick_result(specs[1]),
-                           attempts=1, elapsed_s=0.3)
+            journal.record(specs[0], _quick_result(specs[0]), elapsed_s=0.7)
+            journal.record(specs[1], _quick_result(specs[1]), elapsed_s=0.3)
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": 1, "key": "abc", "trunc')
+            handle.write('{"schema": 2, "key": "abc", "trunc')
         before = SweepJournal.replay(path)
         dropped = SweepJournal.compact(path)
-        assert dropped == 2  # the superseded attempt + the torn line
+        assert dropped == 2  # the superseded failure + the torn line
         with open(path, "rb") as handle:
             lines = [line for line in handle if line.strip()]
         assert len(lines) == 2
         # Replay semantics are unchanged, byte-for-byte.
         assert SweepJournal.replay(path) == before
-        assert SweepJournal.replay(path)[specs[0].cache_key()].attempts \
-            == 2
+        assert SweepJournal.replay(path)[specs[0].cache_key()].ok
 
     def test_compact_with_nothing_to_drop_leaves_the_file_alone(
         self, tmp_path
@@ -458,8 +446,7 @@ class TestJournalCompaction:
         path = str(tmp_path / "journal.jsonl")
         [spec] = _specs(1)
         with SweepJournal(path) as journal:
-            journal.record(spec, _quick_result(spec), attempts=1,
-                           elapsed_s=0.1)
+            journal.record(spec, _quick_result(spec), elapsed_s=0.1)
         with open(path, "rb") as handle:
             before = handle.read()
         assert SweepJournal.compact(path) == 0
@@ -478,7 +465,7 @@ class TestJournalCompaction:
         _run(specs[:1], ok_worker, journal)
         orphan = journal + ".tmp.99999"
         with open(orphan, "wb") as handle:
-            handle.write(b'{"schema": 1, "key": "half')
+            handle.write(b'{"schema": 2, "key": "half')
         outcomes = _run(specs, ok_worker, journal, resume=True)
         assert not os.path.exists(orphan)
         assert [o.from_journal for o in outcomes] == [True, False]
@@ -487,15 +474,14 @@ class TestJournalCompaction:
         }
 
     def _preseed_superseded(self, journal, spec):
-        """A failed earlier attempt that a fresh record will shadow."""
+        """A failed earlier run that a fresh record will shadow."""
         with SweepJournal(journal) as handle:
-            handle.record(spec, self._failed(spec), attempts=1,
-                          elapsed_s=0.5,
+            handle.record(spec, self._failed(spec), elapsed_s=0.5,
                           failure_kind=FailureKind.TIMEOUT)
 
     def test_clean_completion_autocompacts(self, tmp_path):
         """On clean completion the executor compacts the journal:
-        superseded records (here a pre-seeded failed attempt) are
+        superseded records (here a pre-seeded failed run) are
         dropped, leaving one line per run."""
         journal = str(tmp_path / "journal.jsonl")
         specs = _specs(2)
@@ -560,11 +546,8 @@ class TestResume:
     def test_resume_redispatches_failed_runs(self, tmp_path):
         journal = str(tmp_path / "journal.jsonl")
         specs = _specs(1)
-        no_retry = ResilienceConfig(
-            run_timeout_s=None, retry=RetryPolicy(max_retries=0),
-        )
         [quarantined] = _run(specs, value_error_worker, journal,
-                             resilience=no_retry)
+                             resilience=ResilienceConfig())
         assert quarantined.result.error is not None
         [outcome] = SweepExecutor(
             resilience=FAST, journal_path=journal, resume=True,
@@ -665,6 +648,36 @@ class TestResilientRealRuns:
         assert [o.result for o in supervised] == [o.result for o in plain]
         assert supervised[0].result.error is None
 
+    def test_corrupt_cache_entries_recompute_bit_identically(self, tmp_path):
+        """A truncated and a garbled cache entry are moved to
+        ``.corrupt`` and recomputed to the clean sweep's results; a
+        killed store's orphaned ``.tmp.<pid>`` file is removed."""
+        cache_dir = str(tmp_path / "cache")
+        specs = [RunSpec(protocol, self.TINY, 1)
+                 for protocol in ("odmrp", "spp")]
+        baseline = SweepExecutor(jobs=1).execute(specs)
+        paths = []
+        for spec, outcome in zip(specs, baseline):
+            parallel.cache_store(cache_dir, spec.cache_key(), outcome.result)
+            paths.append(parallel._cache_path(cache_dir, spec.cache_key()))
+        with open(paths[0], "r", encoding="utf-8") as handle:
+            text = handle.read()
+        with open(paths[0], "w", encoding="utf-8") as handle:
+            handle.write(text[: len(text) // 2])
+        with open(paths[1], "w", encoding="utf-8") as handle:
+            handle.write("{not json")
+        orphan = paths[0] + ".tmp.99999"
+        with open(orphan, "w", encoding="utf-8") as handle:
+            handle.write('{"half": "written')
+        rebuilt = SweepExecutor(
+            jobs=2, use_cache=True, cache_dir=cache_dir,
+            journal_path=str(tmp_path / "journal.jsonl"),
+        ).execute(specs)
+        assert [o.result for o in rebuilt] == [o.result for o in baseline]
+        assert not any(o.from_cache for o in rebuilt)
+        assert all(os.path.exists(path + ".corrupt") for path in paths)
+        assert not os.path.exists(orphan)
+
     def test_run_experiment_routes_through_supervisor(self, tmp_path):
         from repro.experiments.runner import run_experiment
         from repro.experiments.spec import ExperimentSpec
@@ -673,7 +686,7 @@ class TestResilientRealRuns:
                               config=self.TINY)
         plain = run_experiment(spec)
         resilient = run_experiment(
-            dataclasses.replace(spec, run_timeout_s=120.0, max_retries=1),
+            dataclasses.replace(spec, run_timeout_s=120.0),
             journal_path=str(tmp_path / "journal.jsonl"),
         )
         assert resilient == plain
@@ -685,7 +698,7 @@ class TestSpecResilienceKnobs:
 
         spec = ExperimentSpec(
             name="resilient", protocols=("odmrp",), seeds=(1,),
-            run_timeout_s=300.0, max_retries=3,
+            run_timeout_s=300.0,
         )
         for text, loader in (
             (spec.to_json(), ExperimentSpec.from_json),
@@ -693,14 +706,12 @@ class TestSpecResilienceKnobs:
         ):
             loaded = loader(text)
             assert loaded.run_timeout_s == 300.0
-            assert loaded.max_retries == 3
 
     def test_unset_knobs_are_omitted_on_write(self):
         from repro.experiments.spec import ExperimentSpec
 
         data = ExperimentSpec(protocols=("odmrp",)).to_dict()
         assert "run_timeout_s" not in data
-        assert "max_retries" not in data
 
     def test_validate_rejects_bad_knobs(self):
         from repro.experiments.spec import ExperimentSpec, SpecError
@@ -708,15 +719,12 @@ class TestSpecResilienceKnobs:
         with pytest.raises(SpecError):
             ExperimentSpec(protocols=("odmrp",),
                            run_timeout_s=-1.0).validate()
-        with pytest.raises(SpecError):
-            ExperimentSpec(protocols=("odmrp",),
-                           max_retries=-2).validate()
 
     def test_describe_mentions_resilience(self):
         from repro.experiments.spec import ExperimentSpec
 
         text = ExperimentSpec(
-            protocols=("odmrp",), run_timeout_s=60.0, max_retries=2
+            protocols=("odmrp",), run_timeout_s=60.0
         ).describe()
         assert "resilience:" in text
         assert "run-timeout=60s" in text

@@ -118,14 +118,21 @@ class TestStrictness:
         message = str(excinfo.value)
         assert "dir:// backend was removed" in message
         assert "unknown key" not in message
-        for knob in ("jobs", "run_timeout_s", "max_retries", "--resume"):
+        for knob in ("jobs", "run_timeout_s", "--resume"):
             assert knob in message
+        assert "max_retries" not in message
 
     @pytest.mark.parametrize("path, value, removed", [
         (("mobility_models",), ["static", "random-waypoint"], "mobility"),
         (("config", "mobility"), {"model": "random-waypoint"}, "mobility"),
         (("config", "energy"), {"enabled": True}, "energy accounting"),
-    ], ids=["mobility_models", "config.mobility", "config.energy"])
+        (("max_retries",), 1, "in-sweep retry"),
+        (("config", "obstacles"), {"obstacles": [
+            {"x_min_m": 100.0, "y_min_m": 0.0,
+             "x_max_m": 120.0, "y_max_m": 10.0},
+        ]}, "obstacle shadowing"),
+    ], ids=["mobility_models", "config.mobility", "config.energy",
+            "max_retries", "config.obstacles"])
     @pytest.mark.parametrize("suffix", [".toml", ".json"])
     def test_retired_key_names_the_removal(
         self, tmp_path, path, value, removed, suffix
@@ -208,13 +215,8 @@ class TestStrictness:
         ({"faults": {"outages": [
             {"node_id": 99, "start_s": 12.0, "end_s": 14.0},
         ]}}, "node 99"),
-        ({"obstacles": {"obstacles": [
-            {"x_min_m": 2000.0, "y_min_m": 0.0,
-             "x_max_m": 2100.0, "y_max_m": 10.0},
-        ]}}, "outside"),
     ], ids=["negative-nodes", "float-nodes", "warmup-after-end",
-            "negative-warmup", "text-duration", "fault-on-missing-node",
-            "obstacle-outside-arena"])
+            "negative-warmup", "text-duration", "fault-on-missing-node"])
     def test_unrunnable_scenario_rejected(self, config, field):
         """A scenario every run of which would raise in its worker
         fails validation, so --dry-run and ``repro validate --spec``

@@ -413,25 +413,28 @@ class TestDifferentialOracle:
 
 
     def _planner_spec(self, **planner):
-        from repro.experiments.chaos import chaos_config
-
         return ExperimentSpec(
             name="oracle-planner", protocols=("odmrp", "spp"), seeds=(1, 2),
-            config=chaos_config(quick=True), **planner,
+            config=SimulationScenarioConfig(
+                num_nodes=6, area_width_m=400.0, area_height_m=400.0,
+                num_groups=1, members_per_group=3, duration_s=6.0,
+                warmup_s=2.0, topology_seed=1,
+            ),
+            **planner,
         )
 
     def test_oracle_writes_only_under_its_work_dir(
         self, tmp_path, monkeypatch
     ):
-        """A spec's own cache, timeout and retry settings would journal
-        and cache under the default cache dir; every path clears them."""
+        """A spec's own cache and timeout settings would journal and
+        cache under the default cache dir; every path clears them."""
         from repro.experiments.adaptive import AdaptiveConfig
 
         default_cache = tmp_path / "default-cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(default_cache))
         spec = dataclasses.replace(
             self._planner_spec(adaptive=AdaptiveConfig(max_seeds=2)),
-            use_cache=True, run_timeout_s=60.0, max_retries=1,
+            use_cache=True, run_timeout_s=60.0,
         )
         work_dir = tmp_path / "work"
         work_dir.mkdir()
