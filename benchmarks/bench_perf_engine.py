@@ -9,17 +9,15 @@ PRs has a recorded trajectory to compare against.  It measures:
 * **sweep meso** -- a fixed-seed multi-protocol sweep executed serially
   and through the parallel runner (``jobs=2``), asserting the two
   produce *bit-identical* ``RunResult`` lists before timing them.
-* **phy micro** -- one dense-mesh run under the scalar, compiled and
-  vectorized reception backends, asserting bit-identical results and
-  timing each (``scripts/bench_check.py`` gates on this row).
+* **phy micro** -- one dense-mesh run under the scalar and compiled
+  reception backends, asserting bit-identical results and timing each
+  (``scripts/bench_check.py`` gates on this row).
 * **phy crossover** -- host time per frame under each backend across
-  mesh sizes at the paper's density, plus the peak memory numpy's
-  import costs: the measurements behind ``VECTOR_MIN_NODES`` (where
-  ``phy_backend="auto"`` switches) and the evidence for replacing the
-  vectorized backend with the compiled kernel.  "compiled" is left out
-  of both rows where the kernel cannot be built.
+  mesh sizes at the paper's density: the evidence that the compiled
+  kernel ``phy_backend="auto"`` picks is the faster path at every size.
+  "compiled" is left out of both rows where the kernel cannot be built.
 * **macro flood** -- a 2,000-node JOIN QUERY flood at paper density:
-  the workload the spatial grid index and vectorized PHY exist for.
+  the workload the spatial grid index and the compiled PHY carry.
 * **paper run** -- the paper's own run, ODMRP and SPP on the 50-node
   mesh for 400 s (topology seed 1), each in a fresh interpreter: frames,
   wall time raw and corrected for core contention the way
@@ -74,9 +72,9 @@ MESO_CONFIG = SimulationScenarioConfig(
     warmup_s=8.0,
 )
 
-#: Dense mid-size mesh for the scalar-vs-vectorized micro comparison:
-#: 8x the paper's node density, so each transmission batches a few
-#: hundred audible receivers -- the regime the numpy path targets.
+#: Dense mid-size mesh for the scalar-vs-compiled micro comparison:
+#: 8x the paper's node density, so each transmission fans out to a few
+#: hundred audible receivers.
 PHY_MICRO_CONFIG = SimulationScenarioConfig(
     num_nodes=400,
     area_width_m=1000.0,
@@ -203,9 +201,9 @@ def bench_sweep_parallel_vs_serial() -> None:
 
 
 #: Reception backends the PHY rows time, where this interpreter can run
-#: them.  Vectorized first so the scalar pass cannot look better purely
+#: them.  Compiled first so the scalar pass cannot look better purely
 #: by running on a warmed-up allocator.
-TIMED_BACKENDS = ("vectorized", "compiled", "scalar")
+TIMED_BACKENDS = ("compiled", "scalar")
 
 
 def available_phy_backends() -> Tuple[str, ...]:
@@ -275,8 +273,8 @@ def phy_crossover_curve(
 
     Each (size, seed) runs under every available backend back to back,
     so they share a topology and a host state; the row keeps
-    per-backend medians and the medians of the paired scalar/vectorized
-    and scalar/compiled ratios (above 1 means the other path is faster).
+    per-backend medians and the median of the paired scalar/compiled
+    ratios (above 1 means the compiled path is faster).
     """
     import statistics
 
@@ -329,47 +327,15 @@ def phy_crossover_curve(
     return curve
 
 
-def numpy_import_rss_mb() -> float:
-    """Peak-memory cost of importing numpy, in a fresh interpreter.
-
-    The vectorized backend imports numpy and the scalar one does not,
-    so this is memory a run pays for switching backends.  Reads the
-    resident set from ``/proc`` (Linux): ``ru_maxrss`` would report the
-    high-water mark a forked child inherits from this larger process.
-    """
-    import subprocess
-    import sys
-
-    probe = (
-        "import os\n"
-        "def rss():\n"
-        "    with open('/proc/self/statm') as handle:\n"
-        "        return int(handle.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
-        "before = rss()\n"
-        "import numpy\n"
-        "print(rss() - before)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-    )
-    return int(out.stdout) / 2**20
-
-
 def bench_phy_crossover() -> None:
-    """Record the curve ``VECTOR_MIN_NODES`` is read from."""
-    from repro.net.channel import VECTOR_MIN_NODES
-
+    """Record the per-backend frame-time curve across mesh sizes."""
     curve = phy_crossover_curve()
-    import_mb = numpy_import_rss_mb()
     _write_report("phy_crossover", {
         "protocol": "odmrp",
         "density_nodes_per_km2": 50,
-        "vector_min_nodes": VECTOR_MIN_NODES,
-        "numpy_import_rss_mb": round(import_mb, 1),
         "curve": curve,
     })
-    print(f"\nphy crossover (numpy import: +{import_mb:.1f} MiB peak RSS; "
-          "us/frame per backend):")
+    print("\nphy crossover (us/frame per backend):")
     for point in curve:
         backends = ", ".join(
             f"{key[:-len('_us_per_frame')]} {value:.1f}"

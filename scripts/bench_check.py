@@ -11,12 +11,12 @@ Two always-on guards, each failing the script (exit 1) on violation:
    bit-identical to the serial baseline.
 2. **PHY backends** -- the dense-mesh micro benchmark from
    ``benchmarks/bench_perf_engine.py`` run once per reception backend
-   (scalar, compiled where the kernel builds, vectorized); every
-   backend's results must be bit-identical to the scalar ones, and the
-   vectorized wall time must not exceed the scalar wall time by more
-   than a tolerance (10% by default, for timer noise on loaded CI
-   hosts).  This is the gate that the numpy path stays an
-   optimization, not just an alternative.
+   (scalar, and compiled where the kernel builds); the compiled results
+   must be bit-identical to the scalar ones, and the compiled wall time
+   must not exceed the scalar wall time by more than a tolerance (10%
+   by default, for timer noise on loaded CI hosts).  This is the gate
+   that the kernel ``phy_backend="auto"`` picks stays an optimization,
+   not just an alternative.
 
 The oracle also runs on the same mini-sweep under pytest as the
 ``perfsmoke`` marker (``pytest -m perfsmoke``); it is deselected from the default
@@ -64,12 +64,18 @@ def check_phy_backends(tolerance: float) -> int:
                 file=sys.stderr,
             )
             return 1
-    wall_vectorized = runs["vectorized"][0]
-    budget = wall_scalar * (1.0 + tolerance)
-    if wall_vectorized > budget:
+    if "compiled" not in runs:
         print(
-            f"bench_check: FAIL ({elapsed:.1f}s) -- vectorized backend is "
-            f"slower than scalar: {wall_vectorized:.2f}s vs "
+            f"bench_check: OK ({elapsed:.1f}s) -- scalar only: the compiled "
+            "kernel cannot be built here, so there is nothing to gate"
+        )
+        return 0
+    wall_compiled = runs["compiled"][0]
+    budget = wall_scalar * (1.0 + tolerance)
+    if wall_compiled > budget:
+        print(
+            f"bench_check: FAIL ({elapsed:.1f}s) -- compiled backend is "
+            f"slower than scalar: {wall_compiled:.2f}s vs "
             f"{wall_scalar:.2f}s (budget {budget:.2f}s at "
             f"{tolerance:.0%} tolerance)",
             file=sys.stderr,
@@ -93,7 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("--skip-phy", action="store_true",
                         help="skip the PHY-backend micro gate")
     parser.add_argument("--phy-tolerance", type=float, default=0.10,
-                        help="allowed vectorized-over-scalar wall overrun "
+                        help="allowed compiled-over-scalar wall overrun "
                              "(fraction, default 0.10)")
     args = parser.parse_args(argv)
 

@@ -13,6 +13,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

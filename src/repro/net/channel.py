@@ -20,14 +20,14 @@ These paths keep large meshes and long runs fast without changing results:
   model can bound its reach analytically, turning the O(N^2) pairing
   into one exact power test per node inside each sender's reach.
 * ``begin_transmission`` draws a whole transmission's fading in one
-  call -- a numpy batch (:mod:`repro.phy.vectorized`) or the fading
-  model's pure-Python ``sample_link_gains`` -- both bit-identical to
-  one draw per receiver, then makes one pass over the receivers.  On
-  the scalar backend with correlated Rayleigh fading, a sender whose
-  links share one last-update time skips the call: each link's AR(1)
-  step is drawn inside that pass (``_fused_start``).  The backend is
-  chosen per channel -- never per sender, since mixing would
-  desynchronize the cloned RNG stream from the scalar one.
+  call to the fading model's ``sample_link_gains``, bit-identical to
+  one draw per receiver, then makes one pass over the receivers.  With
+  correlated Rayleigh fading, a sender whose links share one
+  last-update time -- or have none yet, on its first frame -- skips
+  the call: each link's AR(1) step is drawn inside that pass
+  (``_fused_start``), so only frames with a down receiver, and a
+  sender's first frame after a per-link call or a re-finalize, take
+  the call.
 * Per-node PHY state (power, on-air count, carrier sense, half duplex,
   sense threshold, MAC, pending receptions) lives in the channel's
   :class:`PhyLedger`, columns indexed by node id that every pass
@@ -35,13 +35,17 @@ These paths keep large meshes and long runs fast without changing results:
   row as views.
 * The "compiled" backend runs the fused frame-start pass and the
   frame-end withdrawal in C (:mod:`repro.phy.kernel`) over those
-  columns, operation for operation as the Python passes do; a sender's
-  first frame, the decisions and the deliveries stay in Python.
+  columns, with the results of the Python passes; the decisions and
+  the deliveries stay in Python.  "auto" compiles whenever the kernel
+  builds and the fused pass applies, else runs the Python passes
+  ("scalar").  The backend is chosen per channel, never per sender:
+  the kernel owns the ``phy.fading`` stream from its first draw.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import topology
@@ -59,32 +63,32 @@ from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.trace import CounterSet
 
-#: Node count from which ``phy_backend="auto"`` picks the vectorized
-#: reception path (results are bit-identical either way); below it
-#: "auto" picks the compiled kernel when it loads and the fused pass
-#: applies, else the scalar loop.  Read from the ``phy_crossover`` row
-#: of BENCH_perf.json: at the paper's density the scalar backend's
-#: fused frame-start pass ties numpy from 32 to 64 nodes (within about
-#: 10 % either way, run to run) and trails it by 6-14 % at 100, while
-#: importing numpy costs a run about 14 MiB (a third more peak memory
-#: on a 50-node run), which only wider fan-outs repay.
-VECTOR_MIN_NODES = 64
+PHY_BACKENDS = ("auto", "scalar", "compiled")
 
-PHY_BACKENDS = ("auto", "scalar", "compiled", "vectorized")
+#: Backends that no longer exist, each with the reason asking for one
+#: fails: running another backend silently would hide a stale config.
+RETIRED_PHY_BACKENDS = {
+    "vectorized": (
+        "the batched-sampler backend was removed; 'auto' now compiles "
+        "the PHY kernel wherever it builds, with bit-identical results"
+    ),
+}
+
+
+def retired_backend_error(backend: Any) -> Optional[str]:
+    """The message rejecting a removed ``backend``, or ``None``."""
+    reason = RETIRED_PHY_BACKENDS.get(str(backend))
+    if reason is None:
+        return None
+    return f"phy_backend {backend!r} is no longer supported: {reason}"
 
 
 def backend_unavailable(backend: str) -> Optional[str]:
     """Why ``backend`` cannot run in this interpreter, or ``None``.
 
-    "vectorized" needs numpy and "compiled" the kernel build; the
-    others always run.
+    "compiled" needs the kernel build; the others always run.
     """
-    if backend == "vectorized":
-        try:
-            import repro.phy.vectorized  # noqa: F401
-        except ImportError as exc:
-            return str(exc)
-    elif backend == "compiled":
+    if backend == "compiled":
         from repro.phy import kernel
 
         reason = kernel.unavailable_reason()
@@ -135,21 +139,16 @@ class _FanOut:
 
     Mirrors one ``_audible`` list in audible-list order, so element
     ``k`` of every column is receiver ``k``: the receivers, their ids
-    (the list object the scalar fading batch keys its link state on),
-    mean powers and decode thresholds.  On
-    the vectorized backend it also holds the mean powers as a numpy
-    array and the sampler's per-link fading state.
+    (the list object the correlated fading model keys its link row on),
+    mean powers and decode thresholds.
     """
 
-    __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr",
-                 "mean_array", "slot")
+    __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr")
 
     def __init__(self, audible: List[Tuple[Node, float, float]]) -> None:
         columns = tuple(zip(*audible)) or ((), (), ())
         self.receivers, self.mean_mw, self.rx_thr = map(list, columns)
         self.receiver_ids = [receiver.node_id for receiver in self.receivers]
-        self.mean_array = None
-        self.slot = None
 
 
 class PhyLedger:
@@ -206,6 +205,11 @@ class PhyLedger:
 class WirelessChannel:
     """Shared medium connecting a set of static nodes."""
 
+    #: No backend batches fading through a sampler object any more; the
+    #: attribute stays for ``benchmarks/e2e/ledger.py``, whose ``--trace``
+    #: mode reads it to wrap such a sampler's ``gains`` when present.
+    _vector_sampler = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -216,7 +220,8 @@ class WirelessChannel:
     ) -> None:
         if phy_backend not in PHY_BACKENDS:
             raise ChannelError(
-                f"unknown phy_backend {phy_backend!r}; "
+                retired_backend_error(phy_backend)
+                or f"unknown phy_backend {phy_backend!r}; "
                 f"expected one of {PHY_BACKENDS}"
             )
         self.sim = sim
@@ -225,8 +230,7 @@ class WirelessChannel:
         self.audible_margin_linear = 10.0 ** (audible_margin_db / 10.0)
         #: Requested reception backend ("auto" resolves at finalize).
         self.phy_backend = phy_backend
-        #: What finalize() actually picked: "scalar", "compiled" or
-        #: "vectorized".
+        #: What finalize() actually picked: "scalar" or "compiled".
         self.phy_backend_resolved: Optional[str] = None
         #: Per-node PHY state; ``nodes`` is its node column.
         self.ledger = PhyLedger()
@@ -252,33 +256,19 @@ class WirelessChannel:
         #: can be skipped entirely in ``begin_transmission``.
         self._deterministic_power = False
         #: True when ``_sampled_power`` is the base implementation, so
-        #: the scalar loop may call the fading model directly and the
-        #: vectorized backend may replicate it with batched samplers.
+        #: the frame start may call the fading model's batch directly.
         self._inline_fading = False
-        #: The scalar backend's correlated-Rayleigh model when its AR(1)
-        #: update may be drawn inside the frame-start pass (see
+        #: The correlated-Rayleigh model when its AR(1) update may be
+        #: drawn inside the frame-start pass (see
         #: ``CorrelatedRayleighFading.uniform_row``), else ``None``.
         self._fused_fading: Optional[CorrelatedRayleighFading] = None
         #: The compiled kernel module once this channel resolved
         #: "compiled" (it then owns ``_fading_rng``), else ``None``.
         self._kernel = None
         #: Count of nodes with the radio administratively down
-        #: (maintained via :meth:`note_active_change`), so the batched
-        #: path skips building an active-subset mask when all are up.
+        #: (maintained via :meth:`note_active_change`), so the frame
+        #: start skips building an active subset when all are up.
         self._inactive_nodes = 0
-        #: Vectorized-backend state; populated by finalize() when the
-        #: resolved backend is "vectorized".
-        self._vectorized = False
-        self._vector_sampler = None
-        self._np = None
-        #: Per-link fading state archive for the vectorized backend:
-        #: sender id -> receiver id -> dumped sampler state.  The scalar
-        #: CorrelatedRayleighFading keeps every link's AR(1) state in a
-        #: dict it never prunes, so a link that leaves audibility and
-        #: later returns resumes its old state; this archive gives the
-        #: batched path the same memory so both backends stay
-        #: bit-identical across a re-finalize that changes audibility.
-        self._vector_state_archive: Dict[int, Dict[int, tuple]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -294,11 +284,11 @@ class WirelessChannel:
 
         Re-running ``finalize()`` is the only legal way to change the
         topology; it invalidates every derived cache (audibility lists,
-        the memoized connectivity map, the vectorized backend's
-        per-sender arrays -- whose per-link fading state is migrated by
-        receiver id, exactly as the scalar model's keyed dict survives a
-        re-finalize).  Transmissions already in flight are untouched:
-        their power contributions were recorded at start time.
+        fan-outs, the memoized connectivity map).  The fading model
+        keeps each link's state by receiver id, so a link resumes its
+        process across a re-finalize.  Transmissions already in flight
+        are untouched: their power contributions were recorded at start
+        time.
 
         On meshes of :data:`~repro.net.topology.GRID_AUTO_NODES` or
         more, the O(N^2) pairing scan is pruned through a throwaway
@@ -340,15 +330,10 @@ class WirelessChannel:
                         (receiver, mean_mw, receiver.params.rx_threshold_mw)
                     )
             self._audible[sender.node_id] = audible
-        previous = self._fanout
         self._fanout = {
             sender_id: _FanOut(audible)
             for sender_id, audible in self._audible.items()
         }
-        if self._vectorized:
-            # The new fan-outs take over the old ones' per-link fading
-            # state (see _attach_vector_state).
-            self._attach_vector_state(previous)
         self._connectivity_cache = None
         base_sampled_power = (
             type(self)._sampled_power is WirelessChannel._sampled_power
@@ -364,9 +349,7 @@ class WirelessChannel:
             self.fading, CorrelatedRayleighFading
         )
         self._resolve_backend(fusable)
-        self._fused_fading = (
-            self.fading if fusable and not self._vectorized else None
-        )
+        self._fused_fading = self.fading if fusable else None
         self._finalized = True
 
     def _max_audible_range_m(self) -> Optional[float]:
@@ -392,87 +375,25 @@ class WirelessChannel:
         )
 
     def _resolve_backend(self, fusable: bool) -> None:
-        """Pick scalar, compiled or vectorized reception for this channel.
+        """Pick compiled or scalar reception for this channel.
 
-        Below :data:`VECTOR_MIN_NODES` nodes "auto" compiles when the
-        kernel loads and the fused pass applies (``fusable``: correlated
-        Rayleigh fading through the base ``_sampled_power``), else stays
-        scalar.  "compiled" demands the kernel and raises with the
-        reason when it cannot load; it runs any channel, since frames
-        the fused pass cannot take go through the Python batch path on
-        the kernel's stream.
-
-        From :data:`VECTOR_MIN_NODES` nodes "auto" vectorizes when numpy
-        imports, no subclass replaced ``_sampled_power``, and the fading
-        model has a bit-identical batched sampler; anything else falls
-        back to the scalar loop.  "vectorized" demands it and raises with
-        the reason when impossible -- except for deterministic (NoFading)
-        channels, where the sample-free scalar loop *is* the batch
-        (there is nothing stochastic to vectorize) and is reported as
-        resolved "scalar".
-
-        The decision is per channel, never per sender: the kernel and
-        the sampler each own a clone of the ``phy.fading`` uniform
-        stream, and mixing scalar draws into the original stream would
-        desynchronize the two.
+        "auto" compiles when the kernel loads and the fused pass applies
+        (``fusable``: correlated Rayleigh fading through the base
+        ``_sampled_power``), else stays scalar.  "compiled" demands the
+        kernel and raises with the reason when it cannot load; it runs
+        any channel, since frames the fused pass cannot take go through
+        the Python batch path on the kernel's stream.  A channel that
+        compiled once keeps its kernel's stream: the decision is per
+        channel, never per sender.
         """
         requested = self.phy_backend
-        wants_kernel = requested == "compiled" or (
-            requested == "auto" and fusable
-            and len(self.nodes) < VECTOR_MIN_NODES
-        )
-        if wants_kernel and self._kernel is None:
+        if self._kernel is None and (
+            requested == "compiled" or (requested == "auto" and fusable)
+        ):
             self._use_compiled(required=requested == "compiled")
-        if self._kernel is not None:
-            # A channel that compiled once keeps its kernel's stream.
-            self.phy_backend_resolved = "compiled"
-            return
-        forced = requested == "vectorized"
-        if requested == "scalar" or self._deterministic_power:
-            self._use_scalar()
-            return
-        if requested == "auto" and len(self.nodes) < VECTOR_MIN_NODES:
-            self._use_scalar()
-            return
-        if not self._inline_fading:
-            if forced:
-                raise ChannelError(
-                    f"phy_backend='vectorized' but {type(self).__name__} "
-                    "overrides _sampled_power; the batched path cannot "
-                    "replicate a custom power model bit-for-bit"
-                )
-            self._use_scalar()
-            return
-        try:
-            from repro.phy import vectorized
-        except ImportError:
-            if forced:
-                raise
-            self._use_scalar()
-            return
-        if self._vector_sampler is None:
-            sampler = vectorized.build_sampler(self.fading, self._fading_rng)
-            if sampler is None:
-                if forced:
-                    raise ChannelError(
-                        f"phy_backend='vectorized' but fading model "
-                        f"{type(self.fading).__name__} has no bit-identical "
-                        "batched sampler; use 'auto' or 'scalar'"
-                    )
-                self._use_scalar()
-                return
-            # The sampler clones the python stream's MT state; from here
-            # on this channel must never draw from _fading_rng directly.
-            self._vector_sampler = sampler
-            self._np = vectorized.np
-        if not self._vectorized:
-            self._vectorized = True
-            self._attach_vector_state({})
-        self.phy_backend_resolved = "vectorized"
-
-    def _use_scalar(self) -> None:
-        self.phy_backend_resolved = "scalar"
-        self._vectorized = False
+        self.phy_backend_resolved = (
+            "scalar" if self._kernel is None else "compiled"
+        )
 
     def _use_compiled(self, required: bool) -> None:
         """Hand the ``phy.fading`` stream to the compiled kernel.
@@ -492,38 +413,6 @@ class WirelessChannel:
         self._fading_rng = kernel.KernelRandom.continuing(self._fading_rng)
         self.sim.rng.replace("phy.fading", self._fading_rng)
         self._kernel = kernel.load()
-
-    def _attach_vector_state(self, previous: Dict[int, _FanOut]) -> None:
-        """Give every fan-out its batch arrays, migrating fading state.
-
-        State flows through ``_vector_state_archive``: every slot of the
-        ``previous`` fan-outs is dumped into the archive first (fresher
-        slot state overwrites older archive entries), then each new slot
-        loads whatever the archive holds for its receiver ids.  Links
-        absent from the new audible list keep their archived state, so a
-        re-finalize that changes audibility preserves exactly the link
-        memory the scalar model's never-pruned ``(sender, receiver)``
-        dict would.
-        """
-        np = self._np
-        sampler = self._vector_sampler
-        archive = self._vector_state_archive
-        for sender_id, old in previous.items():
-            saved = archive.setdefault(sender_id, {})
-            for rid, state in zip(
-                old.receiver_ids, sampler.dump_state(old.slot)
-            ):
-                if state is not None:
-                    saved[rid] = state
-        for sender_id, fan in self._fanout.items():
-            fan.mean_array = np.array(fan.mean_mw)
-            fan.slot = sampler.new_slot(len(fan.receivers))
-            saved = archive.get(sender_id)
-            if saved:
-                for position, rid in enumerate(fan.receiver_ids):
-                    state = saved.get(rid)
-                    if state is not None:
-                        sampler.load_state(fan.slot, position, state)
 
     @property
     def transmissions_in_flight(self) -> int:
@@ -630,8 +519,7 @@ class WirelessChannel:
             else:
                 self._fused_start(tx, receiver_ids, means, thresholds, row)
         else:
-            self._batched_start(tx, fan, sel, receiver_ids, means,
-                                thresholds)
+            self._batched_start(tx, receiver_ids, means, thresholds)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
         )
@@ -651,16 +539,18 @@ class WirelessChannel:
         receiver_ids: List[int],
         means: List[float],
         thresholds: List[float],
-        row: Tuple[List[list], float, float],
+        row: Tuple[array, float, float],
     ) -> None:
         """The frame start with each link's AR(1) step drawn in the pass.
 
         ``row`` is ``CorrelatedRayleighFading.uniform_row``'s: every
         link shares one ``rho``/innovation, so each receiver costs two
-        ``random()`` draws and the batch loop's exact update.  Nothing
-        in the bookkeeping draws from ``phy.fading`` (a MAC's backoff
-        draws from ``mac.backoff``), so interleaving the draws with it
-        consumes the stream exactly as one batch before the pass would.
+        ``random()`` draws and the batch loop's exact update of its
+        ``(t, re, im)`` triple.  Nothing in the bookkeeping draws from
+        ``phy.fading`` (a MAC's backoff draws from ``mac.backoff``), so
+        interleaving the draws with it consumes the stream exactly as
+        one batch before the pass would -- and as the kernel's
+        ``frame_start``, which draws every link before its bookkeeping.
         """
         states, rho, innovation = row
         ledger = self.ledger
@@ -683,16 +573,18 @@ class WirelessChannel:
         silenced = None
         powers_append = tx.powers.append
         decoding_append = tx.decoding.append
-        for rid, mean_mw, threshold, state in zip(
-            receiver_ids, means, thresholds, states
-        ):
+        i = 0
+        for rid, mean_mw, threshold in zip(receiver_ids, means, thresholds):
             x2pi = random_() * twopi
             g2rad = sqrt(-2.0 * log(1.0 - random_()))
-            real = rho * state[1] + (0.0 + (cos(x2pi) * g2rad) * innovation)
-            imag = rho * state[2] + (0.0 + (sin(x2pi) * g2rad) * innovation)
-            state[0] = now
-            state[1] = real
-            state[2] = imag
+            real = rho * states[i + 1] + (
+                0.0 + (cos(x2pi) * g2rad) * innovation)
+            imag = rho * states[i + 2] + (
+                0.0 + (sin(x2pi) * g2rad) * innovation)
+            states[i] = now
+            states[i + 1] = real
+            states[i + 2] = imag
+            i += 3
             power_mw = mean_mw * (real * real + imag * imag)
             if power_mw <= 0.0:
                 # Not touched, as in the batched pass's filter.
@@ -730,8 +622,6 @@ class WirelessChannel:
     def _batched_start(
         self,
         tx: Transmission,
-        fan: _FanOut,
-        sel: Optional[List[int]],
         receiver_ids: List[int],
         means: List[float],
         thresholds: List[float],
@@ -741,17 +631,6 @@ class WirelessChannel:
         end_time = tx.end_time
         if not receiver_ids or self._deterministic_power:
             powers = means
-        elif self._vectorized:
-            # tolist() hands back plain Python floats, so power ledgers
-            # and telemetry never see numpy scalars.
-            gains = self._vector_sampler.gains(
-                fan.slot, len(fan.receivers), sel, now
-            )
-            if sel is None:
-                powers = (fan.mean_array * gains).tolist()
-            else:
-                index = self._np.asarray(sel, dtype=self._np.intp)
-                powers = (fan.mean_array[index] * gains).tolist()
         elif self._inline_fading:
             gains = self.fading.sample_link_gains(
                 tx.sender_id, receiver_ids, now, self._fading_rng

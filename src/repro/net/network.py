@@ -12,7 +12,11 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.mac.csma import CsmaMac, MacConfig
-from repro.net.channel import PHY_BACKENDS, WirelessChannel
+from repro.net.channel import (
+    PHY_BACKENDS,
+    WirelessChannel,
+    retired_backend_error,
+)
 from repro.net.node import Node
 from repro.net.topology import Position
 from repro.phy.fading import FadingModel, RayleighFading
@@ -41,12 +45,10 @@ class NetworkConfig:
     #: min-hop baseline collapses and the metrics' relative gains come
     #: out ~2x the paper's.  10 s reproduces the paper's gain magnitudes.
     fading_coherence_time_s: float = 10.0
-    #: Reception backend, bit-identical whichever runs: "auto" batches
-    #: fading with numpy from 64 nodes and, below that, runs the
-    #: frame-start pass in the compiled kernel when it builds and the
-    #: fading is correlated Rayleigh, else in pure Python;
-    #: "scalar"/"compiled"/"vectorized" force a path (see
-    #: repro.net.channel).
+    #: Reception backend, bit-identical whichever runs: "auto" runs the
+    #: frame passes in the compiled kernel when it builds and the fading
+    #: is correlated Rayleigh, else in pure Python; "scalar"/"compiled"
+    #: force a path (see repro.net.channel).
     phy_backend: str = "auto"
     propagation: Optional[PropagationModel] = None
     fading: Optional[FadingModel] = None
@@ -58,6 +60,9 @@ class NetworkConfig:
         if self.phy_backend not in PHY_BACKENDS:
             import difflib
 
+            retired = retired_backend_error(self.phy_backend)
+            if retired is not None:
+                raise ValueError(retired)
             message = (
                 f"unknown phy_backend {self.phy_backend!r}; expected one "
                 f"of {PHY_BACKENDS}"

@@ -8,12 +8,16 @@
  * receiver, the peak interference of its pending receptions raised,
  * idle -> busy carrier-sense flips passed to a waiting MAC, decode
  * starts; at the frame's end its power withdrawn and busy -> idle flips
- * passed on.
+ * passed on.  A sender's first frame takes the same pass: its zeroed
+ * link states with rho 0 and innovation sqrt(0.5) make each step a
+ * fresh link's draw.
  *
  * Per-node state is the channel's PhyLedger: plain lists indexed by
  * node id (power, on-air count, sensed-busy, transmitting, sense
  * threshold, MAC, pending-reception dict, node), read and written with
- * PyList_GET_ITEM/PyList_SetItem.  Python is called only where the
+ * PyList_GET_ITEM/PyList_SetItem.  Per-link fading state is the fading
+ * model's array('d') of (time, real, imag) triples, written as doubles
+ * through the buffer protocol.  Python is called only where the
  * Python pass calls it: the MAC's on_medium_state on a flip it awaits,
  * the Reception constructor on a decode start.  Receptions are still
  * reached through attribute access.  A callback may run arbitrary
@@ -476,9 +480,15 @@ done:
  *             innovation, reception_type, ledger_columns)
  *
  * The fused frame start: `states`, `rho` and `innovation` are
- * CorrelatedRayleighFading.uniform_row's.  Appends to tx.powers and
- * tx.decoding and sets tx.touched -- to `receiver_ids` itself when no
- * receiver was silenced -- as WirelessChannel._fused_start does.
+ * CorrelatedRayleighFading.uniform_row's, `states` an array('d') of
+ * (time, real, imag) triples in receiver order.  Appends to tx.powers
+ * and tx.decoding and sets tx.touched -- to `receiver_ids` itself when
+ * no receiver was silenced -- as WirelessChannel._fused_start does.
+ *
+ * Every link's AR(1) step is drawn first, straight into the states'
+ * buffer, which is released before the receiver bookkeeping calls any
+ * Python.  The bookkeeping never draws from the stream, so this
+ * consumes it exactly as the Python pass, which interleaves the two.
  */
 static PyObject *
 frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -498,7 +508,6 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Ledger ledger;
     if (check_list(ids, "receiver_ids") < 0 || check_list(means, "means") < 0
         || check_list(thresholds, "thresholds") < 0
-        || check_list(states, "states") < 0
         || unpack_ledger(args[9], &ledger) < 0) {
         return NULL;
     }
@@ -510,7 +519,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
     PyObject *now = NULL, *end_time = NULL, *powers = NULL, *decoding = NULL,
              *touched = NULL, *result = NULL;
-    char *silenced = NULL;
+    double *power = NULL;
     int any_silenced = 0;
     now = PyObject_GetAttr(tx, s_start_time);
     end_time = now ? PyObject_GetAttr(tx, s_end_time) : NULL;
@@ -520,69 +529,77 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         || check_list(decoding, "tx.decoding") < 0) {
         goto done;
     }
+    double now_value = PyFloat_AsDouble(now);
+    if (now_value == -1.0 && PyErr_Occurred()) {
+        goto done;
+    }
 
+    Py_buffer view;
+    if (PyObject_GetBuffer(states, &view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
+        goto done;
+    }
+    if (view.itemsize != sizeof(double) || view.format == NULL
+        || strcmp(view.format, "d") != 0) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_TypeError,
+                        "link states must be an array('d') of "
+                        "(time, real, imag) triples");
+        goto done;
+    }
     Py_ssize_t n = PyList_GET_SIZE(ids);
     n = Py_MIN(n, PyList_GET_SIZE(means));
     n = Py_MIN(n, PyList_GET_SIZE(thresholds));
-    n = Py_MIN(n, PyList_GET_SIZE(states));
-    silenced = PyMem_Calloc(n ? n : 1, 1);
-    if (silenced == NULL) {
+    n = Py_MIN(n, view.len / (Py_ssize_t)(3 * sizeof(double)));
+    power = PyMem_Malloc((n ? n : 1) * sizeof(double));
+    if (power == NULL) {
+        PyBuffer_Release(&view);
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        /* A callback may have shortened a list, as zip() would notice. */
-        if (k >= PyList_GET_SIZE(ids) || k >= PyList_GET_SIZE(means)
-            || k >= PyList_GET_SIZE(thresholds)
-            || k >= PyList_GET_SIZE(states)) {
-            break;
-        }
-        PyObject *state = PyList_GET_ITEM(states, k);
-        if (!PyList_Check(state) || PyList_GET_SIZE(state) != 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "a link state must be a [time, real, imag] list");
-            goto done;
-        }
+    double *link = view.buf;
+    for (Py_ssize_t k = 0; k < n; k++, link += 3) {
         double mean = list_double(means, k);
-        double threshold = list_double(thresholds, k);
-        double old_real = list_double(state, 1);
-        double old_imag = list_double(state, 2);
-        if (PyErr_Occurred()) {
-            goto done;
+        if (mean == -1.0 && PyErr_Occurred()) {
+            break;
         }
         /* CorrelatedRayleighFading's AR(1) step: random.gauss's
          * Box-Muller pair, both halves, scaled by the innovation. */
         double x2pi = genrand_double(stream) * TWOPI;
         double g2rad = sqrt(-2.0 * log(1.0 - genrand_double(stream)));
-        double real = rho * old_real + (0.0 + (cos(x2pi) * g2rad) * innovation);
-        double imag = rho * old_imag + (0.0 + (sin(x2pi) * g2rad) * innovation);
-        PyObject *real_obj = PyFloat_FromDouble(real);
-        PyObject *imag_obj = PyFloat_FromDouble(imag);
-        if (real_obj == NULL || imag_obj == NULL) {
-            Py_XDECREF(real_obj);
-            Py_XDECREF(imag_obj);
-            goto done;
-        }
-        Py_INCREF(now);
-        PyList_SetItem(state, 0, now);
-        PyList_SetItem(state, 1, real_obj);
-        PyList_SetItem(state, 2, imag_obj);
+        double real = rho * link[1] + (0.0 + (cos(x2pi) * g2rad) * innovation);
+        double imag = rho * link[2] + (0.0 + (sin(x2pi) * g2rad) * innovation);
+        link[0] = now_value;
+        link[1] = real;
+        link[2] = imag;
+        power[k] = mean * (real * real + imag * imag);
+    }
+    PyBuffer_Release(&view);
+    if (PyErr_Occurred()) {
+        goto done;
+    }
 
-        double power = mean * (real * real + imag * imag);
-        if (power <= 0.0) {
+    for (Py_ssize_t k = 0; k < n; k++) {
+        /* A callback may have shortened a list, as zip() would notice. */
+        if (k >= PyList_GET_SIZE(ids) || k >= PyList_GET_SIZE(thresholds)) {
+            break;
+        }
+        if (power[k] <= 0.0) {
             /* Not touched, as in the batched pass's filter. */
-            silenced[k] = 1;
             any_silenced = 1;
             continue;
         }
-        PyObject *power_obj = PyFloat_FromDouble(power);
+        double threshold = list_double(thresholds, k);
+        if (threshold == -1.0 && PyErr_Occurred()) {
+            goto done;
+        }
+        PyObject *power_obj = PyFloat_FromDouble(power[k]);
         if (power_obj == NULL) {
             goto done;
         }
         PyObject *id_obj = Py_NewRef(PyList_GET_ITEM(ids, k));
         int status = PyList_Append(powers, power_obj);
         if (status == 0) {
-            status = start_receiver(&ledger, tx, id_obj, power_obj, power,
+            status = start_receiver(&ledger, tx, id_obj, power_obj, power[k],
                                     threshold, now, end_time, reception_type,
                                     decoding);
         }
@@ -601,7 +618,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
         for (Py_ssize_t k = 0; k < PyList_GET_SIZE(ids); k++) {
-            if (k < n && silenced[k]) {
+            if (k < n && power[k] <= 0.0) {
                 continue;
             }
             if (PyList_Append(touched, PyList_GET_ITEM(ids, k)) < 0) {
@@ -614,7 +631,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     result = Py_NewRef(Py_None);
 done:
-    PyMem_Free(silenced);
+    PyMem_Free(power);
     Py_XDECREF(touched);
     Py_XDECREF(decoding);
     Py_XDECREF(powers);

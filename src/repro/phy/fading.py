@@ -16,10 +16,11 @@ override it with a loop that inlines ``random.Random``'s own formulas
 (``expovariate``, the Box-Muller pair behind ``gauss``) so the batch
 returns exactly the floats, and consumes exactly the stream, that one
 :meth:`~FadingModel.sample_link_gain` call per link would.  For
-:class:`CorrelatedRayleighFading` the scalar channel goes one step
-further: while a sender's links share one last-update time,
-:meth:`CorrelatedRayleighFading.uniform_row` hands it the link states so
-it draws each AR(1) step inside its own receiver pass.
+:class:`CorrelatedRayleighFading` the channel goes one step further:
+while a sender's links share one last-update time, or none has been
+sampled yet, :meth:`CorrelatedRayleighFading.uniform_row` hands it the
+link states so it draws each AR(1) step inside its own receiver pass
+(in Python or in the compiled kernel).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 TWOPI = 2.0 * math.pi  # random.gauss's angle scale
@@ -130,6 +132,37 @@ class RicianFading(FadingModel):
         return real * real + imag * imag
 
 
+#: The state of a link with no fading sample yet: a NaN time (and a
+#: zero channel gain).  A sender's row of links starts as this triple
+#: repeated.
+_FRESH_LINK = array("d", (math.nan, 0.0, 0.0))
+
+
+class _LinkRow:
+    """One sender's per-link AR(1) state, as ``(t, re, im)`` triples.
+
+    ``state`` holds three doubles per link, in slot order.  When ``key``
+    is a receiver-id list (the channel's fan-out list, compared by
+    identity), slot ``k < len(key)`` is link ``(sender, key[k])``; links
+    sampled only through other calls follow, in first-sample order.
+    ``rids`` names every slot (a fresh keyed row shares ``key`` itself
+    until a link beyond it is added), and ``index`` maps a receiver id
+    to its slot, built on the first call that needs it.  ``time`` is
+    the one last-update time shared by every keyed slot, NaN when none
+    of them has state yet, or ``None`` when neither is known to hold.
+    """
+
+    __slots__ = ("key", "rids", "state", "index", "time")
+
+    def __init__(self, key: Optional[Sequence[int]], rids: Sequence[int],
+                 state: array, time: Optional[float]) -> None:
+        self.key = key
+        self.rids = rids
+        self.state = state
+        self.index: Optional[Dict[int, int]] = None
+        self.time = time
+
+
 class CorrelatedRayleighFading(FadingModel):
     """Rayleigh fading with temporal correlation per link (Gauss-Markov).
 
@@ -145,6 +178,15 @@ class CorrelatedRayleighFading(FadingModel):
     long links (they work for whole bursts when the channel is up); with
     i.i.d. per-packet fading the same links fail memorylessly and the
     baseline collapses, exaggerating the metrics' relative gains.
+
+    Each sender's links live in one flat ``array('d')`` of ``(t, re,
+    im)`` triples (:class:`_LinkRow`), so a 2,000-node mesh's 178k links
+    cost three doubles each.  Every entry point reads and writes the
+    same triples: :meth:`sample_link_gain` for one link,
+    :meth:`sample_link_gains` for a list of them, :meth:`uniform_row` for
+    the channel's fused pass.  A link never leaves its sender's row, so
+    one that stops being sampled (a down receiver, a re-finalize that
+    drops it) resumes its process when it returns.
     """
 
     def __init__(self, coherence_time_s: float = 1.0) -> None:
@@ -153,42 +195,58 @@ class CorrelatedRayleighFading(FadingModel):
                 f"coherence time must be positive, got {coherence_time_s}"
             )
         self.coherence_time_s = coherence_time_s
-        # link_key -> [last_update_time, h_real, h_imag]; a mutable list
-        # updated in place, so the per-packet hot path allocates nothing
-        # and writes the dict only on a link's first sample.
-        self._state: dict = {}
-        # sender id -> (receiver id list, that list's state entries): the
-        # batch path's view of ``_state``, holding the very same mutable
-        # lists, reused while the channel passes the same list object.
-        self._rows: Dict[int, Tuple[Sequence[int], List[Optional[list]]]] = {}
-        # sender id -> the one time every link of its cached row was
-        # last updated at: set by each full-row update (a rebuilt row
-        # is fully updated before it is used), dropped by any per-link
-        # call for that sender.
-        self._row_time: Dict[int, float] = {}
+        #: sender id -> that sender's links.
+        self._links: Dict[int, _LinkRow] = {}
         self._sigma = math.sqrt(0.5)  # per-component: E[|h|^2] = 1
 
     def sample_power_gain(self, rng: random.Random) -> float:
         """Marginal draw (used when no link identity is available)."""
         return rng.expovariate(1.0)
 
+    def _row(self, sender_id: int) -> _LinkRow:
+        row = self._links.get(sender_id)
+        if row is None:
+            row = self._links[sender_id] = _LinkRow(None, [], array("d"), None)
+        return row
+
+    @staticmethod
+    def _slot(row: _LinkRow, rid: int) -> int:
+        """The slot of link ``rid`` in ``row``, appending a fresh one."""
+        index = row.index
+        if index is None:
+            index = row.index = {r: k for k, r in enumerate(row.rids)}
+        slot = index.get(rid)
+        if slot is None:
+            if row.rids is row.key:
+                row.rids = list(row.key)
+            slot = index[rid] = len(row.rids)
+            row.rids.append(rid)
+            row.state.extend(_FRESH_LINK)
+        return slot
+
     def sample_link_gain(
         self, link_key: tuple, now: float, rng: random.Random
     ) -> float:
-        self._row_time.pop(link_key[0], None)
-        state = self._state.get(link_key)
-        if state is None:
+        """One AR(1) step of link ``link_key = (sender id, receiver id)``."""
+        sender_id, rid = link_key
+        row = self._row(sender_id)
+        slot = self._slot(row, rid)
+        if row.key is not None and slot < len(row.key):
+            row.time = None
+        state = row.state
+        i = 3 * slot
+        t = state[i]
+        if t != t:  # no state yet
             sigma = self._sigma
             gauss = rng.gauss
             real = gauss(0.0, sigma)
             imag = gauss(0.0, sigma)
-            self._state[link_key] = [now, real, imag]
         else:
-            dt = now - state[0]
+            dt = now - t
             rho = math.exp(-dt / self.coherence_time_s)
             innovation = self._sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
-            real = state[1]
-            imag = state[2]
+            real = state[i + 1]
+            imag = state[i + 2]
             if innovation:
                 gauss = rng.gauss
                 real = rho * real + gauss(0.0, innovation)
@@ -196,9 +254,9 @@ class CorrelatedRayleighFading(FadingModel):
             else:
                 real = rho * real
                 imag = rho * imag
-            state[0] = now
-            state[1] = real
-            state[2] = imag
+        state[i] = now
+        state[i + 1] = real
+        state[i + 2] = imag
         return real * real + imag * imag
 
     def sample_link_gains(self, sender_id, receiver_ids, now, rng):
@@ -207,17 +265,21 @@ class CorrelatedRayleighFading(FadingModel):
         Each ``gauss(0.0, s)`` pair is the Box-Muller pair ``0.0 +
         z * s`` drawn from two ``random()`` calls, and links whose last
         update shares a time share one ``rho``/innovation (the same
-        ``exp``/``sqrt`` of the same doubles).
+        ``exp``/``sqrt`` of the same doubles).  ``receiver_ids`` holds
+        distinct ids: the row's key list updates its keyed slots in
+        order, any other list (a subset, say) finds its slots by id.
         """
         if not self._batch_is_exact(CorrelatedRayleighFading, rng):
             return super().sample_link_gains(sender_id, receiver_ids, now, rng)
-        row = self._rows.get(sender_id)
-        if row is not None and row[0] is receiver_ids:
-            states = row[1]
+        row = self._row(sender_id)
+        if row.key is receiver_ids:
+            slots = range(len(receiver_ids))
+            row.time = now
         else:
-            lookup = self._state.get
-            states = [lookup((sender_id, rid)) for rid in receiver_ids]
-            self._rows[sender_id] = (receiver_ids, states)
+            slot = self._slot
+            slots = [slot(row, rid) for rid in receiver_ids]
+            row.time = None
+        state = row.state
         random_ = rng.random
         log = math.log
         sqrt = math.sqrt
@@ -230,40 +292,66 @@ class CorrelatedRayleighFading(FadingModel):
         append = gains.append
         last_t = None
         rho = innovation = 0.0
-        for k, state in enumerate(states):
-            if state is None:
-                # Not sampled when the row was cached; the per-link path
-                # may have started the link since.
-                key = (sender_id, receiver_ids[k])
-                state = states[k] = self._state.get(key)
-                if state is None:
-                    x2pi = random_() * TWOPI
-                    g2rad = sqrt(-2.0 * log(1.0 - random_()))
-                    real = 0.0 + (cos(x2pi) * g2rad) * sigma
-                    imag = 0.0 + (sin(x2pi) * g2rad) * sigma
-                    states[k] = self._state[key] = [now, real, imag]
-                    append(real * real + imag * imag)
-                    continue
-            t = state[0]
-            if t != last_t:
-                last_t = t
-                dt = now - t
-                rho = exp(-dt / coherence)
-                innovation = sigma * sqrt(max(0.0, 1.0 - rho * rho))
-            if innovation:
+        for k in slots:
+            i = 3 * k
+            t = state[i]
+            if t != t:  # no state yet
                 x2pi = random_() * TWOPI
                 g2rad = sqrt(-2.0 * log(1.0 - random_()))
-                real = rho * state[1] + (0.0 + (cos(x2pi) * g2rad) * innovation)
-                imag = rho * state[2] + (0.0 + (sin(x2pi) * g2rad) * innovation)
+                real = 0.0 + (cos(x2pi) * g2rad) * sigma
+                imag = 0.0 + (sin(x2pi) * g2rad) * sigma
             else:
-                real = rho * state[1]
-                imag = rho * state[2]
-            state[0] = now
-            state[1] = real
-            state[2] = imag
+                if t != last_t:
+                    last_t = t
+                    dt = now - t
+                    rho = exp(-dt / coherence)
+                    innovation = sigma * sqrt(max(0.0, 1.0 - rho * rho))
+                if innovation:
+                    x2pi = random_() * TWOPI
+                    g2rad = sqrt(-2.0 * log(1.0 - random_()))
+                    real = rho * state[i + 1] + (
+                        0.0 + (cos(x2pi) * g2rad) * innovation)
+                    imag = rho * state[i + 2] + (
+                        0.0 + (sin(x2pi) * g2rad) * innovation)
+                else:
+                    real = rho * state[i + 1]
+                    imag = rho * state[i + 2]
+            state[i] = now
+            state[i + 1] = real
+            state[i + 2] = imag
             append(real * real + imag * imag)
-        self._row_time[sender_id] = now
         return gains
+
+    def _keyed(self, sender_id: int, receiver_ids: Sequence[int]) -> _LinkRow:
+        """The sender's row with its first slots in ``receiver_ids`` order.
+
+        A sender seen for the first time gets a fresh row keyed on the
+        list; a row keyed on another list (or on none) is rebuilt around
+        this one, carrying every link's state over by receiver id.
+        """
+        row = self._links.get(sender_id)
+        if row is not None and row.key is receiver_ids:
+            return row
+        if row is None:
+            row = _LinkRow(receiver_ids, receiver_ids,
+                           _FRESH_LINK * len(receiver_ids), math.nan)
+        else:
+            slots = [self._slot(row, rid) for rid in receiver_ids]
+            keyed = set(slots)
+            order = slots + [
+                k for k in range(len(row.rids)) if k not in keyed
+            ]
+            old = row.state
+            state = array("d")
+            for k in order:
+                state.extend(old[3 * k:3 * k + 3])
+            rids = (
+                receiver_ids if len(order) == len(slots)
+                else [row.rids[k] for k in order]
+            )
+            row = _LinkRow(receiver_ids, rids, state, None)
+        self._links[sender_id] = row
+        return row
 
     def uniform_row(
         self,
@@ -271,42 +359,52 @@ class CorrelatedRayleighFading(FadingModel):
         receiver_ids: Sequence[int],
         now: float,
         rng: random.Random,
-    ) -> Optional[Tuple[List[list], float, float]]:
-        """The cached row's states plus their shared ``rho``/innovation.
+    ) -> Optional[Tuple[array, float, float]]:
+        """The sender's link states plus their shared ``rho``/innovation.
 
         Lets a caller fold the AR(1) update into its own pass over the
         receivers: it returns ``(states, rho, innovation)`` only when
-        :meth:`sample_link_gains` would take its inlined path, its
-        cached row is for this very ``receiver_ids`` list, every link
-        in it was last updated at one time (the row time), and the
-        innovation is non-zero.  Otherwise it returns ``None`` and the
-        caller must call :meth:`sample_link_gains`.
+        :meth:`sample_link_gains` would take its inlined path, every
+        link of ``receiver_ids`` (distinct ids) was last updated at one
+        time or none has been sampled yet, and the innovation is
+        non-zero.  Otherwise it returns ``None`` and the caller must
+        call :meth:`sample_link_gains`, which then finds this row.  A
+        sender's first frame gets ``rho = 0.0`` and the innovation
+        ``sqrt(0.5)`` over zeroed states: the update below then equals
+        a fresh link's draw, ``0.0 + z * sqrt(0.5)``, bit for bit.
 
-        A caller that gets a row must, in row order, draw ``x2pi =
-        random() * TWOPI`` and then ``g2rad = sqrt(-2 log(1 - random()))``,
-        set ``real = rho * state[1] + (0.0 + (cos(x2pi) * g2rad) *
-        innovation)`` and ``imag`` likewise with ``sin``/``state[2]``,
-        and write ``[now, real, imag]`` back into the state: exactly
-        the batch loop's update of a link whose last-update time is the
-        row's.  The row time is set to ``now`` here, on that promise.
+        ``states`` is an ``array('d')`` whose triple ``k`` (elements
+        ``3k``, ``3k + 1``, ``3k + 2``) is link ``receiver_ids[k]``'s
+        ``(t, re, im)``; triples past ``len(receiver_ids)`` belong to
+        other links and must be left alone.  A caller that gets a row
+        must, in row order,
+        draw ``x2pi = random() * TWOPI`` and then ``g2rad = sqrt(-2
+        log(1 - random()))``, set ``real = rho * re + (0.0 +
+        (cos(x2pi) * g2rad) * innovation)`` and ``imag`` likewise with
+        ``sin``/``im``, and write ``(now, real, imag)`` back into the
+        triple: exactly the batch loop's update of a link whose
+        last-update time is the row's.  The row time is set to ``now``
+        here, on that promise.
         """
-        last_t = self._row_time.get(sender_id)
         if (
-            last_t is None
-            or not self._batch_is_exact(CorrelatedRayleighFading, rng)
+            not self._batch_is_exact(CorrelatedRayleighFading, rng)
             or type(self).sample_link_gains
             is not CorrelatedRayleighFading.sample_link_gains
         ):
             return None
-        row = self._rows[sender_id]
-        if row[0] is not receiver_ids:
+        row = self._keyed(sender_id, receiver_ids)
+        last_t = row.time
+        if last_t is None:
             return None
-        rho = math.exp(-(now - last_t) / self.coherence_time_s)
-        innovation = self._sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
-        if not innovation:
-            return None
-        self._row_time[sender_id] = now
-        return row[1], rho, innovation
+        if last_t != last_t:  # no link sampled yet
+            rho, innovation = 0.0, self._sigma
+        else:
+            rho = math.exp(-(now - last_t) / self.coherence_time_s)
+            innovation = self._sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
+            if not innovation:
+                return None
+        row.time = now
+        return row.state, rho, innovation
 
 
 def rayleigh_outage_probability(mean_snr_linear: float, threshold_linear: float) -> float:

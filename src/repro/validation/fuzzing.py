@@ -276,7 +276,7 @@ def differential_check(
     spec: ExperimentSpec,
     jobs: int = 2,
     work_dir: Optional[str] = None,
-    phy_backends: Sequence[str] = ("scalar", "compiled", "vectorized"),
+    phy_backends: Sequence[str] = ("scalar", "compiled"),
 ) -> List[str]:
     """Run the sweep ``spec`` declares (grid or ``[adaptive]`` plan)
     through every execution path; describe each
@@ -284,9 +284,8 @@ def differential_check(
     bit-identical to the inline serial oracle's.
 
     The paths: ``jobs`` workers; one inline pass per forced
-    ``phy_backend`` (none when the spec pins one; a backend that cannot
-    run here -- "vectorized" without numpy, "compiled" without the
-    kernel -- is skipped with a warning that names it and why);
+    ``phy_backend`` (none when the spec pins one; "compiled" without
+    the kernel is skipped with a warning that names it and why);
     and, given a ``work_dir`` to hold every cache, journal and trace, a
     cache stored cold by ``jobs`` workers then replayed warm inline,
     :func:`interrupt_and_resume`, and an inline telemetry pass.

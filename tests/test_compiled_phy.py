@@ -8,24 +8,28 @@ reference:
   ``gauss`` pairs, the 624-word regeneration, a clone taken mid-stream,
   state round trips -- and the channel's stream is the one the
   simulator's registry hands out;
-* backend resolution: "auto" compiles small meshes when the kernel
-  loads and the fused pass applies, and stays scalar, with identical
-  results, on a machine without a compiler, where a forced "compiled"
-  names the reason;
+* backend resolution: "auto" compiles at every mesh size, city scale
+  included and without importing numpy, when the kernel loads and the
+  fused pass applies, and stays scalar, with identical results, on a
+  machine without a compiler, where a forced "compiled" names the
+  reason; the removed "vectorized" backend and unknown names are
+  refused;
 * the loader: an edited source gets a new artifact name, compiler
   output never reaches stdout, and two processes building at once both
   load a valid module;
-* whole runs on the kernel equal scalar runs for channels the fused pass
-  does not take (i.i.d. fading, no fading, a custom power model) and
-  keep the invariant monitors green;
+* whole runs on the kernel equal scalar runs: the six paper protocols
+  through ``differential_check``'s ``phy_backend`` axis, runs under
+  faults (frames with down receivers take the batch call), runs across
+  a re-finalize (link state carried by receiver id), and channels the
+  fused pass does not take (i.i.d. fading, no fading, a custom power
+  model); the invariant monitors stay green on both backends;
 * the kernel's frame-end withdrawal equals the Python one
   (``WirelessChannel._withdraw``) on hand-built ledgers and frame by
   frame over a run with overlapping frames, receivers that start their
   own frame mid-frame and radios that go down mid-frame.
 
-Run-level parity of the fused pass itself lives in
-``tests/test_phy_fanout.py`` (``TestCompiledRunParity``) and
-``tests/test_vectorized_phy.py`` (``TestRunParity``).
+Run-level parity of the fused pass against per-link draws lives in
+``tests/test_phy_fanout.py`` (``TestCompiledRunParity``).
 """
 
 from __future__ import annotations
@@ -43,15 +47,19 @@ import pytest
 from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.runner import collect_result, run_protocol
 from repro.experiments.scenarios import (
+    PROTOCOL_NAMES,
     SimulationScenarioConfig,
     build_simulation_scenario,
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.net.channel import ChannelError, PhyLedger, WirelessChannel
 from repro.net.network import Network, NetworkConfig
+from repro.net.packet import Packet, PacketKind
 from repro.net.topology import random_topology
 from repro.phy import kernel
-from tests.conftest import make_loss_network, requires_kernel
+from repro.sim.engine import Simulator
+from repro.validation.fuzzing import differential_check
+from tests.conftest import KERNEL_UNAVAILABLE, make_loss_network, requires_kernel
 
 #: The ``src`` directory, for child interpreters.
 SRC = os.path.dirname(os.path.dirname(os.path.dirname(kernel.SOURCE)))
@@ -189,6 +197,40 @@ class TestBackendResolution:
         with pytest.raises(ChannelError, match="compiled.*/bin/false"):
             small_network("compiled")
 
+    def test_auto_city_scale_build_compiles_without_numpy(self):
+        """"auto" has no node-count switch: a city-scale mesh compiles
+        (or, with no kernel, runs scalar), and nothing imports numpy."""
+        script = (
+            "import sys\n"
+            "from repro.experiments.scenarios import (\n"
+            "    build_simulation_scenario, macro_flood_config)\n"
+            "config = macro_flood_config(num_nodes=200, duration_s=1.0,\n"
+            "                            warmup_s=0.5, members_per_group=5)\n"
+            "scenario = build_simulation_scenario('odmrp', config)\n"
+            "scenario.network.sim.run(until=0.6)\n"
+            "print(scenario.network.channel.phy_backend_resolved,\n"
+            "      'numpy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        expected = "scalar" if KERNEL_UNAVAILABLE else "compiled"
+        assert out.stdout.split() == [expected, "False"]
+
+    def test_removed_vectorized_backend_names_the_removal(self):
+        with pytest.raises(ValueError, match=(
+            "'vectorized' is no longer supported.*'auto' now compiles"
+        )):
+            NetworkConfig(phy_backend="vectorized")
+        with pytest.raises(ChannelError, match="no longer supported"):
+            WirelessChannel(Simulator(seed=1), phy_backend="vectorized")
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ChannelError, match="unknown phy_backend"):
+            WirelessChannel(Simulator(seed=1), phy_backend="simd")
+
 
 class TestLoader:
     def test_edited_source_gets_a_new_artifact(self, tmp_path):
@@ -260,8 +302,6 @@ class TestCompiledRuns:
         assert results[0] == results[1]
 
     def test_custom_power_model_channel_equals_scalar(self):
-        from repro.net.packet import Packet, PacketKind
-
         totals = []
         for backend in ("scalar", "compiled"):
             network = make_loss_network(4, {
@@ -303,6 +343,105 @@ class TestCompiledRuns:
             spec, monitors=("channel-conservation", "rng-isolation")
         )
         assert all(result.error is None for result in results)
+
+
+#: Outages and flapping: receivers go down mid-run, so frames take the
+#: batch call over the active subset.
+FAULTS = FaultPlan(
+    outages=(OutageWindow(node_id=2, start_s=3.0, end_s=5.0),),
+    flapping=(FlappingSpec(node_id=5, start_s=2.0, period_s=2.0,
+                           down_fraction=0.4, until_s=7.0),),
+)
+
+
+@requires_kernel
+class TestRunParity:
+    """Scalar and compiled runs, result for result."""
+
+    def test_all_paper_protocols_bit_identical(self, tmp_path):
+        """differential_check's phy_backend axis across the six paper
+        protocol variants."""
+        spec = ExperimentSpec(
+            name="phy-parity",
+            description="scalar vs compiled across the paper protocols",
+            protocols=tuple(PROTOCOL_NAMES),
+            seeds=(1,),
+            config=CONFIG,
+        )
+        divergences = differential_check(
+            spec, jobs=2, work_dir=str(tmp_path),
+            phy_backends=("scalar", "compiled"),
+        )
+        assert divergences == [], "\n".join(divergences)
+
+    def test_invariant_monitors_watch_the_batched_path(self):
+        """channel-conservation's power ledgers and rng-isolation's
+        stream audit on both backends, over runs whose frames take the
+        fused pass and, with a receiver down, the batch call."""
+        from repro.validation.fuzzing import run_with_invariants
+
+        config = dataclasses.replace(CONFIG, duration_s=8.0, faults=FAULTS)
+        for backend in ("scalar", "compiled"):
+            spec = ExperimentSpec(
+                name="phy-monitors",
+                description="invariant monitors over the batched path",
+                protocols=("odmrp",),
+                seeds=(1,),
+                config=forced(config, backend),
+            )
+            results = run_with_invariants(
+                spec, monitors=("channel-conservation", "rng-isolation")
+            )
+            assert all(result.error is None for result in results)
+
+    def test_parity_under_faults(self):
+        """Outages flip receivers inactive mid-run; the batch call over
+        the active subset must draw exactly what the scalar path does."""
+        config = dataclasses.replace(CONFIG, duration_s=8.0, faults=FAULTS)
+        results = [
+            run_protocol("etx", forced(config, backend))
+            for backend in ("scalar", "compiled")
+        ]
+        assert results[0].error is None
+        assert results[0].delivered_packets > 0
+        assert results[0] == results[1]
+
+    def test_parity_across_refinalize(self):
+        """Re-running finalize() rebuilds every fan-out; each link's
+        AR(1) state follows its receiver id on both backends."""
+        positions = random_topology(
+            12, 600.0, 600.0, rng=random.Random(8),
+            connectivity_range_m=250.0,
+        )
+
+        def broadcast_round(network):
+            for node in network.nodes:
+                node.sim.schedule(
+                    0.01 * (node.node_id + 1),
+                    lambda n=node: n.send_broadcast(
+                        Packet(PacketKind.DATA, n.node_id, 256, n.sim.now)
+                    ),
+                )
+
+        totals = {}
+        for backend in ("scalar", "compiled"):
+            network = Network(
+                positions, seed=5, config=NetworkConfig(phy_backend=backend)
+            )
+            broadcast_round(network)
+            network.run(until=1.0)
+            network.channel.finalize()  # the only legal topology "change"
+            assert network.channel.phy_backend_resolved == backend
+            broadcast_round(network)
+            network.run(until=2.5)
+            totals[backend] = {
+                "rx": network.total_counter_prefix("rx."),
+                "tx": network.total_counter_prefix("tx."),
+                "channel": dict(network.channel.counters.as_dict()),
+                "power": [node.current_power_mw for node in network.nodes],
+            }
+        assert totals["scalar"]["rx"]
+        assert totals["scalar"] == totals["compiled"]
 
 
 class _Mac:

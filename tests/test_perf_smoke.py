@@ -33,8 +33,8 @@ def test_mini_sweep_parallel_matches_serial(tmp_path):
 def test_macro_flood_2000_nodes_completes():
     """Bounded city-scale smoke: a 2,000-node JOIN QUERY flood at the
     paper's node density must run to completion on the auto-resolved
-    (vectorized) backend -- the workload the spatial grid index and the
-    batched reception path exist for.  Kept short (a couple of ODMRP
+    (compiled) backend -- the workload the spatial grid index and the
+    fused reception pass exist for.  Kept short (a couple of ODMRP
     refresh rounds) so the perfsmoke tier stays minutes, not hours.
     """
     config = macro_flood_config(

@@ -328,5 +328,5 @@ class TestReception:
 
 
 def test_network_config_rejects_typo_backend_with_suggestion():
-    with pytest.raises(ValueError, match="did you mean 'vectorized'"):
-        NetworkConfig(phy_backend="vectorised")
+    with pytest.raises(ValueError, match="did you mean 'compiled'"):
+        NetworkConfig(phy_backend="compield")

@@ -1,24 +1,28 @@
 """The batched PHY fan-out, bit-identical to the per-link loop.
 
 Each transmission draws all of its audible links' fading at once and
-makes one inlined pass over its receivers at each end of the frame.  On
-the scalar backend with correlated Rayleigh fading, a sender whose
-cached row was last updated at one time draws each link's AR(1) step
-inside the frame-start pass (:meth:`CorrelatedRayleighFading.uniform_row`);
-any other frame makes one :meth:`FadingModel.sample_link_gains` call
-first.  All of it is speed-only, so these tests pin it to the per-link
-formulation:
+makes one inlined pass over its receivers at each end of the frame.
+With correlated Rayleigh fading, a sender whose links were last updated
+at one time -- or never, on its first frame -- draws each link's AR(1)
+step inside the frame-start pass
+(:meth:`CorrelatedRayleighFading.uniform_row`); any other frame makes
+one :meth:`FadingModel.sample_link_gains` call first.  All of it is
+speed-only, so these tests pin it to the per-link formulation:
 
 * every stochastic model's batch returns the floats, and leaves the
   stream where, one ``sample_link_gain`` call per link would -- under
   reused and fresh receiver lists, repeated times and late first
   touches, and interleaved with per-link calls;
+* the correlated model's compact link state (one flat ``array('d')``
+  per sender) gives the per-link results under any mix of per-link,
+  subset, full-row and fused-row updates, and carries each link's state
+  by receiver id when its row is rebuilt around another list;
 * models the batch cannot mirror (subclasses, a half-drawn gaussian)
   fall back to the per-link default;
 * whole runs of the six paper protocols are equal with and without the
   batch and the fused pass, also under faults (filtered frames) and
-  per-link calls mid-run; a plain paper
-  run takes the fused pass for every frame but each sender's first;
+  per-link calls mid-run; a plain paper run takes the fused pass for
+  every frame, a sender's first included;
 * a frame's receivers split into ``touched`` (power) and ``decoding``
   (pending reception), and only the latter are decided;
 * a carrier-sense flip reaches a MAC only when it acts on it: a busy
@@ -35,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from array import array
 
 import pytest
 
@@ -166,27 +171,56 @@ class TestSampleLinkGains:
         )
 
 
+def fused_update(row, ids, now, rng):
+    """The update ``uniform_row`` documents, applied to ``ids``' triples."""
+    states, rho, innovation = row
+    gains = []
+    for i in range(0, 3 * len(ids), 3):
+        x2pi = rng.random() * TWOPI
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        real = rho * states[i + 1] + (0.0 + (math.cos(x2pi) * g2rad) * innovation)
+        imag = rho * states[i + 2] + (0.0 + (math.sin(x2pi) * g2rad) * innovation)
+        states[i:i + 3] = array("d", (now, real, imag))
+        gains.append(real * real + imag * imag)
+    return gains
+
+
 class TestUniformRow:
     def test_offered_only_for_a_uniform_cached_row(self):
         fading = CorrelatedRayleighFading(coherence_time_s=2.0)
         rng = random.Random(4)
-        assert fading.uniform_row(0, FULL, 0.0, rng) is None  # no row
-        fading.sample_link_gains(0, FULL, 0.0, rng)
-        assert fading.uniform_row(0, list(FULL), 0.5, rng) is None
+        # A sender's first frame: zeroed states, rho 0, innovation
+        # sqrt(0.5), so the update is a fresh link's draw.
+        states, rho, innovation = fading.uniform_row(0, FULL, 0.0, rng)
+        assert (rho, innovation) == (0.0, math.sqrt(0.5))
+        assert isinstance(states, array) and len(states) == 3 * len(FULL)
+        assert list(states[1::3]) == list(states[2::3]) == [0.0] * len(FULL)
+        fused_update((states, rho, innovation), FULL, 0.0, rng)
         assert fading.uniform_row(0, FULL, 0.0, rng) is None  # rho == 1
-        states, rho, innovation = fading.uniform_row(0, FULL, 0.5, rng)
+        # Another list object rebuilds the row around it: one batch
+        # call, then the fused pass again.
+        other = list(FULL)
+        assert fading.uniform_row(0, other, 0.5, rng) is None
+        fading.sample_link_gains(0, other, 0.5, rng)
+        states, rho, innovation = fading.uniform_row(0, other, 1.0, rng)
         assert rho == math.exp(-0.25) and innovation > 0.0
-        assert states == [fading._state[(0, rid)] for rid in FULL]
-        fading.sample_link_gain((0, 3), 1.0, rng)
-        assert fading.uniform_row(0, FULL, 1.5, rng) is None
-        fading.sample_link_gains(0, FULL, 1.5, rng)
+        assert list(states[0::3]) == [0.5] * len(FULL)
+        fused_update((states, rho, innovation), other, 1.0, rng)
+        fading.sample_link_gain((0, 3), 1.2, rng)
+        assert fading.uniform_row(0, other, 1.5, rng) is None
+        fading.sample_link_gains(0, other, 1.5, rng)
         fading.sample_link_gain((1, 3), 1.6, rng)  # another sender's link
-        assert fading.uniform_row(0, FULL, 2.0, rng) is not None
-        fading.sample_link_gains(0, [1, 2], 2.5, rng)  # row rebuilt
-        assert fading.uniform_row(0, FULL, 3.0, rng) is None
+        fading.sample_link_gain((0, 99), 1.6, rng)  # not in the row's list
+        assert fading.uniform_row(0, other, 2.0, rng) is not None
+        fading.sample_link_gains(0, [1, 2], 2.5, rng)  # a subset
+        assert fading.uniform_row(0, other, 3.0, rng) is None
         rng.gauss(0.0, 1.0)
-        fading.sample_link_gains(0, FULL, 3.5, rng)
-        assert fading.uniform_row(0, FULL, 4.0, rng) is None  # half-drawn
+        fading.sample_link_gains(0, other, 3.5, rng)
+        assert fading.uniform_row(0, other, 4.0, rng) is None  # half-drawn
+        # A sender whose links were sampled another way first has no
+        # uniform time until one batch call over its list.
+        fading.sample_link_gain((2, 1), 0.0, random.Random(1))
+        assert fading.uniform_row(2, FULL, 1.0, random.Random(1)) is None
 
     def test_documented_update_equals_per_link_draws(self):
         reference = CorrelatedRayleighFading(coherence_time_s=1.0)
@@ -202,16 +236,83 @@ class TestUniformRow:
             if row is None:
                 got += fading.sample_link_gains(0, FULL, now, rng)
                 continue
-            states, rho, innovation = row
-            for state in states:
-                x2pi = rng.random() * TWOPI
-                g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-                real = rho * state[1] + (math.cos(x2pi) * g2rad) * innovation
-                imag = rho * state[2] + (math.sin(x2pi) * g2rad) * innovation
-                state[:] = [now, real, imag]
-                got.append(real * real + imag * imag)
+            got += fused_update(row, FULL, now, rng)
         assert got == expected
         assert rng.random() == ref_rng.random()
+
+
+class TestCompactLinkState:
+    """One flat ``array('d')`` per sender, against a per-link reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_calls_equal_per_link_reference(self, seed):
+        """Random interleavings of every entry point: per-link calls
+        (links inside and outside the row), subsets in any order, the
+        full row, the fused row, and a rebuild around another list."""
+        plan = random.Random(seed)
+        fading = CorrelatedRayleighFading(coherence_time_s=0.5)
+        reference = CorrelatedRayleighFading(coherence_time_s=0.5)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        rows = {0: list(FULL), 1: [0, 2, 4, 6]}
+        got, expected = [], []
+        now = 0.0
+        for _ in range(60):
+            now += plan.choice((0.0, 0.05, 0.3, 1.0))
+            sender = plan.choice((0, 1))
+            ids = rows[sender]
+            kind = plan.choice(("link", "subset", "full", "fused", "rekey"))
+            if kind == "link":
+                rid = plan.choice(ids + [7, 8])
+                ids = [rid]
+                got.append(fading.sample_link_gain((sender, rid), now, rng))
+            elif kind == "subset":
+                ids = plan.sample(ids, plan.randint(1, len(ids)))
+                got += fading.sample_link_gains(sender, ids, now, rng)
+            elif kind == "full":
+                got += fading.sample_link_gains(sender, ids, now, rng)
+            else:
+                if kind == "rekey":
+                    # Reordered, with link 9 joining or leaving.
+                    ids = rows[sender] = (
+                        [rid for rid in reversed(ids) if rid != 9]
+                        + ([] if 9 in ids else [9])
+                    )
+                row = fading.uniform_row(sender, ids, now, rng)
+                if row is None:
+                    got += fading.sample_link_gains(sender, ids, now, rng)
+                else:
+                    got += fused_update(row, ids, now, rng)
+            expected += [
+                reference.sample_link_gain((sender, rid), now, ref_rng)
+                for rid in ids
+            ]
+        assert got == expected
+        assert rng.random() == ref_rng.random()
+
+    def test_rebuilt_row_carries_state_by_receiver_id(self):
+        """A row rebuilt around a new list (a re-finalize) keeps every
+        link's triple, the dropped ones included, in the new order."""
+        fading = CorrelatedRayleighFading(coherence_time_s=5.0)
+        rng = random.Random(3)
+        ids = [1, 2, 3, 4]
+        fading.sample_link_gains(0, [1, 3], 1.0, rng)
+        before = {
+            rid: tuple(fading._links[0].state[3 * k:3 * k + 3])
+            for k, rid in enumerate(fading._links[0].rids)
+        }
+        assert sorted(before) == [1, 3]
+        assert fading.uniform_row(0, ids, 2.0, rng) is None
+        row = fading._links[0]
+        assert row.key is ids and row.rids == ids
+        triples = [tuple(row.state[i:i + 3]) for i in range(0, 12, 3)]
+        assert triples[0] == before[1] and triples[2] == before[3]
+        assert all(math.isnan(t) for t, _re, _im in (triples[1], triples[3]))
+        new_ids = [3, 5]
+        assert fading.uniform_row(0, new_ids, 2.0, rng) is None
+        row = fading._links[0]
+        assert row.rids[:2] == new_ids and sorted(row.rids[2:]) == [1, 2, 4]
+        assert tuple(row.state[0:3]) == before[3]
+        assert tuple(row.state[3 * row.rids.index(1):][:3]) == before[1]
 
 
 class PerLinkCorrelated(CorrelatedRayleighFading):
@@ -297,7 +398,7 @@ class TestRunParity:
     def test_per_link_calls_mid_run_leave_the_run_unchanged(self):
         """A ``sample_link_gain`` call between frames clears its
         sender's row time, so that sender's next frame takes the batch
-        call and resumes the link exactly."""
+        call and resumes the link exactly; no other frame does."""
         coherence = RUN_CONFIG.network.fading_coherence_time_s
         results, batch_calls = [], []
         for fading in (
@@ -324,12 +425,12 @@ class TestRunParity:
         assert results[0].error is None
         assert results[0] == results[1]
         # Every touch sends its sender back through one batch call.
-        assert 12 < batch_calls[0] <= 12 + 40
+        assert 0 < batch_calls[0] <= 40
 
     def test_plain_paper_run_takes_the_fused_pass(self):
         """On a static paper-density mesh a sender's receiver list never
-        changes, so after its first frame every frame is drawn inside
-        the frame-start pass: one batch call per sender, not per frame."""
+        changes, so every frame -- a sender's first included -- is drawn
+        inside the frame-start pass: no batch call at all."""
         config = SimulationScenarioConfig(
             duration_s=6.0, warmup_s=2.0,
             network=NetworkConfig(phy_backend=self.BACKEND),
@@ -348,7 +449,39 @@ class TestRunParity:
         scenario.network.sim.run(until=config.duration_s)
         frames = channel.counters.total("channel.tx.")
         assert frames > 20 * config.num_nodes
-        assert len(senders) == len(set(senders)) <= config.num_nodes
+        assert senders == []
+
+    def test_first_frame_takes_the_fused_pass(self):
+        """A fresh sender's frame draws each link's first state inside
+        the pass: no batch call, two draws a receiver, and the powers a
+        per-link draw gives."""
+        network = Network(
+            chain_topology(4, 150.0), seed=7,
+            config=NetworkConfig(phy_backend=self.BACKEND),
+        )
+        channel = network.channel
+        assert channel.phy_backend_resolved == self.BACKEND
+        reference = random.Random()
+        reference.setstate(channel._fading_rng.getstate())
+        batch_calls = _count_calls(channel.fading, "sample_link_gains")
+        sender = network.nodes[1]
+        tx = channel.begin_transmission(
+            sender, Packet(PacketKind.DATA, 1, 100, 0.0), BROADCAST_ID,
+            0.001, notify_sender=False,
+        )
+        assert batch_calls[0] == 0
+        per_link = CorrelatedRayleighFading(
+            channel.fading.coherence_time_s
+        )
+        audible = channel.audible_neighbors(sender.node_id)
+        assert tx.touched == [receiver.node_id for receiver, _ in audible]
+        assert tx.powers == [
+            mean_mw * per_link.sample_link_gain(
+                (1, receiver.node_id), 0.0, reference
+            )
+            for receiver, mean_mw in audible
+        ]
+        assert channel._fading_rng.getstate() == reference.getstate()
 
     def test_two_fading_draws_per_audible_receiver(self):
         network = Network(
@@ -376,7 +509,7 @@ class TestRunParity:
         )
         assert draws[0] == 2 * audible
         assert link_calls[0] == 0
-        assert batch_calls[0] == len(network.nodes)
+        assert batch_calls[0] == 0
 
 
 @requires_kernel
@@ -417,7 +550,7 @@ class TestCompiledRunParity(TestRunParity):
         assert channel._fading_rng.getstate() == clone.getstate()
         assert network.sim.rng.stream("phy.fading") is channel._fading_rng
         assert link_calls[0] == 0
-        assert batch_calls[0] == len(network.nodes)
+        assert batch_calls[0] == 0
 
 
 def _count_calls(owner, attr):
@@ -581,7 +714,7 @@ class TestGatedSenseNotification:
 
 
 class TestLedgerViews:
-    @pytest.mark.parametrize("backend", ["scalar", "compiled", "vectorized"])
+    @pytest.mark.parametrize("backend", ["scalar", "compiled"])
     def test_views_equal_the_ledger_at_every_monitor_check(
         self, backend, monkeypatch
     ):

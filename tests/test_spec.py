@@ -153,6 +153,22 @@ class TestStrictness:
         assert f"{removed} was removed" in message
         assert "unknown key" not in message
 
+    @pytest.mark.parametrize("suffix", [".toml", ".json"])
+    def test_removed_phy_backend_names_the_removal(self, tmp_path, suffix):
+        data = sample_spec().to_dict()
+        data["config"]["network"]["phy_backend"] = "vectorized"
+        spec_path = tmp_path / f"old{suffix}"
+        spec_path.write_text(
+            json.dumps(data) if suffix == ".json" else toml_dumps(data)
+        )
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.load(str(spec_path))
+        message = str(excinfo.value)
+        assert "phy_backend 'vectorized' is no longer supported" in message
+        assert "backend was removed" in message
+        assert "'auto' now compiles" in message
+        assert "unknown phy_backend" not in message
+
     def test_unknown_config_key_rejected(self):
         data = sample_spec().to_dict()
         data["config"]["num_node"] = 10  # typo'd "num_nodes"

@@ -379,19 +379,14 @@ class TestDifferentialOracle:
             fuzzing._difference = real_difference
         assert errors and "delivered_packets" in errors[0]
 
-    def test_missing_numpy_skips_only_the_vectorized_backend(
-        self, monkeypatch
+    def test_unavailable_kernel_skips_only_compiled(
+        self, monkeypatch, no_kernel
     ):
-        """Without numpy the oracle still forces every other PHY backend,
-        and its warning names the one it skipped and why."""
-        import sys
-
+        """Without the compiled kernel the oracle still forces the
+        scalar backend, and its warning names the one it skipped and
+        why."""
         import repro.validation.fuzzing as fuzzing
-        from tests.conftest import KERNEL_UNAVAILABLE
 
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.delitem(sys.modules, "repro.phy.vectorized",
-                            raising=False)
         labels = []
         real_difference = fuzzing._difference
 
@@ -404,13 +399,11 @@ class TestDifferentialOracle:
             random_spec(0), protocols=("odmrp",), seeds=(1,)
         )
         assert spec.config.network.phy_backend == "auto"
-        with pytest.warns(RuntimeWarning, match="'vectorized' .*numpy"):
+        with pytest.warns(RuntimeWarning, match="'compiled' .*/bin/false"):
             errors = differential_check(spec, jobs=1)
         assert errors == []
         assert "phy-scalar" in labels
-        assert "phy-vectorized" not in labels
-        assert ("phy-compiled" in labels) == (KERNEL_UNAVAILABLE is None)
-
+        assert "phy-compiled" not in labels
 
     def _planner_spec(self, **planner):
         return ExperimentSpec(
