@@ -16,6 +16,9 @@ PRs has a recorded trajectory to compare against.  It measures:
   mesh sizes at the paper's density: the evidence that the compiled
   kernel ``phy_backend="auto"`` picks is the faster path at every size.
   "compiled" is left out of both rows where the kernel cannot be built.
+  Both rows time each run the way the paper run does (below): pinned to
+  one core, in sim-time chunks scaled by host-speed probes, with the
+  raw host times kept next to the corrected ones.
 * **macro flood** -- a 2,000-node JOIN QUERY flood at paper density:
   the workload the spatial grid index and the compiled PHY carry.
 * **paper run** -- the paper's own run, ODMRP and SPP on the 50-node
@@ -44,21 +47,29 @@ import dataclasses
 import json
 import os
 import platform
+import sys
 import time
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.experiments.executors import SweepExecutor
 from repro.experiments.parallel import sweep_specs
-from repro.experiments.results import RunResult
 from repro.experiments.runner import run_protocol
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
     SimulationScenarioConfig,
+    build_simulation_scenario,
     macro_flood_config,
 )
 from repro.sim.engine import Simulator
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
+
+_E2E_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e")
+_SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+#: Sim-time chunk between host-speed probes, as in the e2e workloads.
+STEP_S = 0.05
 
 #: Small but protocol-complete scenario: all six variants finish in
 #: seconds per run while still exercising MAC, fading, and probing paths.
@@ -212,14 +223,57 @@ def available_phy_backends() -> Tuple[str, ...]:
     return tuple(b for b in TIMED_BACKENDS if backend_unavailable(b) is None)
 
 
-def phy_backend_micro() -> Dict[str, Tuple[float, RunResult]]:
+def _e2e_workloads() -> Any:
+    """``benchmarks/e2e/workloads.py``: its ``run_unit`` times a run in
+    sim-time chunks, each scaled by the host-speed probes around it."""
+    if _E2E_DIR not in sys.path:
+        sys.path.insert(0, _E2E_DIR)
+    import workloads
+
+    return workloads
+
+
+@contextmanager
+def _one_cpu() -> Iterator[None]:
+    """Pin this process to one core for the block, so the host-speed
+    probes time the core the runs use; the affinity comes back after."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def timed_run(protocol: str, config: SimulationScenarioConfig,
+              build: Any = build_simulation_scenario) -> Any:
+    """Build, run and collect one scenario, host-speed corrected.
+
+    The e2e workloads' ``run_unit`` in ``STEP_S`` chunks on one core:
+    its ``wall_s``/``setup_s`` are corrected, ``raw_wall_s``/
+    ``raw_setup_s`` are plain host seconds.
+    """
+    workloads = _e2e_workloads()
+    from hostspeed import HostSpeed
+
+    with _one_cpu():
+        return workloads.run_unit(
+            protocol, config, STEP_S, HostSpeed(), build=build
+        )
+
+
+def phy_backend_micro() -> Dict[str, Any]:
     """Time one dense-mesh run per reception backend.
 
-    Returns ``backend -> (wall_s, result)`` for every backend that can
-    run here; callers assert identity and gate on the walls
-    (``scripts/bench_check.py`` does both).
+    Returns ``backend -> unit`` (:func:`timed_run`'s) for every backend
+    that can run here; callers assert identity of ``unit.result`` and
+    gate on the corrected ``unit.wall_s`` (``scripts/bench_check.py``
+    does both).
     """
-    runs: Dict[str, Tuple[float, RunResult]] = {}
+    runs: Dict[str, Any] = {}
     for backend in available_phy_backends():
         config = dataclasses.replace(
             PHY_MICRO_CONFIG,
@@ -227,19 +281,17 @@ def phy_backend_micro() -> Dict[str, Tuple[float, RunResult]]:
                 PHY_MICRO_CONFIG.network, phy_backend=backend
             ),
         )
-        start = time.perf_counter()
-        result = run_protocol("odmrp", config)
-        runs[backend] = (time.perf_counter() - start, result)
+        runs[backend] = timed_run("odmrp", config)
     return runs
 
 
 def bench_phy_backends() -> None:
     """Record the per-backend micro row (identity first)."""
     runs = phy_backend_micro()
-    scalar_wall, scalar = runs["scalar"]
-    assert scalar.error is None, scalar.error
-    for backend, (_wall, result) in runs.items():
-        assert result == scalar, (
+    scalar = runs["scalar"]
+    assert scalar.result.error is None, scalar.result.error
+    for backend, unit in runs.items():
+        assert unit.result == scalar.result, (
             f"scalar and {backend} backends produced different results"
         )
     row = {
@@ -247,17 +299,20 @@ def bench_phy_backends() -> None:
         "duration_s": PHY_MICRO_CONFIG.duration_s,
         "protocol": "odmrp",
     }
-    for backend, (wall, _result) in runs.items():
-        row[f"wall_{backend}_s"] = round(wall, 3)
+    for backend, unit in runs.items():
+        row[f"wall_{backend}_s"] = round(unit.wall_s, 3)
+        row[f"raw_wall_{backend}_s"] = round(unit.raw_wall_s, 3)
         if backend != "scalar":
-            row[f"{backend}_speedup"] = round(scalar_wall / wall, 3)
+            row[f"{backend}_speedup"] = round(scalar.wall_s / unit.wall_s, 3)
     row["results_identical"] = True
     _write_report("phy_micro", row)
     print(
         f"\nphy micro: {PHY_MICRO_CONFIG.num_nodes} nodes, "
-        + ", ".join(f"{backend} {wall:.2f}s" for backend, (wall, _r)
-                    in runs.items())
-        + " (identical results)"
+        + ", ".join(
+            f"{backend} {unit.wall_s:.2f}s ({unit.raw_wall_s:.2f}s raw)"
+            for backend, unit in runs.items()
+        )
+        + " corrected (identical results)"
     )
 
 
@@ -272,13 +327,14 @@ def phy_crossover_curve(
     """Host µs per frame under each backend, by mesh size.
 
     Each (size, seed) runs under every available backend back to back,
-    so they share a topology and a host state; the row keeps
-    per-backend medians and the median of the paired scalar/compiled
-    ratios (above 1 means the compiled path is faster).
+    so they share a topology and a host state.  A frame's time is the
+    run and collect over the frames on the air (as the paper run's
+    ``frames_per_s``), corrected (``{backend}_us_per_frame``) and raw
+    (``raw_{backend}_us_per_frame``); the row keeps per-backend medians
+    and the median of the paired corrected scalar/compiled ratios
+    (above 1 means the compiled path is faster).
     """
     import statistics
-
-    from repro.experiments.scenarios import build_simulation_scenario
 
     curve = []
     for num_nodes in sizes:
@@ -290,25 +346,33 @@ def phy_crossover_curve(
             duration_s=duration_s,
             warmup_s=duration_s / 4,
         )
-        per_frame: Dict[str, List[float]] = {
-            backend: [] for backend in available_phy_backends()
-        }
+        backends = available_phy_backends()
+        per_frame: Dict[str, List[float]] = {backend: [] for backend in backends}
+        raw_per_frame: Dict[str, List[float]] = {backend: [] for backend in backends}
         fanout: List[float] = []
         for seed in seeds:
-            for backend in per_frame:
+            for backend in backends:
                 config = dataclasses.replace(
                     base, topology_seed=seed,
                     network=dataclasses.replace(base.network, phy_backend=backend),
                 )
-                scenario = build_simulation_scenario("odmrp", config)
-                channel = scenario.network.channel
-                start = time.perf_counter()
-                scenario.network.sim.run(until=duration_s)
-                wall = time.perf_counter() - start
-                frames = channel.counters.total("channel.tx.")
-                per_frame[backend].append(1e6 * wall / frames)
+                built = []
+
+                def build(protocol, config):
+                    built.append(build_simulation_scenario(protocol, config))
+                    return built[0]
+
+                unit = timed_run("odmrp", config, build=build)
+                frames = sum(chunk_frames for _s, chunk_frames in unit.chunks)
+                per_frame[backend].append(
+                    1e6 * (unit.wall_s - unit.setup_s) / frames
+                )
+                raw_per_frame[backend].append(
+                    1e6 * (unit.raw_wall_s - unit.raw_setup_s) / frames
+                )
             fanout.append(statistics.mean(
-                len(receivers) for receivers in channel._audible.values()
+                len(receivers)
+                for receivers in built[0].network.channel._audible.values()
             ))
         point = {
             "num_nodes": num_nodes,
@@ -317,6 +381,9 @@ def phy_crossover_curve(
         for backend in sorted(per_frame):
             point[f"{backend}_us_per_frame"] = round(
                 statistics.median(per_frame[backend]), 1
+            )
+            point[f"raw_{backend}_us_per_frame"] = round(
+                statistics.median(raw_per_frame[backend]), 1
             )
         for backend in sorted(per_frame):
             if backend != "scalar":
@@ -335,11 +402,12 @@ def bench_phy_crossover() -> None:
         "density_nodes_per_km2": 50,
         "curve": curve,
     })
-    print("\nphy crossover (us/frame per backend):")
+    print("\nphy crossover (corrected us/frame per backend):")
     for point in curve:
         backends = ", ".join(
             f"{key[:-len('_us_per_frame')]} {value:.1f}"
-            for key, value in point.items() if key.endswith("_us_per_frame")
+            for key, value in point.items()
+            if key.endswith("_us_per_frame") and not key.startswith("raw_")
         )
         print(
             f"  {point['num_nodes']:4d} nodes, {point['audible_per_tx']:5.1f} "
@@ -382,11 +450,6 @@ def bench_macro_flood() -> None:
 PAPER_RUN_PROTOCOLS = ("odmrp", "spp")
 PAPER_RUN_SECONDS = 400.0
 PAPER_RUN_TOPOLOGY_SEED = 1
-#: Sim-time chunk between host-speed probes, as in the e2e workloads.
-PAPER_RUN_STEP_S = 0.05
-
-_E2E_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e")
-_SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 #: One paper run, in a child interpreter: argv is (src dir, e2e dir,
 #: protocol, seconds, topology seed, step); prints one JSON object.
@@ -420,12 +483,11 @@ print(json.dumps({
 def paper_run(protocol: str) -> Dict:
     """One 400-s paper run of ``protocol`` in a fresh interpreter."""
     import subprocess
-    import sys
 
     out = subprocess.run(
         [sys.executable, "-c", _PAPER_RUN_CHILD, os.path.normpath(_SRC_DIR),
          _E2E_DIR, protocol, str(PAPER_RUN_SECONDS),
-         str(PAPER_RUN_TOPOLOGY_SEED), str(PAPER_RUN_STEP_S)],
+         str(PAPER_RUN_TOPOLOGY_SEED), str(STEP_S)],
         capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
@@ -435,7 +497,7 @@ def bench_paper_run() -> None:
     """Record the headline row: the paper's 400-s run per protocol.
 
     ``wall_s`` is build, run and collect scaled by the host-speed probes
-    around each ``PAPER_RUN_STEP_S`` chunk (``benchmarks/e2e/hostspeed.py``);
+    around each ``STEP_S`` chunk (``benchmarks/e2e/hostspeed.py``);
     ``frames_per_s`` leaves the build out, as the e2e metric does.
     """
     runs = {protocol: paper_run(protocol) for protocol in PAPER_RUN_PROTOCOLS}
@@ -443,7 +505,7 @@ def bench_paper_run() -> None:
         "num_nodes": 50,
         "duration_s": PAPER_RUN_SECONDS,
         "topology_seed": PAPER_RUN_TOPOLOGY_SEED,
-        "step_s": PAPER_RUN_STEP_S,
+        "step_s": STEP_S,
         "runs": runs,
     })
     print("\npaper run (50 nodes, 400 s, topology seed 1):")
@@ -456,8 +518,6 @@ def bench_paper_run() -> None:
 
 
 if __name__ == "__main__":
-    import sys
-
     bench_engine_micro()
     bench_sweep_parallel_vs_serial()
     bench_phy_backends()

@@ -5,9 +5,10 @@ clears an audibility cutoff (precomputed by ``finalize()`` for the
 static layout).
 For each audible node the channel samples one fading realization, feeds
 the power into that node's carrier-sense and interference bookkeeping,
-and registers a pending reception if the faded power is decodable.  At
-end of transmission each pending reception is decided by the receiver's
-SINR rule.
+and registers a pending reception -- a ``[signal_mw,
+peak_interference_mw]`` row in that node's ``pending_receptions`` -- if
+the faded power is decodable.  At end of transmission each pending
+reception is decided by the receiver's SINR rule.
 
 Subclasses can override :meth:`_sampled_power` to replace the
 pathloss-times-fading model; the testbed emulation uses this to drive the
@@ -29,17 +30,21 @@ These paths keep large meshes and long runs fast without changing results:
   sender's first frame after a per-link call or a re-finalize, take
   the call.
 * Per-node PHY state (power, on-air count, carrier sense, half duplex,
-  sense threshold, MAC, pending receptions) lives in the channel's
-  :class:`PhyLedger`, columns indexed by node id that every pass
-  updates by list subscript; :class:`~repro.net.node.Node` exposes its
-  row as views.
-* The "compiled" backend runs the fused frame-start pass and the
-  frame-end withdrawal in C (:mod:`repro.phy.kernel`) over those
-  columns, with the results of the Python passes; the decisions and
-  the deliveries stay in Python.  "auto" compiles whenever the kernel
-  builds and the fused pass applies, else runs the Python passes
-  ("scalar").  The backend is chosen per channel, never per sender:
-  the kernel owns the ``phy.fading`` stream from its first draw.
+  sense threshold, MAC, pending receptions, the decision rule's
+  constants) lives in the channel's :class:`PhyLedger`, columns indexed
+  by node id that every pass updates by list subscript;
+  :class:`~repro.net.node.Node` exposes its row as views.
+* The "compiled" backend runs the fused frame-start pass and the whole
+  frame end -- withdrawal, decisions, tallies and the calls to
+  ``Node.deliver`` -- in C (:mod:`repro.phy.kernel`) over those
+  columns, with the results of the Python passes.  Decisions stay in
+  Python (``_decide``) when any node's reception model is not the stock
+  :class:`~repro.phy.reception.ReceptionModel`: a subclass, or a
+  ``decide`` wrapped at class level before ``finalize()``, still sees
+  every decision.  "auto" compiles whenever the kernel builds and the
+  fused pass applies, else runs the Python passes ("scalar").  The
+  backend is chosen per channel, never per sender: the kernel owns the
+  ``phy.fading`` stream from its first draw.
 """
 
 from __future__ import annotations
@@ -58,12 +63,16 @@ from repro.phy.fading import (
     NoFading,
 )
 from repro.phy.propagation import PropagationModel, TwoRayGroundPropagation
-from repro.phy.reception import Reception
+from repro.phy.reception import ReceptionModel
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.trace import CounterSet
 
 PHY_BACKENDS = ("auto", "scalar", "compiled")
+
+#: The stock decision rule, as imported: the compiled kernel applies it
+#: in C on a channel whose every node's model still resolves to it.
+_STOCK_DECIDE = ReceptionModel.decide
 
 #: Backends that no longer exist, each with the reason asking for one
 #: fails: running another backend silently would hide a stale config.
@@ -126,8 +135,9 @@ class Transmission:
         #: Each touched receiver's faded power (same order): the frame's
         #: share of that receiver's ``current_power_mw``.
         self.powers: List[float] = []
-        #: The subset (same order) holding a pending reception of it.
-        self.decoding: List[Node] = []
+        #: Ids of the subset (same order) holding a pending reception
+        #: of it.
+        self.decoding: List[int] = []
 
 
 class ChannelError(RuntimeError):
@@ -163,7 +173,8 @@ class PhyLedger:
     """
 
     __slots__ = ("power_mw", "on_air", "busy", "transmitting", "sense_mw",
-                 "macs", "pending", "nodes", "columns")
+                 "macs", "pending", "nodes", "rx_thr_mw", "noise_mw",
+                 "sinr_linear", "columns")
 
     def __init__(self) -> None:
         #: Summed faded power of the frames on the air at each node.
@@ -177,12 +188,21 @@ class PhyLedger:
         #: Carrier-sense threshold of each node's radio.
         self.sense_mw: List[float] = []
         self.macs: List[Any] = []
-        self.pending: List[Dict[Any, Reception]] = []
+        #: Each node's pending receptions: transmission -> ``[signal_mw,
+        #: peak_interference_mw]``.
+        self.pending: List[Dict[Any, List[float]]] = []
         self.nodes: List[Node] = []
+        #: The stock decision rule's constants per node (receive
+        #: threshold, noise, linear SINR threshold), taken from each
+        #: node's reception model by :meth:`take_rules`.
+        self.rx_thr_mw: List[float] = []
+        self.noise_mw: List[float] = []
+        self.sinr_linear: List[float] = []
         #: The columns in the order the compiled kernel takes them.
         self.columns = (self.power_mw, self.on_air, self.busy,
                         self.transmitting, self.sense_mw, self.macs,
-                        self.pending, self.nodes)
+                        self.pending, self.nodes, self.rx_thr_mw,
+                        self.noise_mw, self.sinr_linear)
 
     def add(self, node: Node) -> None:
         """Give ``node`` the next row, as an idle radio."""
@@ -200,6 +220,13 @@ class PhyLedger:
         self.pending.append(node.pending_receptions)
         self.nodes.append(node)
         node._ledger = self
+
+    def take_rules(self) -> None:
+        """Copy every node's decision constants into the rule columns."""
+        params = [node.reception_model.params for node in self.nodes]
+        self.rx_thr_mw[:] = [p.rx_threshold_mw for p in params]
+        self.noise_mw[:] = [p.noise_mw for p in params]
+        self.sinr_linear[:] = [p.sinr_threshold_linear for p in params]
 
 
 class WirelessChannel:
@@ -265,6 +292,9 @@ class WirelessChannel:
         #: The compiled kernel module once this channel resolved
         #: "compiled" (it then owns ``_fading_rng``), else ``None``.
         self._kernel = None
+        #: True when the kernel's ``frame_end`` decides the receptions:
+        #: compiled, and every node's model decides by the stock rule.
+        self._decide_in_kernel = False
         #: Count of nodes with the radio administratively down
         #: (maintained via :meth:`note_active_change`), so the frame
         #: start skips building an active subset when all are up.
@@ -350,6 +380,11 @@ class WirelessChannel:
         )
         self._resolve_backend(fusable)
         self._fused_fading = self.fading if fusable else None
+        self.ledger.take_rules()
+        self._decide_in_kernel = self._kernel is not None and all(
+            type(node.reception_model).decide is _STOCK_DECIDE
+            for node in nodes
+        )
         self._finalized = True
 
     def _max_audible_range_m(self) -> Optional[float]:
@@ -514,7 +549,7 @@ class WirelessChannel:
             if self._kernel is not None:
                 self._kernel.frame_start(
                     self._fading_rng.stream, tx, receiver_ids, means,
-                    thresholds, *row, Reception, self.ledger.columns,
+                    thresholds, *row, self.ledger.columns,
                 )
             else:
                 self._fused_start(tx, receiver_ids, means, thresholds, row)
@@ -530,8 +565,9 @@ class WirelessChannel:
     # raise the peak interference of every pending reception (the total
     # minus that reception's own signal), flip carrier sense idle -> busy
     # (power only rises here), and -- when the power is decodable and
-    # the receiver is not transmitting -- start a pending reception
-    # whose initial interference is every other audible frame.
+    # the receiver is not transmitting -- start a pending reception,
+    # a ``[signal_mw, peak_interference_mw]`` row whose initial
+    # interference is every other audible frame.
 
     def _fused_start(
         self,
@@ -561,7 +597,6 @@ class WirelessChannel:
         sense = ledger.sense_mw
         macs = ledger.macs
         pending_of = ledger.pending
-        nodes = ledger.nodes
         random_ = self._fading_rng.random
         twopi = TWOPI
         log = math.log
@@ -569,7 +604,6 @@ class WirelessChannel:
         cos = math.cos
         sin = math.sin
         now = tx.start_time
-        end_time = tx.end_time
         silenced = None
         powers_append = tx.powers.append
         decoding_append = tx.decoding.append
@@ -598,22 +632,19 @@ class WirelessChannel:
             on_air[rid] += 1
             pending = pending_of[rid]
             if pending:
-                for reception in pending.values():
-                    level = total - reception.signal_mw
-                    if level > reception.peak_interference_mw:
-                        reception.peak_interference_mw = level
+                for row in pending.values():
+                    level = total - row[0]
+                    if level > row[1]:
+                        row[1] = level
             if not busy[rid] and total >= sense[rid]:
                 busy[rid] = True
                 mac = macs[rid]
                 if mac.awaited_sense is True:
                     mac.on_medium_state(True)
             if power_mw >= threshold and not transmitting[rid]:
-                reception = Reception(tx, rid, power_mw, now, end_time)
-                pending[tx] = reception
                 level = total - power_mw
-                if level > 0.0:
-                    reception.peak_interference_mw = level
-                decoding_append(nodes[rid])
+                pending[tx] = [power_mw, level if level > 0.0 else 0.0]
+                decoding_append(rid)
         tx.touched = (
             receiver_ids if silenced is None
             else [rid for rid in receiver_ids if rid not in silenced]
@@ -628,7 +659,6 @@ class WirelessChannel:
     ) -> None:
         """The frame start with the fading drawn in one call first."""
         now = tx.start_time
-        end_time = tx.end_time
         if not receiver_ids or self._deterministic_power:
             powers = means
         elif self._inline_fading:
@@ -658,7 +688,6 @@ class WirelessChannel:
         sense = ledger.sense_mw
         macs = ledger.macs
         pending_of = ledger.pending
-        nodes = ledger.nodes
         decoding_append = tx.decoding.append
         for rid, power_mw, threshold in zip(receiver_ids, powers, thresholds):
             total = power[rid] + power_mw
@@ -666,27 +695,24 @@ class WirelessChannel:
             on_air[rid] += 1
             pending = pending_of[rid]
             if pending:
-                for reception in pending.values():
-                    level = total - reception.signal_mw
-                    if level > reception.peak_interference_mw:
-                        reception.peak_interference_mw = level
+                for row in pending.values():
+                    level = total - row[0]
+                    if level > row[1]:
+                        row[1] = level
             if not busy[rid] and total >= sense[rid]:
                 busy[rid] = True
                 mac = macs[rid]
                 if mac.awaited_sense is True:
                     mac.on_medium_state(True)
             if power_mw >= threshold and not transmitting[rid]:
-                reception = Reception(tx, rid, power_mw, now, end_time)
-                pending[tx] = reception
                 level = total - power_mw
-                if level > 0.0:
-                    reception.peak_interference_mw = level
-                decoding_append(nodes[rid])
+                pending[tx] = [power_mw, level if level > 0.0 else 0.0]
+                decoding_append(rid)
 
     def _withdraw(self, touched: List[int], powers: List[float]) -> None:
         """Take a finished frame's power off its receivers' ledger rows.
 
-        The compiled kernel's ``frame_end`` is this loop in C.
+        The compiled kernel's ``frame_end`` starts with this loop in C.
         """
         ledger = self.ledger
         power = ledger.power_mw
@@ -728,27 +754,44 @@ class WirelessChannel:
         # delivery's upper-layer sends.  Power only falls here, so the
         # only possible flip is busy -> idle.
         if self._kernel is not None:
-            self._kernel.frame_end(tx.touched, tx.powers, self.ledger.columns)
+            self._kernel.frame_end(
+                tx, self.ledger.columns, self._decide_in_kernel
+            )
         else:
             self._withdraw(tx.touched, tx.powers)
+        if not self._decide_in_kernel:
+            self._decide(tx)
+        if tx.notify_sender:
+            tx.sender.mac.on_tx_complete()
+
+    def _decide(self, tx: Transmission) -> None:
+        """Decide a finished frame's pending receptions, in order.
+
+        Each row is popped just before its decision, so a frame that a
+        delivery upcall starts still raises the interference of the
+        receivers after it.  A zeroed signal (the receiver transmitted
+        or went down mid-frame) is a half-duplex loss and is not
+        decided.  The compiled kernel's ``frame_end`` runs this loop in
+        C for the stock rule.
+        """
+        nodes = self.nodes
+        pending_of = self.ledger.pending
         packet = tx.packet
         sender_id = tx.sender_id
         dest_id = tx.dest_id
-        for receiver in tx.decoding:
-            reception = receiver.pending_receptions.pop(tx)
-            signal_mw = reception.signal_mw
+        for rid in tx.decoding:
+            signal_mw, interference_mw = pending_of[rid].pop(tx)
+            receiver = nodes[rid]
             tally = receiver.counters.counts
             if signal_mw <= 0.0:
                 tally["phy.rx_failed_half_duplex"] += 1.0
-            elif receiver.reception_model.decide(reception):
+            elif receiver.reception_model.decide(signal_mw, interference_mw):
                 tally["phy.rx_ok"] += 1.0
                 receiver.deliver(packet, sender_id, dest_id, signal_mw)
             elif signal_mw < receiver.params.rx_threshold_mw:
                 tally["phy.rx_failed_weak"] += 1.0
             else:
                 tally["phy.rx_failed_collision"] += 1.0
-        if tx.notify_sender:
-            tx.sender.mac.on_tx_complete()
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -15,10 +15,13 @@ node reads its own row through views:
   :attr:`Node.medium_busy`.
 
 The views are read-only: the channel's passes and the node's own
-radio-state methods write the columns.  A node not yet registered with a channel reads as an idle radio.  The
-pending :class:`~repro.phy.reception.Reception` objects for frames this
-node may decode stay in the node's own ``pending_receptions`` dict, which
-the ledger holds by reference.
+radio-state methods write the columns.  A node not yet registered with
+a channel reads as an idle radio.  The frames this node may decode stay
+in the node's own ``pending_receptions`` dict, which the ledger holds
+by reference: each maps its transmission to a ``[signal_mw,
+peak_interference_mw]`` row (see :mod:`repro.phy.reception`).  Killing
+a reception (own transmission, power failure) zeroes its signal, which
+the frame end tallies as a half-duplex loss.
 
 The channel updates that state in place, in one pass over a frame's
 receivers at each edge of the frame.  Power only rises when a frame
@@ -36,13 +39,13 @@ send through :meth:`send_broadcast` / :meth:`send_unicast`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.mac.csma import BROADCAST_ID, CsmaMac
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Position
 from repro.phy.radio import RadioParams
-from repro.phy.reception import Reception, ReceptionModel
+from repro.phy.reception import ReceptionModel
 from repro.sim.engine import Simulator
 from repro.sim.trace import CounterSet
 
@@ -84,7 +87,7 @@ class Node:
         self._ledger: Any = None
         self.counters = CounterSet()
 
-        self.pending_receptions: Dict[Any, Reception] = {}
+        self.pending_receptions: Dict[Any, List[float]] = {}
         #: Radio power state; a "failed" node neither sends nor receives.
         self.active = True
 
@@ -179,8 +182,8 @@ class Node:
             self.channel.note_active_change(active)
         if not active:
             self.counters.add("node.down_events")
-            for reception in self.pending_receptions.values():
-                reception.signal_mw = 0.0
+            for row in self.pending_receptions.values():
+                row[0] = 0.0
         else:
             self.counters.add("node.up_events")
         self._update_sense_state()
@@ -239,8 +242,8 @@ class Node:
     def phy_begin_own_tx(self) -> None:
         """Half duplex: starting to transmit kills any in-flight receptions."""
         self._registered_ledger().transmitting[self.node_id] = True
-        for reception in self.pending_receptions.values():
-            reception.signal_mw = 0.0
+        for row in self.pending_receptions.values():
+            row[0] = 0.0
         self._update_sense_state()
 
     def phy_end_own_tx(self) -> None:

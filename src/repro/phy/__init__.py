@@ -7,7 +7,7 @@ This package reproduces that stack:
 * :mod:`repro.phy.propagation` -- deterministic path-loss models.
 * :mod:`repro.phy.fading` -- per-packet multiplicative power fading.
 * :mod:`repro.phy.radio` -- radio parameter sets and dBm/mW conversions.
-* :mod:`repro.phy.reception` -- SINR bookkeeping and reception decisions.
+* :mod:`repro.phy.reception` -- SINR reception decisions.
 """
 
 from repro.phy.fading import FadingModel, NoFading, RayleighFading, RicianFading
@@ -23,7 +23,7 @@ from repro.phy.radio import (
     dbm_to_mw,
     mw_to_dbm,
 )
-from repro.phy.reception import Reception, ReceptionModel
+from repro.phy.reception import ReceptionModel
 
 __all__ = [
     "PropagationModel",
@@ -38,6 +38,5 @@ __all__ = [
     "dbm_to_mw",
     "mw_to_dbm",
     "calibrate_rx_threshold_dbm",
-    "Reception",
     "ReceptionModel",
 ]

@@ -2,29 +2,33 @@
  * The compiled receiver kernel of the scalar PHY.
  *
  * frame_start is WirelessChannel._fused_start (repro.net.channel) and
- * frame_end is WirelessChannel._withdraw, operation for operation, so a
- * run is bit-identical to the pure-Python passes: each link's AR(1) step
- * drawn from the channel's MT19937, the faded power added to the
- * receiver, the peak interference of its pending receptions raised,
- * idle -> busy carrier-sense flips passed to a waiting MAC, decode
- * starts; at the frame's end its power withdrawn and busy -> idle flips
- * passed on.  A sender's first frame takes the same pass: its zeroed
- * link states with rho 0 and innovation sqrt(0.5) make each step a
- * fresh link's draw.
+ * frame_end is WirelessChannel._withdraw followed by
+ * WirelessChannel._decide, operation for operation, so a run is
+ * bit-identical to the pure-Python passes: each link's AR(1) step drawn
+ * from the channel's MT19937, the faded power added to the receiver,
+ * the peak interference of its pending receptions raised, idle -> busy
+ * carrier-sense flips passed to a waiting MAC, decode starts; at the
+ * frame's end its power withdrawn, busy -> idle flips passed on, then
+ * each pending reception decided by ReceptionModel.decide's stock rule,
+ * tallied by fate and, on success, delivered.  A sender's first frame
+ * takes the same pass: its zeroed link states with rho 0 and innovation
+ * sqrt(0.5) make each step a fresh link's draw.
  *
  * Per-node state is the channel's PhyLedger: plain lists indexed by
  * node id (power, on-air count, sensed-busy, transmitting, sense
- * threshold, MAC, pending-reception dict, node), read and written with
- * PyList_GET_ITEM/PyList_SetItem.  Per-link fading state is the fading
- * model's array('d') of (time, real, imag) triples, written as doubles
- * through the buffer protocol.  Python is called only where the
- * Python pass calls it: the MAC's on_medium_state on a flip it awaits,
- * the Reception constructor on a decode start.  Receptions are still
- * reached through attribute access.  A callback may run arbitrary
+ * threshold, MAC, pending-reception dict, node, and the decision rule's
+ * receive threshold, noise and linear SINR threshold), read and written
+ * with PyList_GET_ITEM/PyList_SetItem.  A pending reception is a
+ * two-item list [signal_mw, peak_interference_mw] keyed by its
+ * transmission.  Per-link fading state is the fading model's array('d')
+ * of (time, real, imag) triples, written as doubles through the buffer
+ * protocol.  Python is called only where the Python passes call it: the
+ * MAC's on_medium_state on a flip it awaits, Node.deliver on a decoded
+ * frame, and the node's counter dict.  A callback may run arbitrary
  * Python, so every list index is checked against the list's current
  * size, and every borrowed object a callback could release is held.
- * The decisions and deliveries stay in Python (about 1 % of a paper run
- * in C, within noise).
+ * A channel whose reception models are not the stock one decides in
+ * Python and calls frame_end for the withdrawal alone.
  *
  * Stream is an MT19937 that reproduces random.Random: random() is the
  * same 53-bit recipe over the same generator, getstate()/setstate() use
@@ -241,13 +245,15 @@ static PyTypeObject StreamType = {
 /* ------------------------------------------------------------------ */
 /* The ledger                                                          */
 
-static PyObject *s_awaited_sense, *s_on_medium_state, *s_signal_mw,
-    *s_peak_interference_mw, *s_touched, *s_powers, *s_decoding,
-    *s_start_time, *s_end_time;
+static PyObject *s_awaited_sense, *s_on_medium_state, *s_touched,
+    *s_powers, *s_decoding, *s_start_time, *s_packet, *s_sender_id,
+    *s_dest_id, *s_deliver, *s_counters, *s_counts, *s_rx_ok,
+    *s_rx_failed_half_duplex, *s_rx_failed_weak, *s_rx_failed_collision,
+    *one;
 
 /* PhyLedger.columns, in its order. */
 enum { L_POWER, L_ON_AIR, L_BUSY, L_TRANSMITTING, L_SENSE, L_MACS,
-       L_PENDING, L_NODES, L_COLUMNS };
+       L_PENDING, L_NODES, L_RX_THR, L_NOISE, L_SINR, L_COLUMNS };
 
 typedef struct {
     PyObject *col[L_COLUMNS];  /* borrowed from the columns tuple */
@@ -350,32 +356,35 @@ check_list(PyObject *obj, const char *what)
 
 static const double TWOPI = 2.0 * 3.14159265358979323846;  /* math.tau */
 
+/* The pending reception `row` checked to be a [signal_mw,
+ * peak_interference_mw] list; -1 with an exception set otherwise. */
 static int
-get_double(PyObject *obj, PyObject *name, double *out)
+check_row(PyObject *row)
 {
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL) {
+    if (!PyList_Check(row) || PyList_GET_SIZE(row) != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a pending reception must be a "
+                        "[signal_mw, peak_interference_mw] list");
         return -1;
     }
-    double result = PyFloat_AsDouble(value);
-    Py_DECREF(value);
-    if (result == -1.0 && PyErr_Occurred()) {
-        return -1;
-    }
-    *out = result;
     return 0;
 }
 
+/* The value of `obj`, which the caller holds: converting an object that
+ * is not a float may run Python. */
+static double
+held_double(PyObject *obj)
+{
+    return PyFloat_CheckExact(obj) ? PyFloat_AS_DOUBLE(obj)
+                                   : PyFloat_AsDouble(obj);
+}
+
+/* row[k] = value, as a new float; -1 with an exception set on failure. */
 static int
-set_double(PyObject *obj, PyObject *name, double value)
+set_row_item(PyObject *row, Py_ssize_t k, double value)
 {
     PyObject *boxed = PyFloat_FromDouble(value);
-    if (boxed == NULL) {
-        return -1;
-    }
-    int status = PyObject_SetAttr(obj, name, boxed);
-    Py_DECREF(boxed);
-    return status;
+    return boxed == NULL ? -1 : PyList_SetItem(row, k, boxed);
 }
 
 /* For every pending reception at the receiver: raise its peak
@@ -384,16 +393,22 @@ static int
 raise_interference(PyObject *pending, double total)
 {
     Py_ssize_t pos = 0;
-    PyObject *key, *reception;
-    while (PyDict_Next(pending, &pos, &key, &reception)) {
-        double signal, peak;
-        Py_INCREF(reception);
-        int failed = get_double(reception, s_signal_mw, &signal) < 0
-            || get_double(reception, s_peak_interference_mw, &peak) < 0
-            || (total - signal > peak
-                && set_double(reception, s_peak_interference_mw,
-                              total - signal) < 0);
-        Py_DECREF(reception);
+    PyObject *key, *row;
+    while (PyDict_Next(pending, &pos, &key, &row)) {
+        if (check_row(row) < 0) {
+            return -1;
+        }
+        Py_INCREF(row);
+        PyObject *signal_obj = Py_NewRef(PyList_GET_ITEM(row, 0));
+        PyObject *peak_obj = Py_NewRef(PyList_GET_ITEM(row, 1));
+        double signal = held_double(signal_obj);
+        double peak = PyErr_Occurred() ? 0.0 : held_double(peak_obj);
+        double level = total - signal;
+        int failed = PyErr_Occurred() != NULL
+            || (level > peak && set_row_item(row, 1, level) < 0);
+        Py_DECREF(peak_obj);
+        Py_DECREF(signal_obj);
+        Py_DECREF(row);
         if (failed) {
             return -1;
         }
@@ -406,7 +421,6 @@ raise_interference(PyObject *pending, double total)
 static int
 start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
                PyObject *power_obj, double power, double threshold,
-               PyObject *now, PyObject *end_time, PyObject *reception_type,
                PyObject *decoding)
 {
     Py_ssize_t rid = ledger_row(ledger, id_obj);
@@ -429,7 +443,7 @@ start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
         PyErr_SetString(PyExc_TypeError, "pending_receptions must be a dict");
         goto done;
     }
-    /* A Reception's attribute access may run Python: look the row up
+    /* A row item that is not a float may run Python: look the row up
      * again after it. */
     if (PyDict_GET_SIZE(pending)
         && (raise_interference(pending, total) < 0
@@ -452,18 +466,19 @@ start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
             goto done;
         }
         if (!transmitting) {
-            PyObject *args[5] = {tx, id_obj, power_obj, now, end_time};
-            PyObject *reception = PyObject_Vectorcall(reception_type, args, 5, NULL);
-            if (reception == NULL) {
+            double level = total - power;
+            PyObject *row = PyList_New(2);
+            PyObject *peak = row == NULL
+                ? NULL : PyFloat_FromDouble(level > 0.0 ? level : 0.0);
+            if (peak == NULL) {
+                Py_XDECREF(row);
                 goto done;
             }
-            double level = total - power;
-            int failed = PyDict_SetItem(pending, tx, reception) < 0
-                || (level > 0.0
-                    && set_double(reception, s_peak_interference_mw, level) < 0)
-                || (rid = ledger_row(ledger, id_obj)) < 0
-                || PyList_Append(decoding, cell(ledger, L_NODES, rid)) < 0;
-            Py_DECREF(reception);
+            PyList_SET_ITEM(row, 0, Py_NewRef(power_obj));
+            PyList_SET_ITEM(row, 1, peak);
+            int failed = PyDict_SetItem(pending, tx, row) < 0
+                || PyList_Append(decoding, id_obj) < 0;
+            Py_DECREF(row);
             if (failed) {
                 goto done;
             }
@@ -477,7 +492,7 @@ done:
 
 /*
  * frame_start(stream, tx, receiver_ids, means, thresholds, states, rho,
- *             innovation, reception_type, ledger_columns)
+ *             innovation, ledger_columns)
  *
  * The fused frame start: `states`, `rho` and `innovation` are
  * CorrelatedRayleighFading.uniform_row's, `states` an array('d') of
@@ -493,8 +508,8 @@ done:
 static PyObject *
 frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 10) {
-        PyErr_SetString(PyExc_TypeError, "frame_start takes 10 arguments");
+    if (nargs != 9) {
+        PyErr_SetString(PyExc_TypeError, "frame_start takes 9 arguments");
         return NULL;
     }
     if (!PyObject_TypeCheck(args[0], &StreamType)) {
@@ -503,12 +518,11 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     StreamObject *stream = (StreamObject *)args[0];
     PyObject *tx = args[1], *ids = args[2], *means = args[3],
-             *thresholds = args[4], *states = args[5],
-             *reception_type = args[8];
+             *thresholds = args[4], *states = args[5];
     Ledger ledger;
     if (check_list(ids, "receiver_ids") < 0 || check_list(means, "means") < 0
         || check_list(thresholds, "thresholds") < 0
-        || unpack_ledger(args[9], &ledger) < 0) {
+        || unpack_ledger(args[8], &ledger) < 0) {
         return NULL;
     }
     double rho = PyFloat_AsDouble(args[6]);
@@ -517,13 +531,12 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
 
-    PyObject *now = NULL, *end_time = NULL, *powers = NULL, *decoding = NULL,
-             *touched = NULL, *result = NULL;
+    PyObject *now = NULL, *powers = NULL, *decoding = NULL, *touched = NULL,
+             *result = NULL;
     double *power = NULL;
     int any_silenced = 0;
     now = PyObject_GetAttr(tx, s_start_time);
-    end_time = now ? PyObject_GetAttr(tx, s_end_time) : NULL;
-    powers = end_time ? PyObject_GetAttr(tx, s_powers) : NULL;
+    powers = now ? PyObject_GetAttr(tx, s_powers) : NULL;
     decoding = powers ? PyObject_GetAttr(tx, s_decoding) : NULL;
     if (decoding == NULL || check_list(powers, "tx.powers") < 0
         || check_list(decoding, "tx.decoding") < 0) {
@@ -600,8 +613,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         int status = PyList_Append(powers, power_obj);
         if (status == 0) {
             status = start_receiver(&ledger, tx, id_obj, power_obj, power[k],
-                                    threshold, now, end_time, reception_type,
-                                    decoding);
+                                    threshold, decoding);
         }
         Py_DECREF(id_obj);
         Py_DECREF(power_obj);
@@ -635,36 +647,24 @@ done:
     Py_XDECREF(touched);
     Py_XDECREF(decoding);
     Py_XDECREF(powers);
-    Py_XDECREF(end_time);
     Py_XDECREF(now);
     return result;
 }
 
 /* ------------------------------------------------------------------ */
-/* The frame-end withdrawal                                            */
+/* The frame end                                                       */
 
-/*
- * frame_end(touched, powers, ledger_columns)
- *
- * Takes a finished frame's power off each touched receiver's ledger row
- * and passes busy -> idle flips to a waiting MAC, as
- * WirelessChannel._withdraw does.
- */
-static PyObject *
-frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* Take a finished frame's power off each touched receiver's ledger row
+ * and pass busy -> idle flips to a waiting MAC, as
+ * WirelessChannel._withdraw does. */
+static int
+withdraw(const Ledger *ledger, PyObject *touched_obj, PyObject *powers_obj)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "frame_end takes 3 arguments");
-        return NULL;
-    }
-    Ledger ledger;
-    if (unpack_ledger(args[2], &ledger) < 0) {
-        return NULL;
-    }
-    PyObject *touched = PySequence_Fast(args[0], "touched must be a sequence");
+    PyObject *touched = PySequence_Fast(touched_obj,
+                                        "touched must be a sequence");
     PyObject *powers = touched
-        ? PySequence_Fast(args[1], "powers must be a sequence") : NULL;
-    PyObject *result = NULL;
+        ? PySequence_Fast(powers_obj, "powers must be a sequence") : NULL;
+    int status = -1;
     if (powers == NULL) {
         goto done;
     }
@@ -677,19 +677,19 @@ frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
         Py_INCREF(id_obj);
-        Py_ssize_t rid = ledger_row(&ledger, id_obj);
+        Py_ssize_t rid = ledger_row(ledger, id_obj);
         Py_DECREF(id_obj);
         if (rid < 0) {
             goto done;
         }
-        long count = PyLong_AsLong(cell(&ledger, L_ON_AIR, rid)) - 1;
+        long count = PyLong_AsLong(cell(ledger, L_ON_AIR, rid)) - 1;
         if (PyErr_Occurred()
-            || set_cell(&ledger, L_ON_AIR, rid, PyLong_FromLong(count)) < 0) {
+            || set_cell(ledger, L_ON_AIR, rid, PyLong_FromLong(count)) < 0) {
             goto done;
         }
         double total = 0.0;
         if (count) {
-            total = PyFloat_AsDouble(cell(&ledger, L_POWER, rid)) - power;
+            total = PyFloat_AsDouble(cell(ledger, L_POWER, rid)) - power;
             if (PyErr_Occurred()) {
                 goto done;
             }
@@ -697,36 +697,194 @@ frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 total = 0.0;
             }
         }
-        if (set_cell(&ledger, L_POWER, rid, PyFloat_FromDouble(total)) < 0) {
+        if (set_cell(ledger, L_POWER, rid, PyFloat_FromDouble(total)) < 0) {
             goto done;
         }
-        int busy = PyObject_IsTrue(cell(&ledger, L_BUSY, rid));
+        int busy = PyObject_IsTrue(cell(ledger, L_BUSY, rid));
         if (busy < 0) {
             goto done;
         }
         if (!busy) {
             continue;
         }
-        int transmitting = PyObject_IsTrue(cell(&ledger, L_TRANSMITTING, rid));
+        int transmitting = PyObject_IsTrue(cell(ledger, L_TRANSMITTING, rid));
         if (transmitting < 0) {
             goto done;
         }
         if (transmitting) {
             continue;
         }
-        double sense = PyFloat_AsDouble(cell(&ledger, L_SENSE, rid));
+        double sense = PyFloat_AsDouble(cell(ledger, L_SENSE, rid));
         if (sense == -1.0 && PyErr_Occurred()) {
             goto done;
         }
-        if (total < sense && flip_sense(&ledger, rid, Py_False) < 0) {
+        if (total < sense && flip_sense(ledger, rid, Py_False) < 0) {
             goto done;
         }
     }
-    result = Py_NewRef(Py_None);
+    status = 0;
 done:
     Py_XDECREF(powers);
     Py_XDECREF(touched);
-    return result;
+    return status;
+}
+
+/* node.counters.counts[fate] += 1.0 */
+static int
+tally(PyObject *node, PyObject *fate)
+{
+    PyObject *counters = PyObject_GetAttr(node, s_counters);
+    PyObject *counts = counters ? PyObject_GetAttr(counters, s_counts) : NULL;
+    PyObject *value = counts ? PyObject_GetItem(counts, fate) : NULL;
+    PyObject *sum = value ? PyNumber_InPlaceAdd(value, one) : NULL;
+    int status = sum == NULL ? -1 : PyObject_SetItem(counts, fate, sum);
+    Py_XDECREF(sum);
+    Py_XDECREF(value);
+    Py_XDECREF(counts);
+    Py_XDECREF(counters);
+    return status;
+}
+
+/* Decide receiver `id_obj`'s reception of `tx`: pop its row, apply the
+ * stock rule, tally the fate and deliver a decoded frame. */
+static int
+decide_one(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
+           PyObject *packet, PyObject *sender_id, PyObject *dest_id)
+{
+    Py_ssize_t rid = ledger_row(ledger, id_obj);
+    if (rid < 0) {
+        return -1;
+    }
+    PyObject *pending = cell(ledger, L_PENDING, rid);
+    if (!PyDict_Check(pending)) {
+        PyErr_SetString(PyExc_TypeError, "pending_receptions must be a dict");
+        return -1;
+    }
+    PyObject *row = PyDict_GetItemWithError(pending, tx);
+    if (row == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetObject(PyExc_KeyError, tx);
+        }
+        return -1;
+    }
+    if (check_row(row) < 0) {
+        return -1;
+    }
+    PyObject *signal_obj = Py_NewRef(PyList_GET_ITEM(row, 0));
+    PyObject *peak_obj = Py_NewRef(PyList_GET_ITEM(row, 1));
+    PyObject *node = NULL;
+    int status = -1;
+    if (PyDict_DelItem(pending, tx) < 0) {
+        goto done;
+    }
+    double signal = held_double(signal_obj);
+    double peak = PyErr_Occurred() ? 0.0 : held_double(peak_obj);
+    if (PyErr_Occurred() || (rid = ledger_row(ledger, id_obj)) < 0) {
+        goto done;
+    }
+    double rx_thr = PyFloat_AsDouble(cell(ledger, L_RX_THR, rid));
+    double noise = PyFloat_AsDouble(cell(ledger, L_NOISE, rid));
+    double sinr = PyFloat_AsDouble(cell(ledger, L_SINR, rid));
+    if (PyErr_Occurred()) {
+        goto done;
+    }
+    node = Py_NewRef(cell(ledger, L_NODES, rid));
+    /* ReceptionModel.decide, then the fates in _decide's order. */
+    PyObject *fate;
+    int decoded = 0;
+    if (signal <= 0.0) {
+        fate = s_rx_failed_half_duplex;
+    }
+    else if (signal >= rx_thr && signal / (noise + peak) >= sinr) {
+        fate = s_rx_ok;
+        decoded = 1;
+    }
+    else if (signal < rx_thr) {
+        fate = s_rx_failed_weak;
+    }
+    else {
+        fate = s_rx_failed_collision;
+    }
+    if (tally(node, fate) < 0) {
+        goto done;
+    }
+    if (decoded) {
+        PyObject *call[5] = {node, packet, sender_id, dest_id, signal_obj};
+        PyObject *delivered = PyObject_VectorcallMethod(s_deliver, call, 5,
+                                                        NULL);
+        if (delivered == NULL) {
+            goto done;
+        }
+        Py_DECREF(delivered);
+    }
+    status = 0;
+done:
+    Py_XDECREF(node);
+    Py_DECREF(peak_obj);
+    Py_DECREF(signal_obj);
+    return status;
+}
+
+/* Every reception in tx.decoding, in order; each row is popped just
+ * before its decision, so a frame a delivery starts still raises the
+ * interference of the receivers after it. */
+static int
+decide_all(const Ledger *ledger, PyObject *tx)
+{
+    PyObject *decoding = PyObject_GetAttr(tx, s_decoding);
+    if (decoding == NULL || check_list(decoding, "tx.decoding") < 0) {
+        Py_XDECREF(decoding);
+        return -1;
+    }
+    PyObject *packet = NULL, *sender_id = NULL, *dest_id = NULL;
+    int status = 0;
+    if (PyList_GET_SIZE(decoding)) {
+        packet = PyObject_GetAttr(tx, s_packet);
+        sender_id = packet ? PyObject_GetAttr(tx, s_sender_id) : NULL;
+        dest_id = sender_id ? PyObject_GetAttr(tx, s_dest_id) : NULL;
+        status = dest_id == NULL ? -1 : 0;
+    }
+    /* A delivery may run any Python: the size is read every round. */
+    for (Py_ssize_t k = 0; status == 0 && k < PyList_GET_SIZE(decoding); k++) {
+        PyObject *id_obj = Py_NewRef(PyList_GET_ITEM(decoding, k));
+        status = decide_one(ledger, tx, id_obj, packet, sender_id, dest_id);
+        Py_DECREF(id_obj);
+    }
+    Py_XDECREF(dest_id);
+    Py_XDECREF(sender_id);
+    Py_XDECREF(packet);
+    Py_DECREF(decoding);
+    return status;
+}
+
+/*
+ * frame_end(tx, ledger_columns, decide)
+ *
+ * The finished frame `tx`'s withdrawal (WirelessChannel._withdraw over
+ * tx.touched and tx.powers); then, when `decide` is true, its decisions
+ * (WirelessChannel._decide with the stock rule) over tx.decoding.
+ */
+static PyObject *
+frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "frame_end takes 3 arguments");
+        return NULL;
+    }
+    PyObject *tx = args[0];
+    Ledger ledger;
+    int decide = unpack_ledger(args[1], &ledger) < 0
+        ? -1 : PyObject_IsTrue(args[2]);
+    if (decide < 0) {
+        return NULL;
+    }
+    PyObject *touched = PyObject_GetAttr(tx, s_touched);
+    PyObject *powers = touched ? PyObject_GetAttr(tx, s_powers) : NULL;
+    int failed = powers == NULL || withdraw(&ledger, touched, powers) < 0
+        || (decide && decide_all(&ledger, tx) < 0);
+    Py_XDECREF(powers);
+    Py_XDECREF(touched);
+    return failed ? NULL : Py_NewRef(Py_None);
 }
 
 /* ------------------------------------------------------------------ */
@@ -735,7 +893,7 @@ static PyMethodDef module_methods[] = {
     {"frame_start", (PyCFunction)(void (*)(void))frame_start, METH_FASTCALL,
      "The fused frame-start pass over one frame's receivers."},
     {"frame_end", (PyCFunction)(void (*)(void))frame_end, METH_FASTCALL,
-     "The frame-end withdrawal over one frame's receivers."},
+     "The frame-end withdrawal, then the decisions, of one frame."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -758,13 +916,23 @@ PyInit__rxkernel(void)
 {
     INTERN(s_awaited_sense, "awaited_sense");
     INTERN(s_on_medium_state, "on_medium_state");
-    INTERN(s_signal_mw, "signal_mw");
-    INTERN(s_peak_interference_mw, "peak_interference_mw");
     INTERN(s_touched, "touched");
     INTERN(s_powers, "powers");
     INTERN(s_decoding, "decoding");
     INTERN(s_start_time, "start_time");
-    INTERN(s_end_time, "end_time");
+    INTERN(s_packet, "packet");
+    INTERN(s_sender_id, "sender_id");
+    INTERN(s_dest_id, "dest_id");
+    INTERN(s_deliver, "deliver");
+    INTERN(s_counters, "counters");
+    INTERN(s_counts, "counts");
+    INTERN(s_rx_ok, "phy.rx_ok");
+    INTERN(s_rx_failed_half_duplex, "phy.rx_failed_half_duplex");
+    INTERN(s_rx_failed_weak, "phy.rx_failed_weak");
+    INTERN(s_rx_failed_collision, "phy.rx_failed_collision");
+    if ((one = PyFloat_FromDouble(1.0)) == NULL) {
+        return NULL;
+    }
     if (PyType_Ready(&StreamType) < 0) {
         return NULL;
     }

@@ -1,10 +1,10 @@
 """Loader of the compiled receiver kernel (``_rxkernel.c``).
 
-The kernel runs the scalar PHY's fused frame-start pass and the
-frame-end withdrawal in C over the channel's
-:class:`~repro.net.channel.PhyLedger` columns, bit for bit as
-:class:`~repro.net.channel.WirelessChannel` runs them in Python (see the
-C source for the contract).  There is no install step: the
+The kernel runs the scalar PHY's fused frame-start pass and the whole
+frame end -- withdrawal, SINR decisions, fate tallies and deliveries --
+in C over the channel's :class:`~repro.net.channel.PhyLedger` columns,
+bit for bit as :class:`~repro.net.channel.WirelessChannel` runs them in
+Python (see the C source for the contract).  There is no install step: the
 first :func:`load` in a process compiles the source with the
 interpreter's own C compiler (``sysconfig``'s ``CC``, or ``$CC``) into
 ``__pycache__`` next to this file, under a name that hashes the source,

@@ -1,9 +1,11 @@
-"""Reception bookkeeping and SINR-based packet decisions.
+"""SINR-based packet decisions.
 
-One :class:`Reception` exists per (transmission, candidate receiver) pair.
-It records the fading-sampled signal power and the worst (peak) concurrent
-interference seen while the packet was in the air; at end-of-transmission
-:class:`ReceptionModel` decides success.
+A pending reception is a two-item list ``[signal_mw,
+peak_interference_mw]`` in the receiver's ``pending_receptions`` dict,
+keyed by the transmission: the fading-sampled signal power and the
+worst (peak) concurrent interference seen while the packet was in the
+air.  The channel's frame passes (and the compiled kernel) write those
+rows; at end of transmission :class:`ReceptionModel` decides success.
 
 The decision rule mirrors GloMoSim's SNR-threshold reception:
 
@@ -15,50 +17,17 @@ Using *peak* interference over the packet is slightly conservative versus
 a bit-by-bit BER model but preserves the property that matters for the
 paper: any overlapping transmission of comparable power destroys a
 broadcast frame, because there are no retransmissions to recover it.
+
+The compiled kernel applies the stock :meth:`ReceptionModel.decide` in C
+from per-node copies of its three constants; a channel whose nodes use a
+subclass (or a wrapped ``decide``) calls the Python rule instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import math
 
 from repro.phy.radio import RadioParams
-
-
-class Reception:
-    """In-flight reception state at one candidate receiver."""
-
-    __slots__ = (
-        "transmission",
-        "receiver_id",
-        "signal_mw",
-        "start_time",
-        "end_time",
-        "peak_interference_mw",
-    )
-
-    def __init__(
-        self,
-        transmission: Any,
-        receiver_id: int,
-        signal_mw: float,
-        start_time: float,
-        end_time: float,
-    ) -> None:
-        self.transmission = transmission
-        self.receiver_id = receiver_id
-        self.signal_mw = signal_mw
-        self.start_time = start_time
-        self.end_time = end_time
-        self.peak_interference_mw = 0.0
-
-    def note_interference(self, concurrent_other_power_mw: float) -> None:
-        """Record the current total power from *other* transmissions.
-
-        Called whenever the set of concurrent transmissions audible at the
-        receiver changes; the peak over the packet decides capture.
-        """
-        if concurrent_other_power_mw > self.peak_interference_mw:
-            self.peak_interference_mw = concurrent_other_power_mw
 
 
 class ReceptionModel:
@@ -71,21 +40,12 @@ class ReceptionModel:
         """True if the given power trips carrier sense (medium busy)."""
         return power_mw >= self.params.carrier_sense_threshold_mw
 
-    def decide(self, reception: Reception) -> bool:
+    def decide(self, signal_mw: float, interference_mw: float) -> bool:
         """Final success/failure decision at end of transmission."""
-        return self.decide_powers(
-            reception.signal_mw, reception.peak_interference_mw
-        )
-
-    def decide_powers(
-        self, signal_mw: float, interference_mw: float, noise_mw: Optional[float] = None
-    ) -> bool:
-        """Decision from raw powers (exposed for analytic tests)."""
         params = self.params
         if signal_mw < params.rx_threshold_mw:
             return False
-        noise = params.noise_mw if noise_mw is None else noise_mw
-        sinr = signal_mw / (noise + interference_mw)
+        sinr = signal_mw / (params.noise_mw + interference_mw)
         return sinr >= params.sinr_threshold_linear
 
     def snr_db_margin(self, signal_mw: float) -> float:
@@ -95,8 +55,6 @@ class ReceptionModel:
         SINR-over-noise requirement.  Positive margins decode; negative
         margins are lost.  Useful for topology diagnostics.
         """
-        import math
-
         params = self.params
         floor_mw = max(
             params.rx_threshold_mw,

@@ -134,17 +134,25 @@ class ChannelConservationMonitor(InvariantMonitor):
                     "the ledger's pending receptions are not the node's own",
                     node_id=node_id,
                 )
-            for reception in pending.values():
-                if reception.end_time < now - _TIME_EPS:
+            for tx, (signal_mw, _peak_mw) in pending.items():
+                if tx.end_time < now - _TIME_EPS:
                     self.fail(
                         f"pending reception outlived its end time "
-                        f"({reception.end_time!r} < now={now!r})",
+                        f"({tx.end_time!r} < now={now!r})",
                         node_id=node_id,
                     )
-                if reception.transmission not in contributions:
+                if tx not in contributions:
                     self.fail(
                         "pending reception for a transmission with no "
                         "power contribution on this node",
+                        node_id=node_id,
+                    )
+                elif signal_mw not in (0.0, contributions[tx]):
+                    # A killed reception reads 0.0 (half duplex).
+                    self.fail(
+                        f"pending reception's signal {signal_mw!r} mW is "
+                        f"neither its frame's power here "
+                        f"({contributions[tx]!r} mW) nor 0.0",
                         node_id=node_id,
                     )
             if idle:

@@ -23,10 +23,17 @@ reference:
   a re-finalize (link state carried by receiver id), and channels the
   fused pass does not take (i.i.d. fading, no fading, a custom power
   model); the invariant monitors stay green on both backends;
-* the kernel's frame-end withdrawal equals the Python one
-  (``WirelessChannel._withdraw``) on hand-built ledgers and frame by
-  frame over a run with overlapping frames, receivers that start their
-  own frame mid-frame and radios that go down mid-frame.
+* the kernel's frame end equals the Python one
+  (``WirelessChannel._withdraw`` then ``_decide``) on hand-built
+  ledgers -- every decision fate, and a delivery upcall that starts a
+  frame at a receiver still waiting for its decision -- and frame by
+  frame, tallies included, over a run with overlapping frames,
+  receivers that start their own frame mid-frame and radios that go
+  down mid-frame;
+* a channel whose reception model is not the stock one -- a subclass,
+  or ``ReceptionModel.decide`` wrapped at class level before the build
+  -- decides in Python, once per decision, with the results of a
+  scalar run.
 
 Run-level parity of the fused pass against per-link draws lives in
 ``tests/test_phy_fanout.py`` (``TestCompiledRunParity``).
@@ -35,12 +42,14 @@ Run-level parity of the fused pass against per-link draws lives in
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 import random
 import shutil
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -52,12 +61,16 @@ from repro.experiments.scenarios import (
     build_simulation_scenario,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.mac.csma import BROADCAST_ID
 from repro.net.channel import ChannelError, PhyLedger, WirelessChannel
 from repro.net.network import Network, NetworkConfig
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import random_topology
 from repro.phy import kernel
+from repro.phy.radio import RadioParams
+from repro.phy.reception import ReceptionModel
 from repro.sim.engine import Simulator
+from repro.sim.trace import CounterSet
 from repro.validation.fuzzing import differential_check
 from tests.conftest import KERNEL_UNAVAILABLE, make_loss_network, requires_kernel
 
@@ -455,19 +468,44 @@ class _Mac:
         self.calls.append(busy)
 
 
-def _hand_ledger(rows):
-    """A ledger of ``(power, on_air, busy, transmitting, sense, mac)`` rows."""
+#: The radio of the hand-built ledgers' decision rule.
+PARAMS = RadioParams()
+
+
+def _hand_ledger(rows, nodes=None):
+    """A ledger of ``(power, on_air, busy, transmitting, sense, mac)`` rows,
+    with ``nodes`` (default none) deciding by ``PARAMS``' stock rule."""
     ledger = PhyLedger()
-    for power, on_air, busy, transmitting, sense, mac in rows:
+    for k, (power, on_air, busy, transmitting, sense, mac) in enumerate(rows):
         ledger.power_mw.append(power)
         ledger.on_air.append(on_air)
         ledger.busy.append(busy)
         ledger.transmitting.append(transmitting)
         ledger.sense_mw.append(sense)
         ledger.macs.append(mac)
-        ledger.pending.append({})
-        ledger.nodes.append(None)
+        ledger.pending.append({} if nodes is None else nodes[k].pending)
+        ledger.nodes.append(None if nodes is None else nodes[k])
+        ledger.rx_thr_mw.append(PARAMS.rx_threshold_mw)
+        ledger.noise_mw.append(PARAMS.noise_mw)
+        ledger.sinr_linear.append(PARAMS.sinr_threshold_linear)
     return ledger
+
+
+#: The packet every hand-built frame carries.
+PACKET = Packet(PacketKind.DATA, 9, 100, 0.0)
+
+
+class _Frame:
+    """A transmission stand-in: what the kernel's passes read and set."""
+
+    def __init__(self, touched=(), powers=(), decoding=(), start_time=0.0):
+        self.touched = list(touched)
+        self.powers = list(powers)
+        self.decoding = list(decoding)
+        self.start_time = start_time
+        self.packet = PACKET
+        self.sender_id = 9
+        self.dest_id = BROADCAST_ID
 
 
 def _ledger_state(ledger):
@@ -508,7 +546,7 @@ class TestFrameEndParity:
         module = kernel.load()
         compiled = _hand_ledger(_hand_rows())
         python = _hand_ledger(_hand_rows())
-        module.frame_end(*HAND_FRAME, compiled.columns)
+        module.frame_end(_Frame(*HAND_FRAME), compiled.columns, False)
         WirelessChannel._withdraw(
             type("Channel", (), {"ledger": python})(), *HAND_FRAME
         )
@@ -523,13 +561,14 @@ class TestFrameEndParity:
         module = kernel.load()
         ledger = _hand_ledger(_hand_rows())
         with pytest.raises(IndexError, match="not a row"):
-            module.frame_end([7], [1e-9], ledger.columns)
+            module.frame_end(_Frame([7], [1e-9]), ledger.columns, False)
         with pytest.raises(TypeError, match="columns"):
-            module.frame_end([0], [1e-9], ledger.columns[:-1])
+            module.frame_end(_Frame([0], [1e-9]), ledger.columns[:-1], False)
 
     def test_run_frame_by_frame(self):
-        """Two compiled runs, one withdrawing in C and one in Python:
-        the ledger after every frame end and the results are equal."""
+        """Two compiled runs, one ending frames in C and one in Python:
+        the ledger and the deciding receivers' tallies after every frame
+        end, every node's tallies and the results are equal."""
         config = forced(SimulationScenarioConfig(
             num_nodes=30, duration_s=10.0, warmup_s=3.0, topology_seed=3,
             faults=FaultPlan(
@@ -538,18 +577,37 @@ class TestFrameEndParity:
             ),
         ), "compiled")
         runs = [_recorded_run(config, python_end) for python_end in (False, True)]
-        (frames, seen, result), (python_frames, _, python_result) = runs
+        (frames, tallies, seen, result), (
+            python_frames, python_tallies, _, python_result
+        ) = runs
         assert frames == python_frames
+        assert tallies == python_tallies
         assert result.error is None and result.delivered_packets > 0
         assert result == python_result
-        assert seen == {"overlapping", "half-duplex", "down"}
+        # A killed reception and a weak one are too rare in a run to pin
+        # here; the hand-built decision case covers both fates.
+        assert seen >= {
+            "overlapping", "half-duplex", "down", "phy.rx_ok",
+            "phy.rx_failed_collision",
+        }
+
+
+#: The decision fates, one tally each.
+FATES = ("phy.rx_ok", "phy.rx_failed_weak", "phy.rx_failed_collision",
+         "phy.rx_failed_half_duplex")
+
+
+def _fates(node):
+    return tuple(node.counters.get(fate) for fate in FATES)
 
 
 def _recorded_run(config, python_end):
-    """Run spp recording the ledger after each frame end; also note which
-    of the parity cases the run's frame ends covered."""
+    """Run spp recording the ledger and the deciding receivers' tallies
+    after each frame end, withdrawing and deciding in C or in Python;
+    also note which of the parity cases the run's frame ends covered."""
     scenario = build_simulation_scenario("spp", config)
     channel = scenario.network.channel
+    assert channel._decide_in_kernel
     module = channel._kernel
     ledger = channel.ledger
     frames = []
@@ -559,8 +617,9 @@ def _recorded_run(config, python_end):
         frame_start = module.frame_start
 
         @staticmethod
-        def frame_end(touched, powers, columns):
-            for rid in touched:
+        def frame_end(tx, columns, decide):
+            assert decide
+            for rid in tx.touched:
                 if ledger.on_air[rid] > 1:
                     seen.add("overlapping")
                 if ledger.transmitting[rid]:
@@ -568,16 +627,201 @@ def _recorded_run(config, python_end):
                 if not ledger.nodes[rid].active:
                     seen.add("down")
             if python_end:
-                channel._withdraw(touched, powers)
+                channel._withdraw(tx.touched, tx.powers)
+                channel._decide(tx)
             else:
-                module.frame_end(touched, powers, columns)
+                module.frame_end(tx, columns, decide)
             frames.append((
                 list(ledger.power_mw), list(ledger.on_air),
                 list(ledger.busy), list(ledger.transmitting),
                 [mac.awaited_sense for mac in ledger.macs],
+                [(rid, _fates(ledger.nodes[rid])) for rid in tx.decoding],
             ))
 
     channel._kernel = Recording
     scenario.run()
     assert frames
-    return frames, seen, collect_result(scenario)
+    tallies = [_fates(node) for node in ledger.nodes]
+    seen.update(
+        fate for k, fate in enumerate(FATES)
+        if sum(counts[k] for counts in tallies)
+    )
+    return frames, tallies, seen, collect_result(scenario)
+
+
+class _Receiver:
+    """A node stand-in deciding by ``PARAMS``' stock rule; a delivery is
+    logged, then runs ``upcall`` when one is set."""
+
+    def __init__(self):
+        self.params = PARAMS
+        self.reception_model = ReceptionModel(PARAMS)
+        self.counters = CounterSet()
+        self.pending = {}
+        self.delivered = []
+        self.upcall = None
+
+    def deliver(self, packet, sender_id, dest_id, rx_power_mw):
+        self.delivered.append((packet, sender_id, dest_id, rx_power_mw))
+        if self.upcall is not None:
+            self.upcall()
+
+
+#: Signal and peak interference of each hand-built pending reception, in
+#: decision order: a zeroed signal (half duplex), a clear frame whose
+#: delivery starts a frame at receiver 3, one below the receive
+#: threshold, a clear frame the upcall's frame then destroys, and one
+#: already drowned.
+THR = PARAMS.rx_threshold_mw
+DECISION_ROWS = [
+    [0.0, 0.0], [4 * THR, 0.0], [THR / 2, 0.0], [4 * THR, 0.0],
+    [4 * THR, 4 * THR],
+]
+
+
+def _decision_case(in_kernel):
+    """Decide the hand-built frame in C or in Python; the state after."""
+    receivers = [_Receiver() for _ in DECISION_ROWS]
+    powers = [2 * THR] + [row[0] for row in DECISION_ROWS[1:]]
+    ledger = _hand_ledger(
+        [(power, 1, False, False, PARAMS.carrier_sense_threshold_mw, _Mac())
+         for power in powers],
+        receivers,
+    )
+    tx = _Frame(range(5), powers, range(5), start_time=1.0)
+    for receiver, row in zip(receivers, DECISION_ROWS):
+        receiver.pending[tx] = list(row)
+    module = kernel.load()
+    rng = random.Random(5)
+    stream = module.Stream(rng.getstate()[1])
+    channel = type("Channel", (), {
+        "ledger": ledger, "nodes": ledger.nodes, "_fading_rng": rng,
+    })()
+    late = _Frame(start_time=1.5)
+    start = ([3], [100 * THR], [THR])
+    fading = (array("d", [0.0, 0.0, 0.0]), 0.0, math.sqrt(0.5))
+
+    def upcall():
+        if in_kernel:
+            module.frame_start(stream, late, *start, *fading, ledger.columns)
+        else:
+            WirelessChannel._fused_start(channel, late, *start, fading)
+
+    receivers[1].upcall = upcall
+    if in_kernel:
+        module.frame_end(tx, ledger.columns, True)
+    else:
+        WirelessChannel._withdraw(channel, tx.touched, tx.powers)
+        WirelessChannel._decide(channel, tx)
+    return (
+        [_fates(receiver) for receiver in receivers],
+        [receiver.delivered for receiver in receivers],
+        [list(receiver.pending.values()) for receiver in receivers],
+        late.powers, late.decoding,
+        list(ledger.power_mw), list(ledger.on_air), list(ledger.busy),
+    )
+
+
+@requires_kernel
+class TestDecisionParity:
+    def test_every_fate_and_a_mid_loop_frame_start(self):
+        compiled = _decision_case(in_kernel=True)
+        assert compiled == _decision_case(in_kernel=False)
+        fates, delivered, pending, late_powers, late_decoding = compiled[:5]
+        ok, weak, collision, half_duplex = (
+            tuple(int(fate == wanted) for fate in FATES)
+            for wanted in FATES
+        )
+        assert fates == [half_duplex, ok, weak, collision, collision]
+        assert delivered == [[], [(PACKET, 9, BROADCAST_ID, 4 * THR)], [], [], []]
+        # The upcall's frame reached receiver 3 before its decision: its
+        # row was still pending, so the new power destroyed it.
+        assert late_decoding == [3]
+        assert pending == [[], [], [], [[late_powers[0], 0.0]], []]
+        assert late_powers[0] - 4 * THR > 0.4 * THR
+
+    def test_bad_rows_ids_and_columns_raise(self):
+        module = kernel.load()
+
+        def case(decoding=(0,), row=(5 * THR, 0.0), column=None, value=None):
+            receiver = _Receiver()
+            ledger = _hand_ledger([(0.0, 0, False, False, 1.0, _Mac())],
+                                  [receiver])
+            if column is not None:
+                getattr(ledger, column)[0] = value
+            tx = _Frame(decoding=decoding)
+            if row is not None:
+                receiver.pending[tx] = list(row)
+            return tx, ledger.columns
+
+        with pytest.raises(IndexError, match="not a row"):
+            module.frame_end(*case(decoding=[7]), True)
+        with pytest.raises(TypeError, match="columns"):
+            tx, columns = case()
+            module.frame_end(tx, columns[:-1], True)
+        with pytest.raises(KeyError):
+            module.frame_end(*case(row=None), True)
+        with pytest.raises(TypeError, match="signal_mw, peak_interference_mw"):
+            module.frame_end(*case(row=(5 * THR,)), True)
+        with pytest.raises(TypeError):
+            module.frame_end(*case(column="noise_mw", value="loud"), True)
+        with pytest.raises(TypeError, match="must be a dict"):
+            module.frame_end(*case(column="pending", value=[]), True)
+        tx, columns = case()
+        module.frame_end(tx, columns, True)
+        assert columns[7][0].counters.get("phy.rx_ok") == 1
+
+
+def _counted(rule, calls):
+    def decide(model, signal_mw, interference_mw):
+        calls.append(1)
+        return rule(model, signal_mw, interference_mw)
+
+    return decide
+
+
+def _decisions(network):
+    return sum(
+        node.counters.get(fate)
+        for node in network.nodes for fate in FATES[:3]
+    )
+
+
+@requires_kernel
+class TestPythonDecisions:
+    """Reception models the kernel does not decide for."""
+
+    def _run(self, calls):
+        scenario = build_simulation_scenario("spp", forced(CONFIG, "compiled"))
+        channel = scenario.network.channel
+        assert channel.phy_backend_resolved == "compiled"
+        assert not channel._decide_in_kernel
+        scenario.run()
+        assert len(calls) == _decisions(scenario.network) > 0
+        assert collect_result(scenario) == run_protocol(
+            "spp", forced(CONFIG, "scalar")
+        )
+
+    def test_stock_model_decides_in_the_kernel(self):
+        compiled = build_simulation_scenario("spp", forced(CONFIG, "compiled"))
+        assert compiled.network.channel._decide_in_kernel
+        scalar = build_simulation_scenario("spp", forced(CONFIG, "scalar"))
+        assert not scalar.network.channel._decide_in_kernel
+
+    def test_subclass_decides_in_python(self, monkeypatch):
+        from repro.net import node as node_module
+
+        calls = []
+
+        class Counting(ReceptionModel):
+            decide = _counted(ReceptionModel.decide, calls)
+
+        monkeypatch.setattr(node_module, "ReceptionModel", Counting)
+        self._run(calls)
+
+    def test_class_level_wrapper_decides_in_python(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            ReceptionModel, "decide", _counted(ReceptionModel.decide, calls)
+        )
+        self._run(calls)

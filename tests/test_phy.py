@@ -27,7 +27,7 @@ from repro.phy.radio import (
     mw_to_dbm,
     thermal_noise_mw,
 )
-from repro.phy.reception import Reception, ReceptionModel
+from repro.phy.reception import ReceptionModel
 
 
 class TestUnitConversions:
@@ -291,34 +291,28 @@ class TestReception:
     def test_below_threshold_fails(self):
         model = self.make_model()
         weak = dbm_to_mw(-80.0)
-        assert not model.decide_powers(weak, 0.0)
+        assert not model.decide(weak, 0.0)
 
     def test_clear_channel_above_threshold_succeeds(self):
         model = self.make_model()
         strong = dbm_to_mw(-60.0)
-        assert model.decide_powers(strong, 0.0)
+        assert model.decide(strong, 0.0)
 
     def test_equal_power_interferer_destroys_frame(self):
         model = self.make_model()
         signal = dbm_to_mw(-60.0)
-        assert not model.decide_powers(signal, signal)
+        assert not model.decide(signal, signal)
 
     def test_capture_over_weak_interferer(self):
         model = self.make_model()
         signal = dbm_to_mw(-60.0)
         interference = dbm_to_mw(-75.0)  # 15 dB down, above the 10 dB need
-        assert model.decide_powers(signal, interference)
+        assert model.decide(signal, interference)
 
     def test_can_sense_uses_cs_threshold(self):
         model = self.make_model()
         assert model.can_sense(dbm_to_mw(-80.0))
         assert not model.can_sense(dbm_to_mw(-95.0))
-
-    def test_reception_tracks_peak_interference(self):
-        reception = Reception(object(), 1, 1.0, 0.0, 1.0)
-        reception.note_interference(0.5)
-        reception.note_interference(0.2)
-        assert reception.peak_interference_mw == 0.5
 
     def test_snr_margin_sign(self):
         model = self.make_model()

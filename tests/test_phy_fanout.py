@@ -577,7 +577,7 @@ class TestReceiverBookkeeping:
             0.002, notify_sender=False,
         )
         assert tx.touched[:2] == [1, 2]
-        assert tx.decoding == [nodes[1]]
+        assert tx.decoding == [1]
         assert set(nodes[1].pending_receptions) == {tx}
         assert not nodes[2].pending_receptions
         assert nodes[2].power_ledger() == {tx: nodes[2].current_power_mw}
@@ -600,7 +600,7 @@ class TestReceiverBookkeeping:
             a, Packet(PacketKind.DATA, 0, 100, 0.0), BROADCAST_ID, 0.001,
             notify_sender=False,
         )
-        assert own.decoding == [a]
+        assert own.decoding == [a.node_id]
         assert tx.touched == [b.node_id] and tx.decoding == []
         assert tx in b.power_ledger()
         # ``a`` started transmitting while decoding ``own``: half duplex.
@@ -615,16 +615,16 @@ class TestReceiverBookkeeping:
             left, Packet(PacketKind.DATA, 0, 1500, 0.0), BROADCAST_ID, 0.006,
             notify_sender=False,
         )
-        reception = middle.pending_receptions[first]
-        assert reception.peak_interference_mw == 0.0
+        row = middle.pending_receptions[first]
+        assert row == [middle.power_ledger()[first], 0.0]
         second = channel.begin_transmission(
             right, Packet(PacketKind.DATA, 2, 1500, 0.0), BROADCAST_ID,
             0.006, notify_sender=False,
         )
         ledger = middle.power_ledger()
-        assert reception.peak_interference_mw == pytest.approx(ledger[second])
+        assert row[1] == pytest.approx(ledger[second])
         late = middle.pending_receptions[second]
-        assert late.peak_interference_mw == pytest.approx(ledger[first])
+        assert late == [ledger[second], pytest.approx(ledger[first])]
         network.run(0.1)
         assert middle.counters.get("phy.rx_failed_collision") == 2
 
