@@ -9,13 +9,15 @@ PRs has a recorded trajectory to compare against.  It measures:
 * **sweep meso** -- a fixed-seed multi-protocol sweep executed serially
   and through the parallel runner (``jobs=2``), asserting the two
   produce *bit-identical* ``RunResult`` lists before timing them.
-* **phy micro** -- one dense-mesh run under the scalar and compiled
-  reception backends, asserting bit-identical results and timing each
-  (``scripts/bench_check.py`` gates on this row).
-* **phy crossover** -- host time per frame under each backend across
-  mesh sizes at the paper's density: the evidence that the compiled
-  kernel ``phy_backend="auto"`` picks is the faster path at every size.
-  "compiled" is left out of both rows where the kernel cannot be built.
+* **phy micro** -- one dense-mesh run on the compiled PHY kernel and
+  on the pure-Python passes ("scalar", timed under
+  :func:`repro.phy.kernel.disabled`), asserting bit-identical results
+  and timing each (``scripts/bench_check.py`` gates on this row).
+* **phy crossover** -- host time per frame on each path across mesh
+  sizes at the paper's density: the evidence that the compiled kernel,
+  which every channel runs wherever it loads, is the faster path at
+  every size.  "compiled" is left out of both rows where the kernel
+  cannot be built.
   Both rows time each run the way the paper run does (below): pinned to
   one core, in sim-time chunks scaled by host-speed probes, with the
   raw host times kept next to the corrected ones.
@@ -49,7 +51,7 @@ import os
 import platform
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.experiments.executors import SweepExecutor
@@ -61,6 +63,7 @@ from repro.experiments.scenarios import (
     build_simulation_scenario,
     macro_flood_config,
 )
+from repro.phy import kernel
 from repro.sim.engine import Simulator
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
@@ -211,16 +214,24 @@ def bench_sweep_parallel_vs_serial() -> None:
     )
 
 
-#: Reception backends the PHY rows time, where this interpreter can run
-#: them.  Compiled first so the scalar pass cannot look better purely
-#: by running on a warmed-up allocator.
+#: PHY paths the PHY rows time, where this interpreter can run them:
+#: "compiled" is the kernel, "scalar" the pure-Python passes.  Compiled
+#: first so the scalar pass cannot look better purely by running on a
+#: warmed-up allocator.
 TIMED_BACKENDS = ("compiled", "scalar")
 
 
 def available_phy_backends() -> Tuple[str, ...]:
-    from repro.net.channel import backend_unavailable
+    return tuple(
+        b for b in TIMED_BACKENDS
+        if b == "scalar" or kernel.unavailable_reason() is None
+    )
 
-    return tuple(b for b in TIMED_BACKENDS if backend_unavailable(b) is None)
+
+def on_phy_path(backend: str) -> Any:
+    """A block whose channels run ``backend``: "scalar" disables the
+    kernel, "compiled" leaves it on."""
+    return kernel.disabled() if backend == "scalar" else nullcontext()
 
 
 def _e2e_workloads() -> Any:
@@ -266,33 +277,28 @@ def timed_run(protocol: str, config: SimulationScenarioConfig,
 
 
 def phy_backend_micro() -> Dict[str, Any]:
-    """Time one dense-mesh run per reception backend.
+    """Time one dense-mesh run per PHY path.
 
-    Returns ``backend -> unit`` (:func:`timed_run`'s) for every backend
+    Returns ``backend -> unit`` (:func:`timed_run`'s) for every path
     that can run here; callers assert identity of ``unit.result`` and
     gate on the corrected ``unit.wall_s`` (``scripts/bench_check.py``
     does both).
     """
     runs: Dict[str, Any] = {}
     for backend in available_phy_backends():
-        config = dataclasses.replace(
-            PHY_MICRO_CONFIG,
-            network=dataclasses.replace(
-                PHY_MICRO_CONFIG.network, phy_backend=backend
-            ),
-        )
-        runs[backend] = timed_run("odmrp", config)
+        with on_phy_path(backend):
+            runs[backend] = timed_run("odmrp", PHY_MICRO_CONFIG)
     return runs
 
 
 def bench_phy_backends() -> None:
-    """Record the per-backend micro row (identity first)."""
+    """Record the per-path micro row (identity first)."""
     runs = phy_backend_micro()
     scalar = runs["scalar"]
     assert scalar.result.error is None, scalar.result.error
     for backend, unit in runs.items():
         assert unit.result == scalar.result, (
-            f"scalar and {backend} backends produced different results"
+            f"scalar and {backend} paths produced different results"
         )
     row = {
         "num_nodes": PHY_MICRO_CONFIG.num_nodes,
@@ -324,9 +330,9 @@ CROSSOVER_SIZES = (16, 32, 40, 50, 64, 100, 200, 400)
 def phy_crossover_curve(
     sizes=CROSSOVER_SIZES, seeds=(1, 2, 3), duration_s: float = 20.0
 ) -> List[Dict]:
-    """Host µs per frame under each backend, by mesh size.
+    """Host µs per frame on each PHY path, by mesh size.
 
-    Each (size, seed) runs under every available backend back to back,
+    Each (size, seed) runs on every available path back to back,
     so they share a topology and a host state.  A frame's time is the
     run and collect over the frames on the air (as the paper run's
     ``frames_per_s``), corrected (``{backend}_us_per_frame``) and raw
@@ -352,17 +358,15 @@ def phy_crossover_curve(
         fanout: List[float] = []
         for seed in seeds:
             for backend in backends:
-                config = dataclasses.replace(
-                    base, topology_seed=seed,
-                    network=dataclasses.replace(base.network, phy_backend=backend),
-                )
+                config = dataclasses.replace(base, topology_seed=seed)
                 built = []
 
                 def build(protocol, config):
                     built.append(build_simulation_scenario(protocol, config))
                     return built[0]
 
-                unit = timed_run("odmrp", config, build=build)
+                with on_phy_path(backend):
+                    unit = timed_run("odmrp", config, build=build)
                 frames = sum(chunk_frames for _s, chunk_frames in unit.chunks)
                 per_frame[backend].append(
                     1e6 * (unit.wall_s - unit.setup_s) / frames
@@ -395,14 +399,14 @@ def phy_crossover_curve(
 
 
 def bench_phy_crossover() -> None:
-    """Record the per-backend frame-time curve across mesh sizes."""
+    """Record the per-path frame-time curve across mesh sizes."""
     curve = phy_crossover_curve()
     _write_report("phy_crossover", {
         "protocol": "odmrp",
         "density_nodes_per_km2": 50,
         "curve": curve,
     })
-    print("\nphy crossover (corrected us/frame per backend):")
+    print("\nphy crossover (corrected us/frame per path):")
     for point in curve:
         backends = ", ".join(
             f"{key[:-len('_us_per_frame')]} {value:.1f}"
@@ -437,7 +441,7 @@ def bench_macro_flood() -> None:
         "sim_seconds_per_wall_second": round(config.duration_s / wall, 3)
         if wall > 0 else None,
         "join_query_tx": queries,
-        "phy_backend": "auto",
+        "phy_backend": "compiled" if kernel.load() is not None else "scalar",
     })
     print(
         f"\nmacro flood: {num_nodes} nodes, {config.duration_s:.0f} sim-s "

@@ -1,23 +1,25 @@
-"""Smoke gate for the parallel runner and the PHY reception backends.
+"""Smoke gate for the parallel runner and the PHY reception paths.
 
 Two always-on guards, each failing the script (exit 1) on violation:
 
 1. **Differential oracle** -- a few-second mini-sweep through
    :func:`repro.validation.fuzzing.differential_check`: serially (the
-   oracle), with a pool of 2 workers, per PHY backend, stored cold
-   into the disk cache by that pool and replayed warm inline,
+   oracle, on the compiled PHY kernel where it loads), with a pool of 2
+   workers, on the pure-Python PHY passes, stored cold into the disk
+   cache by that pool and replayed warm inline,
    interrupted after its first run and resumed from the journal, and
    with telemetry on; every pass must produce ``RunResult`` rows
    bit-identical to the serial baseline.
-2. **PHY backends** -- the dense-mesh micro benchmark from
-   ``benchmarks/bench_perf_engine.py`` run once per reception backend
-   (scalar, and compiled where the kernel builds); the compiled results
-   must be bit-identical to the scalar ones, and the compiled wall time
-   must not exceed the scalar wall time by more than a tolerance (10%
-   by default, for timer noise on loaded CI hosts).  Both wall times
-   are corrected for host speed as the e2e benchmark corrects them.  This is the gate
-   that the kernel ``phy_backend="auto"`` picks stays an optimization,
-   not just an alternative.
+2. **PHY paths** -- the dense-mesh micro benchmark from
+   ``benchmarks/bench_perf_engine.py`` run once per reception path (the
+   pure-Python passes, "scalar", under ``repro.phy.kernel.disabled()``,
+   and the compiled kernel where it builds); the compiled results must
+   be bit-identical to the scalar ones, and the compiled wall time must
+   not exceed the scalar wall time by more than a tolerance (10% by
+   default, for timer noise on loaded CI hosts).  Both wall times are
+   corrected for host speed as the e2e benchmark corrects them.  This
+   is the gate that the kernel every channel runs wherever it loads
+   stays an optimization, not just an alternative.
 
 The oracle also runs on the same mini-sweep under pytest as the
 ``perfsmoke`` marker (``pytest -m perfsmoke``); it is deselected from the default
@@ -62,7 +64,7 @@ def check_phy_backends(tolerance: float) -> int:
         if unit.result != scalar:
             print(
                 f"bench_check: FAIL ({elapsed:.1f}s) -- scalar and {backend} "
-                "backends produced different results",
+                "paths produced different results",
                 file=sys.stderr,
             )
             return 1
@@ -76,7 +78,7 @@ def check_phy_backends(tolerance: float) -> int:
     budget = wall_scalar * (1.0 + tolerance)
     if wall_compiled > budget:
         print(
-            f"bench_check: FAIL ({elapsed:.1f}s) -- compiled backend is "
+            f"bench_check: FAIL ({elapsed:.1f}s) -- compiled kernel is "
             f"slower than scalar: {wall_compiled:.2f}s vs "
             f"{wall_scalar:.2f}s (budget {budget:.2f}s at "
             f"{tolerance:.0%} tolerance)",
@@ -88,7 +90,7 @@ def check_phy_backends(tolerance: float) -> int:
         for backend, unit in runs.items() if backend != "scalar"
     )
     print(
-        f"bench_check: OK ({elapsed:.1f}s) -- {', '.join(runs)} backends "
+        f"bench_check: OK ({elapsed:.1f}s) -- {', '.join(runs)} paths "
         f"bit-identical; vs scalar ({wall_scalar:.2f}s): {others}"
     )
     return 0
@@ -99,7 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=2,
                         help="pool size for the parallel pass (default 2)")
     parser.add_argument("--skip-phy", action="store_true",
-                        help="skip the PHY-backend micro gate")
+                        help="skip the PHY micro gate")
     parser.add_argument("--phy-tolerance", type=float, default=0.10,
                         help="allowed compiled-over-scalar wall overrun "
                              "(fraction, default 0.10)")
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
         return 1
     print(
         f"bench_check: OK ({elapsed:.1f}s) -- serial, jobs={args.jobs}, "
-        "PHY-backend, cache, resume and telemetry passes are "
+        "PHY-python, cache, resume and telemetry passes are "
         "bit-identical"
     )
 

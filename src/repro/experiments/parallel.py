@@ -56,7 +56,8 @@ from repro.telemetry.manifest import canonicalize
 #: configs gained WCETT pair sizes.
 #: v4: scenario configs gained `faults` (declarative outage/flapping
 #: plans) and `validation` (invariant monitors) sections.
-#: v5: network configs gained `phy_backend` (vectorized PHY reception).
+#: v5: network configs gained a PHY backend field (vectorized PHY
+#: reception).
 #: v6: scenario configs gained `mobility`, `obstacles`, and `energy`
 #: sections (dynamic networks).
 #: v7: faulty runs record `faults.*` severity counters in results, and
@@ -66,7 +67,9 @@ from repro.telemetry.manifest import canonicalize
 #: every run is on the static mesh).
 #: v9: scenario configs lost `obstacles` (retired; propagation is open
 #: space).
-CACHE_SCHEMA_VERSION = 9
+#: v10: network configs lost the PHY backend field (the channel compiles
+#: the PHY kernel wherever it loads).
+CACHE_SCHEMA_VERSION = 10
 
 #: Default on-disk cache location (override with $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = os.path.join(".repro_cache", "runs")

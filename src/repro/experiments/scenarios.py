@@ -106,8 +106,8 @@ def macro_flood_config(
     ``num_nodes``.  Short durations are intentional: one ODMRP refresh
     interval already floods a JOIN QUERY through all ``num_nodes``
     routers, so most frames are a sender's first: the macro workload for
-    the spatial grid index and for the compiled PHY kernel, which takes
-    first frames in its fused pass.  Typically run with protocol
+    the spatial grid index and for the compiled PHY kernel, which draws
+    first frames inside its frame-start pass.  Typically run with protocol
     "odmrp" (metric-free, so no probing machinery dilutes the flood).
     """
     side_m = math.sqrt(num_nodes / 50.0) * 1000.0

@@ -187,6 +187,13 @@ _REMOVED_CONFIG_KEYS = {
         "propagation; delete the [config.obstacles] table"
     ),
 }
+_REMOVED_NETWORK_KEYS = {
+    "phy_backend": (
+        "PHY backend selection was removed: the channel runs the compiled "
+        "PHY kernel wherever it loads and the pure-Python passes "
+        "elsewhere, with bit-identical results; delete the key"
+    ),
+}
 
 
 def _reject_removed(
@@ -203,6 +210,9 @@ def config_from_dict(data: Mapping[str, Any]) -> SimulationScenarioConfig:
     """Rebuild a scenario config; unknown keys are an error."""
     if isinstance(data, Mapping):
         _reject_removed(data, _REMOVED_CONFIG_KEYS, "config")
+        network = data.get("network")
+        if isinstance(network, Mapping):
+            _reject_removed(network, _REMOVED_NETWORK_KEYS, "config.network")
     return _build_dataclass(SimulationScenarioConfig, data, "config")
 
 

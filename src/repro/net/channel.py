@@ -22,89 +22,46 @@ These paths keep large meshes and long runs fast without changing results:
   into one exact power test per node inside each sender's reach.
 * ``begin_transmission`` draws a whole transmission's fading in one
   call to the fading model's ``sample_link_gains``, bit-identical to
-  one draw per receiver, then makes one pass over the receivers.  With
-  correlated Rayleigh fading, a sender whose links share one
-  last-update time -- or have none yet, on its first frame -- skips
-  the call: each link's AR(1) step is drawn inside that pass
-  (``_fused_start``), so only frames with a down receiver, and a
-  sender's first frame after a per-link call or a re-finalize, take
-  the call.
+  one draw per receiver, then makes one pass over the receivers.
 * Per-node PHY state (power, on-air count, carrier sense, half duplex,
   sense threshold, MAC, pending receptions, the decision rule's
   constants) lives in the channel's :class:`PhyLedger`, columns indexed
   by node id that every pass updates by list subscript;
   :class:`~repro.net.node.Node` exposes its row as views.
-* The "compiled" backend runs the fused frame-start pass and the whole
+* Wherever the compiled kernel (:mod:`repro.phy.kernel`) loads,
+  ``finalize()`` hands it the ``phy.fading`` stream, and the whole
   frame end -- withdrawal, decisions, tallies and the calls to
-  ``Node.deliver`` -- in C (:mod:`repro.phy.kernel`) over those
-  columns, with the results of the Python passes.  Decisions stay in
-  Python (``_decide``) when any node's reception model is not the stock
-  :class:`~repro.phy.reception.ReceptionModel`: a subclass, or a
+  ``Node.deliver`` -- runs in C over those columns, with the results of
+  the Python passes.  With correlated Rayleigh fading, a frame whose
+  links share one last-update time -- or have none yet, on a sender's
+  first frame -- also starts in C, each link's AR(1) step drawn inside
+  the receiver pass (``CorrelatedRayleighFading.uniform_row``); only
+  frames with a down receiver, and a sender's first frame after a
+  per-link call or a re-finalize, take the batch call.  Decisions stay
+  in Python (``_decide``) when any node's reception model is not the
+  stock :class:`~repro.phy.reception.ReceptionModel`: a subclass, or a
   ``decide`` wrapped at class level before ``finalize()``, still sees
-  every decision.  "auto" compiles whenever the kernel builds and the
-  fused pass applies, else runs the Python passes ("scalar").  The
-  backend is chosen per channel, never per sender: the kernel owns the
-  ``phy.fading`` stream from its first draw.
+  every decision.  The choice is per channel, never per sender: the
+  kernel owns the stream from its first draw.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import topology
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.phy.fading import (
-    TWOPI,
-    CorrelatedRayleighFading,
-    FadingModel,
-    NoFading,
-)
+from repro.phy.fading import CorrelatedRayleighFading, FadingModel, NoFading
 from repro.phy.propagation import PropagationModel, TwoRayGroundPropagation
 from repro.phy.reception import ReceptionModel
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.trace import CounterSet
 
-PHY_BACKENDS = ("auto", "scalar", "compiled")
-
 #: The stock decision rule, as imported: the compiled kernel applies it
 #: in C on a channel whose every node's model still resolves to it.
 _STOCK_DECIDE = ReceptionModel.decide
-
-#: Backends that no longer exist, each with the reason asking for one
-#: fails: running another backend silently would hide a stale config.
-RETIRED_PHY_BACKENDS = {
-    "vectorized": (
-        "the batched-sampler backend was removed; 'auto' now compiles "
-        "the PHY kernel wherever it builds, with bit-identical results"
-    ),
-}
-
-
-def retired_backend_error(backend: Any) -> Optional[str]:
-    """The message rejecting a removed ``backend``, or ``None``."""
-    reason = RETIRED_PHY_BACKENDS.get(str(backend))
-    if reason is None:
-        return None
-    return f"phy_backend {backend!r} is no longer supported: {reason}"
-
-
-def backend_unavailable(backend: str) -> Optional[str]:
-    """Why ``backend`` cannot run in this interpreter, or ``None``.
-
-    "compiled" needs the kernel build; the others always run.
-    """
-    if backend == "compiled":
-        from repro.phy import kernel
-
-        reason = kernel.unavailable_reason()
-        if reason is not None:
-            return f"the compiled PHY kernel is unavailable: {reason}"
-    return None
-
 
 class Transmission:
     """One frame in flight."""
@@ -243,22 +200,11 @@ class WirelessChannel:
         propagation: Optional[PropagationModel] = None,
         fading: Optional[FadingModel] = None,
         audible_margin_db: float = 10.0,
-        phy_backend: str = "auto",
     ) -> None:
-        if phy_backend not in PHY_BACKENDS:
-            raise ChannelError(
-                retired_backend_error(phy_backend)
-                or f"unknown phy_backend {phy_backend!r}; "
-                f"expected one of {PHY_BACKENDS}"
-            )
         self.sim = sim
         self.propagation = propagation or TwoRayGroundPropagation()
         self.fading = fading or NoFading()
         self.audible_margin_linear = 10.0 ** (audible_margin_db / 10.0)
-        #: Requested reception backend ("auto" resolves at finalize).
-        self.phy_backend = phy_backend
-        #: What finalize() actually picked: "scalar" or "compiled".
-        self.phy_backend_resolved: Optional[str] = None
         #: Per-node PHY state; ``nodes`` is its node column.
         self.ledger = PhyLedger()
         self.nodes: List[Node] = self.ledger.nodes
@@ -285,12 +231,12 @@ class WirelessChannel:
         #: True when ``_sampled_power`` is the base implementation, so
         #: the frame start may call the fading model's batch directly.
         self._inline_fading = False
-        #: The correlated-Rayleigh model when its AR(1) update may be
-        #: drawn inside the frame-start pass (see
+        #: The correlated-Rayleigh model when the kernel may draw its
+        #: AR(1) update inside the frame-start pass (see
         #: ``CorrelatedRayleighFading.uniform_row``), else ``None``.
         self._fused_fading: Optional[CorrelatedRayleighFading] = None
-        #: The compiled kernel module once this channel resolved
-        #: "compiled" (it then owns ``_fading_rng``), else ``None``.
+        #: The compiled kernel module once ``finalize()`` loaded it (it
+        #: then owns ``_fading_rng``), else ``None``.
         self._kernel = None
         #: True when the kernel's ``frame_end`` decides the receptions:
         #: compiled, and every node's model decides by the stock rule.
@@ -318,7 +264,10 @@ class WirelessChannel:
         keeps each link's state by receiver id, so a link resumes its
         process across a re-finalize.  Transmissions already in flight
         are untouched: their power contributions were recorded at start
-        time.
+        time.  The first ``finalize()`` picks the reception path for the
+        channel's life: the compiled kernel when
+        :func:`repro.phy.kernel.load` returns it, else the pure-Python
+        passes.
 
         On meshes of :data:`~repro.net.topology.GRID_AUTO_NODES` or
         more, the O(N^2) pairing scan is pruned through a throwaway
@@ -375,11 +324,14 @@ class WirelessChannel:
         self._inactive_nodes = sum(
             1 for node in nodes if not node.active
         )
-        fusable = base_sampled_power and isinstance(
-            self.fading, CorrelatedRayleighFading
+        if not self._finalized:
+            self._use_compiled()
+        self._fused_fading = (
+            self.fading
+            if self._kernel is not None and base_sampled_power
+            and isinstance(self.fading, CorrelatedRayleighFading)
+            else None
         )
-        self._resolve_backend(fusable)
-        self._fused_fading = self.fading if fusable else None
         self.ledger.take_rules()
         self._decide_in_kernel = self._kernel is not None and all(
             type(node.reception_model).decide is _STOCK_DECIDE
@@ -409,45 +361,27 @@ class WirelessChannel:
             max_tx, cutoff, max_gain, max_gain
         )
 
-    def _resolve_backend(self, fusable: bool) -> None:
-        """Pick compiled or scalar reception for this channel.
-
-        "auto" compiles when the kernel loads and the fused pass applies
-        (``fusable``: correlated Rayleigh fading through the base
-        ``_sampled_power``), else stays scalar.  "compiled" demands the
-        kernel and raises with the reason when it cannot load; it runs
-        any channel, since frames the fused pass cannot take go through
-        the Python batch path on the kernel's stream.  A channel that
-        compiled once keeps its kernel's stream: the decision is per
-        channel, never per sender.
-        """
-        requested = self.phy_backend
-        if self._kernel is None and (
-            requested == "compiled" or (requested == "auto" and fusable)
-        ):
-            self._use_compiled(required=requested == "compiled")
-        self.phy_backend_resolved = (
-            "scalar" if self._kernel is None else "compiled"
-        )
-
-    def _use_compiled(self, required: bool) -> None:
+    def _use_compiled(self) -> None:
         """Hand the ``phy.fading`` stream to the compiled kernel.
 
         The kernel continues the stream's exact state, and the channel,
         the fading model and the simulator's registry all draw from the
-        kernel's generator from here on.  If the kernel cannot load, a
-        ``required`` request raises; otherwise nothing changes.
+        kernel's generator from here on.  If the kernel cannot load,
+        nothing changes and the channel runs the Python passes.
         """
         from repro.phy import kernel
 
-        reason = backend_unavailable("compiled")
-        if reason is not None:
-            if required:
-                raise ChannelError(f"phy_backend='compiled' but {reason}")
+        module = kernel.load()
+        if module is None:
             return
         self._fading_rng = kernel.KernelRandom.continuing(self._fading_rng)
         self.sim.rng.replace("phy.fading", self._fading_rng)
-        self._kernel = kernel.load()
+        self._kernel = module
+
+    @property
+    def compiled(self) -> bool:
+        """True once ``finalize()`` handed this channel to the kernel."""
+        return self._kernel is not None
 
     @property
     def transmissions_in_flight(self) -> int:
@@ -546,109 +480,16 @@ class WirelessChannel:
                 sender.node_id, receiver_ids, now, self._fading_rng
             )
         if row is not None:
-            if self._kernel is not None:
-                self._kernel.frame_start(
-                    self._fading_rng.stream, tx, receiver_ids, means,
-                    thresholds, *row, self.ledger.columns,
-                )
-            else:
-                self._fused_start(tx, receiver_ids, means, thresholds, row)
+            self._kernel.frame_start(
+                self._fading_rng.stream, tx, receiver_ids, means,
+                thresholds, *row, self.ledger.columns,
+            )
         else:
             self._batched_start(tx, receiver_ids, means, thresholds)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
         )
         return tx
-
-    # Both frame-start passes below do each receiver's bookkeeping for
-    # an arriving frame, inlined on the ledger's columns: add its power,
-    # raise the peak interference of every pending reception (the total
-    # minus that reception's own signal), flip carrier sense idle -> busy
-    # (power only rises here), and -- when the power is decodable and
-    # the receiver is not transmitting -- start a pending reception,
-    # a ``[signal_mw, peak_interference_mw]`` row whose initial
-    # interference is every other audible frame.
-
-    def _fused_start(
-        self,
-        tx: Transmission,
-        receiver_ids: List[int],
-        means: List[float],
-        thresholds: List[float],
-        row: Tuple[array, float, float],
-    ) -> None:
-        """The frame start with each link's AR(1) step drawn in the pass.
-
-        ``row`` is ``CorrelatedRayleighFading.uniform_row``'s: every
-        link shares one ``rho``/innovation, so each receiver costs two
-        ``random()`` draws and the batch loop's exact update of its
-        ``(t, re, im)`` triple.  Nothing in the bookkeeping draws from
-        ``phy.fading`` (a MAC's backoff draws from ``mac.backoff``), so
-        interleaving the draws with it consumes the stream exactly as
-        one batch before the pass would -- and as the kernel's
-        ``frame_start``, which draws every link before its bookkeeping.
-        """
-        states, rho, innovation = row
-        ledger = self.ledger
-        power = ledger.power_mw
-        on_air = ledger.on_air
-        busy = ledger.busy
-        transmitting = ledger.transmitting
-        sense = ledger.sense_mw
-        macs = ledger.macs
-        pending_of = ledger.pending
-        random_ = self._fading_rng.random
-        twopi = TWOPI
-        log = math.log
-        sqrt = math.sqrt
-        cos = math.cos
-        sin = math.sin
-        now = tx.start_time
-        silenced = None
-        powers_append = tx.powers.append
-        decoding_append = tx.decoding.append
-        i = 0
-        for rid, mean_mw, threshold in zip(receiver_ids, means, thresholds):
-            x2pi = random_() * twopi
-            g2rad = sqrt(-2.0 * log(1.0 - random_()))
-            real = rho * states[i + 1] + (
-                0.0 + (cos(x2pi) * g2rad) * innovation)
-            imag = rho * states[i + 2] + (
-                0.0 + (sin(x2pi) * g2rad) * innovation)
-            states[i] = now
-            states[i + 1] = real
-            states[i + 2] = imag
-            i += 3
-            power_mw = mean_mw * (real * real + imag * imag)
-            if power_mw <= 0.0:
-                # Not touched, as in the batched pass's filter.
-                if silenced is None:
-                    silenced = []
-                silenced.append(rid)
-                continue
-            powers_append(power_mw)
-            total = power[rid] + power_mw
-            power[rid] = total
-            on_air[rid] += 1
-            pending = pending_of[rid]
-            if pending:
-                for row in pending.values():
-                    level = total - row[0]
-                    if level > row[1]:
-                        row[1] = level
-            if not busy[rid] and total >= sense[rid]:
-                busy[rid] = True
-                mac = macs[rid]
-                if mac.awaited_sense is True:
-                    mac.on_medium_state(True)
-            if power_mw >= threshold and not transmitting[rid]:
-                level = total - power_mw
-                pending[tx] = [power_mw, level if level > 0.0 else 0.0]
-                decoding_append(rid)
-        tx.touched = (
-            receiver_ids if silenced is None
-            else [rid for rid in receiver_ids if rid not in silenced]
-        )
 
     def _batched_start(
         self,
@@ -657,7 +498,19 @@ class WirelessChannel:
         means: List[float],
         thresholds: List[float],
     ) -> None:
-        """The frame start with the fading drawn in one call first."""
+        """The frame start with the fading drawn in one call first.
+
+        Then each receiver's bookkeeping for the arriving frame, inlined
+        on the ledger's columns: add its power, raise the peak
+        interference of every pending reception (the total minus that
+        reception's own signal), flip carrier sense idle -> busy (power
+        only rises here), and -- when the power is decodable and the
+        receiver is not transmitting -- start a pending reception, a
+        ``[signal_mw, peak_interference_mw]`` row whose initial
+        interference is every other audible frame.  The kernel's
+        ``frame_start`` runs this loop in C with each link's AR(1) step
+        drawn inside it.
+        """
         now = tx.start_time
         if not receiver_ids or self._deterministic_power:
             powers = means
@@ -771,7 +624,9 @@ class WirelessChannel:
         delivery upcall starts still raises the interference of the
         receivers after it.  A zeroed signal (the receiver transmitted
         or went down mid-frame) is a half-duplex loss and is not
-        decided.  The compiled kernel's ``frame_end`` runs this loop in
+        decided; any other rejected reception is a collision (a
+        reception starts only at a decodable power, so its signal never
+        falls short of the receive threshold on its own).  The compiled kernel's ``frame_end`` runs this loop in
         C for the stock rule.
         """
         nodes = self.nodes
@@ -788,8 +643,6 @@ class WirelessChannel:
             elif receiver.reception_model.decide(signal_mw, interference_mw):
                 tally["phy.rx_ok"] += 1.0
                 receiver.deliver(packet, sender_id, dest_id, signal_mw)
-            elif signal_mw < receiver.params.rx_threshold_mw:
-                tally["phy.rx_failed_weak"] += 1.0
             else:
                 tally["phy.rx_failed_collision"] += 1.0
 

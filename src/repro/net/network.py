@@ -12,11 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.mac.csma import CsmaMac, MacConfig
-from repro.net.channel import (
-    PHY_BACKENDS,
-    WirelessChannel,
-    retired_backend_error,
-)
+from repro.net.channel import WirelessChannel
 from repro.net.node import Node
 from repro.net.topology import Position
 from repro.phy.fading import FadingModel, RayleighFading
@@ -30,7 +26,10 @@ class NetworkConfig:
     """Knobs for network assembly.
 
     Defaults reproduce the paper's simulation setup: two-ray propagation,
-    Rayleigh fading, 250 m nominal range, 2 Mbps.
+    Rayleigh fading, 250 m nominal range, 2 Mbps.  No knob picks the
+    reception path: the channel runs on the compiled PHY kernel wherever
+    it loads and on the pure-Python passes elsewhere, with identical
+    results (see :mod:`repro.net.channel`).
     """
 
     nominal_range_m: float = 250.0
@@ -45,34 +44,9 @@ class NetworkConfig:
     #: min-hop baseline collapses and the metrics' relative gains come
     #: out ~2x the paper's.  10 s reproduces the paper's gain magnitudes.
     fading_coherence_time_s: float = 10.0
-    #: Reception backend, bit-identical whichever runs: "auto" runs the
-    #: frame passes in the compiled kernel when it builds and the fading
-    #: is correlated Rayleigh, else in pure Python; "scalar"/"compiled"
-    #: force a path (see repro.net.channel).
-    phy_backend: str = "auto"
     propagation: Optional[PropagationModel] = None
     fading: Optional[FadingModel] = None
     mac: MacConfig = field(default_factory=MacConfig)
-
-    def __post_init__(self) -> None:
-        # Fail at construction (spec load, config assembly) rather than
-        # deep inside begin_transmission's backend resolution.
-        if self.phy_backend not in PHY_BACKENDS:
-            import difflib
-
-            retired = retired_backend_error(self.phy_backend)
-            if retired is not None:
-                raise ValueError(retired)
-            message = (
-                f"unknown phy_backend {self.phy_backend!r}; expected one "
-                f"of {PHY_BACKENDS}"
-            )
-            close = difflib.get_close_matches(
-                str(self.phy_backend), PHY_BACKENDS, n=1
-            )
-            if close:
-                message += f" (did you mean {close[0]!r}?)"
-            raise ValueError(message)
 
     def build_propagation(self) -> PropagationModel:
         return self.propagation or TwoRayGroundPropagation()
@@ -133,7 +107,6 @@ class Network:
             self.channel = WirelessChannel(
                 self.sim, self.config.build_propagation(),
                 self.config.build_fading(),
-                phy_backend=self.config.phy_backend,
             )
         self.nodes: List[Node] = []
         for index, position in enumerate(positions):

@@ -1,16 +1,19 @@
 /*
- * The compiled receiver kernel of the scalar PHY.
+ * The compiled receiver kernel of the PHY.
  *
- * frame_start is WirelessChannel._fused_start (repro.net.channel) and
- * frame_end is WirelessChannel._withdraw followed by
- * WirelessChannel._decide, operation for operation, so a run is
- * bit-identical to the pure-Python passes: each link's AR(1) step drawn
- * from the channel's MT19937, the faded power added to the receiver,
- * the peak interference of its pending receptions raised, idle -> busy
- * carrier-sense flips passed to a waiting MAC, decode starts; at the
- * frame's end its power withdrawn, busy -> idle flips passed on, then
- * each pending reception decided by ReceptionModel.decide's stock rule,
- * tallied by fate and, on success, delivered.  A sender's first frame
+ * frame_start is CorrelatedRayleighFading.sample_link_gains' update of
+ * each link (the recipe CorrelatedRayleighFading.uniform_row documents)
+ * followed by WirelessChannel._batched_start's receiver loop
+ * (repro.net.channel), and frame_end is WirelessChannel._withdraw
+ * followed by WirelessChannel._decide, operation for operation, so a
+ * run is bit-identical to the pure-Python passes: each link's AR(1)
+ * step drawn from the channel's MT19937, the faded power added to the
+ * receiver, the peak interference of its pending receptions raised,
+ * idle -> busy carrier-sense flips passed to a waiting MAC, decode
+ * starts; at the frame's end its power withdrawn, busy -> idle flips
+ * passed on, then each pending reception decided by
+ * ReceptionModel.decide's stock rule, tallied by fate and, on success,
+ * delivered.  A sender's first frame
  * takes the same pass: its zeroed link states with rho 0 and innovation
  * sqrt(0.5) make each step a fresh link's draw.
  *
@@ -248,7 +251,7 @@ static PyTypeObject StreamType = {
 static PyObject *s_awaited_sense, *s_on_medium_state, *s_touched,
     *s_powers, *s_decoding, *s_start_time, *s_packet, *s_sender_id,
     *s_dest_id, *s_deliver, *s_counters, *s_counts, *s_rx_ok,
-    *s_rx_failed_half_duplex, *s_rx_failed_weak, *s_rx_failed_collision,
+    *s_rx_failed_half_duplex, *s_rx_failed_collision,
     *one;
 
 /* PhyLedger.columns, in its order. */
@@ -498,12 +501,12 @@ done:
  * CorrelatedRayleighFading.uniform_row's, `states` an array('d') of
  * (time, real, imag) triples in receiver order.  Appends to tx.powers
  * and tx.decoding and sets tx.touched -- to `receiver_ids` itself when
- * no receiver was silenced -- as WirelessChannel._fused_start does.
+ * no receiver was silenced -- as WirelessChannel._batched_start does.
  *
  * Every link's AR(1) step is drawn first, straight into the states'
  * buffer, which is released before the receiver bookkeeping calls any
- * Python.  The bookkeeping never draws from the stream, so this
- * consumes it exactly as the Python pass, which interleaves the two.
+ * Python, just as the Python path draws the whole batch before its
+ * receiver loop.
  */
 static PyObject *
 frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -799,9 +802,6 @@ decide_one(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
         fate = s_rx_ok;
         decoded = 1;
     }
-    else if (signal < rx_thr) {
-        fate = s_rx_failed_weak;
-    }
     else {
         fate = s_rx_failed_collision;
     }
@@ -891,7 +891,7 @@ frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef module_methods[] = {
     {"frame_start", (PyCFunction)(void (*)(void))frame_start, METH_FASTCALL,
-     "The fused frame-start pass over one frame's receivers."},
+     "The frame start with each link's AR(1) step drawn in the pass."},
     {"frame_end", (PyCFunction)(void (*)(void))frame_end, METH_FASTCALL,
      "The frame-end withdrawal, then the decisions, of one frame."},
     {NULL, NULL, 0, NULL},
@@ -900,7 +900,7 @@ static PyMethodDef module_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_rxkernel",
-    .m_doc = "Compiled receiver passes of the scalar PHY.",
+    .m_doc = "Compiled receiver passes of the PHY.",
     .m_size = -1,
     .m_methods = module_methods,
 };
@@ -928,7 +928,6 @@ PyInit__rxkernel(void)
     INTERN(s_counts, "counts");
     INTERN(s_rx_ok, "phy.rx_ok");
     INTERN(s_rx_failed_half_duplex, "phy.rx_failed_half_duplex");
-    INTERN(s_rx_failed_weak, "phy.rx_failed_weak");
     INTERN(s_rx_failed_collision, "phy.rx_failed_collision");
     if ((one = PyFloat_FromDouble(1.0)) == NULL) {
         return NULL;

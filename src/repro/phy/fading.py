@@ -16,11 +16,11 @@ override it with a loop that inlines ``random.Random``'s own formulas
 (``expovariate``, the Box-Muller pair behind ``gauss``) so the batch
 returns exactly the floats, and consumes exactly the stream, that one
 :meth:`~FadingModel.sample_link_gain` call per link would.  For
-:class:`CorrelatedRayleighFading` the channel goes one step further:
-while a sender's links share one last-update time, or none has been
-sampled yet, :meth:`CorrelatedRayleighFading.uniform_row` hands it the
-link states so it draws each AR(1) step inside its own receiver pass
-(in Python or in the compiled kernel).
+:class:`CorrelatedRayleighFading` a channel on the compiled kernel
+goes one step further: while a sender's links share one last-update
+time, or none has been sampled yet,
+:meth:`CorrelatedRayleighFading.uniform_row` hands it the link states
+so the kernel draws each AR(1) step inside its receiver pass.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ class CorrelatedRayleighFading(FadingModel):
     cost three doubles each.  Every entry point reads and writes the
     same triples: :meth:`sample_link_gain` for one link,
     :meth:`sample_link_gains` for a list of them, :meth:`uniform_row` for
-    the channel's fused pass.  A link never leaves its sender's row, so
-    one that stops being sampled (a down receiver, a re-finalize that
-    drops it) resumes its process when it returns.
+    the compiled kernel's frame start.  A link never leaves its sender's
+    row, so one that stops being sampled (a down receiver, a re-finalize
+    that drops it) resumes its process when it returns.
     """
 
     def __init__(self, coherence_time_s: float = 1.0) -> None:

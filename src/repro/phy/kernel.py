@@ -1,10 +1,12 @@
 """Loader of the compiled receiver kernel (``_rxkernel.c``).
 
-The kernel runs the scalar PHY's fused frame-start pass and the whole
-frame end -- withdrawal, SINR decisions, fate tallies and deliveries --
-in C over the channel's :class:`~repro.net.channel.PhyLedger` columns,
-bit for bit as :class:`~repro.net.channel.WirelessChannel` runs them in
-Python (see the C source for the contract).  There is no install step: the
+The kernel runs the frame start of a sender whose links share one
+AR(1) step -- each link's fading draw fused into the receiver
+bookkeeping -- and the whole frame end -- withdrawal, SINR decisions,
+fate tallies and deliveries -- in C over the channel's
+:class:`~repro.net.channel.PhyLedger` columns, bit for bit as
+:class:`~repro.net.channel.WirelessChannel`'s Python passes (see the C
+source for the contract).  There is no install step: the
 first :func:`load` in a process compiles the source with the
 interpreter's own C compiler (``sysconfig``'s ``CC``, or ``$CC``) into
 ``__pycache__`` next to this file, under a name that hashes the source,
@@ -14,9 +16,12 @@ moved into place, so processes building at once each load a complete
 file.  Compiler output is captured, never printed: a benchmark child
 reports on its last stdout line.
 
-Without a working compiler :func:`load` returns ``None`` and
-:func:`unavailable_reason` says why; ``phy_backend="auto"`` then stays
-on the pure-Python passes.
+Every channel finalized where :func:`load` returns the module runs on
+it.  Without a working compiler :func:`load` returns ``None`` and
+:func:`unavailable_reason` says why, and channels run the pure-Python
+passes.  Inside a :func:`disabled` block the kernel reads as
+unavailable, so the channels finalized there run in Python too: it is
+how tests and benchmarks put the two paths side by side.
 
 :class:`KernelRandom` is how the kernel owns a ``random.Random`` stream:
 it continues a stream's exact state in the kernel's MT19937, and its
@@ -33,8 +38,9 @@ import os
 import random
 import shutil
 import tempfile
+from contextlib import contextmanager
 from types import ModuleType
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rxkernel.c")
 BUILD_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
@@ -53,6 +59,8 @@ CFLAGS = (
 )
 
 _loaded: Optional[Tuple[Optional[ModuleType], Optional[str]]] = None
+#: Why the kernel reads as unavailable inside a :func:`disabled` block.
+_disabled: Optional[str] = None
 
 
 class KernelBuildError(RuntimeError):
@@ -140,6 +148,8 @@ def load() -> Optional[ModuleType]:
     The outcome is remembered for the life of the process.
     """
     global _loaded
+    if _disabled is not None:
+        return None
     if _loaded is None:
         try:
             _loaded = (import_artifact(build()), None)
@@ -150,8 +160,26 @@ def load() -> Optional[ModuleType]:
 
 def unavailable_reason() -> Optional[str]:
     """Why :func:`load` returns ``None`` (``None`` when the kernel loads)."""
+    if _disabled is not None:
+        return _disabled
     load()
     return _loaded[1]
+
+
+@contextmanager
+def disabled() -> Iterator[None]:
+    """A block in which :func:`load` returns ``None``.
+
+    Channels finalized inside run the pure-Python passes for their
+    whole life; the loader's cached outcome is left as it was.
+    """
+    global _disabled
+    previous = _disabled
+    _disabled = "disabled by repro.phy.kernel.disabled()"
+    try:
+        yield
+    finally:
+        _disabled = previous
 
 
 class KernelRandom(random.Random):

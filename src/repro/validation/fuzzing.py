@@ -13,7 +13,7 @@ hand-picked scenario:
   replayable.
 * :func:`differential_check` runs the sweep a spec declares (grid or
   adaptive plan) inline as the oracle, then through one matrix of
-  paths -- jobs=N, each PHY backend, cold then warm
+  paths -- jobs=N, the pure-Python PHY passes, cold then warm
   cache, interrupt + resume, telemetry -- and reports any path whose
   runs or plan are not bit-identical.  It is the one bit-identity
   oracle.
@@ -51,7 +51,7 @@ from repro.experiments.results import RunResult
 from repro.experiments.runner import run_experiment, run_protocol
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec
-from repro.net.channel import backend_unavailable
+from repro.phy import kernel
 from repro.sim.rng import derive_seed
 from repro.telemetry.hub import TelemetryConfig
 from repro.validation.invariants import InvariantViolation, ValidationConfig
@@ -276,19 +276,19 @@ def differential_check(
     spec: ExperimentSpec,
     jobs: int = 2,
     work_dir: Optional[str] = None,
-    phy_backends: Sequence[str] = ("scalar", "compiled"),
 ) -> List[str]:
     """Run the sweep ``spec`` declares (grid or ``[adaptive]`` plan)
     through every execution path; describe each
     path whose runs -- or, for a planner, ``plan_dict()`` -- are not
     bit-identical to the inline serial oracle's.
 
-    The paths: ``jobs`` workers; one inline pass per forced
-    ``phy_backend`` (none when the spec pins one; "compiled" without
-    the kernel is skipped with a warning that names it and why);
-    and, given a ``work_dir`` to hold every cache, journal and trace, a
-    cache stored cold by ``jobs`` workers then replayed warm inline,
-    :func:`interrupt_and_resume`, and an inline telemetry pass.
+    The paths: ``jobs`` workers; one inline pass on the pure-Python
+    PHY passes (``phy-python``, under :func:`repro.phy.kernel.disabled`),
+    against an oracle that runs on the compiled kernel wherever it
+    loads -- where it cannot, both run in Python and a warning names
+    why; and, given a ``work_dir`` to hold every cache, journal and
+    trace, a cache stored cold by ``jobs`` workers then replayed warm
+    inline, :func:`interrupt_and_resume`, and an inline telemetry pass.
     Returns an empty list when every path agrees.
     """
     spec.validate()
@@ -323,21 +323,15 @@ def differential_check(
         return replace(spec, config=replace(spec.config, **fields))
 
     check(f"jobs={jobs}", jobs=jobs)
-    if spec.config.network.phy_backend == "auto":
-        skipped = []
-        for backend in phy_backends:
-            reason = backend_unavailable(backend)
-            if reason is not None:
-                skipped.append(f"{backend!r} ({reason})")
-                continue
-            network = replace(spec.config.network, phy_backend=backend)
-            check(f"phy-{backend}", with_config(network=network))
-        if skipped:
-            warnings.warn(
-                "differential_check skipped the phy backend(s) that "
-                "cannot run here: " + "; ".join(skipped),
-                RuntimeWarning, stacklevel=2,
-            )
+    reason = kernel.unavailable_reason()
+    if reason is not None:
+        warnings.warn(
+            "differential_check ran no compiled PHY pass: the compiled "
+            f"PHY kernel is unavailable: {reason}",
+            RuntimeWarning, stacklevel=2,
+        )
+    with kernel.disabled():
+        check("phy-python")
     if work_dir is None:
         return errors
     check("cache-cold", jobs=jobs, use_cache=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Dict, FrozenSet, Optional, Sequence
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import settings
 from hypothesis.database import DirectoryBasedExampleDatabase
 
-from repro.net.channel import backend_unavailable
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Position, chain_topology
+from repro.phy import kernel
 from repro.sim.engine import Simulator
 from repro.testbed.linkmodel import (
     EmpiricalChannel,
@@ -66,10 +67,18 @@ def sim() -> Simulator:
 
 #: Skips a test that needs the compiled PHY kernel when it cannot be
 #: built here (no compiler, or ``CC=/bin/false``).
-KERNEL_UNAVAILABLE = backend_unavailable("compiled")
+KERNEL_UNAVAILABLE = kernel.unavailable_reason()
 requires_kernel = pytest.mark.skipif(
-    KERNEL_UNAVAILABLE is not None, reason=str(KERNEL_UNAVAILABLE)
+    KERNEL_UNAVAILABLE is not None,
+    reason=f"the compiled PHY kernel is unavailable: {KERNEL_UNAVAILABLE}",
 )
+
+
+def phy_path(name: str):
+    """A block whose channels run the PHY path ``name``: "scalar" is the
+    pure-Python passes (the kernel disabled), "compiled" the kernel
+    wherever it loads."""
+    return kernel.disabled() if name == "scalar" else contextlib.nullcontext()
 
 
 @pytest.fixture
@@ -81,8 +90,6 @@ def no_kernel(tmp_path, monkeypatch):
     :func:`repro.phy.kernel.load` fail, and the loader's state comes
     back afterwards.
     """
-    from repro.phy import kernel
-
     monkeypatch.setattr(kernel, "BUILD_DIR", str(tmp_path / "kernel"))
     monkeypatch.setattr(kernel, "_loaded", None)
     monkeypatch.setenv("CC", "/bin/false")

@@ -1,7 +1,8 @@
 """Regenerate ``golden_fault_mobility.json``.
 
 Result digests for the run path the stored benchmark digests do not
-cover: radio outages plus flapping on the scalar PHY.  (The file keeps
+cover: radio outages plus flapping on the pure-Python PHY passes (the
+compiled kernel is disabled while they run; it gives the same bits).  (The file keeps
 its name from when it also pinned mobile meshes, so the fault cases'
 test ids stay put.)  Run after an *intentional* change of simulation results::
 
@@ -35,7 +36,7 @@ from repro.experiments.runner import run_protocol  # noqa: E402
 from repro.experiments.scenarios import (  # noqa: E402
     SimulationScenarioConfig,
 )
-from repro.net.network import NetworkConfig  # noqa: E402
+from repro.phy import kernel  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_fault_mobility.json"
 
@@ -46,20 +47,19 @@ _FAULTS = FaultPlan(
     flapping=(FlappingSpec(7, 3.0, 1.5, 0.4, 13.0),),
 )
 
-def _config(num_nodes: int, backend: str, **fields) -> SimulationScenarioConfig:
+def _config(num_nodes: int, **fields) -> SimulationScenarioConfig:
     return SimulationScenarioConfig(
         num_nodes=num_nodes,
         duration_s=14.0,
         warmup_s=4.0,
         topology_seed=3,
-        network=NetworkConfig(phy_backend=backend),
         **fields,
     )
 
 
 #: case name -> scenario config; every case runs every protocol.
 CASES: Dict[str, SimulationScenarioConfig] = {
-    "faults-30-scalar": _config(30, "scalar", faults=_FAULTS),
+    "faults-30-scalar": _config(30, faults=_FAULTS),
 }
 
 
@@ -76,7 +76,8 @@ def main() -> None:
     for case, config in CASES.items():
         digests[case] = {}
         for protocol in PROTOCOLS:
-            result = run_protocol(protocol, config)
+            with kernel.disabled():
+                result = run_protocol(protocol, config)
             if result.error is not None:
                 raise SystemExit(f"{case}/{protocol} failed:\n{result.error}")
             digests[case][protocol] = result_digest(result)

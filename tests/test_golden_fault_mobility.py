@@ -1,10 +1,11 @@
 """Golden result digests for fault-plan runs.
 
 The benchmark's stored digests pin fault-free meshes.  These pin the
-path they miss -- radio outages plus flapping on the scalar PHY -- for
-ODMRP, SPP and METX, so a speed-only change to the channel, node or MAC
-bookkeeping cannot shift a result there unseen.  The same cases also
-run on the compiled kernel against the same digests.
+path they miss -- radio outages plus flapping on the pure-Python PHY
+passes (the "scalar" in the case names) -- for ODMRP, SPP and METX, so
+a speed-only change to the channel, node or MAC bookkeeping cannot
+shift a result there unseen.  The same cases also run on the compiled
+kernel against the same digests.
 
 Regenerate after an *intentional* change of results with::
 
@@ -13,7 +14,6 @@ Regenerate after an *intentional* change of results with::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import sys
@@ -30,6 +30,7 @@ from make_golden_fault_mobility import (  # noqa: E402
 )
 
 from repro.experiments.runner import run_protocol  # noqa: E402
+from repro.phy import kernel  # noqa: E402
 from tests.conftest import requires_kernel  # noqa: E402
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -44,7 +45,8 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_matches_golden_digest(case, protocol):
-    result = run_protocol(protocol, CASES[case])
+    with kernel.disabled():
+        result = run_protocol(protocol, CASES[case])
     assert result.error is None
     assert result.delivered_packets > 0
     assert result_digest(result) == GOLDEN[case][protocol]
@@ -57,9 +59,5 @@ def test_run_matches_golden_digest(case, protocol):
 )
 def test_compiled_run_matches_scalar_golden(case, protocol):
     """The compiled kernel reproduces the scalar goldens bit for bit."""
-    config = CASES[case]
-    config = dataclasses.replace(config, network=dataclasses.replace(
-        config.network, phy_backend="compiled",
-    ))
-    result = run_protocol(protocol, config)
+    result = run_protocol(protocol, CASES[case])
     assert result_digest(result) == GOLDEN[case][protocol]

@@ -8,7 +8,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.network import NetworkConfig
 from repro.phy.fading import (
     NoFading,
     RayleighFading,
@@ -319,8 +318,3 @@ class TestReception:
         assert model.snr_db_margin(dbm_to_mw(-60.0)) > 0
         assert model.snr_db_margin(dbm_to_mw(-90.0)) < 0
         assert model.snr_db_margin(0.0) == float("-inf")
-
-
-def test_network_config_rejects_typo_backend_with_suggestion():
-    with pytest.raises(ValueError, match="did you mean 'compiled'"):
-        NetworkConfig(phy_backend="compield")

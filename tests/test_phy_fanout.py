@@ -1,13 +1,15 @@
 """The batched PHY fan-out, bit-identical to the per-link loop.
 
 Each transmission draws all of its audible links' fading at once and
-makes one inlined pass over its receivers at each end of the frame.
-With correlated Rayleigh fading, a sender whose links were last updated
-at one time -- or never, on its first frame -- draws each link's AR(1)
-step inside the frame-start pass
-(:meth:`CorrelatedRayleighFading.uniform_row`); any other frame makes
-one :meth:`FadingModel.sample_link_gains` call first.  All of it is
-speed-only, so these tests pin it to the per-link formulation:
+makes one inlined pass over its receivers at each end of the frame: on
+the pure-Python passes every frame makes one
+:meth:`FadingModel.sample_link_gains` call first.  On the compiled
+kernel, with correlated Rayleigh fading, a sender whose links were last
+updated at one time -- or never, on its first frame -- draws each
+link's AR(1) step inside the frame-start pass
+(:meth:`CorrelatedRayleighFading.uniform_row`), and any other frame
+makes the batch call.  All of it is speed-only, so these tests pin it
+to the per-link formulation:
 
 * every stochastic model's batch returns the floats, and leaves the
   stream where, one ``sample_link_gain`` call per link would -- under
@@ -20,9 +22,10 @@ speed-only, so these tests pin it to the per-link formulation:
 * models the batch cannot mirror (subclasses, a half-drawn gaussian)
   fall back to the per-link default;
 * whole runs of the six paper protocols are equal with and without the
-  batch and the fused pass, also under faults (filtered frames) and
-  per-link calls mid-run; a plain paper run takes the fused pass for
-  every frame, a sender's first included;
+  batch and the fused draw, also under faults (filtered frames) and
+  per-link calls mid-run, on both paths; the Python path makes one
+  batch call per frame, and on the kernel a plain paper run takes the
+  fused draw for every frame, a sender's first included;
 * a frame's receivers split into ``touched`` (power) and ``decoding``
   (pending reception), and only the latter are decided;
 * a carrier-sense flip reaches a MAC only when it acts on it: a busy
@@ -30,8 +33,8 @@ speed-only, so these tests pin it to the per-link formulation:
   MAC, and an idle MAC gets no call;
 * each node's PHY state is a row of the channel's ledger: the node's
   views equal the ledger's columns at every invariant-monitor check on
-  every backend, an unregistered node reads as an idle radio, and a
-  run without the compiled kernel reproduces the fault goldens.
+  both paths, an unregistered node reads as an idle radio, and a run
+  without the compiled kernel reproduces the fault goldens.
 """
 
 from __future__ import annotations
@@ -51,12 +54,8 @@ from repro.experiments.scenarios import (
     build_simulation_scenario,
 )
 from repro.mac.csma import BROADCAST_ID
-from repro.net.channel import (
-    ChannelError,
-    WirelessChannel,
-    backend_unavailable,
-)
-from repro.net.network import Network, NetworkConfig
+from repro.net.channel import ChannelError, WirelessChannel
+from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Position, chain_topology
@@ -69,7 +68,12 @@ from repro.phy.fading import (
 from repro.sim.engine import Simulator
 from repro.validation.invariants import ValidationConfig
 from repro.validation.monitors import ChannelConservationMonitor
-from tests.conftest import make_chain_network, requires_kernel
+from tests.conftest import (
+    KERNEL_UNAVAILABLE,
+    make_chain_network,
+    phy_path,
+    requires_kernel,
+)
 from tests.test_golden_fault_mobility import CASES, GOLDEN, result_digest
 
 MODELS = [
@@ -344,12 +348,10 @@ RUN_CONFIG = SimulationScenarioConfig(
 )
 
 
-def with_fading(config, fading, backend="scalar"):
+def with_fading(config, fading):
     return dataclasses.replace(
         config,
-        network=dataclasses.replace(
-            config.network, fading=fading, phy_backend=backend
-        ),
+        network=dataclasses.replace(config.network, fading=fading),
     )
 
 
@@ -359,18 +361,20 @@ class TestRunParity:
 
     BACKEND = "scalar"
 
+    def run(self, protocol, config):
+        with phy_path(self.BACKEND):
+            return run_protocol(protocol, config)
+
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     def test_batched_run_equals_per_link_run(self, protocol):
         coherence = RUN_CONFIG.network.fading_coherence_time_s
-        batched_run = run_protocol(
+        batched_run = self.run(
             protocol,
-            with_fading(RUN_CONFIG, CorrelatedRayleighFading(coherence),
-                        self.BACKEND),
+            with_fading(RUN_CONFIG, CorrelatedRayleighFading(coherence)),
         )
-        per_link_run = run_protocol(
+        per_link_run = self.run(
             protocol,
-            with_fading(RUN_CONFIG, PerLinkCorrelated(coherence),
-                        self.BACKEND),
+            with_fading(RUN_CONFIG, PerLinkCorrelated(coherence)),
         )
         assert batched_run.error is None
         assert batched_run.delivered_packets > 0
@@ -383,31 +387,31 @@ class TestRunParity:
         one."""
         config = dataclasses.replace(RUN_CONFIG, **{case: PARITY_CASES[case]})
         coherence = config.network.fading_coherence_time_s
-        fused = run_protocol(
-            "spp", with_fading(config, CorrelatedRayleighFading(coherence),
-                               self.BACKEND)
+        fused = self.run(
+            "spp", with_fading(config, CorrelatedRayleighFading(coherence))
         )
-        per_link = run_protocol(
-            "spp", with_fading(config, PerLinkCorrelated(coherence),
-                               self.BACKEND)
+        per_link = self.run(
+            "spp", with_fading(config, PerLinkCorrelated(coherence))
         )
         assert fused.error is None
         assert fused.delivered_packets > 0
         assert fused == per_link
 
     def test_per_link_calls_mid_run_leave_the_run_unchanged(self):
-        """A ``sample_link_gain`` call between frames clears its
-        sender's row time, so that sender's next frame takes the batch
-        call and resumes the link exactly; no other frame does."""
+        """A ``sample_link_gain`` call between frames resumes its link
+        exactly: on the kernel it clears its sender's row time, so that
+        sender's next frame takes the batch call and no other frame
+        does; the Python path makes the batch call every frame."""
         coherence = RUN_CONFIG.network.fading_coherence_time_s
-        results, batch_calls = [], []
+        results, batch_calls, frames = [], [], []
         for fading in (
             CorrelatedRayleighFading(coherence),
             PerLinkCorrelated(coherence),
         ):
-            scenario = build_simulation_scenario(
-                "odmrp", with_fading(RUN_CONFIG, fading, self.BACKEND)
-            )
+            with phy_path(self.BACKEND):
+                scenario = build_simulation_scenario(
+                    "odmrp", with_fading(RUN_CONFIG, fading)
+                )
             channel = scenario.network.channel
             calls = _count_calls(fading, "sample_link_gains")
 
@@ -422,22 +426,64 @@ class TestRunParity:
             scenario.network.sim.run(until=RUN_CONFIG.duration_s)
             results.append(collect_result(scenario))
             batch_calls.append(calls[0])
+            frames.append(channel.counters.total("channel.tx."))
         assert results[0].error is None
         assert results[0] == results[1]
+        self.assert_touched_batches(batch_calls[0], frames[0])
+
+    def assert_touched_batches(self, batch_calls, frames):
+        assert batch_calls == frames > 0
+
+    def test_two_fading_draws_per_audible_receiver(self):
+        """The Python path draws each frame in one batch call: two
+        ``random()`` draws per audible receiver, no per-link call."""
+        with phy_path(self.BACKEND):
+            network = Network(chain_topology(5, 150.0), seed=3)
+        channel = network.channel
+        assert not channel.compiled
+        batch_calls = _count_calls(channel.fading, "sample_link_gains")
+        link_calls = _count_calls(channel.fading, "sample_link_gain")
+        draws = _count_calls(channel._fading_rng, "random")
+        for node in network.nodes:
+            for k in range(4):
+                network.sim.schedule(
+                    0.05 * k + 0.003 * node.node_id,
+                    lambda n=node: n.send_broadcast(
+                        Packet(PacketKind.DATA, n.node_id, 200, n.sim.now)
+                    ),
+                )
+        network.run(1.0)
+        frames = channel.counters.total("channel.tx.")
+        assert frames == 20
+        audible = sum(
+            4 * len(channel.audible_neighbors(node.node_id))
+            for node in network.nodes
+        )
+        assert draws[0] == 2 * audible
+        assert link_calls[0] == 0
+        assert batch_calls[0] == frames
+
+
+@requires_kernel
+class TestCompiledRunParity(TestRunParity):
+    """Every :class:`TestRunParity` case on the compiled kernel, and the
+    fused draw the kernel takes where a sender's links share one
+    last-update time."""
+
+    BACKEND = "compiled"
+
+    def assert_touched_batches(self, batch_calls, frames):
         # Every touch sends its sender back through one batch call.
-        assert 0 < batch_calls[0] <= 40
+        assert 0 < batch_calls <= 40
 
     def test_plain_paper_run_takes_the_fused_pass(self):
         """On a static paper-density mesh a sender's receiver list never
         changes, so every frame -- a sender's first included -- is drawn
         inside the frame-start pass: no batch call at all."""
-        config = SimulationScenarioConfig(
-            duration_s=6.0, warmup_s=2.0,
-            network=NetworkConfig(phy_backend=self.BACKEND),
-        )
+        config = SimulationScenarioConfig(duration_s=6.0, warmup_s=2.0)
         scenario = build_simulation_scenario("spp", config)
         channel = scenario.network.channel
-        assert channel.phy_backend_resolved == self.BACKEND
+        assert channel.compiled
         senders = []
         batch = channel.fading.sample_link_gains
 
@@ -455,12 +501,9 @@ class TestRunParity:
         """A fresh sender's frame draws each link's first state inside
         the pass: no batch call, two draws a receiver, and the powers a
         per-link draw gives."""
-        network = Network(
-            chain_topology(4, 150.0), seed=7,
-            config=NetworkConfig(phy_backend=self.BACKEND),
-        )
+        network = Network(chain_topology(4, 150.0), seed=7)
         channel = network.channel
-        assert channel.phy_backend_resolved == self.BACKEND
+        assert channel.compiled
         reference = random.Random()
         reference.setstate(channel._fading_rng.getstate())
         batch_calls = _count_calls(channel.fading, "sample_link_gains")
@@ -484,48 +527,10 @@ class TestRunParity:
         assert channel._fading_rng.getstate() == reference.getstate()
 
     def test_two_fading_draws_per_audible_receiver(self):
-        network = Network(
-            chain_topology(5, 150.0), seed=3,
-            config=NetworkConfig(phy_backend="scalar"),
-        )
-        channel = network.channel
-        batch_calls = _count_calls(channel.fading, "sample_link_gains")
-        link_calls = _count_calls(channel.fading, "sample_link_gain")
-        draws = _count_calls(channel._fading_rng, "random")
-        for node in network.nodes:
-            for k in range(4):
-                network.sim.schedule(
-                    0.05 * k + 0.003 * node.node_id,
-                    lambda n=node: n.send_broadcast(
-                        Packet(PacketKind.DATA, n.node_id, 200, n.sim.now)
-                    ),
-                )
-        network.run(1.0)
-        frames = channel.counters.total("channel.tx.")
-        assert frames == 20
-        audible = sum(
-            4 * len(channel.audible_neighbors(node.node_id))
-            for node in network.nodes
-        )
-        assert draws[0] == 2 * audible
-        assert link_calls[0] == 0
-        assert batch_calls[0] == 0
-
-
-@requires_kernel
-class TestCompiledRunParity(TestRunParity):
-    """Every :class:`TestRunParity` case on the compiled kernel."""
-
-    BACKEND = "compiled"
-
-    def test_two_fading_draws_per_audible_receiver(self):
         """The kernel draws in C, where no Python ``random()`` call can
         be counted: the stream must end where a clone of it advanced by
         two draws per audible receiver ends."""
-        network = Network(
-            chain_topology(5, 150.0), seed=3,
-            config=NetworkConfig(phy_backend="compiled"),
-        )
+        network = Network(chain_topology(5, 150.0), seed=3)
         channel = network.channel
         clone = random.Random()
         clone.setstate(channel._fading_rng.getstate())
@@ -718,9 +723,8 @@ class TestLedgerViews:
     def test_views_equal_the_ledger_at_every_monitor_check(
         self, backend, monkeypatch
     ):
-        reason = backend_unavailable(backend)
-        if reason is not None:
-            pytest.skip(reason)
+        if backend == "compiled" and KERNEL_UNAVAILABLE is not None:
+            pytest.skip(KERNEL_UNAVAILABLE)
         checked = []
         original = ChannelConservationMonitor.check
 
@@ -748,14 +752,14 @@ class TestLedgerViews:
             num_groups=1, members_per_group=4, duration_s=8.0,
             warmup_s=2.0, topology_seed=5,
             faults=FaultPlan(outages=(OutageWindow(2, 3.0, 5.0),)),
-            network=NetworkConfig(phy_backend=backend),
             validation=ValidationConfig(
                 enabled=True, check_interval_s=0.5,
                 monitors=("channel-conservation",),
             ),
         )
-        scenario = build_simulation_scenario("spp", config)
-        assert scenario.network.channel.phy_backend_resolved == backend
+        with phy_path(backend):
+            scenario = build_simulation_scenario("spp", config)
+        assert scenario.network.channel.compiled is (backend == "compiled")
         scenario.run()
         assert len(checked) >= 16
 
@@ -777,15 +781,13 @@ class TestLedgerViews:
 
     @pytest.mark.parametrize("protocol", ["odmrp", "spp"])
     def test_no_kernel_run_matches_the_fault_golden(self, protocol, no_kernel):
-        """Without a compiler "auto" runs the pure-Python ledger passes
-        and reproduces the scalar fault golden bit for bit."""
-        config = CASES["faults-30-scalar"]
-        config = dataclasses.replace(config, network=dataclasses.replace(
-            config.network, phy_backend="auto",
-        ))
+        """Without a compiler the channel runs the pure-Python ledger
+        passes and reproduces the scalar fault golden bit for bit."""
         assert no_kernel.load() is None
-        scenario = build_simulation_scenario(protocol, config)
-        assert scenario.network.channel.phy_backend_resolved == "scalar"
+        scenario = build_simulation_scenario(
+            protocol, CASES["faults-30-scalar"]
+        )
+        assert not scenario.network.channel.compiled
         scenario.run()
         result = collect_result(scenario)
         assert result_digest(result) == GOLDEN["faults-30-scalar"][protocol]

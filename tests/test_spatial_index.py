@@ -240,7 +240,7 @@ class TestChannelGridPruning:
             40, 1100.0, 1100.0, rng=random.Random(topology_seed),
             connectivity_range_m=250.0,
         )
-        config = NetworkConfig(phy_backend="scalar")
+        config = NetworkConfig()
 
         monkeypatch.setattr(topology_module, "GRID_AUTO_NODES", 10**9)
         brute = Network(positions, seed=1, config=config)
@@ -271,7 +271,7 @@ class TestChannelGridPruning:
         positions = random_topology(
             n, side, side, rng=random.Random(5), connectivity_range_m=None
         )
-        config = NetworkConfig(phy_backend="scalar")
+        config = NetworkConfig()
         calls = []
         exact = channel_module.WirelessChannel.mean_rx_power_mw
 

@@ -164,10 +164,13 @@ class TestStrictness:
         with pytest.raises(SpecError) as excinfo:
             ExperimentSpec.load(str(spec_path))
         message = str(excinfo.value)
-        assert "phy_backend 'vectorized' is no longer supported" in message
-        assert "backend was removed" in message
-        assert "'auto' now compiles" in message
-        assert "unknown phy_backend" not in message
+        assert (
+            "config.network key 'phy_backend' is no longer supported"
+            in message
+        )
+        assert "PHY backend selection was removed" in message
+        assert "compiled PHY kernel wherever it loads" in message
+        assert "unknown key" not in message
 
     def test_unknown_config_key_rejected(self):
         data = sample_spec().to_dict()
