@@ -375,8 +375,8 @@ def phy_crossover_curve(
                     1e6 * (unit.raw_wall_s - unit.raw_setup_s) / frames
                 )
             fanout.append(statistics.mean(
-                len(receivers)
-                for receivers in built[0].network.channel._audible.values()
+                len(fan.receiver_ids)
+                for fan in built[0].network.channel._fanout.values()
             ))
         point = {
             "num_nodes": num_nodes,
@@ -441,7 +441,6 @@ def bench_macro_flood() -> None:
         "sim_seconds_per_wall_second": round(config.duration_s / wall, 3)
         if wall > 0 else None,
         "join_query_tx": queries,
-        "phy_backend": "compiled" if kernel.load() is not None else "scalar",
     })
     print(
         f"\nmacro flood: {num_nodes} nodes, {config.duration_s:.0f} sim-s "

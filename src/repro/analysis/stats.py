@@ -40,14 +40,23 @@ def mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def stddev(values: Sequence[float]) -> float:
-    """Sample standard deviation (n-1); zero for fewer than two samples."""
+def variance(values: Sequence[float]) -> float:
+    """Sample variance (n-1); zero for fewer than two samples.
+
+    Squares by ``d * d``, never ``** 2``: float ``**`` goes through libm
+    ``pow``, which is not correctly rounded for every input, so a
+    power-of-two rescaling of the samples could change the last bit.
+    """
     n = len(values)
     if n < 2:
         return 0.0
     center = mean(values)
-    variance = math.fsum((v - center) ** 2 for v in values) / (n - 1)
-    return math.sqrt(variance)
+    return math.fsum(d * d for d in (v - center for v in values)) / (n - 1)
+
+
+def stddev(values: Sequence[float]) -> float:
+    """Sample standard deviation (n-1); zero for fewer than two samples."""
+    return math.sqrt(variance(values))
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +225,7 @@ def _welch_df(se1: float, se2: float, n1: int, n2: int) -> float:
     """
     total = se1 + se2
     r1, r2 = se1 / total, se2 / total
-    return 1.0 / (r1 ** 2 / (n1 - 1) + r2 ** 2 / (n2 - 1))
+    return 1.0 / (r1 * r1 / (n1 - 1) + r2 * r2 / (n2 - 1))
 
 
 def welch_t_test(a: Sequence[float], b: Sequence[float]) -> WelchResult:
@@ -233,8 +242,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> WelchResult:
     if n1 < 2 or n2 < 2:
         return WelchResult(statistic=0.0, df=0.0, p_value=1.0)
     m1, m2 = mean(a), mean(b)
-    v1 = stddev(a) ** 2
-    v2 = stddev(b) ** 2
+    v1 = variance(a)
+    v2 = variance(b)
     if v1 == 0.0 and v2 == 0.0:
         df = float(n1 + n2 - 2)
         if m1 == m2:
@@ -261,8 +270,8 @@ def unpaired_difference_ci(
     center = mean(a) - mean(b)
     if n1 < 2 or n2 < 2:
         return (center, center)
-    se1 = stddev(a) ** 2 / n1
-    se2 = stddev(b) ** 2 / n2
+    se1 = variance(a) / n1
+    se2 = variance(b) / n2
     if se1 + se2 == 0.0:
         return (center, center)
     df = _welch_df(se1, se2, n1, n2)

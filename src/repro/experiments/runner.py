@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.experiments.results import RunResult
 from repro.experiments.scenarios import (
@@ -92,7 +92,12 @@ def export_run_telemetry(
 def collect_result(
     scenario: SimulationScenario, telemetry_path: Optional[str] = None
 ) -> RunResult:
-    """Extract a :class:`RunResult` from a finished scenario."""
+    """Extract a :class:`RunResult` from a finished scenario, then release
+    the scenario's reference cycles (see :func:`_release`).
+
+    Everything read here stays readable, so a released scenario can be
+    collected again; it cannot run on.
+    """
     probe_bytes = (
         scenario.probing.probe_bytes_sent()
         if scenario.probing is not None
@@ -125,7 +130,7 @@ def collect_result(
     )
     if seed is None:
         seed = getattr(scenario.config, "run_seed", 0)
-    return RunResult(
+    result = RunResult(
         protocol=scenario.protocol_name,
         topology_seed=seed,
         duration_s=scenario.config.duration_s,
@@ -138,6 +143,34 @@ def collect_result(
         counters=counters,
         telemetry_path=telemetry_path,
     )
+    _release(scenario)
+    return result
+
+
+def _release(scenario: SimulationScenario) -> None:
+    """Break a finished run's reference cycles.
+
+    Every node, its MAC, its protocol objects and the channel reach each
+    other, and the simulator's pending events reach them all, so without
+    this a finished scenario (tens of thousands of objects on a large
+    mesh) waits, with its memory, for the interpreter's next full cyclic
+    collection, whichever later run that lands in.  With the pending
+    events dropped and each node unlinked from its MAC, channel, routers,
+    neighbor table and prober, the nodes and everything they own are
+    freed by reference counting as soon as the caller drops the
+    scenario; a few objects per traffic source and probe agent stay
+    cyclic and are left to the collector.
+    """
+    network = scenario.network
+    network.sim.release()
+    for node in network.nodes:
+        node.release()
+    owners: List[Any] = list(scenario.routers.values())
+    if scenario.probing is not None:
+        owners.extend(scenario.probing.tables.values())
+        owners.extend(scenario.probing.agents)
+    for owner in owners:
+        owner.node = None
 
 
 def run_experiment(

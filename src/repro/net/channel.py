@@ -23,6 +23,9 @@ These paths keep large meshes and long runs fast without changing results:
 * ``begin_transmission`` draws a whole transmission's fading in one
   call to the fading model's ``sample_link_gains``, bit-identical to
   one draw per receiver, then makes one pass over the receivers.
+* Each sender's audible receivers are stored once, as a
+  :class:`_FanOut` of two packed columns (receiver ids, and mean powers
+  in an ``array('d')``).
 * Per-node PHY state (power, on-air count, carrier sense, half duplex,
   sense threshold, MAC, pending receptions, the decision rule's
   constants) lives in the channel's :class:`PhyLedger`, columns indexed
@@ -47,7 +50,8 @@ These paths keep large meshes and long runs fast without changing results:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.net import topology
 from repro.net.node import Node
@@ -102,20 +106,23 @@ class ChannelError(RuntimeError):
 
 
 class _FanOut:
-    """One sender's audible receivers as parallel columns.
+    """One sender's audible receivers, packed as two columns.
 
-    Mirrors one ``_audible`` list in audible-list order, so element
-    ``k`` of every column is receiver ``k``: the receivers, their ids
-    (the list object the correlated fading model keys its link row on),
-    mean powers and decode thresholds.
+    Element ``k`` of both columns is receiver ``k``, in registration
+    order.  ``receiver_ids`` holds the receivers' own node-id ints; it
+    is the list object the correlated fading model keys the sender's
+    link row on, so it is never mutated after ``finalize()``.
+    ``mean_mw`` holds their mean received powers as an ``array('d')``,
+    which the compiled kernel reads through the buffer protocol.  A
+    receiver's decode threshold is a per-node value: the frame start
+    reads it from the ledger's ``rx_thr_mw`` column.
     """
 
-    __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr")
+    __slots__ = ("receiver_ids", "mean_mw")
 
-    def __init__(self, audible: List[Tuple[Node, float, float]]) -> None:
-        columns = tuple(zip(*audible)) or ((), (), ())
-        self.receivers, self.mean_mw, self.rx_thr = map(list, columns)
-        self.receiver_ids = [receiver.node_id for receiver in self.receivers]
+    def __init__(self) -> None:
+        self.receiver_ids: List[int] = []
+        self.mean_mw = array("d")
 
 
 class PhyLedger:
@@ -151,7 +158,8 @@ class PhyLedger:
         self.nodes: List[Node] = []
         #: The stock decision rule's constants per node (receive
         #: threshold, noise, linear SINR threshold), taken from each
-        #: node's reception model by :meth:`take_rules`.
+        #: node's reception model by :meth:`take_rules`.  A frame whose
+        #: faded power reaches ``rx_thr_mw`` starts a pending reception.
         self.rx_thr_mw: List[float] = []
         self.noise_mw: List[float] = []
         self.sinr_linear: List[float] = []
@@ -209,11 +217,7 @@ class WirelessChannel:
         self.ledger = PhyLedger()
         self.nodes: List[Node] = self.ledger.nodes
         self.counters = CounterSet()
-        #: sender id -> [(receiver, mean power, rx threshold)], with the
-        #: receiver's decode threshold baked in so the per-transmission
-        #: loop never chases ``receiver.params``.
-        self._audible: Dict[int, List[Tuple[Node, float, float]]] = {}
-        #: sender id -> the same lists as columns, for the fan-out.
+        #: sender id -> that sender's audible receivers.
         self._fanout: Dict[int, _FanOut] = {}
         self._fading_rng = sim.rng.stream("phy.fading")
         self._finalized = False
@@ -256,11 +260,15 @@ class WirelessChannel:
         node.channel = self
 
     def finalize(self) -> None:
-        """Precompute per-sender audibility lists for the current layout.
+        """Precompute each sender's fan-out for the current layout.
+
+        Every audible (sender, receiver) pair is appended straight into
+        the sender's :class:`_FanOut`: the receiver's id and its mean
+        power, one ``mean_rx_power_mw`` call per tested pair.
 
         Re-running ``finalize()`` is the only legal way to change the
-        topology; it invalidates every derived cache (audibility lists,
-        fan-outs, the memoized connectivity map).  The fading model
+        topology; it invalidates every derived cache (fan-outs, the
+        memoized connectivity map).  The fading model
         keeps each link's state by receiver id, so a link resumes its
         process across a re-finalize.  Transmissions already in flight
         are untouched: their power contributions were recorded at start
@@ -276,8 +284,8 @@ class WirelessChannel:
         each sender's audible nodes (sorted by node index, i.e.
         registration order), so the power test runs about once per
         audible pair, and the exact per-pair power test decides
-        audibility just as in the brute scan -- the resulting lists are
-        bit-identical.
+        audibility just as in the brute scan -- the resulting fan-outs
+        are bit-identical.
         """
         nodes = self.nodes
         grid: Optional[topology.SpatialGridIndex] = None
@@ -288,9 +296,16 @@ class WirelessChannel:
                 grid = topology.SpatialGridIndex(
                     [node.position for node in nodes], cell_size_m=reach / 2.0
                 )
-        self._audible = {}
+        cutoffs = [
+            node.params.carrier_sense_threshold_mw / self.audible_margin_linear
+            for node in nodes
+        ]
+        mean_rx_power_mw = self.mean_rx_power_mw
+        self._fanout = {}
         for index, sender in enumerate(nodes):
-            audible: List[Tuple[Node, float, float]] = []
+            fan = self._fanout[sender.node_id] = _FanOut()
+            ids_append = fan.receiver_ids.append
+            means_append = fan.mean_mw.append
             pool = (
                 nodes
                 if grid is None
@@ -299,20 +314,11 @@ class WirelessChannel:
             for receiver in pool:
                 if receiver is sender:
                     continue
-                mean_mw = self.mean_rx_power_mw(sender, receiver)
-                cutoff = (
-                    receiver.params.carrier_sense_threshold_mw
-                    / self.audible_margin_linear
-                )
-                if mean_mw >= cutoff:
-                    audible.append(
-                        (receiver, mean_mw, receiver.params.rx_threshold_mw)
-                    )
-            self._audible[sender.node_id] = audible
-        self._fanout = {
-            sender_id: _FanOut(audible)
-            for sender_id, audible in self._audible.items()
-        }
+                mean_mw = mean_rx_power_mw(sender, receiver)
+                rid = receiver.node_id
+                if mean_mw >= cutoffs[rid]:
+                    ids_append(rid)
+                    means_append(mean_mw)
         self._connectivity_cache = None
         base_sampled_power = (
             type(self)._sampled_power is WirelessChannel._sampled_power
@@ -345,7 +351,7 @@ class WirelessChannel:
         Uses the loudest transmitter against the most sensitive cutoff,
         so *every* audible pair in the mesh is within the returned
         distance of each other; the grid query over this radius is a
-        strict superset of each audibility list.
+        strict superset of each sender's fan-out.
         """
         if not self.nodes:
             return None
@@ -408,9 +414,11 @@ class WirelessChannel:
 
     def audible_neighbors(self, node_id: int) -> List[Tuple[Node, float]]:
         """(neighbor, mean power) pairs audible from ``node_id``."""
+        fan = self._fanout[node_id]
+        nodes = self.nodes
         return [
-            (receiver, mean_mw)
-            for receiver, mean_mw, _threshold in self._audible[node_id]
+            (nodes[rid], mean_mw)
+            for rid, mean_mw in zip(fan.receiver_ids, fan.mean_mw)
         ]
 
     # ------------------------------------------------------------------
@@ -460,19 +468,17 @@ class WirelessChannel:
         fan = self._fanout[sender.node_id]
         receiver_ids = fan.receiver_ids
         means = fan.mean_mw
-        thresholds = fan.rx_thr
         sel = None
         if self._inactive_nodes and receiver_ids:
             # Down radios neither hear the frame nor draw its fading.
+            nodes = self.nodes
             sel = [
-                k for k, receiver in enumerate(fan.receivers)
-                if receiver.active
+                k for k, rid in enumerate(receiver_ids) if nodes[rid].active
             ]
             if len(sel) == len(receiver_ids):
                 sel = None
             else:
                 means = [means[k] for k in sel]
-                thresholds = [thresholds[k] for k in sel]
                 receiver_ids = [receiver_ids[k] for k in sel]
         row = None
         if self._fused_fading is not None and sel is None and receiver_ids:
@@ -481,11 +487,11 @@ class WirelessChannel:
             )
         if row is not None:
             self._kernel.frame_start(
-                self._fading_rng.stream, tx, receiver_ids, means,
-                thresholds, *row, self.ledger.columns,
+                self._fading_rng.stream, tx, receiver_ids, means, *row,
+                self.ledger.columns,
             )
         else:
-            self._batched_start(tx, receiver_ids, means, thresholds)
+            self._batched_start(tx, receiver_ids, means)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
         )
@@ -495,8 +501,7 @@ class WirelessChannel:
         self,
         tx: Transmission,
         receiver_ids: List[int],
-        means: List[float],
-        thresholds: List[float],
+        means: Sequence[float],
     ) -> None:
         """The frame start with the fading drawn in one call first.
 
@@ -504,10 +509,10 @@ class WirelessChannel:
         on the ledger's columns: add its power, raise the peak
         interference of every pending reception (the total minus that
         reception's own signal), flip carrier sense idle -> busy (power
-        only rises here), and -- when the power is decodable and the
-        receiver is not transmitting -- start a pending reception, a
-        ``[signal_mw, peak_interference_mw]`` row whose initial
-        interference is every other audible frame.  The kernel's
+        only rises here), and -- when the power reaches the receiver's
+        ``rx_thr_mw`` and it is not transmitting -- start a pending
+        reception, a ``[signal_mw, peak_interference_mw]`` row whose
+        initial interference is every other audible frame.  The kernel's
         ``frame_start`` runs this loop in C with each link's AR(1) step
         drawn inside it.
         """
@@ -529,7 +534,6 @@ class WirelessChannel:
             keep = [k for k, power_mw in enumerate(powers) if power_mw > 0.0]
             receiver_ids = [receiver_ids[k] for k in keep]
             powers = [powers[k] for k in keep]
-            thresholds = [thresholds[k] for k in keep]
         tx.touched = receiver_ids
         # ``powers`` may be the fan-out's own mean column.
         tx.powers = list(powers) if powers is means else powers
@@ -539,10 +543,11 @@ class WirelessChannel:
         busy = ledger.busy
         transmitting = ledger.transmitting
         sense = ledger.sense_mw
+        decode = ledger.rx_thr_mw
         macs = ledger.macs
         pending_of = ledger.pending
         decoding_append = tx.decoding.append
-        for rid, power_mw, threshold in zip(receiver_ids, powers, thresholds):
+        for rid, power_mw in zip(receiver_ids, powers):
             total = power[rid] + power_mw
             power[rid] = total
             on_air[rid] += 1
@@ -557,7 +562,7 @@ class WirelessChannel:
                 mac = macs[rid]
                 if mac.awaited_sense is True:
                     mac.on_medium_state(True)
-            if power_mw >= threshold and not transmitting[rid]:
+            if power_mw >= decode[rid] and not transmitting[rid]:
                 level = total - power_mw
                 pending[tx] = [power_mw, level if level > 0.0 else 0.0]
                 decoding_append(rid)
@@ -667,13 +672,13 @@ class WirelessChannel:
         returned mapping as read-only.
         """
         if self._connectivity_cache is None:
+            decode = self.ledger.rx_thr_mw
             self._connectivity_cache = {
-                sender.node_id: [
-                    receiver.node_id
-                    for receiver, mean_mw, threshold
-                    in self._audible[sender.node_id]
-                    if mean_mw >= threshold
+                sender_id: [
+                    rid
+                    for rid, mean_mw in zip(fan.receiver_ids, fan.mean_mw)
+                    if mean_mw >= decode[rid]
                 ]
-                for sender in self.nodes
+                for sender_id, fan in self._fanout.items()
             }
         return self._connectivity_cache

@@ -167,6 +167,18 @@ class Node:
         counts[size] += packet.size_bytes
         return self.mac.enqueue(packet, dest_id, on_done)
 
+    def release(self) -> None:
+        """Unlink the node from its MAC and channel after a finished run.
+
+        Drops the references that tie every node, its MAC and the
+        channel into reference cycles, and the pending receptions.  The
+        counters and the MAC's tallies stay readable.
+        """
+        self.mac.node = None
+        self.channel = None
+        self._ledger = None
+        self.pending_receptions.clear()
+
     def set_active(self, active: bool) -> None:
         """Turn the radio on or off (failure injection).
 

@@ -21,12 +21,14 @@
  * node id (power, on-air count, sensed-busy, transmitting, sense
  * threshold, MAC, pending-reception dict, node, and the decision rule's
  * receive threshold, noise and linear SINR threshold), read and written
- * with PyList_GET_ITEM/PyList_SetItem.  A pending reception is a
- * two-item list [signal_mw, peak_interference_mw] keyed by its
- * transmission.  Per-link fading state is the fading model's array('d')
- * of (time, real, imag) triples, written as doubles through the buffer
- * protocol.  Python is called only where the Python passes call it: the
- * MAC's on_medium_state on a flip it awaits, Node.deliver on a decoded
+ * with PyList_GET_ITEM/PyList_SetItem.  A pending reception is a two-item
+ * list [signal_mw, peak_interference_mw] keyed by its transmission.
+ * A sender's fan-out is two columns, the receiver-id list and an
+ * array('d') of mean powers, which is read as doubles through the
+ * buffer protocol; per-link fading state is the fading model's
+ * array('d') of (time, real, imag) triples, written the same way.
+ * Python is called only where the Python passes call it: the MAC's
+ * on_medium_state on a flip it awaits, Node.deliver on a decoded
  * frame, and the node's counter dict.  A callback may run arbitrary
  * Python, so every list index is checked against the list's current
  * size, and every borrowed object a callback could release is held.
@@ -338,12 +340,6 @@ flip_sense(const Ledger *ledger, Py_ssize_t rid, PyObject *busy)
     return status;
 }
 
-static double
-list_double(PyObject *list, Py_ssize_t k)
-{
-    return PyFloat_AsDouble(PyList_GET_ITEM(list, k));
-}
-
 static int
 check_list(PyObject *obj, const char *what)
 {
@@ -420,11 +416,11 @@ raise_interference(PyObject *pending, double total)
 }
 
 /* One receiver's share of frame_start after its power is known: the
- * ledger update, interference, carrier sense and decode start. */
+ * ledger update, interference, carrier sense and decode start, against
+ * the receiver's rx_thr_mw threshold. */
 static int
 start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
-               PyObject *power_obj, double power, double threshold,
-               PyObject *decoding)
+               PyObject *power_obj, double power, PyObject *decoding)
 {
     Py_ssize_t rid = ledger_row(ledger, id_obj);
     if (rid < 0) {
@@ -463,6 +459,10 @@ start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
             || (rid = ledger_row(ledger, id_obj)) < 0)) {
         goto done;
     }
+    double threshold = PyFloat_AsDouble(cell(ledger, L_RX_THR, rid));
+    if (threshold == -1.0 && PyErr_Occurred()) {
+        goto done;
+    }
     if (power >= threshold) {
         int transmitting = PyObject_IsTrue(cell(ledger, L_TRANSMITTING, rid));
         if (transmitting < 0) {
@@ -493,26 +493,46 @@ done:
     return status;
 }
 
+/* The buffer of `obj` checked to be an array('d'); -1 with a TypeError
+ * naming `what` otherwise.  Nothing is held on failure. */
+static int
+get_doubles(PyObject *obj, Py_buffer *view, int flags, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0) {
+        return -1;
+    }
+    if (view->itemsize != sizeof(double) || view->format == NULL
+        || strcmp(view->format, "d") != 0) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('d')", what);
+        return -1;
+    }
+    return 0;
+}
+
 /*
- * frame_start(stream, tx, receiver_ids, means, thresholds, states, rho,
- *             innovation, ledger_columns)
+ * frame_start(stream, tx, receiver_ids, means, states, rho, innovation,
+ *             ledger_columns)
  *
- * The fused frame start: `states`, `rho` and `innovation` are
+ * The fused frame start over one sender's fan-out: `receiver_ids` is its
+ * list of receiver ids and `means` the array('d') of their mean powers.
+ * `states`, `rho` and `innovation` are
  * CorrelatedRayleighFading.uniform_row's, `states` an array('d') of
- * (time, real, imag) triples in receiver order.  Appends to tx.powers
- * and tx.decoding and sets tx.touched -- to `receiver_ids` itself when
- * no receiver was silenced -- as WirelessChannel._batched_start does.
+ * (time, real, imag) triples in receiver order.  Each receiver's decode
+ * threshold is its ledger row's rx_thr_mw.  Appends to tx.powers and
+ * tx.decoding and sets tx.touched -- to `receiver_ids` itself when no
+ * receiver was silenced -- as WirelessChannel._batched_start does.
  *
  * Every link's AR(1) step is drawn first, straight into the states'
- * buffer, which is released before the receiver bookkeeping calls any
- * Python, just as the Python path draws the whole batch before its
- * receiver loop.
+ * buffer, and multiplied by its mean; both buffers are released before
+ * the receiver bookkeeping calls any Python, just as the Python path
+ * draws the whole batch before its receiver loop.
  */
 static PyObject *
 frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 9) {
-        PyErr_SetString(PyExc_TypeError, "frame_start takes 9 arguments");
+    if (nargs != 8) {
+        PyErr_SetString(PyExc_TypeError, "frame_start takes 8 arguments");
         return NULL;
     }
     if (!PyObject_TypeCheck(args[0], &StreamType)) {
@@ -521,15 +541,14 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     StreamObject *stream = (StreamObject *)args[0];
     PyObject *tx = args[1], *ids = args[2], *means = args[3],
-             *thresholds = args[4], *states = args[5];
+             *states = args[4];
     Ledger ledger;
-    if (check_list(ids, "receiver_ids") < 0 || check_list(means, "means") < 0
-        || check_list(thresholds, "thresholds") < 0
-        || unpack_ledger(args[8], &ledger) < 0) {
+    if (check_list(ids, "receiver_ids") < 0
+        || unpack_ledger(args[7], &ledger) < 0) {
         return NULL;
     }
-    double rho = PyFloat_AsDouble(args[6]);
-    double innovation = PyFloat_AsDouble(args[7]);
+    double rho = PyFloat_AsDouble(args[5]);
+    double innovation = PyFloat_AsDouble(args[6]);
     if (PyErr_Occurred()) {
         return NULL;
     }
@@ -550,34 +569,28 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
 
-    Py_buffer view;
-    if (PyObject_GetBuffer(states, &view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
+    Py_buffer mean_view, view;
+    if (get_doubles(means, &mean_view, PyBUF_SIMPLE, "means") < 0) {
         goto done;
     }
-    if (view.itemsize != sizeof(double) || view.format == NULL
-        || strcmp(view.format, "d") != 0) {
-        PyBuffer_Release(&view);
-        PyErr_SetString(PyExc_TypeError,
-                        "link states must be an array('d') of "
-                        "(time, real, imag) triples");
+    if (get_doubles(states, &view, PyBUF_WRITABLE,
+                    "link states (time, real, imag triples)") < 0) {
+        PyBuffer_Release(&mean_view);
         goto done;
     }
     Py_ssize_t n = PyList_GET_SIZE(ids);
-    n = Py_MIN(n, PyList_GET_SIZE(means));
-    n = Py_MIN(n, PyList_GET_SIZE(thresholds));
+    n = Py_MIN(n, mean_view.len / (Py_ssize_t)sizeof(double));
     n = Py_MIN(n, view.len / (Py_ssize_t)(3 * sizeof(double)));
     power = PyMem_Malloc((n ? n : 1) * sizeof(double));
     if (power == NULL) {
         PyBuffer_Release(&view);
+        PyBuffer_Release(&mean_view);
         PyErr_NoMemory();
         goto done;
     }
+    const double *mean = mean_view.buf;
     double *link = view.buf;
     for (Py_ssize_t k = 0; k < n; k++, link += 3) {
-        double mean = list_double(means, k);
-        if (mean == -1.0 && PyErr_Occurred()) {
-            break;
-        }
         /* CorrelatedRayleighFading's AR(1) step: random.gauss's
          * Box-Muller pair, both halves, scaled by the innovation. */
         double x2pi = genrand_double(stream) * TWOPI;
@@ -587,26 +600,20 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         link[0] = now_value;
         link[1] = real;
         link[2] = imag;
-        power[k] = mean * (real * real + imag * imag);
+        power[k] = mean[k] * (real * real + imag * imag);
     }
     PyBuffer_Release(&view);
-    if (PyErr_Occurred()) {
-        goto done;
-    }
+    PyBuffer_Release(&mean_view);
 
     for (Py_ssize_t k = 0; k < n; k++) {
-        /* A callback may have shortened a list, as zip() would notice. */
-        if (k >= PyList_GET_SIZE(ids) || k >= PyList_GET_SIZE(thresholds)) {
+        /* A callback may have shortened the list, as zip() would notice. */
+        if (k >= PyList_GET_SIZE(ids)) {
             break;
         }
         if (power[k] <= 0.0) {
             /* Not touched, as in the batched pass's filter. */
             any_silenced = 1;
             continue;
-        }
-        double threshold = list_double(thresholds, k);
-        if (threshold == -1.0 && PyErr_Occurred()) {
-            goto done;
         }
         PyObject *power_obj = PyFloat_FromDouble(power[k]);
         if (power_obj == NULL) {
@@ -616,7 +623,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         int status = PyList_Append(powers, power_obj);
         if (status == 0) {
             status = start_receiver(&ledger, tx, id_obj, power_obj, power[k],
-                                    threshold, decoding);
+                                    decoding);
         }
         Py_DECREF(id_obj);
         Py_DECREF(power_obj);

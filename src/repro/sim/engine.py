@@ -180,6 +180,23 @@ class Simulator:
         """Stop the run loop after the current event completes."""
         self._stopped = True
 
+    def release(self) -> None:
+        """Drop every pending event, with its callback and arguments, and
+        every random stream drawn so far.
+
+        For a finished run: a pending event and the handle a model object
+        keeps to it tie the simulator and the model into reference
+        cycles, and whatever cycle is left still reaches the simulator,
+        whose registry holds a stream per MAC and router.  The clock and
+        ``events_executed`` stay readable; the run cannot continue.
+        """
+        for entry in self._queue:
+            event = entry[3]
+            event.callback = None
+            event.args = ()
+        self._queue.clear()
+        self.rng = RngRegistry(self.seed)
+
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         queue = self._queue

@@ -826,7 +826,7 @@ def _decision_case(in_kernel):
         "_inline_fading": True,
     })()
     late = _Frame(start_time=1.5)
-    start = ([3], [100 * THR], [THR])
+    start = ([3], array("d", [100 * THR]))
     # A fresh link: the kernel's row is uniform_row's for a first frame.
     fading = (array("d", [0.0, 0.0, 0.0]), 0.0, math.sqrt(0.5))
 
@@ -899,6 +899,31 @@ class TestDecisionParity:
         tx, columns = case()
         module.frame_end(tx, columns, True)
         assert columns[7][0].counters.get("phy.rx_ok") == 1
+
+    def test_frame_start_reads_means_only_as_doubles(self):
+        """``means`` is the fan-out's ``array('d')``: a list, or an array
+        of any other item type, is refused before any draw or write."""
+        module = kernel.load()
+        ledger = _hand_ledger([(0.0, 0, False, False, 1.0, _Mac())],
+                              [_Receiver()])
+        stream = module.Stream(random.Random(3).getstate()[1])
+        drawn = stream.getstate()
+        states = array("d", [0.0, 0.0, 0.0])
+        for means in ([4 * THR], array("f", [4 * THR]),
+                      array("q", [1]), b"\0" * 8):
+            tx = _Frame(start_time=1.0)
+            with pytest.raises(TypeError):
+                module.frame_start(stream, tx, [0], means, states, 0.0,
+                                   math.sqrt(0.5), ledger.columns)
+            assert tx.powers == [] and tx.decoding == []
+        assert stream.getstate() == drawn
+        assert list(states) == [0.0, 0.0, 0.0]
+        assert ledger.power_mw == [0.0]
+        tx = _Frame(start_time=1.0)
+        module.frame_start(stream, tx, [0], array("d", [4 * THR]), states,
+                           0.0, math.sqrt(0.5), ledger.columns)
+        assert tx.touched == [0] and len(tx.powers) == 1
+        assert ledger.power_mw == tx.powers
 
 
 def _counted(rule, calls):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments.figures import (
@@ -203,6 +207,34 @@ class TestCollectResultAccounting:
         assert result.counters["odmrp.data_delivered"] == 599.0
         assert result.delivered_packets == 599
         assert result.offered_packets == 300
+
+
+class TestCollectReleasesTheScenario:
+    """``collect_result`` breaks the finished run's reference cycles."""
+
+    @pytest.mark.parametrize("protocol", ["odmrp", "spp"])
+    def test_collected_scenario_is_freed_by_reference_counting(self, protocol):
+        """With the cyclic collector off, dropping a collected scenario
+        frees its nodes, MACs, routers, neighbor tables and channel; a
+        second collect reads the same result."""
+        config = dataclasses.replace(SMALL, duration_s=20.0, warmup_s=5.0)
+        gc.collect()
+        gc.disable()
+        try:
+            scenario = build_simulation_scenario(protocol, config)
+            scenario.run()
+            node = scenario.network.nodes[0]
+            owned = [node, node.mac, scenario.network.channel,
+                     scenario.routers[node.node_id]]
+            if scenario.probing is not None:
+                owned.append(scenario.probing.tables[node.node_id])
+            watched = [weakref.ref(obj) for obj in owned]
+            result = collect_result(scenario)
+            assert collect_result(scenario) == result
+            del scenario, node, owned
+            assert [ref() for ref in watched] == [None] * len(watched)
+        finally:
+            gc.enable()
 
 
 class TestResults:

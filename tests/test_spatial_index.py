@@ -6,11 +6,17 @@ filter decides membership exactly as the O(N^2) paths do.  These tests
 pin that equivalence three ways: property tests against random point
 sets (Hypothesis), hand-built edge-of-cell boundary regressions, and
 channel-level checks that a grid-pruned ``finalize()`` reproduces the
-brute-force audibility lists and connectivity map bit-for-bit.
+brute-force fan-outs and connectivity map bit-for-bit.  The fan-out
+table itself is pinned too: ``audible_neighbors`` and
+``connectivity_map`` equal a brute-force recomputation, the decode
+threshold is the radio's own, read from a per-node ledger column, and
+``finalize()`` allocates a bounded number of container objects per
+node, not per audible link.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 
@@ -20,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 import repro.net.channel as channel_module
 import repro.net.topology as topology_module
 from repro.net.network import Network, NetworkConfig
+from repro.phy import kernel
+from repro.phy.reception import ReceptionModel
 from repro.net.topology import (
     GRID_AUTO_NODES,
     Position,
@@ -223,14 +231,15 @@ class TestEdgeOfCellBoundaries:
 class TestChannelGridPruning:
     """Grid-pruned finalize() == brute finalize(), bit for bit."""
 
-    def _audible_snapshot(self, network):
-        return {
-            sender_id: [
-                (receiver.node_id, mean_mw, threshold)
-                for receiver, mean_mw, threshold in audible
-            ]
-            for sender_id, audible in network.channel._audible.items()
-        }
+    def _fanout_snapshot(self, network):
+        channel = network.channel
+        return (
+            {
+                sender_id: (list(fan.receiver_ids), list(fan.mean_mw))
+                for sender_id, fan in channel._fanout.items()
+            },
+            list(channel.ledger.rx_thr_mw),
+        )
 
     @pytest.mark.parametrize("topology_seed", [2, 9])
     def test_audible_lists_and_connectivity_identical(
@@ -247,8 +256,8 @@ class TestChannelGridPruning:
         monkeypatch.setattr(topology_module, "GRID_AUTO_NODES", 2)
         gridded = Network(positions, seed=1, config=config)
 
-        assert self._audible_snapshot(brute) == (
-            self._audible_snapshot(gridded)
+        assert self._fanout_snapshot(brute) == (
+            self._fanout_snapshot(gridded)
         )
         assert brute.channel.connectivity_map() == (
             gridded.channel.connectivity_map()
@@ -284,7 +293,7 @@ class TestChannelGridPruning:
         )
         gridded = Network(positions, seed=1, config=config)
         audible_pairs = sum(
-            len(audible) for audible in gridded.channel._audible.values()
+            len(fan.receiver_ids) for fan in gridded.channel._fanout.values()
         )
         assert len(calls) == audible_pairs
 
@@ -292,6 +301,87 @@ class TestChannelGridPruning:
         monkeypatch.setattr(topology_module, "GRID_AUTO_NODES", 10**9)
         brute = Network(positions, seed=1, config=config)
         assert len(calls) == n * (n - 1)
-        assert self._audible_snapshot(brute) == (
-            self._audible_snapshot(gridded)
+        assert self._fanout_snapshot(brute) == (
+            self._fanout_snapshot(gridded)
         )
+
+
+def _paper_density_positions(n, seed):
+    side = 1000.0 * math.sqrt(n / 50)
+    return random_topology(
+        n, side, side, rng=random.Random(seed), connectivity_range_m=None
+    )
+
+
+class TestFanOutTable:
+    """The packed per-sender fan-out and the per-node decode column."""
+
+    def test_neighbors_and_connectivity_equal_brute_force(self):
+        network = Network(_paper_density_positions(60, 3), seed=1)
+        channel = network.channel
+        nodes = network.nodes
+        for sender in nodes:
+            audible = []
+            decodable = []
+            for receiver in nodes:
+                if receiver is sender:
+                    continue
+                mean_mw = channel.mean_rx_power_mw(sender, receiver)
+                cutoff = (
+                    receiver.params.carrier_sense_threshold_mw
+                    / channel.audible_margin_linear
+                )
+                if mean_mw >= cutoff:
+                    audible.append((receiver.node_id, mean_mw))
+                    if mean_mw >= receiver.params.rx_threshold_mw:
+                        decodable.append(receiver.node_id)
+            assert audible
+            assert [
+                (node.node_id, mean_mw)
+                for node, mean_mw in channel.audible_neighbors(sender.node_id)
+            ] == audible
+            assert channel.connectivity_map()[sender.node_id] == decodable
+
+    @pytest.mark.parametrize("subclassed", [False, True])
+    def test_decode_threshold_is_the_radio_threshold(
+        self, monkeypatch, subclassed
+    ):
+        """The frame start reads each receiver's decode threshold from
+        the ledger's ``rx_thr_mw``, taken from its reception model: that
+        is the radio's own ``rx_threshold_mw``, for the stock model and
+        for a subclass, so a decode start and its decision agree."""
+        model = ReceptionModel
+        if subclassed:
+            from repro.net import node as node_module
+
+            class Replaced(ReceptionModel):
+                pass
+
+            model = Replaced
+            monkeypatch.setattr(node_module, "ReceptionModel", model)
+        network = Network(_paper_density_positions(30, 4), seed=1)
+        nodes = network.nodes
+        assert all(type(node.reception_model) is model for node in nodes)
+        assert network.channel.ledger.rx_thr_mw == [
+            node.params.rx_threshold_mw for node in nodes
+        ]
+
+    def test_finalize_allocates_per_node_not_per_link(self, monkeypatch):
+        """At paper density a 400-node mesh has ~17k audible links; the
+        first ``finalize()`` adds a few container objects per sender."""
+        n = 400
+        finalize = channel_module.WirelessChannel.finalize
+        monkeypatch.setattr(
+            channel_module.WirelessChannel, "finalize", lambda channel: None
+        )
+        network = Network(_paper_density_positions(n, 5), seed=1)
+        monkeypatch.undo()
+        channel = network.channel
+        kernel.load()  # a first load imports or builds: not the table's
+        gc.collect()
+        before = len(gc.get_objects())
+        finalize(channel)
+        growth = len(gc.get_objects()) - before
+        links = sum(len(fan.receiver_ids) for fan in channel._fanout.values())
+        assert links > 20 * n
+        assert growth <= 4 * n
