@@ -7,8 +7,8 @@ normalized-throughput CI half-width reaches the target.  The row
 records three things, gated in order:
 
 * **correctness** -- re-running the sweep with ``--resume`` against the
-  first pass's journal must reproduce the batch-by-batch plan and every
-  run bit for bit;
+  runs the first pass stored in the result cache must execute nothing
+  and reproduce the batch-by-batch plan and every run bit for bit;
 * **savings** -- the planner must reach the target CI half-width for
   every protocol with at least 3x fewer runs than the exhaustive
   ``protocols x max_seeds`` grid it replaces (both sides timed);
@@ -24,6 +24,7 @@ Scale knobs: ``REPRO_JOBS`` (pool size), ``REPRO_ADAPTIVE_MAX_SEEDS``
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 import time
@@ -81,18 +82,23 @@ def bench_adaptive_vs_exhaustive() -> None:
     )
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-adaptive-") as tmp:
-        journal = os.path.join(tmp, "journal.jsonl")
         start = time.perf_counter()
-        plan = run_adaptive_experiment(spec, journal_path=journal)
+        plan = run_adaptive_experiment(
+            dataclasses.replace(spec, use_cache=True), cache_dir=tmp
+        )
         wall_adaptive = time.perf_counter() - start
 
-        # Gate 1: --resume against the journal replays the identical
-        # plan and runs, bit for bit.
+        # Gate 1: --resume replays the stored runs (with the cache off,
+        # as ``--no-cache --resume``) into the identical plan and runs,
+        # bit for bit, executing nothing.
+        executed = []
         start = time.perf_counter()
         resumed = run_adaptive_experiment(
-            spec, journal_path=journal, resume=True
+            spec, cache_dir=tmp, resume=True,
+            progress=lambda *run: executed.append(run),
         )
         wall_resume = time.perf_counter() - start
+        assert executed == [], f"the resume executed {len(executed)} run(s)"
         assert resumed.plan_dict() == plan.plan_dict(), (
             "resumed plan diverged from the first pass"
         )

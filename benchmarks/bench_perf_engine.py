@@ -12,7 +12,9 @@ PRs has a recorded trajectory to compare against.  It measures:
 * **phy micro** -- one dense-mesh run on the compiled PHY kernel and
   on the pure-Python passes ("scalar", timed under
   :func:`repro.phy.kernel.disabled`), asserting bit-identical results
-  and timing each (``scripts/bench_check.py`` gates on this row).
+  and timing each (the perfsmoke tier's
+  ``test_phy_paths_identical_and_compiled_not_slower`` gates on this
+  run).
 * **phy crossover** -- host time per frame on each path across mesh
   sizes at the paper's density: the evidence that the compiled kernel,
   which every channel runs wherever it loads, is the faster path at
@@ -281,7 +283,7 @@ def phy_backend_micro() -> Dict[str, Any]:
 
     Returns ``backend -> unit`` (:func:`timed_run`'s) for every path
     that can run here; callers assert identity of ``unit.result`` and
-    gate on the corrected ``unit.wall_s`` (``scripts/bench_check.py``
+    gate on the corrected ``unit.wall_s`` (``tests/test_perf_smoke.py``
     does both).
     """
     runs: Dict[str, Any] = {}

@@ -22,9 +22,9 @@ Commands::
 :class:`~repro.experiments.spec.ExperimentSpec`; ``--protocols``/
 ``--seeds`` narrow it, ``--dry-run`` prints the resolved plan without
 simulating.  ``--run-timeout`` kills and quarantines a run past its
-wall-clock budget and journals the sweep; ``--resume`` replays a
-previously interrupted sweep from that journal and re-dispatches its
-failed runs.  Protocol names everywhere resolve through the registry
+wall-clock budget and stores every finished run in the result cache,
+even under ``--no-cache``; ``--resume`` replays the runs stored there
+and executes only the rest, failed runs included.  Protocol names everywhere resolve through the registry
 (:mod:`repro.protocols`), so MAODV and WCETT variants sweep through the
 same pipeline as the paper's six.
 
@@ -334,7 +334,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             runs = run_experiment(spec, progress=progress, resume=args.resume)
     except KeyboardInterrupt as interrupt:
-        # The sweep engine stops with its journal consistent, so
+        # The sweep engine stops with every finished run stored, so
         # tell the user how to pick the sweep back up.
         detail = str(interrupt)
         print(f"\ninterrupted: {detail}" if detail else "\ninterrupted",
@@ -552,7 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(0 = one per CPU)")
     run.add_argument("--no-cache", action="store_true",
                      help="force recomputation even if the spec enables "
-                          "the result cache")
+                          "the result cache (a --run-timeout or --resume "
+                          "sweep still stores its finished runs, and "
+                          "--resume still replays them)")
     run.add_argument("--dry-run", action="store_true",
                      help="validate and print the resolved run plan "
                           "without simulating")
@@ -564,8 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--run-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-run wall-clock budget; a run exceeding it "
-                          "is killed and quarantined (journals the sweep; "
-                          "--resume re-dispatches it)")
+                          "is killed and quarantined (stores every finished "
+                          "run in the result cache; --resume re-dispatches "
+                          "the rest)")
     run.add_argument("--adaptive", action="store_true",
                      help="run under the sequential planner: seeds in "
                           "batches, CI-driven stopping per protocol, "
@@ -573,9 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(defaults apply unless the spec has an "
                           "[adaptive] section)")
     run.add_argument("--resume", action="store_true",
-                     help="replay completed runs from the sweep journal "
-                          "(.repro_cache/runs/journal.jsonl) and execute "
-                          "only the rest")
+                     help="replay runs an earlier pass stored in the "
+                          "result cache (.repro_cache/runs/, even under "
+                          "--no-cache) and execute only the rest")
 
     validate = subparsers.add_parser(
         "validate",

@@ -15,9 +15,8 @@
   one way a list of runs executes: inline or on persistent supervised
   workers.
 * :mod:`repro.experiments.resilience` -- what the engine is built from:
-  per-run timeouts, a failure taxonomy, quarantine of failed runs, and
-  a durable journal enabling ``repro run --resume``, which
-  re-dispatches them.
+  per-run timeouts, a failure taxonomy and quarantine of failed runs,
+  which ``repro run --resume`` re-dispatches.
 * :mod:`repro.experiments.adaptive` -- sequential seed allocation with
   CI-driven stopping and paired common-random-number comparisons
   (``repro run --adaptive``).
@@ -39,7 +38,6 @@ from repro.experiments.report import render_report
 from repro.experiments.resilience import (
     FailureKind,
     ResilienceConfig,
-    SweepJournal,
     classify_failure,
 )
 from repro.experiments.results import (
@@ -76,7 +74,6 @@ __all__ = [
     "render_report",
     "FailureKind",
     "ResilienceConfig",
-    "SweepJournal",
     "classify_failure",
     "SweepExecutor",
     "FailureInjector",

@@ -27,14 +27,12 @@ pairing buys).
 Execution and replay
 --------------------
 Batches run through one ordinary executor per sweep
-(:meth:`~repro.experiments.executors.SweepExecutor.for_spec`), and a
-journaled sweep's journal accumulates batch after batch because batch
-keys never overlap.  After every batch the planner appends an
-``adaptive-plan`` record to the executor's journal (when it keeps one)
-capturing the per-protocol stopping decision; the whole plan
-is a pure function of journal-replayable run results, so ``repro run
---adaptive --resume`` replays the identical batch-by-batch plan bit for
-bit.
+(:meth:`~repro.experiments.executors.SweepExecutor.for_spec`), so a
+resumable sweep stores each batch's runs in the result cache as they
+finish.  Nothing else is stored: the plan is a pure function of the
+run results, so ``repro run --adaptive --resume`` replays the stored
+runs, recomputes each batch's stopping decision from them, and
+reproduces the identical batch-by-batch plan bit for bit.
 """
 
 from __future__ import annotations
@@ -52,11 +50,6 @@ from repro.experiments.results import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec -> here)
     from repro.experiments.spec import ExperimentSpec
-
-#: Journal record kind of per-batch plan records
-#: (:meth:`~repro.experiments.resilience.SweepJournal.append_plan`).
-ADAPTIVE_PLAN_KEY = "adaptive-plan"
-
 
 @dataclass
 class AdaptiveConfig:
@@ -396,7 +389,6 @@ def run_adaptive_experiment(
     progress=None,
     cache_dir: Optional[str] = None,
     resume: bool = False,
-    journal_path: Optional[str] = None,
 ) -> AdaptiveResult:
     """Run ``spec`` under the sequential planner; returns plan + runs.
 
@@ -412,7 +404,6 @@ def run_adaptive_experiment(
     """
     from repro.experiments.executors import SweepExecutor
     from repro.experiments.parallel import RunSpec
-    from repro.experiments.resilience import SweepJournal
 
     spec.validate()
     adaptive = (spec.adaptive or AdaptiveConfig()).validate()
@@ -423,9 +414,7 @@ def run_adaptive_experiment(
         name: (0 if adaptive.paired else index * stride)
         for index, name in enumerate(spec.protocols)
     }
-    executor = SweepExecutor.for_spec(
-        spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path,
-    )
+    executor = SweepExecutor.for_spec(spec, cache_dir=cache_dir, resume=resume)
 
     result = AdaptiveResult(
         name=spec.name, baseline=baseline, config=adaptive, seed_pool=pool,
@@ -476,11 +465,6 @@ def run_adaptive_experiment(
             decisions=decisions,
         )
         result.batches.append(batch)
-        if executor.journal_path is not None:
-            SweepJournal.append_plan(
-                executor.journal_path, ADAPTIVE_PLAN_KEY, spec.name, batch.index,
-                batch.plan_dict(),
-            )
         active = [d.protocol for d in decisions if not d.stopped]
         batch_index += 1
     return result

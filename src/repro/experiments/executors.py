@@ -7,7 +7,9 @@ A one-job sweep without a timeout runs inline, anything else on
 persistent supervised workers on this host
 (:mod:`repro.experiments.resilience`).  :meth:`SweepExecutor.for_spec`
 builds the executor for an :class:`~repro.experiments.spec.
-ExperimentSpec` and holds the one rule for which sweeps journal.
+ExperimentSpec`; :meth:`SweepExecutor.execute` holds the one rule for
+which sweeps read and write the result cache, the one durable record
+``--resume`` replays.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.experiments.parallel import (
 from repro.experiments.resilience import (
     FailureKind,
     ResilienceConfig,
-    SweepJournal,
     WorkerFn,
     _classify_report,
     _prefixed_error,
@@ -53,8 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec -> here)
 class SweepExecutor:
     """One sweep's execution settings; :meth:`execute` runs the sweep.
 
-    ``jobs=None`` or ``jobs<=0`` means one per CPU.
-    ``journal_path=None`` means the sweep keeps no journal.  ``worker``
+    ``jobs=None`` or ``jobs<=0`` means one per CPU.  ``worker``
     exists for tests: any picklable top-level function with the
     :data:`~repro.experiments.resilience.WorkerFn` contract can stand in
     for the real simulation worker.
@@ -64,7 +64,6 @@ class SweepExecutor:
     use_cache: bool = False
     cache_dir: Optional[str] = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    journal_path: Optional[str] = None
     resume: bool = False
     worker: WorkerFn = _execute_spec
 
@@ -75,25 +74,13 @@ class SweepExecutor:
         *,
         cache_dir: Optional[str] = None,
         resume: bool = False,
-        journal_path: Optional[str] = None,
     ) -> "SweepExecutor":
-        """The executor for ``spec``'s jobs, cache and resilience settings.
-
-        The sweep journals to ``journal_path`` when one is given;
-        otherwise to the default journal under the cache dir when it
-        may need resuming (``resume``, or a spec that sets
-        ``run_timeout_s``); otherwise not at all.
-        """
-        if journal_path is None and (
-            resume or spec.run_timeout_s is not None
-        ):
-            journal_path = SweepJournal.default_path(cache_dir)
+        """The executor for ``spec``'s jobs, cache and resilience settings."""
         return cls(
             jobs=spec.jobs,
             use_cache=spec.use_cache,
             cache_dir=cache_dir,
             resilience=ResilienceConfig(run_timeout_s=spec.run_timeout_s),
-            journal_path=journal_path,
             resume=resume,
         )
 
@@ -108,43 +95,33 @@ class SweepExecutor:
         One job without a ``run_timeout_s`` runs inline; otherwise at
         most ``jobs`` persistent workers serve the runs, each replaced
         only after it dies or is put down on timeout.  Both paths
-        classify, quarantine failures, cache and -- when
-        ``journal_path`` is set -- journal runs alike; ``resume``
-        replays runs that journal already completed and re-dispatches
-        the rest.  Ctrl-C (or SIGTERM, under workers) stops the
-        sweep with the journal consistent and raises
-        ``KeyboardInterrupt``.
+        classify and quarantine failures alike.
+
+        The result cache is the sweep's durable record.  A *resumable*
+        sweep (``resume`` or a ``run_timeout_s`` set) stores every
+        successful run, even without ``use_cache``; ``resume`` also
+        reads it, so runs an earlier pass finished replay and only
+        the rest -- failed runs included, which are never stored --
+        execute.  Otherwise ``use_cache`` alone decides reads and
+        writes.  Ctrl-C (or SIGTERM, under workers) stops the sweep
+        and raises ``KeyboardInterrupt``; a storing sweep has stored
+        every run it finished by then.
         """
         jobs = resolve_jobs(self.jobs)
         config = self.resilience
         directory = resolve_cache_dir(self.cache_dir)
-        journal_path = self.journal_path
-        if journal_path is not None:
-            # A journaled sweep is a resumable one: clear temp files a
-            # killed predecessor left in the cache and beside the journal.
-            # Unjournaled sweeps skip this so they never race a concurrent
-            # sweep's in-flight store.
+        resumable = self.resume or config.run_timeout_s is not None
+        reads = self.use_cache or self.resume
+        stores = self.use_cache or resumable
+        if resumable:
+            # Clear temp files a killed predecessor left in the cache.
             sweep_stale_cache_tmps(directory)
-            SweepJournal.sweep_stale_tmps(journal_path)
-        replayed = (
-            SweepJournal.replay(journal_path)
-            if self.resume and journal_path is not None else {}
-        )
 
         keys = [spec.cache_key() for spec in specs]
         outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
         pending: deque = deque()
         for index, spec in enumerate(specs):
-            record = replayed.get(keys[index])
-            if record is not None and record.ok:
-                result = record.to_run_result()
-                if result is not None:
-                    outcomes[index] = RunOutcome(
-                        spec, result, record.elapsed_s, from_cache=False,
-                        from_journal=True,
-                    )
-                    continue
-            if self.use_cache:
+            if reads:
                 cached = parallel.cache_load(directory, keys[index])
                 if cached is not None:
                     outcomes[index] = RunOutcome(
@@ -156,9 +133,6 @@ class SweepExecutor:
         if not pending:
             return [outcome for outcome in outcomes if outcome is not None]
 
-        journal = SweepJournal(journal_path) if journal_path is not None \
-            else None
-
         def _finalize(
             index: int,
             result: RunResult,
@@ -169,9 +143,7 @@ class SweepExecutor:
             outcomes[index] = RunOutcome(
                 spec, result, elapsed, from_cache=False, failure_kind=kind,
             )
-            if journal is not None:
-                journal.record(spec, result, elapsed, kind)
-            if self.use_cache and result.error is None:
+            if stores and result.error is None:
                 parallel.cache_store(directory, keys[index], result)
             if progress is not None:
                 progress(spec.protocol, spec.seed)
@@ -257,7 +229,7 @@ class SweepExecutor:
                             )
                             continue
                         # Keep the worker busy before the parent-side
-                        # bookkeeping (fsync'd cache and journal writes).
+                        # bookkeeping (the fsync'd cache store).
                         if pending and stop["signal"] is None:
                             _dispatch(entry)
                         _settle(index, payload, None, 0.0)
@@ -292,19 +264,11 @@ class SweepExecutor:
                 interrupted = _run_workers() is not None
         except KeyboardInterrupt:
             interrupted = True
-        finally:
-            if journal is not None:
-                journal.close()
 
         if interrupted:
             done = sum(outcome is not None for outcome in outcomes)
             raise KeyboardInterrupt(
                 f"sweep interrupted after {done}/{len(specs)} run(s)"
-                + (f"; journal: {journal_path}" if journal_path else "")
+                + (f"; stored in {directory}" if stores else "")
             )
-        if journal_path is not None:
-            # Clean completion: every spec has a surviving record, so
-            # lines superseded by a resume (and any torn line inherited
-            # from a crashed ancestor sweep) are dead weight -- drop them.
-            SweepJournal.compact(journal_path)
         return [outcome for outcome in outcomes if outcome is not None]

@@ -12,9 +12,8 @@ Determinism is inherited, not re-engineered: every RNG stream in a run is
 derived from the spec's seeds (see :mod:`repro.sim.rng`), so a run
 produces a bit-identical :class:`RunResult` whether it executes inline,
 in a worker process, or is replayed from the cache.
-:func:`repro.validation.fuzzing.differential_check` (behind
-``scripts/bench_check.py``, the perfsmoke tier and the fuzz tier)
-asserts this.
+:func:`repro.validation.fuzzing.differential_check` (behind the
+perfsmoke and fuzz tiers and ``repro validate``) asserts this.
 
 Failure containment: a run that raises returns an *error-annotated*
 result (``RunResult.error`` holds the traceback and all measurements
@@ -27,6 +26,9 @@ seed)`` triple plus a schema version.  Editing a config field therefore
 only invalidates the runs whose behaviour it changes.  The key does NOT
 hash the simulator source: after changing model *code*, clear the cache
 (delete the directory or pass ``use_cache=False`` / ``--no-cache``).
+The cache is also the one durable record of finished runs that
+``repro run --resume`` replays (see
+:meth:`repro.experiments.executors.SweepExecutor.execute`).
 """
 
 from __future__ import annotations
@@ -110,9 +112,6 @@ class RunOutcome:
     from_cache: bool
     #: Taxonomy classification of a quarantined run; None on success.
     failure_kind: Optional["FailureKind"] = None
-    #: True when the result was replayed from the sweep journal by a
-    #: ``--resume`` pass instead of being executed or cache-loaded.
-    from_journal: bool = False
 
     @property
     def failed(self) -> bool:
@@ -221,7 +220,7 @@ def cache_store(cache_dir: str, key: str, result: RunResult) -> None:
     ``os.replace``d into place -- a worker killed at any instant leaves
     either the old entry, the new entry, or an orphaned temp file
     (never a half-written entry).  Orphaned temps are swept by
-    :func:`sweep_stale_cache_tmps` at the next journaled sweep start.
+    :func:`sweep_stale_cache_tmps` at the next resumable sweep's start.
     """
     if result.error is not None:
         return
@@ -242,34 +241,41 @@ def cache_store(cache_dir: str, key: str, result: RunResult) -> None:
         raise
 
 
-def remove_stale_files(directory: str, matches: Callable[[str], bool]) -> int:
-    """Unlink the files in ``directory`` whose names ``matches``;
-    returns the count (0 for a missing directory)."""
+def _pid_alive(pid: int) -> bool:
+    """Whether a process ``pid`` exists (signal 0 probes, sends nothing)."""
     try:
-        names = os.listdir(directory)
-    except OSError:
-        return 0
-    removed = 0
-    for name in names:
-        if not matches(name):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # another user's live process
+    return True
 
 
 def sweep_stale_cache_tmps(cache_dir: str) -> int:
     """Remove orphaned ``*.json.tmp.<pid>`` files; returns the count.
 
-    Temp files are transient by construction (created, fsync'd, and
-    replaced within one ``cache_store`` call), so anything still on
-    disk belongs to a killed worker.  Callers should only invoke this
-    at sweep start, when no workers are writing to ``cache_dir``.
+    A temp file lives only inside one ``cache_store`` call (created,
+    fsync'd, replaced), so one whose ``<pid>`` is no longer running
+    belongs to a killed writer.  A live ``<pid>`` is a concurrent sweep
+    mid-store: its temp stays, or that sweep's ``os.replace`` would
+    fail.
     """
-    return remove_stale_files(cache_dir, lambda name: ".json.tmp." in name)
+    try:
+        names = os.listdir(cache_dir)
+    except OSError:
+        return 0
+    removed = 0
+    for name in names:
+        _, marker, pid = name.rpartition(".json.tmp.")
+        if not marker or (pid.isdigit() and _pid_alive(int(pid))):
+            continue
+        try:
+            os.unlink(os.path.join(cache_dir, name))
+            removed += 1
+        except OSError:
+            pass
+    return removed
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sweep resilience: failure taxonomy, journal, supervised workers.
+"""Sweep resilience: failure taxonomy and supervised workers.
 
 :meth:`repro.experiments.executors.SweepExecutor.execute` is the one
 engine every sweep runs through; this module holds the pieces it is
@@ -21,50 +21,38 @@ survivable:
   ``MemoryError``), ``INVARIANT`` (a validation monitor fired), or
   ``EXCEPTION`` (any other in-run error) -- and the kind is recorded on
   the :class:`~repro.experiments.parallel.RunOutcome` and as a
-  ``KIND:`` prefix on ``RunResult.error`` so it survives journaling and
-  aggregation.  Inline and worker runs are classified alike.
+  ``KIND:`` prefix on ``RunResult.error`` so it survives aggregation
+  and reporting.  Inline and worker runs are classified alike.
 * **Quarantine on the first failure**: a failed run comes back as an
   error-annotated result with its failure kind, and the sweep
   completes.  Runs are seed-deterministic, so re-running a model
   failure in the same sweep only repeats it; aggregation and reporting
   (:mod:`repro.experiments.results` / ``report.py``) surface the
   quarantined runs per protocol instead of aborting.
-* **A durable sweep journal** (:class:`SweepJournal`): append-only JSONL
-  under the cache dir, one fsync'd record per finished (or quarantined)
-  run keyed by ``RunSpec.cache_key()``.  ``repro run --resume`` replays
-  completed runs from the journal and re-dispatches only the failures:
-  it is the one way to recover a failed run.  Which sweeps journal is
-  decided in one place,
-  :meth:`repro.experiments.executors.SweepExecutor.for_spec`.
+* **Finished runs are stored as they finish**: a resumable sweep (one
+  with a timeout, or resuming) stores each successful run in the result
+  cache (:mod:`repro.experiments.parallel`), one atomically replaced
+  file per run keyed by ``RunSpec.cache_key()``.  ``repro run
+  --resume`` replays what is stored and re-dispatches the rest, failed
+  runs included: it is the one way to recover a failed run.  The rule
+  lives in :meth:`repro.experiments.executors.SweepExecutor.execute`.
 * **Graceful Ctrl-C**: an interrupt stops the sweep, puts down active
-  workers, and leaves the journal consistent (records are written
-  atomically per line), then raises ``KeyboardInterrupt``.  Re-running
-  with ``--resume`` picks up where the sweep left off.
+  workers, and raises ``KeyboardInterrupt``; a resumable sweep has
+  stored every run it finished by then.  Re-running with ``--resume`` picks up where the
+  sweep left off.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
 import signal
 import time
 import traceback
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from repro.experiments import parallel
-from repro.experiments.parallel import (
-    RunSpec,
-    _error_result,
-    resolve_cache_dir,
-)
+from repro.experiments.parallel import RunSpec, _error_result
 from repro.experiments.results import RunResult
-
-#: Bump when the journal record shape changes incompatibly.
-#: v2: records dropped ``attempts`` (runs are dispatched once).
-JOURNAL_SCHEMA_VERSION = 2
 
 #: A supervised worker: takes a spec, returns ``(result, elapsed_s)``.
 #: Exceptions it raises are converted to error-annotated results by the
@@ -134,256 +122,6 @@ class ResilienceConfig:
     kill_grace_s: float = 1.0
     #: Supervisor poll cadence; only affects timeout resolution.
     poll_interval_s: float = 0.05
-
-
-# ----------------------------------------------------------------------
-# The sweep journal
-
-
-@dataclass
-class JournalRecord:
-    """One journaled run, replayable without re-simulation."""
-
-    key: str
-    protocol: str
-    seed: int
-    status: str  # "ok" | "failed"
-    elapsed_s: float
-    failure_kind: Optional[str]
-    result: Dict[str, Any]
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def to_run_result(self) -> Optional[RunResult]:
-        """Rebuild the RunResult, or None on schema drift."""
-        try:
-            return RunResult(**self.result)
-        except TypeError:
-            return None
-
-
-class SweepJournal:
-    """Append-only JSONL record of finished runs, keyed by cache key.
-
-    Every record is a single ``os.write`` to an ``O_APPEND`` descriptor,
-    fsync'd before the supervisor moves on, so a sweep killed at any
-    instant leaves at worst one truncated *trailing* line -- which
-    :meth:`replay` skips.
-    Records are append-only; on replay the last record per key wins, so
-    a resumed sweep that re-runs a previously failed run simply appends
-    the new outcome.  :meth:`compact` rewrites the file keeping only
-    the surviving record per key.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._fd: Optional[int] = os.open(
-            path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-
-    @staticmethod
-    def default_path(cache_dir: Optional[str] = None) -> str:
-        """The journal's home: ``<cache_dir>/journal.jsonl``."""
-        return os.path.join(resolve_cache_dir(cache_dir), "journal.jsonl")
-
-    @staticmethod
-    def _encode(record: Dict[str, Any]) -> bytes:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        return (line + "\n").encode("utf-8")
-
-    def record(
-        self,
-        spec: RunSpec,
-        result: RunResult,
-        elapsed_s: float,
-        failure_kind: Optional[FailureKind] = None,
-    ) -> None:
-        if self._fd is None:
-            raise ValueError("journal is closed")
-        os.write(self._fd, self._encode({
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "key": spec.cache_key(),
-            "protocol": spec.protocol.lower(),
-            "seed": spec.seed,
-            "status": "ok" if result.error is None else "failed",
-            "elapsed_s": elapsed_s,
-            "failure_kind": (
-                failure_kind.value if failure_kind is not None else None
-            ),
-            "written_unix": time.time(),
-            "result": dataclasses.asdict(result),
-        }))
-        os.fsync(self._fd)
-
-    @classmethod
-    def compact(cls, path: str) -> int:
-        """Atomically rewrite the journal keeping only surviving records.
-
-        A journal resumed many times accretes one line per *dispatch*
-        (a resumed run appends, it doesn't replace) plus possibly one
-        torn trailing line; replay cost and disk grow without bound.
-        Compaction keeps exactly the line that :meth:`replay` would
-        surface for each key -- the last valid record, byte-for-byte --
-        and drops superseded records and damaged lines.  The rewrite goes
-        through a temp file + fsync + ``os.replace``, so a crash
-        mid-compaction leaves the original journal untouched.
-
-        Returns the number of lines dropped.  Call only when no other
-        process is appending (clean sweep completion).
-        """
-        survivors: Dict[str, bytes] = {}
-        total = 0
-        for raw, data in cls._lines(path):
-            total += 1
-            key = data.get("key") if data is not None else None
-            if not isinstance(key, str):
-                continue  # torn, garbled, or alien line: drop
-            # Preserve first-seen order; a re-run overwrites in place.
-            survivors[key] = raw if raw.endswith(b"\n") else raw + b"\n"
-        dropped = total - len(survivors)
-        if dropped <= 0:
-            return 0
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                handle.writelines(survivors.values())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return dropped
-
-    @staticmethod
-    def sweep_stale_tmps(path: str) -> int:
-        """Remove ``<path>.tmp.<pid>`` files a killed :meth:`compact`
-        left; returns the count.  Call only at sweep start, when nothing
-        is compacting ``path``."""
-        prefix = os.path.basename(path) + ".tmp."
-        return parallel.remove_stale_files(
-            os.path.dirname(path) or ".", lambda name: name.startswith(prefix)
-        )
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    @classmethod
-    def replay(cls, path: str) -> Dict[str, JournalRecord]:
-        """Read a journal back; last record per key wins.
-
-        A truncated or garbled line (the signature of a sweep killed
-        mid-write) is skipped rather than fatal -- by construction only
-        the final line can be damaged, and its run simply re-executes.
-        """
-        records: Dict[str, JournalRecord] = {}
-        for _, data in cls._lines(path):
-            if data is None:
-                continue  # torn trailing write: re-run that spec
-            try:
-                record = JournalRecord(
-                    key=data["key"],
-                    protocol=data["protocol"],
-                    seed=data["seed"],
-                    status=data["status"],
-                    elapsed_s=data["elapsed_s"],
-                    failure_kind=data.get("failure_kind"),
-                    result=data["result"],
-                )
-            except KeyError:
-                continue
-            records[record.key] = record
-        return records
-
-    @staticmethod
-    def _lines(path: str) -> Iterator[Tuple[bytes, Optional[Dict[str, Any]]]]:
-        """Each non-blank line of a journal with its decoded record.
-
-        The record is None for a torn or garbled line, a non-object,
-        or another schema version; a missing journal yields nothing.
-        """
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            return
-        with handle:
-            for raw in handle:
-                if not raw.strip():
-                    continue
-                try:
-                    data = json.loads(raw)
-                except ValueError:
-                    data = None
-                if not isinstance(data, dict) \
-                        or data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                    data = None
-                yield raw, data
-
-    @classmethod
-    def append_plan(
-        cls, path: str, kind: str, name: str, index: int,
-        fields: Dict[str, Any],
-    ) -> None:
-        """Append one planner record (``kind`` names the planner).
-
-        Plan records share the run journal under unique string keys
-        (``<kind>:<name>:<index>``), so :meth:`compact` keeps them and
-        :meth:`replay` -- which only surfaces run records -- skips them.
-        The planner journals between sweeps rather than during one, so the
-        append opens, writes, fsyncs and closes: no handle outlives the
-        call, and a :meth:`compact` that replaced the file since the
-        last append is harmless.
-        """
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, cls._encode({
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "key": f"{kind}:{name}:{index:04d}",
-                "kind": kind,
-                "name": name,
-                **fields,
-            }))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    @classmethod
-    def replay_plans(
-        cls, path: str, kind: str, name: str
-    ) -> List[Dict[str, Any]]:
-        """The ``kind`` plan records of sweep ``name``, in index order.
-
-        Same damage tolerance as :meth:`replay`: torn or alien lines
-        are skipped, the last record per key wins.
-        """
-        by_key: Dict[str, Dict[str, Any]] = {}
-        for _, data in cls._lines(path):
-            if data is None or data.get("kind") != kind \
-                    or data.get("name") != name:
-                continue
-            key = data.get("key")
-            if isinstance(key, str):
-                by_key[key] = data
-        return [by_key[key] for key in sorted(by_key)]
 
 
 # ----------------------------------------------------------------------

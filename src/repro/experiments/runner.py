@@ -117,7 +117,7 @@ def collect_result(
     if faults is not None and not faults.is_empty():
         # Make faulty runs self-describing: the injected-downtime
         # budget rides in the result counters, so reports (and cached
-        # or journal-replayed runs) can itemize fault severity without
+        # or resumed runs) can itemize fault severity without
         # access to the original plan object.  Testbed configs carry
         # no fault plan at all, hence the getattr guard.
         summary = faults.severity_summary()
@@ -178,7 +178,6 @@ def run_experiment(
     progress: Optional[ProgressCallback] = None,
     cache_dir: Optional[str] = None,
     resume: bool = False,
-    journal_path: Optional[str] = None,
 ) -> List[RunResult]:
     """Execute a declarative :class:`~repro.experiments.spec.ExperimentSpec`.
 
@@ -189,17 +188,16 @@ def run_experiment(
     worker fan-out, the result cache, and telemetry export all apply.
     Every run is seed-deterministic, so the returned list is identical
     whatever the job count.  Specs that set ``run_timeout_s`` -- or
-    callers passing ``resume=True`` -- journal their runs (see
-    :mod:`repro.experiments.resilience`).
+    callers passing ``resume=True`` -- store every finished run in the
+    result cache, and ``resume=True`` replays what is stored (see
+    :meth:`~repro.experiments.executors.SweepExecutor.execute`).
     """
     spec.validate()
 
     from repro.experiments.executors import SweepExecutor
     from repro.experiments.parallel import sweep_specs
 
-    executor = SweepExecutor.for_spec(
-        spec, cache_dir=cache_dir, resume=resume, journal_path=journal_path,
-    )
+    executor = SweepExecutor.for_spec(spec, cache_dir=cache_dir, resume=resume)
     outcomes = executor.execute(
         sweep_specs(spec.config, spec.protocols, spec.seeds),
         progress=progress,

@@ -206,13 +206,12 @@ def drive_with_observers(
 ) -> None:
     """Advance ``sim`` to ``until``, firing each observer on its interval.
 
-    Generalizes :meth:`TelemetryHub.drive` to several observers: the run
-    is chunked at the union of the observers' interval boundaries
-    (strictly inside ``(now, until)``; closing observations belong to the
-    callers' finalizers).  Chunking a half-open ``run(until=...)`` loop
-    never reorders events, and with a single observer this executes the
-    exact boundary sequence ``TelemetryHub.drive`` would, so enabling a
-    second observer cannot perturb the first.
+    The run is chunked at the union of the observers' interval
+    boundaries (strictly inside ``(now, until)``; closing observations
+    belong to the callers' finalizers).  Chunking a half-open
+    ``run(until=...)`` loop never reorders events, and each observer
+    sees the boundaries it would see alone, so enabling a second
+    observer cannot perturb the first.
     """
     boundaries = [sim.now + interval for interval, _callback in observers]
     while True:

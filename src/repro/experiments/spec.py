@@ -374,9 +374,10 @@ class ExperimentSpec:
     #: Per-run wall-clock timeout (seconds), enforced by killing the
     #: run's worker process (:mod:`repro.experiments.resilience`), so
     #: even ``jobs = 1`` then runs on a supervised worker.  A run that
-    #: times out is quarantined; setting this also journals the sweep,
-    #: so ``repro run --resume`` re-dispatches it.  ``None`` (the
-    #: default) means no timeout.
+    #: times out is quarantined; setting this also stores every finished
+    #: run in the result cache, so ``repro run --resume`` replays those
+    #: and re-dispatches the rest.  ``None`` (the default) means no
+    #: timeout.
     run_timeout_s: Optional[float] = None
     #: Optional ``[adaptive]`` section: run the sweep under the
     #: sequential planner (:mod:`repro.experiments.adaptive`) -- seeds
@@ -497,7 +498,7 @@ class ExperimentSpec:
         if self.run_timeout_s is not None:
             lines.append(
                 f"resilience: run-timeout={self.run_timeout_s:g}s "
-                "(journaled)"
+                "(stores finished runs for --resume)"
             )
         lines.append("protocols:")
         for proto in self.resolve_protocols():

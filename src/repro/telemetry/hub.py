@@ -8,7 +8,8 @@ sampled into :class:`~repro.telemetry.instruments.TimeSeries` at a fixed
 virtual-time interval.
 
 The sampling *driver* lives with whoever owns the run loop: the scenario
-runner advances the simulator in ``sample_interval_s`` chunks and calls
+runner advances the simulator in ``sample_interval_s`` chunks
+(:func:`repro.experiments.scenarios.drive_with_observers`) and calls
 :meth:`TelemetryHub.sample` between chunks.  Driving from outside the
 event queue (rather than scheduling sampler events inside it) means the
 engine's batched ``events_executed`` counter is always flushed and exact
@@ -171,24 +172,6 @@ class TelemetryHub:
                     )
             else:
                 self.time_series(name, unit=unit).append(now, value)
-
-    def drive(self, sim: Simulator, until: float) -> None:
-        """Advance ``sim`` to ``until``, sampling every interval.
-
-        Chunks the run into ``sample_interval_s`` slices of virtual time
-        and samples at each boundary.  Slicing ``run(until=...)`` calls
-        is behavior-preserving (the bound is half-open, so event order is
-        untouched); it exists so probes observe the engine's batched
-        counters in a flushed state.  The closing sample at ``until``
-        itself is taken by :meth:`finalize`, not here.
-        """
-        interval = self.config.sample_interval_s
-        boundary = sim.now + interval
-        while boundary < until:
-            sim.run(until=boundary)
-            self.sample(sim.now)
-            boundary += interval
-        sim.run(until=until)
 
     def finalize(self, sim: Simulator) -> None:
         """Take a closing sample and publish recorder health gauges."""

@@ -2,8 +2,8 @@
 
 The determinism contract says a run is fully determined by its
 ``(protocol, config, seed)`` triple -- whether it executes inline, in a
-pool worker, replayed from the cache, resumed from a journal, or with
-telemetry attached -- and so is a planner's plan.  This module *hunts*
+pool worker, replayed from the cache, resumed after an interrupt, or
+with telemetry attached -- and so is a planner's plan.  This module *hunts*
 for violations of that contract instead of asserting it on one
 hand-picked scenario:
 
@@ -23,9 +23,8 @@ hand-picked scenario:
   :class:`~repro.validation.invariants.InvariantViolation` into a
   one-run spec file for ``repro validate --spec``.
 
-The CLI subcommand (``repro validate``), ``scripts/bench_check.py`` and
-the ``pytest -m fuzz`` / ``-m perfsmoke`` tiers are thin wrappers over
-these functions.
+The CLI subcommand (``repro validate``) and the ``pytest -m fuzz`` /
+``-m perfsmoke`` tiers are thin wrappers over these functions.
 """
 
 from __future__ import annotations
@@ -39,14 +38,9 @@ import warnings
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.adaptive import (
-    ADAPTIVE_PLAN_KEY,
-    AdaptiveConfig,
-    run_adaptive_experiment,
-)
+from repro.experiments.adaptive import AdaptiveConfig, run_adaptive_experiment
 from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.parallel import sweep_specs
-from repro.experiments.resilience import SweepJournal
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_experiment, run_protocol
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -141,9 +135,9 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
     )
 
 
-#: One path's ``(plan, runs)``; ``plan`` is None for a grid, else
-#: ``(journal record kind, plan_dict(), the per-round records journaled)``.
-Sweep = Tuple[Optional[Tuple[str, Dict[str, Any], List[Any]]], List[RunResult]]
+#: One path's ``(plan, runs)``; ``plan`` is None for a grid, else the
+#: planner's ``plan_dict()``.
+Sweep = Tuple[Optional[Dict[str, Any]], List[RunResult]]
 
 
 def _sweep(
@@ -152,26 +146,25 @@ def _sweep(
 ) -> Sweep:
     """Run the sweep ``spec`` declares -- grid or ``[adaptive]`` plan --
     as one path; the one place the oracle names the two kinds.  The
-    path's settings replace the spec's own, so nothing caches or
-    journals where the caller did not say; ``execution``
-    passes through to the kind's entry point."""
+    path's settings replace the spec's own, so nothing caches where the
+    caller did not say; ``execution`` passes through to the kind's
+    entry point."""
     spec = replace(
         spec, jobs=jobs, use_cache=use_cache, run_timeout_s=run_timeout_s,
     )
     if spec.adaptive is None:
         return None, run_experiment(spec, **execution)
     result = run_adaptive_experiment(spec, **execution)
-    plan = result.plan_dict()
-    return (ADAPTIVE_PLAN_KEY, plan, plan["batches"]), result.runs
+    return result.plan_dict(), result.runs
 
 
 def _difference(label: str, oracle: Sweep, candidate: Sweep) -> Optional[str]:
     """Describe the first divergence of a path from the oracle, if any:
     its plan first, then its runs."""
     (want_plan, baseline), (plan, results) = oracle, candidate
-    if want_plan is not None and plan[1] != want_plan[1]:
+    if want_plan is not None and plan != want_plan:
         keys = sorted(
-            key for key in want_plan[1] if plan[1].get(key) != want_plan[1][key]
+            key for key in want_plan if plan.get(key) != want_plan[key]
         )
         return f"{label}: plan diverged in key(s) {keys}"
     if len(baseline) != len(results):
@@ -207,6 +200,14 @@ def _interrupt_after_first() -> Callable[[str, int], None]:
     return interrupt
 
 
+def _stored_runs(cache_dir: str) -> int:
+    """How many run results the cache directory holds."""
+    try:
+        return sum(name.endswith(".json") for name in os.listdir(cache_dir))
+    except OSError:
+        return 0
+
+
 def interrupt_and_resume(
     spec: ExperimentSpec,
     jobs: int,
@@ -215,61 +216,47 @@ def interrupt_and_resume(
 ) -> List[Tuple[str, bool, str]]:
     """The matrix's interrupt + resume path, as ``(name, ok, detail)``.
 
-    Journals the sweep ``spec`` declares under ``work_dir``, SIGINTs it
+    Caches the sweep ``spec`` declares under ``work_dir``, SIGINTs it
     after its first finished run at one job (inline, or one supervised
     worker if the spec sets ``run_timeout_s``), then resumes it at
     ``jobs``.  ``interrupt-drains``: the pass was interrupted and
-    journaled at least one run, all ok, and (from two cells) fewer runs
-    than cells.  ``resume-identical``: the resume executed only the
-    runs the journal lacked, and its plan and runs equal the inline
-    ``oracle``'s.  ``plan-journaled`` (adaptive plans only): the
-    journaled plan records equal the resumed plan's.
+    stored at least one run in the cache and (from two cells) fewer
+    runs than cells.  ``resume-identical``: the resume executed only
+    the runs the cache lacked, and its plan and runs equal the inline
+    ``oracle``'s.
     """
     oracle = oracle or _sweep(spec)
     cells = len(oracle[1])
     work_dir = tempfile.mkdtemp(prefix="resume-", dir=work_dir)
-    journal = os.path.join(work_dir, "journal.jsonl")
+    cache_dir = os.path.join(work_dir, "cache")
     execution: Dict[str, Any] = dict(
-        cache_dir=os.path.join(work_dir, "cache"), journal_path=journal,
-        run_timeout_s=spec.run_timeout_s,
+        cache_dir=cache_dir, run_timeout_s=spec.run_timeout_s,
     )
     interrupted = False
     try:
-        _sweep(spec, progress=_interrupt_after_first(), **execution)
+        _sweep(
+            spec, use_cache=True, progress=_interrupt_after_first(),
+            **execution,
+        )
     except KeyboardInterrupt:
         interrupted = True
-    journaled = SweepJournal.replay(journal)
-    drained = interrupted and len(journaled) >= 1 and (
-        all(record.ok for record in journaled.values())
-        and (cells < 2 or len(journaled) < cells)
-    )
+    stored = _stored_runs(cache_dir)
+    drained = interrupted and stored >= 1 and (cells < 2 or stored < cells)
     executed: List[Tuple[str, int]] = []
     resumed = _sweep(
         spec, jobs=jobs, resume=True,
         progress=lambda *run: executed.append(run), **execution,
     )
-    # Progress fires only for executed runs, each journaled afresh.
-    missing = len(SweepJournal.replay(journal)) - len(journaled)
+    # Progress fires only for executed runs, each stored afresh.
+    missing = _stored_runs(cache_dir) - stored
     divergence = _difference("resumed", oracle, resumed)
-    verdicts = [
+    return [
         ("interrupt-drains", drained, f"interrupted={interrupted}, "
-         f"{len(journaled)}/{cells} run(s) journaled"),
+         f"{stored}/{cells} run(s) stored"),
         ("resume-identical", divergence is None and len(executed) == missing,
          divergence or f"{len(executed)} run(s) executed for {missing} "
-         "missing from the journal; plan and runs bit-identical"),
+         "missing from the cache; plan and runs bit-identical"),
     ]
-    if resumed[0] is not None:
-        kind, _plan, expected = resumed[0]
-        records = SweepJournal.replay_plans(journal, kind, spec.name)
-        verdicts.append((
-            "plan-journaled", len(records) == len(expected) and all(
-                {key: record.get(key) for key in fields} == fields
-                for record, fields in zip(records, expected)
-            ),
-            f"{len(records)} journaled {kind} record(s) for a "
-            f"{len(expected)}-round resumed plan",
-        ))
-    return verdicts
 
 
 def differential_check(
@@ -286,9 +273,9 @@ def differential_check(
     PHY passes (``phy-python``, under :func:`repro.phy.kernel.disabled`),
     against an oracle that runs on the compiled kernel wherever it
     loads -- where it cannot, both run in Python and a warning names
-    why; and, given a ``work_dir`` to hold every cache, journal and
-    trace, a cache stored cold by ``jobs`` workers then replayed warm
-    inline, :func:`interrupt_and_resume`, and an inline telemetry pass.
+    why; and, given a ``work_dir`` to hold every cache and trace, a
+    cache stored cold by ``jobs`` workers then replayed warm inline,
+    :func:`interrupt_and_resume`, and an inline telemetry pass.
     Returns an empty list when every path agrees.
     """
     spec.validate()
@@ -418,9 +405,9 @@ def default_validation_spec() -> ExperimentSpec:
 
 
 def consistency_spec() -> ExperimentSpec:
-    """The mini-sweep ``scripts/bench_check.py`` and the perfsmoke tier
-    hold to :func:`differential_check`: two protocols on a 10-node mesh,
-    a few seconds of wall time."""
+    """The mini-sweep the perfsmoke tier holds to
+    :func:`differential_check`: two protocols on a 10-node mesh, a few
+    seconds of wall time."""
     spec = default_validation_spec()
     return replace(
         spec, name="consistency-mini", description="",

@@ -151,6 +151,17 @@ def link(a: int, b: int) -> FrozenSet[int]:
 
 
 @pytest.fixture
+def dead_pid() -> int:
+    """The pid of a child process that has exited and been reaped."""
+    import multiprocessing
+
+    proc = multiprocessing.get_context().Process(target=int)
+    proc.start()
+    proc.join()
+    return proc.pid
+
+
+@pytest.fixture
 def process_starts(monkeypatch):
     """Every child process started while the test runs, in start order."""
     import multiprocessing.process

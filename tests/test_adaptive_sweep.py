@@ -1,10 +1,9 @@
 """Tests for the adaptive sweep planner (:mod:`repro.experiments.adaptive`).
 
 Covers the planning primitives (seed pools, stopping decisions), the
-``[adaptive]`` spec section's strict round-trip and validation, the
-plan's journal records (written, replayable, invisible to run replay,
-compaction-proof), paired-CRN comparisons, report rendering, the CLI
-flag, and -- the regression anchor -- a golden batch-by-batch plan for
+``[adaptive]`` spec section's strict round-trip and validation, a
+resume that replays the stored runs into the identical plan,
+paired-CRN comparisons, report rendering, the CLI flag, and -- the regression anchor -- a golden batch-by-batch plan for
 a tiny 3-protocol sweep (``tests/data/golden_adaptive_plan.json``), so
 planner refactors cannot silently change seed allocation.
 
@@ -21,15 +20,12 @@ import pathlib
 import pytest
 
 from repro.experiments.adaptive import (
-    ADAPTIVE_PLAN_KEY,
     AdaptiveConfig,
     build_seed_pool,
     default_baseline,
     run_adaptive_experiment,
 )
-from repro.experiments.executors import SweepExecutor
 from repro.experiments.report import adaptive_section, render_report
-from repro.experiments.resilience import SweepJournal
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec, SpecError
 
@@ -231,42 +227,11 @@ class TestPlanner:
         }
         assert not (seeds["odmrp"] & seeds["spp"])
 
-
-class TestPlanJournal:
-    def test_plan_records_round_trip(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
-        spec = tiny_spec(
-            protocols=("odmrp", "spp"),
-            adaptive=AdaptiveConfig(
-                target_half_width=0.2, batch_size=2, min_seeds=2,
-                max_seeds=4,
-            ),
-        )
-        plan = run_adaptive_experiment(spec, journal_path=journal)
-        records = SweepJournal.replay_plans(
-            journal, ADAPTIVE_PLAN_KEY, spec.name
-        )
-        assert len(records) == len(plan.batches)
-        for record, batch in zip(
-            records, plan.plan_dict()["batches"]
-        ):
-            assert record["batch"] == batch["batch"]
-            assert record["seeds"] == batch["seeds"]
-            assert record["protocols"] == batch["protocols"]
-            assert record["decisions"] == batch["decisions"]
-
-        # Plan records are invisible to run replay (executors never see
-        # them) but survive compaction (unique schema-1 keys).
-        run_records = SweepJournal.replay(journal)
-        assert len(run_records) == plan.total_runs
-        SweepJournal.compact(journal)
-        assert SweepJournal.replay_plans(
-            journal, ADAPTIVE_PLAN_KEY, spec.name
-        ) == records
-        assert len(SweepJournal.replay(journal)) == plan.total_runs
-
     def test_resume_replays_identical_plan(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
+        """A resume replays every stored run and recomputes the same
+        plan from them: nothing executes, and plan and runs are
+        identical."""
+        cache_dir = str(tmp_path / "cache")
         spec = tiny_spec(
             protocols=("odmrp", "spp"),
             adaptive=AdaptiveConfig(
@@ -274,27 +239,15 @@ class TestPlanJournal:
                 max_seeds=4,
             ),
         )
-        first = run_adaptive_experiment(spec, journal_path=journal)
+        first = run_adaptive_experiment(spec, cache_dir=cache_dir, resume=True)
+        executed = []
         resumed = run_adaptive_experiment(
-            spec, journal_path=journal, resume=True
+            spec, cache_dir=cache_dir, resume=True,
+            progress=lambda *run: executed.append(run),
         )
+        assert executed == []
         assert resumed.plan_dict() == first.plan_dict()
         assert resumed.runs == first.runs
-
-    def test_missing_journal_returns_empty(self, tmp_path):
-        assert SweepJournal.replay_plans(
-            str(tmp_path / "absent.jsonl"), ADAPTIVE_PLAN_KEY, "anything"
-        ) == []
-
-    def test_journal_path_resolution(self, tmp_path):
-        plain = tiny_spec()
-        assert SweepExecutor.for_spec(plain).journal_path is None
-        explicit = SweepExecutor.for_spec(
-            plain, journal_path=str(tmp_path / "j.jsonl")
-        ).journal_path
-        assert explicit == str(tmp_path / "j.jsonl")
-        resilient = tiny_spec(run_timeout_s=30.0)
-        assert SweepExecutor.for_spec(resilient).journal_path is not None
 
 
 class TestReporting:

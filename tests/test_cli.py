@@ -254,14 +254,14 @@ class TestRunResume:
         spec.save(str(spec_path))
         first = tmp_path / "first.md"
         second = tmp_path / "second.md"
-        # A run timeout journals the sweep.
+        # A run timeout stores every finished run, even under --no-cache.
         assert main([
             "run", "--spec", str(spec_path), "--jobs", "2",
             "--run-timeout", "120", "--no-cache", "--report", str(first),
         ]) == 0
         capsys.readouterr()
-        # The journal is the completion ledger: --resume replays every
-        # run without re-simulating, to the byte-identical report.
+        # --resume replays every stored run without re-simulating, to
+        # the byte-identical report.
         assert main([
             "run", "--spec", str(spec_path), "--jobs", "2",
             "--run-timeout", "120", "--no-cache", "--resume",

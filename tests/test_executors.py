@@ -2,9 +2,9 @@
 
 The contract under test: :class:`SweepExecutor` runs every sweep
 through its one engine, inline for one job without a timeout and on
-workers otherwise, journaling exactly when :meth:`SweepExecutor.
-for_spec`'s rule says so -- and it keeps the names the end-to-end
-benchmark harness imports and patches.
+workers otherwise, reading and writing the result cache exactly when
+:meth:`SweepExecutor.execute`'s rule says so -- and it keeps the names
+the end-to-end benchmark harness imports and patches.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ def _ran_inline(executor) -> bool:
 
 class TestForSpecRouting:
     def test_default_is_plain_local_pool(self, tmp_path):
-        """No knob: one job runs inline, with no journal."""
+        """No knob: one job runs inline and stores nothing."""
         executor = dataclasses.replace(
             SweepExecutor.for_spec(ExperimentSpec(), cache_dir=str(tmp_path)),
             worker=pid_worker,
         )
-        assert executor.journal_path is None
         assert _ran_inline(executor)
         assert list(tmp_path.iterdir()) == []
         assert SweepExecutor.for_spec(ExperimentSpec(jobs=2)).jobs == 2
@@ -76,18 +75,15 @@ class TestForSpecRouting:
     @pytest.mark.parametrize("spec_fields, kwargs", [
         ({"run_timeout_s": 30.0}, {}),
         ({}, {"resume": True}),
-        ({}, {"journal_path": "j.jsonl"}),
         ({}, {}),
     ])
     def test_any_resilience_knob_selects_the_supervisor(
         self, spec_fields, kwargs, tmp_path
     ):
         """The dispatch rule: one job runs inline unless a timeout needs
-        a worker to kill.  The journal rule: an explicit path, or the
-        default one when resume or a timeout is set."""
-        kwargs = dict(kwargs)
-        if "journal_path" in kwargs:
-            kwargs["journal_path"] = str(tmp_path / kwargs["journal_path"])
+        a worker to kill.  The storage rule: a resumable sweep (resume
+        or a timeout set) stores its runs in the cache without
+        ``use_cache``; a plain one stores nothing."""
         executor = dataclasses.replace(
             SweepExecutor.for_spec(
                 ExperimentSpec(**spec_fields), cache_dir=str(tmp_path),
@@ -96,10 +92,11 @@ class TestForSpecRouting:
             worker=pid_worker,
         )
         assert _ran_inline(executor) is ("run_timeout_s" not in spec_fields)
-        if spec_fields or kwargs:
-            assert os.path.exists(executor.journal_path)
-        else:
-            assert executor.journal_path is None
+        stored = [path.name for path in tmp_path.iterdir()]
+        assert stored == (
+            [f"{RunSpec('odmrp', CFG, 1).cache_key()}.json"]
+            if spec_fields or kwargs else []
+        )
 
     def test_timeout_reaches_the_resilience_config(self):
         executor = SweepExecutor.for_spec(ExperimentSpec(run_timeout_s=12.0))
@@ -111,19 +108,19 @@ class TestForSpecRouting:
 
 class TestSweepExecutor:
     def test_resilient_path_supervises(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
         specs = [RunSpec("odmrp", CFG, 1), RunSpec("odmrp", CFG, 2)]
         executor = SweepExecutor(
             jobs=2, resilience=ResilienceConfig(run_timeout_s=30.0),
-            journal_path=journal, worker=ok_worker,
+            cache_dir=str(tmp_path), worker=ok_worker,
         )
         outcomes = executor.execute(specs)
         assert [o.result for o in outcomes] == [
             _quick_result(spec) for spec in specs
         ]
-        from repro.experiments.resilience import SweepJournal
-
-        assert len(SweepJournal.replay(journal)) == len(specs)
+        assert [
+            parallel.cache_load(str(tmp_path), spec.cache_key())
+            for spec in specs
+        ] == [o.result for o in outcomes]
 
     def test_progress_fires_per_run(self):
         seen = []

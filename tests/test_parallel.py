@@ -8,6 +8,8 @@ itself instead of killing the sweep.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
@@ -202,17 +204,38 @@ class TestCachePlumbing:
                             json_module.dump)
         assert list(tmp_path.iterdir()) == []  # no orphaned temp
 
-    def test_sweep_stale_cache_tmps(self, tmp_path):
+    def test_sweep_stale_cache_tmps(self, tmp_path, dead_pid):
         spec = RunSpec("spp", TINY, 1)
         cache_store(str(tmp_path), spec.cache_key(), _tiny_result(spec))
         entry = tmp_path / f"{spec.cache_key()}.json"
-        orphan = tmp_path / f"{spec.cache_key()}.json.tmp.99999"
+        orphan = tmp_path / f"{spec.cache_key()}.json.tmp.{dead_pid}"
         orphan.write_text("{torn")
         assert sweep_stale_cache_tmps(str(tmp_path)) == 1
         assert not orphan.exists()
         assert entry.exists()  # real entries are untouched
         assert sweep_stale_cache_tmps(str(tmp_path)) == 0
         assert sweep_stale_cache_tmps(str(tmp_path / "missing")) == 0
+
+    def test_sweep_spares_a_live_writers_temp(self, tmp_path, monkeypatch):
+        """Another process's stale-temp sweep that lands between this
+        process's fsync and ``os.replace`` leaves the in-flight temp
+        alone, so the store completes."""
+        spec = RunSpec("spp", TINY, 1)
+        real_replace = os.replace
+
+        def replace_after_a_concurrent_sweep(src, dst):
+            sweeper = multiprocessing.get_context().Process(
+                target=sweep_stale_cache_tmps, args=(str(tmp_path),),
+            )
+            sweeper.start()
+            sweeper.join()
+            assert sweeper.exitcode == 0
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_a_concurrent_sweep)
+        cache_store(str(tmp_path), spec.cache_key(), _tiny_result(spec))
+        assert cache_load(str(tmp_path), spec.cache_key()) \
+            == _tiny_result(spec)
 
     def test_sweep_specs_order_is_seed_major(self):
         specs = sweep_specs(TINY, ("a", "b"), (1, 2))

@@ -1,15 +1,16 @@
-"""Perf-smoke gate: the differential oracle on a mini-sweep, plus
-city-scale completion smokes.
+"""Perf-smoke gate: the differential oracle on a mini-sweep, the PHY
+path gate, plus city-scale completion smokes.
 
 Marked ``perfsmoke`` and deselected from the default tier-1 run (see
 ``addopts`` in pyproject.toml); CI runs it explicitly with
-``pytest -m perfsmoke``.  ``scripts/bench_check.py`` runs the same
-oracle on the same mini-sweep as a standalone script.
+``pytest -m perfsmoke``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import os
 
 import pytest
 
@@ -27,6 +28,42 @@ def test_mini_sweep_parallel_matches_serial(tmp_path):
         consistency_spec(), jobs=2, work_dir=str(tmp_path)
     )
     assert divergences == [], "\n".join(divergences)
+
+
+#: Allowed compiled-over-Python wall overrun on the PHY micro run, for
+#: timer noise on loaded hosts.
+PHY_TOLERANCE = 0.10
+
+
+@pytest.mark.perfsmoke
+def test_phy_paths_identical_and_compiled_not_slower(monkeypatch):
+    """The dense-mesh PHY micro run of ``benchmarks/bench_perf_engine.py``
+    on the pure-Python passes ("scalar") and on the compiled kernel:
+    the results must be bit-identical, and the compiled wall time must
+    stay within the Python wall time plus :data:`PHY_TOLERANCE`, both
+    corrected for host speed as the e2e benchmark corrects them.  This
+    keeps the kernel every channel runs wherever it loads an
+    optimization, not just an alternative."""
+    benchmarks = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks"
+    )
+    monkeypatch.syspath_prepend(benchmarks)
+    runs = importlib.import_module("bench_perf_engine").phy_backend_micro()
+    scalar = runs["scalar"]
+    assert scalar.result.error is None, scalar.result.error
+    for backend, unit in runs.items():
+        assert unit.result == scalar.result, (
+            f"scalar and {backend} paths produced different results"
+        )
+    if "compiled" not in runs:
+        pytest.skip("the compiled kernel cannot be built here: nothing "
+                    "to time")
+    budget = scalar.wall_s * (1.0 + PHY_TOLERANCE)
+    assert runs["compiled"].wall_s <= budget, (
+        f"compiled kernel is slower than scalar: "
+        f"{runs['compiled'].wall_s:.2f}s vs {scalar.wall_s:.2f}s "
+        f"(budget {budget:.2f}s at {PHY_TOLERANCE:.0%} tolerance)"
+    )
 
 
 @pytest.mark.perfsmoke

@@ -4,9 +4,10 @@ The contract under test: runs execute inline (one job, no timeout) or
 on persistent supervised worker processes with a wall-clock timeout;
 every path classifies failures alike; every failed run is quarantined
 after its one dispatch while the rest of the sweep completes; every
-finished run lands in a durable journal that ``resume`` replays,
-re-dispatching the failures; and a SIGINT drains the sweep without
-orphaning workers or corrupting the journal.
+run a resumable sweep finishes is stored in the result cache, which
+``resume`` replays, re-dispatching the failures -- also when two
+sweeps share one cache dir; and a SIGINT drains the sweep without
+orphaning workers, with every finished run stored.
 
 Most tests use tiny *fake* workers (the ``worker=`` hook) so the
 supervision machinery is exercised in milliseconds;
@@ -16,7 +17,6 @@ supervision machinery is exercised in milliseconds;
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import signal
@@ -30,14 +30,13 @@ from repro.experiments.parallel import RunSpec
 from repro.experiments.report import render_report
 from repro.experiments.resilience import (
     FailureKind,
-    JournalRecord,
     ResilienceConfig,
-    SweepJournal,
     _Worker,
     classify_failure,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.scenarios import SimulationScenarioConfig
+from repro.experiments.spec import ExperimentSpec
 
 CFG = SimulationScenarioConfig(
     num_nodes=4, duration_s=1.0, warmup_s=0.1, topology_seed=1
@@ -138,11 +137,19 @@ def _specs(n: int = 1, protocol: str = "odmrp"):
     return [RunSpec(protocol, CFG, seed) for seed in range(1, n + 1)]
 
 
-def _run(specs, worker, journal, resilience=FAST, **kwargs):
+def _run(specs, worker, resilience=FAST, **kwargs):
     return SweepExecutor(
-        jobs=kwargs.pop("jobs", 1), resilience=resilience,
-        journal_path=journal, worker=worker, **kwargs,
+        jobs=kwargs.pop("jobs", 1), resilience=resilience, worker=worker,
+        **kwargs,
     ).execute(specs)
+
+
+def _stored(cache_dir, specs):
+    """The specs whose results ``cache_dir`` holds, in spec order."""
+    return [
+        spec for spec in specs
+        if parallel.cache_load(cache_dir, spec.cache_key()) is not None
+    ]
 
 
 class TestFailureClassification:
@@ -182,28 +189,25 @@ class TestFailureClassification:
 class TestSupervisedFailures:
     """Every failure kind is quarantined after the run's one dispatch."""
 
-    def test_timeout_is_killed_and_quarantined(self, tmp_path, dispatches):
-        journal = str(tmp_path / "journal.jsonl")
+    def test_timeout_is_killed_and_quarantined(self, dispatches):
         quick_timeout = ResilienceConfig(
             run_timeout_s=0.3, kill_grace_s=0.3, poll_interval_s=0.02,
         )
         start = time.monotonic()
-        [outcome] = _run(_specs(), hang_worker, journal,
-                         resilience=quick_timeout)
+        [outcome] = _run(_specs(), hang_worker, resilience=quick_timeout)
         assert time.monotonic() - start < 10.0  # killed, not waited out
         assert outcome.failure_kind is FailureKind.TIMEOUT
         assert outcome.result.error.startswith("TIMEOUT")
         assert dispatches == [("odmrp", 1)]
 
     def test_hang_on_every_dispatch_is_quarantined_once(
-        self, tmp_path, dispatches
+        self, dispatches
     ):
         """A run that would hang however often it ran times out once, is
         quarantined, and the rest of the sweep completes; aggregation
         and the report both show the failure."""
         specs = _specs(3) + [RunSpec("spp", CFG, 2)]
-        outcomes = _run(specs, seed_one_hang_worker,
-                        str(tmp_path / "j.jsonl"), jobs=2)
+        outcomes = _run(specs, seed_one_hang_worker, jobs=2)
         victim = outcomes[0]
         assert victim.failure_kind is FailureKind.TIMEOUT
         assert victim.result.error.startswith("TIMEOUT")
@@ -221,51 +225,44 @@ class TestSupervisedFailures:
         assert "quarantined" in report and "1 timeout" in report
 
     def test_worker_crash_is_quarantined_on_first_failure(
-        self, tmp_path, dispatches
+        self, dispatches
     ):
-        journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), crash_worker, journal)
+        [outcome] = _run(_specs(), crash_worker)
         assert outcome.failure_kind is FailureKind.WORKER_CRASH
         assert outcome.result.error.startswith("WORKER_CRASH")
         assert dispatches == [("odmrp", 1)]
 
     def test_sigkill_classifies_as_oom_and_quarantines(
-        self, tmp_path, dispatches
+        self, dispatches
     ):
-        journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), sigkill_worker, journal)
+        [outcome] = _run(_specs(), sigkill_worker)
         assert outcome.failure_kind is FailureKind.OOM
         assert outcome.result.error.startswith("OOM")
         assert dispatches == [("odmrp", 1)]
 
-    def test_memory_error_is_oom_and_quarantined(self, tmp_path, dispatches):
-        journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), memory_worker, journal)
+    def test_memory_error_is_oom_and_quarantined(self, dispatches):
+        [outcome] = _run(_specs(), memory_worker)
         assert outcome.failure_kind is FailureKind.OOM
         assert "allocation failure" in outcome.result.error
         assert dispatches == [("odmrp", 1)]
 
-    def test_plain_exception_is_not_retried(self, tmp_path, dispatches):
-        journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), value_error_worker, journal)
+    def test_plain_exception_is_not_retried(self, dispatches):
+        [outcome] = _run(_specs(), value_error_worker)
         assert outcome.failure_kind is FailureKind.EXCEPTION
         assert "deterministic model bug" in outcome.result.error
         assert dispatches == [("odmrp", 1)]
 
-    def test_invariant_violation_is_not_retried(self, tmp_path, dispatches):
-        journal = str(tmp_path / "journal.jsonl")
-        [outcome] = _run(_specs(), invariant_worker, journal)
+    def test_invariant_violation_is_not_retried(self, dispatches):
+        [outcome] = _run(_specs(), invariant_worker)
         assert outcome.failure_kind is FailureKind.INVARIANT
         assert dispatches == [("odmrp", 1)]
 
-    def test_quarantined_run_does_not_block_the_rest(self, tmp_path):
+    def test_quarantined_run_does_not_block_the_rest(self):
         """Graceful degradation: the sweep completes around a failure."""
         specs = [RunSpec("odmrp", CFG, 1), RunSpec("spp", CFG, 1),
                  RunSpec("etx", CFG, 1)]
         mixed = SweepExecutor(
-            jobs=2, resilience=FAST,
-            journal_path=str(tmp_path / "mixed.jsonl"),
-            worker=ok_if_not_spp_worker,
+            jobs=2, resilience=FAST, worker=ok_if_not_spp_worker,
         ).execute(specs)
         assert [o.result.error is None for o in mixed] == [
             True, False, True
@@ -274,11 +271,10 @@ class TestSupervisedFailures:
 
 
 class TestPersistentWorkers:
-    def test_workers_serve_many_runs(self, tmp_path, process_starts):
+    def test_workers_serve_many_runs(self, process_starts):
         """A jobs=2 sweep of 6 runs starts at most 2 child processes."""
         specs = _specs(6)
-        outcomes = _run(specs, ok_worker, str(tmp_path / "j.jsonl"),
-                        jobs=2)
+        outcomes = _run(specs, ok_worker, jobs=2)
         assert [o.result for o in outcomes] == [
             _quick_result(spec) for spec in specs
         ]
@@ -289,14 +285,13 @@ class TestPersistentWorkers:
         "worker", [seed_one_crash_worker, seed_one_hang_worker]
     )
     def test_lost_worker_is_replaced(
-        self, tmp_path, process_starts, dispatches, worker
+        self, process_starts, dispatches, worker
     ):
         """A worker killed mid-run or put down on timeout is replaced
         once; its run is quarantined and every other run completes
         unchanged."""
-        journal = str(tmp_path / "j.jsonl")
         specs = _specs(6)
-        outcomes = _run(specs, worker, journal, jobs=2)
+        outcomes = _run(specs, worker, jobs=2)
         assert outcomes[0].failure_kind is (
             FailureKind.WORKER_CRASH if worker is seed_one_crash_worker
             else FailureKind.TIMEOUT
@@ -366,205 +361,96 @@ class TestTaxonomySurfacesInAggregatesAndReport:
         assert aggregates["odmrp"].failure_kinds == {"timeout": 1}
 
 
-class TestJournal:
-    def test_round_trip_last_record_wins(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        spec = RunSpec("odmrp", CFG, 1)
-        failed = _quick_result(spec, delivered=0)
-        failed.delivered_bytes = 0
-        failed.error = "TIMEOUT: first try"
-        with SweepJournal(path) as journal:
-            journal.record(spec, failed, elapsed_s=0.5,
-                           failure_kind=FailureKind.TIMEOUT)
-            journal.record(spec, _quick_result(spec), elapsed_s=0.7)
-        records = SweepJournal.replay(path)
-        assert len(records) == 1
-        record = records[spec.cache_key()]
-        assert record.ok and record.elapsed_s == 0.7
-        assert record.to_run_result() == _quick_result(spec)
-
-    def test_torn_trailing_line_is_skipped(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        spec = RunSpec("odmrp", CFG, 1)
-        with SweepJournal(path) as journal:
-            journal.record(spec, _quick_result(spec), elapsed_s=0.1)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": 2, "key": "abc", "trunc')
-        records = SweepJournal.replay(path)
-        assert list(records) == [spec.cache_key()]
-
-    def test_unknown_schema_records_are_ignored(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"schema": 999, "key": "x"}) + "\n")
-        assert SweepJournal.replay(path) == {}
-
-    def test_missing_journal_is_empty(self, tmp_path):
-        assert SweepJournal.replay(str(tmp_path / "nope.jsonl")) == {}
-
-    def test_journal_record_schema_drift_returns_none(self):
-        record = JournalRecord(
-            key="k", protocol="odmrp", seed=1, status="ok",
-            elapsed_s=0.1, failure_kind=None,
-            result={"not_a_runresult_field": 1},
-        )
-        assert record.to_run_result() is None
-
-
-class TestJournalCompaction:
-    def _failed(self, spec):
-        result = _quick_result(spec, delivered=0)
-        result.delivered_bytes = 0
-        result.error = "TIMEOUT: first try"
-        return result
-
-    def test_compact_keeps_only_surviving_records(self, tmp_path):
-        """Regression: a journal with a resumed run plus a torn trailing
-        line compacts to exactly the surviving record per key."""
-        path = str(tmp_path / "journal.jsonl")
-        specs = _specs(2)
-        with SweepJournal(path) as journal:
-            journal.record(specs[0], self._failed(specs[0]), elapsed_s=0.5,
-                           failure_kind=FailureKind.TIMEOUT)
-            journal.record(specs[0], _quick_result(specs[0]), elapsed_s=0.7)
-            journal.record(specs[1], _quick_result(specs[1]), elapsed_s=0.3)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": 2, "key": "abc", "trunc')
-        before = SweepJournal.replay(path)
-        dropped = SweepJournal.compact(path)
-        assert dropped == 2  # the superseded failure + the torn line
-        with open(path, "rb") as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 2
-        # Replay semantics are unchanged, byte-for-byte.
-        assert SweepJournal.replay(path) == before
-        assert SweepJournal.replay(path)[specs[0].cache_key()].ok
-
-    def test_compact_with_nothing_to_drop_leaves_the_file_alone(
-        self, tmp_path
-    ):
-        path = str(tmp_path / "journal.jsonl")
-        [spec] = _specs(1)
-        with SweepJournal(path) as journal:
-            journal.record(spec, _quick_result(spec), elapsed_s=0.1)
-        with open(path, "rb") as handle:
-            before = handle.read()
-        assert SweepJournal.compact(path) == 0
-        with open(path, "rb") as handle:
-            assert handle.read() == before
-
-    def test_compact_missing_journal_is_a_noop(self, tmp_path):
-        assert SweepJournal.compact(str(tmp_path / "nope.jsonl")) == 0
-
-    def test_killed_compaction_orphan_is_swept(self, tmp_path):
-        """A compaction SIGKILLed mid-rewrite leaves
-        ``<journal>.tmp.<pid>`` behind; the next journaled sweep removes
-        it, and the journal still replays."""
-        journal = str(tmp_path / "journal.jsonl")
-        specs = _specs(2)
-        _run(specs[:1], ok_worker, journal)
-        orphan = journal + ".tmp.99999"
-        with open(orphan, "wb") as handle:
-            handle.write(b'{"schema": 2, "key": "half')
-        outcomes = _run(specs, ok_worker, journal, resume=True)
-        assert not os.path.exists(orphan)
-        assert [o.from_journal for o in outcomes] == [True, False]
-        assert set(SweepJournal.replay(journal)) == {
-            spec.cache_key() for spec in specs
-        }
-
-    def _preseed_superseded(self, journal, spec):
-        """A failed earlier run that a fresh record will shadow."""
-        with SweepJournal(journal) as handle:
-            handle.record(spec, self._failed(spec), elapsed_s=0.5,
-                          failure_kind=FailureKind.TIMEOUT)
-
-    def test_clean_completion_autocompacts(self, tmp_path):
-        """On clean completion the executor compacts the journal:
-        superseded records (here a pre-seeded failed run) are
-        dropped, leaving one line per run."""
-        journal = str(tmp_path / "journal.jsonl")
-        specs = _specs(2)
-        self._preseed_superseded(journal, specs[0])
-        outcomes = _run(specs, ok_worker, journal)
-        assert all(o.result.error is None for o in outcomes)
-        with open(journal, "rb") as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == len(specs)
-        assert SweepJournal.replay(journal)[specs[0].cache_key()].ok
-
-    def test_interrupted_sweep_does_not_compact(self, tmp_path):
-        """A drained-on-SIGINT journal keeps its full history; only a
-        *completed* sweep compacts."""
-        journal = str(tmp_path / "journal.jsonl")
-        specs = _specs(3)
-        self._preseed_superseded(journal, specs[0])
-        completions = {"count": 0}
-
-        def interrupt_after_first(protocol: str, seed: int) -> None:
-            completions["count"] += 1
-            if completions["count"] == 1:
-                os.kill(os.getpid(), signal.SIGINT)
-
-        with pytest.raises(KeyboardInterrupt):
-            SweepExecutor(
-                jobs=1, resilience=FAST, journal_path=journal,
-                worker=ok_worker,
-            ).execute(specs, progress=interrupt_after_first)
-        # The superseded pre-seeded line survives the interrupt.
-        with open(journal, "rb") as handle:
-            lines = [line for line in handle if line.strip()]
-        records = SweepJournal.replay(journal)
-        assert len(lines) > len(records)
-
-
 class TestResume:
     def test_resume_replays_completed_and_runs_the_rest(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
+        cache_dir = str(tmp_path / "cache")
         specs = _specs(3)
-        first = _run(specs[:2], ok_worker, journal, jobs=2)
+        first = _run(specs[:2], ok_worker, jobs=2, cache_dir=cache_dir)
         assert all(o.result.error is None for o in first)
-        resumed = SweepExecutor(
-            jobs=2, resilience=FAST, journal_path=journal,
-            resume=True, worker=ok_worker,
-        ).execute(specs)
-        assert [o.from_journal for o in resumed] == [True, True, False]
+        resumed = _run(
+            specs, ok_worker, jobs=2, cache_dir=cache_dir, resume=True,
+        )
+        assert [o.from_cache for o in resumed] == [True, True, False]
         assert [o.result for o in resumed] == [
             _quick_result(spec) for spec in specs
         ]
 
     def test_resume_never_reexecutes_journaled_runs(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
+        """Runs an earlier resumable pass stored replay from the cache,
+        even without ``use_cache``: the worker is never called."""
+        cache_dir = str(tmp_path / "cache")
         specs = _specs(2)
-        _run(specs, ok_worker, journal, jobs=2)
-        resumed = SweepExecutor(
-            jobs=2, resilience=FAST, journal_path=journal,
-            resume=True, worker=never_worker,
-        ).execute(specs)
-        assert all(o.from_journal for o in resumed)
+        _run(specs, ok_worker, jobs=2, cache_dir=cache_dir)
+        resumed = _run(
+            specs, never_worker, jobs=2, cache_dir=cache_dir, resume=True,
+        )
+        assert all(o.from_cache for o in resumed)
+        assert [o.result for o in resumed] == [
+            _quick_result(spec) for spec in specs
+        ]
 
     def test_resume_redispatches_failed_runs(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
+        cache_dir = str(tmp_path / "cache")
         specs = _specs(1)
-        [quarantined] = _run(specs, value_error_worker, journal,
-                             resilience=ResilienceConfig())
+        [quarantined] = _run(specs, value_error_worker, cache_dir=cache_dir,
+                             resume=True, resilience=ResilienceConfig())
         assert quarantined.result.error is not None
-        [outcome] = SweepExecutor(
-            resilience=FAST, journal_path=journal, resume=True,
-            worker=ok_worker,
-        ).execute(specs)
-        assert not outcome.from_journal
+        assert _stored(cache_dir, specs) == []  # failures are not stored
+        [outcome] = _run(specs, ok_worker, cache_dir=cache_dir, resume=True)
+        assert not outcome.from_cache
         assert outcome.result.error is None
-        # The journal's last record for the key is now the success.
-        record = SweepJournal.replay(journal)[specs[0].cache_key()]
-        assert record.ok
+        assert _stored(cache_dir, specs) == specs
+
+    def test_sweeps_sharing_a_cache_dir_keep_each_others_runs(self, tmp_path):
+        """Sweep A finishes while sweep B is mid-run on the same cache
+        dir; B's runs stored before and after A finished all replay on
+        B's resume, so the resume executes nothing."""
+        cache_dir = str(tmp_path / "cache")
+
+        def sweep(worker, resume=False, timeout=False):
+            spec = ExperimentSpec(
+                run_timeout_s=FAST.run_timeout_s if timeout else None,
+            )
+            return dataclasses.replace(
+                SweepExecutor.for_spec(spec, cache_dir=cache_dir,
+                                       resume=resume),
+                resilience=FAST if timeout else ResilienceConfig(),
+                worker=worker,
+            )
+
+        specs_a = _specs(1, protocol="etx")
+        specs_b = _specs(2)
+        # A's run failed once, so A's resume re-runs it and finishes.
+        sweep(value_error_worker, resume=True).execute(specs_a)
+        finished = []
+
+        def finish_a_after_b_stores_one(protocol: str, seed: int) -> None:
+            finished.append((protocol, seed))
+            if len(finished) == 1:
+                [outcome] = sweep(ok_worker, resume=True).execute(specs_a)
+                assert outcome.result.error is None
+
+        sweep(ok_worker, timeout=True).execute(
+            specs_b, progress=finish_a_after_b_stores_one,
+        )
+        assert finished == [("odmrp", 1), ("odmrp", 2)]
+        executed = []
+        resumed = sweep(never_worker, resume=True, timeout=True).execute(
+            specs_b, progress=lambda *run: executed.append(run),
+        )
+        assert executed == []
+        assert [o.result for o in resumed] == [
+            _quick_result(spec) for spec in specs_b
+        ]
+        assert _stored(cache_dir, specs_a + specs_b) == specs_a + specs_b
 
 
 class TestSignalDraining:
     def test_sigint_drains_journals_and_raises(self, tmp_path):
-        """Satellite: a SIGINT mid-sweep terminates children, leaves a
-        consistent journal, and the sweep resumes to the full result."""
-        journal = str(tmp_path / "journal.jsonl")
+        """Satellite: a SIGINT mid-sweep terminates children, leaves
+        every finished run stored, and the sweep resumes to the full
+        result."""
+        cache_dir = str(tmp_path / "cache")
         specs = _specs(4)
         completions = {"count": 0}
 
@@ -575,7 +461,7 @@ class TestSignalDraining:
 
         with pytest.raises(KeyboardInterrupt):
             SweepExecutor(
-                jobs=1, resilience=FAST, journal_path=journal,
+                jobs=1, resilience=FAST, cache_dir=cache_dir,
                 worker=ok_worker,
             ).execute(specs, progress=interrupt_after_first)
         # No orphaned supervised workers linger.
@@ -585,24 +471,23 @@ class TestSignalDraining:
         ):
             time.sleep(0.05)
         assert not multiprocessing.active_children()
-        # The journal replays cleanly and is partial, not torn.
-        records = SweepJournal.replay(journal)
-        assert 1 <= len(records) < len(specs)
-        assert all(record.ok for record in records.values())
+        # The stored runs load cleanly and are partial.
+        stored = _stored(cache_dir, specs)
+        assert 1 <= len(stored) < len(specs)
         # Resume finishes the sweep with identical results.
         resumed = SweepExecutor(
-            jobs=2, resilience=FAST, journal_path=journal,
+            jobs=2, resilience=FAST, cache_dir=cache_dir,
             resume=True, worker=ok_worker,
         ).execute(specs)
         assert [o.result for o in resumed] == [
             _quick_result(spec) for spec in specs
         ]
-        assert sum(1 for o in resumed if o.from_journal) == len(records)
+        assert [o.spec for o in resumed if o.from_cache] == stored
 
     def test_inline_sigint_stops_with_a_consistent_journal(
         self, tmp_path, process_starts
     ):
-        journal = str(tmp_path / "journal.jsonl")
+        cache_dir = str(tmp_path / "cache")
         specs = _specs(3)
         completions = {"count": 0}
 
@@ -613,17 +498,15 @@ class TestSignalDraining:
 
         with pytest.raises(KeyboardInterrupt, match="1/3"):
             SweepExecutor(
-                jobs=1, journal_path=journal, worker=ok_worker,
+                jobs=1, cache_dir=cache_dir, resume=True, worker=ok_worker,
             ).execute(specs, progress=interrupt_after_first)
         assert process_starts == []
-        records = SweepJournal.replay(journal)
-        assert list(records) == [specs[0].cache_key()]
-        assert records[specs[0].cache_key()].ok
+        assert _stored(cache_dir, specs) == specs[:1]
 
-    def test_signal_handlers_are_restored(self, tmp_path):
+    def test_signal_handlers_are_restored(self):
         before_int = signal.getsignal(signal.SIGINT)
         before_term = signal.getsignal(signal.SIGTERM)
-        _run(_specs(1), ok_worker, str(tmp_path / "journal.jsonl"))
+        _run(_specs(1), ok_worker)
         assert signal.getsignal(signal.SIGINT) is before_int
         assert signal.getsignal(signal.SIGTERM) is before_term
 
@@ -637,18 +520,18 @@ class TestResilientRealRuns:
         topology_seed=1,
     )
 
-    def test_supervised_run_matches_plain_executor(self, tmp_path):
+    def test_supervised_run_matches_plain_executor(self):
         specs = [RunSpec("odmrp", self.TINY, 1)]
         plain = SweepExecutor(jobs=1).execute(specs)
         supervised = SweepExecutor(
-            jobs=1,
-            resilience=ResilienceConfig(run_timeout_s=120.0),
-            journal_path=str(tmp_path / "journal.jsonl"),
+            jobs=1, resilience=ResilienceConfig(run_timeout_s=120.0),
         ).execute(specs)
         assert [o.result for o in supervised] == [o.result for o in plain]
         assert supervised[0].result.error is None
 
-    def test_corrupt_cache_entries_recompute_bit_identically(self, tmp_path):
+    def test_corrupt_cache_entries_recompute_bit_identically(
+        self, tmp_path, dead_pid
+    ):
         """A truncated and a garbled cache entry are moved to
         ``.corrupt`` and recomputed to the clean sweep's results; a
         killed store's orphaned ``.tmp.<pid>`` file is removed."""
@@ -666,12 +549,11 @@ class TestResilientRealRuns:
             handle.write(text[: len(text) // 2])
         with open(paths[1], "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        orphan = paths[0] + ".tmp.99999"
+        orphan = paths[0] + f".tmp.{dead_pid}"
         with open(orphan, "w", encoding="utf-8") as handle:
             handle.write('{"half": "written')
         rebuilt = SweepExecutor(
-            jobs=2, use_cache=True, cache_dir=cache_dir,
-            journal_path=str(tmp_path / "journal.jsonl"),
+            jobs=2, use_cache=True, cache_dir=cache_dir, resume=True,
         ).execute(specs)
         assert [o.result for o in rebuilt] == [o.result for o in baseline]
         assert not any(o.from_cache for o in rebuilt)
@@ -680,22 +562,18 @@ class TestResilientRealRuns:
 
     def test_run_experiment_routes_through_supervisor(self, tmp_path):
         from repro.experiments.runner import run_experiment
-        from repro.experiments.spec import ExperimentSpec
-
         spec = ExperimentSpec(protocols=("odmrp",), seeds=(1,),
                               config=self.TINY)
         plain = run_experiment(spec)
         resilient = run_experiment(
             dataclasses.replace(spec, run_timeout_s=120.0),
-            journal_path=str(tmp_path / "journal.jsonl"),
+            cache_dir=str(tmp_path / "cache"),
         )
         assert resilient == plain
 
 
 class TestSpecResilienceKnobs:
     def test_round_trip_preserves_resilience_fields(self):
-        from repro.experiments.spec import ExperimentSpec
-
         spec = ExperimentSpec(
             name="resilient", protocols=("odmrp",), seeds=(1,),
             run_timeout_s=300.0,
@@ -708,21 +586,17 @@ class TestSpecResilienceKnobs:
             assert loaded.run_timeout_s == 300.0
 
     def test_unset_knobs_are_omitted_on_write(self):
-        from repro.experiments.spec import ExperimentSpec
-
         data = ExperimentSpec(protocols=("odmrp",)).to_dict()
         assert "run_timeout_s" not in data
 
     def test_validate_rejects_bad_knobs(self):
-        from repro.experiments.spec import ExperimentSpec, SpecError
+        from repro.experiments.spec import SpecError
 
         with pytest.raises(SpecError):
             ExperimentSpec(protocols=("odmrp",),
                            run_timeout_s=-1.0).validate()
 
     def test_describe_mentions_resilience(self):
-        from repro.experiments.spec import ExperimentSpec
-
         text = ExperimentSpec(
             protocols=("odmrp",), run_timeout_s=60.0
         ).describe()

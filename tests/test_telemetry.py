@@ -18,7 +18,10 @@ import pytest
 
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_protocol
-from repro.experiments.scenarios import SimulationScenarioConfig
+from repro.experiments.scenarios import (
+    SimulationScenarioConfig,
+    drive_with_observers,
+)
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     TRACE_FORMAT_VERSION,
@@ -163,7 +166,9 @@ class TestHub:
         sim = Simulator()
         hub = TelemetryHub(TelemetryConfig(enabled=True, sample_interval_s=1.0))
         hub.add_probe("depth", lambda: float(sim.queue_depth))
-        hub.drive(sim, until=5.0)
+        drive_with_observers(sim, 5.0, [
+            (hub.config.sample_interval_s, lambda: hub.sample(sim.now)),
+        ])
         hub.finalize(sim)
         # 4 in-run boundaries (1..4 s) + the closing sample at finalize.
         assert hub.samples_taken == 5

@@ -417,8 +417,8 @@ class TestDifferentialOracle:
     def test_oracle_writes_only_under_its_work_dir(
         self, tmp_path, monkeypatch
     ):
-        """A spec's own cache and timeout settings would journal and
-        cache under the default cache dir; every path clears them."""
+        """A spec's own cache and timeout settings would cache under
+        the default cache dir; every path clears them."""
         from repro.experiments.adaptive import AdaptiveConfig
 
         default_cache = tmp_path / "default-cache"
@@ -450,11 +450,11 @@ class TestDifferentialOracle:
         plans = []
 
         def tamper(path, **execution):
-            (kind, plan, records), runs = real_sweep(path, **execution)
+            plan, runs = real_sweep(path, **execution)
             plans.append(plan)
             if len(plans) == 2:  # the pooled path
                 plan = {**plan, "total_runs": -1}
-            return (kind, plan, records), runs
+            return plan, runs
 
         monkeypatch.setattr(fuzzing, "_sweep", tamper)
         errors = differential_check(spec, jobs=2, work_dir=str(tmp_path))
