@@ -28,12 +28,6 @@ from repro.experiments.adaptive import (
     run_adaptive_experiment,
 )
 from repro.experiments.executors import SweepExecutor
-from repro.experiments.faults import (
-    FailureInjector,
-    FaultPlan,
-    FlappingSpec,
-    OutageWindow,
-)
 from repro.experiments.report import render_report
 from repro.experiments.resilience import (
     FailureKind,
@@ -76,8 +70,4 @@ __all__ = [
     "ResilienceConfig",
     "classify_failure",
     "SweepExecutor",
-    "FailureInjector",
-    "FaultPlan",
-    "FlappingSpec",
-    "OutageWindow",
 ]

@@ -71,7 +71,9 @@ from repro.telemetry.manifest import canonicalize
 #: space).
 #: v10: network configs lost the PHY backend field (the channel compiles
 #: the PHY kernel wherever it loads).
-CACHE_SCHEMA_VERSION = 10
+#: v11: scenario configs lost `faults` and probing configs `adaptive`
+#: (both retired; every run is on the static, failure-free mesh).
+CACHE_SCHEMA_VERSION = 11
 
 #: Default on-disk cache location (override with $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = os.path.join(".repro_cache", "runs")

@@ -216,41 +216,6 @@ def adaptive_section(plan: AdaptiveResult) -> str:
     )
 
 
-def injected_downtime_note(runs: Sequence[RunResult]) -> Optional[str]:
-    """Per-protocol injected-downtime itemization for faulty sweeps.
-
-    Faulty runs carry ``faults.*`` severity counters (written by
-    ``collect_result``), so a sweep that injected outages is
-    self-describing: the note states how much downtime each protocol's
-    runs absorbed, making degraded aggregates interpretable without
-    the original fault plan.  Returns ``None`` for fault-free sweeps.
-    """
-    by_protocol: Dict[str, List[RunResult]] = {}
-    for run in runs:
-        if run.error is None and run.counters.get(
-            "faults.injected_downtime_s", 0.0
-        ) > 0.0:
-            by_protocol.setdefault(run.protocol, []).append(run)
-    if not by_protocol:
-        return None
-    parts = []
-    for name in _ordered(list(by_protocol)):
-        faulty = by_protocol[name]
-        downtime = mean([
-            run.counters["faults.injected_downtime_s"] for run in faulty
-        ])
-        nodes = mean([
-            run.counters.get("faults.nodes_affected", 0.0) for run in faulty
-        ])
-        parts.append(
-            f"{name}: {downtime:.1f} node-seconds of downtime across "
-            f"{nodes:.1f} node(s) per run ({len(faulty)} faulty run(s))"
-        )
-    return (
-        "**Injected faults:** " + "; ".join(parts) + "."
-    )
-
-
 def render_report(
     runs: Sequence[RunResult],
     title: str = "Experiment report",
@@ -289,9 +254,6 @@ def render_report(
         header += note + (
             f", {zero} run(s) delivered zero packets.\n"
         )
-    downtime = injected_downtime_note(runs)
-    if downtime is not None:
-        header += "\n" + downtime + "\n"
     sections = [
         header,
         throughput_section(runs, paper_throughput),

@@ -113,17 +113,6 @@ def collect_result(
                 counters[name] = counters.get(name, 0.0) + value
     for name, value in scenario.network.channel.counters.as_dict().items():
         counters[name] = counters.get(name, 0.0) + value
-    faults = getattr(scenario.config, "faults", None)
-    if faults is not None and not faults.is_empty():
-        # Make faulty runs self-describing: the injected-downtime
-        # budget rides in the result counters, so reports (and cached
-        # or resumed runs) can itemize fault severity without
-        # access to the original plan object.  Testbed configs carry
-        # no fault plan at all, hence the getattr guard.
-        summary = faults.severity_summary()
-        counters["faults.injected_downtime_s"] = summary["total_downtime_s"]
-        counters["faults.nodes_affected"] = summary["nodes_affected"]
-        counters["faults.windows"] = summary["windows"]
     sink = scenario.sink
     seed = getattr(
         scenario.config, "topology_seed", None

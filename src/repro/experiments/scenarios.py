@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import RouteMetric
-from repro.experiments.faults import FailureInjector, FaultPlan
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Position, random_topology
 from repro.odmrp.config import OdmrpConfig
@@ -75,9 +74,6 @@ class SimulationScenarioConfig:
     #: built and the run executes the exact pre-telemetry instruction
     #: stream (see :mod:`repro.telemetry`).
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    #: Declarative fault schedule (radio outages / flapping).  The empty
-    #: default schedules nothing and leaves the event stream untouched.
-    faults: FaultPlan = field(default_factory=FaultPlan)
     #: Runtime invariant monitors (see :mod:`repro.validation`).
     #: Disabled by default: no suite is built and the run executes the
     #: exact pre-validation instruction stream.
@@ -147,9 +143,6 @@ class SimulationScenario:
     #: The run's invariant-monitor suite, or None when validation is
     #: disabled.
     validation: Optional[InvariantSuite] = None
-    #: The injector that scheduled ``config.faults``, or None when the
-    #: plan is empty.
-    failure_injector: Optional[FailureInjector] = None
 
     def run(self) -> None:
         """Run the full configured duration.
@@ -306,21 +299,6 @@ def build_simulation_scenario(
         source.start(at=config.warmup_s, stop_at=config.duration_s)
         sources.append(source)
 
-    failure_injector: Optional[FailureInjector] = None
-    if not config.faults.is_empty():
-        config.faults.validate_for(config.num_nodes)
-        # A plan that keeps a source down for the whole traffic
-        # interval would make the run report zero delivery without
-        # measuring anything about the metric -- reject it loudly.
-        config.faults.assert_source_uptime(
-            [source_id for _gid, source_id in groups.all_sources()],
-            config.warmup_s,
-            config.duration_s,
-        )
-        failure_injector = FailureInjector(network.sim)
-        node_map = {node.node_id: node for node in network.nodes}
-        config.faults.apply(failure_injector, node_map)
-
     scenario = SimulationScenario(
         config=config,
         protocol_name=spec.name,
@@ -333,7 +311,6 @@ def build_simulation_scenario(
         groups=groups,
         positions=positions,
         spec=spec,
-        failure_injector=failure_injector,
     )
     if config.telemetry.enabled:
         scenario.telemetry = TelemetryHub(config.telemetry)

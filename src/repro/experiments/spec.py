@@ -94,24 +94,6 @@ def _strip_optional(hint: Any) -> Any:
     return hint
 
 
-def _sequence_item_dataclass(hint: Any) -> Optional[type]:
-    """The dataclass a ``List[X]``/``Tuple[X, ...]`` hint holds, if any.
-
-    Lets config fields like ``FaultPlan.outages: Tuple[OutageWindow, ...]``
-    round-trip: the serialized form is a list of tables, rebuilt here
-    element by element.
-    """
-    if get_origin(hint) not in (list, tuple):
-        return None
-    item_types = [a for a in get_args(hint) if a is not Ellipsis]
-    if len(set(item_types)) != 1:
-        return None
-    item_type = _strip_optional(item_types[0])
-    if isinstance(item_type, type) and dataclasses.is_dataclass(item_type):
-        return item_type
-    return None
-
-
 def _build_dataclass(cls: type, data: Mapping[str, Any], where: str) -> Any:
     """Reconstruct a (possibly nested) config dataclass from a mapping."""
     if not isinstance(data, Mapping):
@@ -132,15 +114,6 @@ def _build_dataclass(cls: type, data: Mapping[str, Any], where: str) -> Any:
         target = _strip_optional(field_types[f.name])
         if dataclasses.is_dataclass(target) and isinstance(value, Mapping):
             value = _build_dataclass(target, value, f"{where}.{f.name}")
-        else:
-            item_type = _sequence_item_dataclass(target)
-            if item_type is not None and isinstance(value, (list, tuple)):
-                value = [
-                    _build_dataclass(
-                        item_type, item, f"{where}.{f.name}[{index}]"
-                    )
-                    for index, item in enumerate(value)
-                ]
         kwargs[f.name] = value
     try:
         return cls(**kwargs)
@@ -162,8 +135,8 @@ _REMOVED_SPEC_KEYS = {
         "jobs and run_timeout_s; resume with --resume)"
     ),
     "campaign": (
-        "fault campaigns were removed; sweep a hand-written fault plan "
-        "with config.faults"
+        "fault campaigns were removed and every run uses the static, "
+        "failure-free mesh the paper measures; delete the [campaign] table"
     ),
     "mobility_models": (
         "mobility was removed and every run uses the static mesh the "
@@ -186,12 +159,23 @@ _REMOVED_CONFIG_KEYS = {
         "obstacle shadowing was removed and every run uses open-space "
         "propagation; delete the [config.obstacles] table"
     ),
+    "faults": (
+        "fault injection was removed and every run uses the static, "
+        "failure-free mesh the paper measures; delete the [config.faults] "
+        "table"
+    ),
 }
 _REMOVED_NETWORK_KEYS = {
     "phy_backend": (
         "PHY backend selection was removed: the channel runs the compiled "
         "PHY kernel wherever it loads and the pure-Python passes "
         "elsewhere, with bit-identical results; delete the key"
+    ),
+}
+_REMOVED_PROBING_KEYS = {
+    "adaptive": (
+        "adaptive probing was removed and every node probes at the fixed "
+        "interval the paper measures; delete the key"
     ),
 }
 
@@ -213,6 +197,9 @@ def config_from_dict(data: Mapping[str, Any]) -> SimulationScenarioConfig:
         network = data.get("network")
         if isinstance(network, Mapping):
             _reject_removed(network, _REMOVED_NETWORK_KEYS, "config.network")
+        probing = data.get("probing")
+        if isinstance(probing, Mapping):
+            _reject_removed(probing, _REMOVED_PROBING_KEYS, "config.probing")
     return _build_dataclass(SimulationScenarioConfig, data, "config")
 
 
@@ -228,8 +215,7 @@ def _validate_scenario(config: SimulationScenarioConfig) -> None:
     """Reject a scenario every run of it would fail to build.
 
     Catches at load time what would otherwise raise in each worker and
-    quarantine every run; the fault plan reuses the check the scenario
-    builder applies.
+    quarantine every run.
     """
     for key in ("num_nodes", "num_groups", "members_per_group",
                 "sources_per_group", "packet_size_bytes"):
@@ -263,17 +249,12 @@ def _validate_scenario(config: SimulationScenarioConfig) -> None:
             f"less than config.duration_s ({config.duration_s!r}): traffic "
             "runs from the end of the warmup to the end of the run"
         )
-    try:
-        config.faults.validate_for(nodes)
-    except ValueError as exc:
-        raise SpecError(f"invalid config: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # A minimal TOML emitter (tomllib is read-only).  Covers exactly the
 # value shapes _plain() can produce: str/bool/int/float scalars, lists
-# of scalars, nested string-keyed tables, and lists of flat tables
-# (emitted as ``[[arrays.of.tables]]``; fault schedules need these).
+# of scalars and nested string-keyed tables.
 
 _BARE_KEY = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
@@ -305,25 +286,15 @@ def _toml_value(value: Any) -> str:
 def toml_dumps(data: Mapping[str, Any]) -> str:
     """Serialize a nested dict of primitives to TOML text."""
 
-    def is_table_array(value: Any) -> bool:
-        return (
-            isinstance(value, list)
-            and bool(value)
-            and all(isinstance(item, Mapping) for item in value)
-        )
-
     def emit(table: Mapping[str, Any], prefix: str, lines: List[str]) -> None:
         scalars: Dict[str, Any] = {}
         subtables: Dict[str, Any] = {}
-        table_arrays: Dict[str, Any] = {}
         for k, v in table.items():
             if isinstance(v, Mapping):
                 subtables[k] = v
-            elif is_table_array(v):
-                table_arrays[k] = v
             else:
                 scalars[k] = v
-        if prefix and (scalars or not (subtables or table_arrays)):
+        if prefix and (scalars or not subtables):
             lines.append(f"[{prefix}]")
         for key, value in scalars.items():
             lines.append(f"{_toml_key(key)} = {_toml_value(value)}")
@@ -332,23 +303,6 @@ def toml_dumps(data: Mapping[str, Any]) -> str:
         for key, value in subtables.items():
             path = f"{prefix}.{_toml_key(key)}" if prefix else _toml_key(key)
             emit(value, path, lines)
-        for key, items in table_arrays.items():
-            path = f"{prefix}.{_toml_key(key)}" if prefix else _toml_key(key)
-            for item in items:
-                lines.append(f"[[{path}]]")
-                for item_key, item_value in item.items():
-                    if isinstance(item_value, Mapping) or is_table_array(
-                        item_value
-                    ):
-                        raise SpecError(
-                            f"nested tables inside the table array {path!r} "
-                            "are not supported by the TOML emitter; write "
-                            "the spec as JSON instead"
-                        )
-                    lines.append(
-                        f"{_toml_key(item_key)} = {_toml_value(item_value)}"
-                    )
-                lines.append("")
 
     lines: List[str] = []
     emit(data, "", lines)

@@ -38,10 +38,10 @@ These paths keep large meshes and long runs fast without changing results:
   the Python passes.  With correlated Rayleigh fading, a frame whose
   links share one last-update time -- or have none yet, on a sender's
   first frame -- also starts in C, each link's AR(1) step drawn inside
-  the receiver pass (``CorrelatedRayleighFading.uniform_row``); only
-  frames with a down receiver, and a sender's first frame after a
-  per-link call or a re-finalize, take the batch call.  Decisions stay
-  in Python (``_decide``) when any node's reception model is not the
+  the receiver pass (``CorrelatedRayleighFading.uniform_row``); only a
+  sender's first frame after a per-link call or a re-finalize takes the
+  batch call.  Decisions stay in Python (``_decide``) when any node's
+  reception model is not the
   stock :class:`~repro.phy.reception.ReceptionModel`: a subclass, or a
   ``decide`` wrapped at class level before ``finalize()``, still sees
   every decision.  The choice is per channel, never per sender: the
@@ -245,10 +245,6 @@ class WirelessChannel:
         #: True when the kernel's ``frame_end`` decides the receptions:
         #: compiled, and every node's model decides by the stock rule.
         self._decide_in_kernel = False
-        #: Count of nodes with the radio administratively down
-        #: (maintained via :meth:`note_active_change`), so the frame
-        #: start skips building an active subset when all are up.
-        self._inactive_nodes = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -327,9 +323,6 @@ class WirelessChannel:
             isinstance(self.fading, NoFading) and base_sampled_power
         )
         self._inline_fading = base_sampled_power
-        self._inactive_nodes = sum(
-            1 for node in nodes if not node.active
-        )
         if not self._finalized:
             self._use_compiled()
         self._fused_fading = (
@@ -398,10 +391,6 @@ class WirelessChannel:
         """The transmissions on the air, in start order (a copy)."""
         return list(self._in_flight)
 
-    def note_active_change(self, active: bool) -> None:
-        """O(1) hook from ``Node.set_active`` on every radio up/down flip."""
-        self._inactive_nodes += -1 if active else 1
-
     def mean_rx_power_mw(self, sender: Node, receiver: Node) -> float:
         """Mean (un-faded) received power for the sender->receiver link:
         open-space path loss over the endpoints' distance."""
@@ -442,17 +431,6 @@ class WirelessChannel:
             # Control frame (ACK) collided with own ongoing tx: drop.
             self.counters.add("channel.ack_dropped_half_duplex")
             return None
-        if not sender.active:
-            # Radio is down: the frame evaporates, but the MAC must keep
-            # cycling, so complete the "transmission" after the airtime.
-            self.counters.add("channel.tx_dropped_node_down")
-            if notify_sender:
-                self.sim.schedule(
-                    duration_s,
-                    sender.mac.on_tx_complete,
-                    priority=EventPriority.PHY,
-                )
-            return None
         now = self.sim.now
         end_time = now + duration_s
         tx = Transmission(sender, packet, dest_id, now, end_time,
@@ -468,20 +446,8 @@ class WirelessChannel:
         fan = self._fanout[sender.node_id]
         receiver_ids = fan.receiver_ids
         means = fan.mean_mw
-        sel = None
-        if self._inactive_nodes and receiver_ids:
-            # Down radios neither hear the frame nor draw its fading.
-            nodes = self.nodes
-            sel = [
-                k for k, rid in enumerate(receiver_ids) if nodes[rid].active
-            ]
-            if len(sel) == len(receiver_ids):
-                sel = None
-            else:
-                means = [means[k] for k in sel]
-                receiver_ids = [receiver_ids[k] for k in sel]
         row = None
-        if self._fused_fading is not None and sel is None and receiver_ids:
+        if self._fused_fading is not None and receiver_ids:
             row = self._fused_fading.uniform_row(
                 sender.node_id, receiver_ids, now, self._fading_rng
             )
@@ -628,8 +594,8 @@ class WirelessChannel:
         Each row is popped just before its decision, so a frame that a
         delivery upcall starts still raises the interference of the
         receivers after it.  A zeroed signal (the receiver transmitted
-        or went down mid-frame) is a half-duplex loss and is not
-        decided; any other rejected reception is a collision (a
+        mid-frame) is a half-duplex loss and is not decided; any other
+        rejected reception is a collision (a
         reception starts only at a decodable power, so its signal never
         falls short of the receive threshold on its own).  The compiled kernel's ``frame_end`` runs this loop in
         C for the stock rule.

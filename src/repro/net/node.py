@@ -19,8 +19,8 @@ radio-state methods write the columns.  A node not yet registered with
 a channel reads as an idle radio.  The frames this node may decode stay
 in the node's own ``pending_receptions`` dict, which the ledger holds
 by reference: each maps its transmission to a ``[signal_mw,
-peak_interference_mw]`` row (see :mod:`repro.phy.reception`).  Killing
-a reception (own transmission, power failure) zeroes its signal, which
+peak_interference_mw]`` row (see :mod:`repro.phy.reception`).  The
+node's own transmission kills a reception by zeroing its signal, which
 the frame end tallies as a half-duplex loss.
 
 The channel updates that state in place, in one pass over a frame's
@@ -29,9 +29,8 @@ starts and only falls when it ends, so a start can only flip a receiver
 idle -> busy and an end busy -> idle.  A flip is passed to the MAC only
 when the MAC waits for it (:attr:`CsmaMac.awaited_sense
 <repro.mac.csma.CsmaMac.awaited_sense>`); every other notification
-would be a no-op.  Radio-state changes (own transmission, power
-failure) go through :meth:`Node._update_sense_state` with the same
-gate.
+would be a no-op.  The node's own transmission goes through
+:meth:`Node._update_sense_state` with the same gate.
 
 Protocols register per-:class:`~repro.net.packet.PacketKind` handlers and
 send through :meth:`send_broadcast` / :meth:`send_unicast`.
@@ -88,8 +87,6 @@ class Node:
         self.counters = CounterSet()
 
         self.pending_receptions: Dict[Any, List[float]] = {}
-        #: Radio power state; a "failed" node neither sends nor receives.
-        self.active = True
 
         # Protocol dispatch
         self._handlers: Dict[PacketKind, PacketHandler] = {}
@@ -179,27 +176,6 @@ class Node:
         self._ledger = None
         self.pending_receptions.clear()
 
-    def set_active(self, active: bool) -> None:
-        """Turn the radio on or off (failure injection).
-
-        Going down kills any in-flight receptions (their signal is gone
-        for the decoder) and silently drops frames the MAC tries to send;
-        protocol state above the radio survives, as it would across a
-        radio reset.
-        """
-        if active == self.active:
-            return
-        self.active = active
-        if self.channel is not None:
-            self.channel.note_active_change(active)
-        if not active:
-            self.counters.add("node.down_events")
-            for row in self.pending_receptions.values():
-                row[0] = 0.0
-        else:
-            self.counters.add("node.up_events")
-        self._update_sense_state()
-
     # ------------------------------------------------------------------
     # PHY-side interface (views over the channel's ledger)
 
@@ -263,7 +239,7 @@ class Node:
         self._update_sense_state()
 
     def _update_sense_state(self) -> None:
-        # Radio-state changes; the channel's frame passes inline this.
+        # Own-transmission edges; the channel's frame passes inline this.
         ledger = self._ledger
         if ledger is None:
             return  # an unregistered radio is idle and senses nothing

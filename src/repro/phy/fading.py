@@ -185,8 +185,8 @@ class CorrelatedRayleighFading(FadingModel):
     same triples: :meth:`sample_link_gain` for one link,
     :meth:`sample_link_gains` for a list of them, :meth:`uniform_row` for
     the compiled kernel's frame start.  A link never leaves its sender's
-    row, so one that stops being sampled (a down receiver, a re-finalize
-    that drops it) resumes its process when it returns.
+    row, so one that stops being sampled (a re-finalize that drops it)
+    resumes its process when it returns.
     """
 
     def __init__(self, coherence_time_s: float = 1.0) -> None:

@@ -38,9 +38,6 @@ class ProbingConfig:
     broadcast_interval_s: float = 5.0
     pair_interval_s: float = 10.0
     rate_multiplier: float = 1.0
-    #: Use the congestion-responsive adaptive prober (future-work
-    #: extension) for the broadcast-probe metrics (ETX/METX/SPP).
-    adaptive: bool = False
     window_intervals: int = 10
     ewma_history_weight: float = 0.9
     loss_penalty_factor: float = 1.2
@@ -112,35 +109,14 @@ class ProbingManager:
                 loss_penalty_factor=config.loss_penalty_factor,
             )
             if prober == "broadcast":
-                if config.adaptive:
-                    from repro.probing.adaptive import (
-                        AdaptiveProbeAgent,
-                        AdaptiveProbingConfig,
+                self.agents.append(
+                    BroadcastProbeAgent(
+                        self.network.sim,
+                        node,
+                        interval_s=config.effective_broadcast_interval_s,
+                        probe_size_bytes=config.probe_size_bytes[self.metric.name],
                     )
-
-                    self.agents.append(
-                        AdaptiveProbeAgent(
-                            self.network.sim,
-                            node,
-                            AdaptiveProbingConfig(
-                                base_interval_s=(
-                                    config.effective_broadcast_interval_s
-                                ),
-                            ),
-                            probe_size_bytes=(
-                                config.probe_size_bytes[self.metric.name]
-                            ),
-                        )
-                    )
-                else:
-                    self.agents.append(
-                        BroadcastProbeAgent(
-                            self.network.sim,
-                            node,
-                            interval_s=config.effective_broadcast_interval_s,
-                            probe_size_bytes=config.probe_size_bytes[self.metric.name],
-                        )
-                    )
+                )
             elif prober == "pair":
                 self.agents.append(
                     PacketPairAgent(

@@ -8,8 +8,8 @@ for violations of that contract instead of asserting it on one
 hand-picked scenario:
 
 * :func:`random_spec` draws a small random :class:`ExperimentSpec`
-  (topology size, metric/protocol mix, seeds, fault schedules, sweep
-  kind) from a seeded generator, so every fuzz case is itself
+  (topology size, metric/protocol mix, seeds, sweep kind) from a
+  seeded generator, so every fuzz case is itself
   replayable.
 * :func:`differential_check` runs the sweep a spec declares (grid or
   adaptive plan) inline as the oracle, then through one matrix of
@@ -39,7 +39,6 @@ from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.adaptive import AdaptiveConfig, run_adaptive_experiment
-from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.parallel import sweep_specs
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_experiment, run_protocol
@@ -72,7 +71,7 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
     machine and a failing index can be re-drawn in isolation.  The
     sweep kind cycles with ``index % 2`` -- grid, then ``[adaptive]``
     plan -- without an RNG draw of its own, so both kinds keep the
-    scenario, fault plan included, that the case draws.
+    scenario that the case draws.
     """
     kind = ("grid", "adaptive")[index % 2]
     rng = random.Random(derive_seed(master_seed, f"fuzz.{index}"))
@@ -84,28 +83,6 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
     )
     seeds = tuple(sorted(rng.sample(range(1, 64), k=rng.randint(1, 2))))
 
-    outages: List[OutageWindow] = []
-    flapping: List[FlappingSpec] = []
-    if rng.random() < 0.5:
-        start = rng.uniform(warmup_s, 0.6 * duration_s)
-        outages.append(
-            OutageWindow(
-                node_id=rng.randrange(num_nodes),
-                start_s=round(start, 3),
-                end_s=round(start + rng.uniform(1.0, 3.0), 3),
-            )
-        )
-    if rng.random() < 0.25:
-        flapping.append(
-            FlappingSpec(
-                node_id=rng.randrange(num_nodes),
-                start_s=warmup_s,
-                period_s=2.0,
-                down_fraction=0.3,
-                until_s=round(0.8 * duration_s, 3),
-            )
-        )
-
     side = float(rng.randint(450, 650))
     config = SimulationScenarioConfig(
         num_nodes=num_nodes,
@@ -116,7 +93,6 @@ def random_spec(index: int, master_seed: int = 0) -> ExperimentSpec:
         rate_pps=10.0,
         duration_s=duration_s,
         warmup_s=warmup_s,
-        faults=FaultPlan(outages=tuple(outages), flapping=tuple(flapping)),
     )
     return ExperimentSpec(
         name=f"fuzz-{master_seed}-{index}",

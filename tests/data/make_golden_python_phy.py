@@ -1,14 +1,14 @@
-"""Regenerate ``golden_fault_mobility.json``.
+"""Regenerate ``golden_python_phy.json``.
 
-Result digests for the run path the stored benchmark digests do not
-cover: radio outages plus flapping on the pure-Python PHY passes (the
-compiled kernel is disabled while they run; it gives the same bits).  (The file keeps
-its name from when it also pinned mobile meshes, so the fault cases'
-test ids stay put.)  Run after an *intentional* change of simulation results::
+Scenario-level result digests for the pure-Python PHY passes, the path
+a host without a C compiler runs and the one the stored benchmark
+digests do not cover (the compiled kernel is disabled while they run;
+it gives the same bits).  Run after an *intentional* change of
+simulation results::
 
-    PYTHONPATH=src python tests/data/make_golden_fault_mobility.py
+    PYTHONPATH=src python tests/data/make_golden_python_phy.py
 
-``tests/test_golden_fault_mobility.py`` imports ``CASES`` and
+``tests/test_golden_python_phy.py`` imports ``CASES`` and
 ``result_digest`` from here and diffs every run against the file this
 writes, so a speed-only change must leave it untouched.
 """
@@ -26,11 +26,6 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parents[2] / "src")
 )
 
-from repro.experiments.faults import (  # noqa: E402
-    FaultPlan,
-    FlappingSpec,
-    OutageWindow,
-)
 from repro.experiments.results import RunResult  # noqa: E402
 from repro.experiments.runner import run_protocol  # noqa: E402
 from repro.experiments.scenarios import (  # noqa: E402
@@ -38,28 +33,18 @@ from repro.experiments.scenarios import (  # noqa: E402
 )
 from repro.phy import kernel  # noqa: E402
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_fault_mobility.json"
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_python_phy.json"
 
 PROTOCOLS = ("odmrp", "spp", "metx")
 
-_FAULTS = FaultPlan(
-    outages=(OutageWindow(3, 4.0, 7.5), OutageWindow(11, 6.0, 12.0)),
-    flapping=(FlappingSpec(7, 3.0, 1.5, 0.4, 13.0),),
-)
-
-def _config(num_nodes: int, **fields) -> SimulationScenarioConfig:
-    return SimulationScenarioConfig(
-        num_nodes=num_nodes,
+#: case name -> scenario config; every case runs every protocol.
+CASES: Dict[str, SimulationScenarioConfig] = {
+    "static-30-python": SimulationScenarioConfig(
+        num_nodes=30,
         duration_s=14.0,
         warmup_s=4.0,
         topology_seed=3,
-        **fields,
-    )
-
-
-#: case name -> scenario config; every case runs every protocol.
-CASES: Dict[str, SimulationScenarioConfig] = {
-    "faults-30-scalar": _config(30, faults=_FAULTS),
+    ),
 }
 
 

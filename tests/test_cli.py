@@ -178,7 +178,8 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert err.startswith("ERROR: ")
             assert "spec key 'campaign' is no longer supported" in err
-            assert "config.faults" in err and "Traceback" not in err
+            assert "delete the [campaign] table" in err
+            assert "config.faults" not in err and "Traceback" not in err
 
 
 class TestRemovedMobilitySurface:
@@ -188,8 +189,12 @@ class TestRemovedMobilitySurface:
         "[config.energy]\nenabled = true\n",
         "max_retries = 1\n",
         "[[config.obstacles.obstacles]]\nx_min_m = 100.0\n",
+        "[[config.faults.outages]]\nnode_id = 2\nstart_s = 3.0\n"
+        "end_s = 5.0\n",
+        "[config.probing]\nadaptive = true\n",
     ], ids=["mobility_models", "config.mobility", "config.energy",
-            "max_retries", "config.obstacles"])
+            "max_retries", "config.obstacles", "config.faults",
+            "config.probing.adaptive"])
     def test_dry_run_names_the_removal(self, tmp_path, capsys, table):
         spec_path = tmp_path / "old.toml"
         spec_path.write_text(

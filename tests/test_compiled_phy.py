@@ -21,8 +21,7 @@ the "scalar" path below.  These tests pin the kernel to that reference:
   output never reaches stdout, and two processes building at once both
   load a valid module;
 * whole runs on the kernel equal Python runs: the six paper protocols
-  through ``differential_check``'s ``phy-python`` pass, runs under
-  faults (frames with down receivers take the batch call), runs across
+  through ``differential_check``'s ``phy-python`` pass, runs across
   a re-finalize (link state carried by receiver id), and channels the
   fused draw does not take (i.i.d. fading, no fading, a custom power
   model); the invariant monitors stay green on both paths;
@@ -30,9 +29,8 @@ the "scalar" path below.  These tests pin the kernel to that reference:
   (``WirelessChannel._withdraw`` then ``_decide``) on hand-built
   ledgers -- every decision fate, and a delivery upcall that starts a
   frame at a receiver still waiting for its decision -- and frame by
-  frame, tallies included, over a run with overlapping frames,
-  receivers that start their own frame mid-frame and radios that go
-  down mid-frame;
+  frame, tallies included, over a run with overlapping frames and
+  receivers that start their own frame mid-frame;
 * a channel whose reception model is not the stock one -- a subclass,
   or ``ReceptionModel.decide`` wrapped at class level before the build
   -- decides in Python, once per decision, with the results of a
@@ -56,7 +54,6 @@ from array import array
 
 import pytest
 
-from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.runner import collect_result, run_protocol
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
@@ -484,15 +481,6 @@ class TestCompiledRuns:
         assert all(result.error is None for result in results)
 
 
-#: Outages and flapping: receivers go down mid-run, so frames take the
-#: batch call over the active subset.
-FAULTS = FaultPlan(
-    outages=(OutageWindow(node_id=2, start_s=3.0, end_s=5.0),),
-    flapping=(FlappingSpec(node_id=5, start_s=2.0, period_s=2.0,
-                           down_fraction=0.4, until_s=7.0),),
-)
-
-
 @requires_kernel
 class TestRunParity:
     """Python and compiled runs, result for result."""
@@ -515,11 +503,10 @@ class TestRunParity:
     def test_invariant_monitors_watch_the_batched_path(self):
         """channel-conservation's power ledgers and rng-isolation's
         stream audit on both paths, over runs whose frames take the
-        fused draw (on the kernel) and, with a receiver down, the batch
-        call."""
+        fused draw (on the kernel) and the batch call (in Python)."""
         from repro.validation.fuzzing import run_with_invariants
 
-        config = dataclasses.replace(CONFIG, duration_s=8.0, faults=FAULTS)
+        config = dataclasses.replace(CONFIG, duration_s=8.0)
         for backend in ("scalar", "compiled"):
             spec = ExperimentSpec(
                 name="phy-monitors",
@@ -533,18 +520,6 @@ class TestRunParity:
                     spec, monitors=("channel-conservation", "rng-isolation")
                 )
             assert all(result.error is None for result in results)
-
-    def test_parity_under_faults(self):
-        """Outages flip receivers inactive mid-run; the batch call over
-        the active subset must draw exactly what the scalar path does."""
-        config = dataclasses.replace(CONFIG, duration_s=8.0, faults=FAULTS)
-        results = [
-            run_on(backend, "etx", config)
-            for backend in ("scalar", "compiled")
-        ]
-        assert results[0].error is None
-        assert results[0].delivered_packets > 0
-        assert results[0] == results[1]
 
     def test_parity_across_refinalize(self):
         """Re-running finalize() rebuilds every fan-out; each link's
@@ -697,10 +672,6 @@ class TestFrameEndParity:
         end, every node's tallies and the results are equal."""
         config = SimulationScenarioConfig(
             num_nodes=30, duration_s=10.0, warmup_s=3.0, topology_seed=3,
-            faults=FaultPlan(
-                outages=(OutageWindow(3, 4.0, 7.5),),
-                flapping=(FlappingSpec(7, 3.0, 1.5, 0.4, 10.0),),
-            ),
         )
         runs = [_recorded_run(config, python_end) for python_end in (False, True)]
         (frames, tallies, seen, result), (
@@ -713,7 +684,7 @@ class TestFrameEndParity:
         # A killed reception is too rare in a run to pin here; the
         # hand-built decision case covers it.
         assert seen >= {
-            "overlapping", "half-duplex", "down", "phy.rx_ok",
+            "overlapping", "half-duplex", "phy.rx_ok",
             "phy.rx_failed_collision",
         }
 
@@ -750,8 +721,6 @@ def _recorded_run(config, python_end):
                     seen.add("overlapping")
                 if ledger.transmitting[rid]:
                     seen.add("half-duplex")
-                if not ledger.nodes[rid].active:
-                    seen.add("down")
             if python_end:
                 channel._withdraw(tx.touched, tx.powers)
                 channel._decide(tx)

@@ -1,15 +1,15 @@
-"""Golden result digests for fault-plan runs.
+"""Golden result digests for the pure-Python PHY passes.
 
-The benchmark's stored digests pin fault-free meshes.  These pin the
-path they miss -- radio outages plus flapping on the pure-Python PHY
-passes (the "scalar" in the case names) -- for ODMRP, SPP and METX, so
-a speed-only change to the channel, node or MAC bookkeeping cannot
-shift a result there unseen.  The same cases also run on the compiled
-kernel against the same digests.
+The benchmark's stored digests pin runs on the compiled kernel.  These
+pin the path they miss -- a static, failure-free 30-node mesh on the
+pure-Python PHY passes -- for ODMRP, SPP and METX, so a speed-only
+change to the channel, node or MAC bookkeeping cannot shift a result
+there unseen.  The same cases also run on the compiled kernel against
+the same digests.
 
 Regenerate after an *intentional* change of results with::
 
-    PYTHONPATH=src python tests/data/make_golden_fault_mobility.py
+    PYTHONPATH=src python tests/data/make_golden_python_phy.py
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent / "data"))
 
-from make_golden_fault_mobility import (  # noqa: E402
+from make_golden_python_phy import (  # noqa: E402
     CASES,
     GOLDEN_PATH,
     PROTOCOLS,
@@ -54,10 +54,9 @@ def test_run_matches_golden_digest(case, protocol):
 
 @requires_kernel
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize(
-    "case", sorted(case for case in CASES if case.endswith("-scalar"))
-)
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_compiled_run_matches_scalar_golden(case, protocol):
-    """The compiled kernel reproduces the scalar goldens bit for bit."""
+    """The compiled kernel reproduces the Python-path goldens bit for
+    bit."""
     result = run_protocol(protocol, CASES[case])
     assert result_digest(result) == GOLDEN[case][protocol]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.metrics import SppMetric
 from repro.odmrp.config import OdmrpConfig
 from repro.sim.process import PeriodicTask
+from repro.testbed.linkmodel import LinkProfile, TimeVaryingLoss
 from tests.conftest import link, make_loss_network
 from tests.test_odmrp import build_routers
 
@@ -136,6 +139,41 @@ class TestSourceLifecycle:
         network.run(4.0)
         receivers = {receiver for receiver, _s, _q in deliveries}
         assert receivers == {0, 1}
+
+
+class TestRouteRepair:
+    def test_route_repairs_around_a_faded_out_relay(self):
+        """A diamond whose data-carrying relay loses both links: the
+        refresh flood rebuilds the forwarding group through the other
+        relay."""
+        losses = {
+            link(0, 1): 0.0, link(1, 3): 0.0,
+            link(0, 2): 0.0, link(2, 3): 0.0,
+            link(1, 2): 0.0,
+        }
+        network = make_loss_network(4, losses, seed=3)
+        deliveries = []
+        routers = build_routers(network, deliveries=deliveries)
+        routers[3].join_group(1)
+        routers[0].start_source(1)
+        network.run(2.0)
+        task = PeriodicTask(network.sim, 0.05, lambda: routers[0].send_data(1))
+        task.start()
+        network.run(8.0)
+        before = len(deliveries)
+        assert before > 0
+        used = max(
+            (1, 2),
+            key=lambda i: network.nodes[i].counters.get("odmrp.data_forwarded"),
+        )
+        dead = LinkProfile(loss=TimeVaryingLoss(1.0, 1.0, random.Random(0)))
+        for peer in (0, 3):
+            network.channel.profiles[link(used, peer)] = dead
+        network.run(60.0)
+        task.stop()
+        # ~52 s of 20 pkt/s traffic with one relay cut off: the
+        # soft-state refresh must re-route most of it through the other.
+        assert len(deliveries) - before > 0.6 * 52 * 20
 
 
 class TestQueryRoundHousekeeping:

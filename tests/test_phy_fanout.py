@@ -22,8 +22,8 @@ to the per-link formulation:
 * models the batch cannot mirror (subclasses, a half-drawn gaussian)
   fall back to the per-link default;
 * whole runs of the six paper protocols are equal with and without the
-  batch and the fused draw, also under faults (filtered frames) and
-  per-link calls mid-run, on both paths; the Python path makes one
+  batch and the fused draw, also under per-link calls mid-run, on both
+  paths; the Python path makes one
   batch call per frame, and on the kernel a plain paper run takes the
   fused draw for every frame, a sender's first included;
 * a frame's receivers split into ``touched`` (power) and ``decoding``
@@ -34,7 +34,7 @@ to the per-link formulation:
 * each node's PHY state is a row of the channel's ledger: the node's
   views equal the ledger's columns at every invariant-monitor check on
   both paths, an unregistered node reads as an idle radio, and a run
-  without the compiled kernel reproduces the fault goldens.
+  without the compiled kernel reproduces the Python-PHY goldens.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from array import array
 
 import pytest
 
-from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
 from repro.experiments.runner import collect_result, run_protocol
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
@@ -74,7 +73,7 @@ from tests.conftest import (
     phy_path,
     requires_kernel,
 )
-from tests.test_golden_fault_mobility import CASES, GOLDEN, result_digest
+from tests.test_golden_python_phy import CASES, GOLDEN, result_digest
 
 MODELS = [
     RayleighFading,
@@ -86,8 +85,8 @@ MODELS = [
 FULL = [1, 2, 3, 4, 5, 6]
 
 #: (now, receiver ids) batches.  ``FULL`` is the same list object each
-#: time, as the channel passes it; the literals are fresh lists, as the
-#: channel builds when some receivers are down.
+#: time, as the channel passes it; the literals are fresh lists (subsets
+#: and reorderings), which find their slots by receiver id.
 BATCHES = [
     [(0.0, FULL), (1.0, FULL), (1.0, FULL), (4.5, FULL)],
     [(0.0, [1, 2, 3]), (2.0, FULL), (2.0, [6, 1]), (3.0, FULL),
@@ -327,15 +326,6 @@ class PerLinkCorrelated(CorrelatedRayleighFading):
         return super().sample_link_gain(link_key, now, rng)
 
 
-#: Each case is a ``SimulationScenarioConfig`` field override.
-PARITY_CASES = {
-    "faults": FaultPlan(
-        outages=(OutageWindow(node_id=2, start_s=3.0, end_s=5.0),),
-        flapping=(FlappingSpec(node_id=5, start_s=2.0, period_s=2.0,
-                               down_fraction=0.4, until_s=7.0),),
-    ),
-}
-
 RUN_CONFIG = SimulationScenarioConfig(
     num_nodes=12,
     area_width_m=600.0,
@@ -379,23 +369,6 @@ class TestRunParity:
         assert batched_run.error is None
         assert batched_run.delivered_packets > 0
         assert batched_run == per_link_run
-
-    @pytest.mark.parametrize("case", ["faults"])
-    def test_fused_run_equals_per_link_run(self, case):
-        """Down receivers filter a frame (``sel``), which hands it back
-        to the batch call, and the run stays equal to the per-link
-        one."""
-        config = dataclasses.replace(RUN_CONFIG, **{case: PARITY_CASES[case]})
-        coherence = config.network.fading_coherence_time_s
-        fused = self.run(
-            "spp", with_fading(config, CorrelatedRayleighFading(coherence))
-        )
-        per_link = self.run(
-            "spp", with_fading(config, PerLinkCorrelated(coherence))
-        )
-        assert fused.error is None
-        assert fused.delivered_packets > 0
-        assert fused == per_link
 
     def test_per_link_calls_mid_run_leave_the_run_unchanged(self):
         """A ``sample_link_gain`` call between frames resumes its link
@@ -751,7 +724,6 @@ class TestLedgerViews:
             num_nodes=12, area_width_m=600.0, area_height_m=600.0,
             num_groups=1, members_per_group=4, duration_s=8.0,
             warmup_s=2.0, topology_seed=5,
-            faults=FaultPlan(outages=(OutageWindow(2, 3.0, 5.0),)),
             validation=ValidationConfig(
                 enabled=True, check_interval_s=0.5,
                 monitors=("channel-conservation",),
@@ -768,7 +740,6 @@ class TestLedgerViews:
         assert node.current_power_mw == 0.0 and node.on_air_count == 0
         assert not node.transmitting and not node.sensed_busy
         assert not node.medium_busy
-        node.set_active(False)  # no ledger row to update
         with pytest.raises(RuntimeError, match="not registered"):
             node.phy_begin_own_tx()
 
@@ -780,14 +751,16 @@ class TestLedgerViews:
             )
 
     @pytest.mark.parametrize("protocol", ["odmrp", "spp"])
-    def test_no_kernel_run_matches_the_fault_golden(self, protocol, no_kernel):
+    def test_no_kernel_run_matches_the_python_phy_golden(
+        self, protocol, no_kernel
+    ):
         """Without a compiler the channel runs the pure-Python ledger
-        passes and reproduces the scalar fault golden bit for bit."""
+        passes and reproduces the Python-PHY golden bit for bit."""
         assert no_kernel.load() is None
         scenario = build_simulation_scenario(
-            protocol, CASES["faults-30-scalar"]
+            protocol, CASES["static-30-python"]
         )
         assert not scenario.network.channel.compiled
         scenario.run()
         result = collect_result(scenario)
-        assert result_digest(result) == GOLDEN["faults-30-scalar"][protocol]
+        assert result_digest(result) == GOLDEN["static-30-python"][protocol]

@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.experiments.faults import FaultPlan, OutageWindow
 from repro.experiments.report import (
     diagnostics_section,
-    injected_downtime_note,
     markdown_table,
     overhead_section,
     render_report,
     throughput_section,
 )
 from repro.experiments.results import RunResult
-from repro.experiments.runner import run_protocol
-from repro.experiments.scenarios import SimulationScenarioConfig
 
 
 def run(protocol, delivered, seed=1, probe_bytes=1000.0, counters=None):
@@ -105,39 +99,3 @@ class TestRenderReport:
         report = render_report(sample_runs())
         assert report.index("odmrp") < report.index("ett")
         assert report.index("| ett") < report.index("| spp")
-
-
-class TestInjectedDowntimeNote:
-    """Runs of a hand-written fault plan carry ``faults.*`` counters
-    that the report itemizes per protocol; clean runs add no note."""
-
-    CONFIG = SimulationScenarioConfig(
-        num_nodes=8,
-        area_width_m=500.0,
-        area_height_m=500.0,
-        num_groups=1,
-        members_per_group=4,
-        duration_s=8.0,
-        warmup_s=2.0,
-        topology_seed=1,
-    )
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        faulted = dataclasses.replace(self.CONFIG, faults=FaultPlan(
-            outages=(OutageWindow(3, 3.0, 5.0),),
-        ))
-        return {
-            "faulted": [run_protocol(p, faulted) for p in ("odmrp", "spp")],
-            "clean": [run_protocol(p, self.CONFIG) for p in ("odmrp", "spp")],
-        }
-
-    def test_injected_downtime_note(self, runs):
-        note = injected_downtime_note(runs["faulted"])
-        assert note is not None
-        assert "Injected faults" in note
-        for protocol in ("odmrp", "spp"):
-            assert protocol in note
-
-    def test_downtime_note_absent_for_clean_runs(self, runs):
-        assert injected_downtime_note(runs["clean"]) is None

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
+from collections.abc import Sequence
+from dataclasses import is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -127,12 +129,12 @@ class TestStrictness:
         (("config", "mobility"), {"model": "random-waypoint"}, "mobility"),
         (("config", "energy"), {"enabled": True}, "energy accounting"),
         (("max_retries",), 1, "in-sweep retry"),
-        (("config", "obstacles"), {"obstacles": [
-            {"x_min_m": 100.0, "y_min_m": 0.0,
-             "x_max_m": 120.0, "y_max_m": 10.0},
-        ]}, "obstacle shadowing"),
+        (("config", "obstacles"), {"obstacles": []}, "obstacle shadowing"),
+        (("config", "faults"), {"outages": []}, "fault injection"),
+        (("config", "probing", "adaptive"), True, "adaptive probing"),
     ], ids=["mobility_models", "config.mobility", "config.energy",
-            "max_retries", "config.obstacles"])
+            "max_retries", "config.obstacles", "config.faults",
+            "config.probing.adaptive"])
     @pytest.mark.parametrize("suffix", [".toml", ".json"])
     def test_retired_key_names_the_removal(
         self, tmp_path, path, value, removed, suffix
@@ -204,6 +206,30 @@ class TestStrictness:
         with pytest.raises(SpecError):
             spec.to_dict()
 
+    def test_no_field_holds_a_sequence_of_dataclasses(self):
+        """The loader rebuilds nested tables only: a list or tuple of
+        config dataclasses would load as plain dicts."""
+        seen = set()
+        pending = [ExperimentSpec]
+        while pending:
+            cls = pending.pop()
+            if cls in seen:
+                continue
+            seen.add(cls)
+            for name, hint in get_type_hints(cls).items():
+                for part in (hint, *get_args(hint)):
+                    if is_dataclass(part):
+                        pending.append(part)
+                    elif get_origin(part) in (list, tuple, Sequence):
+                        assert not any(
+                            is_dataclass(item) for item in get_args(part)
+                        ), f"{cls.__name__}.{name} is a sequence of tables"
+        assert SimulationScenarioConfig in seen
+
+    def test_toml_refuses_a_list_of_tables(self):
+        with pytest.raises(SpecError):
+            toml_dumps({"config": {"rows": [{"a": 1}]}})
+
     @pytest.mark.parametrize("key, value", [
         ("jobs", "2"),
         ("jobs", 2.0),
@@ -231,11 +257,8 @@ class TestStrictness:
         ({"warmup_s": 10.0, "duration_s": 5.0}, "warmup_s"),
         ({"warmup_s": -1.0}, "warmup_s"),
         ({"duration_s": "x"}, "duration_s"),
-        ({"faults": {"outages": [
-            {"node_id": 99, "start_s": 12.0, "end_s": 14.0},
-        ]}}, "node 99"),
     ], ids=["negative-nodes", "float-nodes", "warmup-after-end",
-            "negative-warmup", "text-duration", "fault-on-missing-node"])
+            "negative-warmup", "text-duration"])
     def test_unrunnable_scenario_rejected(self, config, field):
         """A scenario every run of which would raise in its worker
         fails validation, so --dry-run and ``repro validate --spec``

@@ -141,15 +141,6 @@ class TestCleanRunsPassMonitors:
         monitored = run_protocol(protocol, mini_config())
         assert baseline == monitored
 
-    def test_monitors_pass_under_faults(self):
-        from repro.experiments.faults import FaultPlan, OutageWindow
-
-        scenario = run_validated(
-            "odmrp",
-            faults=FaultPlan(outages=(OutageWindow(1, 4.0, 6.0),)),
-        )
-        assert scenario.validation.checks_run >= 10
-
 
 class TestInjectedBugsAreCaught:
     @staticmethod
