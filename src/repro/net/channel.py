@@ -20,12 +20,12 @@ These paths keep large meshes and long runs fast without changing results:
   :class:`~repro.net.topology.SpatialGridIndex` when the propagation
   model can bound its reach analytically, turning the O(N^2) pairing
   into one exact power test per node inside each sender's reach.
-* ``begin_transmission`` draws a whole transmission's fading in one
-  call to the fading model's ``sample_link_gains``, bit-identical to
-  one draw per receiver, then makes one pass over the receivers.
 * Each sender's audible receivers are stored once, as a
-  :class:`_FanOut` of two packed columns (receiver ids, and mean powers
-  in an ``array('d')``).
+  :class:`_FanOut`: packed columns of receiver ids and mean powers,
+  next to its links' fading state and the time of its last frame.
+* ``begin_transmission`` steps a whole frame's fading in one call to
+  the fading model's ``sample_link_gains`` over that state, then makes
+  one pass over the receivers.
 * Per-node PHY state (power, on-air count, carrier sense, half duplex,
   sense threshold, MAC, pending receptions, the decision rule's
   constants) lives in the channel's :class:`PhyLedger`, columns indexed
@@ -35,12 +35,10 @@ These paths keep large meshes and long runs fast without changing results:
   ``finalize()`` hands it the ``phy.fading`` stream, and the whole
   frame end -- withdrawal, decisions, tallies and the calls to
   ``Node.deliver`` -- runs in C over those columns, with the results of
-  the Python passes.  With correlated Rayleigh fading, a frame whose
-  links share one last-update time -- or have none yet, on a sender's
-  first frame -- also starts in C, each link's AR(1) step drawn inside
-  the receiver pass (``CorrelatedRayleighFading.uniform_row``); only a
-  sender's first frame after a per-link call or a re-finalize takes the
-  batch call.  Decisions stay in Python (``_decide``) when any node's
+  the Python passes.  With correlated Rayleigh fading every frame also
+  starts in C: the channel takes the step's ``rho`` and innovation from
+  the model and the kernel draws each link's AR(1) step inside its
+  receiver pass.  Decisions stay in Python (``_decide``) when any node's
   reception model is not the
   stock :class:`~repro.phy.reception.ReceptionModel`: a subclass, or a
   ``decide`` wrapped at class level before ``finalize()``, still sees
@@ -50,8 +48,9 @@ These paths keep large meshes and long runs fast without changing results:
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import topology
 from repro.net.node import Node
@@ -106,23 +105,27 @@ class ChannelError(RuntimeError):
 
 
 class _FanOut:
-    """One sender's audible receivers, packed as two columns.
+    """One sender's audible receivers and the fading state of its links.
 
-    Element ``k`` of both columns is receiver ``k``, in registration
-    order.  ``receiver_ids`` holds the receivers' own node-id ints; it
-    is the list object the correlated fading model keys the sender's
-    link row on, so it is never mutated after ``finalize()``.
-    ``mean_mw`` holds their mean received powers as an ``array('d')``,
-    which the compiled kernel reads through the buffer protocol.  A
-    receiver's decode threshold is a per-node value: the frame start
-    reads it from the ledger's ``rx_thr_mw`` column.
+    Element ``k`` of ``receiver_ids`` and ``mean_mw`` is receiver ``k``,
+    in registration order: its node id, and its mean received power in
+    an ``array('d')``, which the compiled kernel reads through the
+    buffer protocol.  ``states`` is the fading model's state of the same
+    links (:meth:`~repro.phy.fading.FadingModel.link_states`), allocated
+    once both columns are complete, and ``time`` the start of the
+    sender's last frame, NaN before its first: every frame steps all of
+    a sender's links, so one time serves them all.  A receiver's decode
+    threshold is a per-node value: the frame start reads it from the
+    ledger's ``rx_thr_mw`` column.
     """
 
-    __slots__ = ("receiver_ids", "mean_mw")
+    __slots__ = ("receiver_ids", "mean_mw", "states", "time")
 
     def __init__(self) -> None:
         self.receiver_ids: List[int] = []
         self.mean_mw = array("d")
+        self.states = array("d")
+        self.time = math.nan
 
 
 class PhyLedger:
@@ -227,18 +230,12 @@ class WirelessChannel:
         #: used as an ordered set); node power ledgers are rebuilt from
         #: their ``touched``/``powers`` columns.
         self._in_flight: Dict[Transmission, None] = {}
-        #: True when the faded power is provably the mean power: NoFading
-        #: draws gain 1.0 for every packet and no subclass has replaced
-        #: ``_sampled_power``, so the sample (and its virtual dispatch)
-        #: can be skipped entirely in ``begin_transmission``.
-        self._deterministic_power = False
-        #: True when ``_sampled_power`` is the base implementation, so
-        #: the frame start may call the fading model's batch directly.
-        self._inline_fading = False
-        #: The correlated-Rayleigh model when the kernel may draw its
-        #: AR(1) update inside the frame-start pass (see
-        #: ``CorrelatedRayleighFading.uniform_row``), else ``None``.
-        self._fused_fading: Optional[CorrelatedRayleighFading] = None
+        #: True when a subclass replaced ``_sampled_power``: frames then
+        #: take their powers from it, link by link.
+        self._custom_power = False
+        #: True when the kernel's ``frame_start`` draws each frame's
+        #: correlated Rayleigh step inside its receiver pass.
+        self._fused_start = False
         #: The compiled kernel module once ``finalize()`` loaded it (it
         #: then owns ``_fading_rng``), else ``None``.
         self._kernel = None
@@ -256,22 +253,18 @@ class WirelessChannel:
         node.channel = self
 
     def finalize(self) -> None:
-        """Precompute each sender's fan-out for the current layout.
+        """Precompute each sender's fan-out for the static layout.
 
         Every audible (sender, receiver) pair is appended straight into
         the sender's :class:`_FanOut`: the receiver's id and its mean
-        power, one ``mean_rx_power_mw`` call per tested pair.
+        power, one ``mean_rx_power_mw`` call per tested pair; then the
+        fading model allocates the state of the sender's links.
 
-        Re-running ``finalize()`` is the only legal way to change the
-        topology; it invalidates every derived cache (fan-outs, the
-        memoized connectivity map).  The fading model
-        keeps each link's state by receiver id, so a link resumes its
-        process across a re-finalize.  Transmissions already in flight
-        are untouched: their power contributions were recorded at start
-        time.  The first ``finalize()`` picks the reception path for the
-        channel's life: the compiled kernel when
-        :func:`repro.phy.kernel.load` returns it, else the pure-Python
-        passes.
+        ``finalize()`` runs once: a second call raises
+        :class:`ChannelError`, as registering a node after it does.  It
+        picks the reception path for the channel's life: the compiled
+        kernel when :func:`repro.phy.kernel.load` returns it, else the
+        pure-Python passes.
 
         On meshes of :data:`~repro.net.topology.GRID_AUTO_NODES` or
         more, the O(N^2) pairing scan is pruned through a throwaway
@@ -283,6 +276,8 @@ class WirelessChannel:
         audibility just as in the brute scan -- the resulting fan-outs
         are bit-identical.
         """
+        if self._finalized:
+            raise ChannelError("finalize() runs once: the layout is static")
         nodes = self.nodes
         grid: Optional[topology.SpatialGridIndex] = None
         if len(nodes) >= topology.GRID_AUTO_NODES:
@@ -297,7 +292,7 @@ class WirelessChannel:
             for node in nodes
         ]
         mean_rx_power_mw = self.mean_rx_power_mw
-        self._fanout = {}
+        link_states = self.fading.link_states
         for index, sender in enumerate(nodes):
             fan = self._fanout[sender.node_id] = _FanOut()
             ids_append = fan.receiver_ids.append
@@ -315,21 +310,14 @@ class WirelessChannel:
                 if mean_mw >= cutoffs[rid]:
                     ids_append(rid)
                     means_append(mean_mw)
-        self._connectivity_cache = None
-        base_sampled_power = (
-            type(self)._sampled_power is WirelessChannel._sampled_power
+            fan.states = link_states(len(fan.receiver_ids))
+        self._use_compiled()
+        self._custom_power = (
+            type(self)._sampled_power is not WirelessChannel._sampled_power
         )
-        self._deterministic_power = (
-            isinstance(self.fading, NoFading) and base_sampled_power
-        )
-        self._inline_fading = base_sampled_power
-        if not self._finalized:
-            self._use_compiled()
-        self._fused_fading = (
-            self.fading
-            if self._kernel is not None and base_sampled_power
+        self._fused_start = (
+            self._kernel is not None and not self._custom_power
             and isinstance(self.fading, CorrelatedRayleighFading)
-            else None
         )
         self.ledger.take_rules()
         self._decide_in_kernel = self._kernel is not None and all(
@@ -444,31 +432,21 @@ class WirelessChannel:
         self._in_flight[tx] = None
         sender.phy_begin_own_tx()
         fan = self._fanout[sender.node_id]
-        receiver_ids = fan.receiver_ids
-        means = fan.mean_mw
-        row = None
-        if self._fused_fading is not None and receiver_ids:
-            row = self._fused_fading.uniform_row(
-                sender.node_id, receiver_ids, now, self._fading_rng
-            )
-        if row is not None:
+        if self._fused_start:
+            rho, innovation = self.fading.coefficients(fan.time, now)
+            fan.time = now
             self._kernel.frame_start(
-                self._fading_rng.stream, tx, receiver_ids, means, *row,
-                self.ledger.columns,
+                self._fading_rng.stream, tx, fan.receiver_ids, fan.mean_mw,
+                fan.states, rho, innovation, self.ledger.columns,
             )
         else:
-            self._batched_start(tx, receiver_ids, means)
+            self._batched_start(tx, fan)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
         )
         return tx
 
-    def _batched_start(
-        self,
-        tx: Transmission,
-        receiver_ids: List[int],
-        means: Sequence[float],
-    ) -> None:
+    def _batched_start(self, tx: Transmission, fan: _FanOut) -> None:
         """The frame start with the fading drawn in one call first.
 
         Then each receiver's bookkeeping for the arriving frame, inlined
@@ -482,27 +460,28 @@ class WirelessChannel:
         ``frame_start`` runs this loop in C with each link's AR(1) step
         drawn inside it.
         """
-        now = tx.start_time
-        if not receiver_ids or self._deterministic_power:
-            powers = means
-        elif self._inline_fading:
-            gains = self.fading.sample_link_gains(
-                tx.sender_id, receiver_ids, now, self._fading_rng
-            )
-            powers = [mean * gain for mean, gain in zip(means, gains)]
-        else:
+        receiver_ids = fan.receiver_ids
+        means = fan.mean_mw
+        if self._custom_power:
+            nodes = self.nodes
             powers = [
-                self._sampled_power(tx.sender, self.nodes[rid], mean)
+                self._sampled_power(tx.sender, nodes[rid], mean)
                 for rid, mean in zip(receiver_ids, means)
             ]
+        else:
+            now = tx.start_time
+            gains = self.fading.sample_link_gains(
+                len(receiver_ids), fan.states, fan.time, now, self._fading_rng
+            )
+            fan.time = now
+            powers = [mean * gain for mean, gain in zip(means, gains)]
         if powers and min(powers) <= 0.0:
             # Only a custom power model silences a link outright.
             keep = [k for k, power_mw in enumerate(powers) if power_mw > 0.0]
             receiver_ids = [receiver_ids[k] for k in keep]
             powers = [powers[k] for k in keep]
         tx.touched = receiver_ids
-        # ``powers`` may be the fan-out's own mean column.
-        tx.powers = list(powers) if powers is means else powers
+        tx.powers = powers
         ledger = self.ledger
         power = ledger.power_mw
         on_air = ledger.on_air
@@ -564,11 +543,15 @@ class WirelessChannel:
     def _sampled_power(
         self, sender: Node, receiver: Node, mean_mw: float
     ) -> float:
-        """Fading-sampled instantaneous power for this packet on this link."""
-        gain = self.fading.sample_link_gain(
-            (sender.node_id, receiver.node_id), self.sim.now, self._fading_rng
-        )
-        return mean_mw * gain
+        """A subclass's power for this packet on this link.
+
+        Overriding it replaces pathloss-times-fading (the testbed's
+        :class:`~repro.testbed.linkmodel.EmpiricalChannel` does): each
+        frame start then calls it once per audible receiver, in fan-out
+        order, instead of the fading model.  The base channel never
+        calls it.
+        """
+        raise NotImplementedError
 
     def _end_transmission(self, tx: Transmission) -> None:
         del self._in_flight[tx]
@@ -631,11 +614,9 @@ class WirelessChannel:
     def connectivity_map(self) -> Dict[int, List[int]]:
         """node -> neighbors whose mean power clears the receive threshold.
 
-        Memoized after :meth:`finalize`: while the topology holds, the
-        O(n^2) scan happens once no matter how often benches poll it.
-        Invalidation rule: re-running ``finalize()`` (the one legal
-        topology change) clears the memo; callers must treat the
-        returned mapping as read-only.
+        Memoized after :meth:`finalize`: the layout is static, so the
+        scan happens once no matter how often benches poll it; callers
+        must treat the returned mapping as read-only.
         """
         if self._connectivity_cache is None:
             decode = self.ledger.rx_thr_mw

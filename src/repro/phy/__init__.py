@@ -10,10 +10,9 @@ This package reproduces that stack:
 * :mod:`repro.phy.reception` -- SINR reception decisions.
 """
 
-from repro.phy.fading import FadingModel, NoFading, RayleighFading, RicianFading
+from repro.phy.fading import FadingModel, NoFading, RayleighFading
 from repro.phy.propagation import (
     FreeSpacePropagation,
-    LogDistancePropagation,
     PropagationModel,
     TwoRayGroundPropagation,
 )
@@ -29,11 +28,9 @@ __all__ = [
     "PropagationModel",
     "FreeSpacePropagation",
     "TwoRayGroundPropagation",
-    "LogDistancePropagation",
     "FadingModel",
     "NoFading",
     "RayleighFading",
-    "RicianFading",
     "RadioParams",
     "dbm_to_mw",
     "mw_to_dbm",

@@ -1,10 +1,9 @@
 /*
  * The compiled receiver kernel of the PHY.
  *
- * frame_start is CorrelatedRayleighFading.sample_link_gains' update of
- * each link (the recipe CorrelatedRayleighFading.uniform_row documents)
- * followed by WirelessChannel._batched_start's receiver loop
- * (repro.net.channel), and frame_end is WirelessChannel._withdraw
+ * frame_start is CorrelatedRayleighFading.sample_link_gains' AR(1) step
+ * of each link followed by WirelessChannel._batched_start's receiver
+ * loop (repro.net.channel), and frame_end is WirelessChannel._withdraw
  * followed by WirelessChannel._decide, operation for operation, so a
  * run is bit-identical to the pure-Python passes: each link's AR(1)
  * step drawn from the channel's MT19937, the faded power added to the
@@ -13,8 +12,10 @@
  * starts; at the frame's end its power withdrawn, busy -> idle flips
  * passed on, then each pending reception decided by
  * ReceptionModel.decide's stock rule, tallied by fate and, on success,
- * delivered.  A sender's first frame
- * takes the same pass: its zeroed link states with rho 0 and innovation
+ * delivered.  Every frame of a sender takes this pass, its first too:
+ * the channel computes the step's rho and innovation from the fan-out's
+ * last frame time (CorrelatedRayleighFading.coefficients), and on a
+ * first frame its zeroed link states with rho 0 and innovation
  * sqrt(0.5) make each step a fresh link's draw.
  *
  * Per-node state is the channel's PhyLedger: plain lists indexed by
@@ -25,8 +26,8 @@
  * list [signal_mw, peak_interference_mw] keyed by its transmission.
  * A sender's fan-out is two columns, the receiver-id list and an
  * array('d') of mean powers, which is read as doubles through the
- * buffer protocol; per-link fading state is the fading model's
- * array('d') of (time, real, imag) triples, written the same way.
+ * buffer protocol, and its links' fading state, an array('d') of
+ * (time, real, imag) triples in receiver order, written the same way.
  * Python is called only where the Python passes call it: the MAC's
  * on_medium_state on a flip it awaits, Node.deliver on a decoded
  * frame, and the node's counter dict.  A callback may run arbitrary
@@ -515,10 +516,10 @@ get_doubles(PyObject *obj, Py_buffer *view, int flags, const char *what)
  *             ledger_columns)
  *
  * The fused frame start over one sender's fan-out: `receiver_ids` is its
- * list of receiver ids and `means` the array('d') of their mean powers.
- * `states`, `rho` and `innovation` are
- * CorrelatedRayleighFading.uniform_row's, `states` an array('d') of
- * (time, real, imag) triples in receiver order.  Each receiver's decode
+ * list of receiver ids, `means` the array('d') of their mean powers and
+ * `states` the array('d') of their links' (time, real, imag) triples;
+ * `rho` and `innovation` are the frame's
+ * CorrelatedRayleighFading.coefficients.  Each receiver's decode
  * threshold is its ledger row's rx_thr_mw.  Appends to tx.powers and
  * tx.decoding and sets tx.touched -- to `receiver_ids` itself when no
  * receiver was silenced -- as WirelessChannel._batched_start does.

@@ -1,8 +1,8 @@
 """Loader of the compiled receiver kernel (``_rxkernel.c``).
 
-The kernel runs the frame start of a sender whose links share one
-AR(1) step -- each link's fading draw fused into the receiver
-bookkeeping -- and the whole frame end -- withdrawal, SINR decisions,
+The kernel runs the frame start under correlated Rayleigh fading --
+each link's AR(1) step fused into the receiver bookkeeping -- and the
+whole frame end -- withdrawal, SINR decisions,
 fate tallies and deliveries -- in C over the channel's
 :class:`~repro.net.channel.PhyLedger` columns, bit for bit as
 :class:`~repro.net.channel.WirelessChannel`'s Python passes (see the C

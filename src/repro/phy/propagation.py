@@ -166,66 +166,3 @@ class TwoRayGroundPropagation(PropagationModel):
         # above free space (its inverse overshoots); below it, reach is
         # beyond dc, where free space lies above the d^-4 curve.
         return min(free_space, ground)
-
-
-class LogDistancePropagation(PropagationModel):
-    """Log-distance model: free space to ``d0``, exponent ``n`` beyond.
-
-    Used by the testbed emulation, where office walls make the effective
-    exponent larger than free space.
-    """
-
-    def __init__(
-        self,
-        frequency_hz: float = 2.4e9,
-        reference_distance_m: float = 1.0,
-        path_loss_exponent: float = 3.0,
-    ) -> None:
-        if reference_distance_m <= 0:
-            raise ValueError("reference distance must be positive")
-        if path_loss_exponent < 2.0:
-            raise ValueError("path-loss exponent below free space (2.0)")
-        self.reference_distance_m = reference_distance_m
-        self.path_loss_exponent = path_loss_exponent
-        self._free_space = FreeSpacePropagation(frequency_hz)
-
-    def rx_power_mw(
-        self,
-        tx_power_mw: float,
-        distance_m: float,
-        tx_gain: float = 1.0,
-        rx_gain: float = 1.0,
-    ) -> float:
-        d0 = self.reference_distance_m
-        reference_power = self._free_space.rx_power_mw(
-            tx_power_mw, d0, tx_gain, rx_gain
-        )
-        if distance_m <= d0:
-            return self._free_space.rx_power_mw(
-                tx_power_mw, distance_m, tx_gain, rx_gain
-            )
-        return reference_power * (d0 / distance_m) ** self.path_loss_exponent
-
-    def max_range_for_power(
-        self,
-        tx_power_mw: float,
-        min_power_mw: float,
-        tx_gain: float = 1.0,
-        rx_gain: float = 1.0,
-    ) -> Optional[float]:
-        if min_power_mw <= 0.0:
-            return None
-        d0 = self.reference_distance_m
-        reference_power = self._free_space.rx_power_mw(
-            tx_power_mw, d0, tx_gain, rx_gain
-        )
-        if reference_power <= 0.0:
-            return None
-        if reference_power <= min_power_mw:
-            # Cutoff reached inside the free-space region (d <= d0).
-            free_space = self._free_space.max_range_for_power(
-                tx_power_mw, min_power_mw, tx_gain, rx_gain
-            )
-            return None if free_space is None else min(free_space, d0)
-        ratio = reference_power / min_power_mw
-        return d0 * ratio ** (1.0 / self.path_loss_exponent) * _RANGE_SAFETY

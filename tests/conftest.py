@@ -75,10 +75,10 @@ requires_kernel = pytest.mark.skipif(
 
 
 def phy_path(name: str):
-    """A block whose channels run the PHY path ``name``: "scalar" is the
-    pure-Python passes (the kernel disabled), "compiled" the kernel
-    wherever it loads."""
-    return kernel.disabled() if name == "scalar" else contextlib.nullcontext()
+    """A block whose channels run the PHY path ``name``: "python" is the
+    pure-Python passes (the kernel disabled), "kernel" the compiled
+    kernel wherever it loads."""
+    return kernel.disabled() if name == "python" else contextlib.nullcontext()
 
 
 @pytest.fixture

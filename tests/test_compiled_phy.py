@@ -3,7 +3,7 @@
 Every channel finalized where :func:`repro.phy.kernel.load` returns the
 kernel runs its frame passes in C; inside :func:`repro.phy.kernel.disabled`
 (or without a compiler) the same channel runs the pure-Python passes,
-the "scalar" path below.  These tests pin the kernel to that reference:
+the "python" path below.  These tests pin the kernel to that reference:
 
 * the kernel's MT19937 reproduces ``random.Random`` -- ``random()``,
   ``gauss`` pairs, the 624-word regeneration, a clone taken mid-stream,
@@ -12,17 +12,16 @@ the "scalar" path below.  These tests pin the kernel to that reference:
   stream draw for draw;
 * path resolution: every channel compiles wherever the kernel loads --
   small meshes, city scale without importing numpy, i.i.d. and no
-  fading, a custom power model -- keeping its path across a
-  re-finalize; a machine without a compiler, or a ``disabled()`` block,
-  runs the Python passes with identical results; fading models a fast
-  path cannot mirror bit for bit get no fused draw; a spec that still
-  names a backend is refused with the removal;
+  fading, a custom power model -- and ``finalize()`` runs once; a
+  machine without a compiler, or a ``disabled()`` block, runs the
+  Python passes with identical results; only correlated Rayleigh
+  fading on the stock power model takes the fused draw; a spec that
+  still names a backend is refused with the removal;
 * the loader: an edited source gets a new artifact name, compiler
   output never reaches stdout, and two processes building at once both
   load a valid module;
 * whole runs on the kernel equal Python runs: the six paper protocols
-  through ``differential_check``'s ``phy-python`` pass, runs across
-  a re-finalize (link state carried by receiver id), and channels the
+  through ``differential_check``'s ``phy-python`` pass, and channels the
   fused draw does not take (i.i.d. fading, no fading, a custom power
   model); the invariant monitors stay green on both paths;
 * the kernel's frame end equals the Python one
@@ -34,7 +33,7 @@ the "scalar" path below.  These tests pin the kernel to that reference:
 * a channel whose reception model is not the stock one -- a subclass,
   or ``ReceptionModel.decide`` wrapped at class level before the build
   -- decides in Python, once per decision, with the results of a
-  scalar run.
+  Python run.
 
 Run-level parity of the fused draw against per-link draws lives in
 ``tests/test_phy_fanout.py`` (``TestCompiledRunParity``).
@@ -62,17 +61,12 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.spec import ExperimentSpec, SpecError, config_from_dict
 from repro.mac.csma import BROADCAST_ID
-from repro.net.channel import PhyLedger, WirelessChannel
+from repro.net.channel import ChannelError, PhyLedger, WirelessChannel, _FanOut
 from repro.net.network import Network, NetworkConfig
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import random_topology
 from repro.phy import kernel
-from repro.phy.fading import (
-    CorrelatedRayleighFading,
-    FadingModel,
-    NoFading,
-    RayleighFading,
-)
+from repro.phy.fading import CorrelatedRayleighFading
 from repro.phy.radio import RadioParams
 from repro.phy.reception import ReceptionModel
 from repro.sim.engine import Simulator
@@ -189,14 +183,14 @@ class TestUniformStream:
         channel's ``random.Random`` for the same seed, draw for draw."""
         for seed in (0, 1, 12345):
             with kernel.disabled():
-                scalar = small_network(seed=seed).channel._fading_rng
+                python = small_network(seed=seed).channel._fading_rng
             compiled = small_network(seed=seed).channel._fading_rng
-            assert type(scalar) is random.Random
+            assert type(python) is random.Random
             assert isinstance(compiled, kernel.KernelRandom)
             assert [compiled.random() for _ in range(500)] == [
-                scalar.random() for _ in range(500)
+                python.random() for _ in range(500)
             ]
-            assert compiled.getstate() == scalar.getstate()
+            assert compiled.getstate() == python.getstate()
 
     def test_clone_resumes_mid_stream(self):
         # Offsets either side of the 624-word block a regeneration refills.
@@ -213,50 +207,19 @@ class TestUniformStream:
             assert stream.getstate() == shadow.getstate()
 
 
-class TestSamplerParity:
-    def test_unsupported_model_gets_no_sampler(self):
-        class OddFading(FadingModel):
-            def sample_power_gain(self, rng):
-                return 2.0 * rng.random()
-
-        class SubclassedRayleigh(RayleighFading):
-            def sample_link_gain(self, link_key, now, rng):
-                return 0.5
-
-        class SubclassedCorrelated(CorrelatedRayleighFading):
-            def sample_link_gain(self, link_key, now, rng):
-                return 0.25
-
-        receivers = [3, 1, 4]
-        for make in (OddFading, SubclassedRayleigh, NoFading,
-                     lambda: SubclassedCorrelated(coherence_time_s=5.0)):
-            batched_rng, per_link_rng = random.Random(5), random.Random(5)
-            batched = make().sample_link_gains(0, receivers, 1.0, batched_rng)
-            fading = make()
-            assert batched == [
-                fading.sample_link_gain((0, rid), 1.0, per_link_rng)
-                for rid in receivers
-            ]
-            assert batched_rng.getstate() == per_link_rng.getstate()
-        # Exact-type matching: a subclass may have changed the math, so
-        # it gets no fused row either.
-        fading = SubclassedCorrelated(coherence_time_s=5.0)
-        assert fading.uniform_row(0, receivers, 1.0, random.Random(5)) is None
-        for fading in (OddFading(), NoFading()):
-            assert small_network(fading=fading).channel._fused_fading is None
-
-
-class TestBackendResolution:
+class TestPathResolution:
     @requires_kernel
-    def test_auto_compiles_small_meshes(self):
+    def test_small_meshes_compile(self):
         network = small_network()
         channel = network.channel
         assert channel.compiled
+        assert channel._fused_start
         assert isinstance(channel._fading_rng, kernel.KernelRandom)
         assert network.sim.rng.stream("phy.fading") is channel._fading_rng
-        stream = channel._fading_rng
-        channel.finalize()  # a re-finalize keeps the kernel's stream
-        assert channel._fading_rng is stream
+
+    def test_finalize_runs_once(self):
+        with pytest.raises(ChannelError, match="runs once"):
+            small_network().channel.finalize()
 
     @requires_kernel
     def test_every_fading_model_compiles(self):
@@ -269,16 +232,16 @@ class TestBackendResolution:
             channel = small_network(**config).channel
             assert channel.compiled
             assert isinstance(channel._fading_rng, kernel.KernelRandom)
-            assert channel._fused_fading is None
+            assert not channel._fused_start
 
-    def test_auto_stays_scalar_on_small_meshes(self, no_kernel):
+    def test_no_kernel_runs_python(self, no_kernel):
         channel = small_network().channel
         assert not channel.compiled
         assert type(channel._fading_rng) is random.Random
-        assert channel._fused_fading is None
+        assert not channel._fused_start
 
     @requires_kernel
-    def test_no_compiler_auto_runs_scalar_with_identical_results(
+    def test_no_compiler_runs_python_with_identical_results(
         self, request
     ):
         compiled = run_protocol("spp", CONFIG)
@@ -286,15 +249,14 @@ class TestBackendResolution:
         assert kernel_module.load() is None
         assert "/bin/false" in kernel_module.unavailable_reason()
         assert not small_network().channel.compiled
-        scalar = run_protocol("spp", CONFIG)
+        python = run_protocol("spp", CONFIG)
         assert compiled.error is None
-        assert scalar == compiled
+        assert python == compiled
 
     @requires_kernel
     def test_disabled_block_keeps_its_channels_in_python(self):
         """Channels finalized inside ``disabled()`` run in Python for
-        life, a re-finalize after the block included; the loader's
-        cached module is untouched."""
+        life; the loader's cached module is untouched."""
         module = kernel.load()
         with kernel.disabled():
             assert kernel.load() is None
@@ -302,32 +264,42 @@ class TestBackendResolution:
             channel = small_network().channel
         assert kernel.load() is module
         assert kernel.unavailable_reason() is None
-        channel.finalize()
         assert not channel.compiled
         assert type(channel._fading_rng) is random.Random
 
     def test_deterministic_channel_draws_nothing(self):
-        # NoFading has nothing stochastic to draw: the frame start takes
-        # the sample-free loop, on the kernel or not.
-        channel = small_network(rayleigh_fading=False).channel
+        """NoFading keeps no link state and draws nothing: every frame's
+        powers are the mean powers, on the kernel or not."""
+        network = small_network(rayleigh_fading=False)
+        channel = network.channel
         assert channel.compiled is (KERNEL_UNAVAILABLE is None)
-        assert channel._deterministic_power
-        assert channel._fused_fading is None
+        assert not channel._fused_start
+        drawn = channel._fading_rng.getstate()
+        sender = network.nodes[0]
+        tx = channel.begin_transmission(
+            sender, Packet(PacketKind.DATA, 0, 100, 0.0), BROADCAST_ID,
+            0.001, notify_sender=False,
+        )
+        audible = channel.audible_neighbors(sender.node_id)
+        assert tx.powers == [mean_mw for _, mean_mw in audible]
+        assert channel._fanout[sender.node_id].states == array("d")
+        assert channel._fading_rng.getstate() == drawn
 
     def test_sampled_power_override_takes_no_fast_draw(self):
         class CustomChannel(WirelessChannel):
             def _sampled_power(self, sender, receiver, mean_mw):
                 return mean_mw
 
-        # The override keeps the channel off every fast draw; its frame
-        # ends still run in C where the kernel loads.
-        channel = CustomChannel(Simulator(seed=1))
+        # The override keeps the channel off the fused draw and the
+        # fading model's batch; its frame ends still run in C where the
+        # kernel loads.
+        channel = CustomChannel(Simulator(seed=1), fading=CorrelatedRayleighFading())
         channel.finalize()
         assert channel.compiled is (KERNEL_UNAVAILABLE is None)
-        assert channel._fused_fading is None
-        assert not channel._inline_fading
+        assert channel._custom_power
+        assert not channel._fused_start
 
-    def test_auto_city_scale_build_compiles_without_numpy(self):
+    def test_city_scale_build_compiles_without_numpy(self):
         """The path has no node-count switch: a city-scale mesh compiles
         (or, with no kernel, runs in Python), and nothing imports
         numpy."""
@@ -432,7 +404,7 @@ class TestCompiledRuns:
     def test_unfused_channels_equal_scalar(self, network):
         results = [
             run_on(backend, "etx", with_network(CONFIG, **network))
-            for backend in ("scalar", "compiled")
+            for backend in ("python", "kernel")
         ]
         assert results[0].error is None
         assert results[0].delivered_packets > 0
@@ -440,13 +412,13 @@ class TestCompiledRuns:
 
     def test_custom_power_model_channel_equals_scalar(self):
         totals = []
-        for backend in ("scalar", "compiled"):
+        for backend in ("python", "kernel"):
             with phy_path(backend):
                 network = make_loss_network(4, {
                     frozenset((0, 1)): 0.2, frozenset((1, 2)): 0.5,
                     frozenset((2, 3)): 0.1,
                 })
-            assert network.channel.compiled is (backend == "compiled")
+            assert network.channel.compiled is (backend == "kernel")
             for node in network.nodes:
                 for k in range(20):
                     network.sim.schedule(
@@ -507,7 +479,7 @@ class TestRunParity:
         from repro.validation.fuzzing import run_with_invariants
 
         config = dataclasses.replace(CONFIG, duration_s=8.0)
-        for backend in ("scalar", "compiled"):
+        for backend in ("python", "kernel"):
             spec = ExperimentSpec(
                 name="phy-monitors",
                 description="invariant monitors over the batched path",
@@ -520,42 +492,6 @@ class TestRunParity:
                     spec, monitors=("channel-conservation", "rng-isolation")
                 )
             assert all(result.error is None for result in results)
-
-    def test_parity_across_refinalize(self):
-        """Re-running finalize() rebuilds every fan-out; each link's
-        AR(1) state follows its receiver id on both paths."""
-        positions = random_topology(
-            12, 600.0, 600.0, rng=random.Random(8),
-            connectivity_range_m=250.0,
-        )
-
-        def broadcast_round(network):
-            for node in network.nodes:
-                node.sim.schedule(
-                    0.01 * (node.node_id + 1),
-                    lambda n=node: n.send_broadcast(
-                        Packet(PacketKind.DATA, n.node_id, 256, n.sim.now)
-                    ),
-                )
-
-        totals = {}
-        for backend in ("scalar", "compiled"):
-            with phy_path(backend):
-                network = Network(positions, seed=5)
-            broadcast_round(network)
-            network.run(until=1.0)
-            network.channel.finalize()  # the only legal topology "change"
-            assert network.channel.compiled is (backend == "compiled")
-            broadcast_round(network)
-            network.run(until=2.5)
-            totals[backend] = {
-                "rx": network.total_counter_prefix("rx."),
-                "tx": network.total_counter_prefix("tx."),
-                "channel": dict(network.channel.counters.as_dict()),
-                "power": [node.current_power_mw for node in network.nodes],
-            }
-        assert totals["scalar"]["rx"]
-        assert totals["scalar"] == totals["compiled"]
 
 
 class _Mac:
@@ -789,21 +725,27 @@ def _decision_case(in_kernel):
     module = kernel.load()
     rng = random.Random(5)
     stream = module.Stream(rng.getstate()[1])
+    fading = CorrelatedRayleighFading()
     channel = type("Channel", (), {
         "ledger": ledger, "nodes": ledger.nodes, "_fading_rng": rng,
-        "fading": CorrelatedRayleighFading(), "_deterministic_power": False,
-        "_inline_fading": True,
+        "fading": fading, "_custom_power": False,
     })()
     late = _Frame(start_time=1.5)
-    start = ([3], array("d", [100 * THR]))
-    # A fresh link: the kernel's row is uniform_row's for a first frame.
-    fading = (array("d", [0.0, 0.0, 0.0]), 0.0, math.sqrt(0.5))
+    # A sender's first frame to one receiver.
+    fan = _FanOut()
+    fan.receiver_ids.append(3)
+    fan.mean_mw.append(100 * THR)
+    fan.states = fading.link_states(1)
 
     def upcall():
         if in_kernel:
-            module.frame_start(stream, late, *start, *fading, ledger.columns)
+            module.frame_start(
+                stream, late, fan.receiver_ids, fan.mean_mw, fan.states,
+                *fading.coefficients(fan.time, late.start_time),
+                ledger.columns,
+            )
         else:
-            WirelessChannel._batched_start(channel, late, *start)
+            WirelessChannel._batched_start(channel, late, fan)
 
     receivers[1].upcall = upcall
     if in_kernel:
@@ -921,14 +863,14 @@ class TestPythonDecisions:
         assert not channel._decide_in_kernel
         scenario.run()
         assert len(calls) == _decisions(scenario.network) > 0
-        assert collect_result(scenario) == run_on("scalar", "spp", CONFIG)
+        assert collect_result(scenario) == run_on("python", "spp", CONFIG)
 
     def test_stock_model_decides_in_the_kernel(self):
         compiled = build_simulation_scenario("spp", CONFIG)
         assert compiled.network.channel._decide_in_kernel
         with kernel.disabled():
-            scalar = build_simulation_scenario("spp", CONFIG)
-        assert not scalar.network.channel._decide_in_kernel
+            python = build_simulation_scenario("spp", CONFIG)
+        assert not python.network.channel._decide_in_kernel
 
     def test_subclass_decides_in_python(self, monkeypatch):
         from repro.net import node as node_module

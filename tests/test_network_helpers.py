@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.net.network import Network, NetworkConfig
@@ -53,21 +56,30 @@ class TestNetworkAssembly:
         assert isinstance(clean.build_fading(), NoFading)
 
 
+def _link_gains(model, times, rng, links=1):
+    """Each frame's gains of one fan-out of ``links`` links, stepped at
+    ``times`` as the channel steps a sender's fan-out."""
+    states = model.link_states(links)
+    last_t = math.nan
+    frames = []
+    for now in times:
+        frames.append(model.sample_link_gains(links, states, last_t, now, rng))
+        last_t = now
+    return frames
+
+
 class TestCorrelatedFading:
     def test_marginal_mean_is_one(self):
-        import random
-
         model = CorrelatedRayleighFading(coherence_time_s=1.0)
         rng = random.Random(3)
         samples = [
-            model.sample_link_gain((0, 1), t * 0.5, rng)
-            for t in range(20000)
+            gain
+            for gains in _link_gains(model, [t * 0.5 for t in range(20000)], rng)
+            for gain in gains
         ]
         assert sum(samples) / len(samples) == pytest.approx(1.0, abs=0.05)
 
     def test_short_gaps_are_correlated_long_gaps_are_not(self):
-        import random
-
         model = CorrelatedRayleighFading(coherence_time_s=10.0)
         rng = random.Random(4)
         # Sample pairs separated by 0.1 s (correlated) vs 1000 s (fresh).
@@ -75,10 +87,9 @@ class TestCorrelatedFading:
             pairs = []
             t = 0.0
             for _ in range(4000):
-                a = model.sample_link_gain(("x", gap), t, rng)
-                b = model.sample_link_gain(("x", gap), t + gap, rng)
+                (a,), (b,) = _link_gains(model, [t, t + gap], rng)
                 pairs.append((a, b))
-                t += gap + 1000.0  # decorrelate successive pairs
+                t += gap + 1000.0
             mean_a = sum(a for a, _ in pairs) / len(pairs)
             mean_b = sum(b for _, b in pairs) / len(pairs)
             cov = sum((a - mean_a) * (b - mean_b) for a, b in pairs) / len(pairs)
@@ -89,13 +100,10 @@ class TestCorrelatedFading:
         assert abs(correlation(1000.0)) < 0.15
 
     def test_independent_links_independent_states(self):
-        import random
-
         model = CorrelatedRayleighFading(coherence_time_s=5.0)
         rng = random.Random(5)
-        gain_ab = model.sample_link_gain((0, 1), 0.0, rng)
-        gain_ba = model.sample_link_gain((1, 0), 0.0, rng)
-        # Directions are distinct processes (they were drawn separately).
+        (gain_ab, gain_ba), = _link_gains(model, [0.0], rng, links=2)
+        # Each link is its own process (drawn separately).
         assert gain_ab != gain_ba
 
     def test_validation(self):

@@ -11,12 +11,10 @@ from hypothesis import given, settings, strategies as st
 from repro.phy.fading import (
     NoFading,
     RayleighFading,
-    RicianFading,
     rayleigh_outage_probability,
 )
 from repro.phy.propagation import (
     FreeSpacePropagation,
-    LogDistancePropagation,
     TwoRayGroundPropagation,
 )
 from repro.phy.radio import (
@@ -105,25 +103,6 @@ class TestTwoRayGround:
             TwoRayGroundPropagation(tx_antenna_height_m=0.0)
 
 
-class TestLogDistance:
-    def test_matches_free_space_at_reference(self):
-        model = LogDistancePropagation(path_loss_exponent=3.5)
-        free = FreeSpacePropagation()
-        assert model.rx_power_mw(1.0, 1.0) == pytest.approx(
-            free.rx_power_mw(1.0, 1.0)
-        )
-
-    def test_exponent_law(self):
-        model = LogDistancePropagation(path_loss_exponent=3.0)
-        p1 = model.rx_power_mw(1.0, 10.0)
-        p2 = model.rx_power_mw(1.0, 20.0)
-        assert p1 / p2 == pytest.approx(8.0)
-
-    def test_rejects_sub_free_space_exponent(self):
-        with pytest.raises(ValueError):
-            LogDistancePropagation(path_loss_exponent=1.5)
-
-
 _frequencies = st.floats(min_value=0.9e9, max_value=6e9)
 _path_loss_models = st.one_of(
     st.builds(FreeSpacePropagation, frequency_hz=_frequencies),
@@ -133,12 +112,6 @@ _path_loss_models = st.one_of(
         tx_antenna_height_m=st.floats(min_value=0.5, max_value=30.0),
         rx_antenna_height_m=st.floats(min_value=0.5, max_value=30.0),
     ),
-    st.builds(
-        LogDistancePropagation,
-        frequency_hz=_frequencies,
-        reference_distance_m=st.floats(min_value=0.5, max_value=100.0),
-        path_loss_exponent=st.floats(min_value=2.0, max_value=6.0),
-    ),
 )
 _gains = st.floats(min_value=0.1, max_value=10.0)
 
@@ -147,8 +120,6 @@ def _knee_m(model):
     """Where the model changes law (free space has no knee: 100 m)."""
     if isinstance(model, TwoRayGroundPropagation):
         return model.crossover_distance_m
-    if isinstance(model, LogDistancePropagation):
-        return model.reference_distance_m
     return 100.0
 
 
@@ -156,7 +127,7 @@ class TestMaxRangeForPower:
     """``max_range_for_power`` is the exact reach, widened by a hair.
 
     The cutoff is the power at a distance 0.01x..100x the model's knee,
-    so two-ray and log-distance cutoffs land on both sides of the law
+    so two-ray cutoffs land on both sides of the law
     change.  Superset: every distance whose power clears the cutoff lies
     within the bound.  Tightness: the bound is within ``_TIGHT`` of the
     true reach, so power just inside it still clears the cutoff and
@@ -210,23 +181,6 @@ class TestFading:
         samples = [model.sample_power_gain(rng) for _ in range(20000)]
         below_one = sum(1 for s in samples if s < 1.0) / len(samples)
         assert below_one == pytest.approx(1.0 - math.exp(-1.0), abs=0.02)
-
-    def test_rician_mean_is_one(self):
-        rng = random.Random(4)
-        model = RicianFading(k_factor=5.0)
-        samples = [model.sample_power_gain(rng) for _ in range(20000)]
-        assert sum(samples) / len(samples) == pytest.approx(1.0, abs=0.03)
-
-    def test_rician_high_k_concentrates_near_one(self):
-        rng = random.Random(5)
-        strong_los = RicianFading(k_factor=50.0)
-        samples = [strong_los.sample_power_gain(rng) for _ in range(5000)]
-        spread = max(samples) - min(samples)
-        assert spread < 2.0  # Rayleigh spread over 5000 samples is >> 2
-
-    def test_rician_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            RicianFading(k_factor=-1.0)
 
     def test_outage_probability_against_samples(self):
         rng = random.Random(6)

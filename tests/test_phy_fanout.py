@@ -1,31 +1,26 @@
 """The batched PHY fan-out, bit-identical to the per-link loop.
 
 Each transmission draws all of its audible links' fading at once and
-makes one inlined pass over its receivers at each end of the frame: on
-the pure-Python passes every frame makes one
-:meth:`FadingModel.sample_link_gains` call first.  On the compiled
-kernel, with correlated Rayleigh fading, a sender whose links were last
-updated at one time -- or never, on its first frame -- draws each
-link's AR(1) step inside the frame-start pass
-(:meth:`CorrelatedRayleighFading.uniform_row`), and any other frame
-makes the batch call.  All of it is speed-only, so these tests pin it
-to the per-link formulation:
+makes one inlined pass over its receivers at each end of the frame.
+The links' fading state lives in the sender's fan-out: on the
+pure-Python passes every frame makes one
+:meth:`FadingModel.sample_link_gains` call over it; on the compiled
+kernel, with correlated Rayleigh fading, every frame -- a sender's first
+included -- draws each link's AR(1) step inside the frame-start pass.
+All of it is speed-only, so these tests pin it to the per-link
+formulation, :class:`PerLinkReference` (one ``rng.gauss`` AR(1) process
+per directed link):
 
-* every stochastic model's batch returns the floats, and leaves the
-  stream where, one ``sample_link_gain`` call per link would -- under
-  reused and fresh receiver lists, repeated times and late first
-  touches, and interleaved with per-link calls;
-* the correlated model's compact link state (one flat ``array('d')``
-  per sender) gives the per-link results under any mix of per-link,
-  subset, full-row and fused-row updates, and carries each link's state
-  by receiver id when its row is rebuilt around another list;
-* models the batch cannot mirror (subclasses, a half-drawn gaussian)
-  fall back to the per-link default;
-* whole runs of the six paper protocols are equal with and without the
-  batch and the fused draw, also under per-link calls mid-run, on both
-  paths; the Python path makes one
-  batch call per frame, and on the kernel a plain paper run takes the
-  fused draw for every frame, a sender's first included;
+* every model's batch returns the floats, and leaves the stream where,
+  one per-link draw per link would -- over several fan-outs, repeated
+  times (a zero step, which still draws) and late first frames;
+* whole runs of the six paper protocols are equal with the batch (or
+  the fused draw) and with the per-link reference, on both paths; the
+  Python path makes one batch call per frame, and on the kernel a plain
+  paper run takes the fused draw for every frame, a sender's first
+  included;
+* one fading model instance shared by runs carries nothing from one
+  run into the next, inline or pooled;
 * a frame's receivers split into ``touched`` (power) and ``decoding``
   (pending reception), and only the latter are decided;
 * a carrier-sense flip reaches a MAC only when it acts on it: a busy
@@ -42,27 +37,27 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from array import array
 
 import pytest
 
-from repro.experiments.runner import collect_result, run_protocol
+from repro.experiments.runner import collect_result, run_experiment, run_protocol
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
     SimulationScenarioConfig,
     build_simulation_scenario,
 )
+from repro.experiments.spec import ExperimentSpec
 from repro.mac.csma import BROADCAST_ID
+from repro.net import network as network_module
 from repro.net.channel import ChannelError, WirelessChannel
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Position, chain_topology
 from repro.phy.fading import (
-    TWOPI,
     CorrelatedRayleighFading,
+    NoFading,
     RayleighFading,
-    RicianFading,
 )
 from repro.sim.engine import Simulator
 from repro.validation.invariants import ValidationConfig
@@ -75,38 +70,94 @@ from tests.conftest import (
 )
 from tests.test_golden_python_phy import CASES, GOLDEN, result_digest
 
+
+class PerLinkReference:
+    """Correlated Rayleigh fading the per-link way: one AR(1) process per
+    directed link, keyed by ``(sender, receiver)`` and stepped with
+    ``rng.gauss`` from that link's own last-update time.  A zero step
+    still draws its pair, as ``gauss(0.0, 0.0)`` does."""
+
+    def __init__(self, coherence_time_s):
+        self.coherence_time_s = coherence_time_s
+        self.links = {}
+
+    def gain(self, link, now, rng):
+        sigma = math.sqrt(0.5)
+        state = self.links.get(link)
+        if state is None:
+            real = rng.gauss(0.0, sigma)
+            imag = rng.gauss(0.0, sigma)
+        else:
+            t, real, imag = state
+            rho = math.exp(-(now - t) / self.coherence_time_s)
+            innovation = sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
+            real = rho * real + rng.gauss(0.0, innovation)
+            imag = rho * imag + rng.gauss(0.0, innovation)
+        self.links[link] = (now, real, imag)
+        return real * real + imag * imag
+
+
+class PerLinkChannel(WirelessChannel):
+    """A channel whose frames draw every link through
+    :class:`PerLinkReference`, on the channel's own fading stream."""
+
+    def __init__(self, sim, propagation=None, fading=None):
+        super().__init__(sim, propagation, fading)
+        self.reference = PerLinkReference(fading.coherence_time_s)
+
+    def _sampled_power(self, sender, receiver, mean_mw):
+        return mean_mw * self.reference.gain(
+            (sender.node_id, receiver.node_id), self.sim.now,
+            self._fading_rng,
+        )
+
+
 MODELS = [
     RayleighFading,
-    lambda: RicianFading(k_factor=3.0),
+    lambda: NoFading(),
     lambda: CorrelatedRayleighFading(coherence_time_s=10.0),
     lambda: CorrelatedRayleighFading(coherence_time_s=0.25),
 ]
 
-FULL = [1, 2, 3, 4, 5, 6]
+#: Each sender's receivers, fixed as a finalized channel's fan-outs are.
+FANOUTS = {0: [1, 2, 3, 4, 5, 6], 1: [0, 2, 4, 6], 2: [5]}
 
-#: (now, receiver ids) batches.  ``FULL`` is the same list object each
-#: time, as the channel passes it; the literals are fresh lists (subsets
-#: and reorderings), which find their slots by receiver id.
+#: (now, sender) frames: repeated times (a zero step) and fan-outs whose
+#: first frame comes late.
 BATCHES = [
-    [(0.0, FULL), (1.0, FULL), (1.0, FULL), (4.5, FULL)],
-    [(0.0, [1, 2, 3]), (2.0, FULL), (2.0, [6, 1]), (3.0, FULL),
-     (3.5, [2])],
-    [(10.0, [5]), (10.5, FULL), (11.0, FULL), (40.0, [4, 5])],
+    [(0.0, 0), (1.0, 0), (1.0, 0), (4.5, 0)],
+    [(0.0, 1), (2.0, 0), (2.0, 1), (3.0, 0), (3.5, 2)],
+    [(10.0, 2), (10.5, 0), (11.0, 0), (40.0, 1), (40.0, 1)],
 ]
 
 
 def per_link(fading, seed, batches):
     rng = random.Random(seed)
+    if isinstance(fading, CorrelatedRayleighFading):
+        draw = PerLinkReference(fading.coherence_time_s).gain
+    else:
+        draw = fading.sample_link_gain
     gains = [
-        [fading.sample_link_gain((0, rid), now, rng) for rid in ids]
-        for now, ids in batches
+        [draw((sender, rid), now, rng) for rid in FANOUTS[sender]]
+        for now, sender in batches
     ]
     return gains, rng.random()
 
 
 def batched(fading, seed, batches):
+    """The frames as the channel draws them: one batch per frame over
+    the sender's states, then the sender's time set to the frame's."""
     rng = random.Random(seed)
-    gains = [fading.sample_link_gains(0, ids, now, rng) for now, ids in batches]
+    states = {
+        sender: fading.link_states(len(ids)) for sender, ids in FANOUTS.items()
+    }
+    times = dict.fromkeys(FANOUTS, math.nan)
+    gains = []
+    for now, sender in batches:
+        gains.append(fading.sample_link_gains(
+            len(FANOUTS[sender]), states[sender], times[sender], now, rng
+        ))
+        times[sender] = now
     return gains, rng.random()
 
 
@@ -118,212 +169,6 @@ class TestSampleLinkGains:
         assert batched(make_fading(), seed, batches) == per_link(
             make_fading(), seed, batches
         )
-
-    def test_interleaved_with_per_link_calls(self):
-        """A link started per-link after its row was cached is resumed,
-        not restarted, by the next batch."""
-        ids = [1, 2, 3]
-        reference = CorrelatedRayleighFading(coherence_time_s=2.0)
-        fading = CorrelatedRayleighFading(coherence_time_s=2.0)
-        ref_rng, rng = random.Random(5), random.Random(5)
-        expected = [reference.sample_link_gain((0, 1), 0.0, ref_rng)]
-        got = fading.sample_link_gains(0, ids[:1], 0.0, rng)
-        # Cache a row with links 2 and 3 unsampled ...
-        expected += [
-            reference.sample_link_gain((0, rid), 1.0, ref_rng)
-            for rid in ids
-        ]
-        got += fading.sample_link_gains(0, ids, 1.0, rng)
-        # ... then touch link 3 per link, and batch the same row again.
-        expected.append(reference.sample_link_gain((0, 3), 1.5, ref_rng))
-        got.append(fading.sample_link_gain((0, 3), 1.5, rng))
-        expected += [
-            reference.sample_link_gain((0, rid), 2.0, ref_rng)
-            for rid in ids
-        ]
-        got += fading.sample_link_gains(0, ids, 2.0, rng)
-        assert got == expected
-        assert rng.random() == ref_rng.random()
-
-    def test_subclass_math_is_not_inlined(self):
-        class Halved(CorrelatedRayleighFading):
-            def sample_link_gain(self, link_key, now, rng):
-                return 0.5 * super().sample_link_gain(link_key, now, rng)
-
-        batches = BATCHES[1]
-        assert batched(Halved(1.0), 3, batches) == per_link(
-            Halved(1.0), 3, batches
-        )
-
-    @pytest.mark.parametrize("make_fading", MODELS)
-    def test_half_drawn_gaussian_falls_back(self, make_fading):
-        """A stream left with a cached gaussian mate (a lone ``gauss``
-        call elsewhere) is consumed exactly as the per-link path would."""
-        def run(sample):
-            rng = random.Random(11)
-            rng.gauss(0.0, 1.0)
-            fading = make_fading()
-            return [sample(fading, rng, now) for now in (0.0, 0.5)], rng.random()
-
-        assert run(
-            lambda fading, rng, now: fading.sample_link_gains(0, FULL, now, rng)
-        ) == run(
-            lambda fading, rng, now: [
-                fading.sample_link_gain((0, rid), now, rng) for rid in FULL
-            ]
-        )
-
-
-def fused_update(row, ids, now, rng):
-    """The update ``uniform_row`` documents, applied to ``ids``' triples."""
-    states, rho, innovation = row
-    gains = []
-    for i in range(0, 3 * len(ids), 3):
-        x2pi = rng.random() * TWOPI
-        g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-        real = rho * states[i + 1] + (0.0 + (math.cos(x2pi) * g2rad) * innovation)
-        imag = rho * states[i + 2] + (0.0 + (math.sin(x2pi) * g2rad) * innovation)
-        states[i:i + 3] = array("d", (now, real, imag))
-        gains.append(real * real + imag * imag)
-    return gains
-
-
-class TestUniformRow:
-    def test_offered_only_for_a_uniform_cached_row(self):
-        fading = CorrelatedRayleighFading(coherence_time_s=2.0)
-        rng = random.Random(4)
-        # A sender's first frame: zeroed states, rho 0, innovation
-        # sqrt(0.5), so the update is a fresh link's draw.
-        states, rho, innovation = fading.uniform_row(0, FULL, 0.0, rng)
-        assert (rho, innovation) == (0.0, math.sqrt(0.5))
-        assert isinstance(states, array) and len(states) == 3 * len(FULL)
-        assert list(states[1::3]) == list(states[2::3]) == [0.0] * len(FULL)
-        fused_update((states, rho, innovation), FULL, 0.0, rng)
-        assert fading.uniform_row(0, FULL, 0.0, rng) is None  # rho == 1
-        # Another list object rebuilds the row around it: one batch
-        # call, then the fused pass again.
-        other = list(FULL)
-        assert fading.uniform_row(0, other, 0.5, rng) is None
-        fading.sample_link_gains(0, other, 0.5, rng)
-        states, rho, innovation = fading.uniform_row(0, other, 1.0, rng)
-        assert rho == math.exp(-0.25) and innovation > 0.0
-        assert list(states[0::3]) == [0.5] * len(FULL)
-        fused_update((states, rho, innovation), other, 1.0, rng)
-        fading.sample_link_gain((0, 3), 1.2, rng)
-        assert fading.uniform_row(0, other, 1.5, rng) is None
-        fading.sample_link_gains(0, other, 1.5, rng)
-        fading.sample_link_gain((1, 3), 1.6, rng)  # another sender's link
-        fading.sample_link_gain((0, 99), 1.6, rng)  # not in the row's list
-        assert fading.uniform_row(0, other, 2.0, rng) is not None
-        fading.sample_link_gains(0, [1, 2], 2.5, rng)  # a subset
-        assert fading.uniform_row(0, other, 3.0, rng) is None
-        rng.gauss(0.0, 1.0)
-        fading.sample_link_gains(0, other, 3.5, rng)
-        assert fading.uniform_row(0, other, 4.0, rng) is None  # half-drawn
-        # A sender whose links were sampled another way first has no
-        # uniform time until one batch call over its list.
-        fading.sample_link_gain((2, 1), 0.0, random.Random(1))
-        assert fading.uniform_row(2, FULL, 1.0, random.Random(1)) is None
-
-    def test_documented_update_equals_per_link_draws(self):
-        reference = CorrelatedRayleighFading(coherence_time_s=1.0)
-        fading = CorrelatedRayleighFading(coherence_time_s=1.0)
-        ref_rng, rng = random.Random(9), random.Random(9)
-        expected, got = [], []
-        for now in (0.0, 0.3, 0.7, 2.0):
-            expected += [
-                reference.sample_link_gain((0, rid), now, ref_rng)
-                for rid in FULL
-            ]
-            row = fading.uniform_row(0, FULL, now, rng)
-            if row is None:
-                got += fading.sample_link_gains(0, FULL, now, rng)
-                continue
-            got += fused_update(row, FULL, now, rng)
-        assert got == expected
-        assert rng.random() == ref_rng.random()
-
-
-class TestCompactLinkState:
-    """One flat ``array('d')`` per sender, against a per-link reference."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_mixed_calls_equal_per_link_reference(self, seed):
-        """Random interleavings of every entry point: per-link calls
-        (links inside and outside the row), subsets in any order, the
-        full row, the fused row, and a rebuild around another list."""
-        plan = random.Random(seed)
-        fading = CorrelatedRayleighFading(coherence_time_s=0.5)
-        reference = CorrelatedRayleighFading(coherence_time_s=0.5)
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        rows = {0: list(FULL), 1: [0, 2, 4, 6]}
-        got, expected = [], []
-        now = 0.0
-        for _ in range(60):
-            now += plan.choice((0.0, 0.05, 0.3, 1.0))
-            sender = plan.choice((0, 1))
-            ids = rows[sender]
-            kind = plan.choice(("link", "subset", "full", "fused", "rekey"))
-            if kind == "link":
-                rid = plan.choice(ids + [7, 8])
-                ids = [rid]
-                got.append(fading.sample_link_gain((sender, rid), now, rng))
-            elif kind == "subset":
-                ids = plan.sample(ids, plan.randint(1, len(ids)))
-                got += fading.sample_link_gains(sender, ids, now, rng)
-            elif kind == "full":
-                got += fading.sample_link_gains(sender, ids, now, rng)
-            else:
-                if kind == "rekey":
-                    # Reordered, with link 9 joining or leaving.
-                    ids = rows[sender] = (
-                        [rid for rid in reversed(ids) if rid != 9]
-                        + ([] if 9 in ids else [9])
-                    )
-                row = fading.uniform_row(sender, ids, now, rng)
-                if row is None:
-                    got += fading.sample_link_gains(sender, ids, now, rng)
-                else:
-                    got += fused_update(row, ids, now, rng)
-            expected += [
-                reference.sample_link_gain((sender, rid), now, ref_rng)
-                for rid in ids
-            ]
-        assert got == expected
-        assert rng.random() == ref_rng.random()
-
-    def test_rebuilt_row_carries_state_by_receiver_id(self):
-        """A row rebuilt around a new list (a re-finalize) keeps every
-        link's triple, the dropped ones included, in the new order."""
-        fading = CorrelatedRayleighFading(coherence_time_s=5.0)
-        rng = random.Random(3)
-        ids = [1, 2, 3, 4]
-        fading.sample_link_gains(0, [1, 3], 1.0, rng)
-        before = {
-            rid: tuple(fading._links[0].state[3 * k:3 * k + 3])
-            for k, rid in enumerate(fading._links[0].rids)
-        }
-        assert sorted(before) == [1, 3]
-        assert fading.uniform_row(0, ids, 2.0, rng) is None
-        row = fading._links[0]
-        assert row.key is ids and row.rids == ids
-        triples = [tuple(row.state[i:i + 3]) for i in range(0, 12, 3)]
-        assert triples[0] == before[1] and triples[2] == before[3]
-        assert all(math.isnan(t) for t, _re, _im in (triples[1], triples[3]))
-        new_ids = [3, 5]
-        assert fading.uniform_row(0, new_ids, 2.0, rng) is None
-        row = fading._links[0]
-        assert row.rids[:2] == new_ids and sorted(row.rids[2:]) == [1, 2, 4]
-        assert tuple(row.state[0:3]) == before[3]
-        assert tuple(row.state[3 * row.rids.index(1):][:3]) == before[1]
-
-
-class PerLinkCorrelated(CorrelatedRayleighFading):
-    """The stock model behind a replaced per-link entry point, so the
-    channel's one batch call falls back to one call per link."""
-
-    def sample_link_gain(self, link_key, now, rng):
-        return super().sample_link_gain(link_key, now, rng)
 
 
 RUN_CONFIG = SimulationScenarioConfig(
@@ -349,63 +194,23 @@ class TestRunParity:
     """Runs on the pure-Python passes; :class:`TestCompiledRunParity`
     repeats every case on the compiled kernel."""
 
-    BACKEND = "scalar"
+    BACKEND = "python"
 
     def run(self, protocol, config):
         with phy_path(self.BACKEND):
             return run_protocol(protocol, config)
 
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_batched_run_equals_per_link_run(self, protocol):
-        coherence = RUN_CONFIG.network.fading_coherence_time_s
-        batched_run = self.run(
-            protocol,
-            with_fading(RUN_CONFIG, CorrelatedRayleighFading(coherence)),
-        )
-        per_link_run = self.run(
-            protocol,
-            with_fading(RUN_CONFIG, PerLinkCorrelated(coherence)),
-        )
+    def test_batched_run_equals_per_link_run(self, protocol, monkeypatch):
+        config = with_fading(RUN_CONFIG, CorrelatedRayleighFading(
+            RUN_CONFIG.network.fading_coherence_time_s
+        ))
+        batched_run = self.run(protocol, config)
+        monkeypatch.setattr(network_module, "WirelessChannel", PerLinkChannel)
+        per_link_run = self.run(protocol, config)
         assert batched_run.error is None
         assert batched_run.delivered_packets > 0
         assert batched_run == per_link_run
-
-    def test_per_link_calls_mid_run_leave_the_run_unchanged(self):
-        """A ``sample_link_gain`` call between frames resumes its link
-        exactly: on the kernel it clears its sender's row time, so that
-        sender's next frame takes the batch call and no other frame
-        does; the Python path makes the batch call every frame."""
-        coherence = RUN_CONFIG.network.fading_coherence_time_s
-        results, batch_calls, frames = [], [], []
-        for fading in (
-            CorrelatedRayleighFading(coherence),
-            PerLinkCorrelated(coherence),
-        ):
-            with phy_path(self.BACKEND):
-                scenario = build_simulation_scenario(
-                    "odmrp", with_fading(RUN_CONFIG, fading)
-                )
-            channel = scenario.network.channel
-            calls = _count_calls(fading, "sample_link_gains")
-
-            def touch(sender_id):
-                rid = channel.audible_neighbors(sender_id)[0][0].node_id
-                fading.sample_link_gain(
-                    (sender_id, rid), channel.sim.now, channel._fading_rng
-                )
-
-            for k in range(40):
-                channel.sim.schedule(0.25 * k + 0.1, touch, k % 12)
-            scenario.network.sim.run(until=RUN_CONFIG.duration_s)
-            results.append(collect_result(scenario))
-            batch_calls.append(calls[0])
-            frames.append(channel.counters.total("channel.tx."))
-        assert results[0].error is None
-        assert results[0] == results[1]
-        self.assert_touched_batches(batch_calls[0], frames[0])
-
-    def assert_touched_batches(self, batch_calls, frames):
-        assert batch_calls == frames > 0
 
     def test_two_fading_draws_per_audible_receiver(self):
         """The Python path draws each frame in one batch call: two
@@ -440,35 +245,23 @@ class TestRunParity:
 @requires_kernel
 class TestCompiledRunParity(TestRunParity):
     """Every :class:`TestRunParity` case on the compiled kernel, and the
-    fused draw the kernel takes where a sender's links share one
-    last-update time."""
+    fused draw the kernel takes for every frame."""
 
-    BACKEND = "compiled"
-
-    def assert_touched_batches(self, batch_calls, frames):
-        # Every touch sends its sender back through one batch call.
-        assert 0 < batch_calls <= 40
+    BACKEND = "kernel"
 
     def test_plain_paper_run_takes_the_fused_pass(self):
-        """On a static paper-density mesh a sender's receiver list never
-        changes, so every frame -- a sender's first included -- is drawn
-        inside the frame-start pass: no batch call at all."""
+        """On a static paper-density mesh every frame -- a sender's
+        first included -- is drawn inside the frame-start pass: no batch
+        call at all."""
         config = SimulationScenarioConfig(duration_s=6.0, warmup_s=2.0)
         scenario = build_simulation_scenario("spp", config)
         channel = scenario.network.channel
         assert channel.compiled
-        senders = []
-        batch = channel.fading.sample_link_gains
-
-        def counted_batch(sender_id, *args):
-            senders.append(sender_id)
-            return batch(sender_id, *args)
-
-        channel.fading.sample_link_gains = counted_batch
+        batch_calls = _count_calls(channel.fading, "sample_link_gains")
         scenario.network.sim.run(until=config.duration_s)
         frames = channel.counters.total("channel.tx.")
         assert frames > 20 * config.num_nodes
-        assert senders == []
+        assert batch_calls[0] == 0
 
     def test_first_frame_takes_the_fused_pass(self):
         """A fresh sender's frame draws each link's first state inside
@@ -486,15 +279,11 @@ class TestCompiledRunParity(TestRunParity):
             0.001, notify_sender=False,
         )
         assert batch_calls[0] == 0
-        per_link = CorrelatedRayleighFading(
-            channel.fading.coherence_time_s
-        )
+        per_link = PerLinkReference(channel.fading.coherence_time_s)
         audible = channel.audible_neighbors(sender.node_id)
         assert tx.touched == [receiver.node_id for receiver, _ in audible]
         assert tx.powers == [
-            mean_mw * per_link.sample_link_gain(
-                (1, receiver.node_id), 0.0, reference
-            )
+            mean_mw * per_link.gain((1, receiver.node_id), 0.0, reference)
             for receiver, mean_mw in audible
         ]
         assert channel._fading_rng.getstate() == reference.getstate()
@@ -529,6 +318,34 @@ class TestCompiledRunParity(TestRunParity):
         assert network.sim.rng.stream("phy.fading") is channel._fading_rng
         assert link_calls[0] == 0
         assert batch_calls[0] == 0
+
+
+class TestSharedFadingInstance:
+    def test_one_instance_serves_inline_and_pooled_runs_alike(self):
+        """One ``CorrelatedRayleighFading`` in the config, run by odmrp
+        and then spp in one process: each result equals a run on a fresh
+        instance and the ``jobs=2`` sweep, where every run unpickles its
+        own copy.  A model that kept link state would hand odmrp's links
+        to spp, with their times in spp's future."""
+        coherence = RUN_CONFIG.network.fading_coherence_time_s
+        spec = ExperimentSpec(
+            name="shared-fading",
+            description="one fading model instance across runs",
+            protocols=("odmrp", "spp"),
+            seeds=(1,),
+            config=with_fading(RUN_CONFIG, CorrelatedRayleighFading(coherence)),
+            jobs=1,
+        )
+        inline = run_experiment(spec)
+        fresh = [
+            run_protocol(protocol, with_fading(
+                RUN_CONFIG, CorrelatedRayleighFading(coherence)
+            ))
+            for protocol in spec.protocols
+        ]
+        pooled = run_experiment(dataclasses.replace(spec, jobs=2))
+        assert all(result.error is None for result in inline)
+        assert inline == fresh == pooled
 
 
 def _count_calls(owner, attr):
@@ -692,11 +509,11 @@ class TestGatedSenseNotification:
 
 
 class TestLedgerViews:
-    @pytest.mark.parametrize("backend", ["scalar", "compiled"])
+    @pytest.mark.parametrize("backend", ["python", "kernel"])
     def test_views_equal_the_ledger_at_every_monitor_check(
         self, backend, monkeypatch
     ):
-        if backend == "compiled" and KERNEL_UNAVAILABLE is not None:
+        if backend == "kernel" and KERNEL_UNAVAILABLE is not None:
             pytest.skip(KERNEL_UNAVAILABLE)
         checked = []
         original = ChannelConservationMonitor.check
@@ -731,7 +548,7 @@ class TestLedgerViews:
         )
         with phy_path(backend):
             scenario = build_simulation_scenario("spp", config)
-        assert scenario.network.channel.compiled is (backend == "compiled")
+        assert scenario.network.channel.compiled is (backend == "kernel")
         scenario.run()
         assert len(checked) >= 16
 

@@ -367,8 +367,10 @@ class TestFanOutTable:
         ]
 
     def test_finalize_allocates_per_node_not_per_link(self, monkeypatch):
-        """At paper density a 400-node mesh has ~17k audible links; the
-        first ``finalize()`` adds a few container objects per sender."""
+        """At paper density a 400-node mesh has ~17k audible links;
+        ``finalize()`` adds four container objects per sender (the
+        fan-out, its id list, its mean-power and link-state arrays) and
+        a handful for the channel."""
         n = 400
         finalize = channel_module.WirelessChannel.finalize
         monkeypatch.setattr(
@@ -384,4 +386,4 @@ class TestFanOutTable:
         growth = len(gc.get_objects()) - before
         links = sum(len(fan.receiver_ids) for fan in channel._fanout.values())
         assert links > 20 * n
-        assert growth <= 4 * n
+        assert growth <= 4 * n + 50
