@@ -27,9 +27,11 @@ These paths keep large meshes and long runs fast without changing results:
   the fading model's ``sample_link_gains`` over that state, then makes
   one pass over the receivers.
 * Per-node PHY state (power, on-air count, carrier sense, half duplex,
-  sense threshold, MAC, pending receptions, the decision rule's
-  constants) lives in the channel's :class:`PhyLedger`, columns indexed
-  by node id that every pass updates by list subscript;
+  sense threshold, MAC, pending receptions, counter dict, the decision
+  rule's constants) lives in the channel's :class:`PhyLedger`, columns
+  indexed by node id; the numeric ones are packed arrays, which the
+  Python passes update by subscript and the compiled kernel as raw C
+  memory through buffers it holds for one call.
   :class:`~repro.net.node.Node` exposes its row as views.
 * Wherever the compiled kernel (:mod:`repro.phy.kernel`) loads,
   ``finalize()`` hands it the ``phy.fading`` stream, and the whole
@@ -131,29 +133,37 @@ class _FanOut:
 class PhyLedger:
     """Every node's PHY state as columns indexed by node id.
 
-    The channel's frame passes read and write these lists by subscript
-    (and the compiled kernel through ``columns``); each
-    :class:`~repro.net.node.Node` reads its row through views.  A
-    column is never replaced, only written in place, so ``columns`` and
-    any local binding stay valid.  ``pending`` holds each node's own
-    ``pending_receptions`` dict object.
+    The numeric columns are packed: ``array('d')`` for the powers and
+    thresholds, ``array('l')`` for the on-air counts, ``array('b')`` for
+    the two flags, which read back as ``0``/``1`` (the node views return
+    ``bool``).  ``macs``, ``pending``, ``nodes`` and ``counts`` are
+    lists of objects.  The channel's Python passes read and write the
+    columns by subscript; the compiled kernel takes ``columns``, holds
+    each packed column's buffer for the length of one call and reads and
+    writes its rows as C values.  Each :class:`~repro.net.node.Node`
+    reads its row through views.  A column is never replaced, only
+    written in place, so ``columns`` and any local binding stay valid.
+    ``pending`` holds each node's own ``pending_receptions`` dict and
+    ``counts`` its ``counters.counts`` dict, which the frame end's fate
+    tallies index directly.
     """
 
     __slots__ = ("power_mw", "on_air", "busy", "transmitting", "sense_mw",
                  "macs", "pending", "nodes", "rx_thr_mw", "noise_mw",
-                 "sinr_linear", "columns")
+                 "sinr_linear", "counts", "columns")
 
     def __init__(self) -> None:
         #: Summed faded power of the frames on the air at each node.
-        self.power_mw: List[float] = []
+        self.power_mw = array("d")
         #: How many frames each ``power_mw`` entry holds.
-        self.on_air: List[int] = []
-        #: Cached carrier-sense state, always equal to ``medium_busy``.
-        self.busy: List[bool] = []
-        #: Half duplex: the node's own frame is on the air.
-        self.transmitting: List[bool] = []
+        self.on_air = array("l")
+        #: Cached carrier-sense state (0/1), always equal to
+        #: ``medium_busy``.
+        self.busy = array("b")
+        #: Half duplex (0/1): the node's own frame is on the air.
+        self.transmitting = array("b")
         #: Carrier-sense threshold of each node's radio.
-        self.sense_mw: List[float] = []
+        self.sense_mw = array("d")
         self.macs: List[Any] = []
         #: Each node's pending receptions: transmission -> ``[signal_mw,
         #: peak_interference_mw]``.
@@ -163,14 +173,16 @@ class PhyLedger:
         #: threshold, noise, linear SINR threshold), taken from each
         #: node's reception model by :meth:`take_rules`.  A frame whose
         #: faded power reaches ``rx_thr_mw`` starts a pending reception.
-        self.rx_thr_mw: List[float] = []
-        self.noise_mw: List[float] = []
-        self.sinr_linear: List[float] = []
+        self.rx_thr_mw = array("d")
+        self.noise_mw = array("d")
+        self.sinr_linear = array("d")
+        #: Each node's counter dict (``node.counters.counts``).
+        self.counts: List[Dict[str, float]] = []
         #: The columns in the order the compiled kernel takes them.
         self.columns = (self.power_mw, self.on_air, self.busy,
                         self.transmitting, self.sense_mw, self.macs,
                         self.pending, self.nodes, self.rx_thr_mw,
-                        self.noise_mw, self.sinr_linear)
+                        self.noise_mw, self.sinr_linear, self.counts)
 
     def add(self, node: Node) -> None:
         """Give ``node`` the next row, as an idle radio."""
@@ -187,14 +199,17 @@ class PhyLedger:
         self.macs.append(node.mac)
         self.pending.append(node.pending_receptions)
         self.nodes.append(node)
+        self.counts.append(node.counters.counts)
         node._ledger = self
 
     def take_rules(self) -> None:
         """Copy every node's decision constants into the rule columns."""
         params = [node.reception_model.params for node in self.nodes]
-        self.rx_thr_mw[:] = [p.rx_threshold_mw for p in params]
-        self.noise_mw[:] = [p.noise_mw for p in params]
-        self.sinr_linear[:] = [p.sinr_threshold_linear for p in params]
+        self.rx_thr_mw[:] = array("d", [p.rx_threshold_mw for p in params])
+        self.noise_mw[:] = array("d", [p.noise_mw for p in params])
+        self.sinr_linear[:] = array(
+            "d", [p.sinr_threshold_linear for p in params]
+        )
 
 
 class WirelessChannel:
@@ -585,13 +600,14 @@ class WirelessChannel:
         """
         nodes = self.nodes
         pending_of = self.ledger.pending
+        counts_of = self.ledger.counts
         packet = tx.packet
         sender_id = tx.sender_id
         dest_id = tx.dest_id
         for rid in tx.decoding:
             signal_mw, interference_mw = pending_of[rid].pop(tx)
             receiver = nodes[rid]
-            tally = receiver.counters.counts
+            tally = counts_of[rid]
             if signal_mw <= 0.0:
                 tally["phy.rx_failed_half_duplex"] += 1.0
             elif receiver.reception_model.decide(signal_mw, interference_mw):

@@ -2,8 +2,9 @@
 
 The node's PHY-side state lives in its channel's
 :class:`~repro.net.channel.PhyLedger`, a set of per-node columns
-indexed by node id, so the channel's frame passes (and the compiled
-kernel) update it with list subscripts, never attribute lookups.  The
+indexed by node id, so the channel's frame passes update it by
+subscript, never by attribute lookup; the numeric columns are packed
+arrays, which the compiled kernel reads and writes as C memory.  The
 node reads its own row through views:
 
 * ``current_power_mw``, the summed faded power of every transmission
@@ -12,7 +13,8 @@ node reads its own row through views:
   per-receiver powers, so nothing stores a per-frame ledger),
 * ``transmitting``, the half-duplex flag, and
 * ``sensed_busy``, the cached carrier-sense state, always equal to
-  :attr:`Node.medium_busy`.
+  :attr:`Node.medium_busy`; both are stored as ``0``/``1`` in
+  ``array('b')`` columns and read back as ``bool``.
 
 The views are read-only: the channel's passes and the node's own
 radio-state methods write the columns.  A node not yet registered with
@@ -203,7 +205,7 @@ class Node:
     def transmitting(self) -> bool:
         """Half duplex: True while the node's own frame is on the air."""
         ledger = self._ledger
-        return False if ledger is None else ledger.transmitting[self.node_id]
+        return ledger is not None and ledger.transmitting[self.node_id] != 0
 
     @property
     def sensed_busy(self) -> bool:
@@ -214,7 +216,7 @@ class Node:
         agree.
         """
         ledger = self._ledger
-        return False if ledger is None else ledger.busy[self.node_id]
+        return ledger is not None and ledger.busy[self.node_id] != 0
 
     @property
     def medium_busy(self) -> bool:
@@ -223,8 +225,8 @@ class Node:
         if ledger is None:
             return False
         node_id = self.node_id
-        return ledger.transmitting[node_id] or self.reception_model.can_sense(
-            ledger.power_mw[node_id]
+        return ledger.transmitting[node_id] != 0 or (
+            self.reception_model.can_sense(ledger.power_mw[node_id])
         )
 
     def phy_begin_own_tx(self) -> None:
@@ -244,8 +246,8 @@ class Node:
         if ledger is None:
             return  # an unregistered radio is idle and senses nothing
         node_id = self.node_id
-        busy = ledger.transmitting[node_id] or self.reception_model.can_sense(
-            ledger.power_mw[node_id]
+        busy = ledger.transmitting[node_id] != 0 or (
+            self.reception_model.can_sense(ledger.power_mw[node_id])
         )
         if busy != ledger.busy[node_id]:
             ledger.busy[node_id] = busy

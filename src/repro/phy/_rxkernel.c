@@ -18,12 +18,20 @@
  * first frame its zeroed link states with rho 0 and innovation
  * sqrt(0.5) make each step a fresh link's draw.
  *
- * Per-node state is the channel's PhyLedger: plain lists indexed by
- * node id (power, on-air count, sensed-busy, transmitting, sense
- * threshold, MAC, pending-reception dict, node, and the decision rule's
- * receive threshold, noise and linear SINR threshold), read and written
- * with PyList_GET_ITEM/PyList_SetItem.  A pending reception is a two-item
- * list [signal_mw, peak_interference_mw] keyed by its transmission.
+ * Per-node state is the channel's PhyLedger, columns indexed by node
+ * id.  The numeric ones are packed arrays: power, sense threshold and
+ * the decision rule's receive threshold, noise and linear SINR
+ * threshold are array('d'), the on-air count array('l'), sensed-busy
+ * and transmitting array('b').  Each frame_start/frame_end call
+ * acquires every packed column's buffer once, checks its type code and
+ * item size, and reads and writes the rows as C doubles, longs and
+ * chars; it holds the buffers until it returns, so an upcall cannot
+ * resize a column under it (an array that exports a buffer refuses to
+ * resize, with BufferError).  The MAC, pending-reception dict, node and
+ * counter dict (each node's counters.counts, which tallies index
+ * directly) columns stay lists, read with PyList_GET_ITEM.  A pending
+ * reception is a two-item list [signal_mw, peak_interference_mw] keyed
+ * by its transmission.
  * A sender's fan-out is two columns, the receiver-id list and an
  * array('d') of mean powers, which is read as doubles through the
  * buffer protocol, and its links' fading state, an array('d') of
@@ -31,8 +39,9 @@
  * Python is called only where the Python passes call it: the MAC's
  * on_medium_state on a flip it awaits, Node.deliver on a decoded
  * frame, and the node's counter dict.  A callback may run arbitrary
- * Python, so every list index is checked against the list's current
- * size, and every borrowed object a callback could release is held.
+ * Python, so every row id is checked against the packed columns' length
+ * and the list columns' current sizes, and every borrowed object a
+ * callback could release is held.
  * A channel whose reception models are not the stock one decides in
  * Python and calls frame_end for the withdrawal alone.
  *
@@ -253,39 +262,137 @@ static PyTypeObject StreamType = {
 
 static PyObject *s_awaited_sense, *s_on_medium_state, *s_touched,
     *s_powers, *s_decoding, *s_start_time, *s_packet, *s_sender_id,
-    *s_dest_id, *s_deliver, *s_counters, *s_counts, *s_rx_ok,
+    *s_dest_id, *s_deliver, *s_rx_ok,
     *s_rx_failed_half_duplex, *s_rx_failed_collision,
     *one;
 
 /* PhyLedger.columns, in its order. */
 enum { L_POWER, L_ON_AIR, L_BUSY, L_TRANSMITTING, L_SENSE, L_MACS,
-       L_PENDING, L_NODES, L_RX_THR, L_NOISE, L_SINR, L_COLUMNS };
+       L_PENDING, L_NODES, L_RX_THR, L_NOISE, L_SINR, L_COUNTS, L_COLUMNS };
 
+/* The packed columns: each one's place in the tuple, array type code,
+ * item size, whether the kernel writes it, and its name in errors. */
+static const struct {
+    int column;
+    const char *code;
+    Py_ssize_t itemsize;
+    int writable;
+    const char *name;
+} PACKED[] = {
+    {L_POWER, "d", sizeof(double), 1, "ledger column power_mw"},
+    {L_ON_AIR, "l", sizeof(long), 1, "ledger column on_air"},
+    {L_BUSY, "b", sizeof(signed char), 1, "ledger column busy"},
+    {L_TRANSMITTING, "b", sizeof(signed char), 0, "ledger column transmitting"},
+    {L_SENSE, "d", sizeof(double), 0, "ledger column sense_mw"},
+    {L_RX_THR, "d", sizeof(double), 0, "ledger column rx_thr_mw"},
+    {L_NOISE, "d", sizeof(double), 0, "ledger column noise_mw"},
+    {L_SINR, "d", sizeof(double), 0, "ledger column sinr_linear"},
+};
+#define L_PACKED ((int)(sizeof(PACKED) / sizeof(PACKED[0])))
+
+/* The list columns and their names. */
+static const struct {
+    int column;
+    const char *name;
+} LISTS[] = {
+    {L_MACS, "macs"}, {L_PENDING, "pending"}, {L_NODES, "nodes"},
+    {L_COUNTS, "counts"},
+};
+#define L_LISTS ((int)(sizeof(LISTS) / sizeof(LISTS[0])))
+
+/* One call's view of the ledger: the packed columns' buffers, held from
+ * unpack_ledger to release_ledger, so no upcall in between can resize
+ * (or free) them, and the list columns, borrowed from the tuple. */
 typedef struct {
-    PyObject *col[L_COLUMNS];  /* borrowed from the columns tuple */
+    double *power, *sense, *rx_thr, *noise, *sinr;
+    long *on_air;
+    signed char *busy, *transmitting;
+    PyObject *macs, *pending, *nodes, *counts;
+    Py_ssize_t rows;           /* items in the shortest packed column */
+    Py_buffer view[L_PACKED];
+    int held;                  /* views acquired, in PACKED order */
 } Ledger;
 
+static void
+release_ledger(Ledger *ledger)
+{
+    while (ledger->held > 0) {
+        PyBuffer_Release(&ledger->view[--ledger->held]);
+    }
+}
+
+/* The buffer of `obj` checked to be an array of type `code`; -1 with a
+ * TypeError naming `what` otherwise.  Nothing is held on failure. */
+static int
+get_array(PyObject *obj, Py_buffer *view, int flags, const char *code,
+          Py_ssize_t itemsize, const char *what)
+{
+    if (!PyObject_CheckBuffer(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", what, code);
+        return -1;
+    }
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0) {
+        return -1;
+    }
+    if (view->itemsize != itemsize || view->format == NULL
+        || strcmp(view->format, code) != 0) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", what, code);
+        return -1;
+    }
+    return 0;
+}
+
+/* Bind the columns tuple: every packed column's buffer is acquired (and
+ * must be released with release_ledger, also on failure). */
 static int
 unpack_ledger(PyObject *columns, Ledger *ledger)
 {
+    ledger->held = 0;
     if (!PyTuple_Check(columns) || PyTuple_GET_SIZE(columns) != L_COLUMNS) {
         PyErr_Format(PyExc_TypeError,
                      "the ledger must be a tuple of %d columns", L_COLUMNS);
         return -1;
     }
-    for (int c = 0; c < L_COLUMNS; c++) {
-        PyObject *column = PyTuple_GET_ITEM(columns, c);
+    for (int k = 0; k < L_LISTS; k++) {
+        PyObject *column = PyTuple_GET_ITEM(columns, LISTS[k].column);
         if (!PyList_Check(column)) {
-            PyErr_Format(PyExc_TypeError, "ledger column %d must be a list", c);
+            PyErr_Format(PyExc_TypeError, "ledger column %s must be a list",
+                         LISTS[k].name);
             return -1;
         }
-        ledger->col[c] = column;
     }
+    ledger->macs = PyTuple_GET_ITEM(columns, L_MACS);
+    ledger->pending = PyTuple_GET_ITEM(columns, L_PENDING);
+    ledger->nodes = PyTuple_GET_ITEM(columns, L_NODES);
+    ledger->counts = PyTuple_GET_ITEM(columns, L_COUNTS);
+    void *buf[L_COLUMNS];
+    ledger->rows = PY_SSIZE_T_MAX;
+    for (int k = 0; k < L_PACKED; k++) {
+        Py_buffer *view = &ledger->view[k];
+        if (get_array(PyTuple_GET_ITEM(columns, PACKED[k].column), view,
+                      PACKED[k].writable ? PyBUF_WRITABLE : PyBUF_SIMPLE,
+                      PACKED[k].code, PACKED[k].itemsize, PACKED[k].name) < 0) {
+            return -1;
+        }
+        ledger->held++;
+        buf[PACKED[k].column] = view->buf;
+        ledger->rows = Py_MIN(ledger->rows, view->len / PACKED[k].itemsize);
+    }
+    ledger->power = buf[L_POWER];
+    ledger->on_air = buf[L_ON_AIR];
+    ledger->busy = buf[L_BUSY];
+    ledger->transmitting = buf[L_TRANSMITTING];
+    ledger->sense = buf[L_SENSE];
+    ledger->rx_thr = buf[L_RX_THR];
+    ledger->noise = buf[L_NOISE];
+    ledger->sinr = buf[L_SINR];
     return 0;
 }
 
-/* The node id in `id_obj`, checked against every column's current size;
- * -1 with an exception set when it is not a row of the ledger. */
+/* The node id in `id_obj`, checked against the packed columns' length
+ * and the list columns' current sizes; -1 with an exception set when it
+ * is not a row of the ledger. */
 static Py_ssize_t
 ledger_row(const Ledger *ledger, PyObject *id_obj)
 {
@@ -293,46 +400,31 @@ ledger_row(const Ledger *ledger, PyObject *id_obj)
     if (rid == -1 && PyErr_Occurred()) {
         return -1;
     }
-    for (int c = 0; c < L_COLUMNS; c++) {
-        if (rid < 0 || rid >= PyList_GET_SIZE(ledger->col[c])) {
-            PyErr_Format(PyExc_IndexError,
-                         "receiver id %zd is not a row of the ledger", rid);
-            return -1;
-        }
+    if (rid < 0 || rid >= ledger->rows
+        || rid >= PyList_GET_SIZE(ledger->macs)
+        || rid >= PyList_GET_SIZE(ledger->pending)
+        || rid >= PyList_GET_SIZE(ledger->nodes)
+        || rid >= PyList_GET_SIZE(ledger->counts)) {
+        PyErr_Format(PyExc_IndexError,
+                     "receiver id %zd is not a row of the ledger", rid);
+        return -1;
     }
     return rid;
 }
 
-static inline PyObject *
-cell(const Ledger *ledger, int column, Py_ssize_t rid)
-{
-    return PyList_GET_ITEM(ledger->col[column], rid);
-}
-
-/* column[rid] = value, stealing the reference to value (NULL fails). */
-static int
-set_cell(const Ledger *ledger, int column, Py_ssize_t rid, PyObject *value)
-{
-    if (value == NULL) {
-        return -1;
-    }
-    return PyList_SetItem(ledger->col[column], rid, value);
-}
-
 /* busy[rid] = busy; then macs[rid].on_medium_state(busy) when that MAC
  * waits for exactly this state (awaited_sense is busy).  The caller
- * re-checks `rid` afterwards: the callback may resize a column. */
+ * re-checks `rid` afterwards: the callback may resize a list column. */
 static int
-flip_sense(const Ledger *ledger, Py_ssize_t rid, PyObject *busy)
+flip_sense(const Ledger *ledger, Py_ssize_t rid, int busy)
 {
-    if (set_cell(ledger, L_BUSY, rid, Py_NewRef(busy)) < 0) {
-        return -1;
-    }
-    PyObject *mac = Py_NewRef(cell(ledger, L_MACS, rid));
+    PyObject *flag = busy ? Py_True : Py_False;
+    ledger->busy[rid] = (signed char)busy;
+    PyObject *mac = Py_NewRef(PyList_GET_ITEM(ledger->macs, rid));
     PyObject *awaited = PyObject_GetAttr(mac, s_awaited_sense);
     int status = awaited == NULL ? -1 : 0;
-    if (awaited == busy) {
-        PyObject *done = PyObject_CallMethodOneArg(mac, s_on_medium_state, busy);
+    if (awaited == flag) {
+        PyObject *done = PyObject_CallMethodOneArg(mac, s_on_medium_state, flag);
         status = done == NULL ? -1 : 0;
         Py_XDECREF(done);
     }
@@ -427,17 +519,10 @@ start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
     if (rid < 0) {
         return -1;
     }
-    double current = PyFloat_AsDouble(cell(ledger, L_POWER, rid));
-    long count = PyLong_AsLong(cell(ledger, L_ON_AIR, rid));
-    if (PyErr_Occurred()) {
-        return -1;
-    }
-    double total = current + power;
-    if (set_cell(ledger, L_POWER, rid, PyFloat_FromDouble(total)) < 0
-        || set_cell(ledger, L_ON_AIR, rid, PyLong_FromLong(count + 1)) < 0) {
-        return -1;
-    }
-    PyObject *pending = Py_NewRef(cell(ledger, L_PENDING, rid));
+    double total = ledger->power[rid] + power;
+    ledger->power[rid] = total;
+    ledger->on_air[rid] += 1;
+    PyObject *pending = Py_NewRef(PyList_GET_ITEM(ledger->pending, rid));
     int status = -1;
     if (!PyDict_Check(pending)) {
         PyErr_SetString(PyExc_TypeError, "pending_receptions must be a dict");
@@ -450,65 +535,33 @@ start_receiver(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
             || (rid = ledger_row(ledger, id_obj)) < 0)) {
         goto done;
     }
-    int busy = PyObject_IsTrue(cell(ledger, L_BUSY, rid));
-    double sense = PyFloat_AsDouble(cell(ledger, L_SENSE, rid));
-    if (busy < 0 || PyErr_Occurred()) {
-        goto done;
-    }
-    if (!busy && total >= sense
-        && (flip_sense(ledger, rid, Py_True) < 0
+    if (!ledger->busy[rid] && total >= ledger->sense[rid]
+        && (flip_sense(ledger, rid, 1) < 0
             || (rid = ledger_row(ledger, id_obj)) < 0)) {
         goto done;
     }
-    double threshold = PyFloat_AsDouble(cell(ledger, L_RX_THR, rid));
-    if (threshold == -1.0 && PyErr_Occurred()) {
-        goto done;
-    }
-    if (power >= threshold) {
-        int transmitting = PyObject_IsTrue(cell(ledger, L_TRANSMITTING, rid));
-        if (transmitting < 0) {
+    if (power >= ledger->rx_thr[rid] && !ledger->transmitting[rid]) {
+        double level = total - power;
+        PyObject *row = PyList_New(2);
+        PyObject *peak = row == NULL
+            ? NULL : PyFloat_FromDouble(level > 0.0 ? level : 0.0);
+        if (peak == NULL) {
+            Py_XDECREF(row);
             goto done;
         }
-        if (!transmitting) {
-            double level = total - power;
-            PyObject *row = PyList_New(2);
-            PyObject *peak = row == NULL
-                ? NULL : PyFloat_FromDouble(level > 0.0 ? level : 0.0);
-            if (peak == NULL) {
-                Py_XDECREF(row);
-                goto done;
-            }
-            PyList_SET_ITEM(row, 0, Py_NewRef(power_obj));
-            PyList_SET_ITEM(row, 1, peak);
-            int failed = PyDict_SetItem(pending, tx, row) < 0
-                || PyList_Append(decoding, id_obj) < 0;
-            Py_DECREF(row);
-            if (failed) {
-                goto done;
-            }
+        PyList_SET_ITEM(row, 0, Py_NewRef(power_obj));
+        PyList_SET_ITEM(row, 1, peak);
+        int failed = PyDict_SetItem(pending, tx, row) < 0
+            || PyList_Append(decoding, id_obj) < 0;
+        Py_DECREF(row);
+        if (failed) {
+            goto done;
         }
     }
     status = 0;
 done:
     Py_DECREF(pending);
     return status;
-}
-
-/* The buffer of `obj` checked to be an array('d'); -1 with a TypeError
- * naming `what` otherwise.  Nothing is held on failure. */
-static int
-get_doubles(PyObject *obj, Py_buffer *view, int flags, const char *what)
-{
-    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0) {
-        return -1;
-    }
-    if (view->itemsize != sizeof(double) || view->format == NULL
-        || strcmp(view->format, "d") != 0) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "%s must be an array('d')", what);
-        return -1;
-    }
-    return 0;
 }
 
 /*
@@ -527,10 +580,11 @@ get_doubles(PyObject *obj, Py_buffer *view, int flags, const char *what)
  * Every link's AR(1) step is drawn first, straight into the states'
  * buffer, and multiplied by its mean; both buffers are released before
  * the receiver bookkeeping calls any Python, just as the Python path
- * draws the whole batch before its receiver loop.
+ * draws the whole batch before its receiver loop.  The ledger's packed
+ * columns stay held for the whole call.
  */
 static PyObject *
-frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+frame_start(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 8) {
         PyErr_SetString(PyExc_TypeError, "frame_start takes 8 arguments");
@@ -543,9 +597,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     StreamObject *stream = (StreamObject *)args[0];
     PyObject *tx = args[1], *ids = args[2], *means = args[3],
              *states = args[4];
-    Ledger ledger;
-    if (check_list(ids, "receiver_ids") < 0
-        || unpack_ledger(args[7], &ledger) < 0) {
+    if (check_list(ids, "receiver_ids") < 0) {
         return NULL;
     }
     double rho = PyFloat_AsDouble(args[5]);
@@ -554,10 +606,14 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
 
+    Ledger ledger;
     PyObject *now = NULL, *powers = NULL, *decoding = NULL, *touched = NULL,
              *result = NULL;
     double *power = NULL;
     int any_silenced = 0;
+    if (unpack_ledger(args[7], &ledger) < 0) {
+        goto done;
+    }
     now = PyObject_GetAttr(tx, s_start_time);
     powers = now ? PyObject_GetAttr(tx, s_powers) : NULL;
     decoding = powers ? PyObject_GetAttr(tx, s_decoding) : NULL;
@@ -571,11 +627,12 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
 
     Py_buffer mean_view, view;
-    if (get_doubles(means, &mean_view, PyBUF_SIMPLE, "means") < 0) {
+    if (get_array(means, &mean_view, PyBUF_SIMPLE, "d", sizeof(double),
+                  "means") < 0) {
         goto done;
     }
-    if (get_doubles(states, &view, PyBUF_WRITABLE,
-                    "link states (time, real, imag triples)") < 0) {
+    if (get_array(states, &view, PyBUF_WRITABLE, "d", sizeof(double),
+                  "link states (time, real, imag triples)") < 0) {
         PyBuffer_Release(&mean_view);
         goto done;
     }
@@ -654,6 +711,7 @@ frame_start(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     result = Py_NewRef(Py_None);
 done:
+    release_ledger(&ledger);
     PyMem_Free(power);
     Py_XDECREF(touched);
     Py_XDECREF(decoding);
@@ -693,43 +751,18 @@ withdraw(const Ledger *ledger, PyObject *touched_obj, PyObject *powers_obj)
         if (rid < 0) {
             goto done;
         }
-        long count = PyLong_AsLong(cell(ledger, L_ON_AIR, rid)) - 1;
-        if (PyErr_Occurred()
-            || set_cell(ledger, L_ON_AIR, rid, PyLong_FromLong(count)) < 0) {
-            goto done;
-        }
+        long count = ledger->on_air[rid] - 1;
+        ledger->on_air[rid] = count;
         double total = 0.0;
         if (count) {
-            total = PyFloat_AsDouble(cell(ledger, L_POWER, rid)) - power;
-            if (PyErr_Occurred()) {
-                goto done;
-            }
+            total = ledger->power[rid] - power;
             if (total < 0.0) {  /* guard against float drift */
                 total = 0.0;
             }
         }
-        if (set_cell(ledger, L_POWER, rid, PyFloat_FromDouble(total)) < 0) {
-            goto done;
-        }
-        int busy = PyObject_IsTrue(cell(ledger, L_BUSY, rid));
-        if (busy < 0) {
-            goto done;
-        }
-        if (!busy) {
-            continue;
-        }
-        int transmitting = PyObject_IsTrue(cell(ledger, L_TRANSMITTING, rid));
-        if (transmitting < 0) {
-            goto done;
-        }
-        if (transmitting) {
-            continue;
-        }
-        double sense = PyFloat_AsDouble(cell(ledger, L_SENSE, rid));
-        if (sense == -1.0 && PyErr_Occurred()) {
-            goto done;
-        }
-        if (total < sense && flip_sense(ledger, rid, Py_False) < 0) {
+        ledger->power[rid] = total;
+        if (ledger->busy[rid] && !ledger->transmitting[rid]
+            && total < ledger->sense[rid] && flip_sense(ledger, rid, 0) < 0) {
             goto done;
         }
     }
@@ -740,19 +773,15 @@ done:
     return status;
 }
 
-/* node.counters.counts[fate] += 1.0 */
+/* counts[fate] += 1.0, on a node's counters.counts */
 static int
-tally(PyObject *node, PyObject *fate)
+tally(PyObject *counts, PyObject *fate)
 {
-    PyObject *counters = PyObject_GetAttr(node, s_counters);
-    PyObject *counts = counters ? PyObject_GetAttr(counters, s_counts) : NULL;
-    PyObject *value = counts ? PyObject_GetItem(counts, fate) : NULL;
+    PyObject *value = PyObject_GetItem(counts, fate);
     PyObject *sum = value ? PyNumber_InPlaceAdd(value, one) : NULL;
     int status = sum == NULL ? -1 : PyObject_SetItem(counts, fate, sum);
     Py_XDECREF(sum);
     Py_XDECREF(value);
-    Py_XDECREF(counts);
-    Py_XDECREF(counters);
     return status;
 }
 
@@ -766,7 +795,7 @@ decide_one(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
     if (rid < 0) {
         return -1;
     }
-    PyObject *pending = cell(ledger, L_PENDING, rid);
+    PyObject *pending = PyList_GET_ITEM(ledger->pending, rid);
     if (!PyDict_Check(pending)) {
         PyErr_SetString(PyExc_TypeError, "pending_receptions must be a dict");
         return -1;
@@ -783,7 +812,7 @@ decide_one(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
     }
     PyObject *signal_obj = Py_NewRef(PyList_GET_ITEM(row, 0));
     PyObject *peak_obj = Py_NewRef(PyList_GET_ITEM(row, 1));
-    PyObject *node = NULL;
+    PyObject *node = NULL, *counts = NULL;
     int status = -1;
     if (PyDict_DelItem(pending, tx) < 0) {
         goto done;
@@ -793,13 +822,11 @@ decide_one(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
     if (PyErr_Occurred() || (rid = ledger_row(ledger, id_obj)) < 0) {
         goto done;
     }
-    double rx_thr = PyFloat_AsDouble(cell(ledger, L_RX_THR, rid));
-    double noise = PyFloat_AsDouble(cell(ledger, L_NOISE, rid));
-    double sinr = PyFloat_AsDouble(cell(ledger, L_SINR, rid));
-    if (PyErr_Occurred()) {
-        goto done;
-    }
-    node = Py_NewRef(cell(ledger, L_NODES, rid));
+    double rx_thr = ledger->rx_thr[rid];
+    double noise = ledger->noise[rid];
+    double sinr = ledger->sinr[rid];
+    node = Py_NewRef(PyList_GET_ITEM(ledger->nodes, rid));
+    counts = Py_NewRef(PyList_GET_ITEM(ledger->counts, rid));
     /* ReceptionModel.decide, then the fates in _decide's order. */
     PyObject *fate;
     int decoded = 0;
@@ -813,7 +840,7 @@ decide_one(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
     else {
         fate = s_rx_failed_collision;
     }
-    if (tally(node, fate) < 0) {
+    if (tally(counts, fate) < 0) {
         goto done;
     }
     if (decoded) {
@@ -827,6 +854,7 @@ decide_one(const Ledger *ledger, PyObject *tx, PyObject *id_obj,
     }
     status = 0;
 done:
+    Py_XDECREF(counts);
     Py_XDECREF(node);
     Py_DECREF(peak_obj);
     Py_DECREF(signal_obj);
@@ -873,17 +901,20 @@ decide_all(const Ledger *ledger, PyObject *tx)
  * (WirelessChannel._decide with the stock rule) over tx.decoding.
  */
 static PyObject *
-frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+frame_end(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError, "frame_end takes 3 arguments");
         return NULL;
     }
     PyObject *tx = args[0];
-    Ledger ledger;
-    int decide = unpack_ledger(args[1], &ledger) < 0
-        ? -1 : PyObject_IsTrue(args[2]);
+    int decide = PyObject_IsTrue(args[2]);
     if (decide < 0) {
+        return NULL;
+    }
+    Ledger ledger;
+    if (unpack_ledger(args[1], &ledger) < 0) {
+        release_ledger(&ledger);
         return NULL;
     }
     PyObject *touched = PyObject_GetAttr(tx, s_touched);
@@ -892,6 +923,7 @@ frame_end(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         || (decide && decide_all(&ledger, tx) < 0);
     Py_XDECREF(powers);
     Py_XDECREF(touched);
+    release_ledger(&ledger);
     return failed ? NULL : Py_NewRef(Py_None);
 }
 
@@ -932,8 +964,6 @@ PyInit__rxkernel(void)
     INTERN(s_sender_id, "sender_id");
     INTERN(s_dest_id, "dest_id");
     INTERN(s_deliver, "deliver");
-    INTERN(s_counters, "counters");
-    INTERN(s_counts, "counts");
     INTERN(s_rx_ok, "phy.rx_ok");
     INTERN(s_rx_failed_half_duplex, "phy.rx_failed_half_duplex");
     INTERN(s_rx_failed_collision, "phy.rx_failed_collision");

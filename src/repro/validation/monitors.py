@@ -121,7 +121,7 @@ class ChannelConservationMonitor(InvariantMonitor):
                     f"but its power ledger holds {len(contributions)}",
                     node_id=node_id,
                 )
-            sensed = ledger.busy[node_id]
+            sensed = bool(ledger.busy[node_id])
             if sensed != node.medium_busy:
                 self.fail(
                     f"cached carrier-sense state {sensed} "

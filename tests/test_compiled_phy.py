@@ -511,7 +511,8 @@ PARAMS = RadioParams()
 
 def _hand_ledger(rows, nodes=None):
     """A ledger of ``(power, on_air, busy, transmitting, sense, mac)`` rows,
-    with ``nodes`` (default none) deciding by ``PARAMS``' stock rule."""
+    with ``nodes`` (default none) deciding by ``PARAMS``' stock rule and
+    tallying into their own counters."""
     ledger = PhyLedger()
     for k, (power, on_air, busy, transmitting, sense, mac) in enumerate(rows):
         ledger.power_mw.append(power)
@@ -522,6 +523,7 @@ def _hand_ledger(rows, nodes=None):
         ledger.macs.append(mac)
         ledger.pending.append({} if nodes is None else nodes[k].pending)
         ledger.nodes.append(None if nodes is None else nodes[k])
+        ledger.counts.append({} if nodes is None else nodes[k].counters.counts)
         ledger.rx_thr_mw.append(PARAMS.rx_threshold_mw)
         ledger.noise_mw.append(PARAMS.noise_mw)
         ledger.sinr_linear.append(PARAMS.sinr_threshold_linear)
@@ -590,7 +592,7 @@ class TestFrameEndParity:
         assert _ledger_state(compiled) == _ledger_state(python)
         power, on_air, busy, _, macs = _ledger_state(compiled)
         assert power[0] == 0.0 and power[1] == 0.0 and on_air[:2] == [0, 1]
-        assert busy == [False, False, False, True, True, True]
+        assert busy == [0, 0, 0, 1, 1, 1]
         assert macs[0] == (False, [False]) and macs[3] == (False, [])
         assert macs[2] == (None, [])
 
@@ -803,8 +805,6 @@ class TestDecisionParity:
             module.frame_end(*case(row=None), True)
         with pytest.raises(TypeError, match="signal_mw, peak_interference_mw"):
             module.frame_end(*case(row=(5 * THR,)), True)
-        with pytest.raises(TypeError):
-            module.frame_end(*case(column="noise_mw", value="loud"), True)
         with pytest.raises(TypeError, match="must be a dict"):
             module.frame_end(*case(column="pending", value=[]), True)
         tx, columns = case()
@@ -829,12 +829,76 @@ class TestDecisionParity:
             assert tx.powers == [] and tx.decoding == []
         assert stream.getstate() == drawn
         assert list(states) == [0.0, 0.0, 0.0]
-        assert ledger.power_mw == [0.0]
+        assert list(ledger.power_mw) == [0.0]
         tx = _Frame(start_time=1.0)
         module.frame_start(stream, tx, [0], array("d", [4 * THR]), states,
                            0.0, math.sqrt(0.5), ledger.columns)
         assert tx.touched == [0] and len(tx.powers) == 1
-        assert ledger.power_mw == tx.powers
+        assert list(ledger.power_mw) == tx.powers
+
+    def test_a_column_of_the_wrong_type_is_named(self):
+        """Each packed column must be an array of its own type code, each
+        object column a list; both passes refuse any other, naming it,
+        before they write anything."""
+        module = kernel.load()
+        ledger = _hand_ledger([(0.0, 1, False, False, 1.0, _Mac())],
+                              [_Receiver()])
+        stream = module.Stream(random.Random(3).getstate()[1])
+        names = ("power_mw", "on_air", "busy", "transmitting", "sense_mw",
+                 "macs", "pending", "nodes", "rx_thr_mw", "noise_mw",
+                 "sinr_linear", "counts")
+        wrong = {"d": array("f", [0.0]), "l": array("i", [1]),
+                 "b": array("B", [0])}
+        for k, name in enumerate(names):
+            column = ledger.columns[k]
+            replacements = (
+                [wrong[column.typecode], list(column)]
+                if isinstance(column, array) else [array("d", [0.0])]
+            )
+            for replacement in replacements:
+                columns = (*ledger.columns[:k], replacement,
+                           *ledger.columns[k + 1:])
+                with pytest.raises(TypeError, match=f"column {name} must"):
+                    module.frame_end(_Frame([0], [1e-9]), columns, True)
+                with pytest.raises(TypeError, match=f"column {name} must"):
+                    module.frame_start(
+                        stream, _Frame(start_time=1.0), [0],
+                        array("d", [4 * THR]), array("d", [0.0] * 3), 0.0,
+                        math.sqrt(0.5), columns,
+                    )
+        assert list(ledger.power_mw) == [0.0]
+        assert list(ledger.on_air) == [1]
+
+    def test_an_upcall_cannot_resize_a_held_column(self):
+        """Each pass holds the packed columns' buffers until it returns:
+        a MAC upcall that grows ``power_mw`` mid-frame gets BufferError,
+        which the pass raises, and the buffers are released after."""
+        module = kernel.load()
+
+        class Growing(_Mac):
+            def on_medium_state(self, busy):
+                super().on_medium_state(busy)
+                ledger.power_mw.append(0.0)
+
+        # Frame end: the last frame leaves an idle-awaiting receiver.
+        ledger = _hand_ledger([(3e-9, 1, True, False, 1e-9, Growing(False))])
+        with pytest.raises(BufferError):
+            module.frame_end(_Frame([0], [3e-9]), ledger.columns, False)
+        assert ledger.macs[0].calls == [False]
+        ledger.power_mw.append(0.0)
+        # Frame start: a loud frame at a busy-awaiting receiver.
+        ledger = _hand_ledger([(0.0, 0, False, False, 1e-9, Growing(True))],
+                              [_Receiver()])
+        stream = module.Stream(random.Random(3).getstate()[1])
+        with pytest.raises(BufferError):
+            module.frame_start(
+                stream, _Frame(start_time=1.0), [0],
+                array("d", [1000 * THR]), array("d", [0.0] * 3), 0.0,
+                math.sqrt(0.5), ledger.columns,
+            )
+        assert ledger.macs[0].calls == [True]
+        ledger.power_mw.append(0.0)
+        assert len(ledger.power_mw) == 2
 
 
 def _counted(rule, calls):

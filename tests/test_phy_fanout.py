@@ -47,7 +47,7 @@ from repro.experiments.scenarios import (
     build_simulation_scenario,
 )
 from repro.experiments.spec import ExperimentSpec
-from repro.mac.csma import BROADCAST_ID
+from repro.mac.csma import BROADCAST_ID, CsmaMac
 from repro.net import network as network_module
 from repro.net.channel import ChannelError, WirelessChannel
 from repro.net.network import Network
@@ -508,49 +508,85 @@ class TestGatedSenseNotification:
         assert calls == []
 
 
+def _at_every_monitor_check(backend, monkeypatch, inspect):
+    """Run a small spp scenario on ``backend`` calling ``inspect(network)``
+    at each channel-conservation check; the number of checks."""
+    if backend == "kernel" and KERNEL_UNAVAILABLE is not None:
+        pytest.skip(KERNEL_UNAVAILABLE)
+    checked = []
+    original = ChannelConservationMonitor.check
+
+    def check(monitor, now):
+        inspect(monitor.scenario.network)
+        checked.append(now)
+        original(monitor, now)
+
+    monkeypatch.setattr(ChannelConservationMonitor, "check", check)
+    config = SimulationScenarioConfig(
+        num_nodes=12, area_width_m=600.0, area_height_m=600.0,
+        num_groups=1, members_per_group=4, duration_s=8.0,
+        warmup_s=2.0, topology_seed=5,
+        validation=ValidationConfig(
+            enabled=True, check_interval_s=0.5,
+            monitors=("channel-conservation",),
+        ),
+    )
+    with phy_path(backend):
+        scenario = build_simulation_scenario("spp", config)
+    assert scenario.network.channel.compiled is (backend == "kernel")
+    scenario.run()
+    return len(checked)
+
+
 class TestLedgerViews:
     @pytest.mark.parametrize("backend", ["python", "kernel"])
     def test_views_equal_the_ledger_at_every_monitor_check(
         self, backend, monkeypatch
     ):
-        if backend == "kernel" and KERNEL_UNAVAILABLE is not None:
-            pytest.skip(KERNEL_UNAVAILABLE)
-        checked = []
-        original = ChannelConservationMonitor.check
-
-        def check(monitor, now):
-            network = monitor.scenario.network
+        def inspect(network):
             ledger = network.channel.ledger
             assert ledger.nodes == network.nodes
             for node_id, node in enumerate(network.nodes):
                 assert node.node_id == node_id
                 assert node.current_power_mw == ledger.power_mw[node_id]
                 assert node.on_air_count == ledger.on_air[node_id]
-                assert node.sensed_busy is ledger.busy[node_id]
-                assert node.transmitting is ledger.transmitting[node_id]
+                assert node.sensed_busy is bool(ledger.busy[node_id])
+                assert node.transmitting is bool(ledger.transmitting[node_id])
                 assert node.pending_receptions is ledger.pending[node_id]
                 assert node.mac is ledger.macs[node_id]
+                assert node.counters.counts is ledger.counts[node_id]
                 assert ledger.sense_mw[node_id] == (
                     node.params.carrier_sense_threshold_mw
                 )
-            checked.append(now)
-            original(monitor, now)
 
-        monkeypatch.setattr(ChannelConservationMonitor, "check", check)
-        config = SimulationScenarioConfig(
-            num_nodes=12, area_width_m=600.0, area_height_m=600.0,
-            num_groups=1, members_per_group=4, duration_s=8.0,
-            warmup_s=2.0, topology_seed=5,
-            validation=ValidationConfig(
-                enabled=True, check_interval_s=0.5,
-                monitors=("channel-conservation",),
-            ),
-        )
-        with phy_path(backend):
-            scenario = build_simulation_scenario("spp", config)
-        assert scenario.network.channel.compiled is (backend == "kernel")
-        scenario.run()
-        assert len(checked) >= 16
+        assert _at_every_monitor_check(backend, monkeypatch, inspect) >= 16
+
+    @pytest.mark.parametrize("backend", ["python", "kernel"])
+    def test_flag_views_and_sense_flips_are_bool(self, backend, monkeypatch):
+        """The flag columns store 0/1; ``transmitting``, ``sensed_busy``
+        and ``medium_busy`` still read as ``bool``, and every carrier-sense
+        flip reaches the MAC as ``True`` or ``False``."""
+        seen = set()
+        flips = []
+        on_medium_state = CsmaMac.on_medium_state
+
+        def recording(mac, busy):
+            flips.append(busy)
+            return on_medium_state(mac, busy)
+
+        monkeypatch.setattr(CsmaMac, "on_medium_state", recording)
+
+        def inspect(network):
+            for node in network.nodes:
+                for view in ("transmitting", "sensed_busy", "medium_busy"):
+                    value = getattr(node, view)
+                    assert type(value) is bool, (view, value)
+                    seen.add((view, value))
+
+        assert _at_every_monitor_check(backend, monkeypatch, inspect) >= 16
+        assert {value for _, value in seen} == {False, True}
+        assert flips and {type(busy) for busy in flips} == {bool}
+        assert set(flips) == {False, True}
 
     def test_unregistered_node_reads_as_an_idle_radio(self):
         node = Node(0, Position(0.0, 0.0), Simulator(seed=1))

@@ -362,7 +362,7 @@ class TestFanOutTable:
         network = Network(_paper_density_positions(30, 4), seed=1)
         nodes = network.nodes
         assert all(type(node.reception_model) is model for node in nodes)
-        assert network.channel.ledger.rx_thr_mw == [
+        assert list(network.channel.ledger.rx_thr_mw) == [
             node.params.rx_threshold_mw for node in nodes
         ]
 
